@@ -4,6 +4,7 @@ Heavy shared artifacts (reference minima, the protocol sweep) are module-
 scoped fixtures so the suite stays inside its runtime budget.
 """
 
+import hashlib
 import time
 from pathlib import Path
 
@@ -272,3 +273,68 @@ def test_criterion_10_protocol(protocol_result, tmp_path):
                 f"INVERTED on bundled data ({best_ada.uplink_bits_to_tol} > {lag_best.uplink_bits_to_tol})"
             )
     report(10, True, f"45 runs in {elapsed:.0f}s, traces parse, deterministic; ordering: {ordering}")
+
+
+# sha256 of every file the protocol sweep writes. Produced with NumPy 2.4.6
+# on OpenBLAS 0.3.31 (scipy-openblas64, DYNAMIC_ARCH), CPython 3.11, x86_64.
+# Traces are byte-identical for a given platform and BLAS build, so another
+# BLAS or CPU kernel may legitimately change the last bits of a float column;
+# a refactor that keeps the same build must keep every one of these hashes.
+PROTOCOL_GOLDEN_SHA256 = {
+    "gd_x1.csv": "3122bbe19c217dea122e659a9475ff1770ba06152086d9e148cd1bd46b194b66",
+    "gd_x2.csv": "0ee020e7a37970bb02070d268f30800d2f2c1ae2cbffea988c6e6dfb909ad819",
+    "gd_x4.csv": "177bfa165366a8e40b09a6b1eb72a0403aeba995b889800036d7ff5fdc67c5a8",
+    "gd_x8.csv": "b59e9f2906328b0042394a57437e4e35a5062703d8374ba8b1c5c07f67dccc49",
+    "gd_x16.csv": "0d68e8f6a09b97be717f0fbfa159ae061fd8b4bf37824621ace6ef215264e243",
+    "gd_x32.csv": "1f284ceb1c08ff0aca5b3888062c90996104d353ccf6a8933b1b232b61af68c4",
+    "gd_x64.csv": "c8d6c3e586aedbf49ae9ad788171a93c7dd561e7c766ded4dd9f02c532790cff",
+    "gd_x128.csv": "2452b6168439640c1e78bdf1556a4cc327c0491230b48702cd3e677bdd2c6559",
+    "gd_x256.csv": "1eb58769d702e7a3e1ed3c6b150bf50befcc08e7f2dfaf5c952391319119ada9",
+    "ef21_k1_x1.csv": "09336aa062b792b5acfc000791592ffe38ab9b3ffeac9516ca4cb040c878c9c4",
+    "ef21_k1_x2.csv": "56e060c09999214259d9e8d3b4a1e8179923dd1878f9ecb565d0138528153e56",
+    "ef21_k1_x4.csv": "70b76bdb5683a5c5a516aa23e8d270bcdf5d05963054d2a799bca765fcdbaa88",
+    "ef21_k1_x8.csv": "584b05a65932d9eb218358e9a54d55b74e9fb4aa4cbf99958a5c96943e888af6",
+    "ef21_k1_x16.csv": "b56b79969a2c0a106f03c7ae8914bd82a6296c379b92fd403ef2e53e537cf2b2",
+    "ef21_k1_x32.csv": "da2461c4761335288ce43ac2911ea3c6a205553d860f0623c45995f224add556",
+    "ef21_k1_x64.csv": "e330b29e2f72e3811a45030646de08389ceb770be2029c45292f6e6c95157b42",
+    "ef21_k1_x128.csv": "de0ddd85f68c6445ff1668eabcef00aa42064497146d9acd3dbed386e2078f90",
+    "ef21_k1_x256.csv": "a471ffbef1fb6636d44f9b09d0a53a596e3738c8cce6d10bf25adaeb26adf762",
+    "lag_z1_x1.csv": "9e67d89d49c3efa84bf91139d751364a7d6c427fd3e6e897ed6502159f744c88",
+    "lag_z1_x2.csv": "513c4506663acad10c10cae5c03d2b04cf9889db5f7d31c78395b6c35792bf60",
+    "lag_z1_x4.csv": "dc463c2025acbaa183c44740e06d0100064e97e9ae69c365a729b49d9b3c7ec4",
+    "lag_z1_x8.csv": "44acbdec44fc624a56d67fb4207b3e8052c6425b6cdfbaf5e1fe7b15fbb9d3cc",
+    "lag_z1_x16.csv": "05d6d67687553fb960c24c49737d24f9b92a08bb2ff487309c35d7133be300d3",
+    "lag_z1_x32.csv": "f35d7f71d3d29db5593a909ed7101f5941e2b66d3e60bac11c1149011541e8c6",
+    "lag_z1_x64.csv": "4938bd92f75d3d04036930d593466b651a8e829ec0648e79b5bd4351979c99aa",
+    "lag_z1_x128.csv": "46c513fb43d587d69e242b257dc82ce415927d818a12aefad14f494752932ac9",
+    "lag_z1_x256.csv": "a0339bc95cb86638d71af12534a26c3cd6d4d2e3a1a298e9e128cd0d1929480b",
+    "clag_k1_z1_x1.csv": "240ff9c12d6e33cf041379550220a44ec0e27c3d083f1bb0404c507c23880d25",
+    "clag_k1_z1_x2.csv": "a30b7a98216da292be754b1a323b47dc1eacf3342c65d429e679b207bbf60afa",
+    "clag_k1_z1_x4.csv": "b824f4af81e46dd7617b86791303f8af94990060fc0b24e6e459e809dec65edf",
+    "clag_k1_z1_x8.csv": "ed48ef926357fdf0e4bc2b64d292ae241a9723ee5ae458d2db4e5f63fe14cce7",
+    "clag_k1_z1_x16.csv": "2c8ba7c42a9a94c11208f4d74e5cc24b1e75772637461b9683c0e845fef7eea8",
+    "clag_k1_z1_x32.csv": "8344df2e605cde1685b9b00d10ee035b73d3b22bb6932511e6f1e6b1bfa83067",
+    "clag_k1_z1_x64.csv": "3b8ef4256a5489e9cc62ed986d4091c7438a7ef40e2a8ac7bb958347e02a5d18",
+    "clag_k1_z1_x128.csv": "d7cb5e3ef84c848ac0430ea5272dfb5e759c7ce2d4c71c72dbb86a007e1c6903",
+    "clag_k1_z1_x256.csv": "36d78e7857ce5b6a17450ed97a60b90f8bc975663f7dbf1e319c2dfc8146123b",
+    "adacgd_z1_x1.csv": "eebd2bdd7fab402fe605feec75a55c75f70e95654cd9cc16a79fc9c775932155",
+    "adacgd_z1_x2.csv": "a7add25ee4bfa356883bc19e8ee1cd1460301b04f4c4eb970bb828bf6776ad83",
+    "adacgd_z1_x4.csv": "377ca1cb9695119439489029d15b72a362fe97a1cafa70fd4f9469d06c5078fe",
+    "adacgd_z1_x8.csv": "d69318a623b97ff0c1db7eed9bd2f9ae6cee57edd6acb702ed2e2dc2658e8a96",
+    "adacgd_z1_x16.csv": "e385895e8bbe159fa05040ceb1b576f3d17be8dc9733efec12e2898664d583ad",
+    "adacgd_z1_x32.csv": "f267ab8910a7e59c3c0795d502fe277218d3af2a41daf531952d39715e1d05d4",
+    "adacgd_z1_x64.csv": "a7cf216805c42ba24e8503da59a64aba95111a0fcbc568a90425b02cb044aee8",
+    "adacgd_z1_x128.csv": "647040d99e446a80b0963eeb35335356fdc3ec61062f77ed90b4b5b2091fd82b",
+    "adacgd_z1_x256.csv": "19712a2cab8ecb3e3f6cbb16a1f921e41168acc26cd6a028ac067fd286377ab8",
+    "summary.csv": "b40c00b1e9a34b1a6cd000ad08ddd9cb93922d44a7126f300eeea1bfadcbf64a",
+}
+
+
+def test_protocol_golden_hashes(protocol_result):
+    config, result, _ = protocol_result
+    out = Path(config.out_dir)
+    written = [Path(e.trace_path) for e in result.entries] + [Path(result.summary_path)]
+    actual = {str(p.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest() for p in written}
+    assert actual.keys() == PROTOCOL_GOLDEN_SHA256.keys()
+    changed = sorted(name for name, digest in PROTOCOL_GOLDEN_SHA256.items() if actual[name] != digest)
+    assert not changed, f"trace bytes changed: {changed}"
