@@ -69,21 +69,33 @@ class ContractorSpec:
         return self.kind == RANDK
 
 
-def _top_k_indices(x: np.ndarray, k: int) -> np.ndarray:
+def _magnitude_order(x: np.ndarray) -> np.ndarray:
     # Stable sort on -|x| breaks magnitude ties by lowest coordinate index.
-    order = np.argsort(-np.abs(x), kind="stable")
+    return np.argsort(-np.abs(x), kind="stable")
+
+
+def _top_k_indices(x: np.ndarray, k: int, order: Optional[np.ndarray] = None) -> np.ndarray:
+    # The top-k sets of one vector are nested under its single stable order,
+    # so callers probing several k may pass that order in once.
+    if order is None:
+        order = _magnitude_order(x)
     return np.sort(order[:k])
 
 
-def _contract_support(c: ContractorSpec, x: np.ndarray, rng: Optional[SeededRng]) -> Optional[np.ndarray]:
-    """Indices kept by the sparsifier, or None for the identity (full) map."""
+def _contract_support(
+    c: ContractorSpec, x: np.ndarray, rng: Optional[SeededRng], order: Optional[np.ndarray] = None
+) -> Optional[np.ndarray]:
+    """Indices kept by the sparsifier, or None for the identity (full) map.
+
+    ``order`` is x's magnitude ranking when the caller already has it.
+    """
     d = x.shape[0]
     if c.kind == IDENTITY:
         return None
     if c.k > d:
         raise ValueError(f"k={c.k} exceeds dimension {d}")
     if c.kind == TOPK:
-        return _top_k_indices(x, c.k)
+        return _top_k_indices(x, c.k, order)
     if rng is None:
         raise ValueError("rand-k contractor needs an rng stream")
     idx = rng.generator().choice(d, size=c.k, replace=False)
@@ -282,13 +294,23 @@ def _validate_triple(h, y, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return h, y, x
 
 
-def _ef21_raw(contractor: ContractorSpec, h: np.ndarray, x: np.ndarray, rng: Optional[SeededRng]) -> CompressionOutcome:
+def _ef21_raw(
+    contractor: ContractorSpec,
+    h: np.ndarray,
+    x: np.ndarray,
+    rng: Optional[SeededRng],
+    delta: Optional[np.ndarray] = None,
+    order: Optional[np.ndarray] = None,
+) -> CompressionOutcome:
+    """h + C(x - h); callers that already hold ``delta = x - h`` and its
+    magnitude ranking ``order`` pass them in."""
     if contractor.kind == IDENTITY:
         # Mathematically h + (x - h) = x; return x itself to keep the
         # pass-through path bitwise exact.
         return CompressionOutcome(x.copy(), 0, Payload.full(x))
-    delta = x - h
-    support = _contract_support(contractor, delta, rng)
+    if delta is None:
+        delta = x - h
+    support = _contract_support(contractor, delta, rng, order)
     values = delta[support]
     vector = h.copy()
     vector[support] += values
@@ -346,12 +368,15 @@ def _adacgd_raw(
 ) -> CompressionOutcome:
     _check_ascending_alpha(contractors, x.shape[0])
     budget = zeta * sqnorm(x - y)
-    if sqnorm(x - h) <= budget:
+    delta = x - h
+    if sqnorm(delta) <= budget:
         return CompressionOutcome(h.copy(), 0, Payload.skip())
+    # One ranking serves every top-k level: their supports are prefixes of it.
+    order = _magnitude_order(delta) if any(c.kind == TOPK for c in contractors) else None
     outcome = None
     for j, c in enumerate(contractors, start=1):
-        branch_rng = rng.derive(j) if rng is not None else None
-        candidate = _ef21_raw(c, h, x, branch_rng)
+        branch_rng = rng.derive(j) if rng is not None and c.randomized else None
+        candidate = _ef21_raw(c, h, x, branch_rng, delta, order)
         outcome = CompressionOutcome(candidate.vector, j, candidate.payload)
         if sqnorm(x - candidate.vector) <= budget:
             return outcome
@@ -392,12 +417,13 @@ def _ada3pc_raw(spec: Ada3PC, h: np.ndarray, y: np.ndarray, x: np.ndarray, rng: 
         )
     chosen = len(spec.branches) - 1
     for j, pred in enumerate(spec.predicates):
-        branch_rng = rng.derive(j) if rng is not None else None
+        branch_rng = rng.derive(j) if rng is not None and _predicate_draws(pred) else None
         if _evaluate_predicate(pred, h, y, x, branch_rng):
             chosen = j
             break
-    branch_rng = rng.derive(chosen) if rng is not None else None
-    out = _compress_raw(spec.branches[chosen], h, y, x, branch_rng)
+    branch = spec.branches[chosen]
+    branch_rng = rng.derive(chosen) if rng is not None and is_randomized(branch) else None
+    out = _compress_raw(branch, h, y, x, branch_rng)
     return CompressionOutcome(out.vector, chosen, out.payload)
 
 
@@ -466,7 +492,21 @@ def certified_constants(spec: ThreePCSpec, dim: int) -> ThreePCConstants:
     raise ValueError(f"unknown compressor spec {spec!r}")
 
 
+def _predicate_draws(pred: Predicate) -> bool:
+    """Whether a predicate may draw from the stream it is handed.
+
+    Plain callables never receive a stream; predicate objects other than the
+    shipped triggers receive one and are assumed to use it.
+    """
+    if isinstance(pred, SkipTrigger):
+        return False
+    if isinstance(pred, CandidateErrorTrigger):
+        return pred.contractor.randomized
+    return hasattr(pred, "evaluate")
+
+
 def is_randomized(spec: ThreePCSpec) -> bool:
+    """Whether compressing with ``spec`` draws from its rng stream."""
     if isinstance(spec, EF21):
         return spec.contractor.randomized
     if isinstance(spec, CLAG):
@@ -474,7 +514,7 @@ def is_randomized(spec: ThreePCSpec) -> bool:
     if isinstance(spec, AdaCGD):
         return any(c.randomized for c in spec.contractors)
     if isinstance(spec, Ada3PC):
-        return any(is_randomized(b) for b in spec.branches)
+        return any(is_randomized(b) for b in spec.branches) or any(_predicate_draws(p) for p in spec.predicates)
     return False
 
 

@@ -22,11 +22,12 @@ from .compressors import (
     adaptive_level_count,
     branch_count,
     certified_constants,
+    is_randomized,
     strongest_contractor,
     _compress_raw,
     _contract_support,
 )
-from .problems import Problem, SmoothnessConstants, client_gradient, loss, smoothness
+from .problems import Problem, SmoothnessConstants, _round_oracle, client_gradient, loss, smoothness
 
 INIT_FULL = "full"
 INIT_COMPRESSED = "compressed"
@@ -213,7 +214,7 @@ def init(
     else:
         contractor = strongest_contractor(worker_spec, d)
         for i in range(n):
-            worker_rng = rng.derive(_INIT_TAG, i) if rng is not None else None
+            worker_rng = rng.derive(_INIT_TAG, i) if rng is not None and contractor.randomized else None
             support = _contract_support(contractor, grads[i], worker_rng)
             if support is None:
                 estimates.append(grads[i].copy())
@@ -286,6 +287,7 @@ def _mean_estimator_error(state: EngineState) -> float:
 def _make_record(
     state: EngineState,
     problem: Problem,
+    f: float,
     gamma: float,
     worker_c: ThreePCConstants,
     master_c: ThreePCConstants,
@@ -293,7 +295,6 @@ def _make_record(
     f_inf: float,
     branch_hist: tuple[int, ...],
 ) -> IterationRecord:
-    f = loss(problem, state.x)
     grad = mean_ascending(state.worker_prev_grads, problem.dim)
     grad_sq = sqnorm(grad)
     if not (math.isfinite(f) and math.isfinite(grad_sq)):
@@ -328,7 +329,7 @@ def initial_record(
     wc = certified_constants(worker_spec, problem.dim)
     mc = certified_constants(master_spec, problem.dim)
     hist = tuple(0 for _ in range(branch_count(worker_spec)))
-    return _make_record(state, problem, gamma, wc, mc, f_star, f_inf, hist)
+    return _make_record(state, problem, loss(problem, state.x), gamma, wc, mc, f_star, f_inf, hist)
 
 
 def step(
@@ -346,24 +347,26 @@ def step(
     if gamma <= 0:
         raise ValueError(f"stepsize must be positive, got {gamma}")
     t = state.round
-    n, d = problem.n_clients, problem.dim
+    d = problem.dim
     with np.errstate(over="ignore", invalid="ignore"):
-        return _step_inner(state, problem, worker_spec, master_spec, gamma, rng, value_bits, f_star, f_inf, t, n, d)
+        return _step_inner(state, problem, worker_spec, master_spec, gamma, rng, value_bits, f_star, f_inf, t, d)
 
 
-def _step_inner(state, problem, worker_spec, master_spec, gamma, rng, value_bits, f_star, f_inf, t, n, d):
+def _step_inner(state, problem, worker_spec, master_spec, gamma, rng, value_bits, f_star, f_inf, t, d):
     # Overflow here is a diverging run, reported via DivergenceError below.
     x_new = state.x - gamma * state.g_master
     if not np.all(np.isfinite(x_new)):
         raise DivergenceError(t + 1)
 
+    # x_new is finite and of the problem's dimension, so the oracle skips the
+    # per-call input checks; f comes from the same margins as the gradients.
+    f_new, new_grads = _round_oracle(problem, x_new)
     worker_header = branch_header_bits(worker_spec)
+    worker_draws = is_randomized(worker_spec)
     hist = [0] * branch_count(worker_spec)
     uplink = state.uplink_bits
     new_estimates = []
-    new_grads = []
-    for i in range(n):
-        grad_i = client_gradient(problem, i, x_new)
+    for i, grad_i in enumerate(new_grads):
         if not np.all(np.isfinite(grad_i)):
             raise DivergenceError(t + 1)
         out = _compress_raw(
@@ -371,12 +374,11 @@ def _step_inner(state, problem, worker_spec, master_spec, gamma, rng, value_bits
             state.worker_estimates[i],
             state.worker_prev_grads[i],
             grad_i,
-            rng.derive(_WORKER_TAG, t, i),
+            rng.derive(_WORKER_TAG, t, i) if worker_draws else None,
         )
         uplink += payload_bits(out, d, value_bits, worker_header)
         hist[out.branch_index] += 1
         new_estimates.append(out.vector)
-        new_grads.append(grad_i)
 
     g_tilde_new = mean_ascending(new_estimates, d)
     master_out = _compress_raw(
@@ -384,7 +386,7 @@ def _step_inner(state, problem, worker_spec, master_spec, gamma, rng, value_bits
         state.g_master,
         state.g_tilde_master,
         g_tilde_new,
-        rng.derive(_MASTER_TAG, t),
+        rng.derive(_MASTER_TAG, t) if is_randomized(master_spec) else None,
     )
     downlink = state.downlink_bits + payload_bits(master_out, d, value_bits, branch_header_bits(master_spec))
 
@@ -401,7 +403,7 @@ def _step_inner(state, problem, worker_spec, master_spec, gamma, rng, value_bits
     wc = certified_constants(worker_spec, d)
     mc = certified_constants(master_spec, d)
     try:
-        record = _make_record(new_state, problem, gamma, wc, mc, f_star, f_inf, tuple(hist))
+        record = _make_record(new_state, problem, f_new, gamma, wc, mc, f_star, f_inf, tuple(hist))
     except DivergenceError:
         raise DivergenceError(t + 1) from None
     return new_state, record

@@ -122,34 +122,48 @@ def _regularizer_gradient(lam: float, x: np.ndarray) -> np.ndarray:
     return (2.0 * lam) * x / (denom * denom)
 
 
-def client_loss(p: Problem, i: int, x) -> float:
-    """Value of client i's objective at x."""
+def _checked_point(p: Problem, i: int, x) -> np.ndarray:
     x = as_vector(x)
     if x.shape[0] != p.dim:
         raise ValueError(f"dimension mismatch: {x.shape[0]} vs {p.dim}")
     if not 0 <= i < p.n_clients:
         raise ValueError(f"client index {i} out of range [0, {p.n_clients})")
-    if p.kind == QUADRATIC:
-        return 0.5 * float(np.sum(p.diagonal * x * x))
-    shard = p.shards[i]
-    z = shard.labels * (shard.features @ x)
+    return x
+
+
+def _quadratic_loss(p: Problem, x: np.ndarray) -> float:
+    return 0.5 * float(np.sum(p.diagonal * x * x))
+
+
+def _margins(shard: Shard, x: np.ndarray) -> np.ndarray:
+    return shard.labels * (shard.features @ x)
+
+
+def _margin_loss(z: np.ndarray) -> float:
     # softplus(-z) = log(1 + exp(-z)), overflow-safe
-    return float(np.mean(np.logaddexp(0.0, -z))) + _regularizer(p.lam, x)
+    return float(np.mean(np.logaddexp(0.0, -z)))
+
+
+def _margin_gradient(shard: Shard, z: np.ndarray) -> np.ndarray:
+    weights = -shard.labels * expit(-z)
+    return shard.features.T @ weights / shard.size
+
+
+def client_loss(p: Problem, i: int, x) -> float:
+    """Value of client i's objective at x."""
+    x = _checked_point(p, i, x)
+    if p.kind == QUADRATIC:
+        return _quadratic_loss(p, x)
+    return _margin_loss(_margins(p.shards[i], x)) + _regularizer(p.lam, x)
 
 
 def client_gradient(p: Problem, i: int, x) -> np.ndarray:
     """Exact analytic gradient of client i's objective at x."""
-    x = as_vector(x)
-    if x.shape[0] != p.dim:
-        raise ValueError(f"dimension mismatch: {x.shape[0]} vs {p.dim}")
-    if not 0 <= i < p.n_clients:
-        raise ValueError(f"client index {i} out of range [0, {p.n_clients})")
+    x = _checked_point(p, i, x)
     if p.kind == QUADRATIC:
         return p.diagonal * x
     shard = p.shards[i]
-    z = shard.labels * (shard.features @ x)
-    weights = -shard.labels * expit(-z)
-    return shard.features.T @ weights / shard.size + _regularizer_gradient(p.lam, x)
+    return _margin_gradient(shard, _margins(shard, x)) + _regularizer_gradient(p.lam, x)
 
 
 def loss(p: Problem, x) -> float:
@@ -157,6 +171,26 @@ def loss(p: Problem, x) -> float:
     if p.kind == QUADRATIC:
         return client_loss(p, 0, x)
     return sum(client_loss(p, i, x) for i in range(p.n_clients)) / p.n_clients
+
+
+def _round_oracle(p: Problem, x: np.ndarray) -> tuple[float, list[np.ndarray]]:
+    """Global objective value and every client's gradient at an already-checked x.
+
+    One margin product per shard serves both the client's loss and its
+    gradient, and the regularizer terms are formed once for all clients.
+    The results are bitwise equal to ``loss`` and ``client_gradient``.
+    """
+    if p.kind == QUADRATIC:
+        return _quadratic_loss(p, x), [p.diagonal * x for _ in range(p.n_clients)]
+    reg = _regularizer(p.lam, x)
+    reg_grad = _regularizer_gradient(p.lam, x)
+    values = []
+    grads = []
+    for shard in p.shards:
+        z = _margins(shard, x)
+        values.append(_margin_loss(z) + reg)
+        grads.append(_margin_gradient(shard, z) + reg_grad)
+    return sum(values) / p.n_clients, grads
 
 
 def full_gradient(p: Problem, x) -> np.ndarray:

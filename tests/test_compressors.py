@@ -13,6 +13,7 @@ from adacgd.compressors import (
     EF21,
     IdentityMaster,
     LAG,
+    CandidateErrorTrigger,
     SkipTrigger,
     ada3pc_compress,
     adacgd_as_chain,
@@ -24,6 +25,7 @@ from adacgd.compressors import (
     ef21_compress,
     ef21_constants,
     estimate_constants,
+    is_randomized,
     lag_compress,
     reconstruct,
 )
@@ -293,3 +295,43 @@ def test_payload_entry_count_fixed_for_topk():
     assert out.payload.kind == "sparse"
     assert out.payload.entry_count == 2
     assert np.array_equal(out.payload.values, [0.0, 0.0])
+
+
+# Few distinct magnitudes, so many draws carry tied coordinates.
+tied = st.lists(st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]), min_size=6, max_size=6)
+spread = st.lists(st.floats(min_value=-10, max_value=10), min_size=6, max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(tied, spread),
+    st.one_of(tied, spread),
+    st.one_of(tied, spread),
+    st.lists(st.integers(1, 6), min_size=1, max_size=4, unique=True),
+    st.sampled_from([0.0, 0.25, 1.0, 3.0]),
+)
+def test_adacgd_matches_its_chain_on_ties(hv, yv, xv, ks, zeta):
+    levels = tuple(ContractorSpec.top_k(k) for k in sorted(ks))
+    h, y, x = np.asarray(hv), np.asarray(yv), np.asarray(xv)
+    direct = compress(AdaCGD(levels, zeta), h, y, x)
+    chained = compress(adacgd_as_chain(levels, zeta), h, y, x)
+    assert np.array_equal(direct.vector, chained.vector)
+    assert direct.branch_index == chained.branch_index
+    assert direct.payload.kind == chained.payload.kind
+    if direct.payload.kind == "sparse":
+        assert np.array_equal(direct.payload.indices, chained.payload.indices)
+        assert np.array_equal(direct.payload.values, chained.payload.values)
+
+
+def test_is_randomized_counts_trigger_contractors():
+    drawing = Ada3PC((LAG(1.0), EF21(ContractorSpec.top_k(1))), (CandidateErrorTrigger(1.0, ContractorSpec.rand_k(1)),))
+    fixed = Ada3PC((LAG(1.0), EF21(ContractorSpec.top_k(1))), (CandidateErrorTrigger(1.0, ContractorSpec.top_k(1)),))
+    assert is_randomized(drawing)
+    assert not is_randomized(fixed)
+    assert not is_randomized(Ada3PC((LAG(1.0), EF21(ContractorSpec.top_k(1))), (SkipTrigger(1.0),)))
+    assert not is_randomized(Ada3PC((LAG(1.0), LAG(2.0)), (lambda h, y, x: True,)))
+    assert is_randomized(adacgd_as_chain((ContractorSpec.rand_k(1), ContractorSpec.top_k(3)), 1.0))
+    h, y, x = np.zeros(3), np.zeros(3), np.array([3.0, -1.0, 2.0])
+    with pytest.raises(ValueError, match="rng stream"):
+        compress(drawing, h, y, x)
+    assert compress(drawing, h, y, x, SeededRng(4)).branch_index in (0, 1)

@@ -240,3 +240,53 @@ def test_clag_identity_bitwise_gd_trajectory():
     p = quad([1.0, 3.0], n=2)
     result = gd_equivalence_check(p, 0.2, 40, seed=0, x0=np.array([2.0, -1.0]))
     assert result.passed
+
+
+def _logistic(n_examples, dim, n_clients, seed=3):
+    from adacgd.datasets import SyntheticSpec, build_problem, make_synthetic
+
+    return build_problem(make_synthetic(SyntheticSpec(n_examples, dim, seed=seed)), n_clients, 0.1, seed=seed)
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [
+        _logistic(23, 5, 4),  # 23 mod 4 = 3: unequal shards
+        _logistic(12, 4, 1),  # one client
+        _logistic(15, 1, 3),  # one coordinate
+        Problem.quadratic([0.5, 1.0, 3.0], n_clients=3),
+    ],
+    ids=["logistic-unequal-shards", "logistic-n1", "logistic-d1", "quadratic-n3"],
+)
+def test_step_record_matches_public_oracles_bitwise(problem):
+    from adacgd.problems import client_gradient
+
+    worker = EF21(ContractorSpec.top_k(1))
+    master = IdentityMaster()
+    rng = SeededRng(5)
+    state = init(problem, worker, master, np.linspace(-1.0, 2.0, problem.dim), "full", rng)
+    for _ in range(4):
+        state, rec = step(state, problem, worker, master, 0.1, rng)
+        assert rec.f_value == loss(problem, state.x)
+        for i in range(problem.n_clients):
+            assert np.array_equal(state.worker_prev_grads[i], client_gradient(problem, i, state.x))
+
+
+def test_step_gives_streams_to_rules_that_draw_only(monkeypatch):
+    from adacgd import engine
+
+    seen = []
+    original = engine._compress_raw
+
+    def spy(spec, h, y, x, rng):
+        seen.append(rng is not None)
+        return original(spec, h, y, x, rng)
+
+    monkeypatch.setattr(engine, "_compress_raw", spy)
+    p = quad([1.0, 2.0, 3.0], n=2)
+    master = EF21(ContractorSpec.top_k(1))
+    for worker, draws in ((EF21(ContractorSpec.top_k(1)), False), (EF21(ContractorSpec.rand_k(1)), True)):
+        seen.clear()
+        rng = SeededRng(1)
+        step(init(p, worker, master, np.ones(3), "full", rng), p, worker, master, 0.1, rng)
+        assert seen == [draws, draws, False]

@@ -44,3 +44,29 @@ def test_suites_pass_at_small_scale(suite):
     assert results, "suite produced no checks"
     failing = [r.line() for r in results if not r.passed]
     assert not failing, failing
+
+
+def test_gradient_suite_output_independent_of_hash_seed():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import adacgd
+
+    src_dir = str(Path(adacgd.__file__).resolve().parent.parent)
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src_dir, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "adacgd.cli", "verify", "gradients", "--seed", "0"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        outputs.append(proc.stdout)
+    assert "smoothness[logistic-nonconvex]" in outputs[0]
+    assert outputs[0] == outputs[1]
