@@ -15,15 +15,10 @@ from .compressors import (
     SkipTrigger,
     ThreePCSpec,
     adacgd_as_chain,
-    adacgd_compress,
-    ada3pc_compress,
     apply_contractor,
     certified_constants,
-    clag_compress,
     compress,
-    ef21_compress,
     estimate_constants,
-    lag_compress,
     reconstruct,
 )
 from .problems import (

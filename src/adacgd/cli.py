@@ -11,6 +11,7 @@ from .experiments import (
     build_dataset,
     load_config,
     load_or_solve_reference,
+    reference_cache_path,
     run_experiment,
 )
 from .verification import SUITES, run_suite
@@ -114,7 +115,7 @@ def _cmd_solve_reference(args: argparse.Namespace) -> int:
     ref = load_or_solve_reference(problem, dataset_hash, config.lam, args.tolerance, cache_dir)
     print(f"f_star = {ref.f_star!r}")
     print(f"grad_norm = {ref.grad_norm!r} after {ref.rounds} rounds")
-    print(f"cache: {cache_dir / f'ref_{dataset_hash}_lam{config.lam:g}.txt'}")
+    print(f"cache: {reference_cache_path(cache_dir, problem)}")
     return 0
 
 

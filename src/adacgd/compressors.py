@@ -6,7 +6,9 @@ three-point rule compresses a fresh vector x relative to the carried state h
 and the previously seen vector y; the shipped rules are the error-feedback
 shift (EF21), lazy aggregation (LAG), their combination (CLAG), a multi-level
 adaptive rule (AdaCGD), and a generic predicate-dispatched chain (Ada3PC).
-Each rule exposes certified inequality constants plus an empirical verifier.
+Each rule is one spec class holding its map and its certified inequality
+constants; ``compress`` is the public entry point and ``estimate_constants``
+the empirical verifier.
 """
 
 from __future__ import annotations
@@ -166,38 +168,146 @@ class CompressionOutcome:
     payload: Payload
 
 
+def _skip(h: np.ndarray) -> CompressionOutcome:
+    return CompressionOutcome(h.copy(), 0, Payload.skip())
+
+
+def _ef21_raw(
+    contractor: ContractorSpec,
+    h: np.ndarray,
+    x: np.ndarray,
+    rng: Optional[SeededRng],
+    delta: Optional[np.ndarray] = None,
+    order: Optional[np.ndarray] = None,
+) -> CompressionOutcome:
+    """The shift map h + C(x - h); callers that already hold ``delta = x - h``
+    and its magnitude ranking ``order`` pass them in."""
+    if contractor.kind == IDENTITY:
+        # Mathematically h + (x - h) = x; return x itself to keep the
+        # pass-through path bitwise exact.
+        return CompressionOutcome(x.copy(), 0, Payload.full(x))
+    if delta is None:
+        delta = x - h
+    support = _contract_support(contractor, delta, rng, order)
+    values = delta[support]
+    vector = h.copy()
+    vector[support] += values
+    return CompressionOutcome(vector, 0, Payload.sparse(support, values))
+
+
+def ef21_constants(alpha: float) -> ThreePCConstants:
+    """Inequality constants of the shift rule for contraction parameter alpha."""
+    if not (0.0 < alpha <= 1.0):
+        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    if alpha == 1.0:
+        return ThreePCConstants(1.0, 0.0)
+    # a = 1 - sqrt(1 - alpha), written in the cancellation-free form.
+    a = alpha / (1.0 + math.sqrt(1.0 - alpha))
+    return ThreePCConstants(a, (1.0 - alpha) / a)
+
+
+def _check_zeta(zeta: float) -> None:
+    if not (math.isfinite(zeta) and zeta >= 0.0):
+        raise ValueError(f"trigger zeta must be finite and >= 0, got {zeta}")
+
+
+def _check_ascending_alpha(contractors: Sequence[ContractorSpec], dim: int) -> None:
+    alphas = [c.alpha(dim) for c in contractors]
+    if any(a2 < a1 for a1, a2 in zip(alphas, alphas[1:])):
+        raise ValueError(f"contractors must be sorted by ascending alpha, got alphas {alphas}")
+
+
 class ThreePCSpec:
-    """Marker base for three-point compressor descriptions."""
+    """A three-point compression rule: one map plus its certified (a, b) constants.
+
+    Each subclass is the one place that knows its rule. It defines ``raw``,
+    the map on vetted inputs, and ``constants``; the defaults below describe
+    a fixed, deterministic, single-branch rule with no sparsifier.
+    """
+
+    randomized = False  # whether compressing draws from the rng stream
+    branch_count = 1  # distinct branch indices the rule can report
+    adaptive_level_count = 0  # selectable levels of an adaptive rule
+
+    def raw(self, h: np.ndarray, y: np.ndarray, x: np.ndarray, rng: Optional[SeededRng]) -> CompressionOutcome:
+        """The rule's map on finite vectors of one dimension."""
+        raise NotImplementedError
+
+    def constants(self, dim: int) -> ThreePCConstants:
+        """Certified (a, b) at ``dim``; rejects a rule that does not fit ``dim``."""
+        raise NotImplementedError
+
+    def strongest_contractor(self, dim: int) -> ContractorSpec:
+        """The lowest-alpha sparsifier reachable inside the rule (identity if none)."""
+        return ContractorSpec.identity()
 
 
 @dataclass(frozen=True)
 class EF21(ThreePCSpec):
-    """Error-feedback shift rule: h + C(x - h)."""
+    """Error-feedback shift rule: h + C(x - h); y is carried but unused."""
 
     contractor: ContractorSpec
+
+    @property
+    def randomized(self) -> bool:
+        return self.contractor.randomized
+
+    def raw(self, h, y, x, rng):
+        return _ef21_raw(self.contractor, h, x, rng)
+
+    def constants(self, dim):
+        return ef21_constants(self.contractor.alpha(dim))
+
+    def strongest_contractor(self, dim):
+        return self.contractor
 
 
 @dataclass(frozen=True)
 class LAG(ThreePCSpec):
-    """Lazy aggregation: resend x only when it drifted enough from h."""
+    """Lazy aggregation: resend x in full only when it drifted beyond the budget."""
 
     zeta: float
+    branch_count = 2
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.zeta) and self.zeta >= 0.0):
-            raise ValueError(f"trigger zeta must be finite and >= 0, got {self.zeta}")
+        _check_zeta(self.zeta)
+
+    def raw(self, h, y, x, rng):
+        if sqnorm(x - h) <= self.zeta * sqnorm(x - y):
+            return _skip(h)
+        return CompressionOutcome(x.copy(), 1, Payload.full(x))
+
+    def constants(self, dim):
+        return ThreePCConstants(1.0, self.zeta)
 
 
 @dataclass(frozen=True)
 class CLAG(ThreePCSpec):
-    """Lazy trigger combined with an error-feedback compressed update."""
+    """Lazy trigger firing an error-feedback compressed update."""
 
     contractor: ContractorSpec
     zeta: float
+    branch_count = 2
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.zeta) and self.zeta >= 0.0):
-            raise ValueError(f"trigger zeta must be finite and >= 0, got {self.zeta}")
+        _check_zeta(self.zeta)
+
+    @property
+    def randomized(self) -> bool:
+        return self.contractor.randomized
+
+    def raw(self, h, y, x, rng):
+        if sqnorm(x - h) > self.zeta * sqnorm(x - y):
+            out = _ef21_raw(self.contractor, h, x, rng)
+            return CompressionOutcome(out.vector, 1, out.payload)
+        return _skip(h)
+
+    def constants(self, dim):
+        base = ef21_constants(self.contractor.alpha(dim))
+        return ThreePCConstants(base.a, max(self.zeta, base.b))
+
+    def strongest_contractor(self, dim):
+        return self.contractor
 
 
 @dataclass(frozen=True)
@@ -205,9 +315,12 @@ class AdaCGD(ThreePCSpec):
     """Multi-level adaptive rule over error-feedback candidates.
 
     Contractors are ordered by ascending contraction parameter (strongest
-    compression first); the rule returns the cheapest candidate whose
-    reconstruction error passes the lazy trigger, falling back to the
-    weakest compressor.
+    compression first). Branch 0 keeps h outright when h itself is within
+    the lazy budget. Candidates j = 1..m are evaluated lazily in order; the
+    first one with squared error within the budget wins (boundary
+    inclusive), and the weakest level is the unconditional fallback.
+    Randomized levels draw from per-branch derived streams, so the chosen
+    branch's draw does not depend on how many candidates were probed.
     """
 
     contractors: tuple[ContractorSpec, ...]
@@ -217,11 +330,65 @@ class AdaCGD(ThreePCSpec):
         object.__setattr__(self, "contractors", tuple(self.contractors))
         if not self.contractors:
             raise ValueError("adaptive rule needs at least one contractor")
-        if not (math.isfinite(self.zeta) and self.zeta >= 0.0):
-            raise ValueError(f"trigger zeta must be finite and >= 0, got {self.zeta}")
+        _check_zeta(self.zeta)
+
+    @property
+    def randomized(self) -> bool:
+        return any(c.randomized for c in self.contractors)
+
+    @property
+    def branch_count(self) -> int:
+        return len(self.contractors) + 1
+
+    @property
+    def adaptive_level_count(self) -> int:
+        return len(self.contractors)
+
+    def raw(self, h, y, x, rng):
+        budget = self.zeta * sqnorm(x - y)
+        delta = x - h
+        if sqnorm(delta) <= budget:
+            return _skip(h)
+        # One ranking serves every top-k level: their supports are prefixes of it.
+        order = _magnitude_order(delta) if any(c.kind == TOPK for c in self.contractors) else None
+        outcome = None
+        for j, c in enumerate(self.contractors, start=1):
+            branch_rng = rng.derive(j) if rng is not None and c.randomized else None
+            candidate = _ef21_raw(c, h, x, branch_rng, delta, order)
+            outcome = CompressionOutcome(candidate.vector, j, candidate.payload)
+            if sqnorm(x - candidate.vector) <= budget:
+                return outcome
+        return outcome
+
+    def constants(self, dim):
+        # Branch constants combine (min a, max b); the skip branch gives (1, zeta).
+        _check_ascending_alpha(self.contractors, dim)
+        parts = [ThreePCConstants(1.0, self.zeta)]
+        parts += [ef21_constants(c.alpha(dim)) for c in self.contractors]
+        return combine_constants(parts)
+
+    def strongest_contractor(self, dim):
+        return min(self.contractors, key=lambda c: c.alpha(dim))
 
 
 Predicate = Union["SkipTrigger", "CandidateErrorTrigger", Callable[..., bool]]
+
+
+def _predicate_draws(pred: Predicate) -> bool:
+    """Whether a predicate may draw from the stream it is handed.
+
+    Plain callables never receive a stream; predicate objects receive one and
+    are assumed to use it unless their ``draws`` attribute says otherwise.
+    """
+    return getattr(pred, "draws", hasattr(pred, "evaluate"))
+
+
+def _evaluate_predicate(pred: Predicate, h, y, x, rng: Optional[SeededRng]) -> bool:
+    if hasattr(pred, "evaluate"):
+        return bool(pred.evaluate(h, y, x, rng))
+    if callable(pred):
+        return bool(pred(h, y, x))
+    raise ValueError(f"malformed predicate {pred!r}: expected .evaluate(h, y, x) or a callable")
 
 
 @dataclass(frozen=True)
@@ -241,16 +408,57 @@ class Ada3PC(ThreePCSpec):
         object.__setattr__(self, "predicates", tuple(self.predicates))
         if not self.branches:
             raise ValueError("chain needs at least one branch")
+        self._check_arity()
+
+    def _check_arity(self) -> None:
         if len(self.predicates) != len(self.branches) - 1:
             raise ValueError(
                 f"chain with {len(self.branches)} branches needs exactly "
                 f"{len(self.branches) - 1} predicates, got {len(self.predicates)}"
             )
 
+    @property
+    def randomized(self) -> bool:
+        return any(b.randomized for b in self.branches) or any(_predicate_draws(p) for p in self.predicates)
+
+    @property
+    def branch_count(self) -> int:
+        return len(self.branches)
+
+    @property
+    def adaptive_level_count(self) -> int:
+        return len(self.branches)
+
+    def raw(self, h, y, x, rng):
+        # A chain altered after construction is caught here.
+        self._check_arity()
+        chosen = len(self.branches) - 1
+        for j, pred in enumerate(self.predicates):
+            branch_rng = rng.derive(j) if rng is not None and _predicate_draws(pred) else None
+            if _evaluate_predicate(pred, h, y, x, branch_rng):
+                chosen = j
+                break
+        branch = self.branches[chosen]
+        branch_rng = rng.derive(chosen) if rng is not None and branch.randomized else None
+        out = branch.raw(h, y, x, branch_rng)
+        return CompressionOutcome(out.vector, chosen, out.payload)
+
+    def constants(self, dim):
+        return combine_constants(b.constants(dim) for b in self.branches)
+
+    def strongest_contractor(self, dim):
+        return min((b.strongest_contractor(dim) for b in self.branches), key=lambda c: c.alpha(dim))
+
 
 @dataclass(frozen=True)
 class IdentityMaster(ThreePCSpec):
     """Pass-through compressor (used as the default server-side rule)."""
+
+    def raw(self, h, y, x, rng):
+        return CompressionOutcome(x.copy(), 0, Payload.full(x))
+
+    def constants(self, dim):
+        return ThreePCConstants(1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -258,6 +466,7 @@ class SkipTrigger:
     """True when the carried state h is already within the lazy budget."""
 
     zeta: float
+    draws = False
 
     def evaluate(self, h: np.ndarray, y: np.ndarray, x: np.ndarray, rng: Optional[SeededRng] = None) -> bool:
         d = x - h
@@ -272,283 +481,47 @@ class CandidateErrorTrigger:
     zeta: float
     contractor: ContractorSpec
 
+    @property
+    def draws(self) -> bool:
+        return self.contractor.randomized
+
     def evaluate(self, h: np.ndarray, y: np.ndarray, x: np.ndarray, rng: Optional[SeededRng] = None) -> bool:
-        v = ef21_compress(self.contractor, h, y, x, rng).vector
+        v = _ef21_raw(self.contractor, h, x, rng).vector
         d = x - v
         e = x - y
         return float(d @ d) <= self.zeta * float(e @ e)
 
 
-def _evaluate_predicate(pred: Predicate, h, y, x, rng: Optional[SeededRng]) -> bool:
-    if hasattr(pred, "evaluate"):
-        return bool(pred.evaluate(h, y, x, rng))
-    if callable(pred):
-        return bool(pred(h, y, x))
-    raise ValueError(f"malformed predicate {pred!r}: expected .evaluate(h, y, x) or a callable")
-
-
-def _validate_triple(h, y, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    h, y, x = as_vector(h), as_vector(y), as_vector(x)
-    check_same_dim(h, x)
-    check_same_dim(y, x)
-    return h, y, x
-
-
-def _ef21_raw(
-    contractor: ContractorSpec,
-    h: np.ndarray,
-    x: np.ndarray,
-    rng: Optional[SeededRng],
-    delta: Optional[np.ndarray] = None,
-    order: Optional[np.ndarray] = None,
-) -> CompressionOutcome:
-    """h + C(x - h); callers that already hold ``delta = x - h`` and its
-    magnitude ranking ``order`` pass them in."""
-    if contractor.kind == IDENTITY:
-        # Mathematically h + (x - h) = x; return x itself to keep the
-        # pass-through path bitwise exact.
-        return CompressionOutcome(x.copy(), 0, Payload.full(x))
-    if delta is None:
-        delta = x - h
-    support = _contract_support(contractor, delta, rng, order)
-    values = delta[support]
-    vector = h.copy()
-    vector[support] += values
-    return CompressionOutcome(vector, 0, Payload.sparse(support, values))
-
-
-def ef21_compress(contractor: ContractorSpec, h, y, x, rng: Optional[SeededRng] = None) -> CompressionOutcome:
-    """Shifted compression h + C(x - h); y is carried but unused by this rule."""
-    h, y, x = _validate_triple(h, y, x)
-    return _ef21_raw(contractor, h, x, rng)
-
-
-def _lag_raw(zeta: float, h: np.ndarray, y: np.ndarray, x: np.ndarray) -> CompressionOutcome:
-    if sqnorm(x - h) <= zeta * sqnorm(x - y):
-        return CompressionOutcome(h.copy(), 0, Payload.skip())
-    return CompressionOutcome(x.copy(), 1, Payload.full(x))
-
-
-def lag_compress(zeta: float, h, y, x) -> CompressionOutcome:
-    """Send x in full when it drifted beyond the budget, else keep h."""
-    if zeta < 0:
-        raise ValueError(f"trigger zeta must be >= 0, got {zeta}")
-    h, y, x = _validate_triple(h, y, x)
-    return _lag_raw(zeta, h, y, x)
-
-
-def _clag_raw(contractor: ContractorSpec, zeta: float, h: np.ndarray, y: np.ndarray, x: np.ndarray, rng: Optional[SeededRng]) -> CompressionOutcome:
-    if sqnorm(x - h) > zeta * sqnorm(x - y):
-        out = _ef21_raw(contractor, h, x, rng)
-        return CompressionOutcome(out.vector, 1, out.payload)
-    return CompressionOutcome(h.copy(), 0, Payload.skip())
-
-
-def clag_compress(contractor: ContractorSpec, zeta: float, h, y, x, rng: Optional[SeededRng] = None) -> CompressionOutcome:
-    """Fire an error-feedback update when drift exceeds the budget, else keep h."""
-    if zeta < 0:
-        raise ValueError(f"trigger zeta must be >= 0, got {zeta}")
-    h, y, x = _validate_triple(h, y, x)
-    return _clag_raw(contractor, zeta, h, y, x, rng)
-
-
-def _check_ascending_alpha(contractors: Sequence[ContractorSpec], dim: int) -> None:
-    alphas = [c.alpha(dim) for c in contractors]
-    if any(a2 < a1 for a1, a2 in zip(alphas, alphas[1:])):
-        raise ValueError(f"contractors must be sorted by ascending alpha, got alphas {alphas}")
-
-
-def _adacgd_raw(
-    contractors: tuple[ContractorSpec, ...],
-    zeta: float,
-    h: np.ndarray,
-    y: np.ndarray,
-    x: np.ndarray,
-    rng: Optional[SeededRng],
-) -> CompressionOutcome:
-    _check_ascending_alpha(contractors, x.shape[0])
-    budget = zeta * sqnorm(x - y)
-    delta = x - h
-    if sqnorm(delta) <= budget:
-        return CompressionOutcome(h.copy(), 0, Payload.skip())
-    # One ranking serves every top-k level: their supports are prefixes of it.
-    order = _magnitude_order(delta) if any(c.kind == TOPK for c in contractors) else None
-    outcome = None
-    for j, c in enumerate(contractors, start=1):
-        branch_rng = rng.derive(j) if rng is not None and c.randomized else None
-        candidate = _ef21_raw(c, h, x, branch_rng, delta, order)
-        outcome = CompressionOutcome(candidate.vector, j, candidate.payload)
-        if sqnorm(x - candidate.vector) <= budget:
-            return outcome
-    return outcome
-
-
-def adacgd_compress(
-    contractors: Sequence[ContractorSpec],
-    zeta: float,
-    h,
-    y,
-    x,
-    rng: Optional[SeededRng] = None,
-) -> CompressionOutcome:
-    """Pick the strongest compression level whose candidate passes the trigger.
-
-    Branch 0 keeps h outright when h itself is within the lazy budget.
-    Candidates j = 1..m are evaluated lazily in order of ascending alpha;
-    the first one with squared error within the budget wins (boundary
-    inclusive), and the weakest level is the unconditional fallback.
-    Randomized levels draw from per-branch derived streams, so the chosen
-    branch's draw does not depend on how many candidates were probed.
-    """
-    contractors = tuple(contractors)
-    if not contractors:
-        raise ValueError("adaptive rule needs at least one contractor")
-    if zeta < 0:
-        raise ValueError(f"trigger zeta must be >= 0, got {zeta}")
-    h, y, x = _validate_triple(h, y, x)
-    return _adacgd_raw(contractors, zeta, h, y, x, rng)
-
-
-def _ada3pc_raw(spec: Ada3PC, h: np.ndarray, y: np.ndarray, x: np.ndarray, rng: Optional[SeededRng]) -> CompressionOutcome:
-    if len(spec.predicates) != len(spec.branches) - 1:
-        raise ValueError(
-            f"chain with {len(spec.branches)} branches needs exactly "
-            f"{len(spec.branches) - 1} predicates, got {len(spec.predicates)}"
-        )
-    chosen = len(spec.branches) - 1
-    for j, pred in enumerate(spec.predicates):
-        branch_rng = rng.derive(j) if rng is not None and _predicate_draws(pred) else None
-        if _evaluate_predicate(pred, h, y, x, branch_rng):
-            chosen = j
-            break
-    branch = spec.branches[chosen]
-    branch_rng = rng.derive(chosen) if rng is not None and is_randomized(branch) else None
-    out = _compress_raw(branch, h, y, x, branch_rng)
-    return CompressionOutcome(out.vector, chosen, out.payload)
-
-
-def ada3pc_compress(spec: Ada3PC, h, y, x, rng: Optional[SeededRng] = None) -> CompressionOutcome:
-    """Apply the first branch whose predicate holds on (h, y, x), else the last."""
-    h, y, x = _validate_triple(h, y, x)
-    return _ada3pc_raw(spec, h, y, x, rng)
-
-
 def _compress_raw(spec: ThreePCSpec, h: np.ndarray, y: np.ndarray, x: np.ndarray, rng: Optional[SeededRng]) -> CompressionOutcome:
-    """Dispatch without boundary validation (inputs already vetted)."""
-    if isinstance(spec, EF21):
-        return _ef21_raw(spec.contractor, h, x, rng)
-    if isinstance(spec, LAG):
-        return _lag_raw(spec.zeta, h, y, x)
-    if isinstance(spec, CLAG):
-        return _clag_raw(spec.contractor, spec.zeta, h, y, x, rng)
-    if isinstance(spec, AdaCGD):
-        return _adacgd_raw(spec.contractors, spec.zeta, h, y, x, rng)
-    if isinstance(spec, Ada3PC):
-        return _ada3pc_raw(spec, h, y, x, rng)
-    if isinstance(spec, IdentityMaster):
-        return CompressionOutcome(x.copy(), 0, Payload.full(x))
-    raise ValueError(f"unknown compressor spec {spec!r}")
+    """Apply ``spec``'s map to vetted inputs.
+
+    The engine makes every compression through this one name, which is what
+    ``perfbench/tracer.py`` wraps to time worker and master compression.
+    """
+    return spec.raw(h, y, x, rng)
 
 
 def compress(spec: ThreePCSpec, h, y, x, rng: Optional[SeededRng] = None) -> CompressionOutcome:
-    """Dispatch a three-point compression according to ``spec``."""
-    h, y, x = _validate_triple(h, y, x)
+    """Compress x against (h, y) with ``spec``: the public compression entry point.
+
+    Checks the vectors, and ``spec`` at their dimension, before applying the
+    rule's map. Rules that draw need ``rng``.
+    """
+    h, y, x = as_vector(h), as_vector(y), as_vector(x)
+    check_same_dim(h, x)
+    check_same_dim(y, x)
+    certified_constants(spec, x.shape[0])
     return _compress_raw(spec, h, y, x, rng)
-
-
-def ef21_constants(alpha: float) -> ThreePCConstants:
-    """Inequality constants of the shift rule for contraction parameter alpha."""
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    if alpha == 1.0:
-        return ThreePCConstants(1.0, 0.0)
-    # a = 1 - sqrt(1 - alpha), written in the cancellation-free form.
-    a = alpha / (1.0 + math.sqrt(1.0 - alpha))
-    return ThreePCConstants(a, (1.0 - alpha) / a)
 
 
 def certified_constants(spec: ThreePCSpec, dim: int) -> ThreePCConstants:
     """Certified (a, b) of ``spec`` at dimension ``dim``.
 
-    Adaptive rules combine their branch constants (min a, max b); the lazy
-    skip branch contributes (1, zeta).
+    Adaptive rules combine their branch constants (min a, max b). Raises
+    ValueError when a sparsifier keeps more than ``dim`` coordinates or
+    adaptive levels are not in ascending-alpha order.
     """
-    if isinstance(spec, EF21):
-        return ef21_constants(spec.contractor.alpha(dim))
-    if isinstance(spec, LAG):
-        return ThreePCConstants(1.0, spec.zeta)
-    if isinstance(spec, CLAG):
-        base = ef21_constants(spec.contractor.alpha(dim))
-        return ThreePCConstants(base.a, max(spec.zeta, base.b))
-    if isinstance(spec, AdaCGD):
-        _check_ascending_alpha(spec.contractors, dim)
-        parts = [ThreePCConstants(1.0, spec.zeta)]
-        parts += [ef21_constants(c.alpha(dim)) for c in spec.contractors]
-        return combine_constants(parts)
-    if isinstance(spec, Ada3PC):
-        return combine_constants(certified_constants(b, dim) for b in spec.branches)
-    if isinstance(spec, IdentityMaster):
-        return ThreePCConstants(1.0, 0.0)
-    raise ValueError(f"unknown compressor spec {spec!r}")
-
-
-def _predicate_draws(pred: Predicate) -> bool:
-    """Whether a predicate may draw from the stream it is handed.
-
-    Plain callables never receive a stream; predicate objects other than the
-    shipped triggers receive one and are assumed to use it.
-    """
-    if isinstance(pred, SkipTrigger):
-        return False
-    if isinstance(pred, CandidateErrorTrigger):
-        return pred.contractor.randomized
-    return hasattr(pred, "evaluate")
-
-
-def is_randomized(spec: ThreePCSpec) -> bool:
-    """Whether compressing with ``spec`` draws from its rng stream."""
-    if isinstance(spec, EF21):
-        return spec.contractor.randomized
-    if isinstance(spec, CLAG):
-        return spec.contractor.randomized
-    if isinstance(spec, AdaCGD):
-        return any(c.randomized for c in spec.contractors)
-    if isinstance(spec, Ada3PC):
-        return any(is_randomized(b) for b in spec.branches) or any(_predicate_draws(p) for p in spec.predicates)
-    return False
-
-
-def strongest_contractor(spec: ThreePCSpec, dim: int) -> ContractorSpec:
-    """The lowest-alpha sparsifier reachable inside ``spec`` (identity if none)."""
-    if isinstance(spec, EF21):
-        return spec.contractor
-    if isinstance(spec, CLAG):
-        return spec.contractor
-    if isinstance(spec, AdaCGD):
-        return min(spec.contractors, key=lambda c: c.alpha(dim))
-    if isinstance(spec, Ada3PC):
-        return min((strongest_contractor(b, dim) for b in spec.branches), key=lambda c: c.alpha(dim))
-    return ContractorSpec.identity()
-
-
-def branch_count(spec: ThreePCSpec) -> int:
-    """Number of distinct branch indices the spec can report."""
-    if isinstance(spec, (LAG, CLAG)):
-        return 2
-    if isinstance(spec, AdaCGD):
-        return len(spec.contractors) + 1
-    if isinstance(spec, Ada3PC):
-        return len(spec.branches)
-    return 1
-
-
-def adaptive_level_count(spec: ThreePCSpec) -> int:
-    """Number of selectable levels of an adaptive rule (0 for fixed rules)."""
-    if isinstance(spec, AdaCGD):
-        return len(spec.contractors)
-    if isinstance(spec, Ada3PC):
-        return len(spec.branches)
-    return 0
+    return spec.constants(dim)
 
 
 def adacgd_as_chain(contractors: Sequence[ContractorSpec], zeta: float) -> Ada3PC:
@@ -627,7 +600,7 @@ def estimate_constants(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     cert = certified if certified is not None else certified_constants(spec, dim)
-    randomized = is_randomized(spec)
+    randomized = spec.randomized
 
     worst_slack = math.inf
     passed = True

@@ -17,13 +17,11 @@ import numpy as np
 
 from .core import SeededRng, ThreePCConstants, as_vector, mean_ascending, sqnorm
 from .compressors import (
+    SKIP,
+    SPARSE,
     CompressionOutcome,
     ThreePCSpec,
-    adaptive_level_count,
-    branch_count,
     certified_constants,
-    is_randomized,
-    strongest_contractor,
     _compress_raw,
     _contract_support,
 )
@@ -158,7 +156,7 @@ def index_bits(dim: int) -> int:
 
 def branch_header_bits(spec: ThreePCSpec) -> int:
     """Bits needed to tell the receiver which adaptive level follows."""
-    m = adaptive_level_count(spec)
+    m = spec.adaptive_level_count
     return math.ceil(math.log2(m + 1)) if m > 0 else 0
 
 
@@ -175,9 +173,9 @@ def payload_bits(outcome: CompressionOutcome, dim: int, value_bits: int, header_
     if value_bits not in (32, 64):
         raise ValueError(f"value_bits must be 32 or 64, got {value_bits}")
     payload = outcome.payload
-    if payload.kind == "skip":
+    if payload.kind == SKIP:
         return 1
-    if payload.kind == "sparse":
+    if payload.kind == SPARSE:
         s = payload.entry_count
         return min(s * (value_bits + index_bits(dim)), dim * value_bits) + header_bits
     return dim * value_bits
@@ -212,7 +210,7 @@ def init(
         estimates = [g.copy() for g in grads]
         uplink = n * d * value_bits
     else:
-        contractor = strongest_contractor(worker_spec, d)
+        contractor = worker_spec.strongest_contractor(d)
         for i in range(n):
             worker_rng = rng.derive(_INIT_TAG, i) if rng is not None and contractor.randomized else None
             support = _contract_support(contractor, grads[i], worker_rng)
@@ -328,7 +326,7 @@ def initial_record(
     """Round-0 record (no compression branches chosen yet)."""
     wc = certified_constants(worker_spec, problem.dim)
     mc = certified_constants(master_spec, problem.dim)
-    hist = tuple(0 for _ in range(branch_count(worker_spec)))
+    hist = (0,) * worker_spec.branch_count
     return _make_record(state, problem, loss(problem, state.x), gamma, wc, mc, f_star, f_inf, hist)
 
 
@@ -362,8 +360,8 @@ def _step_inner(state, problem, worker_spec, master_spec, gamma, rng, value_bits
     # per-call input checks; f comes from the same margins as the gradients.
     f_new, new_grads = _round_oracle(problem, x_new)
     worker_header = branch_header_bits(worker_spec)
-    worker_draws = is_randomized(worker_spec)
-    hist = [0] * branch_count(worker_spec)
+    worker_draws = worker_spec.randomized
+    hist = [0] * worker_spec.branch_count
     uplink = state.uplink_bits
     new_estimates = []
     for i, grad_i in enumerate(new_grads):
@@ -386,7 +384,7 @@ def _step_inner(state, problem, worker_spec, master_spec, gamma, rng, value_bits
         state.g_master,
         state.g_tilde_master,
         g_tilde_new,
-        rng.derive(_MASTER_TAG, t) if is_randomized(master_spec) else None,
+        rng.derive(_MASTER_TAG, t) if master_spec.randomized else None,
     )
     downlink = state.downlink_bits + payload_bits(master_out, d, value_bits, branch_header_bits(master_spec))
 
@@ -411,7 +409,13 @@ def _step_inner(state, problem, worker_spec, master_spec, gamma, rng, value_bits
 
 @dataclass(frozen=True)
 class StopRule:
-    """Stop after max_rounds, on a squared-gradient tolerance, or a bit budget."""
+    """Stop after max_rounds, on a squared-gradient tolerance, or a bit budget.
+
+    The bit budget is checked after each round, against the cumulative
+    uplink plus downlink bits. A run therefore goes over it by at most one
+    round's traffic: n * (d * value_bits + header) uplink plus d * value_bits
+    downlink.
+    """
 
     max_rounds: int
     grad_tol_sq: Optional[float] = None

@@ -240,7 +240,8 @@ def _parse_synthetic(text: str) -> SyntheticSpec:
 def build_dataset(config: RunConfig) -> tuple[Problem, str]:
     """Materialize the problem named by ``config.dataset``; returns (problem, hash).
 
-    The hash keys reference-minimum cache files.
+    The hash names the source data only (it is echoed in every trace header);
+    reference-minimum cache files are keyed on :func:`problem_digest` instead.
     """
     ds = config.dataset
     if ds.startswith("quadratic:"):
@@ -550,8 +551,26 @@ def solve_reference(problem: Problem, tolerance: float, max_rounds: int = 10**6)
     return ReferenceSolution(x, loss(problem, x), norm, rounds, norm if norm > tolerance else tolerance)
 
 
-def reference_cache_path(cache_dir: Path, dataset_hash: str, lam: float) -> Path:
-    return Path(cache_dir) / f"ref_{dataset_hash}_lam{lam:g}.txt"
+def problem_digest(problem: Problem) -> str:
+    """Digest of everything the objective depends on.
+
+    Covers the kind, lam, and every shard's features and labels in client
+    order (so feature scaling and the partition count), or the quadratic
+    diagonal.
+    """
+    h = hashlib.sha256(f"{problem.kind}|{float(problem.lam)!r}".encode())
+    if problem.kind == "quadratic":
+        arrays = [problem.diagonal]
+    else:
+        arrays = [a for shard in problem.shards for a in (shard.features, shard.labels)]
+    for a in arrays:
+        h.update(repr(a.shape).encode())
+        h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    return h.hexdigest()[:16]
+
+
+def reference_cache_path(cache_dir: Path, problem: Problem) -> Path:
+    return Path(cache_dir) / f"ref_{problem_digest(problem)}.txt"
 
 
 def save_reference(path: Path, dataset_hash: str, lam: float, ref: ReferenceSolution) -> None:
@@ -596,11 +615,16 @@ def load_or_solve_reference(
     cache_dir: Path,
     max_rounds: int = 10**6,
 ) -> ReferenceSolution:
-    """Reuse a cached minimizer when the key matches; otherwise solve and cache."""
-    path = reference_cache_path(cache_dir, dataset_hash, lam)
+    """Reuse a cached minimizer of this exact problem; otherwise solve and cache.
+
+    The cache file is named by :func:`problem_digest`. A cached solve is
+    reused only when its tolerance is at least as tight as ``tolerance``;
+    ``dataset_hash`` and ``lam`` are recorded in the file for reference.
+    """
+    path = reference_cache_path(cache_dir, problem)
     if path.exists():
-        cached_hash, cached_lam, ref = load_reference(path)
-        if cached_hash == dataset_hash and cached_lam == lam:
+        _, _, ref = load_reference(path)
+        if ref.tolerance <= tolerance:
             return ref
     ref = solve_reference(problem, tolerance, max_rounds)
     save_reference(path, dataset_hash, lam, ref)

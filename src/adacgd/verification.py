@@ -26,14 +26,10 @@ from .compressors import (
     LAG,
     ThreePCSpec,
     adacgd_as_chain,
-    adacgd_compress,
     apply_contractor,
     certified_constants,
-    clag_compress,
     compress,
-    ef21_compress,
     estimate_constants,
-    lag_compress,
     reconstruct,
     _sample_triple,
 )
@@ -139,12 +135,13 @@ def chain_equivalence_check(
 ) -> PropertyResult:
     """The adaptive rule agrees exactly with its explicit dispatch chain."""
     rng = SeededRng(seed, _VERIFY_STREAM)
+    rule = AdaCGD(contractors, zeta)
     chain = adacgd_as_chain(contractors, zeta)
     worst = 0.0
     for t in range(trials):
         g = rng.derive(t).generator()
         h, y, x = _sample_triple(t % 5, dim, g)
-        direct = adacgd_compress(contractors, zeta, h, y, x, rng.derive(t, 1))
+        direct = compress(rule, h, y, x, rng.derive(t, 1))
         chained = compress(chain, h, y, x, rng.derive(t, 1))
         worst = max(worst, _outcomes_equal(direct, chained))
     return PropertyResult(
@@ -160,6 +157,12 @@ def collapse_checks(dim: int, trials: int, seed: int) -> list[PropertyResult]:
     rng = SeededRng(seed, _VERIFY_STREAM)
     contractors = (ContractorSpec.top_k(1), ContractorSpec.top_k(max(2, dim // 2)), ContractorSpec.identity())
     zeta = 1.5
+    zeta_zero = AdaCGD(contractors, 0.0)
+    weakest = EF21(contractors[-1])
+    single = AdaCGD(contractors[:1], zeta)
+    paired = CLAG(contractors[0], zeta)
+    lazy = LAG(zeta)
+    lazy_identity = CLAG(ContractorSpec.identity(), zeta)
 
     worst_ef21 = 0.0
     worst_clag = 0.0
@@ -172,18 +175,18 @@ def collapse_checks(dim: int, trials: int, seed: int) -> list[PropertyResult]:
             # it reconstructs x exactly, so only the vectors must agree; on
             # fall-through the payloads must match too.
             m = len(contractors)
-            a = adacgd_compress(contractors, 0.0, h, y, x, rng.derive(t, 1))
-            b = ef21_compress(contractors[-1], h, y, x, rng.derive(t, 1).derive(m))
+            a = compress(zeta_zero, h, y, x, rng.derive(t, 1))
+            b = compress(weakest, h, y, x, rng.derive(t, 1).derive(m))
             gap = float(np.max(np.abs(a.vector - b.vector)))
             if a.branch_index == m and a.payload.kind != b.payload.kind:
                 gap = max(gap, 1.0)
             worst_ef21 = max(worst_ef21, gap)
-        single = adacgd_compress(contractors[:1], zeta, h, y, x, rng.derive(t, 2))
-        paired = clag_compress(contractors[0], zeta, h, y, x, rng.derive(t, 2).derive(1))
-        worst_clag = max(worst_clag, _outcomes_equal(single, paired))
-        lag_out = lag_compress(zeta, h, y, x)
-        clag_id = clag_compress(ContractorSpec.identity(), zeta, h, y, x)
-        worst_lag = max(worst_lag, _outcomes_equal(lag_out, clag_id))
+        a = compress(single, h, y, x, rng.derive(t, 2))
+        b = compress(paired, h, y, x, rng.derive(t, 2).derive(1))
+        worst_clag = max(worst_clag, _outcomes_equal(a, b))
+        a = compress(lazy, h, y, x)
+        b = compress(lazy_identity, h, y, x)
+        worst_lag = max(worst_lag, _outcomes_equal(a, b))
     return [
         PropertyResult("collapse[zeta=0 -> weakest-level shift rule]", worst_ef21 == 0.0, -worst_ef21),
         PropertyResult("collapse[single level -> lazy compressed rule]", worst_clag == 0.0, -worst_clag),
@@ -200,18 +203,19 @@ def monotone_trigger_check(
 ) -> PropertyResult:
     """The returned branch never comes after a passing candidate."""
     rng = SeededRng(seed, _VERIFY_STREAM)
+    rule = AdaCGD(contractors, zeta)
     worst = 0
     for t in range(trials):
         g = rng.derive(t).generator()
         h, y, x = _sample_triple(t % 5, dim, g)
-        out = adacgd_compress(contractors, zeta, h, y, x, rng.derive(t, 1))
+        out = compress(rule, h, y, x, rng.derive(t, 1))
         budget = zeta * sqnorm(x - y)
         first_pass = None
         if sqnorm(x - h) <= budget:
             first_pass = 0
         else:
             for j, c in enumerate(contractors, start=1):
-                v = ef21_compress(c, h, y, x, rng.derive(t, 1).derive(j)).vector
+                v = compress(EF21(c), h, y, x, rng.derive(t, 1).derive(j)).vector
                 if sqnorm(x - v) <= budget:
                     first_pass = j
                     break

@@ -4,6 +4,7 @@ Heavy shared artifacts (reference minima, the protocol sweep) are module-
 scoped fixtures so the suite stays inside its runtime budget.
 """
 
+import dataclasses
 import hashlib
 import time
 from pathlib import Path
@@ -20,10 +21,11 @@ from adacgd.compressors import (
     IdentityMaster,
     LAG,
     certified_constants,
+    compress,
 )
 from adacgd.datasets import SyntheticSpec, build_problem, make_synthetic
 from adacgd.engine import StepsizeRule, theoretical_stepsize
-from adacgd.experiments import RunConfig, read_trace, run_experiment, solve_reference
+from adacgd.experiments import RunConfig, load_config, read_trace, run_experiment, solve_reference
 from adacgd.problems import Problem, check_gradient, smoothness
 from adacgd.verification import (
     chain_equivalence_check,
@@ -92,14 +94,12 @@ def test_criterion_4_special_case_collapse():
     g = rng.generator()
     for _ in range(2000):
         h, y, x = g.standard_normal(10), g.standard_normal(10), g.standard_normal(10)
-        from adacgd.compressors import adacgd_compress, clag_compress, ef21_compress
-
         if sqnorm(x - h) > 0.0:
-            a = adacgd_compress(TOP_LEVELS, 0.0, h, y, x, rng)
-            b = ef21_compress(TOP_LEVELS[-1], h, y, x)
+            a = compress(AdaCGD(TOP_LEVELS, 0.0), h, y, x, rng)
+            b = compress(EF21(TOP_LEVELS[-1]), h, y, x)
             worst_ef21 = max(worst_ef21, float(np.max(np.abs(a.vector - b.vector))))
-        a = adacgd_compress(TOP_LEVELS[:1], 1.3, h, y, x, rng)
-        b = clag_compress(TOP_LEVELS[0], 1.3, h, y, x)
+        a = compress(AdaCGD(TOP_LEVELS[:1], 1.3), h, y, x, rng)
+        b = compress(CLAG(TOP_LEVELS[0], 1.3), h, y, x)
         worst_clag = max(worst_clag, float(np.max(np.abs(a.vector - b.vector))), float(a.branch_index != b.branch_index))
 
     examples = make_synthetic(SyntheticSpec(20, 10, seed=4))
@@ -205,23 +205,29 @@ def test_criterion_9_linear_rate():
 
 
 PROTOCOL_DATASET = "synthetic:n=1000,d=50,seed=7,scale=3,cond=200"
+PROTOCOL_CONFIG = RunConfig(
+    dataset=PROTOCOL_DATASET,
+    n_clients=20,
+    lam=0.1,
+    methods=("gd", "ef21:k=1", "lag", "clag:k=1", "adacgd"),
+    multipliers=tuple(float(2**i) for i in range(9)),
+    zeta=1.0,
+    max_rounds=3000,
+    grad_tol_sq=1e-4,
+    seed=1,
+)
+
+
+def test_protocol_config_file_matches_protocol():
+    # `adacgd sweep --config scripts/protocol.cfg` runs this same protocol.
+    loaded = load_config(str(Path(__file__).resolve().parents[1] / "scripts" / "protocol.cfg"))
+    assert loaded == dataclasses.replace(PROTOCOL_CONFIG, out_dir=loaded.out_dir)
 
 
 @pytest.fixture(scope="module")
 def protocol_result(tmp_path_factory):
     out = tmp_path_factory.mktemp("protocol")
-    config = RunConfig(
-        dataset=PROTOCOL_DATASET,
-        n_clients=20,
-        lam=0.1,
-        methods=("gd", "ef21:k=1", "lag", "clag:k=1", "adacgd"),
-        multipliers=tuple(float(2**i) for i in range(9)),
-        zeta=1.0,
-        max_rounds=3000,
-        grad_tol_sq=1e-4,
-        seed=1,
-        out_dir=str(out),
-    )
+    config = dataclasses.replace(PROTOCOL_CONFIG, out_dir=str(out))
     t0 = time.time()
     result = run_experiment(config)
     return config, result, time.time() - t0

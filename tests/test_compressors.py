@@ -15,18 +15,12 @@ from adacgd.compressors import (
     LAG,
     CandidateErrorTrigger,
     SkipTrigger,
-    ada3pc_compress,
     adacgd_as_chain,
-    adacgd_compress,
     apply_contractor,
     certified_constants,
-    clag_compress,
     compress,
-    ef21_compress,
     ef21_constants,
     estimate_constants,
-    is_randomized,
-    lag_compress,
     reconstruct,
 )
 
@@ -69,12 +63,12 @@ def test_top_k_contraction_property(values, k):
 
 
 def test_ef21_examples():
-    out = ef21_compress(ContractorSpec.top_k(1), [0, 0], [0, 0], [2, 1])
+    out = compress(EF21(ContractorSpec.top_k(1)), [0, 0], [0, 0], [2, 1])
     assert np.array_equal(out.vector, [2, 0])
     x = np.array([1.5, -2.5])
-    out = ef21_compress(ContractorSpec.top_k(1), x, x, x)
+    out = compress(EF21(ContractorSpec.top_k(1)), x, x, x)
     assert np.array_equal(out.vector, x)
-    out = ef21_compress(ContractorSpec.top_k(1), [1, 0], [0, 0], [2, 3])
+    out = compress(EF21(ContractorSpec.top_k(1)), [1, 0], [0, 0], [2, 3])
     assert np.array_equal(out.vector, [1, 3])
     assert out.payload.kind == "sparse"
     assert np.array_equal(out.payload.indices, [1])
@@ -82,51 +76,51 @@ def test_ef21_examples():
 
 def test_ef21_identity_is_bitwise_passthrough():
     x = np.array([0.1 + 0.2, 1e-17, -3.5])
-    out = ef21_compress(ContractorSpec.identity(), np.array([1.0, 2.0, 3.0]), x, x)
+    out = compress(EF21(ContractorSpec.identity()), np.array([1.0, 2.0, 3.0]), x, x)
     assert np.array_equal(out.vector, x)
     assert out.payload.kind == "full"
 
 
 def test_lag_examples():
-    out = lag_compress(1.0, [1, 0], [1, 1], [1, 0.5])
+    out = compress(LAG(1.0), [1, 0], [1, 1], [1, 0.5])
     assert np.array_equal(out.vector, [1, 0])  # 0.25 <= 0.25, boundary inclusive
     assert out.branch_index == 0 and out.payload.kind == "skip"
 
-    out = lag_compress(0.0, [0, 0], [5, 5], [1, 1])
+    out = compress(LAG(0.0), [0, 0], [5, 5], [1, 1])
     assert np.array_equal(out.vector, [1, 1])
     assert out.branch_index == 1 and out.payload.kind == "full"
 
     x = np.array([2.0, 2.0])
-    out = lag_compress(7.0, x, [9.0, 9.0], x)
+    out = compress(LAG(7.0), x, [9.0, 9.0], x)
     assert np.array_equal(out.vector, x)
     assert out.branch_index == 0
 
 
 def test_clag_examples():
     h, y, x = np.zeros(2), np.array([5.0, 5.0]), np.array([2.0, 1.0])
-    fired = clag_compress(ContractorSpec.top_k(1), 0.0, h, y, x)
-    ef = ef21_compress(ContractorSpec.top_k(1), h, y, x)
+    fired = compress(CLAG(ContractorSpec.top_k(1), 0.0), h, y, x)
+    ef = compress(EF21(ContractorSpec.top_k(1)), h, y, x)
     assert np.array_equal(fired.vector, ef.vector)
     assert fired.branch_index == 1
 
-    out = clag_compress(ContractorSpec.top_k(1), 1e16, h, y, x)
+    out = compress(CLAG(ContractorSpec.top_k(1), 1e16), h, y, x)
     assert np.array_equal(out.vector, h)
     assert out.branch_index == 0 and out.payload.kind == "skip"
 
-    out = clag_compress(ContractorSpec.top_k(1), 1.0, [0, 0], [2, 1], [2, 1])
+    out = compress(CLAG(ContractorSpec.top_k(1), 1.0), [0, 0], [2, 1], [2, 1])
     assert np.array_equal(out.vector, [2, 0])  # |x-h|^2 = 5 > 0 fires
 
 
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
-        ef21_compress(ContractorSpec.top_k(1), [1, 2], [1, 2], [1, 2, 3])
+        compress(EF21(ContractorSpec.top_k(1)), [1, 2], [1, 2], [1, 2, 3])
     with pytest.raises(ValueError):
-        lag_compress(1.0, [1], [1, 2], [1])
+        compress(LAG(1.0), [1], [1, 2], [1])
 
 
 def test_adacgd_skip_branch():
     h = np.array([1.0, 1.0])
-    out = adacgd_compress((ContractorSpec.top_k(1),), 1e16, h, [0, 0], [5.0, 6.0], RNG)
+    out = compress(AdaCGD((ContractorSpec.top_k(1),), 1e16), h, [0, 0], [5.0, 6.0], RNG)
     assert out.branch_index == 0
     assert np.array_equal(out.vector, h)
     assert out.payload.kind == "skip"
@@ -137,8 +131,8 @@ def test_adacgd_zeta_zero_reduces_to_weakest_level():
     levels = (ContractorSpec.top_k(1), ContractorSpec.top_k(3))
     for _ in range(50):
         h, y, x = g.standard_normal(6), g.standard_normal(6), g.standard_normal(6)
-        out = adacgd_compress(levels, 0.0, h, y, x, RNG)
-        ef = ef21_compress(levels[-1], h, y, x)
+        out = compress(AdaCGD(levels, 0.0), h, y, x, RNG)
+        ef = compress(EF21(levels[-1]), h, y, x)
         assert np.array_equal(out.vector, ef.vector)
 
 
@@ -147,8 +141,8 @@ def test_adacgd_single_level_matches_clag():
     c = ContractorSpec.top_k(2)
     for _ in range(50):
         h, y, x = g.standard_normal(5), g.standard_normal(5), g.standard_normal(5)
-        a = adacgd_compress((c,), 1.5, h, y, x, RNG)
-        b = clag_compress(c, 1.5, h, y, x, RNG.derive(1))
+        a = compress(AdaCGD((c,), 1.5), h, y, x, RNG)
+        b = compress(CLAG(c, 1.5), h, y, x, RNG.derive(1))
         assert np.array_equal(a.vector, b.vector)
         assert a.branch_index == b.branch_index
         assert a.payload.kind == b.payload.kind
@@ -156,15 +150,15 @@ def test_adacgd_single_level_matches_clag():
 
 def test_adacgd_requires_sorted_levels():
     with pytest.raises(ValueError):
-        adacgd_compress((ContractorSpec.top_k(3), ContractorSpec.top_k(1)), 1.0, [1, 2, 3], [0, 0, 0], [4, 5, 6])
+        compress(AdaCGD((ContractorSpec.top_k(3), ContractorSpec.top_k(1)), 1.0), [1, 2, 3], [0, 0, 0], [4, 5, 6])
     with pytest.raises(ValueError):
-        adacgd_compress((), 1.0, [1], [1], [1])
+        compress(AdaCGD((), 1.0), [1], [1], [1])
 
 
 def test_ada3pc_single_branch_delegates():
     spec = Ada3PC((EF21(ContractorSpec.top_k(1)),))
     h, y, x = np.zeros(3), np.zeros(3), np.array([1.0, -4.0, 2.0])
-    out = ada3pc_compress(spec, h, y, x, RNG)
+    out = compress(spec, h, y, x, RNG)
     assert np.array_equal(out.vector, [0, -4, 0])
     assert out.branch_index == 0
 
@@ -175,7 +169,7 @@ def test_ada3pc_falls_through_when_predicates_false():
         predicates=(lambda h, y, x: False, lambda h, y, x: False),
     )
     x = np.array([3.0, 1.0])
-    out = ada3pc_compress(spec, np.zeros(2), np.zeros(2), x, RNG)
+    out = compress(spec, np.zeros(2), np.zeros(2), x, RNG)
     assert out.branch_index == 2
     assert np.array_equal(out.vector, x)
 
@@ -187,7 +181,7 @@ def test_ada3pc_wrong_predicate_arity():
     crafted = Ada3PC((LAG(1.0), EF21(ContractorSpec.top_k(1))), (SkipTrigger(1.0),))
     object.__setattr__(crafted, "predicates", ())
     with pytest.raises(ValueError):
-        ada3pc_compress(crafted, [1.0], [1.0], [2.0], RNG)
+        compress(crafted, [1.0], [1.0], [2.0], RNG)
 
 
 def test_explicit_chain_matches_adacgd_branch_exactly():
@@ -196,7 +190,7 @@ def test_explicit_chain_matches_adacgd_branch_exactly():
     g = SeededRng(5).generator()
     for _ in range(200):
         h, y, x = g.standard_normal(4), g.standard_normal(4), g.standard_normal(4)
-        direct = adacgd_compress(levels, 0.8, h, y, x, RNG.derive(7))
+        direct = compress(AdaCGD(levels, 0.8), h, y, x, RNG.derive(7))
         chained = compress(chain, h, y, x, RNG.derive(7))
         assert np.array_equal(direct.vector, chained.vector)
         assert direct.branch_index == chained.branch_index
@@ -252,17 +246,17 @@ def test_compress_dispatch_matches_rule_functions():
     h, y, x = np.array([1.0, 0.0]), np.array([0.5, 0.5]), np.array([2.0, 3.0])
     assert np.array_equal(
         compress(EF21(ContractorSpec.top_k(1)), h, y, x).vector,
-        ef21_compress(ContractorSpec.top_k(1), h, y, x).vector,
+        EF21(ContractorSpec.top_k(1)).raw(h, y, x, None).vector,
     )
-    assert np.array_equal(compress(LAG(1.0), h, y, x).vector, lag_compress(1.0, h, y, x).vector)
+    assert np.array_equal(compress(LAG(1.0), h, y, x).vector, LAG(1.0).raw(h, y, x, None).vector)
     assert np.array_equal(compress(IdentityMaster(), h, y, x).vector, x)
 
 
 def test_determinism_with_randomized_levels():
     levels = (ContractorSpec.rand_k(1), ContractorSpec.rand_k(3))
     h, y, x = np.array([1.0, 2, 3, 4]), np.zeros(4), np.array([4.0, -3, 2, -1])
-    a = adacgd_compress(levels, 0.5, h, y, x, SeededRng(11, 22))
-    b = adacgd_compress(levels, 0.5, h, y, x, SeededRng(11, 22))
+    a = compress(AdaCGD(levels, 0.5), h, y, x, SeededRng(11, 22))
+    b = compress(AdaCGD(levels, 0.5), h, y, x, SeededRng(11, 22))
     assert np.array_equal(a.vector, b.vector)
     assert a.branch_index == b.branch_index
 
@@ -291,7 +285,7 @@ def test_payload_reconstruction_is_exact(hv, yv, xv, seed):
 def test_payload_entry_count_fixed_for_topk():
     # Fixed-rate sparsifier: k pairs cross the wire even when deltas vanish.
     x = np.array([5.0, 5.0, 5.0])
-    out = ef21_compress(ContractorSpec.top_k(2), x, x, x)
+    out = compress(EF21(ContractorSpec.top_k(2)), x, x, x)
     assert out.payload.kind == "sparse"
     assert out.payload.entry_count == 2
     assert np.array_equal(out.payload.values, [0.0, 0.0])
@@ -326,11 +320,11 @@ def test_adacgd_matches_its_chain_on_ties(hv, yv, xv, ks, zeta):
 def test_is_randomized_counts_trigger_contractors():
     drawing = Ada3PC((LAG(1.0), EF21(ContractorSpec.top_k(1))), (CandidateErrorTrigger(1.0, ContractorSpec.rand_k(1)),))
     fixed = Ada3PC((LAG(1.0), EF21(ContractorSpec.top_k(1))), (CandidateErrorTrigger(1.0, ContractorSpec.top_k(1)),))
-    assert is_randomized(drawing)
-    assert not is_randomized(fixed)
-    assert not is_randomized(Ada3PC((LAG(1.0), EF21(ContractorSpec.top_k(1))), (SkipTrigger(1.0),)))
-    assert not is_randomized(Ada3PC((LAG(1.0), LAG(2.0)), (lambda h, y, x: True,)))
-    assert is_randomized(adacgd_as_chain((ContractorSpec.rand_k(1), ContractorSpec.top_k(3)), 1.0))
+    assert drawing.randomized
+    assert not fixed.randomized
+    assert not Ada3PC((LAG(1.0), EF21(ContractorSpec.top_k(1))), (SkipTrigger(1.0),)).randomized
+    assert not Ada3PC((LAG(1.0), LAG(2.0)), (lambda h, y, x: True,)).randomized
+    assert adacgd_as_chain((ContractorSpec.rand_k(1), ContractorSpec.top_k(3)), 1.0).randomized
     h, y, x = np.zeros(3), np.zeros(3), np.array([3.0, -1.0, 2.0])
     with pytest.raises(ValueError, match="rng stream"):
         compress(drawing, h, y, x)

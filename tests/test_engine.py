@@ -201,6 +201,19 @@ def test_run_stops_on_bit_budget():
     assert records[-2].uplink_bits + records[-2].downlink_bits < 2000
 
 
+def test_bit_budget_overshoot_is_at_most_one_round():
+    p = quad([1.0, 2.0, 3.0, 4.0], n=3)
+    spec = AdaCGD((ContractorSpec.top_k(1), ContractorSpec.top_k(2), ContractorSpec.top_k(4)), 1.0)
+    n, d, value_bits = 3, 4, 64
+    one_round = n * (d * value_bits + branch_header_bits(spec)) + d * value_bits
+    for budget in (5000, 7777, 12345):
+        stop = StopRule(1000, bit_budget=budget)
+        records = run(RunSpec(p, spec, IdentityMaster(), np.ones(d), StepsizeRule.manual(0.05), stop))
+        before, last = (r.uplink_bits + r.downlink_bits for r in records[-2:])
+        assert before < budget <= last
+        assert last - budget <= last - before <= one_round
+
+
 def test_divergence_raises_with_partial_trace():
     p = quad([1.0, 1.0])
     spec = RunSpec(p, EF21(ContractorSpec.identity()), IdentityMaster(), np.ones(2),

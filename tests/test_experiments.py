@@ -236,6 +236,36 @@ def test_reference_cache_round_trip(tmp_path):
     assert abs(resolved.f_star - ref.f_star) <= 1e-9
 
 
+def test_reference_cache_keyed_on_the_problem(tmp_path):
+    # Same source data, so the same dataset hash, but three different objectives.
+    dataset = "synthetic:n=100,d=5,seed=1,scale=3"
+    problems = []
+    for n_clients, scale in ((20, False), (20, True), (7, False)):
+        problem, dataset_hash = build_dataset(RunConfig(dataset=dataset, n_clients=n_clients, scale_features=scale))
+        problems.append((problem, dataset_hash))
+    assert len({h for _, h in problems}) == 1
+    cached = [load_or_solve_reference(p, h, p.lam, 1e-8, tmp_path) for p, h in problems]
+    assert len(list(tmp_path.glob("ref_*.txt"))) == 3
+    for (p, h), ref in zip(problems, cached):
+        assert ref.f_star == solve_reference(p, 1e-8).f_star
+        assert load_or_solve_reference(p, h, p.lam, 1e-8, tmp_path).f_star == ref.f_star
+    assert len({ref.f_star for ref in cached}) == 3
+
+
+def test_reference_cache_resolves_for_a_tighter_tolerance(tmp_path):
+    problem, dataset_hash = build_dataset(RunConfig(dataset="synthetic:n=100,d=5,seed=1,scale=3", n_clients=7))
+    loose = load_or_solve_reference(problem, dataset_hash, problem.lam, 1e-3, tmp_path)
+    assert loose.tolerance == 1e-3
+    tight = load_or_solve_reference(problem, dataset_hash, problem.lam, 1e-8, tmp_path)
+    assert tight.tolerance == 1e-8
+    assert tight.grad_norm <= 1e-8 < loose.grad_norm
+    assert tight.f_star == solve_reference(problem, 1e-8).f_star
+    # The tighter solve replaced the cached one and serves looser requests too.
+    again = load_or_solve_reference(problem, dataset_hash, problem.lam, 1e-4, tmp_path)
+    assert again.tolerance == 1e-8 and np.array_equal(again.x_star, tight.x_star)
+    assert len(list(tmp_path.glob("ref_*.txt"))) == 1
+
+
 def test_reference_cap_warns(tmp_path):
     examples = make_synthetic(SyntheticSpec(40, 4, 5))
     p = build_problem(examples, 2, 0.0, 0)

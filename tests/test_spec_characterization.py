@@ -19,11 +19,7 @@ from adacgd.compressors import (
     IdentityMaster,
     LAG,
     adacgd_as_chain,
-    adaptive_level_count,
-    branch_count,
     certified_constants,
-    is_randomized,
-    strongest_contractor,
 )
 from adacgd.engine import branch_header_bits
 
@@ -64,8 +60,8 @@ def test_spec_facts_are_pinned(case):
     for dim, (a, b) in ((4, ab4), (50, ab50)):
         c = certified_constants(spec, dim)
         assert (c.a, c.b) == (a, b)
-        assert strongest_contractor(spec, dim) == strongest
-    assert is_randomized(spec) is randomized
-    assert branch_count(spec) == branches
-    assert adaptive_level_count(spec) == levels
+        assert spec.strongest_contractor(dim) == strongest
+    assert spec.randomized is randomized
+    assert spec.branch_count == branches
+    assert spec.adaptive_level_count == levels
     assert branch_header_bits(spec) == header
