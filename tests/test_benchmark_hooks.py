@@ -59,3 +59,24 @@ def test_traced_run_reaches_the_compression_hooks():
     assert metrics["compressors.master_calls"] == rounds
     assert metrics["compressors.topk_calls"] > rounds
     assert metrics["compressors.candidates_per_call"] > 0
+
+
+def _traced_build(dataset):
+    tracer = tracer_module.Tracer()
+    with tracer.installed(PROGRAM):
+        experiments.build_dataset(experiments.RunConfig(dataset=dataset, n_clients=3))
+    return tracer.metrics()
+
+
+def test_traced_build_dataset_counts_generated_rows():
+    metrics = _traced_build("synthetic:n=40,d=5,seed=1")
+    assert metrics["datasets.examples"] == 40
+    assert metrics["datasets.synthetic_s"] > 0
+
+
+def test_traced_build_dataset_counts_parsed_rows(tmp_path):
+    path = tmp_path / "rows.svm"
+    path.write_text("+1 1:0.5 2:1\n-1 2:-1\n# comment\n\n+1 1:2\n-1 1:1 3:4\n+1 3:-0.5\n")
+    metrics = _traced_build(str(path))
+    assert metrics["datasets.examples"] == 5
+    assert metrics["datasets.parse_s"] > 0

@@ -225,6 +225,23 @@ def test_divergence_raises_with_partial_trace():
     assert err.value.records[0].round == 0
 
 
+@pytest.mark.parametrize(
+    "worker",
+    [EF21(ContractorSpec.identity()), EF21(ContractorSpec.top_k(1)), LAG(1.0),
+     AdaCGD((ContractorSpec.top_k(1), ContractorSpec.identity()), 1.0)],
+)
+def test_divergence_round_when_gradient_overflows_before_iterate(worker):
+    # Round 1 moves x[0] from 1e-150 to about -1e10: finite, but diag * x
+    # overflows to -inf in both clients' gradients.
+    p = quad([1e300, 1.0], n=2)
+    spec = RunSpec(p, worker, EF21(ContractorSpec.top_k(1)), np.array([1e-150, 1.0]),
+                   StepsizeRule.manual(1e-140), StopRule(1000))
+    with pytest.raises(DivergenceError) as err:
+        run(spec)
+    assert err.value.round_index == 1
+    assert len(err.value.records) == 1
+
+
 def test_run_deterministic_with_randomized_compressor():
     p = quad([1.0, 2.0, 3.0], n=2)
     worker = EF21(ContractorSpec.rand_k(1))
