@@ -42,6 +42,7 @@ from .datasets import (
     make_synthetic,
     parse_libsvm,
     partition,
+    to_dense,
 )
 from .engine import (
     DivergenceError,

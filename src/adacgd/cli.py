@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .experiments import (
@@ -11,6 +12,7 @@ from .experiments import (
     build_dataset,
     load_config,
     load_or_solve_reference,
+    parse_config_text,
     reference_cache_path,
     run_experiment,
 )
@@ -36,37 +38,14 @@ def _add_config_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    overrides = {
-        key: getattr(args, key)
-        for key in (
-            "dataset",
-            "n_clients",
-            "lam",
-            "methods",
-            "master",
-            "stepsize",
-            "multipliers",
-            "zeta",
-            "klist",
-            "value_bits",
-            "init_mode",
-            "seed",
-            "out_dir",
-        )
-        if getattr(args, key, None) is not None
-    }
-    if getattr(args, "stop", None):
-        for part in args.stop.split(","):
-            key, _, value = part.partition("=")
-            key = key.strip()
-            if key == "rounds":
-                overrides["max_rounds"] = value
-            elif key == "grad":
-                overrides["grad_tol_sq"] = value
-            elif key == "bits":
-                overrides["bit_budget"] = value
-            else:
-                raise SystemExit(f"unknown stop component {key!r}")
+    config_keys = {f.name for f in fields(RunConfig)}
+    overrides = {key: value for key, value in vars(args).items() if key in config_keys and value is not None}
+    stop_keys = {"rounds": "max_rounds", "grad": "grad_tol_sq", "bits": "bit_budget"}
+    for part in args.stop.split(",") if args.stop else ():
+        key, _, value = part.partition("=")
+        if key.strip() not in stop_keys:
+            raise SystemExit(f"unknown stop component {key.strip()!r}")
+        overrides[stop_keys[key.strip()]] = value
     return load_config(args.config, overrides)
 
 
@@ -85,9 +64,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    # Sweep is run with the full multiplier grid; `run` is the same machinery
-    # and defaults to whatever the config says.
-    if getattr(args, "multipliers", None) is None:
+    # Sweep defaults to the full multiplier grid when neither --multipliers nor
+    # the config file sets one; `run` is the same machinery.
+    if args.multipliers is None and not (
+        args.config and "multipliers" in parse_config_text(Path(args.config).read_text())
+    ):
         args.multipliers = "1 2 4 8 16 32 64 128 256"
     return _cmd_run(args)
 

@@ -7,6 +7,7 @@ Blank lines are skipped and anything after '#' on a line is a comment.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -30,7 +31,7 @@ class LibsvmParseError(ValueError):
 
 @dataclass(frozen=True)
 class Example:
-    """A labeled sparse feature row."""
+    """A labeled sparse feature row: the row model of a LIBSVM line."""
 
     label: int  # +1 or -1
     features: tuple[tuple[int, float], ...]  # (1-based index, value), strictly increasing
@@ -40,9 +41,11 @@ class Example:
             raise ValueError(f"label must be -1 or +1, got {self.label}")
         prev = 0
         for idx, val in self.features:
+            if idx < 1:
+                raise ValueError(f"feature index must be >= 1, got {idx}")
             if idx <= prev:
                 raise ValueError(f"feature indices must be strictly increasing, got {idx} after {prev}")
-            if not np.isfinite(val):
+            if not math.isfinite(val):
                 raise ValueError(f"feature value at index {idx} is not finite")
             prev = idx
 
@@ -60,7 +63,7 @@ def parse_libsvm(text, expected_dim: Optional[int] = None) -> tuple[list[Example
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     examples: list[Example] = []
-    max_index = 0
+    dim = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -74,30 +77,24 @@ def parse_libsvm(text, expected_dim: Optional[int] = None) -> tuple[list[Example
         else:
             raise LibsvmParseError(lineno, f"invalid label token {head!r}")
         feats: list[tuple[int, float]] = []
-        prev = 0
         for tok in tokens[1:]:
-            idx_str, _, val_str = tok.partition(":")
-            if not _:
+            idx_str, colon, val_str = tok.partition(":")
+            if not colon:
                 raise LibsvmParseError(lineno, f"expected index:value, got {tok!r}")
             try:
                 idx = int(idx_str)
             except ValueError:
                 raise LibsvmParseError(lineno, f"non-numeric feature index {idx_str!r}") from None
             try:
-                val = float(val_str)
+                feats.append((idx, float(val_str)))
             except ValueError:
                 raise LibsvmParseError(lineno, f"non-numeric feature value {val_str!r}") from None
-            if idx < 1:
-                raise LibsvmParseError(lineno, f"feature index must be >= 1, got {idx}")
-            if idx <= prev:
-                raise LibsvmParseError(lineno, f"feature indices must be strictly increasing at {idx}")
-            if not np.isfinite(val):
-                raise LibsvmParseError(lineno, f"non-finite feature value {val_str!r}")
-            feats.append((idx, val))
-            prev = idx
-        max_index = max(max_index, prev)
-        examples.append(Example(label, tuple(feats)))
-    dim = max_index
+        try:
+            examples.append(Example(label, tuple(feats)))
+        except ValueError as err:
+            raise LibsvmParseError(lineno, str(err)) from None
+        if feats:
+            dim = max(dim, feats[-1][0])
     if expected_dim is not None and expected_dim > dim:
         dim = expected_dim
     return examples, dim
@@ -128,14 +125,7 @@ def partition(examples: Sequence, n: int, seed: int) -> Partition:
     if n > count:
         raise ValueError(f"cannot split {count} examples into {n} shards")
     order = SeededRng(seed, _PARTITION_STREAM).generator().permutation(count)
-    base, extra = divmod(count, n)
-    shards = []
-    start = 0
-    for i in range(n):
-        size = base + (1 if i < extra else 0)
-        shards.append(tuple(int(j) for j in order[start : start + size]))
-        start += size
-    return Partition(tuple(shards), seed)
+    return Partition(tuple(tuple(int(j) for j in block) for block in np.array_split(order, n)), seed)
 
 
 def to_dense(examples: Sequence[Example], dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -159,22 +149,25 @@ def max_abs_scale(features: np.ndarray) -> np.ndarray:
 
 
 def build_problem(
-    examples: Sequence[Example],
+    features: np.ndarray,
+    labels: np.ndarray,
     n_clients: int,
     lam: float,
     seed: int,
-    dim: Optional[int] = None,
     scale_features: bool = False,
 ) -> Problem:
-    """Partition examples across clients and assemble the logistic objective."""
-    if dim is None:
-        dim = max((e.features[-1][0] for e in examples if e.features), default=0)
-    if dim < 1:
-        raise ValueError("cannot infer a positive dimension from featureless data")
-    features, labels = to_dense(examples, dim)
+    """Partition the rows of (features, labels) across clients; assemble the logistic objective.
+
+    The dimension is ``features.shape[1]``. Shards check finite features and
+    +-1 labels, and the problem a positive dimension.
+    """
+    features = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.float64)
+    if features.ndim != 2 or labels.shape != features.shape[:1]:
+        raise ValueError(f"need (N, d) features and N labels, got shapes {features.shape} and {labels.shape}")
+    part = partition(labels, n_clients, seed)
     if scale_features:
         features = max_abs_scale(features)
-    part = partition(examples, n_clients, seed)
     shards = tuple(Shard(features[list(idx)], labels[list(idx)]) for idx in part.shards)
     return Problem.logistic(shards, lam)
 
@@ -194,6 +187,14 @@ class SyntheticSpec:
     label_flip: float = 0.0
     cond: float = 1.0
 
+    def __post_init__(self) -> None:
+        if self.n_examples < 1 or self.dim < 1:
+            raise ValueError(f"need n_examples >= 1 and dim >= 1, got {self.n_examples} and {self.dim}")
+        if not 0.0 <= self.label_flip <= 1.0:
+            raise ValueError(f"label_flip must lie in [0, 1], got {self.label_flip}")
+        if not self.cond >= 1.0:
+            raise ValueError(f"cond must be >= 1, got {self.cond}")
+
     def key(self) -> str:
         return (
             f"synthetic:n={self.n_examples},d={self.dim},seed={self.seed},"
@@ -201,14 +202,12 @@ class SyntheticSpec:
         )
 
 
-def make_synthetic(spec: SyntheticSpec) -> list[Example]:
-    """Gaussian features with Bernoulli labels from a random linear model.
+def make_synthetic(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Gaussian (N, d) features with Bernoulli +-1 labels from a random linear model.
 
     Labels are drawn from the model's own link probability, so classes
     overlap and the logistic minimizer stays finite.
     """
-    if spec.cond < 1.0:
-        raise ValueError(f"cond must be >= 1, got {spec.cond}")
     g = SeededRng(spec.seed, _SYNTHETIC_STREAM).generator()
     a = g.standard_normal((spec.n_examples, spec.dim)) * spec.scale
     if spec.cond > 1.0 and spec.dim > 1:
@@ -216,12 +215,8 @@ def make_synthetic(spec: SyntheticSpec) -> list[Example]:
         a *= spec.cond ** (-exponents)
     w = g.standard_normal(spec.dim) / np.sqrt(spec.dim)
     prob = expit(a @ w)
-    y = np.where(g.random(spec.n_examples) < prob, 1, -1)
+    y = np.where(g.random(spec.n_examples) < prob, 1.0, -1.0)
     if spec.label_flip > 0:
         flips = g.random(spec.n_examples) < spec.label_flip
         y = np.where(flips, -y, y)
-    examples = []
-    for row in range(spec.n_examples):
-        feats = tuple((j + 1, float(a[row, j])) for j in range(spec.dim))
-        examples.append(Example(int(y[row]), feats))
-    return examples
+    return a, y

@@ -364,9 +364,9 @@ def _step_inner(state, problem, worker_spec, master_spec, gamma, rng, value_bits
     hist = [0] * worker_spec.branch_count
     uplink = state.uplink_bits
     new_estimates = []
+    # A non-finite gradient makes the record's mean gradient non-finite, so
+    # _make_record below reports it as divergence at round t + 1.
     for i, grad_i in enumerate(new_grads):
-        if not np.all(np.isfinite(grad_i)):
-            raise DivergenceError(t + 1)
         out = _compress_raw(
             worker_spec,
             state.worker_estimates[i],

@@ -30,7 +30,7 @@ from .compressors import (
     ThreePCSpec,
     certified_constants,
 )
-from .datasets import SyntheticSpec, build_problem, make_synthetic, parse_libsvm
+from .datasets import SyntheticSpec, build_problem, make_synthetic, parse_libsvm, to_dense
 from .engine import (
     DivergenceError,
     IterationRecord,
@@ -165,16 +165,30 @@ def default_klist(dim: int) -> tuple[int, ...]:
     return tuple(sorted(k for k in ks if 1 <= k <= dim))
 
 
-def _parse_kv_options(text: str) -> dict:
+def _parse_kv_options(text: str, accepted: tuple[str, ...]) -> dict:
+    """``key=value`` pairs separated by commas; a key not in ``accepted`` is an error."""
     opts = {}
     if not text:
         return opts
     for part in text.split(","):
         key, sep, value = part.partition("=")
         if not sep:
-            raise ValueError(f"expected key=value in method options, got {part!r}")
-        opts[key.strip()] = value.strip()
+            raise ValueError(f"expected key=value in options, got {part!r}")
+        key = key.strip()
+        if key not in accepted:
+            raise ValueError(f"unknown option {key!r}; accepted: {', '.join(accepted) or 'none'}")
+        opts[key] = value.strip()
     return opts
+
+
+_METHOD_OPTIONS = {
+    "gd": (),
+    "identity": (),
+    "ef21": ("k",),
+    "lag": ("zeta",),
+    "clag": ("k", "zeta"),
+    "adacgd": ("klist", "zeta"),
+}
 
 
 def method_spec(label: str, dim: int, default_zeta: float, klist_override: str = "") -> tuple[str, ThreePCSpec]:
@@ -182,42 +196,39 @@ def method_spec(label: str, dim: int, default_zeta: float, klist_override: str =
 
     Plain gradient descent is the identity shift rule: exact estimates,
     constants (1, 0). Custom predicate chains are built programmatically and
-    passed to :func:`run_experiment` via ``extra_specs``.
+    passed to :func:`run_experiment` via ``extra_specs``. ``klist_override``
+    sets AdaCGD's levels unless the label gives its own ``klist``.
     """
     name, _, opts_text = label.partition(":")
     name = name.strip().lower()
-    opts = _parse_kv_options(opts_text)
-    if klist_override and "klist" not in opts:
-        opts["klist"] = klist_override
+    if name not in _METHOD_OPTIONS:
+        raise ValueError(f"unknown method {label!r}")
+    opts = _parse_kv_options(opts_text, _METHOD_OPTIONS[name])
     zeta = float(opts.get("zeta", default_zeta))
+    k = int(opts.get("k", 1))
     if name == "gd":
         return "gd", EF21(ContractorSpec.identity())
     if name == "identity":
         return "identity", IdentityMaster()
     if name == "ef21":
-        k = int(opts.get("k", 1))
         return f"ef21_k{k}", EF21(ContractorSpec.top_k(k))
     if name == "lag":
         return f"lag_z{zeta:g}", LAG(zeta)
     if name == "clag":
-        k = int(opts.get("k", 1))
         return f"clag_k{k}_z{zeta:g}", CLAG(ContractorSpec.top_k(k), zeta)
-    if name == "adacgd":
-        if "klist" in opts:
-            ks = tuple(int(v) for v in opts["klist"].split("|"))
-        else:
-            ks = default_klist(dim)
-        if list(ks) != sorted(ks):
-            raise ValueError(f"adaptive k-list must be sorted ascending, got {ks}")
-        if any(k > dim for k in ks):
-            raise ValueError(f"adaptive k-list entry exceeds dimension {dim}: {ks}")
-        levels = tuple(ContractorSpec.top_k(k) for k in ks)
-        return f"adacgd_z{zeta:g}", AdaCGD(levels, zeta)
-    raise ValueError(f"unknown method {label!r}")
+    if klist_override:
+        opts.setdefault("klist", klist_override)
+    ks = tuple(int(v) for v in opts["klist"].split("|")) if "klist" in opts else default_klist(dim)
+    if list(ks) != sorted(ks):
+        raise ValueError(f"adaptive k-list must be sorted ascending, got {ks}")
+    if any(k > dim for k in ks):
+        raise ValueError(f"adaptive k-list entry exceeds dimension {dim}: {ks}")
+    levels = tuple(ContractorSpec.top_k(k) for k in ks)
+    return f"adacgd_z{zeta:g}", AdaCGD(levels, zeta)
 
 
 def _parse_quadratic(text: str) -> Problem:
-    opts = _parse_kv_options(text)
+    opts = _parse_kv_options(text, ("diag", "n"))
     if "diag" not in opts:
         raise ValueError("quadratic dataset needs diag=v1|v2|...")
     diag = np.array([float(v) for v in opts["diag"].split("|")])
@@ -226,7 +237,7 @@ def _parse_quadratic(text: str) -> Problem:
 
 
 def _parse_synthetic(text: str) -> SyntheticSpec:
-    opts = _parse_kv_options(text)
+    opts = _parse_kv_options(text, ("n", "d", "seed", "scale", "flip", "cond"))
     return SyntheticSpec(
         n_examples=int(opts.get("n", 1000)),
         dim=int(opts.get("d", 50)),
@@ -249,14 +260,12 @@ def build_dataset(config: RunConfig) -> tuple[Problem, str]:
         key = ds
     elif ds.startswith("synthetic:"):
         spec = _parse_synthetic(ds[len("synthetic:") :])
-        examples = make_synthetic(spec)
-        problem = build_problem(examples, config.n_clients, config.lam, config.seed, dim=spec.dim,
+        problem = build_problem(*make_synthetic(spec), config.n_clients, config.lam, config.seed,
                                 scale_features=config.scale_features)
         key = spec.key()
     else:
         raw = sys.stdin.buffer.read() if ds == "-" else Path(ds).read_bytes()
-        examples, dim = parse_libsvm(raw)
-        problem = build_problem(examples, config.n_clients, config.lam, config.seed, dim=dim,
+        problem = build_problem(*to_dense(*parse_libsvm(raw)), config.n_clients, config.lam, config.seed,
                                 scale_features=config.scale_features)
         key = hashlib.sha256(raw).hexdigest()
     digest = hashlib.sha256(key.encode()).hexdigest()[:16]

@@ -60,6 +60,8 @@ class Problem:
     diagonal: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
+        if self.dim < 1:
+            raise ValueError(f"problem dimension must be >= 1, got {self.dim}")
         if self.n_clients < 1:
             raise ValueError("need at least one client")
         if self.kind == LOGISTIC:
@@ -141,7 +143,8 @@ def _margins(shard: Shard, x: np.ndarray) -> np.ndarray:
 
 def _margin_loss(z: np.ndarray) -> float:
     # softplus(-z) = log(1 + exp(-z)), overflow-safe
-    return float(np.mean(np.logaddexp(0.0, -z)))
+    v = np.logaddexp(0.0, -z)
+    return float(np.add.reduce(v) / v.size)
 
 
 def _margin_gradient(shard: Shard, z: np.ndarray) -> np.ndarray:

@@ -526,9 +526,9 @@ def default_compressor_suite(seed: int, trials: int) -> list[PropertyResult]:
 def default_gradient_suite(seed: int, trials: int) -> list[PropertyResult]:
     from .datasets import SyntheticSpec, build_problem, make_synthetic
 
-    examples = make_synthetic(SyntheticSpec(n_examples=60, dim=8, seed=seed + 11))
-    logistic = build_problem(examples, n_clients=3, lam=0.1, seed=seed + 11)
-    convex = build_problem(examples, n_clients=3, lam=0.0, seed=seed + 11)
+    features, labels = make_synthetic(SyntheticSpec(n_examples=60, dim=8, seed=seed + 11))
+    logistic = build_problem(features, labels, n_clients=3, lam=0.1, seed=seed + 11)
+    convex = build_problem(features, labels, n_clients=3, lam=0.0, seed=seed + 11)
     quad = Problem.quadratic(np.linspace(1.0, 4.0, 8), n_clients=3)
     points = max(5, min(trials, 30))
     return gradient_suite(
@@ -552,8 +552,8 @@ def default_lyapunov_suite(seed: int, trials: int) -> list[PropertyResult]:
     results.append(monotone_check(trace.phi, "phi-monotone[quadratic]"))
     results.append(estimator_recursion_check(trace, sc.l_plus))
 
-    examples = make_synthetic(SyntheticSpec(n_examples=80, dim=10, seed=seed + 3))
-    logistic = build_problem(examples, n_clients=4, lam=0.1, seed=seed + 3)
+    features, labels = make_synthetic(SyntheticSpec(n_examples=80, dim=10, seed=seed + 3))
+    logistic = build_problem(features, labels, n_clients=4, lam=0.1, seed=seed + 3)
     lsc = smoothness(logistic)
     w = EF21(ContractorSpec.top_k(1))
     wc = certified_constants(w, logistic.dim)
@@ -570,8 +570,8 @@ def default_bounds_suite(seed: int, trials: int) -> list[PropertyResult]:
     from .experiments import solve_reference
 
     results = []
-    examples = make_synthetic(SyntheticSpec(n_examples=100, dim=10, seed=seed + 5))
-    convex = build_problem(examples, n_clients=4, lam=0.0, seed=seed + 5)
+    features, labels = make_synthetic(SyntheticSpec(n_examples=100, dim=10, seed=seed + 5))
+    convex = build_problem(features, labels, n_clients=4, lam=0.0, seed=seed + 5)
     sc = smoothness(convex)
     ref = solve_reference(convex, tolerance=1e-10)
     worker = EF21(ContractorSpec.top_k(1))
@@ -582,7 +582,7 @@ def default_bounds_suite(seed: int, trials: int) -> list[PropertyResult]:
     results.append(monotone_check(trace.phi, "phi-monotone[convex]"))
     results.append(convex_bound_check(trace, ref.x_star, ref.f_star, [rounds // 4, rounds]))
 
-    logistic = build_problem(examples, n_clients=4, lam=0.1, seed=seed + 5)
+    logistic = build_problem(features, labels, n_clients=4, lam=0.1, seed=seed + 5)
     lsc = smoothness(logistic)
     gamma_bd = theoretical_stepsize(StepsizeRule.bidirectional(), lsc, wc, wc)
     trace_bd = trace_run(logistic, worker, worker, gamma_bd, rounds, seed)

@@ -102,8 +102,8 @@ def test_criterion_4_special_case_collapse():
         b = compress(CLAG(TOP_LEVELS[0], 1.3), h, y, x)
         worst_clag = max(worst_clag, float(np.max(np.abs(a.vector - b.vector))), float(a.branch_index != b.branch_index))
 
-    examples = make_synthetic(SyntheticSpec(20, 10, seed=4))
-    problem = build_problem(examples, 4, 0.1, seed=4)
+    features, labels = make_synthetic(SyntheticSpec(20, 10, seed=4))
+    problem = build_problem(features, labels, 4, 0.1, seed=4)
     gamma = 1.0 / smoothness(problem).l_minus
     gd = gd_equivalence_check(problem, gamma, 100, seed=0)
     ok = worst_ef21 == 0.0 and worst_clag == 0.0 and gd.passed
@@ -112,8 +112,8 @@ def test_criterion_4_special_case_collapse():
 
 
 def test_criterion_5_gradient_correctness():
-    examples = make_synthetic(SyntheticSpec(80, 8, seed=12))
-    logistic = build_problem(examples, 4, 0.1, seed=12)
+    features, labels = make_synthetic(SyntheticSpec(80, 8, seed=12))
+    logistic = build_problem(features, labels, 4, 0.1, seed=12)
     quadratic = Problem.quadratic(np.linspace(0.5, 4.0, 8), n_clients=4)
     g = SeededRng(21).generator()
     worst = 0.0
@@ -127,8 +127,8 @@ def test_criterion_5_gradient_correctness():
 
 @pytest.fixture(scope="module")
 def convex_instance():
-    examples = make_synthetic(SyntheticSpec(200, 20, seed=33))
-    problem = build_problem(examples, 4, 0.0, seed=33)
+    features, labels = make_synthetic(SyntheticSpec(200, 20, seed=33))
+    problem = build_problem(features, labels, 4, 0.0, seed=33)
     ref = solve_reference(problem, 1e-10)
     return problem, ref
 
@@ -152,8 +152,8 @@ def test_criterion_6_convex_rate(convex_instance):
 
 
 def test_criterion_7_per_round_recursions():
-    examples = make_synthetic(SyntheticSpec(120, 12, seed=8))
-    problem = build_problem(examples, 4, 0.1, seed=8)
+    features, labels = make_synthetic(SyntheticSpec(120, 12, seed=8))
+    problem = build_problem(features, labels, 4, 0.1, seed=8)
     sc = smoothness(problem)
     worker = EF21(ContractorSpec.top_k(1))
     wc = certified_constants(worker, problem.dim)
@@ -174,8 +174,8 @@ def test_criterion_7_per_round_recursions():
 
 def test_criterion_8_bidirectional_bound():
     t0 = time.time()
-    examples = make_synthetic(SyntheticSpec(100, 10, seed=14))
-    problem = build_problem(examples, 4, 0.1, seed=14)
+    features, labels = make_synthetic(SyntheticSpec(100, 10, seed=14))
+    problem = build_problem(features, labels, 4, 0.1, seed=14)
     sc = smoothness(problem)
     worker = EF21(ContractorSpec.top_k(1))
     wc = certified_constants(worker, problem.dim)

@@ -275,7 +275,7 @@ def test_clag_identity_bitwise_gd_trajectory():
 def _logistic(n_examples, dim, n_clients, seed=3):
     from adacgd.datasets import SyntheticSpec, build_problem, make_synthetic
 
-    return build_problem(make_synthetic(SyntheticSpec(n_examples, dim, seed=seed)), n_clients, 0.1, seed=seed)
+    return build_problem(*make_synthetic(SyntheticSpec(n_examples, dim, seed=seed)), n_clients, 0.1, seed=seed)
 
 
 @pytest.mark.parametrize(

@@ -96,6 +96,45 @@ def test_klist_override_applies_to_adaptive_methods():
     assert isinstance(spec, EF21)
 
 
+def test_synthetic_dataset_rejects_unknown_option():
+    # "dim" is not a key: it used to be ignored, building d = 50
+    with pytest.raises(ValueError, match="'dim'"):
+        build_dataset(RunConfig(dataset="synthetic:n=40,dim=5", n_clients=2))
+
+
+def test_quadratic_dataset_rejects_unknown_option():
+    with pytest.raises(ValueError, match="'clients'"):
+        build_dataset(RunConfig(dataset="quadratic:diag=1|2,clients=2"))
+
+
+def test_ef21_rejects_unknown_option():
+    # keys are case-sensitive: "K" used to be ignored, running k = 1
+    with pytest.raises(ValueError, match="'K'"):
+        method_spec("ef21:K=5", 10, 1.0)
+
+
+def test_lag_rejects_unknown_option():
+    # "z" used to be ignored, running zeta = 1
+    with pytest.raises(ValueError, match="'z'"):
+        method_spec("lag:z=3", 10, 1.0)
+
+
+def test_clag_rejects_unknown_option():
+    with pytest.raises(ValueError, match="'klist'"):
+        method_spec("clag:klist=1|2", 10, 1.0)
+
+
+def test_adacgd_rejects_unknown_option():
+    with pytest.raises(ValueError, match="'k'"):
+        method_spec("adacgd:k=2", 10, 1.0)
+
+
+@pytest.mark.parametrize("label", ["gd:k=2", "identity:zeta=1"])
+def test_optionless_methods_reject_any_option(label):
+    with pytest.raises(ValueError, match="unknown option"):
+        method_spec(label, 10, 1.0)
+
+
 def test_stepsize_rule_names():
     assert stepsize_rule("convex").kind == "convex"
     assert stepsize_rule("manual:0.25").gamma == 0.25
@@ -224,8 +263,8 @@ def test_reference_solver_quadratic_exact():
 
 
 def test_reference_cache_round_trip(tmp_path):
-    examples = make_synthetic(SyntheticSpec(40, 4, 5))
-    p = build_problem(examples, 2, 0.0, 0)
+    features, labels = make_synthetic(SyntheticSpec(40, 4, 5))
+    p = build_problem(features, labels, 2, 0.0, 0)
     ref = load_or_solve_reference(p, "cafe" * 4, 0.0, 1e-8, tmp_path)
     assert math.sqrt(float(full_gradient(p, ref.x_star) @ full_gradient(p, ref.x_star))) <= 1e-8
     again = load_or_solve_reference(p, "cafe" * 4, 0.0, 1e-8, tmp_path)
@@ -267,8 +306,8 @@ def test_reference_cache_resolves_for_a_tighter_tolerance(tmp_path):
 
 
 def test_reference_cap_warns(tmp_path):
-    examples = make_synthetic(SyntheticSpec(40, 4, 5))
-    p = build_problem(examples, 2, 0.0, 0)
+    features, labels = make_synthetic(SyntheticSpec(40, 4, 5))
+    p = build_problem(features, labels, 2, 0.0, 0)
     with pytest.warns(RuntimeWarning):
         ref = solve_reference(p, 1e-12, max_rounds=3)
     assert ref.tolerance > 1e-12  # achieved tolerance recorded
@@ -294,6 +333,16 @@ def test_cli_run_and_verify(tmp_path, capsys):
 
     rc = cli_main(["verify", "gradients", "--trials", "6"])
     assert rc == 0
+
+
+def test_cli_sweep_keeps_config_file_multipliers(tmp_path):
+    cfg = tmp_path / "two.cfg"
+    cfg.write_text(
+        "dataset = quadratic:diag=1|2,n=2\nmethods = gd\nmultipliers = 1 2\n"
+        f"max_rounds = 3\nout_dir = {tmp_path / 'out'}\n"
+    )
+    assert cli_main(["sweep", "--config", str(cfg)]) == 0
+    assert sorted(p.name for p in (tmp_path / "out").glob("gd_x*.csv")) == ["gd_x1.csv", "gd_x2.csv"]
 
 
 def test_cli_verify_exit_code_reflects_failures(monkeypatch, capsys):

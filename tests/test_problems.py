@@ -72,15 +72,15 @@ def test_smoothness_examples():
 
 
 def test_smoothness_ordering_invariant():
-    examples = make_synthetic(SyntheticSpec(60, 6, 3))
-    p = build_problem(examples, 4, 0.1, 0)
+    features, labels = make_synthetic(SyntheticSpec(60, 6, 3))
+    p = build_problem(features, labels, 4, 0.1, 0)
     sc = smoothness(p)
     assert sc.l_minus <= sc.l_plus
 
 
 def test_smoothness_bounds_hold_empirically():
-    examples = make_synthetic(SyntheticSpec(50, 5, 9))
-    p = build_problem(examples, 5, 0.1, 1)
+    features, labels = make_synthetic(SyntheticSpec(50, 5, 9))
+    p = build_problem(features, labels, 5, 0.1, 1)
     sc = smoothness(p)
     g = SeededRng(17).generator()
     for _ in range(20):
@@ -94,8 +94,8 @@ def test_smoothness_bounds_hold_empirically():
 
 
 def test_loss_nonnegative():
-    examples = make_synthetic(SyntheticSpec(40, 4, 5))
-    p = build_problem(examples, 2, 0.1, 0)
+    features, labels = make_synthetic(SyntheticSpec(40, 4, 5))
+    p = build_problem(features, labels, 2, 0.1, 0)
     g = SeededRng(3).generator()
     for _ in range(25):
         assert loss(p, g.standard_normal(4) * 10) >= 0.0
@@ -118,8 +118,8 @@ def test_check_gradient_logistic_small_shard():
 
 
 def test_loss_is_mean_of_client_losses():
-    examples = make_synthetic(SyntheticSpec(30, 4, 8))
-    p = build_problem(examples, 3, 0.1, 2)
+    features, labels = make_synthetic(SyntheticSpec(30, 4, 8))
+    p = build_problem(features, labels, 3, 0.1, 2)
     x = SeededRng(4).generator().standard_normal(4)
     mean = sum(client_loss(p, i, x) for i in range(3)) / 3
     assert loss(p, x) == pytest.approx(mean, rel=1e-15)
@@ -144,3 +144,11 @@ def test_validation_errors():
         loss(p, [1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         client_gradient(p, 5, [1.0, 2.0])
+
+
+def test_problem_rejects_zero_dimension():
+    with pytest.raises(ValueError, match="dimension must be >= 1"):
+        Problem.quadratic([])
+    featureless = Shard(np.zeros((2, 0)), np.array([1.0, -1.0]))
+    with pytest.raises(ValueError, match="dimension must be >= 1"):
+        Problem.logistic((featureless,), 0.1)
