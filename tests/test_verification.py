@@ -1,14 +1,19 @@
+import hashlib
+
+import numpy as np
 import pytest
 
-from adacgd.core import ThreePCConstants
+from adacgd.compressors import AdaCGD, ContractorSpec, EF21, IdentityMaster, certified_constants
+from adacgd.datasets import SyntheticSpec, build_problem, make_synthetic
+from adacgd.engine import StepsizeRule, theoretical_stepsize
+from adacgd.problems import Problem, smoothness
 from adacgd.verification import (
     PropertyResult,
     monotone_check,
     recursion_check,
     run_suite,
+    trace_run,
 )
-
-import numpy as np
 
 
 def test_property_result_line_format():
@@ -38,12 +43,97 @@ def test_unknown_suite_rejected():
         run_suite("nonsense")
 
 
+# sha256 of each suite's joined result lines at seed 0, 150 trials; the lines
+# carry every margin to four significant digits, so a change to any checked
+# number shows here. Same platform note as PROTOCOL_GOLDEN_SHA256.
+SUITE_OUTPUT_SHA256 = {
+    "compressors": "2ab16209333a0b3dc9402f857d671388dc4c04b8b4d76547a971f18b8f49d5af",
+    "gradients": "7d642089b854af61f2bb0af5c6a4f9a9f52940b23b7352b7d114f0d8006ff4f7",
+    "lyapunov": "eca09d59d7ae6946584d2ec6f58f4fa1aafb6e44fc50d4659542429464cde9b6",
+    "bounds": "c026a275517f661cddee1fa6d9d91a5c4820fa05c9dfc48a41f7d97f3411e611",
+}
+
+
 @pytest.mark.parametrize("suite", ["compressors", "gradients", "lyapunov", "bounds"])
 def test_suites_pass_at_small_scale(suite):
     results = run_suite(suite, seed=0, trials=150)
     assert results, "suite produced no checks"
     failing = [r.line() for r in results if not r.passed]
     assert not failing, failing
+    output = "\n".join(r.line() for r in results)
+    assert hashlib.sha256(output.encode()).hexdigest() == SUITE_OUTPUT_SHA256[suite], output
+
+
+def _trace_run_configs():
+    top = ContractorSpec.top_k
+    ef21 = EF21(top(1))
+    convex = build_problem(*make_synthetic(SyntheticSpec(200, 20, seed=33)), 4, 0.0, seed=33)
+    gamma = theoretical_stepsize(StepsizeRule.convex(), smoothness(convex), certified_constants(ef21, convex.dim))
+    yield "convex", lambda: trace_run(convex, ef21, IdentityMaster(), gamma, 300, seed=0, f_star=0.25)
+
+    bidir = build_problem(*make_synthetic(SyntheticSpec(100, 10, seed=14)), 4, 0.1, seed=14)
+    wc = certified_constants(ef21, bidir.dim)
+    gamma_bd = theoretical_stepsize(StepsizeRule.bidirectional(), smoothness(bidir), wc, wc)
+    yield "bidirectional", lambda: trace_run(bidir, ef21, ef21, gamma_bd, 300, seed=2)
+
+    quad = Problem.quadratic(np.concatenate([[1.0], np.linspace(1.5, 4.0, 9)]), n_clients=4)
+    gamma_pl = theoretical_stepsize(StepsizeRule.pl(), smoothness(quad), wc)
+    yield "pl-quadratic", lambda: trace_run(quad, ef21, IdentityMaster(), gamma_pl, 300, seed=0, x0=np.ones(quad.dim))
+
+    ada = AdaCGD((top(1), top(3), ContractorSpec.identity()), 1.0)
+    yield "adacgd-compressed-init", lambda: trace_run(bidir, ada, EF21(top(2)), 0.05, 300, seed=5, init_mode="compressed")
+
+
+_ZEROS_301 = "5d81987966a0197c8a663d8800d87b97c0c5ea4f619d42f44e22bf5321d14cbb"
+
+# sha256 of each trace_run column's .tobytes() over 300 rounds. The columns
+# the Lyapunov, recursion and rate checks read must not move by one bit.
+TRACE_RUN_SHA256 = {
+    "convex": {
+        "f": "d73e5dc5d82d2d1e891ed74d1c0b1967e738b0d470c3c63b31b484d042bd3017",
+        "grad_sq": "124183eac7dbc2afa1af668974e994e60fbea44e73bfd2158006a93d5b8bbdc0",
+        "g_err": "b721adbd656702e2241ac20cdc6530acd973a4647598d9b4a989f1a902b7d879",
+        "master_err": _ZEROS_301,
+        "r": "8f64bc77627b630aaca93f48d65a25c48c9acf57d21dbe2a86f19a217633ed0b",
+        "phi": "010bf1036134bdabe1c2a27c4fca83aabc0b54c93eb3c74964ad892404d3cbe8",
+        "psi": "0d642f064a767b9a8a2cf6ded7f5acd8a436352f3cfc898180bb1e059521bdb6",
+    },
+    "bidirectional": {
+        "f": "995ec41c857944e4c98856e553d2f89ff297f000ce6bfda03ca3656fe4142d3b",
+        "grad_sq": "f0a25c1bea0faa58725b3a56f5e1f69708680752525b30c82238f21fcab6bf9a",
+        "g_err": "30e12d7de80ae946e648f0b9be28aa4b3e4728ad0bfc3c4df1a2aeff10a4cd90",
+        "master_err": "5960f73f987ce05b688272967e5243449e03c26c555ef2be50b89386b23c36e0",
+        "r": "37a663aef52061c027795e62758a29a6b1ea60152daaa504628ffc87bbbe27bc",
+        "phi": "3548c54c0dd35d427f43c0371ffca085994a677a3c1690cd3115902f3923cecc",
+        "psi": "6d309663b32ca3c278bfef69c9826024b97e1238283f18bedd92afa9ff2cd1f7",
+    },
+    "pl-quadratic": {
+        "f": "82fdde00305486be22b8da8f41a84be21df73835253d17e443b03dfd05c57b7f",
+        "grad_sq": "473ab16910035982f7844c285e01f797c5cc2b5d4107900927fd0f4a3bfff8b5",
+        "g_err": "53a95c2848fa706a866effd908dc74075435dfd20dcee2e55092620c9646d26a",
+        "master_err": _ZEROS_301,
+        "r": "ee30cb88ca70e2deea4b2a27cc30a1746683112734bb5383e15e6797abc0c9e9",
+        "phi": "19e7aaba1a7a8a26d502a53388673d794e327b15da18c8d17f6c0b011e218d2b",
+        "psi": "19e7aaba1a7a8a26d502a53388673d794e327b15da18c8d17f6c0b011e218d2b",
+    },
+    "adacgd-compressed-init": {
+        "f": "3b334d43e2062dae78876825859653dd4803204eff6a9241ae4cd15f831f43b0",
+        "grad_sq": "16b631991f7bdeaa0e56adec77ba4ec8e759de5465569ac5e130d929660f6bcb",
+        "g_err": "991f55c4a4aa7b7d06e9e3465af325cc9eb2dac59a8f9e2ef93f5e995fe157bf",
+        "master_err": "c354429cf3f3bda2d9ffd6c57c9e9fb30c577033baa0b88980f9d7f5477d52cf",
+        "r": "69dd9fab5e326531f621b9b6084f5cfde0deb0cb7cb6d0bdf31d673ec8d7dc5a",
+        "phi": "b8562b3e876332368beb9b8355ab7426fb28543a86f3f571836c7d62fcd1c312",
+        "psi": "1ab2e4721e3b0f140fbc2c18643ba6d1a9ec3ba37ab78c3f0d872866e5a42e78",
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(TRACE_RUN_SHA256))
+def test_trace_run_columns_pinned(name):
+    trace = dict(_trace_run_configs())[name]()
+    actual = {col: hashlib.sha256(getattr(trace, col).tobytes()).hexdigest() for col in TRACE_RUN_SHA256[name]}
+    changed = sorted(col for col, digest in TRACE_RUN_SHA256[name].items() if actual[col] != digest)
+    assert not changed, f"trace_run columns changed: {changed}"
 
 
 def test_gradient_suite_output_independent_of_hash_seed():
