@@ -52,7 +52,6 @@ from .engine import (
     StepsizeRule,
     StopRule,
     init,
-    lyapunov,
     payload_bits,
     run,
     step,

@@ -44,7 +44,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     for part in args.stop.split(",") if args.stop else ():
         key, _, value = part.partition("=")
         if key.strip() not in stop_keys:
-            raise SystemExit(f"unknown stop component {key.strip()!r}")
+            raise ValueError(f"unknown stop component {key.strip()!r}")
         overrides[stop_keys[key.strip()]] = value
     return load_config(args.config, overrides)
 
@@ -91,9 +91,9 @@ def _cmd_solve_reference(args: argparse.Namespace) -> int:
         args.config,
         {"dataset": args.dataset, "lam": args.lam, "n_clients": args.n_clients, "seed": args.seed},
     )
-    problem, dataset_hash = build_dataset(config)
+    problem, _ = build_dataset(config)
     cache_dir = Path(args.cache_dir) if args.cache_dir else Path(config.out_dir)
-    ref = load_or_solve_reference(problem, dataset_hash, config.lam, args.tolerance, cache_dir)
+    ref = load_or_solve_reference(problem, args.tolerance, cache_dir)
     print(f"f_star = {ref.f_star!r}")
     print(f"grad_norm = {ref.grad_norm!r} after {ref.rounds} rounds")
     print(f"cache: {reference_cache_path(cache_dir, problem)}")
@@ -132,7 +132,11 @@ def main(argv=None) -> int:
     p_ref.set_defaults(func=_cmd_solve_reference)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as err:  # bad input, LibsvmParseError included: one line, no traceback
+        print(f"{parser.prog}: error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

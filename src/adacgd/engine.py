@@ -20,6 +20,7 @@ from .compressors import (
     SKIP,
     SPARSE,
     CompressionOutcome,
+    Payload,
     ThreePCSpec,
     certified_constants,
     _compress_raw,
@@ -184,7 +185,6 @@ def payload_bits(outcome: CompressionOutcome, dim: int, value_bits: int, header_
 def init(
     problem: Problem,
     worker_spec: ThreePCSpec,
-    master_spec: ThreePCSpec,
     x0,
     init_mode: str = INIT_FULL,
     rng: Optional[SeededRng] = None,
@@ -192,10 +192,10 @@ def init(
 ) -> EngineState:
     """Set up round-0 state.
 
-    Full mode seeds every worker estimate with its exact gradient and charges
-    full-vector uplink per worker; compressed mode applies each worker's
-    strongest contractor and charges the sparse cost. The server aggregate is
-    broadcast in full either way.
+    Full mode seeds every worker estimate with its exact gradient; compressed
+    mode keeps only the entries of each worker's strongest contractor. Each
+    worker's message is charged by :func:`payload_bits`, the rule of every
+    later round. The server aggregate is broadcast in full either way.
     """
     x0 = as_vector(x0)
     if x0.shape[0] != problem.dim:
@@ -204,24 +204,22 @@ def init(
         raise ValueError(f"unknown init mode {init_mode!r}")
     n, d = problem.n_clients, problem.dim
     grads = [client_gradient(problem, i, x0) for i in range(n)]
+    contractor = worker_spec.strongest_contractor(d) if init_mode == INIT_COMPRESSED else None
     uplink = 0
     estimates = []
-    if init_mode == INIT_FULL:
-        estimates = [g.copy() for g in grads]
-        uplink = n * d * value_bits
-    else:
-        contractor = worker_spec.strongest_contractor(d)
-        for i in range(n):
+    for i, grad in enumerate(grads):
+        support = None
+        if contractor is not None:
             worker_rng = rng.derive(_INIT_TAG, i) if rng is not None and contractor.randomized else None
-            support = _contract_support(contractor, grads[i], worker_rng)
-            if support is None:
-                estimates.append(grads[i].copy())
-                uplink += d * value_bits
-            else:
-                est = np.zeros(d)
-                est[support] = grads[i][support]
-                estimates.append(est)
-                uplink += support.shape[0] * (value_bits + index_bits(d))
+            support = _contract_support(contractor, grad, worker_rng)
+        if support is None:
+            est, payload = grad.copy(), Payload.full(grad)
+        else:
+            est = np.zeros(d)
+            est[support] = grad[support]
+            payload = Payload.sparse(support, grad[support])
+        uplink += payload_bits(CompressionOutcome(est, 0, payload), d, value_bits)
+        estimates.append(est)
     g_tilde = mean_ascending(estimates, d)
     downlink = d * value_bits
     return EngineState(
@@ -236,27 +234,6 @@ def init(
     )
 
 
-def lyapunov(
-    state: EngineState,
-    problem: Problem,
-    gamma: float,
-    worker_c: ThreePCConstants,
-    master_c: ThreePCConstants,
-    f_star: float,
-    f_inf: float = 0.0,
-) -> tuple[float, float]:
-    """Both potential values at the current state.
-
-    The first combines suboptimality with the weighted mean worker estimator
-    error; the second replaces the minimum with a lower bound and adds the
-    weighted broadcast-vs-aggregate error for bidirectional runs.
-    """
-    f = loss(problem, state.x)
-    g_err = _mean_estimator_error(state)
-    m_err = sqnorm(state.g_master - state.g_tilde_master)
-    return _potentials(f, g_err, m_err, gamma, worker_c, master_c, f_star, f_inf)
-
-
 def _potentials(
     f: float,
     g_err: float,
@@ -265,12 +242,11 @@ def _potentials(
     worker_c: ThreePCConstants,
     master_c: ThreePCConstants,
     f_star: float,
-    f_inf: float,
 ) -> tuple[float, float]:
     phi = f - f_star + (gamma / worker_c.a) * g_err
+    # psi bounds f below by 0: every objective here is >= 0 (verify's loss-lower-bound checks it).
     psi = (
         f
-        - f_inf
         + (gamma / master_c.a) * m_err
         + (gamma / worker_c.a) * (1.0 + 3.0 * master_c.b * (2.0 - worker_c.a) / master_c.a) * g_err
     )
@@ -290,7 +266,6 @@ def _make_record(
     worker_c: ThreePCConstants,
     master_c: ThreePCConstants,
     f_star: float,
-    f_inf: float,
     branch_hist: tuple[int, ...],
 ) -> IterationRecord:
     grad = mean_ascending(state.worker_prev_grads, problem.dim)
@@ -299,7 +274,7 @@ def _make_record(
         raise DivergenceError(state.round)
     g_err = _mean_estimator_error(state)
     m_err = sqnorm(state.g_master - state.g_tilde_master)
-    phi, psi = _potentials(f, g_err, m_err, gamma, worker_c, master_c, f_star, f_inf)
+    phi, psi = _potentials(f, g_err, m_err, gamma, worker_c, master_c, f_star)
     return IterationRecord(
         round=state.round,
         f_value=f,
@@ -321,13 +296,12 @@ def initial_record(
     worker_spec: ThreePCSpec,
     master_spec: ThreePCSpec,
     f_star: float = 0.0,
-    f_inf: float = 0.0,
 ) -> IterationRecord:
     """Round-0 record (no compression branches chosen yet)."""
     wc = certified_constants(worker_spec, problem.dim)
     mc = certified_constants(master_spec, problem.dim)
     hist = (0,) * worker_spec.branch_count
-    return _make_record(state, problem, loss(problem, state.x), gamma, wc, mc, f_star, f_inf, hist)
+    return _make_record(state, problem, loss(problem, state.x), gamma, wc, mc, f_star, hist)
 
 
 def step(
@@ -339,71 +313,66 @@ def step(
     rng: SeededRng,
     value_bits: int = 64,
     f_star: float = 0.0,
-    f_inf: float = 0.0,
 ) -> tuple[EngineState, IterationRecord]:
     """Advance one round; returns the new state and its metrics record."""
     if gamma <= 0:
         raise ValueError(f"stepsize must be positive, got {gamma}")
     t = state.round
     d = problem.dim
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _step_inner(state, problem, worker_spec, master_spec, gamma, rng, value_bits, f_star, f_inf, t, d)
-
-
-def _step_inner(state, problem, worker_spec, master_spec, gamma, rng, value_bits, f_star, f_inf, t, d):
     # Overflow here is a diverging run, reported via DivergenceError below.
-    x_new = state.x - gamma * state.g_master
-    if not np.all(np.isfinite(x_new)):
-        raise DivergenceError(t + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_new = state.x - gamma * state.g_master
+        if not np.all(np.isfinite(x_new)):
+            raise DivergenceError(t + 1)
 
-    # x_new is finite and of the problem's dimension, so the oracle skips the
-    # per-call input checks; f comes from the same margins as the gradients.
-    f_new, new_grads = _round_oracle(problem, x_new)
-    worker_header = branch_header_bits(worker_spec)
-    worker_draws = worker_spec.randomized
-    hist = [0] * worker_spec.branch_count
-    uplink = state.uplink_bits
-    new_estimates = []
-    # A non-finite gradient makes the record's mean gradient non-finite, so
-    # _make_record below reports it as divergence at round t + 1.
-    for i, grad_i in enumerate(new_grads):
-        out = _compress_raw(
-            worker_spec,
-            state.worker_estimates[i],
-            state.worker_prev_grads[i],
-            grad_i,
-            rng.derive(_WORKER_TAG, t, i) if worker_draws else None,
+        # x_new is finite and of the problem's dimension, so the oracle skips the
+        # per-call input checks; f comes from the same margins as the gradients.
+        f_new, new_grads = _round_oracle(problem, x_new)
+        worker_header = branch_header_bits(worker_spec)
+        worker_draws = worker_spec.randomized
+        hist = [0] * worker_spec.branch_count
+        uplink = state.uplink_bits
+        new_estimates = []
+        # A non-finite gradient makes the record's mean gradient non-finite, so
+        # _make_record below reports it as divergence at round t + 1.
+        for i, grad_i in enumerate(new_grads):
+            out = _compress_raw(
+                worker_spec,
+                state.worker_estimates[i],
+                state.worker_prev_grads[i],
+                grad_i,
+                rng.derive(_WORKER_TAG, t, i) if worker_draws else None,
+            )
+            uplink += payload_bits(out, d, value_bits, worker_header)
+            hist[out.branch_index] += 1
+            new_estimates.append(out.vector)
+
+        g_tilde_new = mean_ascending(new_estimates, d)
+        master_out = _compress_raw(
+            master_spec,
+            state.g_master,
+            state.g_tilde_master,
+            g_tilde_new,
+            rng.derive(_MASTER_TAG, t) if master_spec.randomized else None,
         )
-        uplink += payload_bits(out, d, value_bits, worker_header)
-        hist[out.branch_index] += 1
-        new_estimates.append(out.vector)
+        downlink = state.downlink_bits + payload_bits(master_out, d, value_bits, branch_header_bits(master_spec))
 
-    g_tilde_new = mean_ascending(new_estimates, d)
-    master_out = _compress_raw(
-        master_spec,
-        state.g_master,
-        state.g_tilde_master,
-        g_tilde_new,
-        rng.derive(_MASTER_TAG, t) if master_spec.randomized else None,
-    )
-    downlink = state.downlink_bits + payload_bits(master_out, d, value_bits, branch_header_bits(master_spec))
-
-    new_state = EngineState(
-        x=x_new,
-        g_master=master_out.vector,
-        g_tilde_master=g_tilde_new,
-        worker_estimates=tuple(new_estimates),
-        worker_prev_grads=tuple(new_grads),
-        round=t + 1,
-        uplink_bits=uplink,
-        downlink_bits=downlink,
-    )
-    wc = certified_constants(worker_spec, d)
-    mc = certified_constants(master_spec, d)
-    try:
-        record = _make_record(new_state, problem, f_new, gamma, wc, mc, f_star, f_inf, tuple(hist))
-    except DivergenceError:
-        raise DivergenceError(t + 1) from None
+        new_state = EngineState(
+            x=x_new,
+            g_master=master_out.vector,
+            g_tilde_master=g_tilde_new,
+            worker_estimates=tuple(new_estimates),
+            worker_prev_grads=tuple(new_grads),
+            round=t + 1,
+            uplink_bits=uplink,
+            downlink_bits=downlink,
+        )
+        wc = certified_constants(worker_spec, d)
+        mc = certified_constants(master_spec, d)
+        try:
+            record = _make_record(new_state, problem, f_new, gamma, wc, mc, f_star, tuple(hist))
+        except DivergenceError:
+            raise DivergenceError(t + 1) from None
     return new_state, record
 
 
@@ -443,7 +412,6 @@ class RunSpec:
     value_bits: int = 64
     init_mode: str = INIT_FULL
     f_star: float = 0.0
-    f_inf: float = 0.0
 
 
 def resolve_stepsize(spec: RunSpec, sc: Optional[SmoothnessConstants] = None) -> float:
@@ -460,18 +428,8 @@ def run(spec: RunSpec) -> list[IterationRecord]:
     """
     gamma = resolve_stepsize(spec)
     rng = SeededRng(spec.seed)
-    state = init(
-        spec.problem,
-        spec.worker_spec,
-        spec.master_spec,
-        spec.x0,
-        spec.init_mode,
-        rng,
-        spec.value_bits,
-    )
-    records = [
-        initial_record(state, spec.problem, gamma, spec.worker_spec, spec.master_spec, spec.f_star, spec.f_inf)
-    ]
+    state = init(spec.problem, spec.worker_spec, spec.x0, spec.init_mode, rng, spec.value_bits)
+    records = [initial_record(state, spec.problem, gamma, spec.worker_spec, spec.master_spec, spec.f_star)]
     if spec.stop.satisfied(records[-1]):
         return records
     for _ in range(spec.stop.max_rounds):
@@ -485,7 +443,6 @@ def run(spec: RunSpec) -> list[IterationRecord]:
                 rng,
                 spec.value_bits,
                 spec.f_star,
-                spec.f_inf,
             )
         except DivergenceError as err:
             raise DivergenceError(err.round_index, records) from None

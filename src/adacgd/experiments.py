@@ -409,8 +409,6 @@ def run_experiment(config: RunConfig, extra_specs: Optional[dict[str, ThreePCSpe
     byte-deterministic given the config.
     """
     problem, dataset_hash = build_dataset(config)
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     x0 = initial_point(config, problem)
     base_rule = stepsize_rule(config.stepsize)
     _, master = method_spec(config.master, problem.dim, config.zeta)
@@ -420,64 +418,75 @@ def run_experiment(config: RunConfig, extra_specs: Optional[dict[str, ThreePCSpe
     ]
     for label, spec in (extra_specs or {}).items():
         labelled.append((label, spec))
-
-    entries: list[SweepEntry] = []
+    runs: dict[str, tuple[str, ThreePCSpec, float]] = {}
     for label, worker in labelled:
         for mult in config.multipliers:
-            rule = base_rule if mult == 1.0 else StepsizeRule.multiplied(base_rule, mult)
-            spec = RunSpec(
-                problem=problem,
-                worker_spec=worker,
-                master_spec=master,
-                x0=x0,
-                stepsize=rule,
-                stop=StopRule(config.max_rounds, config.grad_tol_sq, config.bit_budget),
-                seed=config.seed,
-                value_bits=config.value_bits,
-                init_mode=config.init_mode,
-            )
-            gamma = resolve_stepsize(spec)
-            status = STATUS_UNREACHED
-            try:
-                records = run(spec)
-                reached = _bits_to_tolerance(records, config.grad_tol_sq)
-                if reached is not None:
-                    status = STATUS_REACHED
-            except DivergenceError as err:
-                records = err.records
-                reached = None
-                status = STATUS_DIVERGED
-            trace_path = out_dir / f"{label}_x{mult:g}.csv"
-            meta = {
-                "dataset": config.dataset,
-                "dataset_hash": dataset_hash,
-                "method": label,
-                "multiplier": mult,
-                "gamma": gamma,
-                "stepsize_rule": config.stepsize,
-                "n_clients": problem.n_clients,
-                "lam": config.lam,
-                "seed": config.seed,
-                "value_bits": config.value_bits,
-                "init_mode": config.init_mode,
-                "worker_constants": certified_constants(worker, problem.dim),
-                "master_constants": certified_constants(master, problem.dim),
-                "status": status,
-            }
-            write_trace(trace_path, records, meta)
-            entries.append(
-                SweepEntry(
-                    method=label,
-                    multiplier=mult,
-                    gamma=gamma,
-                    status=status,
-                    rounds=records[-1].round if records else 0,
-                    uplink_bits_to_tol=reached[0] if reached else None,
-                    downlink_bits_to_tol=reached[1] if reached else None,
-                    final_grad_norm_sq=records[-1].grad_norm_sq if records else math.inf,
-                    trace_path=str(trace_path),
+            name = f"{label}_x{mult:g}.csv"
+            if name in runs:
+                first_label, _, first_mult = runs[name]
+                raise ValueError(
+                    f"runs ({first_label}, x{first_mult!r}) and ({label}, x{mult!r}) would share the trace file {name}"
                 )
+            runs[name] = (label, worker, mult)
+
+    out_dir = Path(config.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    entries: list[SweepEntry] = []
+    for name, (label, worker, mult) in runs.items():
+        rule = base_rule if mult == 1.0 else StepsizeRule.multiplied(base_rule, mult)
+        spec = RunSpec(
+            problem=problem,
+            worker_spec=worker,
+            master_spec=master,
+            x0=x0,
+            stepsize=rule,
+            stop=StopRule(config.max_rounds, config.grad_tol_sq, config.bit_budget),
+            seed=config.seed,
+            value_bits=config.value_bits,
+            init_mode=config.init_mode,
+        )
+        gamma = resolve_stepsize(spec)
+        status = STATUS_UNREACHED
+        try:
+            records = run(spec)
+            reached = _bits_to_tolerance(records, config.grad_tol_sq)
+            if reached is not None:
+                status = STATUS_REACHED
+        except DivergenceError as err:
+            records = err.records
+            reached = None
+            status = STATUS_DIVERGED
+        trace_path = out_dir / name
+        meta = {
+            "dataset": config.dataset,
+            "dataset_hash": dataset_hash,
+            "method": label,
+            "multiplier": mult,
+            "gamma": gamma,
+            "stepsize_rule": config.stepsize,
+            "n_clients": problem.n_clients,
+            "lam": problem.lam,
+            "seed": config.seed,
+            "value_bits": config.value_bits,
+            "init_mode": config.init_mode,
+            "worker_constants": certified_constants(worker, problem.dim),
+            "master_constants": certified_constants(master, problem.dim),
+            "status": status,
+        }
+        write_trace(trace_path, records, meta)
+        entries.append(
+            SweepEntry(
+                method=label,
+                multiplier=mult,
+                gamma=gamma,
+                status=status,
+                rounds=records[-1].round if records else 0,
+                uplink_bits_to_tol=reached[0] if reached else None,
+                downlink_bits_to_tol=reached[1] if reached else None,
+                final_grad_norm_sq=records[-1].grad_norm_sq if records else math.inf,
+                trace_path=str(trace_path),
             )
+        )
 
     best: dict = {}
     for entry in entries:
@@ -582,11 +591,10 @@ def reference_cache_path(cache_dir: Path, problem: Problem) -> Path:
     return Path(cache_dir) / f"ref_{problem_digest(problem)}.txt"
 
 
-def save_reference(path: Path, dataset_hash: str, lam: float, ref: ReferenceSolution) -> None:
+def save_reference(path: Path, problem: Problem, ref: ReferenceSolution) -> None:
     lines = [
         "# reference minimum cache",
-        f"dataset_hash = {dataset_hash}",
-        f"lam = {float(lam)!r}",
+        f"lam = {float(problem.lam)!r}",
         f"tolerance = {float(ref.tolerance)!r}",
         f"grad_norm = {float(ref.grad_norm)!r}",
         f"rounds = {ref.rounds}",
@@ -597,7 +605,7 @@ def save_reference(path: Path, dataset_hash: str, lam: float, ref: ReferenceSolu
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_reference(path: Path) -> tuple[str, float, ReferenceSolution]:
+def load_reference(path: Path) -> tuple[float, ReferenceSolution]:
     values: dict = {}
     for line in Path(path).read_text().splitlines():
         line = line.strip()
@@ -613,13 +621,11 @@ def load_reference(path: Path) -> tuple[str, float, ReferenceSolution]:
         rounds=int(values["rounds"]),
         tolerance=float(values["tolerance"]),
     )
-    return values["dataset_hash"], float(values["lam"]), ref
+    return float(values["lam"]), ref
 
 
 def load_or_solve_reference(
     problem: Problem,
-    dataset_hash: str,
-    lam: float,
     tolerance: float,
     cache_dir: Path,
     max_rounds: int = 10**6,
@@ -627,14 +633,13 @@ def load_or_solve_reference(
     """Reuse a cached minimizer of this exact problem; otherwise solve and cache.
 
     The cache file is named by :func:`problem_digest`. A cached solve is
-    reused only when its tolerance is at least as tight as ``tolerance``;
-    ``dataset_hash`` and ``lam`` are recorded in the file for reference.
+    reused only when its tolerance is at least as tight as ``tolerance``.
     """
     path = reference_cache_path(cache_dir, problem)
     if path.exists():
-        _, _, ref = load_reference(path)
+        _, ref = load_reference(path)
         if ref.tolerance <= tolerance:
             return ref
     ref = solve_reference(problem, tolerance, max_rounds)
-    save_reference(path, dataset_hash, lam, ref)
+    save_reference(path, problem, ref)
     return ref

@@ -1,10 +1,12 @@
 """Batch property checks: sampling oracles and engine-run diagnostics.
 
 Every check returns a :class:`PropertyResult` whose margin is the tightest
-slack observed (negative means a violation). The oracles here are
+slack observed (negative means a violation). The sampling oracles are
 independent of the code paths they probe: compressor inequalities are
-checked by direct sampling, gradients by central differences, and the
-per-round recursions by recomputing errors from raw engine states.
+checked by direct sampling, gradients by central differences. The run
+diagnostics (potential descent, error recursions, rate bounds) read the
+engine's own records, the numbers a trace reports; they test the theory's
+inequalities on those numbers, not the engine's arithmetic.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import SeededRng, ThreePCConstants, mean_ascending, sqnorm
+from .core import SeededRng, ThreePCConstants, sqnorm
 from .compressors import (
     AdaCGD,
     CLAG,
@@ -37,6 +39,7 @@ from .engine import (
     EngineState,
     StepsizeRule,
     init,
+    initial_record,
     step,
     theoretical_stepsize,
 )
@@ -290,7 +293,7 @@ def gradient_suite(problems: Sequence[tuple[str, Problem]], points: int, seed: i
 
 @dataclass
 class RunTrace:
-    """Per-round quantities recomputed from raw engine states."""
+    """Per-round columns of one run: the engine's record fields plus displacement."""
 
     states: list[EngineState]
     gamma: float
@@ -315,35 +318,38 @@ def trace_run(
     x0: Optional[np.ndarray] = None,
     init_mode: str = "full",
     f_star: float = 0.0,
-    f_inf: float = 0.0,
 ) -> RunTrace:
-    """Run the engine keeping every state, recomputing diagnostics directly."""
+    """Run the engine keeping every state and record.
+
+    The columns are the records' fields, the numbers a trace CSV carries;
+    only the squared displacement is computed here, from the kept states.
+    """
     rng = SeededRng(seed)
     x0 = x0 if x0 is not None else np.zeros(problem.dim)
-    state = init(problem, worker_spec, master_spec, x0, init_mode, rng)
+    state = init(problem, worker_spec, x0, init_mode, rng)
     states = [state]
+    records = [initial_record(state, problem, gamma, worker_spec, master_spec, f_star)]
     for _ in range(rounds):
-        state, _ = step(state, problem, worker_spec, master_spec, gamma, rng, f_star=f_star, f_inf=f_inf)
+        state, record = step(state, problem, worker_spec, master_spec, gamma, rng, f_star=f_star)
         states.append(state)
+        records.append(record)
 
-    wc = certified_constants(worker_spec, problem.dim)
-    mc = certified_constants(master_spec, problem.dim)
-    n = problem.n_clients
-    f = np.array([loss(problem, s.x) for s in states])
-    grad_sq = np.array([sqnorm(mean_ascending(s.worker_prev_grads, problem.dim)) for s in states])
-    g_err = np.array(
-        [sum(sqnorm(e - g) for e, g in zip(s.worker_estimates, s.worker_prev_grads)) / n for s in states]
+    def column(field: str) -> np.ndarray:
+        return np.array([getattr(rec, field) for rec in records])
+
+    return RunTrace(
+        states,
+        gamma,
+        certified_constants(worker_spec, problem.dim),
+        certified_constants(master_spec, problem.dim),
+        f=column("f_value"),
+        grad_sq=column("grad_norm_sq"),
+        g_err=column("g_error"),
+        master_err=column("master_error"),
+        r=np.array([sqnorm(b.x - a.x) for a, b in zip(states, states[1:])]),
+        phi=column("phi"),
+        psi=column("psi"),
     )
-    master_err = np.array([sqnorm(s.g_master - s.g_tilde_master) for s in states])
-    r = np.array([sqnorm(b.x - a.x) for a, b in zip(states, states[1:])])
-    phi = f - f_star + (gamma / wc.a) * g_err
-    psi = (
-        f
-        - f_inf
-        + (gamma / mc.a) * master_err
-        + (gamma / wc.a) * (1.0 + 3.0 * mc.b * (2.0 - wc.a) / mc.a) * g_err
-    )
-    return RunTrace(states, gamma, wc, mc, f, grad_sq, g_err, master_err, r, phi, psi)
 
 
 def monotone_check(values: np.ndarray, name: str, rel_slack: float = 1e-10) -> PropertyResult:
@@ -376,7 +382,7 @@ def recursion_check(
 
 
 def estimator_recursion_check(trace: RunTrace, l_plus: float, name: str = "estimator-error-recursion") -> PropertyResult:
-    """G^{t+1} <= (1 - a) G^t + b L+^2 R^t, recomputed from states."""
+    """G^{t+1} <= (1 - a) G^t + b L+^2 R^t on the recorded errors."""
     a, b = trace.worker_c.a, trace.worker_c.b
     rhs = (1.0 - a) * trace.g_err[:-1] + b * l_plus**2 * trace.r
     return recursion_check(trace.g_err[1:], rhs, name)
@@ -480,7 +486,7 @@ def gd_equivalence_check(
     worker = CLAG(ContractorSpec.identity(), 0.0)
     rng = SeededRng(seed)
     x0 = x0 if x0 is not None else np.zeros(problem.dim)
-    state = init(problem, worker, IdentityMaster(), x0, "full", rng)
+    state = init(problem, worker, x0, "full", rng)
 
     x_ref = x0.copy()
     worst = 0.0

@@ -21,7 +21,6 @@ from adacgd.engine import (
     branch_header_bits,
     init,
     initial_record,
-    lyapunov,
     payload_bits,
     run,
     step,
@@ -77,7 +76,7 @@ def test_payload_bits_adaptive_header():
 
 def test_init_full_mode_exact():
     p = quad([1.0, 2.0], n=2)
-    state = init(p, EF21(ContractorSpec.identity()), IdentityMaster(), [1.0, 1.0])
+    state = init(p, EF21(ContractorSpec.identity()), [1.0, 1.0])
     assert np.array_equal(state.g_master, full_gradient(p, [1.0, 1.0]))
     assert state.uplink_bits == 2 * 2 * 64
     assert state.downlink_bits == 2 * 64
@@ -87,14 +86,30 @@ def test_init_compressed_mode_strongest_level():
     p = Problem.quadratic([1.0, 1.0, 1.0], n_clients=1)
     # gradient at x0 = [3, -1, 2] is the vector itself for the unit quadratic
     spec = AdaCGD((ContractorSpec.top_k(1), ContractorSpec.top_k(3)), 1.0)
-    state = init(p, spec, IdentityMaster(), [3.0, -1.0, 2.0], "compressed", SeededRng(0))
+    state = init(p, spec, [3.0, -1.0, 2.0], "compressed", SeededRng(0))
     assert np.array_equal(state.worker_estimates[0], [3.0, 0.0, 0.0])
     assert state.uplink_bits == 64 + 2  # one value plus ceil(log2 3) index bits
 
 
+def test_init_compressed_charges_no_more_than_full_vectors():
+    # top-50 of d = 50 keeps every entry: sparse framing would cost 50 * (64 + 6)
+    # bits per worker, so payload_bits charges the 3200-bit full vector instead.
+    p = Problem.quadratic(np.linspace(1.0, 2.0, 50), n_clients=2)
+    state = init(p, EF21(ContractorSpec.top_k(50)), np.ones(50), "compressed", SeededRng(0))
+    assert state.uplink_bits == 2 * 50 * 64
+    assert np.array_equal(state.worker_estimates[1], full_gradient(p, np.ones(50)))
+
+
+def test_init_rejects_unsupported_value_bits():
+    p = quad([1.0, 2.0], n=2)
+    for mode in ("full", "compressed"):
+        with pytest.raises(ValueError, match="value_bits"):
+            init(p, EF21(ContractorSpec.top_k(1)), [1.0, 1.0], mode, SeededRng(0), value_bits=16)
+
+
 def test_init_full_phi_equals_gap():
     p = quad([1.0, 1.0])
-    state = init(p, EF21(ContractorSpec.top_k(1)), IdentityMaster(), [3.0, 4.0])
+    state = init(p, EF21(ContractorSpec.top_k(1)), [3.0, 4.0])
     record = initial_record(state, p, 0.1, EF21(ContractorSpec.top_k(1)), IdentityMaster(), f_star=0.0)
     assert record.phi == pytest.approx(record.f_value, rel=1e-15)
     assert record.g_error == 0.0
@@ -105,7 +120,7 @@ def test_step_identity_is_exact_gd():
     p = quad([1.0, 1.0])
     w = EF21(ContractorSpec.identity())
     rng = SeededRng(0)
-    state = init(p, w, IdentityMaster(), [5.0, -3.0], "full", rng)
+    state = init(p, w, [5.0, -3.0], "full", rng)
     state, _ = step(state, p, w, IdentityMaster(), 1.0, rng)
     assert np.array_equal(state.x, [0.0, 0.0])  # one-step solve at gamma = 1/L
 
@@ -114,7 +129,7 @@ def test_step_hand_traced_ef21_top1():
     p = quad([1.0, 1.0])
     w = EF21(ContractorSpec.top_k(1))
     rng = SeededRng(0)
-    state = init(p, w, IdentityMaster(), [1.0, 1.0], "full", rng)
+    state = init(p, w, [1.0, 1.0], "full", rng)
     assert np.array_equal(state.g_master, [1.0, 1.0])
     state, rec = step(state, p, w, IdentityMaster(), 0.5, rng)
     assert np.array_equal(state.x, [0.5, 0.5])
@@ -128,7 +143,7 @@ def test_step_counts_skip_bits_and_branches():
     p = quad([1.0, 1.0], n=3)
     w = LAG(1e16)
     rng = SeededRng(0)
-    state = init(p, w, IdentityMaster(), [2.0, 2.0], "full", rng)
+    state = init(p, w, [2.0, 2.0], "full", rng)
     before = state.uplink_bits
     state, rec = step(state, p, w, IdentityMaster(), 0.1, rng)
     assert state.uplink_bits - before == 3  # every worker skips at one bit each
@@ -140,7 +155,7 @@ def test_uplink_bits_per_round_bounded():
     p = quad([1.0, 2.0, 3.0, 4.0], n=3)
     spec = AdaCGD((ContractorSpec.top_k(1), ContractorSpec.top_k(2), ContractorSpec.top_k(4)), 1.0)
     rng = SeededRng(0)
-    state = init(p, spec, IdentityMaster(), np.ones(4), "full", rng)
+    state = init(p, spec, np.ones(4), "full", rng)
     cap = 3 * (4 * 64 + branch_header_bits(spec))
     for _ in range(20):
         before = state.uplink_bits
@@ -151,14 +166,13 @@ def test_uplink_bits_per_round_bounded():
 def test_lyapunov_exact_estimators():
     p = quad([1.0, 1.0])
     w = EF21(ContractorSpec.identity())
-    state = init(p, w, IdentityMaster(), [3.0, 4.0])
-    wc = ThreePCConstants(1.0, 0.0)
-    phi, psi = lyapunov(state, p, 0.5, wc, wc, f_star=2.0, f_inf=0.0)
-    assert phi == pytest.approx(loss(p, [3.0, 4.0]) - 2.0, rel=1e-15)
-    assert psi == pytest.approx(loss(p, [3.0, 4.0]), rel=1e-15)
-    at_min = init(p, w, IdentityMaster(), [0.0, 0.0])
-    phi, _ = lyapunov(at_min, p, 0.5, wc, wc, f_star=0.0)
-    assert phi == 0.0
+    state = init(p, w, [3.0, 4.0])
+    record = initial_record(state, p, 0.5, w, IdentityMaster(), f_star=2.0)
+    assert record.phi == pytest.approx(loss(p, [3.0, 4.0]) - 2.0, rel=1e-15)
+    assert record.psi == pytest.approx(loss(p, [3.0, 4.0]), rel=1e-15)
+    at_min = init(p, w, [0.0, 0.0])
+    record = initial_record(at_min, p, 0.5, w, IdentityMaster(), f_star=0.0)
+    assert record.phi == 0.0
 
 
 def test_run_zero_rounds_returns_initial_record():
@@ -257,7 +271,7 @@ def test_master_compression_applied():
     w = EF21(ContractorSpec.identity())
     m = EF21(ContractorSpec.top_k(1))
     rng = SeededRng(0)
-    state = init(p, w, m, [4.0, 2.0], "full", rng)
+    state = init(p, w, [4.0, 2.0], "full", rng)
     state, rec = step(state, p, w, m, 0.25, rng)
     # master shifts from its previous broadcast by the top coordinate only
     assert rec.master_error > 0.0
@@ -294,7 +308,7 @@ def test_step_record_matches_public_oracles_bitwise(problem):
     worker = EF21(ContractorSpec.top_k(1))
     master = IdentityMaster()
     rng = SeededRng(5)
-    state = init(problem, worker, master, np.linspace(-1.0, 2.0, problem.dim), "full", rng)
+    state = init(problem, worker, np.linspace(-1.0, 2.0, problem.dim), "full", rng)
     for _ in range(4):
         state, rec = step(state, problem, worker, master, 0.1, rng)
         assert rec.f_value == loss(problem, state.x)
@@ -318,5 +332,5 @@ def test_step_gives_streams_to_rules_that_draw_only(monkeypatch):
     for worker, draws in ((EF21(ContractorSpec.top_k(1)), False), (EF21(ContractorSpec.rand_k(1)), True)):
         seen.clear()
         rng = SeededRng(1)
-        step(init(p, worker, master, np.ones(3), "full", rng), p, worker, master, 0.1, rng)
+        step(init(p, worker, np.ones(3), "full", rng), p, worker, master, 0.1, rng)
         assert seen == [draws, draws, False]

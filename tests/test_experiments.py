@@ -256,6 +256,30 @@ def test_summary_best_ignores_diverged(tmp_path):
     assert "diverged" in summary and "best" in summary
 
 
+def test_run_experiment_rejects_runs_sharing_a_trace_file(tmp_path):
+    # Multipliers 1 and 1.0000001 both format as "x1", so their traces would collide.
+    config = RunConfig(
+        dataset="quadratic:diag=1|2,n=2",
+        methods=("gd", "ef21:k=1"),
+        multipliers=(1.0, 1.0000001),
+        max_rounds=3,
+        out_dir=str(tmp_path / "out"),
+    )
+    with pytest.raises(ValueError) as err:
+        run_experiment(config)
+    message = str(err.value)
+    assert "gd_x1.csv" in message
+    assert "(gd, x1.0)" in message and "(gd, x1.0000001)" in message
+    assert not (tmp_path / "out").exists()  # rejected before any run
+
+
+def test_trace_header_takes_lam_and_clients_from_the_problem(tmp_path):
+    config = RunConfig(dataset="quadratic:diag=1|2,n=3", n_clients=20, lam=0.3, max_rounds=2, out_dir=str(tmp_path))
+    meta, _ = read_trace(Path(run_experiment(config).entries[0].trace_path))
+    assert meta["lam"] == "0.0"
+    assert meta["n_clients"] == "3"
+
+
 def test_reference_solver_quadratic_exact():
     ref = solve_reference(Problem.quadratic([1.0, 2.0]), 1e-10)
     assert ref.f_star == 0.0
@@ -265,9 +289,9 @@ def test_reference_solver_quadratic_exact():
 def test_reference_cache_round_trip(tmp_path):
     features, labels = make_synthetic(SyntheticSpec(40, 4, 5))
     p = build_problem(features, labels, 2, 0.0, 0)
-    ref = load_or_solve_reference(p, "cafe" * 4, 0.0, 1e-8, tmp_path)
+    ref = load_or_solve_reference(p, 1e-8, tmp_path)
     assert math.sqrt(float(full_gradient(p, ref.x_star) @ full_gradient(p, ref.x_star))) <= 1e-8
-    again = load_or_solve_reference(p, "cafe" * 4, 0.0, 1e-8, tmp_path)
+    again = load_or_solve_reference(p, 1e-8, tmp_path)
     assert again.f_star == ref.f_star
     assert np.array_equal(again.x_star, ref.x_star)
 
@@ -283,24 +307,24 @@ def test_reference_cache_keyed_on_the_problem(tmp_path):
         problem, dataset_hash = build_dataset(RunConfig(dataset=dataset, n_clients=n_clients, scale_features=scale))
         problems.append((problem, dataset_hash))
     assert len({h for _, h in problems}) == 1
-    cached = [load_or_solve_reference(p, h, p.lam, 1e-8, tmp_path) for p, h in problems]
+    cached = [load_or_solve_reference(p, 1e-8, tmp_path) for p, _ in problems]
     assert len(list(tmp_path.glob("ref_*.txt"))) == 3
-    for (p, h), ref in zip(problems, cached):
+    for (p, _), ref in zip(problems, cached):
         assert ref.f_star == solve_reference(p, 1e-8).f_star
-        assert load_or_solve_reference(p, h, p.lam, 1e-8, tmp_path).f_star == ref.f_star
+        assert load_or_solve_reference(p, 1e-8, tmp_path).f_star == ref.f_star
     assert len({ref.f_star for ref in cached}) == 3
 
 
 def test_reference_cache_resolves_for_a_tighter_tolerance(tmp_path):
-    problem, dataset_hash = build_dataset(RunConfig(dataset="synthetic:n=100,d=5,seed=1,scale=3", n_clients=7))
-    loose = load_or_solve_reference(problem, dataset_hash, problem.lam, 1e-3, tmp_path)
+    problem, _ = build_dataset(RunConfig(dataset="synthetic:n=100,d=5,seed=1,scale=3", n_clients=7))
+    loose = load_or_solve_reference(problem, 1e-3, tmp_path)
     assert loose.tolerance == 1e-3
-    tight = load_or_solve_reference(problem, dataset_hash, problem.lam, 1e-8, tmp_path)
+    tight = load_or_solve_reference(problem, 1e-8, tmp_path)
     assert tight.tolerance == 1e-8
     assert tight.grad_norm <= 1e-8 < loose.grad_norm
     assert tight.f_star == solve_reference(problem, 1e-8).f_star
     # The tighter solve replaced the cached one and serves looser requests too.
-    again = load_or_solve_reference(problem, dataset_hash, problem.lam, 1e-4, tmp_path)
+    again = load_or_solve_reference(problem, 1e-4, tmp_path)
     assert again.tolerance == 1e-8 and np.array_equal(again.x_star, tight.x_star)
     assert len(list(tmp_path.glob("ref_*.txt"))) == 1
 
@@ -371,6 +395,38 @@ def test_cli_solve_reference(tmp_path, capsys):
     assert rc == 0
     cached = list(tmp_path.glob("ref_*.txt"))
     assert len(cached) == 1
-    _, lam, ref = load_reference(cached[0])
+    lam, ref = load_reference(cached[0])
     assert lam == 0.1
     assert ref.grad_norm <= 1e-6
+
+
+def test_cli_solve_reference_records_the_problem_lam(tmp_path):
+    args = ["solve-reference", "--dataset", "quadratic:diag=1|2", "--lam", "0.3", "--cache-dir", str(tmp_path)]
+    assert cli_main(args) == 0
+    lam, ref = load_reference(next(tmp_path.glob("ref_*.txt")))
+    assert lam == 0.0
+    assert ref.f_star == 0.0
+
+
+@pytest.mark.parametrize(
+    "dataset,method,message",
+    [
+        ("synthetic:n=20,d=5,seed=1", "ef21:k=6", "k=6 exceeds dimension 5"),
+        ("quadratic:diag=0|0", "gd", "all-zero diagonal"),
+    ],
+    ids=["k-above-dimension", "zero-quadratic"],
+)
+def test_cli_reports_bad_input_in_one_line(tmp_path, capsys, dataset, method, message):
+    args = ["run", "--dataset", dataset, "--n-clients", "2", "--method", method, "--stop", "rounds=2"]
+    rc = cli_main(args + ["--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("adacgd: error: ") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_cli_runs_topk_at_full_dimension(tmp_path):
+    args = ["run", "--dataset", "synthetic:n=20,d=5,seed=1", "--n-clients", "2", "--method", "ef21:k=5"]
+    assert cli_main(args + ["--stop", "rounds=2", "--out-dir", str(tmp_path)]) == 0
+    _, records = read_trace(tmp_path / "ef21_k5_x1.csv")
+    assert [r.round for r in records] == [0, 1, 2]
