@@ -134,7 +134,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as err:  # bad input, LibsvmParseError included: one line, no traceback
+    except (ValueError, OSError) as err:  # bad input or an unreadable file: one line, no traceback
         print(f"{parser.prog}: error: {err}", file=sys.stderr)
         return 2
 

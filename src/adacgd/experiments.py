@@ -86,6 +86,8 @@ class RunConfig:
             raise ValueError("config needs at least one method")
         if not self.multipliers:
             raise ValueError("config needs a non-empty multiplier set")
+        if not all(m > 0 for m in self.multipliers):
+            raise ValueError(f"stepsize multipliers must be positive, got {self.multipliers}")
         if self.value_bits not in (32, 64):
             raise ValueError(f"value_bits must be 32 or 64, got {self.value_bits}")
 

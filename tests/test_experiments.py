@@ -273,6 +273,13 @@ def test_run_experiment_rejects_runs_sharing_a_trace_file(tmp_path):
     assert not (tmp_path / "out").exists()  # rejected before any run
 
 
+@pytest.mark.parametrize("multipliers", [(1.0, -2.0), (1.0, 0.0), (math.nan,)])
+def test_config_rejects_non_positive_multipliers(multipliers):
+    # Rejected where the config is built, not after earlier runs wrote their traces.
+    with pytest.raises(ValueError, match="multipliers must be positive"):
+        RunConfig(dataset="quadratic:diag=1|2", multipliers=multipliers)
+
+
 def test_trace_header_takes_lam_and_clients_from_the_problem(tmp_path):
     config = RunConfig(dataset="quadratic:diag=1|2,n=3", n_clients=20, lam=0.3, max_rounds=2, out_dir=str(tmp_path))
     meta, _ = read_trace(Path(run_experiment(config).entries[0].trace_path))
@@ -413,10 +420,12 @@ def test_cli_solve_reference_records_the_problem_lam(tmp_path):
     [
         ("synthetic:n=20,d=5,seed=1", "ef21:k=6", "k=6 exceeds dimension 5"),
         ("quadratic:diag=0|0", "gd", "all-zero diagonal"),
+        ("missing.svm", "gd", "No such file or directory"),
     ],
-    ids=["k-above-dimension", "zero-quadratic"],
+    ids=["k-above-dimension", "zero-quadratic", "missing-file"],
 )
-def test_cli_reports_bad_input_in_one_line(tmp_path, capsys, dataset, method, message):
+def test_cli_reports_bad_input_in_one_line(tmp_path, monkeypatch, capsys, dataset, method, message):
+    monkeypatch.chdir(tmp_path)  # "missing.svm" is looked up in an empty directory
     args = ["run", "--dataset", dataset, "--n-clients", "2", "--method", method, "--stop", "rounds=2"]
     rc = cli_main(args + ["--out-dir", str(tmp_path)])
     err = capsys.readouterr().err
