@@ -197,6 +197,58 @@ def test_run_experiment_gd_quadratic_matches_closed_form(tmp_path):
         x = x - gamma * diag * x
 
 
+# Header lines of a 1-round sweep, pinned from the implementation that wrapped
+# the stepsize in a rule object: the theory stepsize per method times each
+# multiplier, and the certified constants of worker and master.
+_SWEEP_HEADER_PINS = [
+    ('convex', 'synthetic:n=60,d=8', 'identity', (1.0, 0.0), {
+        'gd': ((1.0, 0.0), (0.44593397104519256, 1.3378019131355776, 28.539774146892324)),
+        'ef21_k2': ((0.13397459621556135, 5.598076211353316), (0.043942749302782594, 0.1318282479083478, 2.812335955378086)),
+        'adacgd_z1': ((0.06458565330651465, 13.547900426854397), (0.02074406237806002, 0.062232187134180064, 1.3276199921958414)),
+    }),
+    ('nonconvex', 'synthetic:n=60,d=8', 'identity', (1.0, 0.0), {
+        'gd': ((1.0, 0.0), (0.44593397104519256, 1.3378019131355776, 28.539774146892324)),
+        'ef21_k2': ((0.13397459621556135, 5.598076211353316), (0.05970735738355972, 0.17912207215067916, 3.821270872547822)),
+        'adacgd_z1': ((0.06458565330651465, 13.547900426854397), (0.02878194978961228, 0.08634584936883684, 1.8420447865351859)),
+    }),
+    ('bidirectional', 'synthetic:n=60,d=8', 'ef21:k=2', (0.13397459621556135, 5.598076211353316), {
+        'gd': ((1.0, 0.0), (0.02647290978954603, 0.07941872936863809, 1.6942662265309458)),
+        'ef21_k2': ((0.13397459621556135, 5.598076211353316), (0.003033581843172246, 0.009100745529516738, 0.19414923796302375)),
+        'adacgd_z1': ((0.06458565330651465, 13.547900426854397), (0.0019287924887592216, 0.005786377466277665, 0.12344271928059018)),
+    }),
+    ('manual:0.05', 'synthetic:n=60,d=8', 'identity', (1.0, 0.0), {
+        'gd': ((1.0, 0.0), (0.05, 0.15000000000000002, 3.2)),
+        'ef21_k2': ((0.13397459621556135, 5.598076211353316), (0.05, 0.15000000000000002, 3.2)),
+        'adacgd_z1': ((0.06458565330651465, 13.547900426854397), (0.05, 0.15000000000000002, 3.2)),
+    }),
+    ('pl', 'quadratic:diag=1|2|4,n=3', 'identity', (1.0, 0.0), {
+        'gd': ((1.0, 0.0), (0.25, 0.75, 16.0)),
+        'ef21_k2': ((0.4226497308103742, 0.788675134594813), (0.08527034435052722, 0.25581103305158165, 5.457302038433742)),
+        'adacgd_z1': ((0.18350341907227397, 3.6329931618554525), (0.034281661261437626, 0.10284498378431288, 2.194026320732008)),
+    }),
+]
+
+
+@pytest.mark.parametrize(
+    "stepsize,dataset,master,master_c,methods",
+    _SWEEP_HEADER_PINS,
+    ids=[case[0] for case in _SWEEP_HEADER_PINS],
+)
+def test_sweep_header_stepsize_and_constants_pinned(tmp_path, stepsize, dataset, master, master_c, methods):
+    config = RunConfig(dataset=dataset, n_clients=3, methods=("gd", "ef21:k=2", "adacgd"), master=master,
+                       stepsize=stepsize, multipliers=(1.0, 3.0, 64.0), max_rounds=1, out_dir=str(tmp_path))
+    run_experiment(config)
+    for label, (worker_c, gammas) in methods.items():
+        for mult, gamma in zip((1, 3, 64), gammas):
+            header = [line for line in (tmp_path / f"{label}_x{mult}.csv").read_text().splitlines()
+                      if line.startswith(("# gamma ", "# worker_constants ", "# master_constants "))]
+            assert header == [
+                f"# gamma = {gamma!r}",
+                "# worker_constants = ThreePCConstants(a={!r}, b={!r})".format(*worker_c),
+                "# master_constants = ThreePCConstants(a={!r}, b={!r})".format(*master_c),
+            ]
+
+
 def test_run_experiment_deterministic_bytes(tmp_path):
     def run_once(where):
         config = RunConfig(
