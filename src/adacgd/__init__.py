@@ -49,10 +49,10 @@ from .engine import (
     EngineState,
     IterationRecord,
     RunSpec,
-    StepsizeRule,
     StopRule,
     init,
     payload_bits,
+    resolve_stepsize,
     run,
     step,
     theoretical_stepsize,

@@ -77,78 +77,33 @@ CONVEX_THM = "convex"
 NONCONVEX_UNI = "nonconvex"
 PL = "pl"
 BIDIRECTIONAL = "bidirectional"
-MANUAL = "manual"
-MULTIPLIED = "multiplied"
-
-
-@dataclass(frozen=True)
-class StepsizeRule:
-    """Theory-prescribed stepsize selector, or a manual/scaled override."""
-
-    kind: str
-    mu: Optional[float] = None
-    gamma: Optional[float] = None
-    base: Optional["StepsizeRule"] = None
-    factor: Optional[float] = None
-
-    @staticmethod
-    def convex() -> "StepsizeRule":
-        return StepsizeRule(CONVEX_THM)
-
-    @staticmethod
-    def nonconvex_uni() -> "StepsizeRule":
-        return StepsizeRule(NONCONVEX_UNI)
-
-    @staticmethod
-    def pl(mu: Optional[float] = None) -> "StepsizeRule":
-        return StepsizeRule(PL, mu=mu)
-
-    @staticmethod
-    def bidirectional() -> "StepsizeRule":
-        return StepsizeRule(BIDIRECTIONAL)
-
-    @staticmethod
-    def manual(gamma: float) -> "StepsizeRule":
-        if gamma <= 0:
-            raise ValueError(f"stepsize must be positive, got {gamma}")
-        return StepsizeRule(MANUAL, gamma=gamma)
-
-    @staticmethod
-    def multiplied(base: "StepsizeRule", factor: float) -> "StepsizeRule":
-        if factor <= 0:
-            raise ValueError(f"multiplier must be positive, got {factor}")
-        return StepsizeRule(MULTIPLIED, base=base, factor=factor)
+STEPSIZE_RULES = (CONVEX_THM, NONCONVEX_UNI, PL, BIDIRECTIONAL)
 
 
 def theoretical_stepsize(
-    rule: StepsizeRule,
+    rule: str,
     sc: SmoothnessConstants,
     worker_c: ThreePCConstants,
     master_c: Optional[ThreePCConstants] = None,
 ) -> float:
-    """Evaluate the stepsize formula attached to ``rule``."""
+    """The stepsize the theorem named ``rule`` (one of STEPSIZE_RULES) prescribes."""
     lm, lp = sc.l_minus, sc.l_plus
     wa, wb = worker_c.a, worker_c.b
-    if rule.kind == CONVEX_THM:
+    if rule == CONVEX_THM:
         return 1.0 / (lm + lp * math.sqrt(2.0 * wb / wa))
-    if rule.kind == NONCONVEX_UNI:
+    if rule == NONCONVEX_UNI:
         return 1.0 / (lm + lp * math.sqrt(wb / wa))
-    if rule.kind == PL:
-        mu = rule.mu if rule.mu is not None else sc.mu
-        if mu is None:
+    if rule == PL:
+        if sc.mu is None:
             raise ValueError("PL stepsize rule needs a curvature parameter mu")
-        return min(1.0 / (lm + lp * math.sqrt(2.0 * wb / wa)), wa / (2.0 * mu))
-    if rule.kind == BIDIRECTIONAL:
+        return min(1.0 / (lm + lp * math.sqrt(2.0 * wb / wa)), wa / (2.0 * sc.mu))
+    if rule == BIDIRECTIONAL:
         if master_c is None:
             raise ValueError("bidirectional stepsize rule needs master constants")
         ma, mb = master_c.a, master_c.b
         radicand = 6.0 * mb * (wb + 1.0) / ma + (2.0 * wb / ma) * (1.0 + 3.0 * mb * (2.0 - wa) / ma)
         return 1.0 / (lm + lp * math.sqrt(radicand))
-    if rule.kind == MANUAL:
-        return rule.gamma
-    if rule.kind == MULTIPLIED:
-        return rule.factor * theoretical_stepsize(rule.base, sc, worker_c, master_c)
-    raise ValueError(f"unknown stepsize rule {rule.kind!r}")
+    raise ValueError(f"unknown stepsize rule {rule!r}; choose from {', '.join(STEPSIZE_RULES)}")
 
 
 def index_bits(dim: int) -> int:
@@ -400,25 +355,30 @@ class StopRule:
 
 @dataclass(frozen=True)
 class RunSpec:
-    """Everything one simulated run needs."""
+    """Everything one simulated run needs; ``gamma`` is the stepsize itself."""
 
     problem: Problem
     worker_spec: ThreePCSpec
     master_spec: ThreePCSpec
     x0: np.ndarray
-    stepsize: StepsizeRule
+    gamma: float
     stop: StopRule
     seed: int = 0
     value_bits: int = 64
     init_mode: str = INIT_FULL
     f_star: float = 0.0
 
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.gamma) and self.gamma > 0):
+            raise ValueError(f"stepsize must be positive and finite, got {self.gamma}")
 
-def resolve_stepsize(spec: RunSpec, sc: Optional[SmoothnessConstants] = None) -> float:
-    sc = sc if sc is not None else smoothness(spec.problem)
-    wc = certified_constants(spec.worker_spec, spec.problem.dim)
-    mc = certified_constants(spec.master_spec, spec.problem.dim)
-    return theoretical_stepsize(spec.stepsize, sc, wc, mc)
+
+def resolve_stepsize(rule: str, problem: Problem, worker_spec: ThreePCSpec, master_spec: ThreePCSpec) -> float:
+    """Theory stepsize ``rule`` for ``problem`` run with these worker and master rules."""
+    sc = smoothness(problem)
+    wc = certified_constants(worker_spec, problem.dim)
+    mc = certified_constants(master_spec, problem.dim)
+    return theoretical_stepsize(rule, sc, wc, mc)
 
 
 def run(spec: RunSpec) -> list[IterationRecord]:
@@ -426,10 +386,9 @@ def run(spec: RunSpec) -> list[IterationRecord]:
 
     On divergence the raised error carries the records collected so far.
     """
-    gamma = resolve_stepsize(spec)
     rng = SeededRng(spec.seed)
     state = init(spec.problem, spec.worker_spec, spec.x0, spec.init_mode, rng, spec.value_bits)
-    records = [initial_record(state, spec.problem, gamma, spec.worker_spec, spec.master_spec, spec.f_star)]
+    records = [initial_record(state, spec.problem, spec.gamma, spec.worker_spec, spec.master_spec, spec.f_star)]
     if spec.stop.satisfied(records[-1]):
         return records
     for _ in range(spec.stop.max_rounds):
@@ -439,7 +398,7 @@ def run(spec: RunSpec) -> list[IterationRecord]:
                 spec.problem,
                 spec.worker_spec,
                 spec.master_spec,
-                gamma,
+                spec.gamma,
                 rng,
                 spec.value_bits,
                 spec.f_star,

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import sqnorm
+from .core import ThreePCConstants, sqnorm
 from .compressors import (
     AdaCGD,
     CLAG,
@@ -34,8 +34,8 @@ from .datasets import SyntheticSpec, build_problem, make_synthetic, parse_libsvm
 from .engine import (
     DivergenceError,
     IterationRecord,
+    STEPSIZE_RULES,
     RunSpec,
-    StepsizeRule,
     StopRule,
     resolve_stepsize,
     run,
@@ -86,8 +86,9 @@ class RunConfig:
             raise ValueError("config needs at least one method")
         if not self.multipliers:
             raise ValueError("config needs a non-empty multiplier set")
-        if not all(m > 0 for m in self.multipliers):
-            raise ValueError(f"stepsize multipliers must be positive, got {self.multipliers}")
+        if not all(math.isfinite(m) and m > 0 for m in self.multipliers):
+            raise ValueError(f"stepsize multipliers must be positive and finite, got {self.multipliers}")
+        _manual_gamma(self.stepsize)
         if self.value_bits not in (32, 64):
             raise ValueError(f"value_bits must be 32 or 64, got {self.value_bits}")
 
@@ -114,15 +115,23 @@ _CONFIG_KEYS = {
 }
 
 
+def _parse(key: str, value, kind):
+    """``kind(value)``; a value that does not parse raises a ValueError naming ``key``."""
+    try:
+        return kind(value)
+    except ValueError:
+        raise ValueError(f"cannot parse {key}={value!r}") from None
+
+
 def _convert(key: str, value: str):
     kind = _CONFIG_KEYS[key]
     if kind == "methods":
         return tuple(value.split())
     if kind == "floats":
-        return tuple(float(v) for v in value.replace(",", " ").split())
+        return _parse(key, value, lambda v: tuple(float(x) for x in v.replace(",", " ").split()))
     if kind == "bool":
         return value.strip().lower() in ("1", "true", "yes", "on")
-    return kind(value)
+    return _parse(key, value, kind)
 
 
 def parse_config_text(text: str) -> dict:
@@ -138,7 +147,10 @@ def parse_config_text(text: str) -> dict:
         key = key.strip()
         if key not in _CONFIG_KEYS:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        values[key] = _convert(key, value.strip())
+        try:
+            values[key] = _convert(key, value.strip())
+        except ValueError as err:
+            raise ValueError(f"config line {lineno}: {err}") from None
     return values
 
 
@@ -206,8 +218,8 @@ def method_spec(label: str, dim: int, default_zeta: float, klist_override: str =
     if name not in _METHOD_OPTIONS:
         raise ValueError(f"unknown method {label!r}")
     opts = _parse_kv_options(opts_text, _METHOD_OPTIONS[name])
-    zeta = float(opts.get("zeta", default_zeta))
-    k = int(opts.get("k", 1))
+    zeta = _parse("zeta", opts.get("zeta", default_zeta), float)
+    k = _parse("k", opts.get("k", 1), int)
     if name == "gd":
         return "gd", EF21(ContractorSpec.identity())
     if name == "identity":
@@ -220,7 +232,10 @@ def method_spec(label: str, dim: int, default_zeta: float, klist_override: str =
         return f"clag_k{k}_z{zeta:g}", CLAG(ContractorSpec.top_k(k), zeta)
     if klist_override:
         opts.setdefault("klist", klist_override)
-    ks = tuple(int(v) for v in opts["klist"].split("|")) if "klist" in opts else default_klist(dim)
+    if "klist" in opts:
+        ks = _parse("klist", opts["klist"], lambda v: tuple(int(x) for x in v.split("|")))
+    else:
+        ks = default_klist(dim)
     if list(ks) != sorted(ks):
         raise ValueError(f"adaptive k-list must be sorted ascending, got {ks}")
     if any(k > dim for k in ks):
@@ -233,20 +248,20 @@ def _parse_quadratic(text: str) -> Problem:
     opts = _parse_kv_options(text, ("diag", "n"))
     if "diag" not in opts:
         raise ValueError("quadratic dataset needs diag=v1|v2|...")
-    diag = np.array([float(v) for v in opts["diag"].split("|")])
-    n = int(opts.get("n", 1))
+    diag = _parse("diag", opts["diag"], lambda v: np.array([float(x) for x in v.split("|")]))
+    n = _parse("n", opts.get("n", 1), int)
     return Problem.quadratic(diag, n_clients=n)
 
 
 def _parse_synthetic(text: str) -> SyntheticSpec:
     opts = _parse_kv_options(text, ("n", "d", "seed", "scale", "flip", "cond"))
     return SyntheticSpec(
-        n_examples=int(opts.get("n", 1000)),
-        dim=int(opts.get("d", 50)),
-        seed=int(opts.get("seed", 0)),
-        scale=float(opts.get("scale", 1.0)),
-        label_flip=float(opts.get("flip", 0.0)),
-        cond=float(opts.get("cond", 1.0)),
+        n_examples=_parse("n", opts.get("n", 1000), int),
+        dim=_parse("d", opts.get("d", 50), int),
+        seed=_parse("seed", opts.get("seed", 0), int),
+        scale=_parse("scale", opts.get("scale", 1.0), float),
+        label_flip=_parse("flip", opts.get("flip", 0.0), float),
+        cond=_parse("cond", opts.get("cond", 1.0), float),
     )
 
 
@@ -284,19 +299,21 @@ def initial_point(config: RunConfig, problem: Problem) -> np.ndarray:
     return np.full(problem.dim, float(config.x0))
 
 
-def stepsize_rule(name: str) -> StepsizeRule:
-    name = name.strip().lower()
-    if name.startswith("manual:"):
-        return StepsizeRule.manual(float(name.split(":", 1)[1]))
-    table = {
-        "convex": StepsizeRule.convex(),
-        "nonconvex": StepsizeRule.nonconvex_uni(),
-        "pl": StepsizeRule.pl(),
-        "bidirectional": StepsizeRule.bidirectional(),
-    }
-    if name not in table:
-        raise ValueError(f"unknown stepsize rule {name!r}")
-    return table[name]
+def _manual_gamma(stepsize: str) -> Optional[float]:
+    """The gamma of a ``manual:<gamma>`` stepsize, or None for a theory rule name.
+
+    Raises ValueError for an unknown name or a gamma that is not finite and positive.
+    """
+    name = stepsize.strip().lower()
+    if not name.startswith("manual:"):
+        if name not in STEPSIZE_RULES:
+            choices = ", ".join(STEPSIZE_RULES)
+            raise ValueError(f"unknown stepsize rule {stepsize!r}; choose from {choices} or manual:<gamma>")
+        return None
+    gamma = _parse("stepsize", name[len("manual:") :], float)
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise ValueError(f"manual stepsize must be positive and finite, got {gamma}")
+    return gamma
 
 
 def _fmt(value) -> str:
@@ -412,42 +429,45 @@ def run_experiment(config: RunConfig, extra_specs: Optional[dict[str, ThreePCSpe
     """
     problem, dataset_hash = build_dataset(config)
     x0 = initial_point(config, problem)
-    base_rule = stepsize_rule(config.stepsize)
     _, master = method_spec(config.master, problem.dim, config.zeta)
+    master_c = certified_constants(master, problem.dim)
+    rule = config.stepsize.strip().lower()
+    manual = _manual_gamma(config.stepsize)
 
     labelled: list[tuple[str, ThreePCSpec]] = [
         method_spec(m, problem.dim, config.zeta, config.klist) for m in config.methods
     ]
     for label, spec in (extra_specs or {}).items():
         labelled.append((label, spec))
-    runs: dict[str, tuple[str, ThreePCSpec, float]] = {}
+    # The theory stepsize depends on the method, not on the multiplier: one per worker rule.
+    runs: dict[str, tuple[str, ThreePCSpec, ThreePCConstants, float, float]] = {}
     for label, worker in labelled:
+        base = manual if manual is not None else resolve_stepsize(rule, problem, worker, master)
+        worker_c = certified_constants(worker, problem.dim)
         for mult in config.multipliers:
             name = f"{label}_x{mult:g}.csv"
             if name in runs:
-                first_label, _, first_mult = runs[name]
+                first_label, _, _, first_mult, _ = runs[name]
                 raise ValueError(
                     f"runs ({first_label}, x{first_mult!r}) and ({label}, x{mult!r}) would share the trace file {name}"
                 )
-            runs[name] = (label, worker, mult)
+            runs[name] = (label, worker, worker_c, mult, mult * base)
 
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     entries: list[SweepEntry] = []
-    for name, (label, worker, mult) in runs.items():
-        rule = base_rule if mult == 1.0 else StepsizeRule.multiplied(base_rule, mult)
+    for name, (label, worker, worker_c, mult, gamma) in runs.items():
         spec = RunSpec(
             problem=problem,
             worker_spec=worker,
             master_spec=master,
             x0=x0,
-            stepsize=rule,
+            gamma=gamma,
             stop=StopRule(config.max_rounds, config.grad_tol_sq, config.bit_budget),
             seed=config.seed,
             value_bits=config.value_bits,
             init_mode=config.init_mode,
         )
-        gamma = resolve_stepsize(spec)
         status = STATUS_UNREACHED
         try:
             records = run(spec)
@@ -471,8 +491,8 @@ def run_experiment(config: RunConfig, extra_specs: Optional[dict[str, ThreePCSpe
             "seed": config.seed,
             "value_bits": config.value_bits,
             "init_mode": config.init_mode,
-            "worker_constants": certified_constants(worker, problem.dim),
-            "master_constants": certified_constants(master, problem.dim),
+            "worker_constants": worker_c,
+            "master_constants": master_c,
             "status": status,
         }
         write_trace(trace_path, records, meta)

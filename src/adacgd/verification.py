@@ -37,7 +37,6 @@ from .compressors import (
 )
 from .engine import (
     EngineState,
-    StepsizeRule,
     init,
     initial_record,
     step,
@@ -553,7 +552,7 @@ def default_lyapunov_suite(seed: int, trials: int) -> list[PropertyResult]:
     quad = Problem.quadratic(np.linspace(1.0, 4.0, 10), n_clients=4)
     sc = smoothness(quad)
     worker = EF21(ContractorSpec.top_k(1))
-    gamma = theoretical_stepsize(StepsizeRule.convex(), sc, certified_constants(worker, quad.dim))
+    gamma = theoretical_stepsize("convex", sc, certified_constants(worker, quad.dim))
     trace = trace_run(quad, worker, IdentityMaster(), gamma, rounds, seed, x0=np.ones(quad.dim))
     results.append(monotone_check(trace.phi, "phi-monotone[quadratic]"))
     results.append(estimator_recursion_check(trace, sc.l_plus))
@@ -563,7 +562,7 @@ def default_lyapunov_suite(seed: int, trials: int) -> list[PropertyResult]:
     lsc = smoothness(logistic)
     w = EF21(ContractorSpec.top_k(1))
     wc = certified_constants(w, logistic.dim)
-    gamma_bd = theoretical_stepsize(StepsizeRule.bidirectional(), lsc, wc, wc)
+    gamma_bd = theoretical_stepsize("bidirectional", lsc, wc, wc)
     trace_bd = trace_run(logistic, w, w, gamma_bd, rounds, seed)
     results.append(monotone_check(trace_bd.psi, "psi-monotone[bidirectional]"))
     results.append(estimator_recursion_check(trace_bd, lsc.l_plus, "worker-error-recursion[bidirectional]"))
@@ -582,7 +581,7 @@ def default_bounds_suite(seed: int, trials: int) -> list[PropertyResult]:
     ref = solve_reference(convex, tolerance=1e-10)
     worker = EF21(ContractorSpec.top_k(1))
     wc = certified_constants(worker, convex.dim)
-    gamma = theoretical_stepsize(StepsizeRule.convex(), sc, wc)
+    gamma = theoretical_stepsize("convex", sc, wc)
     rounds = max(200, min(trials, 500))
     trace = trace_run(convex, worker, IdentityMaster(), gamma, rounds, seed, f_star=ref.f_star)
     results.append(monotone_check(trace.phi, "phi-monotone[convex]"))
@@ -590,13 +589,13 @@ def default_bounds_suite(seed: int, trials: int) -> list[PropertyResult]:
 
     logistic = build_problem(features, labels, n_clients=4, lam=0.1, seed=seed + 5)
     lsc = smoothness(logistic)
-    gamma_bd = theoretical_stepsize(StepsizeRule.bidirectional(), lsc, wc, wc)
+    gamma_bd = theoretical_stepsize("bidirectional", lsc, wc, wc)
     trace_bd = trace_run(logistic, worker, worker, gamma_bd, rounds, seed)
     results.append(stationarity_bound_check(trace_bd, [rounds // 4, rounds]))
 
     quad = Problem.quadratic(np.linspace(1.0, 4.0, 10), n_clients=4)
     qsc = smoothness(quad)
-    gamma_pl = theoretical_stepsize(StepsizeRule.pl(), qsc, wc)
+    gamma_pl = theoretical_stepsize("pl", qsc, wc)
     trace_pl = trace_run(quad, worker, IdentityMaster(), gamma_pl, rounds, seed, x0=np.ones(quad.dim))
     results.append(linear_rate_check(trace_pl, qsc.mu, 0.0))
     results.append(gd_equivalence_check(quad, 1.0 / qsc.l_plus, 50, seed, x0=np.ones(quad.dim)))

@@ -24,7 +24,7 @@ from adacgd.compressors import (
     compress,
 )
 from adacgd.datasets import SyntheticSpec, build_problem, make_synthetic
-from adacgd.engine import StepsizeRule, theoretical_stepsize
+from adacgd.engine import theoretical_stepsize
 from adacgd.experiments import RunConfig, load_config, read_trace, run_experiment, solve_reference
 from adacgd.problems import Problem, check_gradient, smoothness
 from adacgd.verification import (
@@ -139,7 +139,7 @@ def test_criterion_6_convex_rate(convex_instance):
     assert ref.grad_norm <= 1e-10
     worker = EF21(ContractorSpec.top_k(1))
     sc = smoothness(problem)
-    gamma = theoretical_stepsize(StepsizeRule.convex(), sc, certified_constants(worker, problem.dim))
+    gamma = theoretical_stepsize("convex", sc, certified_constants(worker, problem.dim))
     trace = trace_run(problem, worker, IdentityMaster(), gamma, 2000, seed=0, f_star=ref.f_star)
     mono = monotone_check(trace.phi, "phi-monotone")
     bound = convex_bound_check(trace, ref.x_star, ref.f_star, [100, 500, 2000])
@@ -158,11 +158,11 @@ def test_criterion_7_per_round_recursions():
     worker = EF21(ContractorSpec.top_k(1))
     wc = certified_constants(worker, problem.dim)
 
-    gamma_uni = theoretical_stepsize(StepsizeRule.nonconvex_uni(), sc, wc)
+    gamma_uni = theoretical_stepsize("nonconvex", sc, wc)
     uni = trace_run(problem, worker, IdentityMaster(), gamma_uni, 500, seed=1)
     g_rec = estimator_recursion_check(uni, sc.l_plus)
 
-    gamma_bd = theoretical_stepsize(StepsizeRule.bidirectional(), sc, wc, wc)
+    gamma_bd = theoretical_stepsize("bidirectional", sc, wc, wc)
     bd = trace_run(problem, worker, worker, gamma_bd, 500, seed=1)
     p_rec = estimator_recursion_check(bd, sc.l_plus, "worker-error-recursion[bidirectional]")
     m_rec = master_recursion_check(bd, sc.l_plus)
@@ -179,7 +179,7 @@ def test_criterion_8_bidirectional_bound():
     sc = smoothness(problem)
     worker = EF21(ContractorSpec.top_k(1))
     wc = certified_constants(worker, problem.dim)
-    gamma = theoretical_stepsize(StepsizeRule.bidirectional(), sc, wc, wc)
+    gamma = theoretical_stepsize("bidirectional", sc, wc, wc)
     trace = trace_run(problem, worker, worker, gamma, 1000, seed=2)
     mono = monotone_check(trace.psi, "psi-monotone")
     bound = stationarity_bound_check(trace, [100, 1000])
@@ -197,7 +197,7 @@ def test_criterion_9_linear_rate():
     assert sc.mu == 1.0 and sc.l_plus == 4.0
     worker = EF21(ContractorSpec.top_k(1))
     wc = certified_constants(worker, problem.dim)
-    gamma = theoretical_stepsize(StepsizeRule.pl(), sc, wc)
+    gamma = theoretical_stepsize("pl", sc, wc)
     trace = trace_run(problem, worker, IdentityMaster(), gamma, 500, seed=0, x0=np.ones(problem.dim))
     rate = linear_rate_check(trace, sc.mu, f_star=0.0, burn_in=10)
     report(9, rate.passed, rate.detail)

@@ -14,7 +14,7 @@ import numpy as np
 
 from adacgd import compressors, core, datasets, engine, experiments, problems
 from adacgd.compressors import AdaCGD, ContractorSpec, EF21
-from adacgd.engine import RunSpec, StepsizeRule, StopRule, run
+from adacgd.engine import RunSpec, StopRule, run
 from adacgd.problems import Problem
 
 PROGRAM = {
@@ -49,7 +49,7 @@ def test_traced_run_reaches_the_compression_hooks():
     rounds, n = 5, 3
     problem = Problem.quadratic(np.arange(1.0, 7.0), n_clients=n)
     worker = AdaCGD((ContractorSpec.top_k(1), ContractorSpec.top_k(3), ContractorSpec.identity()), 0.5)
-    spec = RunSpec(problem, worker, EF21(ContractorSpec.top_k(2)), np.ones(6), StepsizeRule.manual(0.05), StopRule(rounds))
+    spec = RunSpec(problem, worker, EF21(ContractorSpec.top_k(2)), np.ones(6), 0.05, StopRule(rounds))
     tracer = tracer_module.Tracer()
     with tracer.installed(PROGRAM):
         run(spec)

@@ -16,7 +16,6 @@ from adacgd.compressors import (
 from adacgd.engine import (
     DivergenceError,
     RunSpec,
-    StepsizeRule,
     StopRule,
     branch_header_bits,
     init,
@@ -35,24 +34,25 @@ def quad(diag, n=1):
 
 def test_stepsize_examples():
     sc = SmoothnessConstants(1.0, 1.0)
-    assert theoretical_stepsize(StepsizeRule.convex(), sc, ThreePCConstants(1.0, 0.0)) == 1.0
-    assert theoretical_stepsize(StepsizeRule.convex(), sc, ThreePCConstants(0.5, 1.0)) == pytest.approx(1 / 3)
-    gamma = theoretical_stepsize(
-        StepsizeRule.bidirectional(), sc, ThreePCConstants(0.5, 2.0), ThreePCConstants(1.0, 0.0)
-    )
+    assert theoretical_stepsize("convex", sc, ThreePCConstants(1.0, 0.0)) == 1.0
+    assert theoretical_stepsize("convex", sc, ThreePCConstants(0.5, 1.0)) == pytest.approx(1 / 3)
+    gamma = theoretical_stepsize("bidirectional", sc, ThreePCConstants(0.5, 2.0), ThreePCConstants(1.0, 0.0))
     assert gamma == pytest.approx(1 / 3)
 
 
-def test_stepsize_pl_and_multiplied():
+def test_stepsize_pl_and_rule_errors():
+    # The multiplied stepsize is a sweep's product mult * gamma; its values are
+    # pinned by test_sweep_header_stepsize_and_constants_pinned.
     sc = SmoothnessConstants(4.0, 4.0, mu=1.0)
     wc = ThreePCConstants(0.5, 0.0)
-    assert theoretical_stepsize(StepsizeRule.pl(), sc, wc) == pytest.approx(min(0.25, 0.25))
-    rule = StepsizeRule.multiplied(StepsizeRule.convex(), 8.0)
-    assert theoretical_stepsize(rule, sc, wc) == pytest.approx(2.0)
+    assert theoretical_stepsize("pl", sc, wc) == pytest.approx(min(0.25, 0.25))
+    assert theoretical_stepsize("convex", sc, wc) == pytest.approx(0.25)
     with pytest.raises(ValueError):
-        theoretical_stepsize(StepsizeRule.pl(), SmoothnessConstants(1.0, 1.0), wc)
+        theoretical_stepsize("pl", SmoothnessConstants(1.0, 1.0), wc)
     with pytest.raises(ValueError):
-        theoretical_stepsize(StepsizeRule.bidirectional(), sc, wc)
+        theoretical_stepsize("bidirectional", sc, wc)
+    with pytest.raises(ValueError, match="choose from convex, nonconvex, pl, bidirectional"):
+        theoretical_stepsize("manual", sc, wc)
 
 
 def test_payload_bits_examples():
@@ -175,10 +175,16 @@ def test_lyapunov_exact_estimators():
     assert record.phi == 0.0
 
 
+@pytest.mark.parametrize("gamma", [math.nan, math.inf, 0.0, -1.0])
+def test_run_spec_rejects_a_stepsize_that_is_not_finite_and_positive(gamma):
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        RunSpec(quad([1.0, 2.0]), EF21(ContractorSpec.identity()), IdentityMaster(), np.ones(2), gamma, StopRule(1))
+
+
 def test_run_zero_rounds_returns_initial_record():
     p = quad([1.0, 2.0])
     spec = RunSpec(p, EF21(ContractorSpec.top_k(1)), IdentityMaster(), np.ones(2),
-                   StepsizeRule.manual(0.1), StopRule(0))
+                   0.1, StopRule(0))
     records = run(spec)
     assert len(records) == 1
     assert records[0].round == 0
@@ -188,7 +194,7 @@ def test_run_gd_quadratic_geometric_decay():
     p = quad([1.0, 2.0])
     gamma = 0.5  # 1/L
     spec = RunSpec(p, EF21(ContractorSpec.identity()), IdentityMaster(), np.array([1.0, 1.0]),
-                   StepsizeRule.manual(gamma), StopRule(30))
+                   gamma, StopRule(30))
     records = run(spec)
     factor = (1 - gamma * 1.0) ** 2
     # coordinate 2 is solved on round one; afterwards decay is exactly (1 - gamma*mu)^2
@@ -199,7 +205,7 @@ def test_run_gd_quadratic_geometric_decay():
 def test_run_stops_on_grad_tolerance():
     p = quad([1.0, 1.0])
     spec = RunSpec(p, EF21(ContractorSpec.identity()), IdentityMaster(), np.full(2, 8.0),
-                   StepsizeRule.manual(0.5), StopRule(1000, grad_tol_sq=1e-6))
+                   0.5, StopRule(1000, grad_tol_sq=1e-6))
     records = run(spec)
     assert records[-1].grad_norm_sq <= 1e-6
     assert records[-1].round < 1000
@@ -208,7 +214,7 @@ def test_run_stops_on_grad_tolerance():
 def test_run_stops_on_bit_budget():
     p = quad([1.0, 1.0])
     spec = RunSpec(p, EF21(ContractorSpec.identity()), IdentityMaster(), np.full(2, 8.0),
-                   StepsizeRule.manual(0.01), StopRule(1000, bit_budget=2000))
+                   0.01, StopRule(1000, bit_budget=2000))
     records = run(spec)
     total = records[-1].uplink_bits + records[-1].downlink_bits
     assert total >= 2000
@@ -222,7 +228,7 @@ def test_bit_budget_overshoot_is_at_most_one_round():
     one_round = n * (d * value_bits + branch_header_bits(spec)) + d * value_bits
     for budget in (5000, 7777, 12345):
         stop = StopRule(1000, bit_budget=budget)
-        records = run(RunSpec(p, spec, IdentityMaster(), np.ones(d), StepsizeRule.manual(0.05), stop))
+        records = run(RunSpec(p, spec, IdentityMaster(), np.ones(d), 0.05, stop))
         before, last = (r.uplink_bits + r.downlink_bits for r in records[-2:])
         assert before < budget <= last
         assert last - budget <= last - before <= one_round
@@ -231,7 +237,7 @@ def test_bit_budget_overshoot_is_at_most_one_round():
 def test_divergence_raises_with_partial_trace():
     p = quad([1.0, 1.0])
     spec = RunSpec(p, EF21(ContractorSpec.identity()), IdentityMaster(), np.ones(2),
-                   StepsizeRule.manual(1000.0), StopRule(10_000))
+                   1000.0, StopRule(10_000))
     with pytest.raises(DivergenceError) as err:
         run(spec)
     assert err.value.round_index > 0
@@ -249,7 +255,7 @@ def test_divergence_round_when_gradient_overflows_before_iterate(worker):
     # overflows to -inf in both clients' gradients.
     p = quad([1e300, 1.0], n=2)
     spec = RunSpec(p, worker, EF21(ContractorSpec.top_k(1)), np.array([1e-150, 1.0]),
-                   StepsizeRule.manual(1e-140), StopRule(1000))
+                   1e-140, StopRule(1000))
     with pytest.raises(DivergenceError) as err:
         run(spec)
     assert err.value.round_index == 1
@@ -259,7 +265,7 @@ def test_divergence_round_when_gradient_overflows_before_iterate(worker):
 def test_run_deterministic_with_randomized_compressor():
     p = quad([1.0, 2.0, 3.0], n=2)
     worker = EF21(ContractorSpec.rand_k(1))
-    spec = RunSpec(p, worker, IdentityMaster(), np.ones(3), StepsizeRule.manual(0.05),
+    spec = RunSpec(p, worker, IdentityMaster(), np.ones(3), 0.05,
                    StopRule(25), seed=9)
     a = run(spec)
     b = run(spec)

@@ -1,13 +1,18 @@
 import math
+import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adacgd.cli import main as cli_main
-from adacgd.compressors import AdaCGD, EF21, LAG, IdentityMaster
-from adacgd.engine import IterationRecord
+from adacgd import engine
+from adacgd.compressors import AdaCGD, ContractorSpec, EF21, LAG, IdentityMaster
+from adacgd.engine import IterationRecord, resolve_stepsize
 from adacgd.experiments import (
+    _CONFIG_KEYS,
     RunConfig,
     build_dataset,
     default_klist,
@@ -21,7 +26,6 @@ from adacgd.experiments import (
     row_to_record,
     run_experiment,
     solve_reference,
-    stepsize_rule,
     write_trace,
 )
 from adacgd.datasets import SyntheticSpec, build_problem, make_synthetic
@@ -135,11 +139,93 @@ def test_optionless_methods_reject_any_option(label):
         method_spec(label, 10, 1.0)
 
 
-def test_stepsize_rule_names():
-    assert stepsize_rule("convex").kind == "convex"
-    assert stepsize_rule("manual:0.25").gamma == 0.25
-    with pytest.raises(ValueError):
-        stepsize_rule("sorcery")
+def test_stepsize_rule_names(tmp_path):
+    def sweep_gamma(stepsize):
+        config = RunConfig(dataset="quadratic:diag=1|2", stepsize=stepsize, max_rounds=0, out_dir=str(tmp_path))
+        return run_experiment(config).entries[0].gamma
+
+    problem = Problem.quadratic(np.array([1.0, 2.0]))
+    assert sweep_gamma(" Convex ") == resolve_stepsize("convex", problem, EF21(ContractorSpec.identity()), IdentityMaster())
+    assert sweep_gamma("manual:0.25") == 0.25
+    with pytest.raises(ValueError, match="choose from convex, nonconvex, pl, bidirectional or manual:<gamma>"):
+        RunConfig(dataset="quadratic:diag=1|2", stepsize="sorcery")
+
+
+def test_sweep_resolves_each_method_stepsize_once(tmp_path, monkeypatch):
+    calls = []
+    real_smoothness = engine.smoothness
+    monkeypatch.setattr(engine, "smoothness", lambda problem: calls.append(problem) or real_smoothness(problem))
+    config = RunConfig(dataset="synthetic:n=60,d=8", n_clients=3, methods=("gd", "adacgd"),
+                       multipliers=(1.0, 2.0, 4.0), max_rounds=2, out_dir=str(tmp_path))
+    assert len(run_experiment(config).entries) == 6
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("stepsize", ["manual:nan", "manual:inf", "manual:-inf", "manual:0", "manual:-1"])
+def test_config_rejects_a_manual_stepsize_that_is_not_positive_and_finite(stepsize):
+    with pytest.raises(ValueError, match="manual stepsize must be positive and finite"):
+        RunConfig(dataset="quadratic:diag=1|2", stepsize=stepsize)
+
+
+@pytest.mark.parametrize("multipliers", [(1.0, math.inf), (math.inf,), (1.0, -math.inf)])
+def test_config_rejects_non_finite_multipliers(multipliers):
+    with pytest.raises(ValueError, match="multipliers must be positive and finite"):
+        RunConfig(dataset="quadratic:diag=1|2", multipliers=multipliers)
+
+
+@pytest.mark.parametrize(
+    "flag,value,message",
+    [("--stepsize", "manual:nan", "got nan"), ("--multipliers", "1 inf", "got (1.0, inf)")],
+    ids=["manual-nan", "multiplier-inf"],
+)
+def test_cli_rejects_non_finite_stepsize_inputs(tmp_path, capsys, flag, value, message):
+    args = ["run", "--dataset", "quadratic:diag=1|2", "--method", "gd", "--stop", "rounds=3", flag, value]
+    assert cli_main(args + ["--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("adacgd: error: ") and message in err and err.count("\n") == 1
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_config_file_value_that_does_not_parse_names_its_key_and_line(tmp_path):
+    with pytest.raises(ValueError, match=r"^config line 2: cannot parse zeta='x'$"):
+        parse_config_text("dataset = quadratic:diag=1|2\nzeta = x\n")
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("dataset = quadratic:diag=1|2\n\nmultipliers = 1 2 y\n")
+    with pytest.raises(ValueError, match=r"^config line 3: cannot parse multipliers='1 2 y'$"):
+        load_config(str(cfg))
+
+
+def test_cli_value_that_does_not_parse_names_its_key(tmp_path, capsys):
+    args = ["run", "--dataset", "quadratic:diag=1|2", "--method", "gd", "--stop", "rounds=abc"]
+    assert cli_main(args + ["--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "adacgd: error: cannot parse max_rounds='abc'\n"
+
+
+@pytest.mark.parametrize(
+    "dataset,message",
+    [
+        ("synthetic:n=abc", "cannot parse n='abc'"),
+        ("synthetic:d=8,cond=high", "cannot parse cond='high'"),
+        ("quadratic:diag=1|x", "cannot parse diag='1|x'"),
+        ("quadratic:diag=1|2,n=2.5", "cannot parse n='2.5'"),
+    ],
+)
+def test_dataset_option_that_does_not_parse_names_its_key(dataset, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build_dataset(RunConfig(dataset=dataset))
+
+
+@pytest.mark.parametrize(
+    "label,message",
+    [
+        ("ef21:k=x", "cannot parse k='x'"),
+        ("clag:k=1,zeta=?", r"cannot parse zeta='\?'"),
+        ("adacgd:klist=1|two", r"cannot parse klist='1\|two'"),
+    ],
+)
+def test_method_option_that_does_not_parse_names_its_key(label, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        method_spec(label, 10, 1.0)
 
 
 def test_trace_row_round_trip():
@@ -158,6 +244,48 @@ def test_trace_file_round_trip(tmp_path):
     assert loaded == records
     assert meta["method"] == "lag"
     assert float(meta["gamma"]) == 0.5
+
+
+any_float = st.floats(allow_nan=True, allow_infinity=True)
+any_record = st.builds(
+    IterationRecord,
+    st.integers(0, 10**6),
+    any_float, any_float, any_float, any_float, any_float, any_float,
+    st.integers(0, 2**62),
+    st.integers(0, 2**62),
+    st.lists(st.integers(0, 10**4), max_size=6).map(tuple),  # empty, one- or multi-branch
+)
+
+
+@settings(deadline=None)
+@given(st.lists(any_record, max_size=5))
+def test_trace_file_round_trips_any_records(records):
+    with tempfile.TemporaryDirectory() as where:
+        path = Path(where) / "trace.csv"
+        write_trace(path, records, {"method": "gd", "gamma": 0.5})
+        meta, loaded = read_trace(path)
+    assert repr(loaded) == repr(records)  # repr, so that nan compares equal to nan
+    assert meta == {"method": "gd", "gamma": "0.5"}
+
+
+# One line of config text: no comment marker and no line break.
+config_text = st.text(st.characters(blacklist_characters="#", blacklist_categories=("Cc", "Zl", "Zp", "Cs")))
+config_token = config_text.filter(lambda t: t.split() == [t])
+_RENDERED_CONFIG_VALUE = {
+    str: config_text.map(str.strip).map(lambda v: (v, v)),
+    int: st.integers().map(lambda v: (str(v), v)),
+    float: any_float.map(lambda v: (repr(v), v)),
+    "floats": st.lists(any_float, max_size=4).map(lambda vs: (", ".join(map(repr, vs)), tuple(vs))),
+    "methods": st.lists(config_token, max_size=4).map(lambda ts: (" ".join(ts), tuple(ts))),
+    "bool": st.sampled_from([("true", True), ("Yes", True), ("1", True), ("off", False), ("no", False)]),
+}
+
+
+@given(st.fixed_dictionaries({f.name: st.none() | _RENDERED_CONFIG_VALUE[_CONFIG_KEYS[f.name]] for f in fields(RunConfig)}))
+def test_config_text_round_trips_every_key(rendered):
+    rendered = {key: pair for key, pair in rendered.items() if pair is not None}
+    text = "".join(f"{key} = {text}\n" for key, (text, _) in rendered.items())
+    assert repr(parse_config_text(text)) == repr({key: value for key, (_, value) in rendered.items()})
 
 
 def test_build_dataset_variants(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from adacgd.compressors import AdaCGD, ContractorSpec, EF21, IdentityMaster, certified_constants
 from adacgd.datasets import SyntheticSpec, build_problem, make_synthetic
-from adacgd.engine import StepsizeRule, theoretical_stepsize
+from adacgd.engine import theoretical_stepsize
 from adacgd.problems import Problem, smoothness
 from adacgd.verification import (
     PropertyResult,
@@ -68,16 +68,16 @@ def _trace_run_configs():
     top = ContractorSpec.top_k
     ef21 = EF21(top(1))
     convex = build_problem(*make_synthetic(SyntheticSpec(200, 20, seed=33)), 4, 0.0, seed=33)
-    gamma = theoretical_stepsize(StepsizeRule.convex(), smoothness(convex), certified_constants(ef21, convex.dim))
+    gamma = theoretical_stepsize("convex", smoothness(convex), certified_constants(ef21, convex.dim))
     yield "convex", lambda: trace_run(convex, ef21, IdentityMaster(), gamma, 300, seed=0, f_star=0.25)
 
     bidir = build_problem(*make_synthetic(SyntheticSpec(100, 10, seed=14)), 4, 0.1, seed=14)
     wc = certified_constants(ef21, bidir.dim)
-    gamma_bd = theoretical_stepsize(StepsizeRule.bidirectional(), smoothness(bidir), wc, wc)
+    gamma_bd = theoretical_stepsize("bidirectional", smoothness(bidir), wc, wc)
     yield "bidirectional", lambda: trace_run(bidir, ef21, ef21, gamma_bd, 300, seed=2)
 
     quad = Problem.quadratic(np.concatenate([[1.0], np.linspace(1.5, 4.0, 9)]), n_clients=4)
-    gamma_pl = theoretical_stepsize(StepsizeRule.pl(), smoothness(quad), wc)
+    gamma_pl = theoretical_stepsize("pl", smoothness(quad), wc)
     yield "pl-quadratic", lambda: trace_run(quad, ef21, IdentityMaster(), gamma_pl, 300, seed=0, x0=np.ones(quad.dim))
 
     ada = AdaCGD((top(1), top(3), ContractorSpec.identity()), 1.0)
