@@ -439,35 +439,28 @@ def run_experiment(config: RunConfig, extra_specs: Optional[dict[str, ThreePCSpe
     ]
     for label, spec in (extra_specs or {}).items():
         labelled.append((label, spec))
-    # The theory stepsize depends on the method, not on the multiplier: one per worker rule.
-    runs: dict[str, tuple[str, ThreePCSpec, ThreePCConstants, float, float]] = {}
+    stop = StopRule(config.max_rounds, config.grad_tol_sq, config.bit_budget)
+    # Every run is specified before the first one starts, so a bad input fails before any trace is written.
+    runs: dict[str, tuple[str, float, ThreePCConstants, RunSpec]] = {}
     for label, worker in labelled:
+        # The theory stepsize depends on the method, not on the multiplier.
         base = manual if manual is not None else resolve_stepsize(rule, problem, worker, master)
         worker_c = certified_constants(worker, problem.dim)
         for mult in config.multipliers:
             name = f"{label}_x{mult:g}.csv"
             if name in runs:
-                first_label, _, _, first_mult, _ = runs[name]
+                first_label, first_mult, _, _ = runs[name]
                 raise ValueError(
                     f"runs ({first_label}, x{first_mult!r}) and ({label}, x{mult!r}) would share the trace file {name}"
                 )
-            runs[name] = (label, worker, worker_c, mult, mult * base)
+            spec = RunSpec(problem, worker, master, x0, mult * base, stop, config.seed, config.value_bits,
+                           config.init_mode)
+            runs[name] = (label, mult, worker_c, spec)
 
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     entries: list[SweepEntry] = []
-    for name, (label, worker, worker_c, mult, gamma) in runs.items():
-        spec = RunSpec(
-            problem=problem,
-            worker_spec=worker,
-            master_spec=master,
-            x0=x0,
-            gamma=gamma,
-            stop=StopRule(config.max_rounds, config.grad_tol_sq, config.bit_budget),
-            seed=config.seed,
-            value_bits=config.value_bits,
-            init_mode=config.init_mode,
-        )
+    for name, (label, mult, worker_c, spec) in runs.items():
         status = STATUS_UNREACHED
         try:
             records = run(spec)
@@ -484,7 +477,7 @@ def run_experiment(config: RunConfig, extra_specs: Optional[dict[str, ThreePCSpe
             "dataset_hash": dataset_hash,
             "method": label,
             "multiplier": mult,
-            "gamma": gamma,
+            "gamma": spec.gamma,
             "stepsize_rule": config.stepsize,
             "n_clients": problem.n_clients,
             "lam": problem.lam,
@@ -500,7 +493,7 @@ def run_experiment(config: RunConfig, extra_specs: Optional[dict[str, ThreePCSpe
             SweepEntry(
                 method=label,
                 multiplier=mult,
-                gamma=gamma,
+                gamma=spec.gamma,
                 status=status,
                 rounds=records[-1].round if records else 0,
                 uplink_bits_to_tol=reached[0] if reached else None,

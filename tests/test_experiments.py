@@ -167,12 +167,6 @@ def test_config_rejects_a_manual_stepsize_that_is_not_positive_and_finite(stepsi
         RunConfig(dataset="quadratic:diag=1|2", stepsize=stepsize)
 
 
-@pytest.mark.parametrize("multipliers", [(1.0, math.inf), (math.inf,), (1.0, -math.inf)])
-def test_config_rejects_non_finite_multipliers(multipliers):
-    with pytest.raises(ValueError, match="multipliers must be positive and finite"):
-        RunConfig(dataset="quadratic:diag=1|2", multipliers=multipliers)
-
-
 @pytest.mark.parametrize(
     "flag,value,message",
     [("--stepsize", "manual:nan", "got nan"), ("--multipliers", "1 inf", "got (1.0, inf)")],
@@ -183,6 +177,14 @@ def test_cli_rejects_non_finite_stepsize_inputs(tmp_path, capsys, flag, value, m
     assert cli_main(args + ["--out-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("adacgd: error: ") and message in err and err.count("\n") == 1
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_sweep_rejects_an_overflowing_stepsize_before_any_run(tmp_path):
+    config = RunConfig(dataset="quadratic:diag=1|2", stepsize="manual:1e300", multipliers=(1.0, 1e10),
+                       max_rounds=2, out_dir=str(tmp_path))
+    with pytest.raises(ValueError, match="stepsize must be positive and finite, got inf"):
+        run_experiment(config)
     assert not list(tmp_path.glob("*.csv"))
 
 
@@ -453,7 +455,7 @@ def test_run_experiment_rejects_runs_sharing_a_trace_file(tmp_path):
     assert not (tmp_path / "out").exists()  # rejected before any run
 
 
-@pytest.mark.parametrize("multipliers", [(1.0, -2.0), (1.0, 0.0), (math.nan,)])
+@pytest.mark.parametrize("multipliers", [(1.0, -2.0), (1.0, 0.0), (math.nan,), (1.0, math.inf), (-math.inf,)])
 def test_config_rejects_non_positive_multipliers(multipliers):
     # Rejected where the config is built, not after earlier runs wrote their traces.
     with pytest.raises(ValueError, match="multipliers must be positive"):
