@@ -51,6 +51,7 @@ from .engine import (
     RunSpec,
     StopRule,
     init,
+    iterate,
     payload_bits,
     resolve_stepsize,
     run,

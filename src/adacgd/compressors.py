@@ -430,8 +430,6 @@ class Ada3PC(ThreePCSpec):
         return len(self.branches)
 
     def raw(self, h, y, x, rng):
-        # A chain altered after construction is caught here.
-        self._check_arity()
         chosen = len(self.branches) - 1
         for j, pred in enumerate(self.predicates):
             branch_rng = rng.derive(j) if rng is not None and _predicate_draws(pred) else None
@@ -444,6 +442,8 @@ class Ada3PC(ThreePCSpec):
         return CompressionOutcome(out.vector, chosen, out.payload)
 
     def constants(self, dim):
+        # A chain altered after construction is caught here, before any compression.
+        self._check_arity()
         return combine_constants(b.constants(dim) for b in self.branches)
 
     def strongest_contractor(self, dim):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -244,19 +244,9 @@ def _make_record(
     )
 
 
-def initial_record(
-    state: EngineState,
-    problem: Problem,
-    gamma: float,
-    worker_spec: ThreePCSpec,
-    master_spec: ThreePCSpec,
-    f_star: float = 0.0,
-) -> IterationRecord:
-    """Round-0 record (no compression branches chosen yet)."""
-    wc = certified_constants(worker_spec, problem.dim)
-    mc = certified_constants(master_spec, problem.dim)
-    hist = (0,) * worker_spec.branch_count
-    return _make_record(state, problem, loss(problem, state.x), gamma, wc, mc, f_star, hist)
+def _check_stepsize(gamma: float) -> None:
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise ValueError(f"stepsize must be positive and finite, got {gamma}")
 
 
 def step(
@@ -267,14 +257,12 @@ def step(
     gamma: float,
     rng: SeededRng,
     value_bits: int = 64,
-    f_star: float = 0.0,
-) -> tuple[EngineState, IterationRecord]:
-    """Advance one round; returns the new state and its metrics record."""
-    if gamma <= 0:
-        raise ValueError(f"stepsize must be positive, got {gamma}")
+) -> tuple[EngineState, float, tuple[int, ...]]:
+    """Advance one round; returns the new state, its objective value and the worker branch histogram."""
+    _check_stepsize(gamma)
     t = state.round
     d = problem.dim
-    # Overflow here is a diverging run, reported via DivergenceError below.
+    # Overflow here is a diverging run, reported via DivergenceError.
     with np.errstate(over="ignore", invalid="ignore"):
         x_new = state.x - gamma * state.g_master
         if not np.all(np.isfinite(x_new)):
@@ -289,7 +277,7 @@ def step(
         uplink = state.uplink_bits
         new_estimates = []
         # A non-finite gradient makes the record's mean gradient non-finite, so
-        # _make_record below reports it as divergence at round t + 1.
+        # the round's record reports it as divergence at round t + 1.
         for i, grad_i in enumerate(new_grads):
             out = _compress_raw(
                 worker_spec,
@@ -322,13 +310,7 @@ def step(
             uplink_bits=uplink,
             downlink_bits=downlink,
         )
-        wc = certified_constants(worker_spec, d)
-        mc = certified_constants(master_spec, d)
-        try:
-            record = _make_record(new_state, problem, f_new, gamma, wc, mc, f_star, tuple(hist))
-        except DivergenceError:
-            raise DivergenceError(t + 1) from None
-    return new_state, record
+    return new_state, f_new, tuple(hist)
 
 
 @dataclass(frozen=True)
@@ -344,6 +326,14 @@ class StopRule:
     max_rounds: int
     grad_tol_sq: Optional[float] = None
     bit_budget: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        if self.max_rounds < 0:
+            raise ValueError(f"max_rounds must be >= 0, got {self.max_rounds}")
+        if self.grad_tol_sq is not None and not self.grad_tol_sq >= 0:
+            raise ValueError(f"grad_tol_sq must be a number >= 0, got {self.grad_tol_sq}")
+        if self.bit_budget is not None and self.bit_budget < 1:
+            raise ValueError(f"bit_budget must be >= 1, got {self.bit_budget}")
 
     def satisfied(self, record: IterationRecord) -> bool:
         if self.grad_tol_sq is not None and record.grad_norm_sq <= self.grad_tol_sq:
@@ -369,8 +359,7 @@ class RunSpec:
     f_star: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.gamma) and self.gamma > 0):
-            raise ValueError(f"stepsize must be positive and finite, got {self.gamma}")
+        _check_stepsize(self.gamma)
 
 
 def resolve_stepsize(rule: str, problem: Problem, worker_spec: ThreePCSpec, master_spec: ThreePCSpec) -> float:
@@ -381,31 +370,37 @@ def resolve_stepsize(rule: str, problem: Problem, worker_spec: ThreePCSpec, mast
     return theoretical_stepsize(rule, sc, wc, mc)
 
 
+def iterate(spec: RunSpec) -> Iterator[tuple[EngineState, IterationRecord]]:
+    """Yield (state, record) for round 0 and then every later round, without end.
+
+    The worker and master constants are certified once, before the first
+    round; stopping is left to the caller. A non-finite value raises
+    DivergenceError with the index of the round it appeared in.
+    """
+    problem, worker_spec, master_spec, gamma = spec.problem, spec.worker_spec, spec.master_spec, spec.gamma
+    wc = certified_constants(worker_spec, problem.dim)
+    mc = certified_constants(master_spec, problem.dim)
+    rng = SeededRng(spec.seed)
+    state = init(problem, worker_spec, spec.x0, spec.init_mode, rng, spec.value_bits)
+    f, hist = loss(problem, state.x), (0,) * worker_spec.branch_count  # no branch is chosen in round 0
+    while True:
+        # Overflow in the record is a diverging run, which _make_record reports.
+        with np.errstate(over="ignore", invalid="ignore"):
+            record = _make_record(state, problem, f, gamma, wc, mc, spec.f_star, hist)
+        yield state, record
+        state, f, hist = step(state, problem, worker_spec, master_spec, gamma, rng, spec.value_bits)
+
+
 def run(spec: RunSpec) -> list[IterationRecord]:
     """Iterate until the stop rule fires; deterministic given the seed.
 
     On divergence the raised error carries the records collected so far.
     """
-    rng = SeededRng(spec.seed)
-    state = init(spec.problem, spec.worker_spec, spec.x0, spec.init_mode, rng, spec.value_bits)
-    records = [initial_record(state, spec.problem, spec.gamma, spec.worker_spec, spec.master_spec, spec.f_star)]
-    if spec.stop.satisfied(records[-1]):
-        return records
-    for _ in range(spec.stop.max_rounds):
-        try:
-            state, record = step(
-                state,
-                spec.problem,
-                spec.worker_spec,
-                spec.master_spec,
-                spec.gamma,
-                rng,
-                spec.value_bits,
-                spec.f_star,
-            )
-        except DivergenceError as err:
-            raise DivergenceError(err.round_index, records) from None
-        records.append(record)
-        if spec.stop.satisfied(record):
-            break
-    return records
+    records = []
+    try:
+        for _, record in iterate(spec):
+            records.append(record)
+            if record.round >= spec.stop.max_rounds or spec.stop.satisfied(record):
+                return records
+    except DivergenceError as err:
+        raise DivergenceError(err.round_index, records) from None

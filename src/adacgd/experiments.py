@@ -89,6 +89,9 @@ class RunConfig:
         if not all(math.isfinite(m) and m > 0 for m in self.multipliers):
             raise ValueError(f"stepsize multipliers must be positive and finite, got {self.multipliers}")
         _manual_gamma(self.stepsize)
+        _x0_fill(self.x0)
+        # The stop rule checks its own inputs; building it here rejects them before any data is read.
+        StopRule(self.max_rounds, self.grad_tol_sq, self.bit_budget)
         if self.value_bits not in (32, 64):
             raise ValueError(f"value_bits must be 32 or 64, got {self.value_bits}")
 
@@ -290,13 +293,23 @@ def build_dataset(config: RunConfig) -> tuple[Problem, str]:
 
 
 def initial_point(config: RunConfig, problem: Problem) -> np.ndarray:
-    if config.x0 == "zeros":
-        return np.zeros(problem.dim)
-    if config.x0 == "ones":
-        return np.ones(problem.dim)
-    if config.x0 == "default":
-        return np.ones(problem.dim) if problem.kind == "quadratic" else np.zeros(problem.dim)
-    return np.full(problem.dim, float(config.x0))
+    fill = _x0_fill(config.x0)
+    if fill is None:  # default: ones on a quadratic, else zeros
+        fill = 1.0 if problem.kind == "quadratic" else 0.0
+    return np.full(problem.dim, fill)
+
+
+_NAMED_X0 = {"default": None, "zeros": 0.0, "ones": 1.0}
+
+
+def _x0_fill(x0: str) -> Optional[float]:
+    """The value ``x0`` fills every coordinate with, None for default; rejects anything else, naming x0."""
+    if x0 in _NAMED_X0:
+        return _NAMED_X0[x0]
+    value = _parse("x0", x0, float)
+    if not math.isfinite(value):
+        raise ValueError(f"x0 must be default, zeros, ones or a finite number, got {x0!r}")
+    return value
 
 
 def _manual_gamma(stepsize: str) -> Optional[float]:

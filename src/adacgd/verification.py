@@ -11,6 +11,7 @@ inequalities on those numbers, not the engine's arithmetic.
 
 from __future__ import annotations
 
+import itertools
 import math
 import zlib
 from dataclasses import dataclass
@@ -37,10 +38,10 @@ from .compressors import (
 )
 from .engine import (
     EngineState,
-    init,
-    initial_record,
-    step,
-    theoretical_stepsize,
+    RunSpec,
+    StopRule,
+    iterate,
+    resolve_stepsize,
 )
 from .problems import (
     Problem,
@@ -323,15 +324,10 @@ def trace_run(
     The columns are the records' fields, the numbers a trace CSV carries;
     only the squared displacement is computed here, from the kept states.
     """
-    rng = SeededRng(seed)
     x0 = x0 if x0 is not None else np.zeros(problem.dim)
-    state = init(problem, worker_spec, x0, init_mode, rng)
-    states = [state]
-    records = [initial_record(state, problem, gamma, worker_spec, master_spec, f_star)]
-    for _ in range(rounds):
-        state, record = step(state, problem, worker_spec, master_spec, gamma, rng, f_star=f_star)
-        states.append(state)
-        records.append(record)
+    spec = RunSpec(problem, worker_spec, master_spec, x0, gamma, StopRule(rounds), seed,
+                   init_mode=init_mode, f_star=f_star)
+    states, records = map(list, zip(*itertools.islice(iterate(spec), rounds + 1)))
 
     def column(field: str) -> np.ndarray:
         return np.array([getattr(rec, field) for rec in records])
@@ -483,19 +479,16 @@ def gd_equivalence_check(
 ) -> PropertyResult:
     """Identity compressors with a zero trigger reproduce plain GD bitwise."""
     worker = CLAG(ContractorSpec.identity(), 0.0)
-    rng = SeededRng(seed)
     x0 = x0 if x0 is not None else np.zeros(problem.dim)
-    state = init(problem, worker, x0, "full", rng)
-
+    spec = RunSpec(problem, worker, IdentityMaster(), x0, gamma, StopRule(rounds), seed)
     x_ref = x0.copy()
     worst = 0.0
-    for _ in range(rounds):
+    for state, _ in itertools.islice(iterate(spec), 1, rounds + 1):
         grads = [client_gradient(problem, i, x_ref) for i in range(problem.n_clients)]
         acc = np.zeros(problem.dim)
         for g in grads:
             acc += g
         x_ref = x_ref - gamma * (acc / problem.n_clients)
-        state, _ = step(state, problem, worker, IdentityMaster(), gamma, rng)
         if not np.array_equal(state.x, x_ref):
             worst = max(worst, float(np.max(np.abs(state.x - x_ref))))
     return PropertyResult("gd-bitwise-equivalence", worst == 0.0, -worst, f"{rounds} rounds")
@@ -552,7 +545,7 @@ def default_lyapunov_suite(seed: int, trials: int) -> list[PropertyResult]:
     quad = Problem.quadratic(np.linspace(1.0, 4.0, 10), n_clients=4)
     sc = smoothness(quad)
     worker = EF21(ContractorSpec.top_k(1))
-    gamma = theoretical_stepsize("convex", sc, certified_constants(worker, quad.dim))
+    gamma = resolve_stepsize("convex", quad, worker, IdentityMaster())
     trace = trace_run(quad, worker, IdentityMaster(), gamma, rounds, seed, x0=np.ones(quad.dim))
     results.append(monotone_check(trace.phi, "phi-monotone[quadratic]"))
     results.append(estimator_recursion_check(trace, sc.l_plus))
@@ -561,8 +554,7 @@ def default_lyapunov_suite(seed: int, trials: int) -> list[PropertyResult]:
     logistic = build_problem(features, labels, n_clients=4, lam=0.1, seed=seed + 3)
     lsc = smoothness(logistic)
     w = EF21(ContractorSpec.top_k(1))
-    wc = certified_constants(w, logistic.dim)
-    gamma_bd = theoretical_stepsize("bidirectional", lsc, wc, wc)
+    gamma_bd = resolve_stepsize("bidirectional", logistic, w, w)
     trace_bd = trace_run(logistic, w, w, gamma_bd, rounds, seed)
     results.append(monotone_check(trace_bd.psi, "psi-monotone[bidirectional]"))
     results.append(estimator_recursion_check(trace_bd, lsc.l_plus, "worker-error-recursion[bidirectional]"))
@@ -577,25 +569,22 @@ def default_bounds_suite(seed: int, trials: int) -> list[PropertyResult]:
     results = []
     features, labels = make_synthetic(SyntheticSpec(n_examples=100, dim=10, seed=seed + 5))
     convex = build_problem(features, labels, n_clients=4, lam=0.0, seed=seed + 5)
-    sc = smoothness(convex)
     ref = solve_reference(convex, tolerance=1e-10)
     worker = EF21(ContractorSpec.top_k(1))
-    wc = certified_constants(worker, convex.dim)
-    gamma = theoretical_stepsize("convex", sc, wc)
+    gamma = resolve_stepsize("convex", convex, worker, IdentityMaster())
     rounds = max(200, min(trials, 500))
     trace = trace_run(convex, worker, IdentityMaster(), gamma, rounds, seed, f_star=ref.f_star)
     results.append(monotone_check(trace.phi, "phi-monotone[convex]"))
     results.append(convex_bound_check(trace, ref.x_star, ref.f_star, [rounds // 4, rounds]))
 
     logistic = build_problem(features, labels, n_clients=4, lam=0.1, seed=seed + 5)
-    lsc = smoothness(logistic)
-    gamma_bd = theoretical_stepsize("bidirectional", lsc, wc, wc)
+    gamma_bd = resolve_stepsize("bidirectional", logistic, worker, worker)
     trace_bd = trace_run(logistic, worker, worker, gamma_bd, rounds, seed)
     results.append(stationarity_bound_check(trace_bd, [rounds // 4, rounds]))
 
     quad = Problem.quadratic(np.linspace(1.0, 4.0, 10), n_clients=4)
     qsc = smoothness(quad)
-    gamma_pl = theoretical_stepsize("pl", qsc, wc)
+    gamma_pl = resolve_stepsize("pl", quad, worker, IdentityMaster())
     trace_pl = trace_run(quad, worker, IdentityMaster(), gamma_pl, rounds, seed, x0=np.ones(quad.dim))
     results.append(linear_rate_check(trace_pl, qsc.mu, 0.0))
     results.append(gd_equivalence_check(quad, 1.0 / qsc.l_plus, 50, seed, x0=np.ones(quad.dim)))

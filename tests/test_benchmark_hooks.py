@@ -59,6 +59,24 @@ def test_traced_run_reaches_the_compression_hooks():
     assert metrics["compressors.master_calls"] == rounds
     assert metrics["compressors.topk_calls"] > rounds
     assert metrics["compressors.candidates_per_call"] > 0
+    assert metrics["engine.record_s"] > 0
+    assert metrics["engine.init_s"] > 0
+    assert metrics["problems.loss_calls"] == 1  # the round-0 record's loss; later rounds take f from the oracle
+
+
+def test_run_certifies_constants_a_fixed_number_of_times(monkeypatch):
+    calls = []
+    real = engine.certified_constants
+    monkeypatch.setattr(engine, "certified_constants", lambda spec, dim: calls.append(spec) or real(spec, dim))
+    problem = Problem.quadratic(np.arange(1.0, 7.0), n_clients=3)
+    worker = AdaCGD((ContractorSpec.top_k(1), ContractorSpec.top_k(3)), 0.5)
+    counts = []
+    for rounds in (1, 7):
+        calls.clear()
+        records = run(RunSpec(problem, worker, EF21(ContractorSpec.top_k(2)), np.ones(6), 0.05, StopRule(rounds)))
+        assert len(records) == rounds + 1
+        counts.append(len(calls))
+    assert counts == [2, 2]
 
 
 def _traced_build(dataset):

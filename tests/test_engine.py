@@ -1,4 +1,5 @@
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from adacgd.engine import (
     StopRule,
     branch_header_bits,
     init,
-    initial_record,
+    iterate,
     payload_bits,
     run,
     step,
@@ -109,8 +110,8 @@ def test_init_rejects_unsupported_value_bits():
 
 def test_init_full_phi_equals_gap():
     p = quad([1.0, 1.0])
-    state = init(p, EF21(ContractorSpec.top_k(1)), [3.0, 4.0])
-    record = initial_record(state, p, 0.1, EF21(ContractorSpec.top_k(1)), IdentityMaster(), f_star=0.0)
+    spec = RunSpec(p, EF21(ContractorSpec.top_k(1)), IdentityMaster(), np.array([3.0, 4.0]), 0.1, StopRule(0))
+    record = run(spec)[0]
     assert record.phi == pytest.approx(record.f_value, rel=1e-15)
     assert record.g_error == 0.0
     assert record.master_error == 0.0
@@ -121,17 +122,17 @@ def test_step_identity_is_exact_gd():
     w = EF21(ContractorSpec.identity())
     rng = SeededRng(0)
     state = init(p, w, [5.0, -3.0], "full", rng)
-    state, _ = step(state, p, w, IdentityMaster(), 1.0, rng)
+    state, _, _ = step(state, p, w, IdentityMaster(), 1.0, rng)
     assert np.array_equal(state.x, [0.0, 0.0])  # one-step solve at gamma = 1/L
 
 
 def test_step_hand_traced_ef21_top1():
     p = quad([1.0, 1.0])
     w = EF21(ContractorSpec.top_k(1))
-    rng = SeededRng(0)
-    state = init(p, w, [1.0, 1.0], "full", rng)
+    rounds = iterate(RunSpec(p, w, IdentityMaster(), np.array([1.0, 1.0]), 0.5, StopRule(1)))
+    state, _ = next(rounds)
     assert np.array_equal(state.g_master, [1.0, 1.0])
-    state, rec = step(state, p, w, IdentityMaster(), 0.5, rng)
+    state, rec = next(rounds)
     assert np.array_equal(state.x, [0.5, 0.5])
     # shift rule keeps [1,1] and corrects index 0 first (tie at lowest index)
     assert np.array_equal(state.g_master, [0.5, 1.0])
@@ -142,10 +143,10 @@ def test_step_hand_traced_ef21_top1():
 def test_step_counts_skip_bits_and_branches():
     p = quad([1.0, 1.0], n=3)
     w = LAG(1e16)
-    rng = SeededRng(0)
-    state = init(p, w, [2.0, 2.0], "full", rng)
+    rounds = iterate(RunSpec(p, w, IdentityMaster(), np.array([2.0, 2.0]), 0.1, StopRule(1)))
+    state, _ = next(rounds)
     before = state.uplink_bits
-    state, rec = step(state, p, w, IdentityMaster(), 0.1, rng)
+    state, rec = next(rounds)
     assert state.uplink_bits - before == 3  # every worker skips at one bit each
     assert rec.branch_histogram == (3, 0)
     assert rec.downlink_bits - (2 * 64) == 2 * 64  # identity master broadcasts in full
@@ -159,19 +160,17 @@ def test_uplink_bits_per_round_bounded():
     cap = 3 * (4 * 64 + branch_header_bits(spec))
     for _ in range(20):
         before = state.uplink_bits
-        state, _ = step(state, p, spec, IdentityMaster(), 0.05, rng)
+        state, _, _ = step(state, p, spec, IdentityMaster(), 0.05, rng)
         assert state.uplink_bits - before <= cap
 
 
 def test_lyapunov_exact_estimators():
     p = quad([1.0, 1.0])
     w = EF21(ContractorSpec.identity())
-    state = init(p, w, [3.0, 4.0])
-    record = initial_record(state, p, 0.5, w, IdentityMaster(), f_star=2.0)
+    record = run(RunSpec(p, w, IdentityMaster(), np.array([3.0, 4.0]), 0.5, StopRule(0), f_star=2.0))[0]
     assert record.phi == pytest.approx(loss(p, [3.0, 4.0]) - 2.0, rel=1e-15)
     assert record.psi == pytest.approx(loss(p, [3.0, 4.0]), rel=1e-15)
-    at_min = init(p, w, [0.0, 0.0])
-    record = initial_record(at_min, p, 0.5, w, IdentityMaster(), f_star=0.0)
+    record = run(RunSpec(p, w, IdentityMaster(), np.zeros(2), 0.5, StopRule(0), f_star=0.0))[0]
     assert record.phi == 0.0
 
 
@@ -179,6 +178,23 @@ def test_lyapunov_exact_estimators():
 def test_run_spec_rejects_a_stepsize_that_is_not_finite_and_positive(gamma):
     with pytest.raises(ValueError, match="must be positive and finite"):
         RunSpec(quad([1.0, 2.0]), EF21(ContractorSpec.identity()), IdentityMaster(), np.ones(2), gamma, StopRule(1))
+
+
+@pytest.mark.parametrize("gamma", [math.nan, math.inf, 0.0, -1.0])
+def test_step_rejects_a_stepsize_that_is_not_finite_and_positive(gamma):
+    p = quad([1.0, 2.0])
+    w = EF21(ContractorSpec.identity())
+    rng = SeededRng(0)
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        step(init(p, w, np.ones(2), "full", rng), p, w, IdentityMaster(), gamma, rng)
+
+
+def test_iterate_yields_every_round_past_the_stop_rule():
+    p = quad([1.0, 2.0], n=2)
+    spec = RunSpec(p, EF21(ContractorSpec.top_k(1)), IdentityMaster(), np.ones(2), 0.1, StopRule(0))
+    pairs = list(islice(iterate(spec), 6))
+    assert [state.round for state, _ in pairs] == [rec.round for _, rec in pairs] == list(range(6))
+    assert [rec for _, rec in pairs] == run(RunSpec(p, spec.worker_spec, spec.master_spec, spec.x0, 0.1, StopRule(5)))
 
 
 def test_run_zero_rounds_returns_initial_record():
@@ -276,9 +292,7 @@ def test_master_compression_applied():
     p = quad([1.0, 1.0], n=2)
     w = EF21(ContractorSpec.identity())
     m = EF21(ContractorSpec.top_k(1))
-    rng = SeededRng(0)
-    state = init(p, w, [4.0, 2.0], "full", rng)
-    state, rec = step(state, p, w, m, 0.25, rng)
+    _, (state, rec) = islice(iterate(RunSpec(p, w, m, np.array([4.0, 2.0]), 0.25, StopRule(1))), 2)
     # master shifts from its previous broadcast by the top coordinate only
     assert rec.master_error > 0.0
     assert np.count_nonzero(state.g_master - state.g_tilde_master) >= 1
@@ -313,10 +327,8 @@ def test_step_record_matches_public_oracles_bitwise(problem):
 
     worker = EF21(ContractorSpec.top_k(1))
     master = IdentityMaster()
-    rng = SeededRng(5)
-    state = init(problem, worker, np.linspace(-1.0, 2.0, problem.dim), "full", rng)
-    for _ in range(4):
-        state, rec = step(state, problem, worker, master, 0.1, rng)
+    spec = RunSpec(problem, worker, master, np.linspace(-1.0, 2.0, problem.dim), 0.1, StopRule(4), seed=5)
+    for state, rec in islice(iterate(spec), 1, 5):
         assert rec.f_value == loss(problem, state.x)
         for i in range(problem.n_clients):
             assert np.array_equal(state.worker_prev_grads[i], client_gradient(problem, i, state.x))

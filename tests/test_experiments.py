@@ -16,6 +16,7 @@ from adacgd.experiments import (
     RunConfig,
     build_dataset,
     default_klist,
+    initial_point,
     load_config,
     load_or_solve_reference,
     load_reference,
@@ -178,6 +179,59 @@ def test_cli_rejects_non_finite_stepsize_inputs(tmp_path, capsys, flag, value, m
     err = capsys.readouterr().err
     assert err.startswith("adacgd: error: ") and message in err and err.count("\n") == 1
     assert not list(tmp_path.glob("*.csv"))
+
+
+def _cli_stop_error(tmp_path, capsys, stop):
+    args = ["run", "--dataset", "quadratic:diag=1|2", "--method", "gd", "--stop", stop, "--out-dir", str(tmp_path)]
+    assert cli_main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("adacgd: error: ") and err.count("\n") == 1
+    assert not list(tmp_path.glob("*.csv"))
+    return err
+
+
+def test_cli_rejects_negative_max_rounds(tmp_path, capsys):
+    assert "max_rounds must be >= 0, got -5" in _cli_stop_error(tmp_path, capsys, "rounds=-5")
+
+
+def test_cli_rejects_nan_grad_tolerance(tmp_path, capsys):
+    assert "grad_tol_sq must be a number >= 0, got nan" in _cli_stop_error(tmp_path, capsys, "rounds=3,grad=nan")
+
+
+def test_cli_rejects_negative_grad_tolerance(tmp_path, capsys):
+    assert "grad_tol_sq must be a number >= 0, got -1.0" in _cli_stop_error(tmp_path, capsys, "rounds=3,grad=-1")
+
+
+@pytest.mark.parametrize("bits", ["0", "-10"])
+def test_cli_rejects_a_bit_budget_below_one(tmp_path, capsys, bits):
+    assert f"bit_budget must be >= 1, got {bits}" in _cli_stop_error(tmp_path, capsys, f"rounds=3,bits={bits}")
+
+
+def test_zero_rounds_and_zero_grad_tolerance_stay_valid(tmp_path):
+    config = RunConfig(dataset="quadratic:diag=1|2", max_rounds=0, grad_tol_sq=0.0, out_dir=str(tmp_path))
+    (entry,) = run_experiment(config).entries
+    assert entry.rounds == 0
+
+
+@pytest.mark.parametrize(
+    "x0,message",
+    [
+        ("abc", "cannot parse x0='abc'"),
+        ("", "cannot parse x0=''"),
+        ("nan", "x0 must be default, zeros, ones or a finite number, got 'nan'"),
+        ("-inf", "x0 must be default, zeros, ones or a finite number, got '-inf'"),
+    ],
+)
+def test_config_rejects_an_x0_that_is_not_a_name_or_finite_number(x0, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        RunConfig(dataset="quadratic:diag=1|2", x0=x0)
+
+
+@pytest.mark.parametrize("x0,expected", [("default", 1.0), ("zeros", 0.0), ("ones", 1.0), ("-2.5", -2.5)])
+def test_config_x0_values(x0, expected):
+    config = RunConfig(dataset="quadratic:diag=1|2", x0=x0)
+    problem, _ = build_dataset(config)
+    assert np.array_equal(initial_point(config, problem), np.full(2, expected))
 
 
 def test_sweep_rejects_an_overflowing_stepsize_before_any_run(tmp_path):
