@@ -16,7 +16,6 @@ from .compressors import (
     ThreePCSpec,
     adacgd_as_chain,
     apply_contractor,
-    certified_constants,
     compress,
     estimate_constants,
     reconstruct,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -234,7 +234,12 @@ class ThreePCSpec:
         raise NotImplementedError
 
     def constants(self, dim: int) -> ThreePCConstants:
-        """Certified (a, b) at ``dim``; rejects a rule that does not fit ``dim``."""
+        """Certified (a, b) at dimension ``dim``.
+
+        Adaptive rules combine their branch constants (min a, max b). Raises
+        ValueError when a sparsifier keeps more than ``dim`` coordinates or
+        adaptive levels are not in ascending-alpha order.
+        """
         raise NotImplementedError
 
     def strongest_contractor(self, dim: int) -> ContractorSpec:
@@ -371,24 +376,12 @@ class AdaCGD(ThreePCSpec):
         return min(self.contractors, key=lambda c: c.alpha(dim))
 
 
-Predicate = Union["SkipTrigger", "CandidateErrorTrigger", Callable[..., bool]]
+class Predicate(Protocol):
+    """A branch guard of a dispatch chain; ``draws`` says whether ``evaluate`` reads its stream."""
 
+    draws: bool
 
-def _predicate_draws(pred: Predicate) -> bool:
-    """Whether a predicate may draw from the stream it is handed.
-
-    Plain callables never receive a stream; predicate objects receive one and
-    are assumed to use it unless their ``draws`` attribute says otherwise.
-    """
-    return getattr(pred, "draws", hasattr(pred, "evaluate"))
-
-
-def _evaluate_predicate(pred: Predicate, h, y, x, rng: Optional[SeededRng]) -> bool:
-    if hasattr(pred, "evaluate"):
-        return bool(pred.evaluate(h, y, x, rng))
-    if callable(pred):
-        return bool(pred(h, y, x))
-    raise ValueError(f"malformed predicate {pred!r}: expected .evaluate(h, y, x) or a callable")
+    def evaluate(self, h: np.ndarray, y: np.ndarray, x: np.ndarray, rng: Optional[SeededRng]) -> bool: ...
 
 
 @dataclass(frozen=True)
@@ -409,6 +402,9 @@ class Ada3PC(ThreePCSpec):
         if not self.branches:
             raise ValueError("chain needs at least one branch")
         self._check_arity()
+        for pred in self.predicates:
+            if not (hasattr(pred, "evaluate") and hasattr(pred, "draws")):
+                raise ValueError(f"predicate {pred!r} needs an evaluate(h, y, x, rng) method and a draws flag")
 
     def _check_arity(self) -> None:
         if len(self.predicates) != len(self.branches) - 1:
@@ -419,7 +415,7 @@ class Ada3PC(ThreePCSpec):
 
     @property
     def randomized(self) -> bool:
-        return any(b.randomized for b in self.branches) or any(_predicate_draws(p) for p in self.predicates)
+        return any(b.randomized for b in self.branches) or any(p.draws for p in self.predicates)
 
     @property
     def branch_count(self) -> int:
@@ -432,8 +428,8 @@ class Ada3PC(ThreePCSpec):
     def raw(self, h, y, x, rng):
         chosen = len(self.branches) - 1
         for j, pred in enumerate(self.predicates):
-            branch_rng = rng.derive(j) if rng is not None and _predicate_draws(pred) else None
-            if _evaluate_predicate(pred, h, y, x, branch_rng):
+            branch_rng = rng.derive(j) if rng is not None and pred.draws else None
+            if pred.evaluate(h, y, x, branch_rng):
                 chosen = j
                 break
         branch = self.branches[chosen]
@@ -451,14 +447,10 @@ class Ada3PC(ThreePCSpec):
 
 
 @dataclass(frozen=True)
-class IdentityMaster(ThreePCSpec):
-    """Pass-through compressor (used as the default server-side rule)."""
+class IdentityMaster(EF21):
+    """Pass-through compressor (the default server-side rule): the shift rule with the identity map."""
 
-    def raw(self, h, y, x, rng):
-        return CompressionOutcome(x.copy(), 0, Payload.full(x))
-
-    def constants(self, dim):
-        return ThreePCConstants(1.0, 0.0)
+    contractor: ContractorSpec = ContractorSpec.identity()
 
 
 @dataclass(frozen=True)
@@ -510,18 +502,8 @@ def compress(spec: ThreePCSpec, h, y, x, rng: Optional[SeededRng] = None) -> Com
     h, y, x = as_vector(h), as_vector(y), as_vector(x)
     check_same_dim(h, x)
     check_same_dim(y, x)
-    certified_constants(spec, x.shape[0])
+    spec.constants(x.shape[0])
     return _compress_raw(spec, h, y, x, rng)
-
-
-def certified_constants(spec: ThreePCSpec, dim: int) -> ThreePCConstants:
-    """Certified (a, b) of ``spec`` at dimension ``dim``.
-
-    Adaptive rules combine their branch constants (min a, max b). Raises
-    ValueError when a sparsifier keeps more than ``dim`` coordinates or
-    adaptive levels are not in ascending-alpha order.
-    """
-    return spec.constants(dim)
 
 
 def adacgd_as_chain(contractors: Sequence[ContractorSpec], zeta: float) -> Ada3PC:
@@ -599,7 +581,7 @@ def estimate_constants(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    cert = certified if certified is not None else certified_constants(spec, dim)
+    cert = certified if certified is not None else spec.constants(dim)
     randomized = spec.randomized
 
     worst_slack = math.inf

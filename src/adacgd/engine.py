@@ -16,16 +16,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .core import SeededRng, ThreePCConstants, as_vector, mean_ascending, sqnorm
-from .compressors import (
-    SKIP,
-    SPARSE,
-    CompressionOutcome,
-    Payload,
-    ThreePCSpec,
-    certified_constants,
-    _compress_raw,
-    _contract_support,
-)
+from .compressors import SKIP, SPARSE, CompressionOutcome, ContractorSpec, ThreePCSpec, _compress_raw, _ef21_raw
 from .problems import Problem, SmoothnessConstants, _round_oracle, client_gradient, loss, smoothness
 
 INIT_FULL = "full"
@@ -147,10 +138,11 @@ def init(
 ) -> EngineState:
     """Set up round-0 state.
 
-    Full mode seeds every worker estimate with its exact gradient; compressed
-    mode keeps only the entries of each worker's strongest contractor. Each
-    worker's message is charged by :func:`payload_bits`, the rule of every
-    later round. The server aggregate is broadcast in full either way.
+    Each worker's first message is the shift map from a zero estimate
+    toward its exact gradient: through the identity map in full mode, and
+    through the worker rule's strongest contractor in compressed mode. It
+    is charged by :func:`payload_bits`, the rule of every later round. The
+    server aggregate is broadcast in full either way.
     """
     x0 = as_vector(x0)
     if x0.shape[0] != problem.dim:
@@ -159,22 +151,15 @@ def init(
         raise ValueError(f"unknown init mode {init_mode!r}")
     n, d = problem.n_clients, problem.dim
     grads = [client_gradient(problem, i, x0) for i in range(n)]
-    contractor = worker_spec.strongest_contractor(d) if init_mode == INIT_COMPRESSED else None
+    contractor = worker_spec.strongest_contractor(d) if init_mode == INIT_COMPRESSED else ContractorSpec.identity()
+    zeros = np.zeros(d)
     uplink = 0
     estimates = []
     for i, grad in enumerate(grads):
-        support = None
-        if contractor is not None:
-            worker_rng = rng.derive(_INIT_TAG, i) if rng is not None and contractor.randomized else None
-            support = _contract_support(contractor, grad, worker_rng)
-        if support is None:
-            est, payload = grad.copy(), Payload.full(grad)
-        else:
-            est = np.zeros(d)
-            est[support] = grad[support]
-            payload = Payload.sparse(support, grad[support])
-        uplink += payload_bits(CompressionOutcome(est, 0, payload), d, value_bits)
-        estimates.append(est)
+        worker_rng = rng.derive(_INIT_TAG, i) if rng is not None and contractor.randomized else None
+        out = _ef21_raw(contractor, zeros, grad, worker_rng)
+        uplink += payload_bits(out, d, value_bits)
+        estimates.append(out.vector)
     g_tilde = mean_ascending(estimates, d)
     downlink = d * value_bits
     return EngineState(
@@ -365,9 +350,7 @@ class RunSpec:
 def resolve_stepsize(rule: str, problem: Problem, worker_spec: ThreePCSpec, master_spec: ThreePCSpec) -> float:
     """Theory stepsize ``rule`` for ``problem`` run with these worker and master rules."""
     sc = smoothness(problem)
-    wc = certified_constants(worker_spec, problem.dim)
-    mc = certified_constants(master_spec, problem.dim)
-    return theoretical_stepsize(rule, sc, wc, mc)
+    return theoretical_stepsize(rule, sc, worker_spec.constants(problem.dim), master_spec.constants(problem.dim))
 
 
 def iterate(spec: RunSpec) -> Iterator[tuple[EngineState, IterationRecord]]:
@@ -378,8 +361,8 @@ def iterate(spec: RunSpec) -> Iterator[tuple[EngineState, IterationRecord]]:
     DivergenceError with the index of the round it appeared in.
     """
     problem, worker_spec, master_spec, gamma = spec.problem, spec.worker_spec, spec.master_spec, spec.gamma
-    wc = certified_constants(worker_spec, problem.dim)
-    mc = certified_constants(master_spec, problem.dim)
+    wc = worker_spec.constants(problem.dim)
+    mc = master_spec.constants(problem.dim)
     rng = SeededRng(spec.seed)
     state = init(problem, worker_spec, spec.x0, spec.init_mode, rng, spec.value_bits)
     f, hist = loss(problem, state.x), (0,) * worker_spec.branch_count  # no branch is chosen in round 0

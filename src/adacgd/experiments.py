@@ -28,7 +28,6 @@ from .compressors import (
     IdentityMaster,
     LAG,
     ThreePCSpec,
-    certified_constants,
 )
 from .datasets import SyntheticSpec, build_problem, make_synthetic, parse_libsvm, to_dense
 from .engine import (
@@ -443,7 +442,7 @@ def run_experiment(config: RunConfig, extra_specs: Optional[dict[str, ThreePCSpe
     problem, dataset_hash = build_dataset(config)
     x0 = initial_point(config, problem)
     _, master = method_spec(config.master, problem.dim, config.zeta)
-    master_c = certified_constants(master, problem.dim)
+    master_c = master.constants(problem.dim)
     rule = config.stepsize.strip().lower()
     manual = _manual_gamma(config.stepsize)
 
@@ -458,7 +457,7 @@ def run_experiment(config: RunConfig, extra_specs: Optional[dict[str, ThreePCSpe
     for label, worker in labelled:
         # The theory stepsize depends on the method, not on the multiplier.
         base = manual if manual is not None else resolve_stepsize(rule, problem, worker, master)
-        worker_c = certified_constants(worker, problem.dim)
+        worker_c = worker.constants(problem.dim)
         for mult in config.multipliers:
             name = f"{label}_x{mult:g}.csv"
             if name in runs:

@@ -30,7 +30,6 @@ from .compressors import (
     ThreePCSpec,
     adacgd_as_chain,
     apply_contractor,
-    certified_constants,
     compress,
     estimate_constants,
     reconstruct,
@@ -106,7 +105,7 @@ def threepc_check(spec: ThreePCSpec, dim: int, trials: int, seed: int, name: str
     """Pointwise three-point inequality against certified constants."""
     report = estimate_constants(spec, dim, trials, SeededRng(seed, _VERIFY_STREAM))
     label = name or f"threepc[{type(spec).__name__},d={dim}]"
-    cert = certified_constants(spec, dim)
+    cert = spec.constants(dim)
     detail = (
         f"certified a={cert.a:.4g} b={cert.b:.4g}, "
         f"empirical a={report.constants.a:.4g} b={report.constants.b:.4g}, {trials} triples"
@@ -335,8 +334,8 @@ def trace_run(
     return RunTrace(
         states,
         gamma,
-        certified_constants(worker_spec, problem.dim),
-        certified_constants(master_spec, problem.dim),
+        worker_spec.constants(problem.dim),
+        master_spec.constants(problem.dim),
         f=column("f_value"),
         grad_sq=column("grad_norm_sq"),
         g_err=column("g_error"),

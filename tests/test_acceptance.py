@@ -20,7 +20,6 @@ from adacgd.compressors import (
     EF21,
     IdentityMaster,
     LAG,
-    certified_constants,
     compress,
 )
 from adacgd.datasets import SyntheticSpec, build_problem, make_synthetic
@@ -139,7 +138,7 @@ def test_criterion_6_convex_rate(convex_instance):
     assert ref.grad_norm <= 1e-10
     worker = EF21(ContractorSpec.top_k(1))
     sc = smoothness(problem)
-    gamma = theoretical_stepsize("convex", sc, certified_constants(worker, problem.dim))
+    gamma = theoretical_stepsize("convex", sc, worker.constants(problem.dim))
     trace = trace_run(problem, worker, IdentityMaster(), gamma, 2000, seed=0, f_star=ref.f_star)
     mono = monotone_check(trace.phi, "phi-monotone")
     bound = convex_bound_check(trace, ref.x_star, ref.f_star, [100, 500, 2000])
@@ -156,7 +155,7 @@ def test_criterion_7_per_round_recursions():
     problem = build_problem(features, labels, 4, 0.1, seed=8)
     sc = smoothness(problem)
     worker = EF21(ContractorSpec.top_k(1))
-    wc = certified_constants(worker, problem.dim)
+    wc = worker.constants(problem.dim)
 
     gamma_uni = theoretical_stepsize("nonconvex", sc, wc)
     uni = trace_run(problem, worker, IdentityMaster(), gamma_uni, 500, seed=1)
@@ -178,7 +177,7 @@ def test_criterion_8_bidirectional_bound():
     problem = build_problem(features, labels, 4, 0.1, seed=14)
     sc = smoothness(problem)
     worker = EF21(ContractorSpec.top_k(1))
-    wc = certified_constants(worker, problem.dim)
+    wc = worker.constants(problem.dim)
     gamma = theoretical_stepsize("bidirectional", sc, wc, wc)
     trace = trace_run(problem, worker, worker, gamma, 1000, seed=2)
     mono = monotone_check(trace.psi, "psi-monotone")
@@ -196,10 +195,10 @@ def test_criterion_9_linear_rate():
     sc = smoothness(problem)
     assert sc.mu == 1.0 and sc.l_plus == 4.0
     worker = EF21(ContractorSpec.top_k(1))
-    wc = certified_constants(worker, problem.dim)
+    wc = worker.constants(problem.dim)
     gamma = theoretical_stepsize("pl", sc, wc)
     trace = trace_run(problem, worker, IdentityMaster(), gamma, 500, seed=0, x0=np.ones(problem.dim))
-    rate = linear_rate_check(trace, sc.mu, f_star=0.0, burn_in=10)
+    rate = linear_rate_check(trace, sc.mu, f_star=0.0)
     report(9, rate.passed, rate.detail)
     assert rate.passed, rate.line()
 

@@ -66,8 +66,9 @@ def test_traced_run_reaches_the_compression_hooks():
 
 def test_run_certifies_constants_a_fixed_number_of_times(monkeypatch):
     calls = []
-    real = engine.certified_constants
-    monkeypatch.setattr(engine, "certified_constants", lambda spec, dim: calls.append(spec) or real(spec, dim))
+    for cls in (AdaCGD, EF21):
+        real = cls.constants
+        monkeypatch.setattr(cls, "constants", lambda spec, dim, real=real: calls.append(spec) or real(spec, dim))
     problem = Problem.quadratic(np.arange(1.0, 7.0), n_clients=3)
     worker = AdaCGD((ContractorSpec.top_k(1), ContractorSpec.top_k(3)), 0.5)
     counts = []

@@ -17,7 +17,6 @@ from adacgd.compressors import (
     SkipTrigger,
     adacgd_as_chain,
     apply_contractor,
-    certified_constants,
     compress,
     ef21_constants,
     estimate_constants,
@@ -166,7 +165,7 @@ def test_ada3pc_single_branch_delegates():
 def test_ada3pc_falls_through_when_predicates_false():
     spec = Ada3PC(
         branches=(LAG(1.0), EF21(ContractorSpec.top_k(1)), EF21(ContractorSpec.identity())),
-        predicates=(lambda h, y, x: False, lambda h, y, x: False),
+        predicates=(SkipTrigger(0.0), SkipTrigger(0.0)),
     )
     x = np.array([3.0, 1.0])
     out = compress(spec, np.zeros(2), np.zeros(2), x, RNG)
@@ -184,6 +183,17 @@ def test_ada3pc_wrong_predicate_arity():
         compress(crafted, [1.0], [1.0], [2.0], RNG)
 
 
+class _EvaluateOnly:
+    def evaluate(self, h, y, x, rng):
+        return True
+
+
+@pytest.mark.parametrize("predicate", [lambda h, y, x: True, _EvaluateOnly(), None], ids=["callable", "no-draws", "none"])
+def test_ada3pc_rejects_a_predicate_that_is_not_a_trigger_object(predicate):
+    with pytest.raises(ValueError, match=r"predicate .* needs an evaluate\(h, y, x, rng\) method and a draws flag"):
+        Ada3PC((LAG(1.0), EF21(ContractorSpec.top_k(1))), (predicate,))
+
+
 def test_explicit_chain_matches_adacgd_branch_exactly():
     levels = (ContractorSpec.top_k(1), ContractorSpec.top_k(2), ContractorSpec.top_k(4))
     chain = adacgd_as_chain(levels, 0.8)
@@ -197,14 +207,14 @@ def test_explicit_chain_matches_adacgd_branch_exactly():
 
 
 def test_certified_constants_examples():
-    assert certified_constants(IdentityMaster(), 10) == (certified_constants(EF21(ContractorSpec.identity()), 10))
-    assert certified_constants(IdentityMaster(), 10).a == 1.0
-    assert certified_constants(IdentityMaster(), 10).b == 0.0
-    assert certified_constants(LAG(2.0), 3) .a == 1.0
-    assert certified_constants(LAG(2.0), 3).b == 2.0
+    assert IdentityMaster().constants(10) == EF21(ContractorSpec.identity()).constants(10)
+    assert IdentityMaster().constants(10).a == 1.0
+    assert IdentityMaster().constants(10).b == 0.0
+    assert LAG(2.0).constants(3).a == 1.0
+    assert LAG(2.0).constants(3).b == 2.0
     # two levels with alpha 0.25 and 1: a = 1 - sqrt(0.75), b = 0.75 / (1 - sqrt(0.75))
     spec = AdaCGD((ContractorSpec.top_k(1), ContractorSpec.top_k(4)), 2.0)
-    c = certified_constants(spec, 4)
+    c = spec.constants(4)
     assert c.a == pytest.approx(1 - math.sqrt(0.75), rel=1e-12)
     assert c.b == pytest.approx(0.75 / (1 - math.sqrt(0.75)), rel=1e-12)
 
@@ -215,9 +225,9 @@ def test_ef21_alpha_one_limit():
 
 
 def test_clag_constants_cover_trigger_and_compression():
-    c = certified_constants(CLAG(ContractorSpec.top_k(1), 100.0), 4)
+    c = CLAG(ContractorSpec.top_k(1), 100.0).constants(4)
     assert c.b == 100.0
-    c = certified_constants(CLAG(ContractorSpec.top_k(1), 0.0), 4)
+    c = CLAG(ContractorSpec.top_k(1), 0.0).constants(4)
     assert c.b == pytest.approx(0.75 / (1 - math.sqrt(0.75)), rel=1e-12)
 
 
@@ -323,7 +333,6 @@ def test_is_randomized_counts_trigger_contractors():
     assert drawing.randomized
     assert not fixed.randomized
     assert not Ada3PC((LAG(1.0), EF21(ContractorSpec.top_k(1))), (SkipTrigger(1.0),)).randomized
-    assert not Ada3PC((LAG(1.0), LAG(2.0)), (lambda h, y, x: True,)).randomized
     assert adacgd_as_chain((ContractorSpec.rand_k(1), ContractorSpec.top_k(3)), 1.0).randomized
     h, y, x = np.zeros(3), np.zeros(3), np.array([3.0, -1.0, 2.0])
     with pytest.raises(ValueError, match="rng stream"):

@@ -18,8 +18,8 @@ from adacgd.compressors import (
     EF21,
     IdentityMaster,
     LAG,
+    SkipTrigger,
     adacgd_as_chain,
-    certified_constants,
 )
 from adacgd.engine import branch_header_bits
 
@@ -42,11 +42,8 @@ CASES = {
         Ada3PC((LAG(1.0), EF21(C.top_k(1))), (CandidateErrorTrigger(1.0, C.rand_k(1)),)),
         *TOP1, True, C.top_k(1), 2, 2, 2,
     ),
-    "ada3pc-callable": (
-        Ada3PC(
-            (LAG(3.0), CLAG(C.top_k(2), 0.25), EF21(C.top_k(4))),
-            (lambda h, y, x: True, lambda h, y, x: False),
-        ),
+    "ada3pc-skip-triggers": (
+        Ada3PC((LAG(3.0), CLAG(C.top_k(2), 0.25), EF21(C.top_k(4))), (SkipTrigger(3.0), SkipTrigger(0.25))),
         (TOP2[0][0], 3.0), TOP2[1], False, C.top_k(2), 3, 3, 2,
     ),
     "adacgd-chain": (adacgd_as_chain((C.top_k(1), C.top_k(3)), 1.0), *TOP1, False, C.top_k(1), 3, 3, 2),
@@ -58,7 +55,7 @@ CASES = {
 def test_spec_facts_are_pinned(case):
     spec, ab4, ab50, randomized, strongest, branches, levels, header = case
     for dim, (a, b) in ((4, ab4), (50, ab50)):
-        c = certified_constants(spec, dim)
+        c = spec.constants(dim)
         assert (c.a, c.b) == (a, b)
         assert spec.strongest_contractor(dim) == strongest
     assert spec.randomized is randomized

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from adacgd.compressors import AdaCGD, ContractorSpec, EF21, IdentityMaster, certified_constants
+from adacgd.compressors import AdaCGD, ContractorSpec, EF21, IdentityMaster
 from adacgd.datasets import SyntheticSpec, build_problem, make_synthetic
 from adacgd.engine import theoretical_stepsize
 from adacgd.problems import Problem, smoothness
@@ -68,11 +68,11 @@ def _trace_run_configs():
     top = ContractorSpec.top_k
     ef21 = EF21(top(1))
     convex = build_problem(*make_synthetic(SyntheticSpec(200, 20, seed=33)), 4, 0.0, seed=33)
-    gamma = theoretical_stepsize("convex", smoothness(convex), certified_constants(ef21, convex.dim))
+    gamma = theoretical_stepsize("convex", smoothness(convex), ef21.constants(convex.dim))
     yield "convex", lambda: trace_run(convex, ef21, IdentityMaster(), gamma, 300, seed=0, f_star=0.25)
 
     bidir = build_problem(*make_synthetic(SyntheticSpec(100, 10, seed=14)), 4, 0.1, seed=14)
-    wc = certified_constants(ef21, bidir.dim)
+    wc = ef21.constants(bidir.dim)
     gamma_bd = theoretical_stepsize("bidirectional", smoothness(bidir), wc, wc)
     yield "bidirectional", lambda: trace_run(bidir, ef21, ef21, gamma_bd, 300, seed=2)
 
