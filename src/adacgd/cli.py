@@ -74,6 +74,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     failures = 0
     suites = [args.suite] if args.suite != "all" else sorted(SUITES)
     for suite in suites:

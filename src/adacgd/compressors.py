@@ -534,6 +534,7 @@ class EstimateReport:
 
 
 _INNER_DRAWS = 256
+_ESTIMATE_REL_TOL = 1e-9  # relative allowance on each sampled inequality
 
 
 def _sample_triple(family: int, dim: int, g: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -566,7 +567,6 @@ def estimate_constants(
     trials: int,
     rng: SeededRng,
     certified: Optional[ThreePCConstants] = None,
-    rel_tol: float = 1e-9,
 ) -> EstimateReport:
     """Probe the three-point inequality on sampled (h, y, x) triples.
 
@@ -607,7 +607,7 @@ def estimate_constants(
             stderr = 0.0
 
         rhs = (1.0 - cert.a) * hy + cert.b * xy
-        allowance = rel_tol * max(1.0, rhs) + 3.0 * stderr
+        allowance = _ESTIMATE_REL_TOL * max(1.0, rhs) + 3.0 * stderr
         slack = rhs - err
         worst_slack = min(worst_slack, slack)
         if err > rhs + allowance:

@@ -128,6 +128,11 @@ def payload_bits(outcome: CompressionOutcome, dim: int, value_bits: int, header_
     return dim * value_bits
 
 
+def _check_init_mode(init_mode: str) -> None:
+    if init_mode not in (INIT_FULL, INIT_COMPRESSED):
+        raise ValueError(f"unknown init mode {init_mode!r}; choose from {INIT_FULL}, {INIT_COMPRESSED}")
+
+
 def init(
     problem: Problem,
     worker_spec: ThreePCSpec,
@@ -147,8 +152,7 @@ def init(
     x0 = as_vector(x0)
     if x0.shape[0] != problem.dim:
         raise ValueError(f"dimension mismatch: {x0.shape[0]} vs {problem.dim}")
-    if init_mode not in (INIT_FULL, INIT_COMPRESSED):
-        raise ValueError(f"unknown init mode {init_mode!r}")
+    _check_init_mode(init_mode)
     n, d = problem.n_clients, problem.dim
     grads = [client_gradient(problem, i, x0) for i in range(n)]
     contractor = worker_spec.strongest_contractor(d) if init_mode == INIT_COMPRESSED else ContractorSpec.identity()

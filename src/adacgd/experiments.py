@@ -28,6 +28,7 @@ from .compressors import (
     IdentityMaster,
     LAG,
     ThreePCSpec,
+    _check_zeta,
 )
 from .datasets import SyntheticSpec, build_problem, make_synthetic, parse_libsvm, to_dense
 from .engine import (
@@ -36,10 +37,11 @@ from .engine import (
     STEPSIZE_RULES,
     RunSpec,
     StopRule,
+    _check_init_mode,
     resolve_stepsize,
     run,
 )
-from .problems import Problem, full_gradient, loss, smoothness
+from .problems import Problem, _check_lam, full_gradient, loss, smoothness
 
 OUT_DIR_ENV = "ADACGD_OUT_DIR"
 
@@ -89,6 +91,9 @@ class RunConfig:
             raise ValueError(f"stepsize multipliers must be positive and finite, got {self.multipliers}")
         _manual_gamma(self.stepsize)
         _x0_fill(self.x0)
+        _check_lam(self.lam)
+        _check_zeta(self.zeta)
+        _check_init_mode(self.init_mode)
         # The stop rule checks its own inputs; building it here rejects them before any data is read.
         StopRule(self.max_rounds, self.grad_tol_sq, self.bit_budget)
         if self.value_bits not in (32, 64):
@@ -132,8 +137,18 @@ def _convert(key: str, value: str):
     if kind == "floats":
         return _parse(key, value, lambda v: tuple(float(x) for x in v.replace(",", " ").split()))
     if kind == "bool":
-        return value.strip().lower() in ("1", "true", "yes", "on")
+        return _parse(key, value, _bool)
     return _parse(key, value, kind)
+
+
+def _bool(text: str) -> bool:
+    """1/true/yes/on or 0/false/no/off, in any case; anything else is a ValueError."""
+    word = text.strip().lower()
+    if word in ("1", "true", "yes", "on"):
+        return True
+    if word in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(text)
 
 
 def parse_config_text(text: str) -> dict:

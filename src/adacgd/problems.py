@@ -10,6 +10,7 @@ constants for rate tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -48,6 +49,11 @@ class Shard:
         return self.features.shape[0]
 
 
+def _check_lam(lam: float) -> None:
+    if not (math.isfinite(lam) and lam >= 0.0):
+        raise ValueError(f"regularization weight lam must be finite and >= 0, got {lam}")
+
+
 @dataclass(frozen=True)
 class Problem:
     """Finite-sum objective f = (1/n) sum_i f_i with per-client gradient oracles."""
@@ -60,6 +66,7 @@ class Problem:
     diagonal: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
+        _check_lam(self.lam)
         if self.dim < 1:
             raise ValueError(f"problem dimension must be >= 1, got {self.dim}")
         if self.n_clients < 1:
@@ -70,8 +77,6 @@ class Problem:
             for s in self.shards:
                 if s.features.shape[1] != self.dim:
                     raise ValueError("all shards must share the problem dimension")
-            if self.lam < 0:
-                raise ValueError("regularization weight must be >= 0")
         elif self.kind == QUADRATIC:
             diag = as_vector(self.diagonal)
             if diag.shape[0] != self.dim:

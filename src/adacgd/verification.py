@@ -52,6 +52,11 @@ from .problems import (
 )
 
 _VERIFY_STREAM = 202
+_CONTRACTION_REL_TOL = 1e-12  # relative allowance of the contraction check
+_CONTRACTION_DRAWS = 256  # rand-k draws averaged per vector
+_GRADIENT_TOL = 1e-5  # largest accepted finite-difference gradient error
+_REL_SLACK = 1e-10  # relative slack of the per-round and rate-bound checks
+_BURN_IN = 10  # rounds skipped before the linear rate is measured
 
 
 @dataclass(frozen=True)
@@ -67,14 +72,7 @@ class PropertyResult:
         return f"[{status}] {self.name}: margin={self.margin:.3e}{extra}"
 
 
-def contraction_check(
-    contractor: ContractorSpec,
-    dim: int,
-    n_vectors: int,
-    seed: int,
-    rel_tol: float = 1e-12,
-    draws: int = 256,
-) -> PropertyResult:
+def contraction_check(contractor: ContractorSpec, dim: int, n_vectors: int, seed: int) -> PropertyResult:
     """Squared compression error never exceeds (1 - alpha) of the input energy.
 
     Deterministic kinds are checked exactly per vector; rand-k is checked on
@@ -87,15 +85,15 @@ def contraction_check(
         x = rng.derive(i).generator().standard_normal(dim)
         bound = (1.0 - alpha) * sqnorm(x)
         if contractor.randomized:
-            errs = np.empty(draws)
-            for s in range(draws):
+            errs = np.empty(_CONTRACTION_DRAWS)
+            for s in range(_CONTRACTION_DRAWS):
                 errs[s] = sqnorm(apply_contractor(contractor, x, rng.derive(i, s)) - x)
             err = float(errs.mean())
-            stderr = float(errs.std(ddof=1) / math.sqrt(draws))
-            allowance = 3.0 * stderr + rel_tol * max(1.0, bound)
+            stderr = float(errs.std(ddof=1) / math.sqrt(_CONTRACTION_DRAWS))
+            allowance = 3.0 * stderr + _CONTRACTION_REL_TOL * max(1.0, bound)
         else:
             err = sqnorm(apply_contractor(contractor, x, rng.derive(i)) - x)
-            allowance = rel_tol * max(1.0, bound)
+            allowance = _CONTRACTION_REL_TOL * max(1.0, bound)
         worst = min(worst, bound + allowance - err)
     label = f"contraction[{contractor.kind},k={contractor.k},d={dim}]"
     return PropertyResult(label, worst >= 0.0, worst, f"{n_vectors} vectors")
@@ -252,7 +250,7 @@ def payload_roundtrip_check(spec: ThreePCSpec, dim: int, trials: int, seed: int)
     return PropertyResult(f"payload-roundtrip[{type(spec).__name__}]", worst == 0.0, -worst)
 
 
-def gradient_suite(problems: Sequence[tuple[str, Problem]], points: int, seed: int, tol: float = 1e-5) -> list[PropertyResult]:
+def gradient_suite(problems: Sequence[tuple[str, Problem]], points: int, seed: int) -> list[PropertyResult]:
     """Finite-difference gradient checks plus smoothness and lower-bound probes."""
     results = []
     rng = SeededRng(seed, _VERIFY_STREAM)
@@ -263,7 +261,8 @@ def gradient_suite(problems: Sequence[tuple[str, Problem]], points: int, seed: i
         for i in range(points):
             x = rng.derive(name_salt, i).generator().standard_normal(p.dim)
             worst = max(worst, check_gradient(p, x))
-        results.append(PropertyResult(f"gradient[{name}]", worst <= tol, tol - worst, f"{points} points"))
+        passed = worst <= _GRADIENT_TOL
+        results.append(PropertyResult(f"gradient[{name}]", passed, _GRADIENT_TOL - worst, f"{points} points"))
 
         sc = smoothness(p)
         worst_lm = -math.inf
@@ -346,29 +345,24 @@ def trace_run(
     )
 
 
-def monotone_check(values: np.ndarray, name: str, rel_slack: float = 1e-10) -> PropertyResult:
+def monotone_check(values: np.ndarray, name: str) -> PropertyResult:
     """Sequence never increases beyond the relative slack."""
     worst = math.inf
     passed = True
     for a, b in zip(values, values[1:]):
-        allowance = rel_slack * max(1.0, abs(a))
+        allowance = _REL_SLACK * max(1.0, abs(a))
         worst = min(worst, a - b)
         if b > a + allowance:
             passed = False
     return PropertyResult(name, passed, worst, f"{len(values)} rounds")
 
 
-def recursion_check(
-    lhs: np.ndarray,
-    rhs: np.ndarray,
-    name: str,
-    rel_slack: float = 1e-10,
-) -> PropertyResult:
+def recursion_check(lhs: np.ndarray, rhs: np.ndarray, name: str) -> PropertyResult:
     """Per-round inequality lhs[t+1-ish] <= rhs[t] with relative slack."""
     worst = math.inf
     passed = True
     for have, bound in zip(lhs, rhs):
-        allowance = rel_slack * max(1.0, bound)
+        allowance = _REL_SLACK * max(1.0, bound)
         worst = min(worst, bound - have)
         if have > bound + allowance:
             passed = False
@@ -395,13 +389,7 @@ def master_recursion_check(trace: RunTrace, l_plus: float) -> PropertyResult:
     return recursion_check(trace.master_err[1:], rhs, "master-error-recursion")
 
 
-def convex_bound_check(
-    trace: RunTrace,
-    x_star: np.ndarray,
-    f_star: float,
-    checkpoints: Sequence[int],
-    rel_slack: float = 1e-10,
-) -> PropertyResult:
+def convex_bound_check(trace: RunTrace, x_star: np.ndarray, f_star: float, checkpoints: Sequence[int]) -> PropertyResult:
     """Averaged-objective suboptimality bound at the given checkpoints.
 
     Uses the measured running maximum distance to the reference minimizer in
@@ -417,17 +405,13 @@ def convex_bound_check(
         lhs = trace.f[t_cap] - f_star
         rhs = factor * 2.0 * (omega_hat**2 + trace.phi[0]) / t_cap
         worst = min(worst, rhs - lhs)
-        if lhs > rhs * (1.0 + rel_slack):
+        if lhs > rhs * (1.0 + _REL_SLACK):
             passed = False
         details.append(f"T={t_cap}: {lhs:.3e} <= {rhs:.3e}")
     return PropertyResult("convex-rate-bound", passed, worst, "; ".join(details))
 
 
-def stationarity_bound_check(
-    trace: RunTrace,
-    checkpoints: Sequence[int],
-    rel_slack: float = 1e-10,
-) -> PropertyResult:
+def stationarity_bound_check(trace: RunTrace, checkpoints: Sequence[int]) -> PropertyResult:
     """Best squared gradient so far obeys 2 Psi^0 / (gamma T)."""
     worst = math.inf
     passed = True
@@ -436,36 +420,30 @@ def stationarity_bound_check(
         lhs = float(np.min(trace.grad_sq[:t_cap]))
         rhs = 2.0 * trace.psi[0] / (trace.gamma * t_cap)
         worst = min(worst, rhs - lhs)
-        if lhs > rhs * (1.0 + rel_slack):
+        if lhs > rhs * (1.0 + _REL_SLACK):
             passed = False
         details.append(f"T={t_cap}: {lhs:.3e} <= {rhs:.3e}")
     return PropertyResult("stationarity-bound", passed, worst, "; ".join(details))
 
 
-def linear_rate_check(
-    trace: RunTrace,
-    mu: float,
-    f_star: float,
-    burn_in: int = 10,
-    name: str = "linear-rate",
-) -> PropertyResult:
+def linear_rate_check(trace: RunTrace, mu: float, f_star: float) -> PropertyResult:
     """Observed per-round contraction of the optimality gap after burn-in.
 
     The observed rate is the geometric mean of the per-round factors over
     the window, compared against 1 - min(gamma * mu, a) / 2.
     """
     threshold = 1.0 - min(trace.gamma * mu, trace.worker_c.a) / 2.0
-    start = trace.f[burn_in] - f_star
+    start = trace.f[_BURN_IN] - f_star
     end = trace.f[-1] - f_star
-    window = len(trace.f) - 1 - burn_in
+    window = len(trace.f) - 1 - _BURN_IN
     if start <= 0.0 or end <= 0.0:
-        return PropertyResult(name, True, threshold, "gap underflowed to zero, converged")
+        return PropertyResult("linear-rate", True, threshold, "gap underflowed to zero, converged")
     rate = (end / start) ** (1.0 / window)
     return PropertyResult(
-        name,
+        "linear-rate",
         rate <= threshold,
         threshold - rate,
-        f"observed {rate:.6f} <= allowed {threshold:.6f} over rounds {burn_in}..{len(trace.f) - 1}",
+        f"observed {rate:.6f} <= allowed {threshold:.6f} over rounds {_BURN_IN}..{len(trace.f) - 1}",
     )
 
 

@@ -213,6 +213,41 @@ def test_zero_rounds_and_zero_grad_tolerance_stay_valid(tmp_path):
     assert entry.rounds == 0
 
 
+def _cli_run_error(tmp_path, capsys, *args):
+    out_dir = tmp_path / "out"
+    assert cli_main(["run", *args, "--out-dir", str(out_dir)]) == 2
+    assert not out_dir.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("adacgd: error: ") and err.count("\n") == 1
+    return err
+
+
+@pytest.mark.parametrize("lam", ["nan", "inf"])
+def test_cli_rejects_a_lam_that_is_not_finite(tmp_path, capsys, lam):
+    err = _cli_run_error(tmp_path, capsys, "--dataset", "synthetic:n=40,d=5", "--n-clients", "4", "--lam", lam,
+                         "--stepsize", "manual:0.1", "--method", "gd", "--stop", "rounds=3")
+    assert err == f"adacgd: error: regularization weight lam must be finite and >= 0, got {lam}\n"
+
+
+def test_cli_rejects_a_nan_zeta(tmp_path, capsys):
+    err = _cli_run_error(tmp_path, capsys, "--dataset", "synthetic:n=40,d=5", "--zeta", "nan", "--method", "gd",
+                         "--stop", "rounds=3")
+    assert err == "adacgd: error: trigger zeta must be finite and >= 0, got nan\n"
+
+
+def test_config_file_init_mode_is_checked_before_any_data_is_read(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("dataset = synthetic:n=40,d=5\nmethods = gd\ninit_mode = Full\n")
+    err = _cli_run_error(tmp_path, capsys, "--config", str(cfg))
+    assert err == "adacgd: error: unknown init mode 'Full'; choose from full, compressed\n"
+
+
+@pytest.mark.parametrize("value", ["ture", "2", ""])
+def test_config_rejects_an_unknown_boolean_spelling(value):
+    with pytest.raises(ValueError, match=f"^config line 2: cannot parse scale_features='{value}'$"):
+        parse_config_text(f"dataset = quadratic:diag=1|2\nscale_features = {value}\n")
+
+
 @pytest.mark.parametrize(
     "x0,message",
     [
@@ -333,7 +368,10 @@ _RENDERED_CONFIG_VALUE = {
     float: any_float.map(lambda v: (repr(v), v)),
     "floats": st.lists(any_float, max_size=4).map(lambda vs: (", ".join(map(repr, vs)), tuple(vs))),
     "methods": st.lists(config_token, max_size=4).map(lambda ts: (" ".join(ts), tuple(ts))),
-    "bool": st.sampled_from([("true", True), ("Yes", True), ("1", True), ("off", False), ("no", False)]),
+    "bool": st.sampled_from(
+        [("true", True), ("Yes", True), ("1", True), ("ON", True),
+         ("off", False), ("no", False), ("0", False), ("False", False)]
+    ),
 }
 
 
@@ -622,6 +660,14 @@ def test_cli_verify_exit_code_reflects_failures(monkeypatch, capsys):
     rc = cli_main(["verify", "gradients"])
     assert rc == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("suite,trials", [("compressors", "0"), ("lyapunov", "-3")])
+def test_cli_verify_rejects_trials_below_one_before_any_suite(capsys, suite, trials):
+    assert cli_main(["verify", suite, "--trials", trials]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"adacgd: error: --trials must be >= 1, got {trials}\n"
 
 
 def test_cli_solve_reference(tmp_path, capsys):

@@ -152,3 +152,10 @@ def test_problem_rejects_zero_dimension():
     featureless = Shard(np.zeros((2, 0)), np.array([1.0, -1.0]))
     with pytest.raises(ValueError, match="dimension must be >= 1"):
         Problem.logistic((featureless,), 0.1)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -0.5])
+def test_problem_rejects_a_lam_that_is_not_finite_and_non_negative(lam):
+    shard = Shard(np.ones((2, 2)), np.array([1.0, -1.0]))
+    with pytest.raises(ValueError, match=f"lam must be finite and >= 0, got {lam}"):
+        Problem.logistic((shard,), lam)
