@@ -16,7 +16,7 @@ from .experiments import (
     reference_cache_path,
     run_experiment,
 )
-from .verification import SUITES, run_suite
+from .verification import SUITES, check_trials, run_suite
 
 
 def _add_config_options(parser: argparse.ArgumentParser) -> None:
@@ -74,8 +74,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.trials < 1:
-        raise ValueError(f"--trials must be >= 1, got {args.trials}")
+    check_trials(args.trials)
     failures = 0
     suites = [args.suite] if args.suite != "all" else sorted(SUITES)
     for suite in suites:

@@ -450,7 +450,7 @@ class Ada3PC(ThreePCSpec):
 class IdentityMaster(EF21):
     """Pass-through compressor (the default server-side rule): the shift rule with the identity map."""
 
-    contractor: ContractorSpec = ContractorSpec.identity()
+    contractor: ContractorSpec = field(default=ContractorSpec.identity(), init=False, repr=False)
 
 
 @dataclass(frozen=True)

@@ -576,8 +576,14 @@ SUITES = {
 }
 
 
+def check_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+
+
 def run_suite(name: str, seed: int = 0, trials: int = 2000) -> list[PropertyResult]:
-    """Run one named verification suite."""
+    """Run one named verification suite; raises ValueError for an unknown name or trials < 1."""
+    check_trials(trials)
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     return SUITES[name](seed, trials)

@@ -210,6 +210,14 @@ def test_certified_constants_examples():
     assert IdentityMaster().constants(10) == EF21(ContractorSpec.identity()).constants(10)
     assert IdentityMaster().constants(10).a == 1.0
     assert IdentityMaster().constants(10).b == 0.0
+
+
+def test_identity_master_takes_no_contractor():
+    assert repr(IdentityMaster()) == "IdentityMaster()"
+    with pytest.raises(TypeError):
+        IdentityMaster(ContractorSpec.top_k(1))
+    with pytest.raises(TypeError):
+        IdentityMaster(contractor=ContractorSpec.top_k(1))
     assert LAG(2.0).constants(3).a == 1.0
     assert LAG(2.0).constants(3).b == 2.0
     # two levels with alpha 0.25 and 1: a = 1 - sqrt(0.75), b = 0.75 / (1 - sqrt(0.75))

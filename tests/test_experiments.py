@@ -667,7 +667,15 @@ def test_cli_verify_rejects_trials_below_one_before_any_suite(capsys, suite, tri
     assert cli_main(["verify", suite, "--trials", trials]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"adacgd: error: --trials must be >= 1, got {trials}\n"
+    assert captured.err == f"adacgd: error: trials must be >= 1, got {trials}\n"
+
+
+@pytest.mark.parametrize("suite,trials", [("compressors", 0), ("lyapunov", -3)])
+def test_run_suite_rejects_trials_below_one(suite, trials):
+    from adacgd import verification
+
+    with pytest.raises(ValueError, match=f"trials must be >= 1, got {trials}"):
+        verification.run_suite(suite, trials=trials)
 
 
 def test_cli_solve_reference(tmp_path, capsys):
