@@ -9,6 +9,7 @@ from pathlib import Path
 
 from .experiments import (
     RunConfig,
+    _parse_kv_options,
     build_dataset,
     load_config,
     load_or_solve_reference,
@@ -37,15 +38,15 @@ def _add_config_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--stop", help="rounds=<T>[,grad=<tol_sq>][,bits=<budget>]")
 
 
+_STOP_KEYS = {"rounds": "max_rounds", "grad": "grad_tol_sq", "bits": "bit_budget"}
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    """The config file plus every config field the command's flags set, ``--stop`` included."""
     config_keys = {f.name for f in fields(RunConfig)}
     overrides = {key: value for key, value in vars(args).items() if key in config_keys and value is not None}
-    stop_keys = {"rounds": "max_rounds", "grad": "grad_tol_sq", "bits": "bit_budget"}
-    for part in args.stop.split(",") if args.stop else ():
-        key, _, value = part.partition("=")
-        if key.strip() not in stop_keys:
-            raise ValueError(f"unknown stop component {key.strip()!r}")
-        overrides[stop_keys[key.strip()]] = value
+    stop = _parse_kv_options(getattr(args, "stop", None) or "", tuple(_STOP_KEYS))
+    overrides.update((_STOP_KEYS[key], value) for key, value in stop.items())
     return load_config(args.config, overrides)
 
 
@@ -88,10 +89,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve_reference(args: argparse.Namespace) -> int:
-    config = load_config(
-        args.config,
-        {"dataset": args.dataset, "lam": args.lam, "n_clients": args.n_clients, "seed": args.seed},
-    )
+    config = _config_from_args(args)
     problem, _ = build_dataset(config)
     cache_dir = Path(args.cache_dir) if args.cache_dir else Path(config.out_dir)
     ref = load_or_solve_reference(problem, args.tolerance, cache_dir)

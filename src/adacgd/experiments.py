@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 import os
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -100,26 +101,32 @@ class RunConfig:
             raise ValueError(f"value_bits must be 32 or 64, got {self.value_bits}")
 
 
-_CONFIG_KEYS = {
-    "dataset": str,
-    "n_clients": int,
-    "lam": float,
-    "methods": "methods",
-    "master": str,
-    "stepsize": str,
-    "multipliers": "floats",
-    "zeta": float,
-    "value_bits": int,
-    "init_mode": str,
-    "max_rounds": int,
-    "grad_tol_sq": float,
-    "bit_budget": int,
-    "seed": int,
-    "out_dir": str,
-    "scale_features": "bool",
-    "x0": str,
-    "klist": str,
+def _bool(text: str) -> bool:
+    """1/true/yes/on or 0/false/no/off, in any case; anything else is a ValueError."""
+    word = text.strip().lower()
+    if word in ("1", "true", "yes", "on"):
+        return True
+    if word in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(text)
+
+
+# How a value's text is read, keyed by the annotation of the field it fills. Tuples
+# are ';'-joined as _fmt writes them, except the hand-written labels and multipliers.
+_READERS = {
+    "str": str,
+    "int": int,
+    "float": float,
+    "bool": _bool,
+    "Optional[int]": int,
+    "Optional[float]": float,
+    "tuple[str, ...]": lambda v: tuple(v.split()),
+    "tuple[float, ...]": lambda v: tuple(float(x) for x in v.replace(",", " ").split()),
+    "tuple[int, ...]": lambda v: tuple(int(x) for x in v.split(";")) if v else (),
+    "np.ndarray": lambda v: np.array([float(x) for x in v.split()]),
 }
+
+_CONFIG_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
 def _parse(key: str, value, kind):
@@ -131,43 +138,34 @@ def _parse(key: str, value, kind):
 
 
 def _convert(key: str, value: str):
-    kind = _CONFIG_KEYS[key]
-    if kind == "methods":
-        return tuple(value.split())
-    if kind == "floats":
-        return _parse(key, value, lambda v: tuple(float(x) for x in v.replace(",", " ").split()))
-    if kind == "bool":
-        return _parse(key, value, _bool)
-    return _parse(key, value, kind)
+    return _parse(key, value, _READERS[_CONFIG_TYPES[key]])
 
 
-def _bool(text: str) -> bool:
-    """1/true/yes/on or 0/false/no/off, in any case; anything else is a ValueError."""
-    word = text.strip().lower()
-    if word in ("1", "true", "yes", "on"):
-        return True
-    if word in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(text)
+def _key_values(text: str, source: str):
+    """(where, key, value) of each ``key = value`` line; '#' starts a comment, blanks are skipped.
 
-
-def parse_config_text(text: str) -> dict:
-    """Parse ``key = value`` lines; '#' starts a comment, blanks are skipped."""
-    values = {}
+    ``where`` is ``"<source> line N"``; a line with no '=' raises a ValueError naming it.
+    """
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         key, sep, value = line.partition("=")
         if not sep:
-            raise ValueError(f"config line {lineno}: expected 'key = value', got {raw!r}")
-        key = key.strip()
-        if key not in _CONFIG_KEYS:
-            raise ValueError(f"config line {lineno}: unknown key {key!r}")
+            raise ValueError(f"{source} line {lineno}: expected 'key = value', got {raw!r}")
+        yield f"{source} line {lineno}", key.strip(), value.strip()
+
+
+def parse_config_text(text: str) -> dict:
+    """Parse ``key = value`` lines whose keys are :class:`RunConfig` fields."""
+    values = {}
+    for where, key, value in _key_values(text, "config"):
+        if key not in _CONFIG_TYPES:
+            raise ValueError(f"{where}: unknown key {key!r}")
         try:
-            values[key] = _convert(key, value.strip())
+            values[key] = _convert(key, value)
         except ValueError as err:
-            raise ValueError(f"config line {lineno}: {err}") from None
+            raise ValueError(f"{where}: {err}") from None
     return values
 
 
@@ -179,7 +177,7 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
     for key, value in (overrides or {}).items():
         if value is None:
             continue
-        if key not in _CONFIG_KEYS:
+        if key not in _CONFIG_TYPES:
             raise ValueError(f"unknown config key {key!r}")
         values[key] = _convert(key, value) if isinstance(value, str) else value
     env_out = os.environ.get(OUT_DIR_ENV)
@@ -344,45 +342,28 @@ def _manual_gamma(stepsize: str) -> Optional[float]:
 
 
 def _fmt(value) -> str:
+    """One written value: floats by repr, tuples ';'-joined, anything else by str."""
     if isinstance(value, float):
         return repr(float(value))
+    if isinstance(value, tuple):
+        return ";".join(map(_fmt, value))
     return str(value)
 
 
+# A trace row is IterationRecord's fields in order; TRACE_COLUMNS names them in the file.
+_ROW_READERS = tuple(_READERS[f.type] for f in fields(IterationRecord))
+_row_values = operator.attrgetter(*(f.name for f in fields(IterationRecord)))
+
+
 def record_to_row(r: IterationRecord) -> str:
-    hist = ";".join(str(c) for c in r.branch_histogram)
-    fields = [
-        str(r.round),
-        repr(r.f_value),
-        repr(r.grad_norm_sq),
-        repr(r.phi),
-        repr(r.psi),
-        repr(r.g_error),
-        repr(r.master_error),
-        str(r.uplink_bits),
-        str(r.downlink_bits),
-        hist,
-    ]
-    return ",".join(fields)
+    return ",".join(map(_fmt, _row_values(r)))
 
 
 def row_to_record(line: str) -> IterationRecord:
     parts = line.rstrip("\n").split(",")
-    if len(parts) != len(TRACE_COLUMNS):
-        raise ValueError(f"trace row has {len(parts)} fields, expected {len(TRACE_COLUMNS)}")
-    hist = tuple(int(c) for c in parts[9].split(";")) if parts[9] else ()
-    return IterationRecord(
-        round=int(parts[0]),
-        f_value=float(parts[1]),
-        grad_norm_sq=float(parts[2]),
-        phi=float(parts[3]),
-        psi=float(parts[4]),
-        g_error=float(parts[5]),
-        master_error=float(parts[6]),
-        uplink_bits=int(parts[7]),
-        downlink_bits=int(parts[8]),
-        branch_histogram=hist,
-    )
+    if len(parts) != len(_ROW_READERS):
+        raise ValueError(f"trace row has {len(parts)} fields, expected {len(_ROW_READERS)}")
+    return IterationRecord(*[read(part) for read, part in zip(_ROW_READERS, parts)])
 
 
 def write_trace(path: Path, records: Sequence[IterationRecord], meta: dict) -> None:
@@ -393,23 +374,13 @@ def write_trace(path: Path, records: Sequence[IterationRecord], meta: dict) -> N
 
 
 def read_trace(path: Path) -> tuple[dict, list[IterationRecord]]:
-    meta: dict = {}
-    records: list[IterationRecord] = []
-    header_seen = False
-    for line in Path(path).read_text().splitlines():
-        if line.startswith("#"):
-            key, _, value = line[1:].partition("=")
-            meta[key.strip()] = value.strip()
-            continue
-        if not line.strip():
-            continue
-        if not header_seen:
-            if line.strip() != ",".join(TRACE_COLUMNS):
-                raise ValueError(f"unexpected trace header {line!r}")
-            header_seen = True
-            continue
-        records.append(row_to_record(line))
-    return meta, records
+    lines = Path(path).read_text().splitlines()
+    meta = dict((key.strip(), value.strip()) for key, _, value in
+                (line[1:].partition("=") for line in lines if line.startswith("#")))
+    rows = [line for line in lines if line.strip() and not line.startswith("#")]
+    if rows and rows[0].strip() != ",".join(TRACE_COLUMNS):
+        raise ValueError(f"unexpected trace header {rows[0]!r}")
+    return meta, [row_to_record(line) for line in rows[1:]]
 
 
 STATUS_REACHED = "reached"
@@ -552,23 +523,10 @@ def run_experiment(config: RunConfig, extra_specs: Optional[dict[str, ThreePCSpe
              f"# grad_tol_sq = {_fmt(config.grad_tol_sq)}"]
     lines += [f"# {note}" for note in notes]
     lines.append("method,multiplier,gamma,status,rounds,uplink_bits_to_tol,downlink_bits_to_tol,final_grad_norm_sq,best")
-    for entry in entries:
-        is_best = best.get(entry.method) is entry
-        lines.append(
-            ",".join(
-                [
-                    entry.method,
-                    f"{entry.multiplier:g}",
-                    repr(entry.gamma),
-                    entry.status,
-                    str(entry.rounds),
-                    str(entry.uplink_bits_to_tol) if entry.uplink_bits_to_tol is not None else "",
-                    str(entry.downlink_bits_to_tol) if entry.downlink_bits_to_tol is not None else "",
-                    repr(entry.final_grad_norm_sq),
-                    "best" if is_best else "",
-                ]
-            )
-        )
+    for e in entries:
+        cells = (e.method, f"{e.multiplier:g}", e.gamma, e.status, e.rounds, e.uplink_bits_to_tol,
+                 e.downlink_bits_to_tol, e.final_grad_norm_sq, "best" if best.get(e.method) is e else "")
+        lines.append(",".join("" if cell is None else _fmt(cell) for cell in cells))
     summary_path.write_text("\n".join(lines) + "\n")
     return ExperimentResult(tuple(entries), best, str(summary_path), tuple(notes))
 
@@ -634,36 +592,20 @@ def reference_cache_path(cache_dir: Path, problem: Problem) -> Path:
 
 
 def save_reference(path: Path, problem: Problem, ref: ReferenceSolution) -> None:
-    lines = [
-        "# reference minimum cache",
-        f"lam = {float(problem.lam)!r}",
-        f"tolerance = {float(ref.tolerance)!r}",
-        f"grad_norm = {float(ref.grad_norm)!r}",
-        f"rounds = {ref.rounds}",
-        f"f_star = {float(ref.f_star)!r}",
-        "x_star = " + " ".join(repr(float(v)) for v in ref.x_star),
-    ]
+    scalars = {"lam": float(problem.lam), "tolerance": float(ref.tolerance), "grad_norm": float(ref.grad_norm),
+               "rounds": ref.rounds, "f_star": float(ref.f_star)}
+    lines = ["# reference minimum cache"]
+    lines += [f"{key} = {_fmt(value)}" for key, value in scalars.items()]
+    lines.append("x_star = " + " ".join(_fmt(float(v)) for v in ref.x_star))
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def load_reference(path: Path) -> tuple[float, ReferenceSolution]:
-    values: dict = {}
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
-    x_star = np.array([float(v) for v in values["x_star"].split()])
-    ref = ReferenceSolution(
-        x_star=x_star,
-        f_star=float(values["f_star"]),
-        grad_norm=float(values["grad_norm"]),
-        rounds=int(values["rounds"]),
-        tolerance=float(values["tolerance"]),
-    )
-    return float(values["lam"]), ref
+    values = {key: value for _, key, value in _key_values(Path(path).read_text(), f"reference cache {path}")}
+    readers = {"lam": float} | {f.name: _READERS[f.type] for f in fields(ReferenceSolution)}
+    parsed = {key: read(values[key]) for key, read in readers.items()}
+    return parsed.pop("lam"), ReferenceSolution(**parsed)
 
 
 def load_or_solve_reference(

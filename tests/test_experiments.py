@@ -12,7 +12,6 @@ from adacgd import engine
 from adacgd.compressors import AdaCGD, ContractorSpec, EF21, LAG, IdentityMaster
 from adacgd.engine import IterationRecord, resolve_stepsize
 from adacgd.experiments import (
-    _CONFIG_KEYS,
     RunConfig,
     build_dataset,
     default_klist,
@@ -362,20 +361,23 @@ def test_trace_file_round_trips_any_records(records):
 # One line of config text: no comment marker and no line break.
 config_text = st.text(st.characters(blacklist_characters="#", blacklist_categories=("Cc", "Zl", "Zp", "Cs")))
 config_token = config_text.filter(lambda t: t.split() == [t])
+# Keyed by RunConfig's field annotations.
 _RENDERED_CONFIG_VALUE = {
-    str: config_text.map(str.strip).map(lambda v: (v, v)),
-    int: st.integers().map(lambda v: (str(v), v)),
-    float: any_float.map(lambda v: (repr(v), v)),
-    "floats": st.lists(any_float, max_size=4).map(lambda vs: (", ".join(map(repr, vs)), tuple(vs))),
-    "methods": st.lists(config_token, max_size=4).map(lambda ts: (" ".join(ts), tuple(ts))),
+    "str": config_text.map(str.strip).map(lambda v: (v, v)),
+    "int": st.integers().map(lambda v: (str(v), v)),
+    "float": any_float.map(lambda v: (repr(v), v)),
+    "tuple[float, ...]": st.lists(any_float, max_size=4).map(lambda vs: (", ".join(map(repr, vs)), tuple(vs))),
+    "tuple[str, ...]": st.lists(config_token, max_size=4).map(lambda ts: (" ".join(ts), tuple(ts))),
     "bool": st.sampled_from(
         [("true", True), ("Yes", True), ("1", True), ("ON", True),
          ("off", False), ("no", False), ("0", False), ("False", False)]
     ),
 }
+_RENDERED_CONFIG_VALUE["Optional[int]"] = _RENDERED_CONFIG_VALUE["int"]
+_RENDERED_CONFIG_VALUE["Optional[float]"] = _RENDERED_CONFIG_VALUE["float"]
 
 
-@given(st.fixed_dictionaries({f.name: st.none() | _RENDERED_CONFIG_VALUE[_CONFIG_KEYS[f.name]] for f in fields(RunConfig)}))
+@given(st.fixed_dictionaries({f.name: st.none() | _RENDERED_CONFIG_VALUE[f.type] for f in fields(RunConfig)}))
 def test_config_text_round_trips_every_key(rendered):
     rendered = {key: pair for key, pair in rendered.items() if pair is not None}
     text = "".join(f"{key} = {text}\n" for key, (text, _) in rendered.items())
