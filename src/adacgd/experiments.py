@@ -95,6 +95,12 @@ class RunConfig:
         _check_lam(self.lam)
         _check_zeta(self.zeta)
         _check_init_mode(self.init_mode)
+        # Labels are parsed here, so a bad one fails before any data is read; the checks
+        # that need the dimension (k or a level above d) wait for the dataset.
+        _parse_klist(self.klist)
+        for label in self.methods:
+            _method_options(label, self.zeta, self.klist)
+        _method_options(self.master, self.zeta)
         # The stop rule checks its own inputs; building it here rejects them before any data is read.
         StopRule(self.max_rounds, self.grad_tol_sq, self.bit_budget)
         if self.value_bits not in (32, 64):
@@ -220,13 +226,20 @@ _METHOD_OPTIONS = {
 }
 
 
-def method_spec(label: str, dim: int, default_zeta: float, klist_override: str = "") -> tuple[str, ThreePCSpec]:
-    """Build a worker compressor from a method label like ``clag:k=1,zeta=2``.
+def _parse_klist(text: str) -> Optional[tuple[int, ...]]:
+    """Adaptive levels like ``1|5|25``, checked ascending; None for empty text (the default levels)."""
+    if not text:
+        return None
+    ks = _parse("klist", text, lambda v: tuple(int(x) for x in v.split("|")))
+    if list(ks) != sorted(ks):
+        raise ValueError(f"adaptive k-list must be sorted ascending, got {ks}")
+    return ks
 
-    Plain gradient descent is the identity shift rule: exact estimates,
-    constants (1, 0). Custom predicate chains are built programmatically and
-    passed to :func:`run_experiment` via ``extra_specs``. ``klist_override``
-    sets AdaCGD's levels unless the label gives its own ``klist``.
+
+def _method_options(label: str, default_zeta: float, klist_override: str = ""):
+    """(name, k, zeta, klist) of a method label: every check that does not need the dimension.
+
+    ``klist`` is None for a method without levels or for AdaCGD's default levels.
     """
     name, _, opts_text = label.partition(":")
     name = name.strip().lower()
@@ -235,6 +248,19 @@ def method_spec(label: str, dim: int, default_zeta: float, klist_override: str =
     opts = _parse_kv_options(opts_text, _METHOD_OPTIONS[name])
     zeta = _parse("zeta", opts.get("zeta", default_zeta), float)
     k = _parse("k", opts.get("k", 1), int)
+    ks = _parse_klist(opts.get("klist", klist_override)) if name == "adacgd" else None
+    return name, k, zeta, ks
+
+
+def method_spec(label: str, dim: int, default_zeta: float, klist_override: str = "") -> tuple[str, ThreePCSpec]:
+    """Build a worker compressor from a method label like ``clag:k=1,zeta=2``.
+
+    Plain gradient descent is the identity shift rule: exact estimates,
+    constants (1, 0). Custom predicate chains are built programmatically and
+    passed to :func:`run_experiment` via ``extra_specs``. ``klist_override``
+    sets AdaCGD's levels unless the label gives its own ``klist``.
+    """
+    name, k, zeta, ks = _method_options(label, default_zeta, klist_override)
     if name == "gd":
         return "gd", EF21(ContractorSpec.identity())
     if name == "identity":
@@ -245,14 +271,7 @@ def method_spec(label: str, dim: int, default_zeta: float, klist_override: str =
         return f"lag_z{zeta:g}", LAG(zeta)
     if name == "clag":
         return f"clag_k{k}_z{zeta:g}", CLAG(ContractorSpec.top_k(k), zeta)
-    if klist_override:
-        opts.setdefault("klist", klist_override)
-    if "klist" in opts:
-        ks = _parse("klist", opts["klist"], lambda v: tuple(int(x) for x in v.split("|")))
-    else:
-        ks = default_klist(dim)
-    if list(ks) != sorted(ks):
-        raise ValueError(f"adaptive k-list must be sorted ascending, got {ks}")
+    ks = ks or default_klist(dim)
     if any(k > dim for k in ks):
         raise ValueError(f"adaptive k-list entry exceeds dimension {dim}: {ks}")
     levels = tuple(ContractorSpec.top_k(k) for k in ks)
@@ -602,9 +621,15 @@ def save_reference(path: Path, problem: Problem, ref: ReferenceSolution) -> None
 
 
 def load_reference(path: Path) -> tuple[float, ReferenceSolution]:
+    """(lam, solution) from a cache file; a missing or unparseable key raises a ValueError naming the file."""
     values = {key: value for _, key, value in _key_values(Path(path).read_text(), f"reference cache {path}")}
     readers = {"lam": float} | {f.name: _READERS[f.type] for f in fields(ReferenceSolution)}
-    parsed = {key: read(values[key]) for key, read in readers.items()}
+    try:
+        parsed = {key: _parse(key, values[key], read) for key, read in readers.items()}
+    except KeyError as err:
+        raise ValueError(f"reference cache {path}: missing key {err}") from None
+    except ValueError as err:
+        raise ValueError(f"reference cache {path}: {err}") from None
     return parsed.pop("lam"), ReferenceSolution(**parsed)
 
 
@@ -621,8 +646,11 @@ def load_or_solve_reference(
     """
     path = reference_cache_path(cache_dir, problem)
     if path.exists():
-        _, ref = load_reference(path)
-        if ref.tolerance <= tolerance:
+        try:
+            _, ref = load_reference(path)
+        except ValueError:  # a damaged file is a miss: it is solved again and rewritten
+            ref = None
+        if ref is not None and ref.x_star.shape == (problem.dim,) and ref.tolerance <= tolerance:
             return ref
     ref = solve_reference(problem, tolerance, max_rounds)
     save_reference(path, problem, ref)

@@ -1,4 +1,5 @@
 import math
+import re
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from adacgd.cli import main as cli_main
-from adacgd import engine
+from adacgd import engine, experiments
 from adacgd.compressors import AdaCGD, ContractorSpec, EF21, LAG, IdentityMaster
 from adacgd.engine import IterationRecord, resolve_stepsize
 from adacgd.experiments import (
@@ -731,3 +732,94 @@ def test_cli_runs_topk_at_full_dimension(tmp_path):
     assert cli_main(args + ["--stop", "rounds=2", "--out-dir", str(tmp_path)]) == 0
     _, records = read_trace(tmp_path / "ef21_k5_x1.csv")
     assert [r.round for r in records] == [0, 1, 2]
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["--dataset", "/nonexistent.svm", "--master", "bogus", "--method", "gd"], "unknown method 'bogus'"),
+        (["--dataset", "synthetic:n=200000,d=200", "--method", "gd ef21:K=1"], "unknown option 'K'; accepted: k"),
+        (["--dataset", "synthetic:n=40,d=5", "--method", "gd", "--klist", "5|2"],
+         "adaptive k-list must be sorted ascending, got (5, 2)"),
+        (["--dataset", "synthetic:n=40,d=5", "--method", "gd", "--klist", "1|two"], "cannot parse klist='1|two'"),
+        (["--dataset", "synthetic:n=40,d=5", "--method", "lag:zeta=x"], "cannot parse zeta='x'"),
+    ],
+    ids=["unknown-master", "unknown-option", "descending-klist", "unparsed-klist", "unparsed-zeta"],
+)
+def test_cli_rejects_a_bad_method_label_before_building_the_dataset(tmp_path, monkeypatch, capsys, args, message):
+    built = []
+    original = experiments.build_dataset
+    monkeypatch.setattr(experiments, "build_dataset", lambda config: built.append(config) or original(config))
+    out = tmp_path / "out"
+    assert cli_main(["run", *args, "--stop", "rounds=2", "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"adacgd: error: {message}\n"
+    assert built == [] and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "stop,message",
+    [
+        ("rounds=3,iters=4", "unknown option 'iters'; accepted: rounds, grad, bits"),
+        ("rounds", "expected key=value in options, got 'rounds'"),
+    ],
+)
+def test_cli_rejects_a_bad_stop_component(tmp_path, capsys, stop, message):
+    args = ["run", "--dataset", "quadratic:diag=1|2", "--method", "gd", "--stop", stop, "--out-dir", str(tmp_path)]
+    assert cli_main(args) == 2
+    assert capsys.readouterr().err == f"adacgd: error: {message}\n"
+
+
+@pytest.mark.parametrize("line", ["1,2.0,3.0", "0,1.0,1.0,1.0,1.0,0.0,0.0,8,0,1,2"], ids=["short", "long"])
+def test_row_to_record_rejects_a_wrong_field_count(line):
+    count = line.count(",") + 1
+    with pytest.raises(ValueError, match=f"^trace row has {count} fields, expected 10$"):
+        row_to_record(line)
+
+
+def test_read_trace_rejects_a_wrong_column_header(tmp_path):
+    path = tmp_path / "trace.csv"
+    write_trace(path, [IterationRecord(0, 1.0, 0.3, 1.0, 1.0, 0.0, 0.0, 100, 50, (1,))], {"method": "gd"})
+    path.write_text(path.read_text().replace("branch_hist", "branch_histogram"))
+    with pytest.raises(ValueError, match="unexpected trace header"):
+        read_trace(path)
+
+
+def _damage_reference(path: Path, how: str) -> None:
+    text = path.read_text()
+    if how == "cut-after-f_star":
+        path.write_text(text[: text.index("x_star")])
+    elif how == "short-x_star":
+        path.write_text(text.rsplit(" ", 1)[0] + "\n")
+    elif how == "unparsed-f_star":
+        path.write_text(text.replace("f_star = ", "f_star = x"))
+    else:  # a line with no '='
+        path.write_text(text + "garbage\n")
+
+
+@pytest.mark.parametrize("how", ["cut-after-f_star", "short-x_star", "unparsed-f_star", "no-equals"])
+def test_solve_reference_re_solves_a_damaged_cache_file(tmp_path, capsys, how):
+    args = ["solve-reference", "--dataset", "synthetic:n=30,d=4,seed=2", "--n-clients", "2", "--lam", "0.1",
+            "--tolerance", "1e-6", "--cache-dir", str(tmp_path)]
+    assert cli_main(args) == 0
+    path = next(tmp_path.glob("ref_*.txt"))
+    fresh = path.read_bytes()
+    _damage_reference(path, how)
+    assert cli_main(args) == 0
+    assert path.read_bytes() == fresh
+
+
+@pytest.mark.parametrize(
+    "how,message",
+    [
+        ("cut-after-f_star", ": missing key 'x_star'$"),
+        ("unparsed-f_star", ": cannot parse f_star='x"),
+        ("no-equals", r" line 8: expected 'key = value', got 'garbage'$"),
+    ],
+)
+def test_load_reference_names_the_file_and_the_bad_key(tmp_path, how, message):
+    problem = Problem.quadratic(np.array([1.0, 2.0]))
+    path = tmp_path / "ref.txt"
+    experiments.save_reference(path, problem, solve_reference(problem, 1e-6))
+    _damage_reference(path, how)
+    with pytest.raises(ValueError, match=f"^reference cache {re.escape(str(path))}{message}"):
+        load_reference(path)
