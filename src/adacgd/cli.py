@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 from .experiments import (
+    _CONFIG_TYPES,
     RunConfig,
     _parse_kv_options,
     build_dataset,
@@ -43,8 +43,7 @@ _STOP_KEYS = {"rounds": "max_rounds", "grad": "grad_tol_sq", "bits": "bit_budget
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     """The config file plus every config field the command's flags set, ``--stop`` included."""
-    config_keys = {f.name for f in fields(RunConfig)}
-    overrides = {key: value for key, value in vars(args).items() if key in config_keys and value is not None}
+    overrides = {key: value for key, value in vars(args).items() if key in _CONFIG_TYPES and value is not None}
     stop = _parse_kv_options(getattr(args, "stop", None) or "", tuple(_STOP_KEYS))
     overrides.update((_STOP_KEYS[key], value) for key, value in stop.items())
     return load_config(args.config, overrides)
