@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -115,14 +115,15 @@ class SeededRng:
         return np.random.Generator(np.random.Philox(key=(self.seed << 64) | self.stream_id))
 
 
-def mean_ascending(vectors: Sequence[np.ndarray], dim: int) -> np.ndarray:
-    """Mean of ``vectors`` accumulated in ascending index order.
+def mean_ascending(rows: np.ndarray) -> np.ndarray:
+    """Mean of the rows of an (n, d) array, accumulated in ascending row order.
 
-    Fixed summation order keeps floating-point results reproducible no matter
-    how callers schedule the per-worker computations.
+    Over axis 0 of a C-ordered array with d >= 2, ``np.add.reduce`` adds one
+    row at a time, its inner loop running along d. A single column would be
+    summed pairwise, so it is accumulated row by row instead. Adding 0.0
+    turns an all-negative-zero sum into +0.0, as a sum started from zeros
+    gives. A fixed order keeps results reproducible no matter how callers
+    schedule the per-worker computations.
     """
-    acc = np.zeros(dim, dtype=np.float64)
-    for v in vectors:
-        acc += v
-    acc /= len(vectors)
-    return acc
+    total = np.add.reduce(rows, axis=0) if rows.shape[1] > 1 else np.add.accumulate(rows, axis=0)[-1]
+    return (total + 0.0) / rows.shape[0]

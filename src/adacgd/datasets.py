@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import expit
 
 from .core import SeededRng
-from .problems import Problem, Shard
+from .problems import Problem
 
 _PARTITION_STREAM = 101
 _SYNTHETIC_STREAM = 102
@@ -148,6 +148,31 @@ def max_abs_scale(features: np.ndarray) -> np.ndarray:
     return features / scale
 
 
+def _reorder_rows(a: np.ndarray, order: np.ndarray, chunk: int = 64) -> None:
+    """Set ``a[:] = a[order]`` in place, holding at most ``chunk`` rows aside.
+
+    Each cycle of the permutation is shifted along ``chunk`` rows at a time,
+    so no second copy of ``a`` is made.
+    """
+    nxt = order.tolist()
+    seen = bytearray(len(nxt))
+    for start in range(len(nxt)):
+        if seen[start] or nxt[start] == start:
+            continue
+        cycle = [start]
+        j = nxt[start]
+        while j != start:
+            seen[j] = 1
+            cycle.append(j)
+            j = nxt[j]
+        c = np.array(cycle, dtype=np.intp)
+        first = a[start].copy()
+        for t in range(0, len(c) - 1, chunk):
+            idx = c[t : t + chunk + 1]
+            a[idx[:-1]] = a[idx[1:]]  # row c[t] takes row c[t + 1] = order[c[t]]
+        a[c[-1]] = first
+
+
 def build_problem(
     features: np.ndarray,
     labels: np.ndarray,
@@ -155,21 +180,30 @@ def build_problem(
     lam: float,
     seed: int,
     scale_features: bool = False,
+    *,
+    copy: bool = True,
 ) -> Problem:
     """Partition the rows of (features, labels) across clients; assemble the logistic objective.
 
-    The dimension is ``features.shape[1]``. Shards check finite features and
-    +-1 labels, and the problem a positive dimension.
+    The dimension is ``features.shape[1]``. The problem holds the feature
+    rows once, in client order. With ``copy=False`` it takes ``features``
+    itself as that storage and reorders its rows in place, so a caller that
+    built the array for this call never holds the data twice; such a caller
+    must not use the array afterwards. Shards check finite features and +-1
+    labels, and the problem a positive dimension.
     """
-    features = np.asarray(features, dtype=np.float64)
+    features = np.ascontiguousarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     if features.ndim != 2 or labels.shape != features.shape[:1]:
         raise ValueError(f"need (N, d) features and N labels, got shapes {features.shape} and {labels.shape}")
     part = partition(labels, n_clients, seed)
     if scale_features:
-        features = max_abs_scale(features)
-    shards = tuple(Shard(features[list(idx)], labels[list(idx)]) for idx in part.shards)
-    return Problem.logistic(shards, lam)
+        features = max_abs_scale(features)  # a new array
+    elif copy:
+        features = features.copy()
+    order = np.fromiter((j for block in part.shards for j in block), dtype=np.intp, count=labels.shape[0])
+    _reorder_rows(features, order)
+    return Problem.partitioned(features, labels[order], [len(block) for block in part.shards], lam)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,10 @@
 Each round the server broadcasts its gradient estimate, every worker steps
 the iterate, compresses its fresh gradient against (previous estimate,
 previous gradient), and the server aggregates and optionally re-compresses
-the mean for the downlink. Workers are simulated sequentially but the
-fixed ascending aggregation order makes results independent of scheduling.
+the mean for the downlink. The workers' estimates and gradients are held as
+(n, d) arrays whose row i is worker i. Each worker's message is compressed
+on its own, and aggregation adds the rows in ascending worker order, so
+results do not depend on how the workers are scheduled.
 """
 
 from __future__ import annotations
@@ -28,11 +30,17 @@ _INIT_TAG = 3
 
 
 class DivergenceError(RuntimeError):
-    """Raised when a run produces non-finite values; carries the partial trace."""
+    """Raised when a run produces non-finite values; carries the partial trace.
 
-    def __init__(self, round_index: int, records=None):
-        super().__init__(f"non-finite values encountered at round {round_index}")
+    ``reason`` names what went non-finite: "iterate", "objective",
+    "gradient of client i", or "squared gradient norm" when every client
+    gradient is finite but their mean's squared norm overflows.
+    """
+
+    def __init__(self, round_index: int, reason: str, records=None):
+        super().__init__(f"non-finite {reason} at round {round_index}")
         self.round_index = round_index
+        self.reason = reason
         self.records = records if records is not None else []
 
 
@@ -43,8 +51,8 @@ class EngineState:
     x: np.ndarray
     g_master: np.ndarray  # what workers will use to step
     g_tilde_master: np.ndarray  # server-side aggregate of worker estimates
-    worker_estimates: tuple[np.ndarray, ...]
-    worker_prev_grads: tuple[np.ndarray, ...]  # gradients at the current iterate
+    worker_estimates: np.ndarray  # (n, d); row i is worker i's estimate
+    worker_prev_grads: np.ndarray  # (n, d); row i is worker i's gradient at the current iterate
     round: int
     uplink_bits: int
     downlink_bits: int
@@ -154,24 +162,24 @@ def init(
         raise ValueError(f"dimension mismatch: {x0.shape[0]} vs {problem.dim}")
     _check_init_mode(init_mode)
     n, d = problem.n_clients, problem.dim
-    grads = [client_gradient(problem, i, x0) for i in range(n)]
+    grads = np.stack([client_gradient(problem, i, x0) for i in range(n)])
     contractor = worker_spec.strongest_contractor(d) if init_mode == INIT_COMPRESSED else ContractorSpec.identity()
     zeros = np.zeros(d)
     uplink = 0
-    estimates = []
+    estimates = np.empty((n, d))
     for i, grad in enumerate(grads):
         worker_rng = rng.derive(_INIT_TAG, i) if rng is not None and contractor.randomized else None
         out = _ef21_raw(contractor, zeros, grad, worker_rng)
         uplink += payload_bits(out, d, value_bits)
-        estimates.append(out.vector)
-    g_tilde = mean_ascending(estimates, d)
+        estimates[i] = out.vector
+    g_tilde = mean_ascending(estimates)
     downlink = d * value_bits
     return EngineState(
         x=x0.copy(),
         g_master=g_tilde.copy(),
         g_tilde_master=g_tilde,
-        worker_estimates=tuple(estimates),
-        worker_prev_grads=tuple(grads),
+        worker_estimates=estimates,
+        worker_prev_grads=grads,
         round=0,
         uplink_bits=uplink,
         downlink_bits=downlink,
@@ -198,8 +206,20 @@ def _potentials(
 
 
 def _mean_estimator_error(state: EngineState) -> float:
-    n = len(state.worker_estimates)
-    return sum(sqnorm(e - g) for e, g in zip(state.worker_estimates, state.worker_prev_grads)) / n
+    diff = state.worker_estimates - state.worker_prev_grads
+    # One batched row dot: the same BLAS ddot per row as sqnorm, summed in worker order.
+    errors = np.matmul(diff[:, None, :], diff[:, :, None])
+    return sum(errors.ravel().tolist()) / diff.shape[0]
+
+
+def _divergence_reason(f: float, grads: np.ndarray) -> str:
+    """What made a record non-finite; called on the failure path only."""
+    finite_rows = np.isfinite(grads).all(axis=1)
+    if not finite_rows.all():
+        return f"gradient of client {int(np.argmin(finite_rows))}"
+    if not math.isfinite(f):
+        return "objective"
+    return "squared gradient norm"
 
 
 def _make_record(
@@ -212,10 +232,10 @@ def _make_record(
     f_star: float,
     branch_hist: tuple[int, ...],
 ) -> IterationRecord:
-    grad = mean_ascending(state.worker_prev_grads, problem.dim)
+    grad = mean_ascending(state.worker_prev_grads)
     grad_sq = sqnorm(grad)
     if not (math.isfinite(f) and math.isfinite(grad_sq)):
-        raise DivergenceError(state.round)
+        raise DivergenceError(state.round, _divergence_reason(f, state.worker_prev_grads))
     g_err = _mean_estimator_error(state)
     m_err = sqnorm(state.g_master - state.g_tilde_master)
     phi, psi = _potentials(f, g_err, m_err, gamma, worker_c, master_c, f_star)
@@ -255,7 +275,7 @@ def step(
     with np.errstate(over="ignore", invalid="ignore"):
         x_new = state.x - gamma * state.g_master
         if not np.all(np.isfinite(x_new)):
-            raise DivergenceError(t + 1)
+            raise DivergenceError(t + 1, "iterate")
 
         # x_new is finite and of the problem's dimension, so the oracle skips the
         # per-call input checks; f comes from the same margins as the gradients.
@@ -264,22 +284,17 @@ def step(
         worker_draws = worker_spec.randomized
         hist = [0] * worker_spec.branch_count
         uplink = state.uplink_bits
-        new_estimates = []
+        new_estimates = np.empty_like(new_grads)
         # A non-finite gradient makes the record's mean gradient non-finite, so
         # the round's record reports it as divergence at round t + 1.
-        for i, grad_i in enumerate(new_grads):
-            out = _compress_raw(
-                worker_spec,
-                state.worker_estimates[i],
-                state.worker_prev_grads[i],
-                grad_i,
-                rng.derive(_WORKER_TAG, t, i) if worker_draws else None,
-            )
+        rows = zip(state.worker_estimates, state.worker_prev_grads, new_grads)
+        for i, (h_i, y_i, x_i) in enumerate(rows):
+            out = _compress_raw(worker_spec, h_i, y_i, x_i, rng.derive(_WORKER_TAG, t, i) if worker_draws else None)
             uplink += payload_bits(out, d, value_bits, worker_header)
             hist[out.branch_index] += 1
-            new_estimates.append(out.vector)
+            new_estimates[i] = out.vector
 
-        g_tilde_new = mean_ascending(new_estimates, d)
+        g_tilde_new = mean_ascending(new_estimates)
         master_out = _compress_raw(
             master_spec,
             state.g_master,
@@ -293,8 +308,8 @@ def step(
             x=x_new,
             g_master=master_out.vector,
             g_tilde_master=g_tilde_new,
-            worker_estimates=tuple(new_estimates),
-            worker_prev_grads=tuple(new_grads),
+            worker_estimates=new_estimates,
+            worker_prev_grads=new_grads,
             round=t + 1,
             uplink_bits=uplink,
             downlink_bits=downlink,
@@ -362,7 +377,8 @@ def iterate(spec: RunSpec) -> Iterator[tuple[EngineState, IterationRecord]]:
 
     The worker and master constants are certified once, before the first
     round; stopping is left to the caller. A non-finite value raises
-    DivergenceError with the index of the round it appeared in.
+    DivergenceError with the index of the round it appeared in and what
+    went non-finite.
     """
     problem, worker_spec, master_spec, gamma = spec.problem, spec.worker_spec, spec.master_spec, spec.gamma
     wc = worker_spec.constants(problem.dim)
@@ -390,4 +406,4 @@ def run(spec: RunSpec) -> list[IterationRecord]:
             if record.round >= spec.stop.max_rounds or spec.stop.satisfied(record):
                 return records
     except DivergenceError as err:
-        raise DivergenceError(err.round_index, records) from None
+        raise DivergenceError(err.round_index, err.reason, records) from None

@@ -233,6 +233,7 @@ def _parse_klist(text: str) -> Optional[tuple[int, ...]]:
     ks = _parse("klist", text, lambda v: tuple(int(x) for x in v.split("|")))
     if list(ks) != sorted(ks):
         raise ValueError(f"adaptive k-list must be sorted ascending, got {ks}")
+    ContractorSpec.top_k(ks[0])  # the smallest level must be a positive k
     return ks
 
 
@@ -249,6 +250,9 @@ def _method_options(label: str, default_zeta: float, klist_override: str = ""):
     zeta = _parse("zeta", opts.get("zeta", default_zeta), float)
     k = _parse("k", opts.get("k", 1), int)
     ks = _parse_klist(opts.get("klist", klist_override)) if name == "adacgd" else None
+    # The specs' own range checks, made here so a bad value fails before any data is read.
+    _check_zeta(zeta)
+    ContractorSpec.top_k(k)
     return name, k, zeta, ks
 
 
@@ -312,12 +316,12 @@ def build_dataset(config: RunConfig) -> tuple[Problem, str]:
     elif ds.startswith("synthetic:"):
         spec = _parse_synthetic(ds[len("synthetic:") :])
         problem = build_problem(*make_synthetic(spec), config.n_clients, config.lam, config.seed,
-                                scale_features=config.scale_features)
+                                scale_features=config.scale_features, copy=False)
         key = spec.key()
     else:
         raw = sys.stdin.buffer.read() if ds == "-" else Path(ds).read_bytes()
         problem = build_problem(*to_dense(*parse_libsvm(raw)), config.n_clients, config.lam, config.seed,
-                                scale_features=config.scale_features)
+                                scale_features=config.scale_features, copy=False)
         key = hashlib.sha256(raw).hexdigest()
     digest = hashlib.sha256(key.encode()).hexdigest()[:16]
     return problem, digest

@@ -3,16 +3,20 @@
 The global objective is the mean of per-client objectives. Each logistic
 client owns a shard of (features, label) pairs and contributes the mean
 log-loss over its shard plus the bounded nonconvex penalty
-lam * sum_j x_j^2 / (1 + x_j^2). Quadratic problems replicate one diagonal
-quadratic across all clients, which pins exact smoothness and curvature
-constants for rate tests.
+lam * sum_j x_j^2 / (1 + x_j^2). A problem holds all rows once, in client
+order; consecutive clients with one shard size form a group, a stacked
+(clients, examples, dim) view of those rows, so the round oracle makes one
+batched product per group. Each Shard is a row view into its group.
+Quadratic problems replicate one diagonal quadratic across all clients,
+which pins exact smoothness and curvature constants for rate tests.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from itertools import groupby
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.special import expit
@@ -55,15 +59,43 @@ def _check_lam(lam: float) -> None:
 
 
 @dataclass(frozen=True)
+class ShardGroup:
+    """Consecutive clients whose shards have one row count, with their data stacked."""
+
+    clients: np.ndarray  # (g,) client indices, ascending
+    features: np.ndarray  # (g, examples, dim); row j is client clients[j]'s shard
+    labels: np.ndarray  # (g, examples)
+
+
+def _stack(features: np.ndarray, labels: np.ndarray, sizes: Sequence[int]) -> tuple[ShardGroup, ...]:
+    """One group per run of consecutive clients with equal shard sizes, each a view of the arrays."""
+    groups = []
+    client = row = 0
+    for m, run in groupby(sizes):
+        g = len(list(run))
+        rows = slice(row, row + g * m)
+        group_features = features[rows].reshape(g, m, features.shape[1])
+        groups.append(ShardGroup(np.arange(client, client + g), group_features, labels[rows].reshape(g, m)))
+        client, row = client + g, row + g * m
+    return tuple(groups)
+
+
+@dataclass(frozen=True)
 class Problem:
-    """Finite-sum objective f = (1/n) sum_i f_i with per-client gradient oracles."""
+    """Finite-sum objective f = (1/n) sum_i f_i with per-client gradient oracles.
+
+    A logistic problem holds its rows once, in client order: each of its
+    ``groups`` is a view of them, and ``shards[i]`` is client i's row view
+    into its group.
+    """
 
     kind: str
     dim: int
     lam: float
     n_clients: int
-    shards: tuple[Shard, ...] = ()
+    groups: tuple[ShardGroup, ...] = ()
     diagonal: Optional[np.ndarray] = None
+    shards: tuple[Shard, ...] = field(init=False, default=())
 
     def __post_init__(self) -> None:
         _check_lam(self.lam)
@@ -72,11 +104,15 @@ class Problem:
         if self.n_clients < 1:
             raise ValueError("need at least one client")
         if self.kind == LOGISTIC:
-            if len(self.shards) != self.n_clients:
+            if sorted(int(i) for g in self.groups for i in g.clients) != list(range(self.n_clients)):
                 raise ValueError("logistic problem needs one shard per client")
-            for s in self.shards:
-                if s.features.shape[1] != self.dim:
+            shards = [None] * self.n_clients
+            for g in self.groups:
+                if g.features.ndim != 3 or g.features.shape[2] != self.dim:
                     raise ValueError("all shards must share the problem dimension")
+                for j, i in enumerate(g.clients):
+                    shards[i] = Shard(g.features[j], g.labels[j])
+            object.__setattr__(self, "shards", tuple(shards))
         elif self.kind == QUADRATIC:
             diag = as_vector(self.diagonal)
             if diag.shape[0] != self.dim:
@@ -88,11 +124,23 @@ class Problem:
             raise ValueError(f"unknown problem kind {self.kind!r}")
 
     @staticmethod
+    def partitioned(features: np.ndarray, labels: np.ndarray, sizes: Sequence[int], lam: float) -> "Problem":
+        """Logistic problem over C-contiguous rows in client order: client i holds the next sizes[i] rows.
+
+        The arrays become the problem's storage; nothing is copied.
+        """
+        return Problem(LOGISTIC, features.shape[1], lam, len(sizes), _stack(features, labels, sizes))
+
+    @staticmethod
     def logistic(shards, lam: float) -> "Problem":
         shards = tuple(shards)
         if not shards:
             raise ValueError("need at least one shard")
-        return Problem(LOGISTIC, shards[0].features.shape[1], lam, len(shards), shards)
+        if any(s.features.shape[1] != shards[0].features.shape[1] for s in shards):
+            raise ValueError("all shards must share the problem dimension")
+        features = np.concatenate([s.features for s in shards])
+        labels = np.concatenate([s.labels for s in shards])
+        return Problem.partitioned(features, labels, [s.size for s in shards], lam)
 
     @staticmethod
     def quadratic(diagonal, n_clients: int = 1) -> "Problem":
@@ -181,32 +229,39 @@ def loss(p: Problem, x) -> float:
     return sum(client_loss(p, i, x) for i in range(p.n_clients)) / p.n_clients
 
 
-def _round_oracle(p: Problem, x: np.ndarray) -> tuple[float, list[np.ndarray]]:
-    """Global objective value and every client's gradient at an already-checked x.
+def _round_oracle(p: Problem, x: np.ndarray) -> tuple[float, np.ndarray]:
+    """Global objective value and the (n, d) array of client gradients at an already-checked x.
 
-    One margin product per shard serves both the client's loss and its
-    gradient, and the regularizer terms are formed once for all clients.
-    The results are bitwise equal to ``loss`` and ``client_gradient``.
+    One batched margin product per shard size serves both the clients'
+    losses and their gradients, and the regularizer terms are formed once
+    for all clients. Each batched ``np.matmul`` makes the same per-shard
+    BLAS call as the one-shard products of ``client_loss`` and
+    ``client_gradient``, and the client values are summed in client order,
+    so the results are bitwise equal to ``loss`` and to the stacked
+    ``client_gradient`` rows. tests/test_problems.py checks this property.
     """
+    n = p.n_clients
     if p.kind == QUADRATIC:
-        return _quadratic_loss(p, x), [p.diagonal * x for _ in range(p.n_clients)]
-    reg = _regularizer(p.lam, x)
-    reg_grad = _regularizer_gradient(p.lam, x)
-    values = []
-    grads = []
-    for shard in p.shards:
-        z = _margins(shard, x)
-        values.append(_margin_loss(z) + reg)
-        grads.append(_margin_gradient(shard, z) + reg_grad)
-    return sum(values) / p.n_clients, grads
+        return _quadratic_loss(p, x), np.tile(p.diagonal * x, (n, 1))
+    values = np.empty(n)
+    grads = np.empty((n, p.dim))
+    for g in p.groups:
+        m = g.labels.shape[1]
+        z = g.labels * np.matmul(g.features, x)
+        values[g.clients] = np.add.reduce(np.logaddexp(0.0, -z), axis=1) / m
+        weights = -g.labels * expit(-z)
+        grads[g.clients] = np.matmul(g.features.transpose(0, 2, 1), weights[:, :, None])[:, :, 0] / m
+    values += _regularizer(p.lam, x)
+    grads += _regularizer_gradient(p.lam, x)
+    return sum(values.tolist()) / n, grads
 
 
 def full_gradient(p: Problem, x) -> np.ndarray:
     """Gradient of the global objective, summed in ascending client order."""
+    x = _checked_point(p, 0, x)
     if p.kind == QUADRATIC:
-        return client_gradient(p, 0, x)
-    grads = [client_gradient(p, i, x) for i in range(p.n_clients)]
-    return mean_ascending(grads, p.dim)
+        return p.diagonal * x
+    return mean_ascending(_round_oracle(p, x)[1])
 
 
 def smoothness(p: Problem) -> SmoothnessConstants:

@@ -276,6 +276,28 @@ def test_divergence_round_when_gradient_overflows_before_iterate(worker):
         run(spec)
     assert err.value.round_index == 1
     assert len(err.value.records) == 1
+    assert err.value.reason == "gradient of client 0"
+    assert str(err.value) == "non-finite gradient of client 0 at round 1"
+
+
+@pytest.mark.parametrize(
+    "diag,x0,gamma,round_index,reason",
+    [
+        # x: 1 -> -1e200 (f = 5e299, finite) -> 1e400, which overflows in the step.
+        ([1e-100], [1.0], 1e300, 2, "iterate"),
+        # x grows 999-fold a round; x * x overflows long before x does.
+        ([1.0, 1.0], [1.0, 1.0], 1000.0, 52, "objective"),
+        # Round 0's gradient 1e200 is finite, but its square is not.
+        ([1e200], [1.0], 1e-300, 0, "squared gradient norm"),
+    ],
+    ids=["iterate", "objective", "gradient-norm"],
+)
+def test_divergence_error_names_what_went_non_finite(diag, x0, gamma, round_index, reason):
+    spec = RunSpec(quad(diag), EF21(ContractorSpec.identity()), IdentityMaster(), np.array(x0), gamma, StopRule(1000))
+    with pytest.raises(DivergenceError) as err:
+        run(spec)
+    assert (err.value.round_index, err.value.reason) == (round_index, reason)
+    assert len(err.value.records) == round_index
 
 
 def test_run_deterministic_with_randomized_compressor():

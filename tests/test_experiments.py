@@ -235,6 +235,21 @@ def test_cli_rejects_a_nan_zeta(tmp_path, capsys):
     assert err == "adacgd: error: trigger zeta must be finite and >= 0, got nan\n"
 
 
+@pytest.mark.parametrize(
+    "label,message",
+    [
+        ("ef21:k=0", "k must be a positive integer, got 0"),
+        ("lag:zeta=-1", "trigger zeta must be finite and >= 0, got -1.0"),
+        ("adacgd:klist=0|2", "k must be a positive integer, got 0"),
+    ],
+    ids=["ef21-k0", "lag-negative-zeta", "adacgd-level0"],
+)
+def test_cli_rejects_an_out_of_range_label_value_before_any_data_is_read(tmp_path, capsys, label, message):
+    missing = tmp_path / "missing.svm"  # never read: the label fails first
+    err = _cli_run_error(tmp_path, capsys, "--dataset", str(missing), "--method", label, "--stop", "rounds=3")
+    assert err == f"adacgd: error: {message}\n"
+
+
 def test_config_file_init_mode_is_checked_before_any_data_is_read(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("dataset = synthetic:n=40,d=5\nmethods = gd\ninit_mode = Full\n")

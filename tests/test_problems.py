@@ -1,13 +1,20 @@
 import math
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from adacgd.core import SeededRng
+from adacgd.core import SeededRng, mean_ascending
 from adacgd.datasets import SyntheticSpec, build_problem, make_synthetic
 from adacgd.problems import (
     Problem,
     Shard,
+    _round_oracle,
     check_gradient,
     client_gradient,
     client_loss,
@@ -159,3 +166,109 @@ def test_problem_rejects_a_lam_that_is_not_finite_and_non_negative(lam):
     shard = Shard(np.ones((2, 2)), np.array([1.0, -1.0]))
     with pytest.raises(ValueError, match=f"lam must be finite and >= 0, got {lam}"):
         Problem.logistic((shard,), lam)
+
+
+def _bits(value) -> bytes:
+    return np.asarray(value, dtype=np.float64).tobytes()
+
+
+@st.composite
+def oracle_cases(draw):
+    """A problem and a point: logistic with any shard split (sparse features too), or quadratic."""
+    seed = draw(st.integers(0, 2**16))
+    dim = draw(st.sampled_from([1, 2, 3, 7, 50]))
+    n_clients = draw(st.integers(1, 12))
+    g = SeededRng(seed).generator()
+    if draw(st.booleans()):
+        problem = Problem.quadratic(g.random(dim) * 4.0, n_clients=n_clients)
+    else:
+        n_examples = draw(st.integers(n_clients, 40))
+        features, labels = make_synthetic(SyntheticSpec(n_examples, dim, seed, scale=3.0))
+        if draw(st.booleans()):
+            features[g.random(features.shape) < 0.8] = 0.0
+        problem = build_problem(features, labels, n_clients, draw(st.sampled_from([0.0, 0.1])), seed)
+    return problem, g.standard_normal(dim) * draw(st.sampled_from([0.1, 1.0, 30.0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_cases())
+def test_round_oracle_is_bitwise_the_one_client_oracles(case):
+    problem, x = case
+    f, grads = _round_oracle(problem, x)
+    assert _bits(f) == _bits(loss(problem, x))
+    expected = np.stack([client_gradient(problem, i, x) for i in range(problem.n_clients)])
+    assert grads.shape == expected.shape and _bits(grads) == _bits(expected)
+
+
+@pytest.mark.skipif(
+    platform.machine() not in ("x86_64", "AMD64")
+    or "avx2" not in (Path("/proc/cpuinfo").read_text() if Path("/proc/cpuinfo").exists() else ""),
+    reason="needs an x86-64 CPU with AVX2 to force OpenBLAS's Haswell kernel",
+)
+def test_round_oracle_property_holds_under_the_haswell_blas_kernel():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__,
+         "-k", "test_round_oracle_is_bitwise_the_one_client_oracles"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert "1 passed" in result.stdout
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 50, 2000])
+def test_mean_ascending_equals_the_ascending_loop(dim):
+    g = SeededRng(11).generator()
+    for n in range(1, 65):
+        rows = g.standard_normal((n, dim)) * 10.0 ** g.integers(-8, 8, (n, dim))
+        rows[g.random((n, dim)) < 0.25] = -0.0
+        acc = np.zeros(dim)
+        for row in rows:
+            acc += row
+        acc /= n
+        assert _bits(mean_ascending(rows)) == _bits(acc)
+    all_negative_zero = np.full((3, dim), -0.0)
+    assert _bits(mean_ascending(all_negative_zero)) == _bits(np.zeros(dim))
+
+
+@pytest.mark.parametrize("n_examples,n_clients", [(23, 4), (20, 4), (9, 1), (7, 7)])
+def test_every_shard_is_a_view_into_its_group(n_examples, n_clients):
+    features, labels = make_synthetic(SyntheticSpec(n_examples, 3, seed=2))
+    p = build_problem(features, labels, n_clients, 0.1, seed=2)
+    assert len(p.groups) == (1 if n_examples % n_clients == 0 else 2)
+    storage = p.groups[0].features.base  # one (N, d) array in client order holds every row
+    assert storage.shape == (n_examples, 3) and not np.shares_memory(storage, features)
+    seen = []
+    for g in p.groups:
+        assert g.features.base is storage
+        for j, i in enumerate(g.clients):
+            shard = p.shards[i]
+            assert shard.features.base is storage
+            assert np.shares_memory(shard.features, g.features[j]) and np.shares_memory(shard.labels, g.labels[j])
+            seen.append(int(i))
+    assert sorted(seen) == list(range(n_clients))
+
+
+def test_build_problem_without_a_copy_keeps_the_callers_array_as_its_storage():
+    features, labels = make_synthetic(SyntheticSpec(23, 3, seed=2))
+    kept = features.copy()
+    copied = build_problem(features, labels, 4, 0.1, seed=2)
+    assert np.array_equal(features, kept)  # the default copy leaves the input alone
+    moved = build_problem(features, labels, 4, 0.1, seed=2, copy=False)
+    assert all(g.features.base is features for g in moved.groups)
+    for a, b in zip(copied.shards, moved.shards):
+        assert _bits(a.features) == _bits(b.features) and _bits(a.labels) == _bits(b.labels)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 300), st.integers(0, 2**16), st.integers(1, 5))
+def test_reorder_rows_in_place_matches_fancy_indexing(n, seed, chunk):
+    from adacgd.datasets import _reorder_rows
+
+    g = SeededRng(seed).generator()
+    a = g.standard_normal((n, 3))
+    order = g.permutation(n)
+    expected = a[order]
+    _reorder_rows(a, order, chunk)
+    assert _bits(a) == _bits(expected)
