@@ -1,4 +1,8 @@
-"""Command-line entry points: run, sweep, verify, solve-reference."""
+"""Command-line entry points: run, verify, solve-reference.
+
+``run`` runs every configured method at every stepsize multiplier; the
+method comparison protocol is ``adacgd run --config scripts/protocol.cfg``.
+"""
 
 from __future__ import annotations
 
@@ -13,7 +17,6 @@ from .experiments import (
     build_dataset,
     load_config,
     load_or_solve_reference,
-    parse_config_text,
     reference_cache_path,
     run_experiment,
 )
@@ -31,7 +34,6 @@ def _add_config_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--multipliers", help="stepsize multipliers, e.g. '1 2 4 8'")
     parser.add_argument("--zeta")
     parser.add_argument("--klist", help="adaptive sparsification levels, e.g. '1|5|25'")
-    parser.add_argument("--value-bits", dest="value_bits")
     parser.add_argument("--init", dest="init_mode", choices=["full", "compressed"])
     parser.add_argument("--seed")
     parser.add_argument("--out-dir", dest="out_dir")
@@ -61,16 +63,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(note)
     print(f"summary: {result.summary_path}")
     return 0
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    # Sweep defaults to the full multiplier grid when neither --multipliers nor
-    # the config file sets one; `run` is the same machinery.
-    if args.multipliers is None and not (
-        args.config and "multipliers" in parse_config_text(Path(args.config).read_text())
-    ):
-        args.multipliers = "1 2 4 8 16 32 64 128 256"
-    return _cmd_run(args)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -105,13 +97,9 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run the configured methods and write traces")
+    p_run = sub.add_parser("run", help="run the configured methods at each stepsize multiplier and write traces")
     _add_config_options(p_run)
     p_run.set_defaults(func=_cmd_run)
-
-    p_sweep = sub.add_parser("sweep", help="run methods across the stepsize multiplier grid")
-    _add_config_options(p_sweep)
-    p_sweep.set_defaults(func=_cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="run property verification suites")
     p_verify.add_argument("suite", choices=sorted(SUITES) + ["all"])

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Protocol, Sequence
+from typing import Iterator, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -561,6 +561,12 @@ def _sample_triple(family: int, dim: int, g: np.random.Generator) -> tuple[np.nd
     return y.copy(), y, g.standard_normal(dim)  # exact h = y
 
 
+def _triples(rng: SeededRng, dim: int, trials: int) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """(t, h, y, x) for each trial t, cycling the five families on stream t."""
+    for t in range(trials):
+        yield (t, *_sample_triple(t % 5, dim, rng.derive(t).generator()))
+
+
 def estimate_constants(
     spec: ThreePCSpec,
     dim: int,
@@ -589,9 +595,7 @@ def estimate_constants(
     max_pure_ratio = 0.0  # err / |h-y|^2 over samples with x = y
     residuals: list[tuple[float, float, float]] = []  # (err, |h-y|^2, |x-y|^2)
 
-    for t in range(trials):
-        g = rng.derive(t).generator()
-        h, y, x = _sample_triple(t % 5, dim, g)
+    for t, h, y, x in _triples(rng, dim, trials):
         hy = sqnorm(h - y)
         xy = sqnorm(x - y)
         if randomized:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import expit
@@ -54,11 +54,11 @@ _POSITIVE_LABELS = {"+1", "1"}
 _NEGATIVE_LABELS = {"-1", "0"}
 
 
-def parse_libsvm(text, expected_dim: Optional[int] = None) -> tuple[list[Example], int]:
+def parse_libsvm(text) -> tuple[list[Example], int]:
     """Parse LIBSVM text into examples and the inferred dimension.
 
-    The inferred dimension is the maximum feature index seen, overridden by
-    ``expected_dim`` when that is larger. Accepts ``str`` or UTF-8 ``bytes``.
+    The inferred dimension is the maximum feature index seen. Accepts
+    ``str`` or UTF-8 ``bytes``.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
@@ -95,8 +95,6 @@ def parse_libsvm(text, expected_dim: Optional[int] = None) -> tuple[list[Example
             raise LibsvmParseError(lineno, str(err)) from None
         if feats:
             dim = max(dim, feats[-1][0])
-    if expected_dim is not None and expected_dim > dim:
-        dim = expected_dim
     return examples, dim
 
 

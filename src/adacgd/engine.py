@@ -28,6 +28,9 @@ _WORKER_TAG = 1
 _MASTER_TAG = 2
 _INIT_TAG = 3
 
+# Every value is billed as the float64 the simulation computes and ships.
+VALUE_BITS = 64
+
 
 class DivergenceError(RuntimeError):
     """Raised when a run produces non-finite values; carries the partial trace.
@@ -115,25 +118,23 @@ def branch_header_bits(spec: ThreePCSpec) -> int:
     return math.ceil(math.log2(m + 1)) if m > 0 else 0
 
 
-def payload_bits(outcome: CompressionOutcome, dim: int, value_bits: int, header_bits: int = 0) -> int:
-    """Accounting cost of one transmission.
+def payload_bits(outcome: CompressionOutcome, dim: int, header_bits: int = 0) -> int:
+    """Accounting cost of one transmission, each value billed at VALUE_BITS.
 
     Skip costs a single flag bit; a sparse payload costs value plus index
     bits per entry, plus the adaptive branch-id header; a full vector costs
     dim values with no index overhead. A sparse send is never charged more
     than a full vector (the sender falls back to dense framing when the
     support is nearly complete), which keeps the per-round uplink bounded by
-    n * (dim * value_bits + header).
+    n * (64 * dim + header).
     """
-    if value_bits not in (32, 64):
-        raise ValueError(f"value_bits must be 32 or 64, got {value_bits}")
     payload = outcome.payload
     if payload.kind == SKIP:
         return 1
     if payload.kind == SPARSE:
         s = payload.entry_count
-        return min(s * (value_bits + index_bits(dim)), dim * value_bits) + header_bits
-    return dim * value_bits
+        return min(s * (VALUE_BITS + index_bits(dim)), dim * VALUE_BITS) + header_bits
+    return dim * VALUE_BITS
 
 
 def _check_init_mode(init_mode: str) -> None:
@@ -147,7 +148,6 @@ def init(
     x0,
     init_mode: str = INIT_FULL,
     rng: Optional[SeededRng] = None,
-    value_bits: int = 64,
 ) -> EngineState:
     """Set up round-0 state.
 
@@ -170,10 +170,10 @@ def init(
     for i, grad in enumerate(grads):
         worker_rng = rng.derive(_INIT_TAG, i) if rng is not None and contractor.randomized else None
         out = _ef21_raw(contractor, zeros, grad, worker_rng)
-        uplink += payload_bits(out, d, value_bits)
+        uplink += payload_bits(out, d)
         estimates[i] = out.vector
     g_tilde = mean_ascending(estimates)
-    downlink = d * value_bits
+    downlink = d * VALUE_BITS
     return EngineState(
         x=x0.copy(),
         g_master=g_tilde.copy(),
@@ -265,7 +265,6 @@ def step(
     master_spec: ThreePCSpec,
     gamma: float,
     rng: SeededRng,
-    value_bits: int = 64,
 ) -> tuple[EngineState, float, tuple[int, ...]]:
     """Advance one round; returns the new state, its objective value and the worker branch histogram."""
     _check_stepsize(gamma)
@@ -290,7 +289,7 @@ def step(
         rows = zip(state.worker_estimates, state.worker_prev_grads, new_grads)
         for i, (h_i, y_i, x_i) in enumerate(rows):
             out = _compress_raw(worker_spec, h_i, y_i, x_i, rng.derive(_WORKER_TAG, t, i) if worker_draws else None)
-            uplink += payload_bits(out, d, value_bits, worker_header)
+            uplink += payload_bits(out, d, worker_header)
             hist[out.branch_index] += 1
             new_estimates[i] = out.vector
 
@@ -302,7 +301,7 @@ def step(
             g_tilde_new,
             rng.derive(_MASTER_TAG, t) if master_spec.randomized else None,
         )
-        downlink = state.downlink_bits + payload_bits(master_out, d, value_bits, branch_header_bits(master_spec))
+        downlink = state.downlink_bits + payload_bits(master_out, d, branch_header_bits(master_spec))
 
         new_state = EngineState(
             x=x_new,
@@ -323,8 +322,8 @@ class StopRule:
 
     The bit budget is checked after each round, against the cumulative
     uplink plus downlink bits. A run therefore goes over it by at most one
-    round's traffic: n * (d * value_bits + header) uplink plus d * value_bits
-    downlink.
+    round's traffic: n * (64 * d + header) uplink plus 64 * d downlink.
+    Every value is billed as the float64 the simulation computes with.
     """
 
     max_rounds: int
@@ -358,7 +357,6 @@ class RunSpec:
     gamma: float
     stop: StopRule
     seed: int = 0
-    value_bits: int = 64
     init_mode: str = INIT_FULL
     f_star: float = 0.0
 
@@ -384,14 +382,14 @@ def iterate(spec: RunSpec) -> Iterator[tuple[EngineState, IterationRecord]]:
     wc = worker_spec.constants(problem.dim)
     mc = master_spec.constants(problem.dim)
     rng = SeededRng(spec.seed)
-    state = init(problem, worker_spec, spec.x0, spec.init_mode, rng, spec.value_bits)
+    state = init(problem, worker_spec, spec.x0, spec.init_mode, rng)
     f, hist = loss(problem, state.x), (0,) * worker_spec.branch_count  # no branch is chosen in round 0
     while True:
         # Overflow in the record is a diverging run, which _make_record reports.
         with np.errstate(over="ignore", invalid="ignore"):
             record = _make_record(state, problem, f, gamma, wc, mc, spec.f_star, hist)
         yield state, record
-        state, f, hist = step(state, problem, worker_spec, master_spec, gamma, rng, spec.value_bits)
+        state, f, hist = step(state, problem, worker_spec, master_spec, gamma, rng)
 
 
 def run(spec: RunSpec) -> list[IterationRecord]:

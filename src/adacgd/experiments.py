@@ -38,11 +38,12 @@ from .engine import (
     STEPSIZE_RULES,
     RunSpec,
     StopRule,
+    VALUE_BITS,
     _check_init_mode,
     resolve_stepsize,
     run,
 )
-from .problems import Problem, _check_lam, full_gradient, loss, smoothness
+from .problems import QUADRATIC, Problem, _check_lam, full_gradient, loss, smoothness
 
 OUT_DIR_ENV = "ADACGD_OUT_DIR"
 
@@ -72,7 +73,6 @@ class RunConfig:
     stepsize: str = "nonconvex"
     multipliers: tuple[float, ...] = (1.0,)
     zeta: float = 1.0
-    value_bits: int = 64
     init_mode: str = "full"
     max_rounds: int = 2000
     grad_tol_sq: Optional[float] = None
@@ -103,8 +103,6 @@ class RunConfig:
         _method_options(self.master, self.zeta)
         # The stop rule checks its own inputs; building it here rejects them before any data is read.
         StopRule(self.max_rounds, self.grad_tol_sq, self.bit_budget)
-        if self.value_bits not in (32, 64):
-            raise ValueError(f"value_bits must be 32 or 64, got {self.value_bits}")
 
 
 def _bool(text: str) -> bool:
@@ -330,7 +328,7 @@ def build_dataset(config: RunConfig) -> tuple[Problem, str]:
 def initial_point(config: RunConfig, problem: Problem) -> np.ndarray:
     fill = _x0_fill(config.x0)
     if fill is None:  # default: ones on a quadratic, else zeros
-        fill = 1.0 if problem.kind == "quadratic" else 0.0
+        fill = 1.0 if problem.kind == QUADRATIC else 0.0
     return np.full(problem.dim, fill)
 
 
@@ -474,8 +472,7 @@ def run_experiment(config: RunConfig, extra_specs: Optional[dict[str, ThreePCSpe
                 raise ValueError(
                     f"runs ({first_label}, x{first_mult!r}) and ({label}, x{mult!r}) would share the trace file {name}"
                 )
-            spec = RunSpec(problem, worker, master, x0, mult * base, stop, config.seed, config.value_bits,
-                           config.init_mode)
+            spec = RunSpec(problem, worker, master, x0, mult * base, stop, config.seed, config.init_mode)
             runs[name] = (label, mult, worker_c, spec)
 
     out_dir = Path(config.out_dir)
@@ -503,7 +500,7 @@ def run_experiment(config: RunConfig, extra_specs: Optional[dict[str, ThreePCSpe
             "n_clients": problem.n_clients,
             "lam": problem.lam,
             "seed": config.seed,
-            "value_bits": config.value_bits,
+            "value_bits": VALUE_BITS,
             "init_mode": config.init_mode,
             "worker_constants": worker_c,
             "master_constants": master_c,
@@ -571,7 +568,7 @@ def solve_reference(problem: Problem, tolerance: float, max_rounds: int = 10**6)
     """
     if tolerance <= 0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
-    if problem.kind == "quadratic":
+    if problem.kind == QUADRATIC:
         x = np.zeros(problem.dim)
         return ReferenceSolution(x, 0.0, 0.0, 0, tolerance)
     gamma = 1.0 / smoothness(problem).l_minus
@@ -600,7 +597,7 @@ def problem_digest(problem: Problem) -> str:
     diagonal.
     """
     h = hashlib.sha256(f"{problem.kind}|{float(problem.lam)!r}".encode())
-    if problem.kind == "quadratic":
+    if problem.kind == QUADRATIC:
         arrays = [problem.diagonal]
     else:
         arrays = [a for shard in problem.shards for a in (shard.features, shard.labels)]

@@ -190,19 +190,20 @@ def _quadratic_loss(p: Problem, x: np.ndarray) -> float:
     return 0.5 * float(np.sum(p.diagonal * x * x))
 
 
-def _margins(shard: Shard, x: np.ndarray) -> np.ndarray:
-    return shard.labels * (shard.features @ x)
+# The margin helpers take one shard's (m, d) features and (m,) labels, or a
+# group's (clients, m, d) and (clients, m): any leading batch axis.
+def _margins(features: np.ndarray, labels: np.ndarray, x: np.ndarray) -> np.ndarray:
+    return labels * np.matmul(features, x)
 
 
-def _margin_loss(z: np.ndarray) -> float:
+def _margin_loss(z: np.ndarray) -> np.ndarray:
     # softplus(-z) = log(1 + exp(-z)), overflow-safe
-    v = np.logaddexp(0.0, -z)
-    return float(np.add.reduce(v) / v.size)
+    return np.add.reduce(np.logaddexp(0.0, -z), axis=-1) / z.shape[-1]
 
 
-def _margin_gradient(shard: Shard, z: np.ndarray) -> np.ndarray:
-    weights = -shard.labels * expit(-z)
-    return shard.features.T @ weights / shard.size
+def _margin_gradient(features: np.ndarray, labels: np.ndarray, z: np.ndarray) -> np.ndarray:
+    weights = -labels * expit(-z)
+    return np.matmul(features.swapaxes(-1, -2), weights[..., None])[..., 0] / z.shape[-1]
 
 
 def client_loss(p: Problem, i: int, x) -> float:
@@ -210,7 +211,8 @@ def client_loss(p: Problem, i: int, x) -> float:
     x = _checked_point(p, i, x)
     if p.kind == QUADRATIC:
         return _quadratic_loss(p, x)
-    return _margin_loss(_margins(p.shards[i], x)) + _regularizer(p.lam, x)
+    shard = p.shards[i]
+    return float(_margin_loss(_margins(shard.features, shard.labels, x))) + _regularizer(p.lam, x)
 
 
 def client_gradient(p: Problem, i: int, x) -> np.ndarray:
@@ -219,7 +221,8 @@ def client_gradient(p: Problem, i: int, x) -> np.ndarray:
     if p.kind == QUADRATIC:
         return p.diagonal * x
     shard = p.shards[i]
-    return _margin_gradient(shard, _margins(shard, x)) + _regularizer_gradient(p.lam, x)
+    z = _margins(shard.features, shard.labels, x)
+    return _margin_gradient(shard.features, shard.labels, z) + _regularizer_gradient(p.lam, x)
 
 
 def loss(p: Problem, x) -> float:
@@ -234,9 +237,10 @@ def _round_oracle(p: Problem, x: np.ndarray) -> tuple[float, np.ndarray]:
 
     One batched margin product per shard size serves both the clients'
     losses and their gradients, and the regularizer terms are formed once
-    for all clients. Each batched ``np.matmul`` makes the same per-shard
-    BLAS call as the one-shard products of ``client_loss`` and
-    ``client_gradient``, and the client values are summed in client order,
+    for all clients. It calls the margin helpers of ``client_loss`` and
+    ``client_gradient`` on each group, where their batched ``np.matmul``
+    makes the same per-shard BLAS call as on one shard, and the client
+    values are summed in client order,
     so the results are bitwise equal to ``loss`` and to the stacked
     ``client_gradient`` rows. tests/test_problems.py checks this property.
     """
@@ -246,11 +250,9 @@ def _round_oracle(p: Problem, x: np.ndarray) -> tuple[float, np.ndarray]:
     values = np.empty(n)
     grads = np.empty((n, p.dim))
     for g in p.groups:
-        m = g.labels.shape[1]
-        z = g.labels * np.matmul(g.features, x)
-        values[g.clients] = np.add.reduce(np.logaddexp(0.0, -z), axis=1) / m
-        weights = -g.labels * expit(-z)
-        grads[g.clients] = np.matmul(g.features.transpose(0, 2, 1), weights[:, :, None])[:, :, 0] / m
+        z = _margins(g.features, g.labels, x)
+        values[g.clients] = _margin_loss(z)
+        grads[g.clients] = _margin_gradient(g.features, g.labels, z)
     values += _regularizer(p.lam, x)
     grads += _regularizer_gradient(p.lam, x)
     return sum(values.tolist()) / n, grads

@@ -33,7 +33,7 @@ from .compressors import (
     compress,
     estimate_constants,
     reconstruct,
-    _sample_triple,
+    _triples,
 )
 from .engine import (
     EngineState,
@@ -138,9 +138,7 @@ def chain_equivalence_check(
     rule = AdaCGD(contractors, zeta)
     chain = adacgd_as_chain(contractors, zeta)
     worst = 0.0
-    for t in range(trials):
-        g = rng.derive(t).generator()
-        h, y, x = _sample_triple(t % 5, dim, g)
+    for t, h, y, x in _triples(rng, dim, trials):
         direct = compress(rule, h, y, x, rng.derive(t, 1))
         chained = compress(chain, h, y, x, rng.derive(t, 1))
         worst = max(worst, _outcomes_equal(direct, chained))
@@ -167,9 +165,7 @@ def collapse_checks(dim: int, trials: int, seed: int) -> list[PropertyResult]:
     worst_ef21 = 0.0
     worst_clag = 0.0
     worst_lag = 0.0
-    for t in range(trials):
-        g = rng.derive(t).generator()
-        h, y, x = _sample_triple(t % 5, dim, g)
+    for t, h, y, x in _triples(rng, dim, trials):
         if sqnorm(x - h) > 0.0:
             # Equality of the maps: an earlier branch may legitimately win when
             # it reconstructs x exactly, so only the vectors must agree; on
@@ -205,9 +201,7 @@ def monotone_trigger_check(
     rng = SeededRng(seed, _VERIFY_STREAM)
     rule = AdaCGD(contractors, zeta)
     worst = 0
-    for t in range(trials):
-        g = rng.derive(t).generator()
-        h, y, x = _sample_triple(t % 5, dim, g)
+    for t, h, y, x in _triples(rng, dim, trials):
         out = compress(rule, h, y, x, rng.derive(t, 1))
         budget = zeta * sqnorm(x - y)
         first_pass = None
@@ -228,9 +222,7 @@ def determinism_check(spec: ThreePCSpec, dim: int, trials: int, seed: int) -> Pr
     """Identical (spec, h, y, x, stream) always produce identical outcomes."""
     rng = SeededRng(seed, _VERIFY_STREAM)
     worst = 0.0
-    for t in range(trials):
-        g = rng.derive(t).generator()
-        h, y, x = _sample_triple(t % 5, dim, g)
+    for t, h, y, x in _triples(rng, dim, trials):
         a = compress(spec, h, y, x, rng.derive(t, 9))
         b = compress(spec, h, y, x, rng.derive(t, 9))
         worst = max(worst, _outcomes_equal(a, b))
@@ -241,9 +233,7 @@ def payload_roundtrip_check(spec: ThreePCSpec, dim: int, trials: int, seed: int)
     """Reconstructing from (h, payload) reproduces the compressed vector exactly."""
     rng = SeededRng(seed, _VERIFY_STREAM)
     worst = 0.0
-    for t in range(trials):
-        g = rng.derive(t).generator()
-        h, y, x = _sample_triple(t % 5, dim, g)
+    for t, h, y, x in _triples(rng, dim, trials):
         out = compress(spec, h, y, x, rng.derive(t))
         rebuilt = reconstruct(h, out.payload)
         worst = max(worst, float(np.max(np.abs(rebuilt - out.vector))))

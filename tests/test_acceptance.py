@@ -218,7 +218,7 @@ PROTOCOL_CONFIG = RunConfig(
 
 
 def test_protocol_config_file_matches_protocol():
-    # `adacgd sweep --config scripts/protocol.cfg` runs this same protocol.
+    # `adacgd run --config scripts/protocol.cfg` runs this same protocol.
     loaded = load_config(str(Path(__file__).resolve().parents[1] / "scripts" / "protocol.cfg"))
     assert loaded == dataclasses.replace(PROTOCOL_CONFIG, out_dir=loaded.out_dir)
 

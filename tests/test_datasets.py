@@ -16,7 +16,7 @@ from adacgd.datasets import (
 
 
 def test_parse_basic_line():
-    examples, dim = parse_libsvm("+1 1:0.5 3:2\n", expected_dim=3)
+    examples, dim = parse_libsvm("+1 1:0.5 3:2\n")
     assert dim == 3
     assert examples[0].label == 1
     dense, labels = to_dense(examples, dim)
@@ -71,13 +71,6 @@ def test_example_holds_the_row_rules():
         Example(-1, ((1, float("inf")),))
     with pytest.raises(ValueError, match="label"):
         Example(0, ())
-
-
-def test_expected_dim_only_grows():
-    _, dim = parse_libsvm("+1 1:1 5:2\n", expected_dim=3)
-    assert dim == 5
-    _, dim = parse_libsvm("+1 1:1\n", expected_dim=7)
-    assert dim == 7
 
 
 def test_bytes_input_accepted():

@@ -58,21 +58,18 @@ def test_stepsize_pl_and_rule_errors():
 
 def test_payload_bits_examples():
     sparse = CompressionOutcome(np.zeros(4), 0, Payload.sparse(np.array([2]), np.array([1.0])))
-    assert payload_bits(sparse, 4, 64) == 66
+    assert payload_bits(sparse, 4) == 66
     skip = CompressionOutcome(np.zeros(4), 0, Payload.skip())
-    assert payload_bits(skip, 4, 64) == 1
+    assert payload_bits(skip, 4) == 1
     full = CompressionOutcome(np.zeros(100), 0, Payload.full(np.zeros(100)))
-    assert payload_bits(full, 100, 64) == 6400
+    assert payload_bits(full, 100) == 6400
 
 
 def test_payload_bits_adaptive_header():
     spec = AdaCGD((ContractorSpec.top_k(1), ContractorSpec.top_k(2), ContractorSpec.top_k(3)), 1.0)
     assert branch_header_bits(spec) == 2  # four branch ids including skip
     sparse = CompressionOutcome(np.zeros(4), 1, Payload.sparse(np.array([0]), np.array([1.0])))
-    assert payload_bits(sparse, 4, 64, branch_header_bits(spec)) == 68
-    assert payload_bits(sparse, 4, 32, branch_header_bits(spec)) == 36
-    with pytest.raises(ValueError):
-        payload_bits(sparse, 4, 16)
+    assert payload_bits(sparse, 4, branch_header_bits(spec)) == 68
 
 
 def test_init_full_mode_exact():
@@ -99,13 +96,6 @@ def test_init_compressed_charges_no_more_than_full_vectors():
     state = init(p, EF21(ContractorSpec.top_k(50)), np.ones(50), "compressed", SeededRng(0))
     assert state.uplink_bits == 2 * 50 * 64
     assert np.array_equal(state.worker_estimates[1], full_gradient(p, np.ones(50)))
-
-
-def test_init_rejects_unsupported_value_bits():
-    p = quad([1.0, 2.0], n=2)
-    for mode in ("full", "compressed"):
-        with pytest.raises(ValueError, match="value_bits"):
-            init(p, EF21(ContractorSpec.top_k(1)), [1.0, 1.0], mode, SeededRng(0), value_bits=16)
 
 
 def test_init_full_phi_equals_gap():
@@ -240,8 +230,8 @@ def test_run_stops_on_bit_budget():
 def test_bit_budget_overshoot_is_at_most_one_round():
     p = quad([1.0, 2.0, 3.0, 4.0], n=3)
     spec = AdaCGD((ContractorSpec.top_k(1), ContractorSpec.top_k(2), ContractorSpec.top_k(4)), 1.0)
-    n, d, value_bits = 3, 4, 64
-    one_round = n * (d * value_bits + branch_header_bits(spec)) + d * value_bits
+    n, d = 3, 4
+    one_round = n * (64 * d + branch_header_bits(spec)) + 64 * d
     for budget in (5000, 7777, 12345):
         stop = StopRule(1000, bit_budget=budget)
         records = run(RunSpec(p, spec, IdentityMaster(), np.ones(d), 0.05, stop))

@@ -658,14 +658,28 @@ def test_cli_run_and_verify(tmp_path, capsys):
     assert rc == 0
 
 
-def test_cli_sweep_keeps_config_file_multipliers(tmp_path):
-    cfg = tmp_path / "two.cfg"
-    cfg.write_text(
-        "dataset = quadratic:diag=1|2,n=2\nmethods = gd\nmultipliers = 1 2\n"
-        f"max_rounds = 3\nout_dir = {tmp_path / 'out'}\n"
-    )
-    assert cli_main(["sweep", "--config", str(cfg)]) == 0
-    assert sorted(p.name for p in (tmp_path / "out").glob("gd_x*.csv")) == ["gd_x1.csv", "gd_x2.csv"]
+def test_cli_run_uses_the_protocol_file_multipliers(tmp_path, monkeypatch):
+    # The command in scripts/protocol.cfg's header, cut to one round.
+    monkeypatch.delenv("ADACGD_OUT_DIR", raising=False)
+    cfg = str(Path(__file__).resolve().parents[1] / "scripts" / "protocol.cfg")
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", cfg, "--stop", "rounds=1", "--out-dir", str(out)]) == 0
+    config = load_config(cfg)
+    labels = [method_spec(m, 50, config.zeta)[0] for m in config.methods]
+    traces = {f"{label}_x{mult:g}.csv" for label in labels for mult in config.multipliers}
+    assert len(traces) == 45
+    assert {p.name for p in out.iterdir()} == traces | {"summary.csv"}
+
+
+def test_value_bits_is_not_a_config_key_or_flag(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("dataset = quadratic:diag=1|2,n=2\nvalue_bits = 32\n")
+    with pytest.raises(ValueError, match="^config line 2: unknown key 'value_bits'$"):
+        load_config(str(cfg))
+    args = ["run", "--dataset", "quadratic:diag=1|2", "--value-bits", "32", "--out-dir", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(args)
+    assert exit_info.value.code == 2
 
 
 def test_cli_verify_exit_code_reflects_failures(monkeypatch, capsys):
