@@ -6,6 +6,7 @@ from .compressors import (
     AdaCGD,
     CLAG,
     CandidateErrorTrigger,
+    CompressedRows,
     CompressionOutcome,
     ContractorSpec,
     EF21,

@@ -7,15 +7,17 @@ and the previously seen vector y; the shipped rules are the error-feedback
 shift (EF21), lazy aggregation (LAG), their combination (CLAG), a multi-level
 adaptive rule (AdaCGD), and a generic predicate-dispatched chain (Ada3PC).
 Each rule is one spec class holding its map and its certified inequality
-constants; ``compress`` is the public entry point and ``estimate_constants``
-the empirical verifier.
+constants. The map acts on (n, d) stacks row by row, each row on its own, so
+the engine compresses every worker's message in one call; ``compress`` is
+the public single-vector entry point (the one-row stack) and
+``estimate_constants`` the empirical verifier.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Protocol, Sequence
+from typing import Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -25,6 +27,7 @@ from .core import (
     as_vector,
     check_same_dim,
     combine_constants,
+    row_sqnorms,
     sqnorm,
 )
 
@@ -72,53 +75,80 @@ class ContractorSpec:
 
 
 def _magnitude_order(x: np.ndarray) -> np.ndarray:
-    # Stable sort on -|x| breaks magnitude ties by lowest coordinate index.
-    return np.argsort(-np.abs(x), kind="stable")
+    # Stable sort on -|x| breaks magnitude ties by lowest coordinate index, row by row.
+    return np.argsort(-np.abs(x), axis=1, kind="stable")
 
 
 def _top_k_indices(x: np.ndarray, k: int, order: Optional[np.ndarray] = None) -> np.ndarray:
-    # The top-k sets of one vector are nested under its single stable order,
+    # The top-k sets of one row are nested under its single stable order,
     # so callers probing several k may pass that order in once.
     if order is None:
         order = _magnitude_order(x)
-    return np.sort(order[:k])
+    return np.sort(order[:, :k], axis=1)
 
 
 def _contract_support(
-    c: ContractorSpec, x: np.ndarray, rng: Optional[SeededRng], order: Optional[np.ndarray] = None
+    c: ContractorSpec, x: np.ndarray, rngs: Optional[Sequence[SeededRng]], order: Optional[np.ndarray] = None
 ) -> Optional[np.ndarray]:
-    """Indices kept by the sparsifier, or None for the identity (full) map.
+    """Indices kept by the sparsifier in each row of the (m, d) stack x, as an
+    (m, k) array sorted along rows, or None for the identity (full) map.
 
-    ``order`` is x's magnitude ranking when the caller already has it.
+    Rand-k row i draws from ``rngs[i]``; ``order`` is x's row-wise magnitude
+    ranking when the caller already has it.
     """
-    d = x.shape[0]
+    d = x.shape[1]
     if c.kind == IDENTITY:
         return None
     if c.k > d:
         raise ValueError(f"k={c.k} exceeds dimension {d}")
     if c.kind == TOPK:
         return _top_k_indices(x, c.k, order)
-    if rng is None:
+    if rngs is None:
         raise ValueError("rand-k contractor needs an rng stream")
-    idx = rng.generator().choice(d, size=c.k, replace=False)
-    idx.sort()
+    idx = np.array([r.generator().choice(d, size=c.k, replace=False) for r in rngs], dtype=np.int64)
+    idx.sort(axis=1)
     return idx
+
+
+def _flat_positions(idx: np.ndarray, dim: int, rows: Optional[np.ndarray] = None) -> np.ndarray:
+    # Positions of row-wise column indices in a flattened stack of width dim,
+    # grouped by row: one 1-D gather or scatter serves every row. Row i of
+    # idx belongs to row ``rows[i]`` of the stack (row i when rows is None).
+    starts = np.arange(idx.shape[0]) if rows is None else rows
+    return (idx + (starts * dim)[:, None]).reshape(-1)
+
+
+def _shifted(h: np.ndarray, delta: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    # The shift map's kept values h + delta at flat positions of the stacks.
+    return h.reshape(-1)[positions] + delta.reshape(-1)[positions]
+
+
+def _one_stream(rng: Optional[SeededRng]) -> Optional[list[SeededRng]]:
+    return None if rng is None else [rng]
+
+
+def _contract_rows(c: ContractorSpec, x: np.ndarray, rngs: Optional[Sequence[SeededRng]]) -> np.ndarray:
+    """The sparsifier on each row of the (m, d) stack x; rand-k row i draws from ``rngs[i]``."""
+    support = _contract_support(c, x, rngs)
+    if support is None:
+        return x.copy()
+    flat = _flat_positions(support, x.shape[1])
+    out = np.zeros_like(x)
+    out.reshape(-1)[flat] = x.reshape(-1)[flat]
+    return out
 
 
 def apply_contractor(c: ContractorSpec, x, rng: Optional[SeededRng] = None) -> np.ndarray:
     """Apply the sparsifier; kept coordinates pass through unscaled."""
-    x = as_vector(x)
-    support = _contract_support(c, x, rng)
-    if support is None:
-        return x.copy()
-    out = np.zeros_like(x)
-    out[support] = x[support]
-    return out
+    return _contract_rows(c, as_vector(x)[None], _one_stream(rng))[0]
 
 
 SKIP = "skip"
 SPARSE = "sparse"
 FULL = "full"
+# A stacked result stores each row's payload kind as an index into this tuple.
+PAYLOAD_KINDS = (SKIP, SPARSE, FULL)
+_SKIP, _SPARSE, _FULL = range(len(PAYLOAD_KINDS))
 
 
 @dataclass(frozen=True)
@@ -168,31 +198,81 @@ class CompressionOutcome:
     payload: Payload
 
 
-def _skip(h: np.ndarray) -> CompressionOutcome:
-    return CompressionOutcome(h.copy(), 0, Payload.skip())
+@dataclass(frozen=True)
+class CompressedRows:
+    """One call of a rule's map on (n, d) stacks; row i is the message of input row i.
+
+    ``vectors`` holds the compressed vectors and ``branches`` the branch
+    indices. ``kinds`` gives each row's payload kind as an index into
+    PAYLOAD_KINDS and ``support`` marks the coordinates a sparse row sends;
+    with the inputs ``h`` and ``x`` they rebuild row i's Payload on demand.
+    """
+
+    vectors: np.ndarray
+    branches: np.ndarray
+    kinds: np.ndarray
+    support: np.ndarray
+    h: np.ndarray
+    x: np.ndarray
+
+    @property
+    def entries(self) -> np.ndarray:
+        """Values each row sends in a sparse payload (0 for skip and full rows)."""
+        return self.support.sum(axis=1)
+
+    def outcome(self, i: int) -> CompressionOutcome:
+        """Row i as a single-vector outcome, with its payload rebuilt."""
+        kind = self.kinds[i]
+        if kind == _SKIP:
+            payload = Payload.skip()
+        elif kind == _FULL:
+            payload = Payload.full(self.x[i])
+        else:
+            idx = np.flatnonzero(self.support[i])
+            payload = Payload.sparse(idx, (self.x[i] - self.h[i])[idx])
+        return CompressionOutcome(self.vectors[i], int(self.branches[i]), payload)
+
+    def _set(self, rows: np.ndarray, branch: int, sub: "CompressedRows") -> None:
+        # Rows ``rows`` take the rows of ``sub``, in order, under branch index ``branch``.
+        self.vectors[rows] = sub.vectors
+        self.branches[rows] = branch
+        self.kinds[rows] = sub.kinds
+        self.support[rows] = sub.support
+
+
+def _skipping(h: np.ndarray, x: np.ndarray) -> CompressedRows:
+    """Every row keeps its h on branch 0 (skip): the start a rule fills in."""
+    n = x.shape[0]
+    return CompressedRows(
+        h.copy(), np.zeros(n, dtype=np.int64), np.full(n, _SKIP, dtype=np.int8), np.zeros(x.shape, dtype=bool), h, x
+    )
 
 
 def _ef21_raw(
     contractor: ContractorSpec,
     h: np.ndarray,
     x: np.ndarray,
-    rng: Optional[SeededRng],
+    rngs: Optional[Sequence[SeededRng]],
     delta: Optional[np.ndarray] = None,
     order: Optional[np.ndarray] = None,
-) -> CompressionOutcome:
-    """The shift map h + C(x - h); callers that already hold ``delta = x - h``
-    and its magnitude ranking ``order`` pass them in."""
+) -> CompressedRows:
+    """The shift map h + C(x - h) on the rows of (m, d) stacks; callers that
+    already hold ``delta = x - h`` and its magnitude ranking ``order`` pass them in."""
+    n = x.shape[0]
+    branches = np.zeros(n, dtype=np.int64)
     if contractor.kind == IDENTITY:
         # Mathematically h + (x - h) = x; return x itself to keep the
         # pass-through path bitwise exact.
-        return CompressionOutcome(x.copy(), 0, Payload.full(x))
+        kinds = np.full(n, _FULL, dtype=np.int8)
+        return CompressedRows(x.copy(), branches, kinds, np.zeros(x.shape, dtype=bool), h, x)
     if delta is None:
         delta = x - h
-    support = _contract_support(contractor, delta, rng, order)
-    values = delta[support]
-    vector = h.copy()
-    vector[support] += values
-    return CompressionOutcome(vector, 0, Payload.sparse(support, values))
+    flat = _flat_positions(_contract_support(contractor, delta, rngs, order), x.shape[1])
+    vectors = h.copy()
+    vectors.reshape(-1)[flat] = _shifted(h, delta, flat)
+    support = np.zeros(x.shape, dtype=bool)
+    support.reshape(-1)[flat] = True
+    return CompressedRows(vectors, branches, np.full(n, _SPARSE, dtype=np.int8), support, h, x)
 
 
 def ef21_constants(alpha: float) -> ThreePCConstants:
@@ -225,12 +305,19 @@ class ThreePCSpec:
     a fixed, deterministic, single-branch rule with no sparsifier.
     """
 
-    randomized = False  # whether compressing draws from the rng stream
+    randomized = False  # whether compressing draws from the rng streams
     branch_count = 1  # distinct branch indices the rule can report
     adaptive_level_count = 0  # selectable levels of an adaptive rule
 
-    def raw(self, h: np.ndarray, y: np.ndarray, x: np.ndarray, rng: Optional[SeededRng]) -> CompressionOutcome:
-        """The rule's map on finite vectors of one dimension."""
+    def raw(
+        self, h: np.ndarray, y: np.ndarray, x: np.ndarray, rngs: Optional[Sequence[SeededRng]]
+    ) -> CompressedRows:
+        """The rule's map on (n, d) stacks of finite vectors, row by row.
+
+        Row i of the result depends only on row i of h, y and x and on
+        ``rngs[i]``; ``rngs`` holds one stream per row, or is None for a
+        rule that does not draw.
+        """
         raise NotImplementedError
 
     def constants(self, dim: int) -> ThreePCConstants:
@@ -257,8 +344,8 @@ class EF21(ThreePCSpec):
     def randomized(self) -> bool:
         return self.contractor.randomized
 
-    def raw(self, h, y, x, rng):
-        return _ef21_raw(self.contractor, h, x, rng)
+    def raw(self, h, y, x, rngs):
+        return _ef21_raw(self.contractor, h, x, rngs)
 
     def constants(self, dim):
         return ef21_constants(self.contractor.alpha(dim))
@@ -277,10 +364,11 @@ class LAG(ThreePCSpec):
     def __post_init__(self) -> None:
         _check_zeta(self.zeta)
 
-    def raw(self, h, y, x, rng):
-        if sqnorm(x - h) <= self.zeta * sqnorm(x - y):
-            return _skip(h)
-        return CompressionOutcome(x.copy(), 1, Payload.full(x))
+    def raw(self, h, y, x, rngs):
+        out = _skipping(h, x)
+        sent = np.flatnonzero(~(row_sqnorms(x - h) <= self.zeta * row_sqnorms(x - y)))
+        out._set(sent, 1, _ef21_raw(ContractorSpec.identity(), h[sent], x[sent], None))
+        return out
 
     def constants(self, dim):
         return ThreePCConstants(1.0, self.zeta)
@@ -301,11 +389,14 @@ class CLAG(ThreePCSpec):
     def randomized(self) -> bool:
         return self.contractor.randomized
 
-    def raw(self, h, y, x, rng):
-        if sqnorm(x - h) > self.zeta * sqnorm(x - y):
-            out = _ef21_raw(self.contractor, h, x, rng)
-            return CompressionOutcome(out.vector, 1, out.payload)
-        return _skip(h)
+    def raw(self, h, y, x, rngs):
+        out = _skipping(h, x)
+        delta = x - h
+        fired = np.flatnonzero(row_sqnorms(delta) > self.zeta * row_sqnorms(x - y))
+        if fired.size:
+            fired_rngs = None if rngs is None else [rngs[i] for i in fired]
+            out._set(fired, 1, _ef21_raw(self.contractor, h[fired], x[fired], fired_rngs, delta[fired]))
+        return out
 
     def constants(self, dim):
         base = ef21_constants(self.contractor.alpha(dim))
@@ -323,9 +414,10 @@ class AdaCGD(ThreePCSpec):
     compression first). Branch 0 keeps h outright when h itself is within
     the lazy budget. Candidates j = 1..m are evaluated lazily in order; the
     first one with squared error within the budget wins (boundary
-    inclusive), and the weakest level is the unconditional fallback.
-    Randomized levels draw from per-branch derived streams, so the chosen
-    branch's draw does not depend on how many candidates were probed.
+    inclusive), and the weakest level is the unconditional fallback. Level
+    j is probed only on the rows no earlier level accepted. Randomized
+    levels draw from per-branch derived streams, so the chosen branch's
+    draw does not depend on how many candidates were probed.
     """
 
     contractors: tuple[ContractorSpec, ...]
@@ -349,21 +441,47 @@ class AdaCGD(ThreePCSpec):
     def adaptive_level_count(self) -> int:
         return len(self.contractors)
 
-    def raw(self, h, y, x, rng):
-        budget = self.zeta * sqnorm(x - y)
+    def raw(self, h, y, x, rngs):
+        out = _skipping(h, x)
+        budget = self.zeta * row_sqnorms(x - y)
         delta = x - h
-        if sqnorm(delta) <= budget:
-            return _skip(h)
-        # One ranking serves every top-k level: their supports are prefixes of it.
-        order = _magnitude_order(delta) if any(c.kind == TOPK for c in self.contractors) else None
-        outcome = None
+        rows = np.flatnonzero(~(row_sqnorms(delta) <= budget))
+        if not rows.size:
+            return out
+        d = x.shape[1]
+        # One ranking per row serves every top-k level: their supports are prefixes of it.
+        order = _magnitude_order(delta[rows]) if any(c.kind == TOPK for c in self.contractors) else None
+        ranked = np.arange(rows.size)  # the row of ``order`` of each row in play
+        last = len(self.contractors)
         for j, c in enumerate(self.contractors, start=1):
-            branch_rng = rng.derive(j) if rng is not None and c.randomized else None
-            candidate = _ef21_raw(c, h, x, branch_rng, delta, order)
-            outcome = CompressionOutcome(candidate.vector, j, candidate.payload)
-            if sqnorm(x - candidate.vector) <= budget:
-                return outcome
-        return outcome
+            # Level j's candidate is the shift h + C(delta). Its residual
+            # x - candidate is delta off the kept entries; only the rows it
+            # fits (every row at the last level) take it.
+            if c.kind == IDENTITY:
+                xr = x[rows]
+                residual = xr - xr  # the candidate is x itself
+            else:
+                level_rngs = [rngs[i].derive(j) for i in rows] if rngs is not None and c.randomized else None
+                residual = delta[rows]
+                kept = _contract_support(c, residual, level_rngs, None if order is None else order[ranked])
+                positions = _flat_positions(kept, d, rows)
+                values = _shifted(h, delta, positions)
+                residual.reshape(-1)[_flat_positions(kept, d)] = x.reshape(-1)[positions] - values
+            fits = row_sqnorms(residual) <= budget[rows] if j < last else np.ones(rows.size, dtype=bool)
+            taken = rows[fits]
+            out.branches[taken] = j
+            if c.kind == IDENTITY:
+                out.vectors[taken] = x[taken]
+                out.kinds[taken] = _FULL
+            else:
+                sending = np.repeat(fits, c.k)  # positions and values are grouped by row
+                out.vectors.reshape(-1)[positions[sending]] = values[sending]
+                out.support.reshape(-1)[positions[sending]] = True
+                out.kinds[taken] = _SPARSE
+            rows, ranked = rows[~fits], ranked[~fits]
+            if not rows.size:
+                break
+        return out
 
     def constants(self, dim):
         # Branch constants combine (min a, max b); the skip branch gives (1, zeta).
@@ -390,7 +508,8 @@ class Ada3PC(ThreePCSpec):
 
     Branch j fires when its predicate is the first to hold on (h, y, x);
     the final branch is the unconditional fallback, so a chain of m branches
-    carries exactly m - 1 predicates.
+    carries exactly m - 1 predicates. Predicates see one row at a time; each
+    branch then maps the rows that chose it as one stack.
     """
 
     branches: tuple[ThreePCSpec, ...]
@@ -425,17 +544,21 @@ class Ada3PC(ThreePCSpec):
     def adaptive_level_count(self) -> int:
         return len(self.branches)
 
-    def raw(self, h, y, x, rng):
-        chosen = len(self.branches) - 1
-        for j, pred in enumerate(self.predicates):
-            branch_rng = rng.derive(j) if rng is not None and pred.draws else None
-            if pred.evaluate(h, y, x, branch_rng):
-                chosen = j
-                break
-        branch = self.branches[chosen]
-        branch_rng = rng.derive(chosen) if rng is not None and branch.randomized else None
-        out = branch.raw(h, y, x, branch_rng)
-        return CompressionOutcome(out.vector, chosen, out.payload)
+    def raw(self, h, y, x, rngs):
+        chosen = np.full(x.shape[0], len(self.branches) - 1)
+        for i in range(x.shape[0]):
+            for j, pred in enumerate(self.predicates):
+                pred_rng = rngs[i].derive(j) if rngs is not None and pred.draws else None
+                if pred.evaluate(h[i], y[i], x[i], pred_rng):
+                    chosen[i] = j
+                    break
+        out = _skipping(h, x)
+        for j, branch in enumerate(self.branches):
+            rows = np.flatnonzero(chosen == j)
+            if rows.size:
+                branch_rngs = [rngs[i].derive(j) for i in rows] if rngs is not None and branch.randomized else None
+                out._set(rows, j, branch.raw(h[rows], y[rows], x[rows], branch_rngs))
+        return out
 
     def constants(self, dim):
         # A chain altered after construction is caught here, before any compression.
@@ -478,32 +601,35 @@ class CandidateErrorTrigger:
         return self.contractor.randomized
 
     def evaluate(self, h: np.ndarray, y: np.ndarray, x: np.ndarray, rng: Optional[SeededRng] = None) -> bool:
-        v = _ef21_raw(self.contractor, h, x, rng).vector
+        v = _ef21_raw(self.contractor, h[None], x[None], _one_stream(rng)).vectors[0]
         d = x - v
         e = x - y
         return float(d @ d) <= self.zeta * float(e @ e)
 
 
-def _compress_raw(spec: ThreePCSpec, h: np.ndarray, y: np.ndarray, x: np.ndarray, rng: Optional[SeededRng]) -> CompressionOutcome:
-    """Apply ``spec``'s map to vetted inputs.
+def _compress_raw(
+    spec: ThreePCSpec, h: np.ndarray, y: np.ndarray, x: np.ndarray, rngs: Optional[Sequence[SeededRng]]
+) -> CompressedRows:
+    """Apply ``spec``'s map to vetted (n, d) stacks.
 
-    The engine makes every compression through this one name, which is what
+    The engine makes every compression through this one name, one call for
+    all workers and one for the master per round, which is what
     ``perfbench/tracer.py`` wraps to time worker and master compression.
     """
-    return spec.raw(h, y, x, rng)
+    return spec.raw(h, y, x, rngs)
 
 
 def compress(spec: ThreePCSpec, h, y, x, rng: Optional[SeededRng] = None) -> CompressionOutcome:
     """Compress x against (h, y) with ``spec``: the public compression entry point.
 
     Checks the vectors, and ``spec`` at their dimension, before applying the
-    rule's map. Rules that draw need ``rng``.
+    rule's map to the one-row stack. Rules that draw need ``rng``.
     """
     h, y, x = as_vector(h), as_vector(y), as_vector(x)
     check_same_dim(h, x)
     check_same_dim(y, x)
     spec.constants(x.shape[0])
-    return _compress_raw(spec, h, y, x, rng)
+    return _compress_raw(spec, h[None], y[None], x[None], _one_stream(rng)).outcome(0)
 
 
 def adacgd_as_chain(contractors: Sequence[ContractorSpec], zeta: float) -> Ada3PC:
@@ -561,10 +687,10 @@ def _sample_triple(family: int, dim: int, g: np.random.Generator) -> tuple[np.nd
     return y.copy(), y, g.standard_normal(dim)  # exact h = y
 
 
-def _triples(rng: SeededRng, dim: int, trials: int) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-    """(t, h, y, x) for each trial t, cycling the five families on stream t."""
-    for t in range(trials):
-        yield (t, *_sample_triple(t % 5, dim, rng.derive(t).generator()))
+def _triple_stacks(rng: SeededRng, dim: int, trials: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(h, y, x) as (trials, dim) stacks; row t cycles the five families on stream t."""
+    rows = [_sample_triple(t % 5, dim, rng.derive(t).generator()) for t in range(trials)]
+    return tuple(np.stack(column) for column in zip(*rows))
 
 
 def estimate_constants(
@@ -587,29 +713,30 @@ def estimate_constants(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    cert = certified if certified is not None else spec.constants(dim)
-    randomized = spec.randomized
+    own = spec.constants(dim)  # also checks the spec at dim when a certificate is given
+    cert = certified if certified is not None else own
 
     worst_slack = math.inf
     passed = True
     max_pure_ratio = 0.0  # err / |h-y|^2 over samples with x = y
     residuals: list[tuple[float, float, float]] = []  # (err, |h-y|^2, |x-y|^2)
 
-    for t, h, y, x in _triples(rng, dim, trials):
+    hs, ys, xs = _triple_stacks(rng, dim, trials)
+    if spec.randomized:
+        errors = []
+        for t, (h, y, x) in enumerate(zip(hs, ys, xs)):
+            # The inner draws are the rows of one stack; row s draws from stream (t, s).
+            stack = [np.repeat(v[None], _INNER_DRAWS, axis=0) for v in (h, y, x)]
+            out = _compress_raw(spec, *stack, [rng.derive(t, s) for s in range(_INNER_DRAWS)])
+            errs = row_sqnorms(out.vectors - x)
+            errors.append((float(errs.mean()), float(errs.std(ddof=1) / math.sqrt(_INNER_DRAWS))))
+    else:
+        # A deterministic rule maps every triple in one stack.
+        errors = [(err, 0.0) for err in row_sqnorms(_compress_raw(spec, hs, ys, xs, None).vectors - xs).tolist()]
+
+    for h, y, x, (err, stderr) in zip(hs, ys, xs, errors):
         hy = sqnorm(h - y)
         xy = sqnorm(x - y)
-        if randomized:
-            errs = np.empty(_INNER_DRAWS)
-            for s in range(_INNER_DRAWS):
-                out = compress(spec, h, y, x, rng.derive(t, s))
-                errs[s] = sqnorm(out.vector - x)
-            err = float(errs.mean())
-            stderr = float(errs.std(ddof=1) / math.sqrt(_INNER_DRAWS)) if _INNER_DRAWS > 1 else 0.0
-        else:
-            out = compress(spec, h, y, x, rng.derive(t))
-            err = sqnorm(out.vector - x)
-            stderr = 0.0
-
         rhs = (1.0 - cert.a) * hy + cert.b * xy
         allowance = _ESTIMATE_REL_TOL * max(1.0, rhs) + 3.0 * stderr
         slack = rhs - err

@@ -35,6 +35,15 @@ def sqnorm(u: np.ndarray) -> float:
     return float(u @ u)
 
 
+def row_sqnorms(rows: np.ndarray) -> np.ndarray:
+    """Squared norm of each row of an (n, d) array.
+
+    One batched row dot: the same BLAS ddot per row as :func:`sqnorm`, so
+    entry i is bitwise ``sqnorm(rows[i])``.
+    """
+    return np.matmul(rows[:, None, :], rows[:, :, None]).reshape(-1)
+
+
 def squared_distance(u, v) -> float:
     """Sum of squared coordinate differences between two equal-length vectors.
 

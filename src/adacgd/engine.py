@@ -4,9 +4,10 @@ Each round the server broadcasts its gradient estimate, every worker steps
 the iterate, compresses its fresh gradient against (previous estimate,
 previous gradient), and the server aggregates and optionally re-compresses
 the mean for the downlink. The workers' estimates and gradients are held as
-(n, d) arrays whose row i is worker i. Each worker's message is compressed
-on its own, and aggregation adds the rows in ascending worker order, so
-results do not depend on how the workers are scheduled.
+(n, d) arrays whose row i is worker i. The worker rule maps the whole (n, d)
+stack in one call, row by row and each row independently of the others, and
+aggregation adds the rows in ascending worker order, so results do not
+depend on how the workers are scheduled.
 """
 
 from __future__ import annotations
@@ -17,8 +18,16 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .core import SeededRng, ThreePCConstants, as_vector, mean_ascending, sqnorm
-from .compressors import SKIP, SPARSE, CompressionOutcome, ContractorSpec, ThreePCSpec, _compress_raw, _ef21_raw
+from .core import SeededRng, ThreePCConstants, as_vector, mean_ascending, row_sqnorms, sqnorm
+from .compressors import (
+    PAYLOAD_KINDS,
+    CompressedRows,
+    CompressionOutcome,
+    ContractorSpec,
+    ThreePCSpec,
+    _compress_raw,
+    _ef21_raw,
+)
 from .problems import Problem, SmoothnessConstants, _round_oracle, client_gradient, loss, smoothness
 
 INIT_FULL = "full"
@@ -118,23 +127,32 @@ def branch_header_bits(spec: ThreePCSpec) -> int:
     return math.ceil(math.log2(m + 1)) if m > 0 else 0
 
 
-def payload_bits(outcome: CompressionOutcome, dim: int, header_bits: int = 0) -> int:
-    """Accounting cost of one transmission, each value billed at VALUE_BITS.
+def message_bits(kinds, entries, dim: int, header_bits: int = 0):
+    """Accounting cost of each transmission, each value billed at VALUE_BITS.
 
-    Skip costs a single flag bit; a sparse payload costs value plus index
-    bits per entry, plus the adaptive branch-id header; a full vector costs
-    dim values with no index overhead. A sparse send is never charged more
-    than a full vector (the sender falls back to dense framing when the
-    support is nearly complete), which keeps the per-round uplink bounded by
+    ``kinds`` are payload kinds as indices into PAYLOAD_KINDS and
+    ``entries`` the sparse entry counts, as numbers or arrays. Skip costs a
+    single flag bit; a sparse payload costs value plus index bits per entry,
+    plus the adaptive branch-id header; a full vector costs dim values with
+    no index overhead. A sparse send is never charged more than a full
+    vector (the sender falls back to dense framing when the support is
+    nearly complete), which keeps the per-round uplink bounded by
     n * (64 * dim + header).
     """
+    # Skip and full messages carry no sparse entries, so only sparse ones pay per entry.
+    per_kind = np.array([1, header_bits, dim * VALUE_BITS])
+    return per_kind[kinds] + np.minimum(entries * (VALUE_BITS + index_bits(dim)), dim * VALUE_BITS)
+
+
+def payload_bits(outcome: CompressionOutcome, dim: int, header_bits: int = 0) -> int:
+    """Accounting cost of one transmission: :func:`message_bits` of its payload."""
     payload = outcome.payload
-    if payload.kind == SKIP:
-        return 1
-    if payload.kind == SPARSE:
-        s = payload.entry_count
-        return min(s * (VALUE_BITS + index_bits(dim)), dim * VALUE_BITS) + header_bits
-    return dim * VALUE_BITS
+    return int(message_bits(PAYLOAD_KINDS.index(payload.kind), payload.entry_count, dim, header_bits))
+
+
+def _stack_bits(out: CompressedRows, dim: int, header_bits: int) -> int:
+    """Total cost of every message of one stacked compression call."""
+    return int(np.add.reduce(message_bits(out.kinds, out.entries, dim, header_bits)))
 
 
 def _check_init_mode(init_mode: str) -> None:
@@ -153,9 +171,10 @@ def init(
 
     Each worker's first message is the shift map from a zero estimate
     toward its exact gradient: through the identity map in full mode, and
-    through the worker rule's strongest contractor in compressed mode. It
-    is charged by :func:`payload_bits`, the rule of every later round. The
-    server aggregate is broadcast in full either way.
+    through the worker rule's strongest contractor in compressed mode. All
+    n first messages are one stacked call of the shift map, charged by
+    :func:`message_bits`, the rule of every later round. The server
+    aggregate is broadcast in full either way.
     """
     x0 = as_vector(x0)
     if x0.shape[0] != problem.dim:
@@ -164,24 +183,18 @@ def init(
     n, d = problem.n_clients, problem.dim
     grads = np.stack([client_gradient(problem, i, x0) for i in range(n)])
     contractor = worker_spec.strongest_contractor(d) if init_mode == INIT_COMPRESSED else ContractorSpec.identity()
-    zeros = np.zeros(d)
-    uplink = 0
-    estimates = np.empty((n, d))
-    for i, grad in enumerate(grads):
-        worker_rng = rng.derive(_INIT_TAG, i) if rng is not None and contractor.randomized else None
-        out = _ef21_raw(contractor, zeros, grad, worker_rng)
-        uplink += payload_bits(out, d)
-        estimates[i] = out.vector
-    g_tilde = mean_ascending(estimates)
+    rngs = [rng.derive(_INIT_TAG, i) for i in range(n)] if rng is not None and contractor.randomized else None
+    out = _ef21_raw(contractor, np.zeros((n, d)), grads, rngs)
+    g_tilde = mean_ascending(out.vectors)
     downlink = d * VALUE_BITS
     return EngineState(
         x=x0.copy(),
         g_master=g_tilde.copy(),
         g_tilde_master=g_tilde,
-        worker_estimates=estimates,
+        worker_estimates=out.vectors,
         worker_prev_grads=grads,
         round=0,
-        uplink_bits=uplink,
+        uplink_bits=_stack_bits(out, d, 0),
         downlink_bits=downlink,
     )
 
@@ -207,9 +220,8 @@ def _potentials(
 
 def _mean_estimator_error(state: EngineState) -> float:
     diff = state.worker_estimates - state.worker_prev_grads
-    # One batched row dot: the same BLAS ddot per row as sqnorm, summed in worker order.
-    errors = np.matmul(diff[:, None, :], diff[:, :, None])
-    return sum(errors.ravel().tolist()) / diff.shape[0]
+    # Summed in worker order.
+    return sum(row_sqnorms(diff).tolist()) / diff.shape[0]
 
 
 def _divergence_reason(f: float, grads: np.ndarray) -> str:
@@ -279,41 +291,33 @@ def step(
         # x_new is finite and of the problem's dimension, so the oracle skips the
         # per-call input checks; f comes from the same margins as the gradients.
         f_new, new_grads = _round_oracle(problem, x_new)
-        worker_header = branch_header_bits(worker_spec)
-        worker_draws = worker_spec.randomized
-        hist = [0] * worker_spec.branch_count
-        uplink = state.uplink_bits
-        new_estimates = np.empty_like(new_grads)
+        n = new_grads.shape[0]
         # A non-finite gradient makes the record's mean gradient non-finite, so
         # the round's record reports it as divergence at round t + 1.
-        rows = zip(state.worker_estimates, state.worker_prev_grads, new_grads)
-        for i, (h_i, y_i, x_i) in enumerate(rows):
-            out = _compress_raw(worker_spec, h_i, y_i, x_i, rng.derive(_WORKER_TAG, t, i) if worker_draws else None)
-            uplink += payload_bits(out, d, worker_header)
-            hist[out.branch_index] += 1
-            new_estimates[i] = out.vector
+        worker_rngs = [rng.derive(_WORKER_TAG, t, i) for i in range(n)] if worker_spec.randomized else None
+        out = _compress_raw(worker_spec, state.worker_estimates, state.worker_prev_grads, new_grads, worker_rngs)
+        hist = np.bincount(out.branches, minlength=worker_spec.branch_count)
 
-        g_tilde_new = mean_ascending(new_estimates)
+        g_tilde_new = mean_ascending(out.vectors)
         master_out = _compress_raw(
             master_spec,
-            state.g_master,
-            state.g_tilde_master,
-            g_tilde_new,
-            rng.derive(_MASTER_TAG, t) if master_spec.randomized else None,
+            state.g_master[None],
+            state.g_tilde_master[None],
+            g_tilde_new[None],
+            [rng.derive(_MASTER_TAG, t)] if master_spec.randomized else None,
         )
-        downlink = state.downlink_bits + payload_bits(master_out, d, branch_header_bits(master_spec))
 
         new_state = EngineState(
             x=x_new,
-            g_master=master_out.vector,
+            g_master=master_out.vectors[0],
             g_tilde_master=g_tilde_new,
-            worker_estimates=new_estimates,
+            worker_estimates=out.vectors,
             worker_prev_grads=new_grads,
             round=t + 1,
-            uplink_bits=uplink,
-            downlink_bits=downlink,
+            uplink_bits=state.uplink_bits + _stack_bits(out, d, branch_header_bits(worker_spec)),
+            downlink_bits=state.downlink_bits + _stack_bits(master_out, d, branch_header_bits(master_spec)),
         )
-    return new_state, f_new, tuple(hist)
+    return new_state, f_new, tuple(hist.tolist())
 
 
 @dataclass(frozen=True)

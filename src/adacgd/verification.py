@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import SeededRng, ThreePCConstants, sqnorm
+from .core import SeededRng, ThreePCConstants, row_sqnorms, sqnorm
 from .compressors import (
     AdaCGD,
     CLAG,
@@ -29,11 +29,12 @@ from .compressors import (
     LAG,
     ThreePCSpec,
     adacgd_as_chain,
-    apply_contractor,
-    compress,
+    CompressedRows,
     estimate_constants,
     reconstruct,
-    _triples,
+    _compress_raw,
+    _contract_rows,
+    _triple_stacks,
 )
 from .engine import (
     EngineState,
@@ -81,19 +82,20 @@ def contraction_check(contractor: ContractorSpec, dim: int, n_vectors: int, seed
     rng = SeededRng(seed, _VERIFY_STREAM)
     alpha = contractor.alpha(dim)
     worst = math.inf
-    for i in range(n_vectors):
-        x = rng.derive(i).generator().standard_normal(dim)
+    xs = np.stack([rng.derive(i).generator().standard_normal(dim) for i in range(n_vectors)])
+    if contractor.randomized:
+        errors = []
+        for i, x in enumerate(xs):
+            # The draws are the rows of one stack; row s draws from stream (i, s).
+            draws = np.repeat(x[None], _CONTRACTION_DRAWS, axis=0)
+            errs = row_sqnorms(_contract_rows(contractor, draws, [rng.derive(i, s) for s in range(_CONTRACTION_DRAWS)]) - x)
+            errors.append((float(errs.mean()), 3.0 * float(errs.std(ddof=1) / math.sqrt(_CONTRACTION_DRAWS))))
+    else:
+        # A deterministic sparsifier maps every vector in one stack, exactly.
+        errors = [(err, 0.0) for err in row_sqnorms(_contract_rows(contractor, xs, None) - xs).tolist()]
+    for x, (err, spread) in zip(xs, errors):
         bound = (1.0 - alpha) * sqnorm(x)
-        if contractor.randomized:
-            errs = np.empty(_CONTRACTION_DRAWS)
-            for s in range(_CONTRACTION_DRAWS):
-                errs[s] = sqnorm(apply_contractor(contractor, x, rng.derive(i, s)) - x)
-            err = float(errs.mean())
-            stderr = float(errs.std(ddof=1) / math.sqrt(_CONTRACTION_DRAWS))
-            allowance = 3.0 * stderr + _CONTRACTION_REL_TOL * max(1.0, bound)
-        else:
-            err = sqnorm(apply_contractor(contractor, x, rng.derive(i)) - x)
-            allowance = _CONTRACTION_REL_TOL * max(1.0, bound)
+        allowance = spread + _CONTRACTION_REL_TOL * max(1.0, bound)
         worst = min(worst, bound + allowance - err)
     label = f"contraction[{contractor.kind},k={contractor.k},d={dim}]"
     return PropertyResult(label, worst >= 0.0, worst, f"{n_vectors} vectors")
@@ -126,6 +128,14 @@ def _outcomes_equal(a, b) -> float:
     return gap
 
 
+def _sampled_rows(
+    spec: ThreePCSpec, h: np.ndarray, y: np.ndarray, x: np.ndarray, streams: Optional[list[SeededRng]]
+) -> CompressedRows:
+    """``spec``'s map on stacked sampled triples, after checking ``spec`` at their dimension as ``compress`` does."""
+    spec.constants(h.shape[1])
+    return _compress_raw(spec, h, y, x, streams)
+
+
 def chain_equivalence_check(
     contractors: Sequence[ContractorSpec],
     zeta: float,
@@ -137,11 +147,13 @@ def chain_equivalence_check(
     rng = SeededRng(seed, _VERIFY_STREAM)
     rule = AdaCGD(contractors, zeta)
     chain = adacgd_as_chain(contractors, zeta)
+    h, y, x = _triple_stacks(rng, dim, trials)
+    streams = [rng.derive(t, 1) for t in range(trials)]
+    direct = _sampled_rows(rule, h, y, x, streams)
+    chained = _sampled_rows(chain, h, y, x, streams)
     worst = 0.0
-    for t, h, y, x in _triples(rng, dim, trials):
-        direct = compress(rule, h, y, x, rng.derive(t, 1))
-        chained = compress(chain, h, y, x, rng.derive(t, 1))
-        worst = max(worst, _outcomes_equal(direct, chained))
+    for t in range(trials):
+        worst = max(worst, _outcomes_equal(direct.outcome(t), chained.outcome(t)))
     return PropertyResult(
         f"chain-equivalence[m={len(contractors)},zeta={zeta}]",
         worst == 0.0,
@@ -162,27 +174,31 @@ def collapse_checks(dim: int, trials: int, seed: int) -> list[PropertyResult]:
     lazy = LAG(zeta)
     lazy_identity = CLAG(ContractorSpec.identity(), zeta)
 
+    h, y, x = _triple_stacks(rng, dim, trials)
+    m = len(contractors)
+    moved = row_sqnorms(x - h) > 0.0
+    first = [rng.derive(t, 1) for t in range(trials)]
+    second = [rng.derive(t, 2) for t in range(trials)]
+    pairs = (
+        (_sampled_rows(zeta_zero, h, y, x, first), _sampled_rows(weakest, h, y, x, [s.derive(m) for s in first])),
+        (_sampled_rows(single, h, y, x, second), _sampled_rows(paired, h, y, x, [s.derive(1) for s in second])),
+        (_sampled_rows(lazy, h, y, x, None), _sampled_rows(lazy_identity, h, y, x, None)),
+    )
     worst_ef21 = 0.0
     worst_clag = 0.0
     worst_lag = 0.0
-    for t, h, y, x in _triples(rng, dim, trials):
-        if sqnorm(x - h) > 0.0:
+    for t in range(trials):
+        (a, b), clag, lag = ((one.outcome(t), other.outcome(t)) for one, other in pairs)
+        if moved[t]:
             # Equality of the maps: an earlier branch may legitimately win when
             # it reconstructs x exactly, so only the vectors must agree; on
             # fall-through the payloads must match too.
-            m = len(contractors)
-            a = compress(zeta_zero, h, y, x, rng.derive(t, 1))
-            b = compress(weakest, h, y, x, rng.derive(t, 1).derive(m))
             gap = float(np.max(np.abs(a.vector - b.vector)))
             if a.branch_index == m and a.payload.kind != b.payload.kind:
                 gap = max(gap, 1.0)
             worst_ef21 = max(worst_ef21, gap)
-        a = compress(single, h, y, x, rng.derive(t, 2))
-        b = compress(paired, h, y, x, rng.derive(t, 2).derive(1))
-        worst_clag = max(worst_clag, _outcomes_equal(a, b))
-        a = compress(lazy, h, y, x)
-        b = compress(lazy_identity, h, y, x)
-        worst_lag = max(worst_lag, _outcomes_equal(a, b))
+        worst_clag = max(worst_clag, _outcomes_equal(*clag))
+        worst_lag = max(worst_lag, _outcomes_equal(*lag))
     return [
         PropertyResult("collapse[zeta=0 -> weakest-level shift rule]", worst_ef21 == 0.0, -worst_ef21),
         PropertyResult("collapse[single level -> lazy compressed rule]", worst_clag == 0.0, -worst_clag),
@@ -200,43 +216,45 @@ def monotone_trigger_check(
     """The returned branch never comes after a passing candidate."""
     rng = SeededRng(seed, _VERIFY_STREAM)
     rule = AdaCGD(contractors, zeta)
+    h, y, x = _triple_stacks(rng, dim, trials)
+    streams = [rng.derive(t, 1) for t in range(trials)]
+    branches = _sampled_rows(rule, h, y, x, streams).branches
+    budget = zeta * row_sqnorms(x - y)
+    # Row t, column j: whether branch j alone (0 skips, j >= 1 is level j's shift) is within the budget.
+    passes = [row_sqnorms(x - h) <= budget]
+    for j, c in enumerate(contractors, start=1):
+        level = _sampled_rows(EF21(c), h, y, x, [s.derive(j) for s in streams])
+        passes.append(row_sqnorms(x - level.vectors) <= budget)
+    passes = np.stack(passes, axis=1)
     worst = 0
-    for t, h, y, x in _triples(rng, dim, trials):
-        out = compress(rule, h, y, x, rng.derive(t, 1))
-        budget = zeta * sqnorm(x - y)
-        first_pass = None
-        if sqnorm(x - h) <= budget:
-            first_pass = 0
-        else:
-            for j, c in enumerate(contractors, start=1):
-                v = compress(EF21(c), h, y, x, rng.derive(t, 1).derive(j)).vector
-                if sqnorm(x - v) <= budget:
-                    first_pass = j
-                    break
-        if first_pass is not None and out.branch_index > first_pass:
-            worst = max(worst, out.branch_index - first_pass)
+    for t in range(trials):
+        if passes[t].any():
+            first_pass = int(np.argmax(passes[t]))
+            worst = max(worst, int(branches[t]) - first_pass)
     return PropertyResult("monotone-trigger", worst == 0, -float(worst), f"{trials} triples")
 
 
 def determinism_check(spec: ThreePCSpec, dim: int, trials: int, seed: int) -> PropertyResult:
     """Identical (spec, h, y, x, stream) always produce identical outcomes."""
     rng = SeededRng(seed, _VERIFY_STREAM)
+    h, y, x = _triple_stacks(rng, dim, trials)
+    a = _sampled_rows(spec, h, y, x, [rng.derive(t, 9) for t in range(trials)])
+    b = _sampled_rows(spec, h, y, x, [rng.derive(t, 9) for t in range(trials)])
     worst = 0.0
-    for t, h, y, x in _triples(rng, dim, trials):
-        a = compress(spec, h, y, x, rng.derive(t, 9))
-        b = compress(spec, h, y, x, rng.derive(t, 9))
-        worst = max(worst, _outcomes_equal(a, b))
+    for t in range(trials):
+        worst = max(worst, _outcomes_equal(a.outcome(t), b.outcome(t)))
     return PropertyResult(f"determinism[{type(spec).__name__}]", worst == 0.0, -worst)
 
 
 def payload_roundtrip_check(spec: ThreePCSpec, dim: int, trials: int, seed: int) -> PropertyResult:
     """Reconstructing from (h, payload) reproduces the compressed vector exactly."""
     rng = SeededRng(seed, _VERIFY_STREAM)
+    h, y, x = _triple_stacks(rng, dim, trials)
+    out = _sampled_rows(spec, h, y, x, [rng.derive(t) for t in range(trials)])
     worst = 0.0
-    for t, h, y, x in _triples(rng, dim, trials):
-        out = compress(spec, h, y, x, rng.derive(t))
-        rebuilt = reconstruct(h, out.payload)
-        worst = max(worst, float(np.max(np.abs(rebuilt - out.vector))))
+    for t in range(trials):
+        row = out.outcome(t)
+        worst = max(worst, float(np.max(np.abs(reconstruct(h[t], row.payload) - row.vector))))
     return PropertyResult(f"payload-roundtrip[{type(spec).__name__}]", worst == 0.0, -worst)
 
 

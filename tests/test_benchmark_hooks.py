@@ -55,7 +55,7 @@ def test_traced_run_reaches_the_compression_hooks():
         run(spec)
     metrics = tracer.metrics()
     assert metrics["engine.rounds"] == rounds
-    assert metrics["compressors.worker_calls"] == n * rounds
+    assert metrics["compressors.worker_calls"] == rounds  # one stacked call for all n workers per round
     assert metrics["compressors.master_calls"] == rounds
     assert metrics["compressors.topk_calls"] > rounds
     assert metrics["compressors.candidates_per_call"] > 0

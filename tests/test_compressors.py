@@ -1,10 +1,16 @@
 import math
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from adacgd.core import SeededRng, squared_distance
+from adacgd.engine import branch_header_bits, message_bits, payload_bits
 from adacgd.compressors import (
     Ada3PC,
     AdaCGD,
@@ -264,9 +270,9 @@ def test_compress_dispatch_matches_rule_functions():
     h, y, x = np.array([1.0, 0.0]), np.array([0.5, 0.5]), np.array([2.0, 3.0])
     assert np.array_equal(
         compress(EF21(ContractorSpec.top_k(1)), h, y, x).vector,
-        EF21(ContractorSpec.top_k(1)).raw(h, y, x, None).vector,
+        EF21(ContractorSpec.top_k(1)).raw(h[None], y[None], x[None], None).vectors[0],
     )
-    assert np.array_equal(compress(LAG(1.0), h, y, x).vector, LAG(1.0).raw(h, y, x, None).vector)
+    assert np.array_equal(compress(LAG(1.0), h, y, x).vector, LAG(1.0).raw(h[None], y[None], x[None], None).vectors[0])
     assert np.array_equal(compress(IdentityMaster(), h, y, x).vector, x)
 
 
@@ -346,3 +352,73 @@ def test_is_randomized_counts_trigger_contractors():
     with pytest.raises(ValueError, match="rng stream"):
         compress(drawing, h, y, x)
     assert compress(drawing, h, y, x, SeededRng(4)).branch_index in (0, 1)
+
+
+def _stack_specs(dim: int, zeta: float) -> list:
+    ks = sorted({1, (dim + 1) // 2, dim})
+    top = tuple(ContractorSpec.top_k(k) for k in ks)
+    rand = tuple(ContractorSpec.rand_k(k) for k in ks)
+    return [
+        EF21(ContractorSpec.identity()),
+        EF21(ContractorSpec.top_k((dim + 1) // 2)),
+        EF21(ContractorSpec.rand_k(1)),
+        LAG(zeta),
+        CLAG(ContractorSpec.top_k(1), zeta),
+        AdaCGD(top, zeta),
+        AdaCGD(rand, zeta),
+        adacgd_as_chain(rand[:1] + top[1:] + (ContractorSpec.identity(),), zeta),
+        IdentityMaster(),
+    ]
+
+
+def _same_bits(a, b) -> bool:
+    if a is None or b is None:
+        return a is None and b is None
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# Few distinct magnitudes (ties), any floats, and rows of zeros.
+_entry = st.one_of(st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]), st.floats(min_value=-10, max_value=10))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_stacked_map_equals_each_row_alone(data):
+    dim = data.draw(st.sampled_from([1, 2, 3, 50]), label="dim")
+    n = data.draw(st.integers(1, 5), label="n")
+    row = st.one_of(st.just([0.0] * dim), st.lists(_entry, min_size=dim, max_size=dim))
+    h, y, x = (np.array(data.draw(st.lists(row, min_size=n, max_size=n)), dtype=np.float64) for _ in range(3))
+    zeta = data.draw(st.sampled_from([0.0, 0.25, 1.0, 3.0]), label="zeta")
+    streams = [SeededRng(data.draw(st.integers(0, 2**32), label="seed")).derive(i) for i in range(n)]
+    for spec in _stack_specs(dim, zeta):
+        rngs = streams if spec.randomized else None
+        header = branch_header_bits(spec)
+        whole = spec.raw(h, y, x, rngs)
+        bits = message_bits(whole.kinds, whole.entries, dim, header)
+        assert whole.vectors.shape == (n, dim) and whole.branches.shape == (n,)
+        for i in range(n):
+            alone = spec.raw(h[i : i + 1], y[i : i + 1], x[i : i + 1], None if rngs is None else rngs[i : i + 1])
+            a, b = whole.outcome(i), alone.outcome(0)
+            assert _same_bits(a.vector, b.vector), spec
+            assert a.branch_index == b.branch_index, spec
+            assert a.payload.kind == b.payload.kind, spec
+            assert _same_bits(a.payload.indices, b.payload.indices), spec
+            assert _same_bits(a.payload.values, b.payload.values), spec
+            assert bits[i] == payload_bits(b, dim, header), spec
+
+
+@pytest.mark.skipif(
+    platform.machine() not in ("x86_64", "AMD64")
+    or "avx2" not in (Path("/proc/cpuinfo").read_text() if Path("/proc/cpuinfo").exists() else ""),
+    reason="needs an x86-64 CPU with AVX2 to force OpenBLAS's Haswell kernel",
+)
+def test_stacked_map_property_holds_under_the_haswell_blas_kernel():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__,
+         "-k", "test_stacked_map_equals_each_row_alone"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert "1 passed" in result.stdout

@@ -352,15 +352,16 @@ def test_step_gives_streams_to_rules_that_draw_only(monkeypatch):
     seen = []
     original = engine._compress_raw
 
-    def spy(spec, h, y, x, rng):
-        seen.append(rng is not None)
-        return original(spec, h, y, x, rng)
+    def spy(spec, h, y, x, rngs):
+        seen.append((spec, h.shape, y.shape, x.shape, None if rngs is None else len(rngs)))
+        return original(spec, h, y, x, rngs)
 
     monkeypatch.setattr(engine, "_compress_raw", spy)
     p = quad([1.0, 2.0, 3.0], n=2)
     master = EF21(ContractorSpec.top_k(1))
-    for worker, draws in ((EF21(ContractorSpec.top_k(1)), False), (EF21(ContractorSpec.rand_k(1)), True)):
+    for worker, streams in ((EF21(ContractorSpec.top_k(1)), None), (EF21(ContractorSpec.rand_k(1)), 2)):
         seen.clear()
         rng = SeededRng(1)
         step(init(p, worker, np.ones(3), "full", rng), p, worker, master, 0.1, rng)
-        assert seen == [draws, draws, False]
+        # One stacked call for both workers, then the master's one-row call.
+        assert seen == [(worker, (2, 3), (2, 3), (2, 3), streams), (master, (1, 3), (1, 3), (1, 3), None)]
