@@ -118,9 +118,18 @@ def _flat_positions(idx: np.ndarray, dim: int, rows: Optional[np.ndarray] = None
     return (idx + (starts * dim)[:, None]).reshape(-1)
 
 
-def _shifted(h: np.ndarray, delta: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    # The shift map's kept values h + delta at flat positions of the stacks.
-    return h.reshape(-1)[positions] + delta.reshape(-1)[positions]
+def _shift_entries(
+    h: np.ndarray, delta: np.ndarray, kept: np.ndarray, rows: Optional[np.ndarray] = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The shift map h + C(delta) where C keeps coordinates ``kept``: row i
+    of ``kept`` belongs to stack row ``rows[i]`` (row i when rows is None).
+
+    Returns the kept entries' flat positions in the stacks, the deltas sent
+    there and the new entries h + delta, all grouped by row.
+    """
+    positions = _flat_positions(kept, h.shape[1], rows)
+    values = delta.reshape(-1)[positions]
+    return positions, values, h.reshape(-1)[positions] + values
 
 
 def _one_stream(rng: Optional[SeededRng]) -> Optional[list[SeededRng]]:
@@ -204,21 +213,19 @@ class CompressedRows:
 
     ``vectors`` holds the compressed vectors and ``branches`` the branch
     indices. ``kinds`` gives each row's payload kind as an index into
-    PAYLOAD_KINDS and ``support`` marks the coordinates a sparse row sends;
-    with the inputs ``h`` and ``x`` they rebuild row i's Payload on demand.
+    PAYLOAD_KINDS and ``entries`` the values each row sends sparsely (0 for
+    skip and full rows). ``sparse`` lists the sparse rows in blocks
+    ``(rows, indices, values)``, one per group of rows sent together: stack
+    row ``rows[r]`` sends x - h at its ascending coordinates ``indices[r]``
+    as ``values[r]``.
+    A full row sends its vector.
     """
 
     vectors: np.ndarray
     branches: np.ndarray
     kinds: np.ndarray
-    support: np.ndarray
-    h: np.ndarray
-    x: np.ndarray
-
-    @property
-    def entries(self) -> np.ndarray:
-        """Values each row sends in a sparse payload (0 for skip and full rows)."""
-        return self.support.sum(axis=1)
+    entries: np.ndarray
+    sparse: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
 
     def outcome(self, i: int) -> CompressionOutcome:
         """Row i as a single-vector outcome, with its payload rebuilt."""
@@ -226,10 +233,12 @@ class CompressedRows:
         if kind == _SKIP:
             payload = Payload.skip()
         elif kind == _FULL:
-            payload = Payload.full(self.x[i])
+            payload = Payload.full(self.vectors[i].copy())
         else:
-            idx = np.flatnonzero(self.support[i])
-            payload = Payload.sparse(idx, (self.x[i] - self.h[i])[idx])
+            # Row i lies in exactly one block.
+            rows, indices, values = next(block for block in self.sparse if i in block[0])
+            r = np.flatnonzero(rows == i)[0]
+            payload = Payload.sparse(indices[r], values[r])
         return CompressionOutcome(self.vectors[i], int(self.branches[i]), payload)
 
     def _set(self, rows: np.ndarray, branch: int, sub: "CompressedRows") -> None:
@@ -237,14 +246,25 @@ class CompressedRows:
         self.vectors[rows] = sub.vectors
         self.branches[rows] = branch
         self.kinds[rows] = sub.kinds
-        self.support[rows] = sub.support
+        self.entries[rows] = sub.entries
+        self.sparse.extend((rows[sub_rows], indices, values) for sub_rows, indices, values in sub.sparse)
+
+    def _write_shift(
+        self, rows: np.ndarray, kept: np.ndarray, positions: np.ndarray, values: np.ndarray, shifted: np.ndarray
+    ) -> None:
+        # Stack rows ``rows`` send sparse payloads: the deltas ``values`` at
+        # coordinates ``kept``, taking ``shifted`` at flat ``positions``.
+        self.vectors.reshape(-1)[positions] = shifted
+        self.kinds[rows] = _SPARSE
+        self.entries[rows] = kept.shape[1]
+        self.sparse.append((rows, kept, values.reshape(kept.shape)))
 
 
-def _skipping(h: np.ndarray, x: np.ndarray) -> CompressedRows:
+def _skipping(h: np.ndarray) -> CompressedRows:
     """Every row keeps its h on branch 0 (skip): the start a rule fills in."""
-    n = x.shape[0]
+    n = h.shape[0]
     return CompressedRows(
-        h.copy(), np.zeros(n, dtype=np.int64), np.full(n, _SKIP, dtype=np.int8), np.zeros(x.shape, dtype=bool), h, x
+        h.copy(), np.zeros(n, dtype=np.int64), np.full(n, _SKIP, dtype=np.int8), np.zeros(n, dtype=np.int64), []
     )
 
 
@@ -258,21 +278,18 @@ def _ef21_raw(
 ) -> CompressedRows:
     """The shift map h + C(x - h) on the rows of (m, d) stacks; callers that
     already hold ``delta = x - h`` and its magnitude ranking ``order`` pass them in."""
-    n = x.shape[0]
-    branches = np.zeros(n, dtype=np.int64)
     if contractor.kind == IDENTITY:
         # Mathematically h + (x - h) = x; return x itself to keep the
         # pass-through path bitwise exact.
-        kinds = np.full(n, _FULL, dtype=np.int8)
-        return CompressedRows(x.copy(), branches, kinds, np.zeros(x.shape, dtype=bool), h, x)
+        out = _skipping(x)  # every row sends x in full
+        out.kinds[:] = _FULL
+        return out
     if delta is None:
         delta = x - h
-    flat = _flat_positions(_contract_support(contractor, delta, rngs, order), x.shape[1])
-    vectors = h.copy()
-    vectors.reshape(-1)[flat] = _shifted(h, delta, flat)
-    support = np.zeros(x.shape, dtype=bool)
-    support.reshape(-1)[flat] = True
-    return CompressedRows(vectors, branches, np.full(n, _SPARSE, dtype=np.int8), support, h, x)
+    kept = _contract_support(contractor, delta, rngs, order)
+    out = _skipping(h)
+    out._write_shift(np.arange(x.shape[0]), kept, *_shift_entries(h, delta, kept))
+    return out
 
 
 def ef21_constants(alpha: float) -> ThreePCConstants:
@@ -365,7 +382,7 @@ class LAG(ThreePCSpec):
         _check_zeta(self.zeta)
 
     def raw(self, h, y, x, rngs):
-        out = _skipping(h, x)
+        out = _skipping(h)
         sent = np.flatnonzero(~(row_sqnorms(x - h) <= self.zeta * row_sqnorms(x - y)))
         out._set(sent, 1, _ef21_raw(ContractorSpec.identity(), h[sent], x[sent], None))
         return out
@@ -390,7 +407,7 @@ class CLAG(ThreePCSpec):
         return self.contractor.randomized
 
     def raw(self, h, y, x, rngs):
-        out = _skipping(h, x)
+        out = _skipping(h)
         delta = x - h
         fired = np.flatnonzero(row_sqnorms(delta) > self.zeta * row_sqnorms(x - y))
         if fired.size:
@@ -442,21 +459,23 @@ class AdaCGD(ThreePCSpec):
         return len(self.contractors)
 
     def raw(self, h, y, x, rngs):
-        out = _skipping(h, x)
+        out = _skipping(h)
         budget = self.zeta * row_sqnorms(x - y)
         delta = x - h
         rows = np.flatnonzero(~(row_sqnorms(delta) <= budget))
         if not rows.size:
             return out
-        d = x.shape[1]
         # One ranking per row serves every top-k level: their supports are prefixes of it.
         order = _magnitude_order(delta[rows]) if any(c.kind == TOPK for c in self.contractors) else None
         ranked = np.arange(rows.size)  # the row of ``order`` of each row in play
         last = len(self.contractors)
+        d = x.shape[1]
         for j, c in enumerate(self.contractors, start=1):
-            # Level j's candidate is the shift h + C(delta). Its residual
-            # x - candidate is delta off the kept entries; only the rows it
-            # fits (every row at the last level) take it.
+            # Level j's candidate is the shift h + C(delta), computed only at
+            # the kept entries: its residual x - candidate is delta elsewhere.
+            # Only the rows it fits (every row at the last level) take it.
+            # Building whole candidate vectors per level instead cost
+            # highdim_bidir 6% of its rounds/s (BENCH_13.json, adacgd_levels).
             if c.kind == IDENTITY:
                 xr = x[rows]
                 residual = xr - xr  # the candidate is x itself
@@ -464,9 +483,8 @@ class AdaCGD(ThreePCSpec):
                 level_rngs = [rngs[i].derive(j) for i in rows] if rngs is not None and c.randomized else None
                 residual = delta[rows]
                 kept = _contract_support(c, residual, level_rngs, None if order is None else order[ranked])
-                positions = _flat_positions(kept, d, rows)
-                values = _shifted(h, delta, positions)
-                residual.reshape(-1)[_flat_positions(kept, d)] = x.reshape(-1)[positions] - values
+                positions, values, shifted = _shift_entries(h, delta, kept, rows)
+                residual.reshape(-1)[_flat_positions(kept, d)] = x.reshape(-1)[positions] - shifted
             fits = row_sqnorms(residual) <= budget[rows] if j < last else np.ones(rows.size, dtype=bool)
             taken = rows[fits]
             out.branches[taken] = j
@@ -474,10 +492,8 @@ class AdaCGD(ThreePCSpec):
                 out.vectors[taken] = x[taken]
                 out.kinds[taken] = _FULL
             else:
-                sending = np.repeat(fits, c.k)  # positions and values are grouped by row
-                out.vectors.reshape(-1)[positions[sending]] = values[sending]
-                out.support.reshape(-1)[positions[sending]] = True
-                out.kinds[taken] = _SPARSE
+                sending = np.repeat(fits, c.k)  # the entries are grouped by row
+                out._write_shift(taken, kept[fits], positions[sending], values[sending], shifted[sending])
             rows, ranked = rows[~fits], ranked[~fits]
             if not rows.size:
                 break
@@ -552,7 +568,7 @@ class Ada3PC(ThreePCSpec):
                 if pred.evaluate(h[i], y[i], x[i], pred_rng):
                     chosen[i] = j
                     break
-        out = _skipping(h, x)
+        out = _skipping(h)
         for j, branch in enumerate(self.branches):
             rows = np.flatnonzero(chosen == j)
             if rows.size:
