@@ -7,12 +7,10 @@ from .compressors import (
     CLAG,
     CandidateErrorTrigger,
     CompressedRows,
-    CompressionOutcome,
     ContractorSpec,
     EF21,
     IdentityMaster,
     LAG,
-    Payload,
     SkipTrigger,
     ThreePCSpec,
     adacgd_as_chain,
@@ -52,7 +50,6 @@ from .engine import (
     StopRule,
     init,
     iterate,
-    payload_bits,
     resolve_stepsize,
     run,
     step,

@@ -152,73 +152,22 @@ def apply_contractor(c: ContractorSpec, x, rng: Optional[SeededRng] = None) -> n
     return _contract_rows(c, as_vector(x)[None], _one_stream(rng))[0]
 
 
-SKIP = "skip"
-SPARSE = "sparse"
-FULL = "full"
-# A stacked result stores each row's payload kind as an index into this tuple.
-PAYLOAD_KINDS = (SKIP, SPARSE, FULL)
-_SKIP, _SPARSE, _FULL = range(len(PAYLOAD_KINDS))
-
-
-@dataclass(frozen=True)
-class Payload:
-    """What crosses the wire: nothing, a sparse delta against h, or a full vector."""
-
-    kind: str
-    indices: Optional[np.ndarray] = None
-    values: Optional[np.ndarray] = None
-
-    @staticmethod
-    def skip() -> "Payload":
-        return Payload(SKIP)
-
-    @staticmethod
-    def sparse(indices: np.ndarray, values: np.ndarray) -> "Payload":
-        return Payload(SPARSE, np.asarray(indices, dtype=np.int64), np.asarray(values, dtype=np.float64))
-
-    @staticmethod
-    def full(values: np.ndarray) -> "Payload":
-        return Payload(FULL, None, np.asarray(values, dtype=np.float64))
-
-    @property
-    def entry_count(self) -> int:
-        if self.kind == SPARSE:
-            return int(self.indices.shape[0])
-        return 0
-
-
-def reconstruct(h: np.ndarray, payload: Payload) -> np.ndarray:
-    """Receiver-side reconstruction of the compressed vector from state h."""
-    if payload.kind == SKIP:
-        return h.copy()
-    if payload.kind == SPARSE:
-        out = h.copy()
-        out[payload.indices] += payload.values
-        return out
-    return payload.values.copy()
-
-
-@dataclass(frozen=True)
-class CompressionOutcome:
-    """Compressor output plus which branch produced it and its wire payload."""
-
-    vector: np.ndarray
-    branch_index: int
-    payload: Payload
+# Kind codes of a row's message: a skip row sends nothing, a sparse row
+# sends x - h at some coordinates, and a full row sends its vector.
+SKIP, SPARSE, FULL = range(3)
 
 
 @dataclass(frozen=True)
 class CompressedRows:
-    """One call of a rule's map on (n, d) stacks; row i is the message of input row i.
+    """A rule's messages for (n, d) stacks; row i is the message of input row i.
 
     ``vectors`` holds the compressed vectors and ``branches`` the branch
-    indices. ``kinds`` gives each row's payload kind as an index into
-    PAYLOAD_KINDS and ``entries`` the values each row sends sparsely (0 for
-    skip and full rows). ``sparse`` lists the sparse rows in blocks
+    indices. ``kinds`` gives each row's payload kind code (SKIP, SPARSE or
+    FULL) and ``entries`` the values each row sends sparsely (0 for skip
+    and full rows). ``sparse`` lists the sparse rows in blocks
     ``(rows, indices, values)``, one per group of rows sent together: stack
     row ``rows[r]`` sends x - h at its ascending coordinates ``indices[r]``
-    as ``values[r]``.
-    A full row sends its vector.
+    as ``values[r]``. A full row sends its vector.
     """
 
     vectors: np.ndarray
@@ -226,20 +175,6 @@ class CompressedRows:
     kinds: np.ndarray
     entries: np.ndarray
     sparse: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
-
-    def outcome(self, i: int) -> CompressionOutcome:
-        """Row i as a single-vector outcome, with its payload rebuilt."""
-        kind = self.kinds[i]
-        if kind == _SKIP:
-            payload = Payload.skip()
-        elif kind == _FULL:
-            payload = Payload.full(self.vectors[i].copy())
-        else:
-            # Row i lies in exactly one block.
-            rows, indices, values = next(block for block in self.sparse if i in block[0])
-            r = np.flatnonzero(rows == i)[0]
-            payload = Payload.sparse(indices[r], values[r])
-        return CompressionOutcome(self.vectors[i], int(self.branches[i]), payload)
 
     def _set(self, rows: np.ndarray, branch: int, sub: "CompressedRows") -> None:
         # Rows ``rows`` take the rows of ``sub``, in order, under branch index ``branch``.
@@ -255,7 +190,7 @@ class CompressedRows:
         # Stack rows ``rows`` send sparse payloads: the deltas ``values`` at
         # coordinates ``kept``, taking ``shifted`` at flat ``positions``.
         self.vectors.reshape(-1)[positions] = shifted
-        self.kinds[rows] = _SPARSE
+        self.kinds[rows] = SPARSE
         self.entries[rows] = kept.shape[1]
         self.sparse.append((rows, kept, values.reshape(kept.shape)))
 
@@ -264,8 +199,34 @@ def _skipping(h: np.ndarray) -> CompressedRows:
     """Every row keeps its h on branch 0 (skip): the start a rule fills in."""
     n = h.shape[0]
     return CompressedRows(
-        h.copy(), np.zeros(n, dtype=np.int64), np.full(n, _SKIP, dtype=np.int8), np.zeros(n, dtype=np.int64), []
+        h.copy(), np.zeros(n, dtype=np.int64), np.full(n, SKIP, dtype=np.int8), np.zeros(n, dtype=np.int64), []
     )
+
+
+def _payload_view(rows: CompressedRows) -> tuple[np.ndarray, np.ndarray]:
+    """Every row's sparse payload as two dense (n, d) arrays: the mask of the
+    coordinates it sends and the values sent there (+0.0 elsewhere)."""
+    n, d = rows.vectors.shape
+    kept = np.zeros((n, d), dtype=bool)
+    sent = np.zeros((n, d))
+    for block_rows, indices, values in rows.sparse:
+        positions = _flat_positions(indices, d, block_rows)
+        kept.reshape(-1)[positions] = True
+        sent.reshape(-1)[positions] = values.reshape(-1)
+    return kept, sent
+
+
+def reconstruct(h: np.ndarray, rows: CompressedRows) -> np.ndarray:
+    """Receiver side: every row's compressed vector, rebuilt from the (n, d) states h.
+
+    Reads only what crosses the wire: a skip row keeps h, a sparse row adds
+    its sent values to h at its sent coordinates, a full row is its vector.
+    """
+    kept, sent = _payload_view(rows)
+    out = np.where(kept, h + sent, h)
+    full = rows.kinds == FULL
+    out[full] = rows.vectors[full]
+    return out
 
 
 def _ef21_raw(
@@ -282,7 +243,7 @@ def _ef21_raw(
         # Mathematically h + (x - h) = x; return x itself to keep the
         # pass-through path bitwise exact.
         out = _skipping(x)  # every row sends x in full
-        out.kinds[:] = _FULL
+        out.kinds[:] = FULL
         return out
     if delta is None:
         delta = x - h
@@ -490,7 +451,7 @@ class AdaCGD(ThreePCSpec):
             out.branches[taken] = j
             if c.kind == IDENTITY:
                 out.vectors[taken] = x[taken]
-                out.kinds[taken] = _FULL
+                out.kinds[taken] = FULL
             else:
                 sending = np.repeat(fits, c.k)  # the entries are grouped by row
                 out._write_shift(taken, kept[fits], positions[sending], values[sending], shifted[sending])
@@ -511,11 +472,18 @@ class AdaCGD(ThreePCSpec):
 
 
 class Predicate(Protocol):
-    """A branch guard of a dispatch chain; ``draws`` says whether ``evaluate`` reads its stream."""
+    """A branch guard of a dispatch chain; ``draws`` says whether ``evaluate`` reads its streams.
+
+    ``evaluate`` maps (m, d) stacks to an (m,) bool array, whether the guard
+    holds on each row; row i draws only from ``rngs[i]`` (None when the
+    guard does not draw).
+    """
 
     draws: bool
 
-    def evaluate(self, h: np.ndarray, y: np.ndarray, x: np.ndarray, rng: Optional[SeededRng]) -> bool: ...
+    def evaluate(
+        self, h: np.ndarray, y: np.ndarray, x: np.ndarray, rngs: Optional[Sequence[SeededRng]]
+    ) -> np.ndarray: ...
 
 
 @dataclass(frozen=True)
@@ -524,8 +492,9 @@ class Ada3PC(ThreePCSpec):
 
     Branch j fires when its predicate is the first to hold on (h, y, x);
     the final branch is the unconditional fallback, so a chain of m branches
-    carries exactly m - 1 predicates. Predicates see one row at a time; each
-    branch then maps the rows that chose it as one stack.
+    carries exactly m - 1 predicates. Predicate j is probed once, on the
+    rows no earlier predicate claimed; each branch then maps the rows that
+    chose it as one stack.
     """
 
     branches: tuple[ThreePCSpec, ...]
@@ -539,7 +508,7 @@ class Ada3PC(ThreePCSpec):
         self._check_arity()
         for pred in self.predicates:
             if not (hasattr(pred, "evaluate") and hasattr(pred, "draws")):
-                raise ValueError(f"predicate {pred!r} needs an evaluate(h, y, x, rng) method and a draws flag")
+                raise ValueError(f"predicate {pred!r} needs an evaluate(h, y, x, rngs) method and a draws flag")
 
     def _check_arity(self) -> None:
         if len(self.predicates) != len(self.branches) - 1:
@@ -558,16 +527,24 @@ class Ada3PC(ThreePCSpec):
 
     @property
     def adaptive_level_count(self) -> int:
-        return len(self.branches)
+        # m branches need ceil(log2 m) header bits to name one: what AdaCGD with m - 1 levels pays.
+        return len(self.branches) - 1
 
     def raw(self, h, y, x, rngs):
         chosen = np.full(x.shape[0], len(self.branches) - 1)
-        for i in range(x.shape[0]):
-            for j, pred in enumerate(self.predicates):
-                pred_rng = rngs[i].derive(j) if rngs is not None and pred.draws else None
-                if pred.evaluate(h[i], y[i], x[i], pred_rng):
-                    chosen[i] = j
-                    break
+        rows = np.arange(x.shape[0])  # the rows no predicate has claimed yet
+        for j, pred in enumerate(self.predicates):
+            if not rows.size:
+                break
+            pred_rngs = [rngs[i].derive(j) for i in rows] if rngs is not None and pred.draws else None
+            holds = np.asarray(pred.evaluate(h[rows], y[rows], x[rows], pred_rngs))
+            if holds.dtype != bool or holds.shape != rows.shape:
+                raise ValueError(
+                    f"predicate {pred!r} must return one bool per row (shape {rows.shape}), "
+                    f"got {holds.dtype} of shape {holds.shape}"
+                )
+            chosen[rows[holds]] = j
+            rows = rows[~holds]
         out = _skipping(h)
         for j, branch in enumerate(self.branches):
             rows = np.flatnonzero(chosen == j)
@@ -594,20 +571,18 @@ class IdentityMaster(EF21):
 
 @dataclass(frozen=True)
 class SkipTrigger:
-    """True when the carried state h is already within the lazy budget."""
+    """Holds on the rows whose carried state h is already within the lazy budget."""
 
     zeta: float
     draws = False
 
-    def evaluate(self, h: np.ndarray, y: np.ndarray, x: np.ndarray, rng: Optional[SeededRng] = None) -> bool:
-        d = x - h
-        e = x - y
-        return float(d @ d) <= self.zeta * float(e @ e)
+    def evaluate(self, h, y, x, rngs=None):
+        return row_sqnorms(x - h) <= self.zeta * row_sqnorms(x - y)
 
 
 @dataclass(frozen=True)
 class CandidateErrorTrigger:
-    """True when the shifted-compression candidate falls within the lazy budget."""
+    """Holds on the rows whose shifted-compression candidate falls within the lazy budget."""
 
     zeta: float
     contractor: ContractorSpec
@@ -616,11 +591,8 @@ class CandidateErrorTrigger:
     def draws(self) -> bool:
         return self.contractor.randomized
 
-    def evaluate(self, h: np.ndarray, y: np.ndarray, x: np.ndarray, rng: Optional[SeededRng] = None) -> bool:
-        v = _ef21_raw(self.contractor, h[None], x[None], _one_stream(rng)).vectors[0]
-        d = x - v
-        e = x - y
-        return float(d @ d) <= self.zeta * float(e @ e)
+    def evaluate(self, h, y, x, rngs=None):
+        return row_sqnorms(x - _ef21_raw(self.contractor, h, x, rngs).vectors) <= self.zeta * row_sqnorms(x - y)
 
 
 def _compress_raw(
@@ -635,17 +607,18 @@ def _compress_raw(
     return spec.raw(h, y, x, rngs)
 
 
-def compress(spec: ThreePCSpec, h, y, x, rng: Optional[SeededRng] = None) -> CompressionOutcome:
+def compress(spec: ThreePCSpec, h, y, x, rng: Optional[SeededRng] = None) -> CompressedRows:
     """Compress x against (h, y) with ``spec``: the public compression entry point.
 
     Checks the vectors, and ``spec`` at their dimension, before applying the
-    rule's map to the one-row stack. Rules that draw need ``rng``.
+    rule's map to the one-row stack, whose message it returns. Rules that
+    draw need ``rng``.
     """
     h, y, x = as_vector(h), as_vector(y), as_vector(x)
     check_same_dim(h, x)
     check_same_dim(y, x)
     spec.constants(x.shape[0])
-    return _compress_raw(spec, h[None], y[None], x[None], _one_stream(rng)).outcome(0)
+    return _compress_raw(spec, h[None], y[None], x[None], _one_stream(rng))
 
 
 def adacgd_as_chain(contractors: Sequence[ContractorSpec], zeta: float) -> Ada3PC:

@@ -20,9 +20,7 @@ import numpy as np
 
 from .core import SeededRng, ThreePCConstants, as_vector, mean_ascending, row_sqnorms, sqnorm
 from .compressors import (
-    PAYLOAD_KINDS,
     CompressedRows,
-    CompressionOutcome,
     ContractorSpec,
     ThreePCSpec,
     _compress_raw,
@@ -130,24 +128,18 @@ def branch_header_bits(spec: ThreePCSpec) -> int:
 def message_bits(kinds, entries, dim: int, header_bits: int = 0):
     """Accounting cost of each transmission, each value billed at VALUE_BITS.
 
-    ``kinds`` are payload kinds as indices into PAYLOAD_KINDS and
-    ``entries`` the sparse entry counts, as numbers or arrays. Skip costs a
-    single flag bit; a sparse payload costs value plus index bits per entry,
-    plus the adaptive branch-id header; a full vector costs dim values with
-    no index overhead. A sparse send is never charged more than a full
-    vector (the sender falls back to dense framing when the support is
-    nearly complete), which keeps the per-round uplink bounded by
+    ``kinds`` are payload kind codes (SKIP, SPARSE or FULL) and ``entries``
+    the sparse entry counts, as numbers or arrays. Skip costs a single flag
+    bit; a sparse payload costs value plus index bits per entry, plus the
+    adaptive branch-id header; a full vector costs dim values with no index
+    overhead. A sparse send is never charged more than a full vector (the
+    sender falls back to dense framing when the support is nearly
+    complete), which keeps the per-round uplink bounded by
     n * (64 * dim + header).
     """
     # Skip and full messages carry no sparse entries, so only sparse ones pay per entry.
-    per_kind = np.array([1, header_bits, dim * VALUE_BITS])
+    per_kind = np.array([1, header_bits, dim * VALUE_BITS])  # indexed by SKIP, SPARSE, FULL
     return per_kind[kinds] + np.minimum(entries * (VALUE_BITS + index_bits(dim)), dim * VALUE_BITS)
-
-
-def payload_bits(outcome: CompressionOutcome, dim: int, header_bits: int = 0) -> int:
-    """Accounting cost of one transmission: :func:`message_bits` of its payload."""
-    payload = outcome.payload
-    return int(message_bits(PAYLOAD_KINDS.index(payload.kind), payload.entry_count, dim, header_bits))
 
 
 def _stack_bits(out: CompressedRows, dim: int, header_bits: int) -> int:

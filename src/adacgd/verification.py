@@ -34,6 +34,7 @@ from .compressors import (
     reconstruct,
     _compress_raw,
     _contract_rows,
+    _payload_view,
     _triple_stacks,
 )
 from .engine import (
@@ -113,19 +114,15 @@ def threepc_check(spec: ThreePCSpec, dim: int, trials: int, seed: int, name: str
     return PropertyResult(label, report.passed, report.worst_slack, detail)
 
 
-def _outcomes_equal(a, b) -> float:
-    """0.0 when two outcomes agree exactly (vector, branch, payload); else the gap."""
-    gap = float(np.max(np.abs(a.vector - b.vector))) if a.vector.shape == b.vector.shape else math.inf
-    if a.branch_index != b.branch_index:
-        gap = max(gap, 1.0)
-    if a.payload.kind != b.payload.kind:
-        gap = max(gap, 1.0)
-    elif a.payload.kind == "sparse":
-        if not np.array_equal(a.payload.indices, b.payload.indices):
-            gap = max(gap, 1.0)
-        elif not np.array_equal(a.payload.values, b.payload.values):
-            gap = max(gap, 1.0)
-    return gap
+def _rows_gap(a: CompressedRows, b: CompressedRows) -> float:
+    """0.0 when two stacked results agree exactly (vectors, branches, payloads); else the gap."""
+    gap = float(np.max(np.abs(a.vectors - b.vectors)))
+    (a_kept, a_sent), (b_kept, b_sent) = _payload_view(a), _payload_view(b)
+    same = all(
+        np.array_equal(u, v)
+        for u, v in ((a.branches, b.branches), (a.kinds, b.kinds), (a_kept, b_kept), (a_sent, b_sent))
+    )
+    return gap if same else max(gap, 1.0)
 
 
 def _sampled_rows(
@@ -151,9 +148,7 @@ def chain_equivalence_check(
     streams = [rng.derive(t, 1) for t in range(trials)]
     direct = _sampled_rows(rule, h, y, x, streams)
     chained = _sampled_rows(chain, h, y, x, streams)
-    worst = 0.0
-    for t in range(trials):
-        worst = max(worst, _outcomes_equal(direct.outcome(t), chained.outcome(t)))
+    worst = _rows_gap(direct, chained)
     return PropertyResult(
         f"chain-equivalence[m={len(contractors)},zeta={zeta}]",
         worst == 0.0,
@@ -184,21 +179,16 @@ def collapse_checks(dim: int, trials: int, seed: int) -> list[PropertyResult]:
         (_sampled_rows(single, h, y, x, second), _sampled_rows(paired, h, y, x, [s.derive(1) for s in second])),
         (_sampled_rows(lazy, h, y, x, None), _sampled_rows(lazy_identity, h, y, x, None)),
     )
-    worst_ef21 = 0.0
-    worst_clag = 0.0
-    worst_lag = 0.0
-    for t in range(trials):
-        (a, b), clag, lag = ((one.outcome(t), other.outcome(t)) for one, other in pairs)
-        if moved[t]:
-            # Equality of the maps: an earlier branch may legitimately win when
-            # it reconstructs x exactly, so only the vectors must agree; on
-            # fall-through the payloads must match too.
-            gap = float(np.max(np.abs(a.vector - b.vector)))
-            if a.branch_index == m and a.payload.kind != b.payload.kind:
-                gap = max(gap, 1.0)
-            worst_ef21 = max(worst_ef21, gap)
-        worst_clag = max(worst_clag, _outcomes_equal(*clag))
-        worst_lag = max(worst_lag, _outcomes_equal(*lag))
+    (a, b), clag, lag = pairs
+    # Equality of the maps on the rows x moved: an earlier branch may
+    # legitimately win when it reconstructs x exactly, so only the vectors
+    # must agree; on fall-through the payload kinds must match too.
+    worst_ef21 = float(np.max(np.abs(a.vectors - b.vectors)[moved], initial=0.0))
+    fell_through = moved & (a.branches == m)
+    if not np.array_equal(a.kinds[fell_through], b.kinds[fell_through]):
+        worst_ef21 = max(worst_ef21, 1.0)
+    worst_clag = _rows_gap(*clag)
+    worst_lag = _rows_gap(*lag)
     return [
         PropertyResult("collapse[zeta=0 -> weakest-level shift rule]", worst_ef21 == 0.0, -worst_ef21),
         PropertyResult("collapse[single level -> lazy compressed rule]", worst_clag == 0.0, -worst_clag),
@@ -226,11 +216,8 @@ def monotone_trigger_check(
         level = _sampled_rows(EF21(c), h, y, x, [s.derive(j) for s in streams])
         passes.append(row_sqnorms(x - level.vectors) <= budget)
     passes = np.stack(passes, axis=1)
-    worst = 0
-    for t in range(trials):
-        if passes[t].any():
-            first_pass = int(np.argmax(passes[t]))
-            worst = max(worst, int(branches[t]) - first_pass)
+    passing = passes.any(axis=1)
+    worst = int(np.max((branches - np.argmax(passes, axis=1))[passing], initial=0))
     return PropertyResult("monotone-trigger", worst == 0, -float(worst), f"{trials} triples")
 
 
@@ -240,21 +227,16 @@ def determinism_check(spec: ThreePCSpec, dim: int, trials: int, seed: int) -> Pr
     h, y, x = _triple_stacks(rng, dim, trials)
     a = _sampled_rows(spec, h, y, x, [rng.derive(t, 9) for t in range(trials)])
     b = _sampled_rows(spec, h, y, x, [rng.derive(t, 9) for t in range(trials)])
-    worst = 0.0
-    for t in range(trials):
-        worst = max(worst, _outcomes_equal(a.outcome(t), b.outcome(t)))
+    worst = _rows_gap(a, b)
     return PropertyResult(f"determinism[{type(spec).__name__}]", worst == 0.0, -worst)
 
 
 def payload_roundtrip_check(spec: ThreePCSpec, dim: int, trials: int, seed: int) -> PropertyResult:
-    """Reconstructing from (h, payload) reproduces the compressed vector exactly."""
+    """Reconstructing from (h, payloads) reproduces the compressed vectors exactly."""
     rng = SeededRng(seed, _VERIFY_STREAM)
     h, y, x = _triple_stacks(rng, dim, trials)
     out = _sampled_rows(spec, h, y, x, [rng.derive(t) for t in range(trials)])
-    worst = 0.0
-    for t in range(trials):
-        row = out.outcome(t)
-        worst = max(worst, float(np.max(np.abs(reconstruct(h[t], row.payload) - row.vector))))
+    worst = float(np.max(np.abs(reconstruct(h, out) - out.vectors)))
     return PropertyResult(f"payload-roundtrip[{type(spec).__name__}]", worst == 0.0, -worst)
 
 

@@ -96,10 +96,11 @@ def test_criterion_4_special_case_collapse():
         if sqnorm(x - h) > 0.0:
             a = compress(AdaCGD(TOP_LEVELS, 0.0), h, y, x, rng)
             b = compress(EF21(TOP_LEVELS[-1]), h, y, x)
-            worst_ef21 = max(worst_ef21, float(np.max(np.abs(a.vector - b.vector))))
+            worst_ef21 = max(worst_ef21, float(np.max(np.abs(a.vectors[0] - b.vectors[0]))))
         a = compress(AdaCGD(TOP_LEVELS[:1], 1.3), h, y, x, rng)
         b = compress(CLAG(TOP_LEVELS[0], 1.3), h, y, x)
-        worst_clag = max(worst_clag, float(np.max(np.abs(a.vector - b.vector))), float(a.branch_index != b.branch_index))
+        gap = float(np.max(np.abs(a.vectors[0] - b.vectors[0])))
+        worst_clag = max(worst_clag, gap, float(a.branches[0] != b.branches[0]))
 
     features, labels = make_synthetic(SyntheticSpec(20, 10, seed=4))
     problem = build_problem(features, labels, 4, 0.1, seed=4)

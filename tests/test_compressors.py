@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from adacgd.core import SeededRng, squared_distance
-from adacgd.engine import branch_header_bits, message_bits, payload_bits
+from adacgd.engine import branch_header_bits, message_bits
 from adacgd.compressors import (
     Ada3PC,
     AdaCGD,
@@ -20,6 +20,9 @@ from adacgd.compressors import (
     IdentityMaster,
     LAG,
     CandidateErrorTrigger,
+    FULL,
+    SKIP,
+    SPARSE,
     SkipTrigger,
     adacgd_as_chain,
     apply_contractor,
@@ -27,6 +30,7 @@ from adacgd.compressors import (
     ef21_constants,
     estimate_constants,
     reconstruct,
+    _payload_view,
 )
 
 RNG = SeededRng(42)
@@ -69,51 +73,53 @@ def test_top_k_contraction_property(values, k):
 
 def test_ef21_examples():
     out = compress(EF21(ContractorSpec.top_k(1)), [0, 0], [0, 0], [2, 1])
-    assert np.array_equal(out.vector, [2, 0])
+    assert np.array_equal(out.vectors[0], [2, 0])
     x = np.array([1.5, -2.5])
     out = compress(EF21(ContractorSpec.top_k(1)), x, x, x)
-    assert np.array_equal(out.vector, x)
+    assert np.array_equal(out.vectors[0], x)
     out = compress(EF21(ContractorSpec.top_k(1)), [1, 0], [0, 0], [2, 3])
-    assert np.array_equal(out.vector, [1, 3])
-    assert out.payload.kind == "sparse"
-    assert np.array_equal(out.payload.indices, [1])
+    assert np.array_equal(out.vectors[0], [1, 3])
+    assert out.kinds[0] == SPARSE
+    kept, sent = _payload_view(out)
+    assert np.array_equal(np.flatnonzero(kept[0]), [1])
+    assert np.array_equal(sent[0], [0, 3])
 
 
 def test_ef21_identity_is_bitwise_passthrough():
     x = np.array([0.1 + 0.2, 1e-17, -3.5])
     out = compress(EF21(ContractorSpec.identity()), np.array([1.0, 2.0, 3.0]), x, x)
-    assert np.array_equal(out.vector, x)
-    assert out.payload.kind == "full"
+    assert np.array_equal(out.vectors[0], x)
+    assert out.kinds[0] == FULL
 
 
 def test_lag_examples():
     out = compress(LAG(1.0), [1, 0], [1, 1], [1, 0.5])
-    assert np.array_equal(out.vector, [1, 0])  # 0.25 <= 0.25, boundary inclusive
-    assert out.branch_index == 0 and out.payload.kind == "skip"
+    assert np.array_equal(out.vectors[0], [1, 0])  # 0.25 <= 0.25, boundary inclusive
+    assert out.branches[0] == 0 and out.kinds[0] == SKIP
 
     out = compress(LAG(0.0), [0, 0], [5, 5], [1, 1])
-    assert np.array_equal(out.vector, [1, 1])
-    assert out.branch_index == 1 and out.payload.kind == "full"
+    assert np.array_equal(out.vectors[0], [1, 1])
+    assert out.branches[0] == 1 and out.kinds[0] == FULL
 
     x = np.array([2.0, 2.0])
     out = compress(LAG(7.0), x, [9.0, 9.0], x)
-    assert np.array_equal(out.vector, x)
-    assert out.branch_index == 0
+    assert np.array_equal(out.vectors[0], x)
+    assert out.branches[0] == 0
 
 
 def test_clag_examples():
     h, y, x = np.zeros(2), np.array([5.0, 5.0]), np.array([2.0, 1.0])
     fired = compress(CLAG(ContractorSpec.top_k(1), 0.0), h, y, x)
     ef = compress(EF21(ContractorSpec.top_k(1)), h, y, x)
-    assert np.array_equal(fired.vector, ef.vector)
-    assert fired.branch_index == 1
+    assert np.array_equal(fired.vectors[0], ef.vectors[0])
+    assert fired.branches[0] == 1
 
     out = compress(CLAG(ContractorSpec.top_k(1), 1e16), h, y, x)
-    assert np.array_equal(out.vector, h)
-    assert out.branch_index == 0 and out.payload.kind == "skip"
+    assert np.array_equal(out.vectors[0], h)
+    assert out.branches[0] == 0 and out.kinds[0] == SKIP
 
     out = compress(CLAG(ContractorSpec.top_k(1), 1.0), [0, 0], [2, 1], [2, 1])
-    assert np.array_equal(out.vector, [2, 0])  # |x-h|^2 = 5 > 0 fires
+    assert np.array_equal(out.vectors[0], [2, 0])  # |x-h|^2 = 5 > 0 fires
 
 
 def test_dimension_mismatch_rejected():
@@ -126,9 +132,9 @@ def test_dimension_mismatch_rejected():
 def test_adacgd_skip_branch():
     h = np.array([1.0, 1.0])
     out = compress(AdaCGD((ContractorSpec.top_k(1),), 1e16), h, [0, 0], [5.0, 6.0], RNG)
-    assert out.branch_index == 0
-    assert np.array_equal(out.vector, h)
-    assert out.payload.kind == "skip"
+    assert out.branches[0] == 0
+    assert np.array_equal(out.vectors[0], h)
+    assert out.kinds[0] == SKIP
 
 
 def test_adacgd_zeta_zero_reduces_to_weakest_level():
@@ -138,7 +144,7 @@ def test_adacgd_zeta_zero_reduces_to_weakest_level():
         h, y, x = g.standard_normal(6), g.standard_normal(6), g.standard_normal(6)
         out = compress(AdaCGD(levels, 0.0), h, y, x, RNG)
         ef = compress(EF21(levels[-1]), h, y, x)
-        assert np.array_equal(out.vector, ef.vector)
+        assert np.array_equal(out.vectors[0], ef.vectors[0])
 
 
 def test_adacgd_single_level_matches_clag():
@@ -148,9 +154,9 @@ def test_adacgd_single_level_matches_clag():
         h, y, x = g.standard_normal(5), g.standard_normal(5), g.standard_normal(5)
         a = compress(AdaCGD((c,), 1.5), h, y, x, RNG)
         b = compress(CLAG(c, 1.5), h, y, x, RNG.derive(1))
-        assert np.array_equal(a.vector, b.vector)
-        assert a.branch_index == b.branch_index
-        assert a.payload.kind == b.payload.kind
+        assert np.array_equal(a.vectors[0], b.vectors[0])
+        assert a.branches[0] == b.branches[0]
+        assert a.kinds[0] == b.kinds[0]
 
 
 def test_adacgd_requires_sorted_levels():
@@ -164,8 +170,8 @@ def test_ada3pc_single_branch_delegates():
     spec = Ada3PC((EF21(ContractorSpec.top_k(1)),))
     h, y, x = np.zeros(3), np.zeros(3), np.array([1.0, -4.0, 2.0])
     out = compress(spec, h, y, x, RNG)
-    assert np.array_equal(out.vector, [0, -4, 0])
-    assert out.branch_index == 0
+    assert np.array_equal(out.vectors[0], [0, -4, 0])
+    assert out.branches[0] == 0
 
 
 def test_ada3pc_falls_through_when_predicates_false():
@@ -175,8 +181,8 @@ def test_ada3pc_falls_through_when_predicates_false():
     )
     x = np.array([3.0, 1.0])
     out = compress(spec, np.zeros(2), np.zeros(2), x, RNG)
-    assert out.branch_index == 2
-    assert np.array_equal(out.vector, x)
+    assert out.branches[0] == 2
+    assert np.array_equal(out.vectors[0], x)
 
 
 def test_ada3pc_wrong_predicate_arity():
@@ -190,14 +196,38 @@ def test_ada3pc_wrong_predicate_arity():
 
 
 class _EvaluateOnly:
-    def evaluate(self, h, y, x, rng):
-        return True
+    def evaluate(self, h, y, x, rngs):
+        return np.ones(x.shape[0], dtype=bool)
 
 
 @pytest.mark.parametrize("predicate", [lambda h, y, x: True, _EvaluateOnly(), None], ids=["callable", "no-draws", "none"])
 def test_ada3pc_rejects_a_predicate_that_is_not_a_trigger_object(predicate):
-    with pytest.raises(ValueError, match=r"predicate .* needs an evaluate\(h, y, x, rng\) method and a draws flag"):
+    with pytest.raises(ValueError, match=r"predicate .* needs an evaluate\(h, y, x, rngs\) method and a draws flag"):
         Ada3PC((LAG(1.0), EF21(ContractorSpec.top_k(1))), (predicate,))
+
+
+class _OneAnswer:
+    """A predicate whose evaluate returns ``answer`` whatever the stack."""
+
+    draws = False
+
+    def __init__(self, answer):
+        self.answer = answer
+
+    def evaluate(self, h, y, x, rngs):
+        return self.answer
+
+
+@pytest.mark.parametrize(
+    "answer", [True, np.ones(3, dtype=bool), np.ones(2, dtype=np.int64)], ids=["scalar", "wrong-length", "ints"]
+)
+def test_ada3pc_rejects_a_predicate_that_does_not_answer_each_row(answer):
+    spec = Ada3PC((LAG(1.0), EF21(ContractorSpec.top_k(1))), (_OneAnswer(answer),))
+    h, y, x = np.zeros((2, 3)), np.zeros((2, 3)), np.ones((2, 3))
+    with pytest.raises(ValueError, match=r"predicate <.*_OneAnswer object .*> must return one bool per row"):
+        spec.raw(h, y, x, None)
+    with pytest.raises(ValueError, match="one bool per row"):
+        compress(spec, h[0], y[0], x[0])
 
 
 def test_explicit_chain_matches_adacgd_branch_exactly():
@@ -208,8 +238,8 @@ def test_explicit_chain_matches_adacgd_branch_exactly():
         h, y, x = g.standard_normal(4), g.standard_normal(4), g.standard_normal(4)
         direct = compress(AdaCGD(levels, 0.8), h, y, x, RNG.derive(7))
         chained = compress(chain, h, y, x, RNG.derive(7))
-        assert np.array_equal(direct.vector, chained.vector)
-        assert direct.branch_index == chained.branch_index
+        assert np.array_equal(direct.vectors[0], chained.vectors[0])
+        assert direct.branches[0] == chained.branches[0]
 
 
 def test_certified_constants_examples():
@@ -269,11 +299,11 @@ def test_estimate_constants_randomized_kind():
 def test_compress_dispatch_matches_rule_functions():
     h, y, x = np.array([1.0, 0.0]), np.array([0.5, 0.5]), np.array([2.0, 3.0])
     assert np.array_equal(
-        compress(EF21(ContractorSpec.top_k(1)), h, y, x).vector,
+        compress(EF21(ContractorSpec.top_k(1)), h, y, x).vectors[0],
         EF21(ContractorSpec.top_k(1)).raw(h[None], y[None], x[None], None).vectors[0],
     )
-    assert np.array_equal(compress(LAG(1.0), h, y, x).vector, LAG(1.0).raw(h[None], y[None], x[None], None).vectors[0])
-    assert np.array_equal(compress(IdentityMaster(), h, y, x).vector, x)
+    assert np.array_equal(compress(LAG(1.0), h, y, x).vectors[0], LAG(1.0).raw(h[None], y[None], x[None], None).vectors[0])
+    assert np.array_equal(compress(IdentityMaster(), h, y, x).vectors[0], x)
 
 
 def test_determinism_with_randomized_levels():
@@ -281,38 +311,19 @@ def test_determinism_with_randomized_levels():
     h, y, x = np.array([1.0, 2, 3, 4]), np.zeros(4), np.array([4.0, -3, 2, -1])
     a = compress(AdaCGD(levels, 0.5), h, y, x, SeededRng(11, 22))
     b = compress(AdaCGD(levels, 0.5), h, y, x, SeededRng(11, 22))
-    assert np.array_equal(a.vector, b.vector)
-    assert a.branch_index == b.branch_index
-
-
-triple = st.lists(st.floats(min_value=-100, max_value=100), min_size=2, max_size=8)
-
-
-@settings(max_examples=60, deadline=None)
-@given(triple, triple, triple, st.integers(0, 2**32))
-def test_payload_reconstruction_is_exact(hv, yv, xv, seed):
-    n = min(len(hv), len(yv), len(xv))
-    h = np.asarray(hv[:n])
-    y = np.asarray(yv[:n])
-    x = np.asarray(xv[:n])
-    for spec in (
-        EF21(ContractorSpec.top_k(1)),
-        LAG(0.7),
-        CLAG(ContractorSpec.top_k(1), 0.7),
-        AdaCGD((ContractorSpec.top_k(1), ContractorSpec.identity()), 0.7),
-        EF21(ContractorSpec.rand_k(1)),
-    ):
-        out = compress(spec, h, y, x, SeededRng(seed))
-        assert np.array_equal(reconstruct(h, out.payload), out.vector)
+    assert np.array_equal(a.vectors[0], b.vectors[0])
+    assert a.branches[0] == b.branches[0]
 
 
 def test_payload_entry_count_fixed_for_topk():
     # Fixed-rate sparsifier: k pairs cross the wire even when deltas vanish.
     x = np.array([5.0, 5.0, 5.0])
     out = compress(EF21(ContractorSpec.top_k(2)), x, x, x)
-    assert out.payload.kind == "sparse"
-    assert out.payload.entry_count == 2
-    assert np.array_equal(out.payload.values, [0.0, 0.0])
+    assert out.kinds[0] == SPARSE
+    assert out.entries[0] == 2
+    kept, sent = _payload_view(out)
+    assert kept[0].sum() == 2
+    assert np.array_equal(sent[0][kept[0]], [0.0, 0.0])
 
 
 # Few distinct magnitudes, so many draws carry tied coordinates.
@@ -333,12 +344,11 @@ def test_adacgd_matches_its_chain_on_ties(hv, yv, xv, ks, zeta):
     h, y, x = np.asarray(hv), np.asarray(yv), np.asarray(xv)
     direct = compress(AdaCGD(levels, zeta), h, y, x)
     chained = compress(adacgd_as_chain(levels, zeta), h, y, x)
-    assert np.array_equal(direct.vector, chained.vector)
-    assert direct.branch_index == chained.branch_index
-    assert direct.payload.kind == chained.payload.kind
-    if direct.payload.kind == "sparse":
-        assert np.array_equal(direct.payload.indices, chained.payload.indices)
-        assert np.array_equal(direct.payload.values, chained.payload.values)
+    assert np.array_equal(direct.vectors[0], chained.vectors[0])
+    assert direct.branches[0] == chained.branches[0]
+    assert direct.kinds[0] == chained.kinds[0]
+    for u, v in zip(_payload_view(direct), _payload_view(chained)):
+        assert np.array_equal(u, v)
 
 
 def test_is_randomized_counts_trigger_contractors():
@@ -351,7 +361,7 @@ def test_is_randomized_counts_trigger_contractors():
     h, y, x = np.zeros(3), np.zeros(3), np.array([3.0, -1.0, 2.0])
     with pytest.raises(ValueError, match="rng stream"):
         compress(drawing, h, y, x)
-    assert compress(drawing, h, y, x, SeededRng(4)).branch_index in (0, 1)
+    assert compress(drawing, h, y, x, SeededRng(4)).branches[0] in (0, 1)
 
 
 def _stack_specs(dim: int, zeta: float) -> list:
@@ -365,6 +375,7 @@ def _stack_specs(dim: int, zeta: float) -> list:
         LAG(zeta),
         CLAG(ContractorSpec.top_k(1), zeta),
         AdaCGD(top, zeta),
+        AdaCGD(top[:-1] + (ContractorSpec.identity(),), zeta),
         AdaCGD(rand, zeta),
         adacgd_as_chain(rand[:1] + top[1:] + (ContractorSpec.identity(),), zeta),
         IdentityMaster(),
@@ -372,39 +383,66 @@ def _stack_specs(dim: int, zeta: float) -> list:
 
 
 def _same_bits(a, b) -> bool:
-    if a is None or b is None:
-        return a is None and b is None
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 # Few distinct magnitudes (ties), any floats, and rows of zeros.
-_entry = st.one_of(st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]), st.floats(min_value=-10, max_value=10))
+_entry = st.one_of(st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]), st.floats(min_value=-100, max_value=100))
 
 
-@settings(max_examples=120, deadline=None)
-@given(st.data())
-def test_stacked_map_equals_each_row_alone(data):
-    dim = data.draw(st.sampled_from([1, 2, 3, 50]), label="dim")
+def _draw_stacks(data):
+    """(dim, h, y, x, zeta, streams): (n, dim) stacks, a lazy budget and one stream per row."""
+    dim = data.draw(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 50]), label="dim")
     n = data.draw(st.integers(1, 5), label="n")
     row = st.one_of(st.just([0.0] * dim), st.lists(_entry, min_size=dim, max_size=dim))
     h, y, x = (np.array(data.draw(st.lists(row, min_size=n, max_size=n)), dtype=np.float64) for _ in range(3))
     zeta = data.draw(st.sampled_from([0.0, 0.25, 1.0, 3.0]), label="zeta")
     streams = [SeededRng(data.draw(st.integers(0, 2**32), label="seed")).derive(i) for i in range(n)]
+    return dim, h, y, x, zeta, streams
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_stacked_map_equals_each_row_alone(data):
+    dim, h, y, x, zeta, streams = _draw_stacks(data)
+    n = h.shape[0]
     for spec in _stack_specs(dim, zeta):
         rngs = streams if spec.randomized else None
         header = branch_header_bits(spec)
         whole = spec.raw(h, y, x, rngs)
+        kept, sent = _payload_view(whole)
         bits = message_bits(whole.kinds, whole.entries, dim, header)
         assert whole.vectors.shape == (n, dim) and whole.branches.shape == (n,)
         for i in range(n):
             alone = spec.raw(h[i : i + 1], y[i : i + 1], x[i : i + 1], None if rngs is None else rngs[i : i + 1])
-            a, b = whole.outcome(i), alone.outcome(0)
-            assert _same_bits(a.vector, b.vector), spec
-            assert a.branch_index == b.branch_index, spec
-            assert a.payload.kind == b.payload.kind, spec
-            assert _same_bits(a.payload.indices, b.payload.indices), spec
-            assert _same_bits(a.payload.values, b.payload.values), spec
-            assert bits[i] == payload_bits(b, dim, header), spec
+            alone_kept, alone_sent = _payload_view(alone)
+            assert _same_bits(whole.vectors[i], alone.vectors[0]), spec
+            assert whole.branches[i] == alone.branches[0], spec
+            assert whole.kinds[i] == alone.kinds[0], spec
+            assert _same_bits(kept[i], alone_kept[0]), spec
+            assert _same_bits(sent[i], alone_sent[0]), spec
+            assert bits[i] == message_bits(alone.kinds[0], alone_kept[0].sum(), dim, header), spec
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_payload_reconstruction_is_exact(data):
+    dim, h, y, x, zeta, streams = _draw_stacks(data)
+    for spec in _stack_specs(dim, zeta):
+        out = spec.raw(h, y, x, streams if spec.randomized else None)
+        assert _same_bits(reconstruct(h, out), out.vectors), spec
+
+
+def test_adacgd_identity_level_sends_in_full_and_reconstructs():
+    # zeta = 0 rejects the skip and the lossy top-1 level, so row 0 falls to
+    # the identity level; row 1 (x == h) skips.
+    spec = AdaCGD((ContractorSpec.top_k(1), ContractorSpec.identity()), 0.0)
+    h = np.array([[0.5, 0.0, -1.0], [1.0, 2.0, 3.0]])
+    x = np.array([[3.0, -1.0, 2.0], [1.0, 2.0, 3.0]])
+    out = spec.raw(h, np.zeros_like(h), x, None)
+    assert out.kinds.tolist() == [FULL, SKIP] and out.branches.tolist() == [2, 0]
+    assert _same_bits(out.vectors[0], x[0])
+    assert _same_bits(reconstruct(h, out), out.vectors)
 
 
 @pytest.mark.skipif(

@@ -6,13 +6,15 @@ import pytest
 
 from adacgd.core import SeededRng, ThreePCConstants
 from adacgd.compressors import (
+    FULL,
+    SKIP,
+    SPARSE,
     AdaCGD,
-    CompressionOutcome,
     ContractorSpec,
     EF21,
     IdentityMaster,
     LAG,
-    Payload,
+    adacgd_as_chain,
 )
 from adacgd.engine import (
     DivergenceError,
@@ -21,11 +23,13 @@ from adacgd.engine import (
     branch_header_bits,
     init,
     iterate,
-    payload_bits,
+    message_bits,
     run,
     step,
     theoretical_stepsize,
 )
+from adacgd.datasets import SyntheticSpec, build_problem, make_synthetic
+from adacgd.experiments import record_to_row
 from adacgd.problems import Problem, SmoothnessConstants, full_gradient, loss
 
 
@@ -56,20 +60,42 @@ def test_stepsize_pl_and_rule_errors():
         theoretical_stepsize("manual", sc, wc)
 
 
-def test_payload_bits_examples():
-    sparse = CompressionOutcome(np.zeros(4), 0, Payload.sparse(np.array([2]), np.array([1.0])))
-    assert payload_bits(sparse, 4) == 66
-    skip = CompressionOutcome(np.zeros(4), 0, Payload.skip())
-    assert payload_bits(skip, 4) == 1
-    full = CompressionOutcome(np.zeros(100), 0, Payload.full(np.zeros(100)))
-    assert payload_bits(full, 100) == 6400
+def test_message_bits_examples():
+    assert message_bits(SPARSE, 1, 4) == 66  # one 64-bit value and 2 index bits
+    assert message_bits(SKIP, 0, 4) == 1
+    assert message_bits(FULL, 0, 100) == 6400
+    # At d = 50 an entry costs 64 + 6 bits, so 46 or more sparse entries hit the 64 * d cap.
+    kinds = np.array([SKIP, SPARSE, SPARSE, SPARSE, FULL])
+    entries = np.array([0, 5, 45, 46, 0])
+    assert message_bits(kinds, entries, 50, 2).tolist() == [1, 5 * 70 + 2, 45 * 70 + 2, 64 * 50 + 2, 64 * 50]
 
 
-def test_payload_bits_adaptive_header():
+def test_message_bits_adaptive_header():
     spec = AdaCGD((ContractorSpec.top_k(1), ContractorSpec.top_k(2), ContractorSpec.top_k(3)), 1.0)
     assert branch_header_bits(spec) == 2  # four branch ids including skip
-    sparse = CompressionOutcome(np.zeros(4), 1, Payload.sparse(np.array([0]), np.array([1.0])))
-    assert payload_bits(sparse, 4, branch_header_bits(spec)) == 68
+    assert message_bits(SPARSE, 1, 4, branch_header_bits(spec)) == 68
+
+
+_TOP1, _TOP2, _TOP3, _TOP4 = (ContractorSpec.top_k(k) for k in (1, 2, 3, 4))
+_RAND1 = ContractorSpec.rand_k(1)
+
+
+@pytest.mark.parametrize(
+    "contractors",
+    [(_TOP1,), (_TOP1, _TOP3), (_TOP1, _TOP2, _TOP4), (_RAND1,), (_RAND1, _TOP3), (_RAND1, _TOP2, _TOP4)],
+    ids=["top-1", "top-2", "top-3", "rand-1", "rand-2", "rand-3"],
+)
+def test_adacgd_and_its_chain_write_the_same_trace_rows(contractors):
+    # The chain's skip branch is AdaCGD's branch 0, not a level, so both bill the same header.
+    features, labels = make_synthetic(SyntheticSpec(n_examples=60, dim=6, seed=3))
+    problem = build_problem(features, labels, n_clients=3, lam=0.1, seed=3)
+
+    def rows(worker_spec):
+        spec = RunSpec(problem, worker_spec, IdentityMaster(), np.zeros(6), 0.5, StopRule(10), seed=4)
+        return [record_to_row(record) for record in run(spec)]
+
+    assert branch_header_bits(adacgd_as_chain(contractors, 1.0)) == branch_header_bits(AdaCGD(contractors, 1.0))
+    assert rows(adacgd_as_chain(contractors, 1.0)) == rows(AdaCGD(contractors, 1.0))
 
 
 def test_init_full_mode_exact():
@@ -91,7 +117,7 @@ def test_init_compressed_mode_strongest_level():
 
 def test_init_compressed_charges_no_more_than_full_vectors():
     # top-50 of d = 50 keeps every entry: sparse framing would cost 50 * (64 + 6)
-    # bits per worker, so payload_bits charges the 3200-bit full vector instead.
+    # bits per worker, so message_bits charges the 3200-bit full vector instead.
     p = Problem.quadratic(np.linspace(1.0, 2.0, 50), n_clients=2)
     state = init(p, EF21(ContractorSpec.top_k(50)), np.ones(50), "compressed", SeededRng(0))
     assert state.uplink_bits == 2 * 50 * 64

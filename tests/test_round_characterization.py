@@ -51,12 +51,12 @@ CASES = {
     ),
     "full-ada3pc": (
         "full", "ada3pc-rand-trigger", IdentityMaster(),
-        "e50cc549214b010e9b4f11061c0b59bf465c3202d6f938b0142cc48aa47f8c50",
+        "ccae731913fdd31d4676c182f64076ffae4e4e5ce323a7ce2bd07acc27f522f5",
         "d971649c5e3e0c571463e69dd35cfcda84d209dd941e9669503b7c2cd43ef402",
     ),
     "compressed-ada3pc": (
         "compressed", "ada3pc-rand-trigger", IdentityMaster(),
-        "7399aabddb38159a7abc4bc3c18cc5f285e31c89984d92ea8dc836fa871300db",
+        "bfeedf03e05ad87fb55010949c5c53385b93eed4516c82b5e2b1413b9686edd2",
         "c243c7e6feb2b8fe0ccd8b4b195c53bb379d428be9a7f22d41a595b3e0247d76",
     ),
     "compressed-adacgd-bidirectional": (

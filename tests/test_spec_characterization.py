@@ -40,13 +40,13 @@ CASES = {
     "adacgd-rand": (AdaCGD((C.rand_k(1), C.top_k(3)), 0.5), *TOP1, True, C.rand_k(1), 3, 2, 2),
     "ada3pc-rand-trigger": (
         Ada3PC((LAG(1.0), EF21(C.top_k(1))), (CandidateErrorTrigger(1.0, C.rand_k(1)),)),
-        *TOP1, True, C.top_k(1), 2, 2, 2,
+        *TOP1, True, C.top_k(1), 2, 1, 1,
     ),
     "ada3pc-skip-triggers": (
         Ada3PC((LAG(3.0), CLAG(C.top_k(2), 0.25), EF21(C.top_k(4))), (SkipTrigger(3.0), SkipTrigger(0.25))),
-        (TOP2[0][0], 3.0), TOP2[1], False, C.top_k(2), 3, 3, 2,
+        (TOP2[0][0], 3.0), TOP2[1], False, C.top_k(2), 3, 2, 2,
     ),
-    "adacgd-chain": (adacgd_as_chain((C.top_k(1), C.top_k(3)), 1.0), *TOP1, False, C.top_k(1), 3, 3, 2),
+    "adacgd-chain": (adacgd_as_chain((C.top_k(1), C.top_k(3)), 1.0), *TOP1, False, C.top_k(1), 3, 2, 2),
     "identity-master": (IdentityMaster(), *EXACT, False, C.identity(), 1, 0, 0),
 }
 
