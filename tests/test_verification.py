@@ -3,12 +3,15 @@ import hashlib
 import numpy as np
 import pytest
 
-from adacgd.compressors import AdaCGD, ContractorSpec, EF21, IdentityMaster
+from adacgd.compressors import AdaCGD, ContractorSpec, EF21, IdentityMaster, LAG
+from adacgd.core import SeededRng, ThreePCConstants
 from adacgd.datasets import SyntheticSpec, build_problem, make_synthetic
 from adacgd.engine import theoretical_stepsize
 from adacgd.problems import Problem, smoothness
 from adacgd.verification import (
     PropertyResult,
+    contraction_check,
+    estimate_constants,
     monotone_check,
     recursion_check,
     run_suite,
@@ -62,6 +65,54 @@ def test_suites_pass_at_small_scale(suite):
     assert not failing, failing
     output = "\n".join(r.line() for r in results)
     assert hashlib.sha256(output.encode()).hexdigest() == SUITE_OUTPUT_SHA256[suite], output
+
+
+# repr of each sampled report, every float to full precision: the suite
+# hashes above see margins only to four digits.
+_TOP, _RAND, _IDENT = ContractorSpec.top_k, ContractorSpec.rand_k, ContractorSpec.identity
+ESTIMATE_REPRS = {
+    "ef21-top1": (
+        lambda: estimate_constants(EF21(_TOP(1)), 8, 60, SeededRng(4)),
+        "EstimateReport(constants=ThreePCConstants(a=0.27446796094488335, b=1.4253816838102342), "
+        "passed=True, worst_slack=1.1756377948015166, trials=60)",
+    ),
+    "lag": (
+        lambda: estimate_constants(LAG(1.5), 8, 60, SeededRng(4)),
+        "EstimateReport(constants=ThreePCConstants(a=1.0, b=1.4576287026706158), "
+        "passed=True, worst_slack=0.0, trials=60)",
+    ),
+    "adacgd-identity-level": (
+        lambda: estimate_constants(AdaCGD((_TOP(1), _TOP(3), _IDENT()), 1.0), 8, 60, SeededRng(4)),
+        "EstimateReport(constants=ThreePCConstants(a=1.0, b=1.0), "
+        "passed=True, worst_slack=3.7535080799432294, trials=60)",
+    ),
+    "adacgd-randk": (
+        lambda: estimate_constants(AdaCGD((_RAND(1), _TOP(4)), 1.0), 8, 12, SeededRng(4)),
+        "EstimateReport(constants=ThreePCConstants(a=0.8943530799460946, b=1.0), "
+        "passed=True, worst_slack=13.028969355085323, trials=12)",
+    ),
+    "certified-override": (
+        lambda: estimate_constants(LAG(5.0), 8, 60, SeededRng(4), certified=ThreePCConstants(1.0, 0.01)),
+        "EstimateReport(constants=ThreePCConstants(a=1.0, b=1.4576287026706158), "
+        "passed=False, worst_slack=-28.284764589684844, trials=60)",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(ESTIMATE_REPRS))
+def test_estimate_constants_reports_pinned_to_full_precision(name):
+    estimate, expected = ESTIMATE_REPRS[name]
+    assert repr(estimate()) == expected
+
+
+@pytest.mark.parametrize(
+    "contractor, n_vectors, margin",
+    [(_TOP(3), 40, 1.0185200476987217), (_RAND(2), 6, 0.22062059977625914), (_IDENT(), 40, 1e-12)],
+)
+def test_contraction_margins_pinned_to_full_precision(contractor, n_vectors, margin):
+    result = contraction_check(contractor, 8, n_vectors, seed=5)
+    assert result.passed
+    assert repr(result.margin) == repr(margin)
 
 
 def _trace_run_configs():
