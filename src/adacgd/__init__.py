@@ -1,6 +1,6 @@
 """Communication-efficient distributed gradient descent with adaptive compression."""
 
-from .core import SeededRng, ThreePCConstants, combine_constants, squared_distance
+from .core import SeededRng, ThreePCConstants, combine_constants
 from .compressors import (
     Ada3PC,
     AdaCGD,
@@ -16,7 +16,6 @@ from .compressors import (
     adacgd_as_chain,
     apply_contractor,
     compress,
-    estimate_constants,
     reconstruct,
 )
 from .problems import (
@@ -64,5 +63,6 @@ from .experiments import (
     solve_reference,
     write_trace,
 )
+from .verification import estimate_constants
 
 __version__ = "0.1.0"

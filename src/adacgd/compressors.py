@@ -9,8 +9,7 @@ adaptive rule (AdaCGD), and a generic predicate-dispatched chain (Ada3PC).
 Each rule is one spec class holding its map and its certified inequality
 constants. The map acts on (n, d) stacks row by row, each row on its own, so
 the engine compresses every worker's message in one call; ``compress`` is
-the public single-vector entry point (the one-row stack) and
-``estimate_constants`` the empirical verifier.
+the public single-vector entry point (the one-row stack).
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from .core import (
     check_same_dim,
     combine_constants,
     row_sqnorms,
-    sqnorm,
 )
 
 TOPK = "topk"
@@ -235,10 +233,9 @@ def _ef21_raw(
     x: np.ndarray,
     rngs: Optional[Sequence[SeededRng]],
     delta: Optional[np.ndarray] = None,
-    order: Optional[np.ndarray] = None,
 ) -> CompressedRows:
     """The shift map h + C(x - h) on the rows of (m, d) stacks; callers that
-    already hold ``delta = x - h`` and its magnitude ranking ``order`` pass them in."""
+    already hold ``delta = x - h`` pass it in."""
     if contractor.kind == IDENTITY:
         # Mathematically h + (x - h) = x; return x itself to keep the
         # pass-through path bitwise exact.
@@ -247,7 +244,7 @@ def _ef21_raw(
         return out
     if delta is None:
         delta = x - h
-    kept = _contract_support(contractor, delta, rngs, order)
+    kept = _contract_support(contractor, delta, rngs)
     out = _skipping(h)
     out._write_shift(np.arange(x.shape[0]), kept, *_shift_entries(h, delta, kept))
     return out
@@ -636,112 +633,3 @@ def adacgd_as_chain(contractors: Sequence[ContractorSpec], zeta: float) -> Ada3P
         CandidateErrorTrigger(zeta, c) for c in contractors[:-1]
     )
     return Ada3PC(branches, predicates)
-
-
-@dataclass(frozen=True)
-class EstimateReport:
-    """Result of empirically probing the three-point inequality."""
-
-    constants: ThreePCConstants
-    passed: bool
-    worst_slack: float
-    trials: int
-
-
-_INNER_DRAWS = 256
-_ESTIMATE_REL_TOL = 1e-9  # relative allowance on each sampled inequality
-
-
-def _sample_triple(family: int, dim: int, g: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if family == 0:
-        return g.standard_normal(dim), g.standard_normal(dim), g.standard_normal(dim)
-    if family == 1:
-        out = []
-        support_size = max(1, dim // 4)
-        for _ in range(3):
-            v = np.zeros(dim)
-            idx = g.choice(dim, size=support_size, replace=False)
-            v[idx] = g.standard_normal(support_size)
-            out.append(v)
-        return out[0], out[1], out[2]
-    if family == 2:
-        h = g.standard_normal(dim)
-        x = g.standard_normal(dim)
-        return h, x.copy(), x  # collinear: y = x
-    if family == 3:
-        y = g.standard_normal(dim)
-        h = y + 1e-8 * g.standard_normal(dim)
-        return h, y, g.standard_normal(dim)
-    y = g.standard_normal(dim)
-    return y.copy(), y, g.standard_normal(dim)  # exact h = y
-
-
-def _triple_stacks(rng: SeededRng, dim: int, trials: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(h, y, x) as (trials, dim) stacks; row t cycles the five families on stream t."""
-    rows = [_sample_triple(t % 5, dim, rng.derive(t).generator()) for t in range(trials)]
-    return tuple(np.stack(column) for column in zip(*rows))
-
-
-def estimate_constants(
-    spec: ThreePCSpec,
-    dim: int,
-    trials: int,
-    rng: SeededRng,
-    certified: Optional[ThreePCConstants] = None,
-) -> EstimateReport:
-    """Probe the three-point inequality on sampled (h, y, x) triples.
-
-    Triples cycle through unit-Gaussian, sparse, collinear (x = y),
-    near-coincident (h ~ y), and exact h = y configurations. Randomized
-    specs are averaged over 256 inner draws and allowed a three-standard-
-    error margin on top of the relative tolerance; deterministic specs must
-    satisfy the certified inequality on every sample.
-
-    Returns the tightest empirical (a, b) consistent with the samples and a
-    pass flag against the certified constants.
-    """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    own = spec.constants(dim)  # also checks the spec at dim when a certificate is given
-    cert = certified if certified is not None else own
-
-    worst_slack = math.inf
-    passed = True
-    max_pure_ratio = 0.0  # err / |h-y|^2 over samples with x = y
-    residuals: list[tuple[float, float, float]] = []  # (err, |h-y|^2, |x-y|^2)
-
-    hs, ys, xs = _triple_stacks(rng, dim, trials)
-    if spec.randomized:
-        errors = []
-        for t, (h, y, x) in enumerate(zip(hs, ys, xs)):
-            # The inner draws are the rows of one stack; row s draws from stream (t, s).
-            stack = [np.repeat(v[None], _INNER_DRAWS, axis=0) for v in (h, y, x)]
-            out = _compress_raw(spec, *stack, [rng.derive(t, s) for s in range(_INNER_DRAWS)])
-            errs = row_sqnorms(out.vectors - x)
-            errors.append((float(errs.mean()), float(errs.std(ddof=1) / math.sqrt(_INNER_DRAWS))))
-    else:
-        # A deterministic rule maps every triple in one stack.
-        errors = [(err, 0.0) for err in row_sqnorms(_compress_raw(spec, hs, ys, xs, None).vectors - xs).tolist()]
-
-    for h, y, x, (err, stderr) in zip(hs, ys, xs, errors):
-        hy = sqnorm(h - y)
-        xy = sqnorm(x - y)
-        rhs = (1.0 - cert.a) * hy + cert.b * xy
-        allowance = _ESTIMATE_REL_TOL * max(1.0, rhs) + 3.0 * stderr
-        slack = rhs - err
-        worst_slack = min(worst_slack, slack)
-        if err > rhs + allowance:
-            passed = False
-
-        if xy == 0.0 and hy > 0.0:
-            max_pure_ratio = max(max_pure_ratio, err / hy)
-        residuals.append((err, hy, xy))
-
-    a_hat = min(1.0, max(1e-12, 1.0 - max_pure_ratio))
-    b_hat = 0.0
-    for err, hy, xy in residuals:
-        if xy > 0.0:
-            b_hat = max(b_hat, (err - (1.0 - a_hat) * hy) / xy)
-    b_hat = max(0.0, b_hat)
-
-    return EstimateReport(ThreePCConstants(a_hat, b_hat), passed, worst_slack, trials)

@@ -44,17 +44,6 @@ def row_sqnorms(rows: np.ndarray) -> np.ndarray:
     return np.matmul(rows[:, None, :], rows[:, :, None]).reshape(-1)
 
 
-def squared_distance(u, v) -> float:
-    """Sum of squared coordinate differences between two equal-length vectors.
-
-    Symmetric, nonnegative, and zero iff the inputs are equal.
-    """
-    u, v = as_vector(u), as_vector(v)
-    check_same_dim(u, v)
-    d = u - v
-    return float(d @ d)
-
-
 @dataclass(frozen=True)
 class ThreePCConstants:
     """Certified (a, b) pair of a three-point compression inequality.

@@ -1,21 +1,26 @@
 """Batch property checks: sampling oracles and engine-run diagnostics.
 
-Every check returns a :class:`PropertyResult` whose margin is the tightest
-slack observed (negative means a violation). The sampling oracles are
+This module is the one place that samples and judges properties; the
+compression module holds only the sparsifiers and rules. Every check
+returns a :class:`PropertyResult` whose margin is the tightest slack
+observed (negative means a violation). The sampling oracles are
 independent of the code paths they probe: compressor inequalities are
-checked by direct sampling, gradients by central differences. The run
-diagnostics (potential descent, error recursions, rate bounds) read the
-engine's own records, the numbers a trace reports; they test the theory's
-inequalities on those numbers, not the engine's arithmetic.
+checked by direct sampling (``estimate_constants`` probes the three-point
+inequality and returns the tightest empirical constants), gradients by
+central differences. The run diagnostics (potential descent, error
+recursions, rate bounds) read the engine's own records, the numbers a trace
+reports; they test the theory's inequalities on those numbers, not the
+engine's arithmetic.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import zlib
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -30,13 +35,12 @@ from .compressors import (
     ThreePCSpec,
     adacgd_as_chain,
     CompressedRows,
-    estimate_constants,
     reconstruct,
     _compress_raw,
     _contract_rows,
     _payload_view,
-    _triple_stacks,
 )
+from .datasets import SyntheticSpec, build_problem, make_synthetic
 from .engine import (
     EngineState,
     RunSpec,
@@ -44,6 +48,7 @@ from .engine import (
     iterate,
     resolve_stepsize,
 )
+from .experiments import solve_reference
 from .problems import (
     Problem,
     check_gradient,
@@ -55,7 +60,8 @@ from .problems import (
 
 _VERIFY_STREAM = 202
 _CONTRACTION_REL_TOL = 1e-12  # relative allowance of the contraction check
-_CONTRACTION_DRAWS = 256  # rand-k draws averaged per vector
+_ESTIMATE_REL_TOL = 1e-9  # relative allowance on each sampled three-point inequality
+_INNER_DRAWS = 256  # draws of a randomized map averaged per sample
 _GRADIENT_TOL = 1e-5  # largest accepted finite-difference gradient error
 _REL_SLACK = 1e-10  # relative slack of the per-round and rate-bound checks
 _BURN_IN = 10  # rounds skipped before the linear rate is measured
@@ -74,30 +80,117 @@ class PropertyResult:
         return f"[{status}] {self.name}: margin={self.margin:.3e}{extra}"
 
 
+def _sample_triple(family: int, dim: int, g: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    if family == 0:
+        return g.standard_normal(dim), g.standard_normal(dim), g.standard_normal(dim)
+    if family == 1:
+        out = np.zeros((3, dim))
+        support_size = max(1, dim // 4)
+        for v in out:
+            idx = g.choice(dim, size=support_size, replace=False)  # indices, then values: the draw order fixes the sample
+            v[idx] = g.standard_normal(support_size)
+        return tuple(out)
+    if family == 2:
+        h = g.standard_normal(dim)
+        x = g.standard_normal(dim)
+        return h, x.copy(), x  # collinear: y = x
+    if family == 3:
+        y = g.standard_normal(dim)
+        h = y + 1e-8 * g.standard_normal(dim)
+        return h, y, g.standard_normal(dim)
+    y = g.standard_normal(dim)
+    return y.copy(), y, g.standard_normal(dim)  # exact h = y
+
+
+def _triple_stacks(rng: SeededRng, dim: int, trials: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(h, y, x) as (trials, dim) stacks; row t cycles the five families on stream t."""
+    rows = [_sample_triple(t % 5, dim, rng.derive(t).generator()) for t in range(trials)]
+    return tuple(np.stack(column) for column in zip(*rows))
+
+
+def _squared_errors(
+    apply: Callable, inputs: tuple[np.ndarray, ...], target: np.ndarray, rng: SeededRng, randomized: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Squared error of ``apply(inputs, streams)`` against each row of ``target``, and its standard error.
+
+    A deterministic map is one stacked call with no spread. A randomized map
+    sees each sample repeated in ``_INNER_DRAWS`` rows, row s of sample t
+    drawing from stream ``rng.derive(t, s)``, and its errors are averaged.
+    """
+    if not randomized:
+        return row_sqnorms(apply(inputs, None) - target), np.zeros(target.shape[0])
+    err, stderr = np.empty(target.shape[0]), np.empty(target.shape[0])
+    for t, x in enumerate(target):
+        draws = tuple(np.repeat(v[t][None], _INNER_DRAWS, axis=0) for v in inputs)
+        errs = row_sqnorms(apply(draws, [rng.derive(t, s) for s in range(_INNER_DRAWS)]) - x)
+        err[t], stderr[t] = errs.mean(), errs.std(ddof=1) / math.sqrt(_INNER_DRAWS)
+    return err, stderr
+
+
+@dataclass(frozen=True)
+class EstimateReport:
+    """Result of empirically probing the three-point inequality."""
+
+    constants: ThreePCConstants
+    passed: bool
+    worst_slack: float
+    trials: int
+
+
+def estimate_constants(
+    spec: ThreePCSpec,
+    dim: int,
+    trials: int,
+    rng: SeededRng,
+    certified: Optional[ThreePCConstants] = None,
+) -> EstimateReport:
+    """Probe the three-point inequality on sampled (h, y, x) triples.
+
+    Triples cycle through unit-Gaussian, sparse, collinear (x = y),
+    near-coincident (h ~ y), and exact h = y configurations. Randomized
+    specs are averaged over 256 inner draws and allowed a three-standard-
+    error margin on top of the relative tolerance; deterministic specs must
+    satisfy the certified inequality on every sample.
+
+    Returns the tightest empirical (a, b) consistent with the samples and a
+    pass flag against the certified constants.
+    """
+    check_trials(trials)
+    own = spec.constants(dim)  # also checks the spec at dim when a certificate is given
+    cert = certified if certified is not None else own
+
+    hs, ys, xs = _triple_stacks(rng, dim, trials)
+    err, stderr = _squared_errors(
+        lambda stacks, streams: _compress_raw(spec, *stacks, streams).vectors, (hs, ys, xs), xs, rng, spec.randomized
+    )
+    hy, xy = row_sqnorms(hs - ys), row_sqnorms(xs - ys)
+    rhs = (1.0 - cert.a) * hy + cert.b * xy
+    passed = not np.any(err > rhs + (_ESTIMATE_REL_TOL * np.maximum(1.0, rhs) + 3.0 * stderr))
+
+    pure = (xy == 0.0) & (hy > 0.0)  # x = y: the error is all contraction
+    a_hat = min(1.0, max(1e-12, 1.0 - float(np.max(err[pure] / hy[pure], initial=0.0))))
+    drift = xy > 0.0
+    b_hat = float(np.max((err[drift] - (1.0 - a_hat) * hy[drift]) / xy[drift], initial=0.0))
+    return EstimateReport(ThreePCConstants(a_hat, b_hat), passed, float(np.min(rhs - err)), trials)
+
+
 def contraction_check(contractor: ContractorSpec, dim: int, n_vectors: int, seed: int) -> PropertyResult:
     """Squared compression error never exceeds (1 - alpha) of the input energy.
 
     Deterministic kinds are checked exactly per vector; rand-k is checked on
     the 256-draw empirical mean with a three-standard-error allowance.
     """
+    if n_vectors < 1:
+        raise ValueError(f"n_vectors must be >= 1, got {n_vectors}")
     rng = SeededRng(seed, _VERIFY_STREAM)
     alpha = contractor.alpha(dim)
-    worst = math.inf
     xs = np.stack([rng.derive(i).generator().standard_normal(dim) for i in range(n_vectors)])
-    if contractor.randomized:
-        errors = []
-        for i, x in enumerate(xs):
-            # The draws are the rows of one stack; row s draws from stream (i, s).
-            draws = np.repeat(x[None], _CONTRACTION_DRAWS, axis=0)
-            errs = row_sqnorms(_contract_rows(contractor, draws, [rng.derive(i, s) for s in range(_CONTRACTION_DRAWS)]) - x)
-            errors.append((float(errs.mean()), 3.0 * float(errs.std(ddof=1) / math.sqrt(_CONTRACTION_DRAWS))))
-    else:
-        # A deterministic sparsifier maps every vector in one stack, exactly.
-        errors = [(err, 0.0) for err in row_sqnorms(_contract_rows(contractor, xs, None) - xs).tolist()]
-    for x, (err, spread) in zip(xs, errors):
-        bound = (1.0 - alpha) * sqnorm(x)
-        allowance = spread + _CONTRACTION_REL_TOL * max(1.0, bound)
-        worst = min(worst, bound + allowance - err)
+    err, stderr = _squared_errors(
+        lambda stacks, streams: _contract_rows(contractor, stacks[0], streams), (xs,), xs, rng, contractor.randomized
+    )
+    bound = (1.0 - alpha) * row_sqnorms(xs)
+    allowance = 3.0 * stderr + _CONTRACTION_REL_TOL * np.maximum(1.0, bound)
+    worst = float(np.min(bound + allowance - err))
     label = f"contraction[{contractor.kind},k={contractor.k},d={dim}]"
     return PropertyResult(label, worst >= 0.0, worst, f"{n_vectors} vectors")
 
@@ -335,28 +428,15 @@ def trace_run(
     )
 
 
+def recursion_check(lhs: np.ndarray, rhs: np.ndarray, name: str) -> PropertyResult:
+    """Per-round inequality lhs[t] <= rhs[t], allowing a relative slack of |rhs[t]|."""
+    violated = lhs > rhs + _REL_SLACK * np.maximum(1.0, np.abs(rhs))
+    return PropertyResult(name, not np.any(violated), np.min(rhs - lhs, initial=math.inf), f"{len(lhs)} rounds")
+
+
 def monotone_check(values: np.ndarray, name: str) -> PropertyResult:
     """Sequence never increases beyond the relative slack."""
-    worst = math.inf
-    passed = True
-    for a, b in zip(values, values[1:]):
-        allowance = _REL_SLACK * max(1.0, abs(a))
-        worst = min(worst, a - b)
-        if b > a + allowance:
-            passed = False
-    return PropertyResult(name, passed, worst, f"{len(values)} rounds")
-
-
-def recursion_check(lhs: np.ndarray, rhs: np.ndarray, name: str) -> PropertyResult:
-    """Per-round inequality lhs[t+1-ish] <= rhs[t] with relative slack."""
-    worst = math.inf
-    passed = True
-    for have, bound in zip(lhs, rhs):
-        allowance = _REL_SLACK * max(1.0, bound)
-        worst = min(worst, bound - have)
-        if have > bound + allowance:
-            passed = False
-    return PropertyResult(name, passed, worst, f"{len(lhs)} rounds")
+    return dataclasses.replace(recursion_check(values[1:], values[:-1], name), detail=f"{len(values)} rounds")
 
 
 def estimator_recursion_check(trace: RunTrace, l_plus: float, name: str = "estimator-error-recursion") -> PropertyResult:
@@ -379,6 +459,23 @@ def master_recursion_check(trace: RunTrace, l_plus: float) -> PropertyResult:
     return recursion_check(trace.master_err[1:], rhs, "master-error-recursion")
 
 
+def _checkpoint_check(
+    name: str, trace: RunTrace, checkpoints: Sequence[int], bound: Callable[[int], tuple[float, float]]
+) -> PropertyResult:
+    """``lhs <= rhs`` with relative slack, where ``(lhs, rhs) = bound(T)`` at each checkpoint T in 1..rounds."""
+    rounds = len(trace.f) - 1
+    for t_cap in checkpoints:
+        if not 1 <= t_cap <= rounds:
+            raise ValueError(f"checkpoint T={t_cap} lies outside 1..{rounds}, the rounds of the trace")
+    rows = [(t_cap, *bound(t_cap)) for t_cap in checkpoints]
+    return PropertyResult(
+        name,
+        not any(lhs > rhs * (1.0 + _REL_SLACK) for _, lhs, rhs in rows),
+        min((rhs - lhs for _, lhs, rhs in rows), default=math.inf),
+        "; ".join(f"T={t_cap}: {lhs:.3e} <= {rhs:.3e}" for t_cap, lhs, rhs in rows),
+    )
+
+
 def convex_bound_check(trace: RunTrace, x_star: np.ndarray, f_star: float, checkpoints: Sequence[int]) -> PropertyResult:
     """Averaged-objective suboptimality bound at the given checkpoints.
 
@@ -387,33 +484,22 @@ def convex_bound_check(trace: RunTrace, x_star: np.ndarray, f_star: float, check
     """
     dist = np.array([math.sqrt(sqnorm(s.x - x_star)) for s in trace.states])
     factor = max(1.0 / trace.gamma, 1.0 / trace.worker_c.a)
-    worst = math.inf
-    passed = True
-    details = []
-    for t_cap in checkpoints:
+
+    def bound(t_cap: int) -> tuple[float, float]:
         omega_hat = float(np.max(dist[: t_cap + 1]))
-        lhs = trace.f[t_cap] - f_star
-        rhs = factor * 2.0 * (omega_hat**2 + trace.phi[0]) / t_cap
-        worst = min(worst, rhs - lhs)
-        if lhs > rhs * (1.0 + _REL_SLACK):
-            passed = False
-        details.append(f"T={t_cap}: {lhs:.3e} <= {rhs:.3e}")
-    return PropertyResult("convex-rate-bound", passed, worst, "; ".join(details))
+        return trace.f[t_cap] - f_star, factor * 2.0 * (omega_hat**2 + trace.phi[0]) / t_cap
+
+    return _checkpoint_check("convex-rate-bound", trace, checkpoints, bound)
 
 
 def stationarity_bound_check(trace: RunTrace, checkpoints: Sequence[int]) -> PropertyResult:
     """Best squared gradient so far obeys 2 Psi^0 / (gamma T)."""
-    worst = math.inf
-    passed = True
-    details = []
-    for t_cap in checkpoints:
-        lhs = float(np.min(trace.grad_sq[:t_cap]))
-        rhs = 2.0 * trace.psi[0] / (trace.gamma * t_cap)
-        worst = min(worst, rhs - lhs)
-        if lhs > rhs * (1.0 + _REL_SLACK):
-            passed = False
-        details.append(f"T={t_cap}: {lhs:.3e} <= {rhs:.3e}")
-    return PropertyResult("stationarity-bound", passed, worst, "; ".join(details))
+    return _checkpoint_check(
+        "stationarity-bound",
+        trace,
+        checkpoints,
+        lambda t_cap: (float(np.min(trace.grad_sq[:t_cap])), 2.0 * trace.psi[0] / (trace.gamma * t_cap)),
+    )
 
 
 def linear_rate_check(trace: RunTrace, mu: float, f_star: float) -> PropertyResult:
@@ -422,18 +508,20 @@ def linear_rate_check(trace: RunTrace, mu: float, f_star: float) -> PropertyResu
     The observed rate is the geometric mean of the per-round factors over
     the window, compared against 1 - min(gamma * mu, a) / 2.
     """
+    rounds = len(trace.f) - 1
+    if rounds <= _BURN_IN:
+        raise ValueError(f"the linear rate is measured after {_BURN_IN} burn-in rounds; the trace has only {rounds}")
     threshold = 1.0 - min(trace.gamma * mu, trace.worker_c.a) / 2.0
     start = trace.f[_BURN_IN] - f_star
     end = trace.f[-1] - f_star
-    window = len(trace.f) - 1 - _BURN_IN
     if start <= 0.0 or end <= 0.0:
         return PropertyResult("linear-rate", True, threshold, "gap underflowed to zero, converged")
-    rate = (end / start) ** (1.0 / window)
+    rate = (end / start) ** (1.0 / (rounds - _BURN_IN))
     return PropertyResult(
         "linear-rate",
         rate <= threshold,
         threshold - rate,
-        f"observed {rate:.6f} <= allowed {threshold:.6f} over rounds {_BURN_IN}..{len(trace.f) - 1}",
+        f"observed {rate:.6f} <= allowed {threshold:.6f} over rounds {_BURN_IN}..{rounds}",
     )
 
 
@@ -489,8 +577,6 @@ def default_compressor_suite(seed: int, trials: int) -> list[PropertyResult]:
 
 
 def default_gradient_suite(seed: int, trials: int) -> list[PropertyResult]:
-    from .datasets import SyntheticSpec, build_problem, make_synthetic
-
     features, labels = make_synthetic(SyntheticSpec(n_examples=60, dim=8, seed=seed + 11))
     logistic = build_problem(features, labels, n_clients=3, lam=0.1, seed=seed + 11)
     convex = build_problem(features, labels, n_clients=3, lam=0.0, seed=seed + 11)
@@ -504,8 +590,6 @@ def default_gradient_suite(seed: int, trials: int) -> list[PropertyResult]:
 
 
 def default_lyapunov_suite(seed: int, trials: int) -> list[PropertyResult]:
-    from .datasets import SyntheticSpec, build_problem, make_synthetic
-
     rounds = max(50, min(trials, 300))
     results = []
 
@@ -530,9 +614,6 @@ def default_lyapunov_suite(seed: int, trials: int) -> list[PropertyResult]:
 
 
 def default_bounds_suite(seed: int, trials: int) -> list[PropertyResult]:
-    from .datasets import SyntheticSpec, build_problem, make_synthetic
-    from .experiments import solve_reference
-
     results = []
     features, labels = make_synthetic(SyntheticSpec(n_examples=100, dim=10, seed=seed + 5))
     convex = build_problem(features, labels, n_clients=4, lam=0.0, seed=seed + 5)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adacgd.core import SeededRng, squared_distance
+from adacgd.core import SeededRng, sqnorm
 from adacgd.engine import branch_header_bits, message_bits
 from adacgd.compressors import (
     Ada3PC,
@@ -28,10 +28,10 @@ from adacgd.compressors import (
     apply_contractor,
     compress,
     ef21_constants,
-    estimate_constants,
     reconstruct,
     _payload_view,
 )
+from adacgd.verification import estimate_constants
 
 RNG = SeededRng(42)
 
@@ -67,7 +67,7 @@ def test_top_k_contraction_property(values, k):
     x = np.asarray(values)
     k = min(k, x.shape[0])
     alpha = k / x.shape[0]
-    err = squared_distance(apply_contractor(ContractorSpec.top_k(k), x), x)
+    err = sqnorm(apply_contractor(ContractorSpec.top_k(k), x) - x)
     assert err <= (1 - alpha) * float(x @ x) * (1 + 1e-12) + 1e-12
 
 

@@ -6,7 +6,6 @@ from adacgd.core import (
     SeededRng,
     ThreePCConstants,
     combine_constants,
-    squared_distance,
 )
 
 
@@ -51,34 +50,6 @@ def test_combine_order_invariant_and_closed(parts, rnd):
     assert combine_constants(shuffled) == combined
     assert 0 < combined.a <= 1
     assert combined.b >= 0
-
-
-def test_squared_distance_examples():
-    assert squared_distance([1, 2], [1, 2]) == 0.0
-    assert squared_distance([3, 0], [0, 4]) == 25.0
-    assert squared_distance([1], [-1]) == 4.0
-
-
-def test_squared_distance_dim_mismatch():
-    with pytest.raises(ValueError):
-        squared_distance([1, 2], [1, 2, 3])
-
-
-@given(
-    st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=16),
-    st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=16),
-)
-def test_squared_distance_symmetric_zero_iff_equal(u, v):
-    n = min(len(u), len(v))
-    u, v = u[:n], v[:n]
-    d = squared_distance(u, v)
-    assert d == squared_distance(v, u)
-    assert d >= 0.0
-    if u == v:
-        assert d == 0.0
-    if d == 0.0:
-        # Zero distance means equal up to squared-difference underflow.
-        assert float(np.max(np.abs(np.asarray(u) - np.asarray(v)))) < 2.0**-537
 
 
 def test_rng_repeatable_streams():

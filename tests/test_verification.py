@@ -11,10 +11,13 @@ from adacgd.problems import Problem, smoothness
 from adacgd.verification import (
     PropertyResult,
     contraction_check,
+    convex_bound_check,
     estimate_constants,
+    linear_rate_check,
     monotone_check,
     recursion_check,
     run_suite,
+    stationarity_bound_check,
     trace_run,
 )
 
@@ -113,6 +116,38 @@ def test_contraction_margins_pinned_to_full_precision(contractor, n_vectors, mar
     result = contraction_check(contractor, 8, n_vectors, seed=5)
     assert result.passed
     assert repr(result.margin) == repr(margin)
+
+
+def _short_trace(rounds):
+    quad = Problem.quadratic(np.linspace(1.0, 4.0, 6), n_clients=2)
+    return trace_run(quad, EF21(_TOP(1)), IdentityMaster(), 0.05, rounds, seed=0, x0=np.ones(quad.dim))
+
+
+def test_bound_checks_reject_checkpoints_outside_the_trace():
+    trace = _short_trace(20)
+    x_star = np.zeros(trace.states[0].x.shape[0])
+    with pytest.raises(ValueError, match="T=0 "):
+        convex_bound_check(trace, x_star, 0.0, [0])
+    with pytest.raises(ValueError, match="T=21 "):
+        convex_bound_check(trace, x_star, 0.0, [10, 21])
+    with pytest.raises(ValueError, match="T=25 "):
+        stationarity_bound_check(trace, [25])
+    with pytest.raises(ValueError, match="T=0 "):
+        stationarity_bound_check(trace, [0])
+    assert stationarity_bound_check(trace, [1, 20]).passed
+    assert convex_bound_check(trace, x_star, 0.0, [1, 20]).passed
+
+
+def test_linear_rate_check_needs_a_round_past_the_burn_in():
+    for rounds in (5, 10):
+        with pytest.raises(ValueError, match=f"only {rounds}"):
+            linear_rate_check(_short_trace(rounds), 1.0, 0.0)
+    assert linear_rate_check(_short_trace(11), 1.0, 0.0).detail.endswith("over rounds 10..11")
+
+
+def test_contraction_check_rejects_zero_vectors():
+    with pytest.raises(ValueError, match="n_vectors must be >= 1, got 0"):
+        contraction_check(_TOP(1), 8, 0, seed=0)
 
 
 def _trace_run_configs():
