@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from adacgd import verification
 from adacgd.compressors import AdaCGD, ContractorSpec, EF21, IdentityMaster, LAG
 from adacgd.core import SeededRng, ThreePCConstants
 from adacgd.datasets import SyntheticSpec, build_problem, make_synthetic
@@ -108,14 +109,51 @@ def test_estimate_constants_reports_pinned_to_full_precision(name):
     assert repr(estimate()) == expected
 
 
-@pytest.mark.parametrize(
-    "contractor, n_vectors, margin",
-    [(_TOP(3), 40, 1.0185200476987217), (_RAND(2), 6, 0.22062059977625914), (_IDENT(), 40, 1e-12)],
-)
+CONTRACTION_CASES = [(_TOP(3), 40, 1.0185200476987217), (_RAND(2), 6, 0.22062059977625914), (_IDENT(), 40, 1e-12)]
+
+
+@pytest.mark.parametrize("contractor, n_vectors, margin", CONTRACTION_CASES)
 def test_contraction_margins_pinned_to_full_precision(contractor, n_vectors, margin):
     result = contraction_check(contractor, 8, n_vectors, seed=5)
     assert result.passed
     assert repr(result.margin) == repr(margin)
+
+
+def _sampled_checks():
+    for name, (estimate, _) in ESTIMATE_REPRS.items():
+        yield name, estimate
+    for contractor, n_vectors, _ in CONTRACTION_CASES:
+        yield f"contraction-{contractor.kind}", lambda c=contractor, n=n_vectors: contraction_check(c, 8, n, seed=5)
+
+
+# sha256 of the bytes of the (err, stderr) pair that each sampled check above
+# judges. The pinned reports and margins are maxima and minima over the
+# samples; these digests see every sample.
+SQUARED_ERRORS_SHA256 = {
+    "ef21-top1": "95e6d828c2be1bc5e392e2cdd9e3b412e0bb83296460f382d75873b9ba8fda8a",
+    "lag": "7a818b8b5b1e0d244afd311bf65077c5d264d691e204b6571eb0b7081e2e0a59",
+    "adacgd-identity-level": "249dfb0126a43a04d24aede9023dbce78ec063a65190bebc510d7ac8e7cdc155",
+    "adacgd-randk": "8fa2838acd0a1af7aa5a4055ffe57d2a36c674553f2581ffec0183952589784e",
+    "certified-override": "7a818b8b5b1e0d244afd311bf65077c5d264d691e204b6571eb0b7081e2e0a59",
+    "contraction-topk": "86990dda875dbedd3a370e6960c6c497d704616b0d0dbdcef979009ab7b120f0",
+    "contraction-randk": "32892c94b7e16dd84cfb48b6566a8bc2ef514804eebb90b72b3231adf7600e54",
+    "contraction-identity": "9e132485d5107211de325a45e7917cbe3e4b5b9cde3e4ee91d7d2102317759ee",
+}
+
+
+@pytest.mark.parametrize("name", list(SQUARED_ERRORS_SHA256))
+def test_sampled_squared_errors_pinned(name, monkeypatch):
+    digests = []
+    real = verification._squared_errors
+
+    def recording(*args):
+        err, stderr = real(*args)
+        digests.append(hashlib.sha256(err.tobytes() + stderr.tobytes()).hexdigest())
+        return err, stderr
+
+    monkeypatch.setattr(verification, "_squared_errors", recording)
+    dict(_sampled_checks())[name]()
+    assert digests == [SQUARED_ERRORS_SHA256[name]]
 
 
 def _short_trace(rounds):
