@@ -20,13 +20,15 @@ import numpy as np
 
 from .core import SeededRng, ThreePCConstants, as_vector, mean_ascending, row_sqnorms, sqnorm
 from .compressors import (
+    EF21,
     CompressedRows,
     ContractorSpec,
     ThreePCSpec,
     _compress_raw,
-    _ef21_raw,
 )
-from .problems import Problem, SmoothnessConstants, _round_oracle, client_gradient, loss, smoothness
+from .problems import Problem, SmoothnessConstants, _round_oracle, smoothness
+# Not called here: perfbench/tracer.py wraps these names in this module, as test_every_traced_name_resolves pins.
+from .problems import client_gradient, loss  # noqa: F401
 
 INIT_FULL = "full"
 INIT_COMPRESSED = "compressed"
@@ -56,7 +58,7 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class EngineState:
-    """Everything the iteration carries across rounds, plus cumulative bits."""
+    """Everything the iteration carries across rounds, plus cumulative bits and the round's record inputs."""
 
     x: np.ndarray
     g_master: np.ndarray  # what workers will use to step
@@ -66,6 +68,8 @@ class EngineState:
     round: int
     uplink_bits: int
     downlink_bits: int
+    f_value: float  # objective at x
+    branch_histogram: tuple[int, ...]  # worker branches chosen this round; all zeros in round 0
 
 
 @dataclass(frozen=True)
@@ -152,6 +156,27 @@ def _check_init_mode(init_mode: str) -> None:
         raise ValueError(f"unknown init mode {init_mode!r}; choose from {INIT_FULL}, {INIT_COMPRESSED}")
 
 
+def _uplink(
+    problem: Problem,
+    x: np.ndarray,
+    spec: ThreePCSpec,
+    h: np.ndarray,
+    y: np.ndarray,
+    rngs: Optional[list[SeededRng]],
+) -> tuple[float, np.ndarray, CompressedRows, np.ndarray, int]:
+    """The uplink half of a round at a finite x: f, the gradients, the messages, their mean and their bits.
+
+    The oracle takes x unchecked, and f comes from the same margins as the
+    gradients. Callers ignore overflow and invalid operations under
+    np.errstate: a non-finite value is a diverging run, which the round's
+    record reports.
+    """
+    f, grads = _round_oracle(problem, x)
+    out = _compress_raw(spec, h, y, grads, rngs)
+    bits = _stack_bits(out, problem.dim, branch_header_bits(spec))
+    return f, grads, out, mean_ascending(out.vectors), bits
+
+
 def init(
     problem: Problem,
     worker_spec: ThreePCSpec,
@@ -161,24 +186,22 @@ def init(
 ) -> EngineState:
     """Set up round-0 state.
 
-    Each worker's first message is the shift map from a zero estimate
-    toward its exact gradient: through the identity map in full mode, and
-    through the worker rule's strongest contractor in compressed mode. All
-    n first messages are one stacked call of the shift map, charged by
-    :func:`message_bits`, the rule of every later round. The server
-    aggregate is broadcast in full either way.
+    Round 0 is an uplink like every later round's, from zero estimates:
+    each worker's first message is the shift map toward its exact gradient,
+    through the identity map in full mode and through the worker rule's
+    strongest contractor in compressed mode. The server aggregate is
+    broadcast in full either way, and no branch is chosen.
     """
     x0 = as_vector(x0)
     if x0.shape[0] != problem.dim:
         raise ValueError(f"dimension mismatch: {x0.shape[0]} vs {problem.dim}")
     _check_init_mode(init_mode)
     n, d = problem.n_clients, problem.dim
-    grads = np.stack([client_gradient(problem, i, x0) for i in range(n)])
     contractor = worker_spec.strongest_contractor(d) if init_mode == INIT_COMPRESSED else ContractorSpec.identity()
     rngs = [rng.derive(_INIT_TAG, i) for i in range(n)] if rng is not None and contractor.randomized else None
-    out = _ef21_raw(contractor, np.zeros((n, d)), grads, rngs)
-    g_tilde = mean_ascending(out.vectors)
-    downlink = d * VALUE_BITS
+    zeros = np.zeros((n, d))
+    with np.errstate(over="ignore", invalid="ignore"):
+        f, grads, out, g_tilde, bits = _uplink(problem, x0, EF21(contractor), zeros, zeros, rngs)
     return EngineState(
         x=x0.copy(),
         g_master=g_tilde.copy(),
@@ -186,34 +209,11 @@ def init(
         worker_estimates=out.vectors,
         worker_prev_grads=grads,
         round=0,
-        uplink_bits=_stack_bits(out, d, 0),
-        downlink_bits=downlink,
+        uplink_bits=bits,
+        downlink_bits=d * VALUE_BITS,
+        f_value=f,
+        branch_histogram=(0,) * worker_spec.branch_count,
     )
-
-
-def _potentials(
-    f: float,
-    g_err: float,
-    m_err: float,
-    gamma: float,
-    worker_c: ThreePCConstants,
-    master_c: ThreePCConstants,
-    f_star: float,
-) -> tuple[float, float]:
-    phi = f - f_star + (gamma / worker_c.a) * g_err
-    # psi bounds f below by 0: every objective here is >= 0 (verify's loss-lower-bound checks it).
-    psi = (
-        f
-        + (gamma / master_c.a) * m_err
-        + (gamma / worker_c.a) * (1.0 + 3.0 * master_c.b * (2.0 - worker_c.a) / master_c.a) * g_err
-    )
-    return phi, psi
-
-
-def _mean_estimator_error(state: EngineState) -> float:
-    diff = state.worker_estimates - state.worker_prev_grads
-    # Summed in worker order.
-    return sum(row_sqnorms(diff).tolist()) / diff.shape[0]
 
 
 def _divergence_reason(f: float, grads: np.ndarray) -> str:
@@ -228,32 +228,36 @@ def _divergence_reason(f: float, grads: np.ndarray) -> str:
 
 def _make_record(
     state: EngineState,
-    problem: Problem,
-    f: float,
     gamma: float,
     worker_c: ThreePCConstants,
     master_c: ThreePCConstants,
     f_star: float,
-    branch_hist: tuple[int, ...],
 ) -> IterationRecord:
+    f = state.f_value
     grad = mean_ascending(state.worker_prev_grads)
     grad_sq = sqnorm(grad)
     if not (math.isfinite(f) and math.isfinite(grad_sq)):
         raise DivergenceError(state.round, _divergence_reason(f, state.worker_prev_grads))
-    g_err = _mean_estimator_error(state)
+    diff = state.worker_estimates - state.worker_prev_grads
+    g_err = sum(row_sqnorms(diff).tolist()) / diff.shape[0]  # summed in worker order
     m_err = sqnorm(state.g_master - state.g_tilde_master)
-    phi, psi = _potentials(f, g_err, m_err, gamma, worker_c, master_c, f_star)
+    # psi bounds f below by 0: every objective here is >= 0 (verify's loss-lower-bound checks it).
+    psi = (
+        f
+        + (gamma / master_c.a) * m_err
+        + (gamma / worker_c.a) * (1.0 + 3.0 * master_c.b * (2.0 - worker_c.a) / master_c.a) * g_err
+    )
     return IterationRecord(
         round=state.round,
         f_value=f,
         grad_norm_sq=grad_sq,
-        phi=phi,
+        phi=f - f_star + (gamma / worker_c.a) * g_err,
         psi=psi,
         g_error=g_err,
         master_error=m_err,
         uplink_bits=state.uplink_bits,
         downlink_bits=state.downlink_bits,
-        branch_histogram=branch_hist,
+        branch_histogram=state.branch_histogram,
     )
 
 
@@ -269,47 +273,39 @@ def step(
     master_spec: ThreePCSpec,
     gamma: float,
     rng: SeededRng,
-) -> tuple[EngineState, float, tuple[int, ...]]:
-    """Advance one round; returns the new state, its objective value and the worker branch histogram."""
+) -> EngineState:
+    """Advance one round and return the new state."""
     _check_stepsize(gamma)
     t = state.round
-    d = problem.dim
     # Overflow here is a diverging run, reported via DivergenceError.
     with np.errstate(over="ignore", invalid="ignore"):
         x_new = state.x - gamma * state.g_master
         if not np.all(np.isfinite(x_new)):
             raise DivergenceError(t + 1, "iterate")
 
-        # x_new is finite and of the problem's dimension, so the oracle skips the
-        # per-call input checks; f comes from the same margins as the gradients.
-        f_new, new_grads = _round_oracle(problem, x_new)
-        n = new_grads.shape[0]
-        # A non-finite gradient makes the record's mean gradient non-finite, so
-        # the round's record reports it as divergence at round t + 1.
-        worker_rngs = [rng.derive(_WORKER_TAG, t, i) for i in range(n)] if worker_spec.randomized else None
-        out = _compress_raw(worker_spec, state.worker_estimates, state.worker_prev_grads, new_grads, worker_rngs)
-        hist = np.bincount(out.branches, minlength=worker_spec.branch_count)
-
-        g_tilde_new = mean_ascending(out.vectors)
+        rngs = [rng.derive(_WORKER_TAG, t, i) for i in range(problem.n_clients)] if worker_spec.randomized else None
+        f, grads, out, g_tilde, bits = _uplink(
+            problem, x_new, worker_spec, state.worker_estimates, state.worker_prev_grads, rngs
+        )
         master_out = _compress_raw(
             master_spec,
             state.g_master[None],
             state.g_tilde_master[None],
-            g_tilde_new[None],
+            g_tilde[None],
             [rng.derive(_MASTER_TAG, t)] if master_spec.randomized else None,
         )
-
-        new_state = EngineState(
+        return EngineState(
             x=x_new,
             g_master=master_out.vectors[0],
-            g_tilde_master=g_tilde_new,
+            g_tilde_master=g_tilde,
             worker_estimates=out.vectors,
-            worker_prev_grads=new_grads,
+            worker_prev_grads=grads,
             round=t + 1,
-            uplink_bits=state.uplink_bits + _stack_bits(out, d, branch_header_bits(worker_spec)),
-            downlink_bits=state.downlink_bits + _stack_bits(master_out, d, branch_header_bits(master_spec)),
+            uplink_bits=state.uplink_bits + bits,
+            downlink_bits=state.downlink_bits + _stack_bits(master_out, problem.dim, branch_header_bits(master_spec)),
+            f_value=f,
+            branch_histogram=tuple(np.bincount(out.branches, minlength=worker_spec.branch_count).tolist()),
         )
-    return new_state, f_new, tuple(hist.tolist())
 
 
 @dataclass(frozen=True)
@@ -379,13 +375,12 @@ def iterate(spec: RunSpec) -> Iterator[tuple[EngineState, IterationRecord]]:
     mc = master_spec.constants(problem.dim)
     rng = SeededRng(spec.seed)
     state = init(problem, worker_spec, spec.x0, spec.init_mode, rng)
-    f, hist = loss(problem, state.x), (0,) * worker_spec.branch_count  # no branch is chosen in round 0
     while True:
         # Overflow in the record is a diverging run, which _make_record reports.
         with np.errstate(over="ignore", invalid="ignore"):
-            record = _make_record(state, problem, f, gamma, wc, mc, spec.f_star, hist)
+            record = _make_record(state, gamma, wc, mc, spec.f_star)
         yield state, record
-        state, f, hist = step(state, problem, worker_spec, master_spec, gamma, rng)
+        state = step(state, problem, worker_spec, master_spec, gamma, rng)
 
 
 def run(spec: RunSpec) -> list[IterationRecord]:

@@ -55,13 +55,36 @@ def test_traced_run_reaches_the_compression_hooks():
         run(spec)
     metrics = tracer.metrics()
     assert metrics["engine.rounds"] == rounds
-    assert metrics["compressors.worker_calls"] == rounds  # one stacked call for all n workers per round
+    assert metrics["compressors.worker_calls"] == rounds + 1  # one stacked call for all n workers a round, and round 0
     assert metrics["compressors.master_calls"] == rounds
     assert metrics["compressors.topk_calls"] > rounds
     assert metrics["compressors.candidates_per_call"] > 0
     assert metrics["engine.record_s"] > 0
     assert metrics["engine.init_s"] > 0
-    assert metrics["problems.loss_calls"] == 1  # the round-0 record's loss; later rounds take f from the oracle
+    # Every round, round 0 too, takes f and the gradients from the batched round oracle.
+    assert metrics["problems.loss_calls"] == 0
+    assert metrics["problems.gradient_calls"] == 0
+
+
+# Counted layers that a traced sweep leaves at 0. The engine no longer calls
+# the per-client oracle: every round, round 0 too, takes f and the gradients
+# from problems._round_oracle, which the tracer does not wrap. The next change
+# to the benchmark should wrap engine._round_oracle (ROADMAP item 5) and empty
+# this set. Any other layer that reads 0 has lost its hook.
+DARK_LAYERS = {"problems.gradient_calls", "problems.loss_calls"}
+
+
+def test_traced_sweep_reaches_every_counted_layer(tmp_path):
+    config = experiments.RunConfig(
+        dataset="synthetic:n=40,d=6,seed=2", n_clients=3, methods=("ef21:k=2",), multipliers=(1.0,),
+        max_rounds=4, seed=1, out_dir=str(tmp_path),
+    )
+    rand_ada = AdaCGD((ContractorSpec.rand_k(1), ContractorSpec.top_k(3)), 1.0)
+    tracer = tracer_module.Tracer()
+    with tracer.installed(PROGRAM):
+        experiments.run_experiment(config, extra_specs={"adacgd_rand": rand_ada})
+    metrics = tracer.metrics()
+    assert {name for name in tracer_module.COUNT_METRICS if metrics[name] == 0} == DARK_LAYERS
 
 
 def test_run_certifies_constants_a_fixed_number_of_times(monkeypatch):

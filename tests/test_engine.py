@@ -1,4 +1,5 @@
 import math
+import warnings
 from itertools import islice
 
 import numpy as np
@@ -138,7 +139,7 @@ def test_step_identity_is_exact_gd():
     w = EF21(ContractorSpec.identity())
     rng = SeededRng(0)
     state = init(p, w, [5.0, -3.0], "full", rng)
-    state, _, _ = step(state, p, w, IdentityMaster(), 1.0, rng)
+    state = step(state, p, w, IdentityMaster(), 1.0, rng)
     assert np.array_equal(state.x, [0.0, 0.0])  # one-step solve at gamma = 1/L
 
 
@@ -176,7 +177,7 @@ def test_uplink_bits_per_round_bounded():
     cap = 3 * (4 * 64 + branch_header_bits(spec))
     for _ in range(20):
         before = state.uplink_bits
-        state, _, _ = step(state, p, spec, IdentityMaster(), 0.05, rng)
+        state = step(state, p, spec, IdentityMaster(), 0.05, rng)
         assert state.uplink_bits - before <= cap
 
 
@@ -350,6 +351,22 @@ def _logistic(n_examples, dim, n_clients, seed=3):
     return build_problem(*make_synthetic(SyntheticSpec(n_examples, dim, seed=seed)), n_clients, 0.1, seed=seed)
 
 
+@pytest.mark.parametrize("problem", [_logistic(23, 5, 4), quad([1.0, 2.0, 3.0], n=2)], ids=["logistic", "quadratic"])
+@pytest.mark.parametrize("fill, gamma, round_index", [(1e308, 0.1, 0), (1.0, 1e300, 1)], ids=["round-0", "round-1"])
+def test_oracle_overflow_is_divergence_under_warnings_as_errors(problem, fill, gamma, round_index):
+    # Round 0 and every later round take f and the gradients through one
+    # oracle path under one error state, so an overflow anywhere is reported
+    # as divergence at its round, never as a RuntimeWarning.
+    spec = RunSpec(problem, EF21(ContractorSpec.top_k(1)), IdentityMaster(), np.full(problem.dim, fill), gamma,
+                   StopRule(10))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError) as err:
+            run(spec)
+    assert err.value.round_index == round_index
+    assert len(err.value.records) == round_index
+
+
 @pytest.mark.parametrize(
     "problem",
     [
@@ -366,10 +383,30 @@ def test_step_record_matches_public_oracles_bitwise(problem):
     worker = EF21(ContractorSpec.top_k(1))
     master = IdentityMaster()
     spec = RunSpec(problem, worker, master, np.linspace(-1.0, 2.0, problem.dim), 0.1, StopRule(4), seed=5)
-    for state, rec in islice(iterate(spec), 1, 5):
+    for state, rec in islice(iterate(spec), 5):
         assert rec.f_value == loss(problem, state.x)
         for i in range(problem.n_clients):
             assert np.array_equal(state.worker_prev_grads[i], client_gradient(problem, i, state.x))
+
+
+@pytest.mark.parametrize("problem", [_logistic(23, 5, 4), quad([1.0, 2.0, 3.0], n=2)], ids=["logistic", "quadratic"])
+def test_runs_and_reference_solves_use_only_the_round_oracle(problem, monkeypatch):
+    from adacgd import engine, problems
+    from adacgd.experiments import solve_reference
+
+    def per_client_oracle(*args):
+        raise AssertionError("a run reached the per-client oracle")
+
+    for module, name in ((problems, "client_gradient"), (problems, "client_loss"), (engine, "client_gradient"),
+                         (engine, "loss")):
+        monkeypatch.setattr(module, name, per_client_oracle)
+    worker = AdaCGD((ContractorSpec.top_k(1), ContractorSpec.top_k(2)), 1.0)
+    x0 = np.linspace(-1.0, 2.0, problem.dim)
+    for init_mode in ("full", "compressed"):
+        for master in (IdentityMaster(), EF21(ContractorSpec.top_k(1))):
+            spec = RunSpec(problem, worker, master, x0, 0.05, StopRule(3), init_mode=init_mode)
+            assert [state.round for state, _ in islice(iterate(spec), 4)] == [0, 1, 2, 3]
+    assert solve_reference(problem, 1e-6).grad_norm <= 1e-6
 
 
 def test_step_gives_streams_to_rules_that_draw_only(monkeypatch):
@@ -389,5 +426,10 @@ def test_step_gives_streams_to_rules_that_draw_only(monkeypatch):
         seen.clear()
         rng = SeededRng(1)
         step(init(p, worker, np.ones(3), "full", rng), p, worker, master, 0.1, rng)
-        # One stacked call for both workers, then the master's one-row call.
-        assert seen == [(worker, (2, 3), (2, 3), (2, 3), streams), (master, (1, 3), (1, 3), (1, 3), None)]
+        # Round 0's full messages draw nothing; then one stacked call for both
+        # workers and the master's one-row call.
+        assert seen == [
+            (EF21(ContractorSpec.identity()), (2, 3), (2, 3), (2, 3), None),
+            (worker, (2, 3), (2, 3), (2, 3), streams),
+            (master, (1, 3), (1, 3), (1, 3), None),
+        ]

@@ -1,4 +1,5 @@
 import hashlib
+from functools import partial
 
 import numpy as np
 import pytest
@@ -123,7 +124,7 @@ def _sampled_checks():
     for name, (estimate, _) in ESTIMATE_REPRS.items():
         yield name, estimate
     for contractor, n_vectors, _ in CONTRACTION_CASES:
-        yield f"contraction-{contractor.kind}", lambda c=contractor, n=n_vectors: contraction_check(c, 8, n, seed=5)
+        yield f"contraction-{contractor.kind}", partial(contraction_check, contractor, 8, n_vectors, seed=5)
 
 
 # sha256 of the bytes of the (err, stderr) pair that each sampled check above
