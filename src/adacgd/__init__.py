@@ -32,6 +32,7 @@ from .problems import (
 from .datasets import (
     Example,
     LibsvmParseError,
+    LibsvmRows,
     Partition,
     SyntheticSpec,
     build_problem,

@@ -1,15 +1,24 @@
 """LIBSVM-format parsing, deterministic client partitioning, synthetic data.
 
 One example per line: a label token ("+1"/"1" map to +1, "-1"/"0" to -1)
-followed by index:value pairs with strictly increasing 1-based indices.
-Blank lines are skipped and anything after '#' on a line is a comment.
+followed by ``index:value`` tokens with strictly increasing 1-based indices
+and finite values. Lines end where ``str.splitlines`` ends them (``\n``,
+``\r\n``, ``\r``, ``\x0b``, ``\x0c``, ``\x85``, ``\u2028`` and the other
+Unicode line breaks), anything from '#' to the end of a line is a comment,
+blank lines are skipped, and tokens are separated by any run of Unicode
+whitespace (``str.split``), NBSP included. A feature token holds exactly one
+':'; Python's ``int`` reads its index and ``float`` its value, so ``+3``,
+``1_0``, non-ASCII decimal digits, ``1e-3`` and ``inf`` all read as those
+functions read them, and a value that is not finite (``nan``, ``inf``,
+``1e400``) is rejected. Indices are held as int64, so an index of 2**63 or
+more is rejected too. Every rejection is a :class:`LibsvmParseError` naming
+the first bad line.
 """
 
 from __future__ import annotations
 
-import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.special import expit
@@ -20,6 +29,11 @@ from .problems import Problem
 _PARTITION_STREAM = 101
 _SYNTHETIC_STREAM = 102
 
+_LABELS = {"+1": 1, "1": 1, "-1": -1, "0": -1}
+_INDEX_BOUND = 2**63  # indices are held as int64
+# Feature tokens converted per block: bounds the parser's temporary strings.
+_BLOCK_TOKENS = 1 << 14
+
 
 class LibsvmParseError(ValueError):
     """Parse failure carrying the offending 1-based line number."""
@@ -27,6 +41,17 @@ class LibsvmParseError(ValueError):
     def __init__(self, line_number: int, message: str):
         super().__init__(f"line {line_number}: {message}")
         self.line_number = line_number
+
+
+def _rule_breaks(indices: np.ndarray, values: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The row rules as entry masks: index below 1, index not above the one before it in its row, value not finite.
+
+    Row ``i`` holds the entries ``offsets[i]:offsets[i + 1]``.
+    """
+    prev = np.empty_like(indices)
+    prev[1:] = indices[:-1]
+    prev[offsets[:-1][offsets[:-1] < offsets[1:]]] = 0  # the first entry of every non-empty row
+    return indices < 1, indices <= prev, ~np.isfinite(values)
 
 
 @dataclass(frozen=True)
@@ -39,63 +64,152 @@ class Example:
     def __post_init__(self) -> None:
         if self.label not in (-1, 1):
             raise ValueError(f"label must be -1 or +1, got {self.label}")
-        prev = 0
-        for idx, val in self.features:
-            if idx < 1:
-                raise ValueError(f"feature index must be >= 1, got {idx}")
-            if idx <= prev:
-                raise ValueError(f"feature indices must be strictly increasing, got {idx} after {prev}")
-            if not math.isfinite(val):
-                raise ValueError(f"feature value at index {idx} is not finite")
-            prev = idx
+        if not self.features:
+            return
+        idx, val = zip(*self.features)
+        if max(idx) >= _INDEX_BOUND:
+            raise ValueError(f"feature index {max(idx)} does not fit in int64")
+        # An index below 1 breaks the first rule whatever its value, so 0 stands in for it.
+        low, unordered, nonfinite = _rule_breaks(
+            np.array([max(i, 0) for i in idx], dtype=np.int64), np.array(val, dtype=np.float64), np.array([0, len(idx)])
+        )
+        bad = low | unordered | nonfinite
+        if not bad.any():
+            return
+        j = int(bad.argmax())
+        if low[j]:
+            raise ValueError(f"feature index must be >= 1, got {idx[j]}")
+        if unordered[j]:
+            raise ValueError(f"feature indices must be strictly increasing, got {idx[j]} after {idx[j - 1]}")
+        raise ValueError(f"feature value at index {idx[j]} is not finite")
 
 
-_POSITIVE_LABELS = {"+1", "1"}
-_NEGATIVE_LABELS = {"-1", "0"}
+@dataclass(frozen=True, eq=False)
+class LibsvmRows(Sequence):
+    """Parsed LIBSVM rows in columnar (CSR) form, read as a sequence of :class:`Example`.
+
+    Row ``i`` has the label ``labels[i]`` and the entries
+    ``offsets[i]:offsets[i + 1]`` of ``indices`` and ``values``.
+    :func:`parse_libsvm` builds it with every row keeping the rules of
+    :class:`Example`; ``rows[i]`` is row ``i`` as one, and a negative ``i``
+    counts from the end.
+    """
+
+    labels: np.ndarray  # (N,) float64, +1 or -1
+    offsets: np.ndarray  # (N + 1,) int64, offsets[0] == 0 and offsets[N] == nnz
+    indices: np.ndarray  # (nnz,) int64, 1-based
+    values: np.ndarray  # (nnz,) float64
+
+    def __len__(self) -> int:
+        return self.labels.shape[0]
+
+    def __getitem__(self, i: int) -> Example:
+        n = len(self)
+        if not -n <= i < n:
+            raise IndexError(f"row {i} out of range for {n} rows")
+        lo, hi = self.offsets[i % n], self.offsets[i % n + 1]
+        return Example(int(self.labels[i]), tuple(zip(self.indices[lo:hi].tolist(), self.values[lo:hi].tolist())))
 
 
-def parse_libsvm(text) -> tuple[list[Example], int]:
-    """Parse LIBSVM text into examples and the inferred dimension.
+def _fields(line: str) -> list[str]:
+    return line.split("#", 1)[0].split()
+
+
+def _check_line(lineno: int, line: str) -> None:
+    """Read one line token by token; raises the :class:`LibsvmParseError` that words its first fault, if it has one."""
+    head, *tokens = _fields(line)
+    if head not in _LABELS:
+        raise LibsvmParseError(lineno, f"invalid label token {head!r}")
+    feats: list[tuple[int, float]] = []
+    for tok in tokens:
+        idx_str, colon, val_str = tok.partition(":")
+        if not colon:
+            raise LibsvmParseError(lineno, f"expected index:value, got {tok!r}")
+        try:
+            idx = int(idx_str)
+        except ValueError:
+            raise LibsvmParseError(lineno, f"non-numeric feature index {idx_str!r}") from None
+        try:
+            feats.append((idx, float(val_str)))
+        except ValueError:
+            raise LibsvmParseError(lineno, f"non-numeric feature value {val_str!r}") from None
+    try:
+        Example(_LABELS[head], tuple(feats))
+    except ValueError as err:
+        raise LibsvmParseError(lineno, str(err)) from None
+
+
+def _read_block(tokens: list[str], counts: list[int], linenos: list[int], lines: list[str]):
+    """Convert the feature tokens of whole rows to (indices, values) and check the row rules.
+
+    ``counts[r]`` tokens belong to the row on line ``linenos[r]`` (0-based)
+    of ``lines``. A block that fails is read again line by line, which
+    raises for its first bad line.
+    """
+    n = len(tokens)
+    if not n:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+    joined = " ".join(tokens)
+    try:
+        # Tokens hold no whitespace, so each holds exactly one ':' when the
+        # ':' and ' ' bytes of the joined text alternate ':', ' ', ..., ':'
+        # (neither byte occurs inside a multi-byte UTF-8 character).
+        seps = np.frombuffer(joined.encode(), dtype=np.uint8)
+        seps = seps[(seps == 58) | (seps == 32)]
+        if seps.size != 2 * n - 1 or not (seps[0::2] == 58).all():
+            raise ValueError("a feature token without exactly one ':'")
+        parts = joined.replace(":", " ").split(" ")
+        indices = np.fromiter(map(int, parts[0::2]), dtype=np.int64, count=n)
+        values = np.fromiter(map(float, parts[1::2]), dtype=np.float64, count=n)
+    except (ValueError, OverflowError):
+        for at in linenos:
+            _check_line(at + 1, lines[at])
+        raise
+    offsets = np.cumsum([0, *counts])
+    bad = np.logical_or.reduce(_rule_breaks(indices, values, offsets))
+    if bad.any():
+        at = linenos[np.searchsorted(offsets, bad.argmax(), side="right") - 1]
+        _check_line(at + 1, lines[at])
+    return indices, values
+
+
+def parse_libsvm(text) -> tuple[LibsvmRows, int]:
+    """Parse LIBSVM text into :class:`LibsvmRows` and the inferred dimension.
 
     The inferred dimension is the maximum feature index seen. Accepts
-    ``str`` or UTF-8 ``bytes``.
+    ``str`` or UTF-8 ``bytes``. Feature tokens are converted a block of
+    whole rows at a time, in file order, so the first bad line is the one
+    reported.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    examples: list[Example] = []
-    dim = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    lines = text.splitlines()
+    labels: list[int] = []
+    counts: list[int] = []
+    linenos: list[int] = []
+    tokens: list[str] = []
+    blocks: list[tuple[np.ndarray, np.ndarray]] = []
+    done = 0  # rows already converted
+    for at, line in enumerate(lines):
+        fields = _fields(line)
+        if not fields:
             continue
-        tokens = line.split()
-        head = tokens[0]
-        if head in _POSITIVE_LABELS:
-            label = 1
-        elif head in _NEGATIVE_LABELS:
-            label = -1
-        else:
-            raise LibsvmParseError(lineno, f"invalid label token {head!r}")
-        feats: list[tuple[int, float]] = []
-        for tok in tokens[1:]:
-            idx_str, colon, val_str = tok.partition(":")
-            if not colon:
-                raise LibsvmParseError(lineno, f"expected index:value, got {tok!r}")
-            try:
-                idx = int(idx_str)
-            except ValueError:
-                raise LibsvmParseError(lineno, f"non-numeric feature index {idx_str!r}") from None
-            try:
-                feats.append((idx, float(val_str)))
-            except ValueError:
-                raise LibsvmParseError(lineno, f"non-numeric feature value {val_str!r}") from None
-        try:
-            examples.append(Example(label, tuple(feats)))
-        except ValueError as err:
-            raise LibsvmParseError(lineno, str(err)) from None
-        if feats:
-            dim = max(dim, feats[-1][0])
-    return examples, dim
+        label = _LABELS.get(fields[0])
+        if label is None:  # the rows not yet converted come first: one may hold the first bad line
+            _read_block(tokens, counts[done:], linenos[done:], lines)
+            _check_line(at + 1, line)
+        labels.append(label)
+        counts.append(len(fields) - 1)
+        linenos.append(at)
+        tokens += fields[1:]
+        if len(tokens) >= _BLOCK_TOKENS:
+            blocks.append(_read_block(tokens, counts[done:], linenos[done:], lines))
+            tokens, done = [], len(counts)
+    blocks.append(_read_block(tokens, counts[done:], linenos[done:], lines))
+    indices = np.concatenate([idx for idx, _ in blocks])
+    values = np.concatenate([val for _, val in blocks])
+    rows = LibsvmRows(np.array(labels, dtype=np.float64), np.cumsum([0, *counts]), indices, values)
+    return rows, int(indices.max()) if indices.size else 0
 
 
 def format_example(e: Example) -> str:
@@ -126,17 +240,14 @@ def partition(examples: Sequence, n: int, seed: int) -> Partition:
     return Partition(tuple(tuple(int(j) for j in block) for block in np.array_split(order, n)), seed)
 
 
-def to_dense(examples: Sequence[Example], dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Materialize examples as a dense (N, dim) matrix and a label vector."""
-    features = np.zeros((len(examples), dim), dtype=np.float64)
-    labels = np.empty(len(examples), dtype=np.float64)
-    for row, e in enumerate(examples):
-        labels[row] = e.label
-        for idx, val in e.features:
-            if idx > dim:
-                raise ValueError(f"feature index {idx} exceeds dimension {dim}")
-            features[row, idx - 1] = val
-    return features, labels
+def to_dense(rows: LibsvmRows, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Materialize rows as a dense (N, dim) matrix and a label vector."""
+    over = rows.indices > dim
+    if over.any():
+        raise ValueError(f"feature index {rows.indices[over.argmax()]} exceeds dimension {dim}")
+    features = np.zeros((len(rows), dim), dtype=np.float64)
+    features[np.repeat(np.arange(len(rows)), np.diff(rows.offsets)), rows.indices - 1] = rows.values
+    return features, rows.labels.copy()
 
 
 def max_abs_scale(features: np.ndarray) -> np.ndarray:

@@ -122,3 +122,4 @@ def test_traced_build_dataset_counts_parsed_rows(tmp_path):
     metrics = _traced_build(str(path))
     assert metrics["datasets.examples"] == 5
     assert metrics["datasets.parse_s"] > 0
+    assert metrics["datasets.densify_s"] > 0

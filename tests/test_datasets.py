@@ -1,10 +1,17 @@
+import runpy
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+import libsvm_ref
+from adacgd import datasets
 from adacgd.datasets import (
     Example,
     LibsvmParseError,
+    LibsvmRows,
     SyntheticSpec,
     build_problem,
     format_example,
@@ -71,6 +78,38 @@ def test_example_holds_the_row_rules():
         Example(-1, ((1, float("inf")),))
     with pytest.raises(ValueError, match="label"):
         Example(0, ())
+    with pytest.raises(ValueError, match="int64"):
+        Example(1, ((1, 1.0), (2**63, 1.0)))
+    Example(1, ((1, 1.0), (2**63 - 1, 1.0)))
+
+
+def test_rows_read_as_a_sequence_of_examples():
+    rows, dim = parse_libsvm("+1 1:0.5 3:2\n-1\n0 2:-1\n")
+    assert isinstance(rows, LibsvmRows) and dim == 3 and len(rows) == 3
+    assert rows.labels.tolist() == [1.0, -1.0, -1.0] and rows.offsets.tolist() == [0, 2, 2, 3]
+    assert rows.indices.tolist() == [1, 3, 2] and rows.values.tolist() == [0.5, 2.0, -1.0]
+    assert rows[0] == Example(1, ((1, 0.5), (3, 2.0)))
+    assert rows[-2] == rows[1] == Example(-1, ())
+    assert list(rows) == [rows[0], rows[1], rows[2]]
+    with pytest.raises(IndexError):
+        rows[3]
+    with pytest.raises(IndexError):
+        rows[-4]
+
+
+def test_index_beyond_int64_is_a_parse_error():
+    text = "+1 1:1\n-1 99999999999999999999:1\n"
+    assert libsvm_ref.parse_libsvm(text)[1] == 99999999999999999999  # read before indices were int64
+    with pytest.raises(LibsvmParseError, match="does not fit in int64") as err:
+        parse_libsvm(text)
+    assert err.value.line_number == 2
+    assert parse_libsvm(f"+1 {2**63 - 1}:1\n")[1] == 2**63 - 1
+
+
+def test_to_dense_rejects_an_index_beyond_dim():
+    rows, _ = parse_libsvm("+1 1:1\n-1 2:1 4:1\n")
+    with pytest.raises(ValueError, match="feature index 4 exceeds dimension 3"):
+        to_dense(rows, 3)
 
 
 def test_bytes_input_accepted():
@@ -209,3 +248,92 @@ def test_synthetic_conditioning_scales_features():
 def test_max_abs_scaling_flag():
     p = build_problem(*to_dense(*parse_libsvm("+1 1:10 2:1\n-1 1:-20 2:0.5\n")), 1, 0.0, 0, scale_features=True)
     assert np.abs(p.shards[0].features).max() <= 1.0
+
+
+# Pieces of LIBSVM text, valid and broken, for the parity gate below.
+_WHITESPACE = [" ", " ", "\t", "  ", "\xa0", "\u2003", "\u3000", "\x1f"]
+_BREAKS = ["\n", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
+_FILLERS = ["", "   ", "# comment", " \xa0 ", "#1:2"]
+_GOOD_LABELS = ["+1", "1", "-1", "0"]
+_BAD_LABELS = ["2", "abc", "+0", "1.0", "\u0661"]
+_ARABIC_DIGITS = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
+_INDEX_FORMS = [str, str, lambda i: f"+{i}", lambda i: "_".join(str(i)), lambda i: str(i).translate(_ARABIC_DIGITS)]
+_GOOD_VALUES = ["0.5", "-1", "1e-3", "+2", "1_0.5", "\u0663.\u0665", "-0", "7", "1e308"]
+_BAD_VALUES = ["nan", "inf", "-inf", "1e400", "0x1", "", "1:2", "1__0"]
+_BROKEN_TOKENS = ["5", ":5", "5:", "1:2:3", "x:1", "0:1", "-99999999999999999999:1", "\u00b2:1"]
+_FAULTS = ("label", "token", "value", "order")
+
+
+@st.composite
+def _libsvm_line(draw, fault=None):
+    """A label and index:value tokens with rising indices, broken in the way ``fault`` names."""
+    steps = draw(st.lists(st.tuples(
+        st.integers(1, 4),  # the step from the previous index
+        st.sampled_from(_INDEX_FORMS),
+        st.one_of(st.floats(-1e6, 1e6).map(repr), st.sampled_from(_GOOD_VALUES)),
+    ), min_size=fault in ("value", "order"), max_size=6))
+    at = draw(st.integers(0, len(steps)))
+    if fault == "order":  # a step of 0 repeats an index; one below 0 makes it fall, maybe to 0 or below
+        steps[at - 1] = (draw(st.sampled_from([0, -1, -3])), *steps[at - 1][1:])
+    if fault == "value":
+        steps[at - 1] = (*steps[at - 1][:2], draw(st.sampled_from(_BAD_VALUES)))
+    idx, tokens = 0, []
+    for step, form, value in steps:
+        idx += step
+        tokens.append(f"{form(idx)}:{value}")
+    if fault == "token":
+        tokens.insert(at, draw(st.sampled_from(_BROKEN_TOKENS)))
+    label = draw(st.sampled_from(_BAD_LABELS if fault == "label" else _GOOD_LABELS))
+    sep = draw(st.sampled_from(_WHITESPACE))
+    lead, comment = draw(st.sampled_from(["", sep])), draw(st.sampled_from(["", "", " # note", "#1:2"]))
+    return lead + sep.join([label] + tokens) + comment
+
+
+@st.composite
+def _libsvm_text(draw):
+    """Up to 8 lines, blank and comment lines among them, up to two of them broken."""
+    faults = [None] * draw(st.integers(0, 8))
+    for fault in draw(st.lists(st.sampled_from(_FAULTS), max_size=2)) if faults else ():
+        faults[draw(st.integers(0, len(faults) - 1))] = fault
+    lines = [draw(_libsvm_line(fault) if fault else st.one_of(_libsvm_line(), st.sampled_from(_FILLERS))) for fault in faults]
+    breaks = [draw(st.sampled_from(_BREAKS)) for _ in lines[:-1]] + [draw(st.sampled_from(["", *_BREAKS]))] * bool(lines)
+    return "".join(line + brk for line, brk in zip(lines, breaks))
+
+
+def _outcome(module, text):
+    """Rows, dim and dense arrays as bytes, or the parse error's line number and message."""
+    try:
+        rows, dim = module.parse_libsvm(text)
+    except module.LibsvmParseError as err:
+        return ("error", err.line_number, str(err))
+    features, labels = module.to_dense(rows, dim)
+    return ("rows", [(e.label, e.features) for e in rows], dim, features.shape, features.tobytes(), labels.tobytes())
+
+
+@given(_libsvm_text())
+@example("+1 1:1\n-1 3:+2 5:1_0\n1 \u0662:\u0663.5\r\n-1")  # a featureless last line with no line break
+@example("+1 1:1\x0b-1\xa02:1 # c\n0 3:nan")
+@example("+1 1:1 2:1\n-1 3:1 3:2\nbad 1:1")  # a repeated index before a bad label
+@example("+1 4:1 2:1 -99999999999999999999:1\n")
+@example("+1 1 2:3:4\n")  # a token with no ':' and one with two, whose pieces would pair up as 1:2 3:4
+@example("-1 1:1\n+1 7\n-1 8:9:1\n")
+@example("+1 1:2 3:4:5")  # a second ':' in the last token leaves nothing unpaired
+def test_parser_matches_the_reference_bit_for_bit(text):
+    expected = _outcome(libsvm_ref, text)
+    assert _outcome(datasets, text) == expected
+    assert _outcome(datasets, text.encode()) == expected
+    with mock.patch.object(datasets, "_BLOCK_TOKENS", 2):  # many blocks: faults in later blocks and across them
+        assert _outcome(datasets, text) == expected
+
+
+def test_parser_matches_the_reference_on_a_benchmark_file(tmp_path):
+    workloads = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"))
+    rows_written, dim_written = workloads["LIBSVM_ROWS"], workloads["LIBSVM_DIM"]
+    data = tmp_path / "shards.svm"
+    workloads["write_libsvm"](data, rows_written, dim_written, seed=1)
+    raw = data.read_bytes()
+    ref_features, ref_labels = libsvm_ref.to_dense(*libsvm_ref.parse_libsvm(raw))
+    rows, dim = parse_libsvm(raw)
+    features, labels = to_dense(rows, dim)
+    assert dim == dim_written and len(rows) == rows_written
+    assert features.tobytes() == ref_features.tobytes() and labels.tobytes() == ref_labels.tobytes()

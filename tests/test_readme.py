@@ -5,6 +5,7 @@ import re
 from dataclasses import fields
 from pathlib import Path
 
+import adacgd
 from adacgd.cli import _add_config_options
 from adacgd.experiments import RunConfig
 
@@ -17,6 +18,13 @@ def test_readme_library_example_runs(capsys):
     exec(compile(blocks[0], str(README), "exec"), {})
     last_round, grad_sq, uplink = capsys.readouterr().out.split()
     assert int(last_round) > 0 and float(grad_sq) >= 0.0 and int(uplink) > 0
+
+
+def test_readme_libsvm_comment_runs_as_written():
+    call = re.search(r"# (build_problem\(\*to_dense\(\*parse_libsvm\(text\)\), )\.\.\.\)", README.read_text()).group(1)
+    text = "+1 1:1\n-1 2:1\n+1 1:0.5 2:2\n"
+    problem = eval(call + "n_clients=2, lam=0.1, seed=0)", dict(vars(adacgd)), {"text": text})
+    assert problem.dim == 2 and problem.n_clients == 2
 
 
 def _config_table() -> list[list[str]]:
