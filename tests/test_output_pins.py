@@ -2,8 +2,10 @@
 
 The commands cover a quadratic with a compressed init, a manual stepsize and a
 non-identity master; a bidirectional synthetic run that stops on its bit
-budget; and a reference-minimum cache file. The digests hold for the BLAS
-build named in ``test_acceptance.py``.
+budget; and a reference-minimum cache file. A high-dimensional sweep with
+top-k and rand-k AdaCGD workers is pinned the same way through
+``run_experiment``. The digests hold for the BLAS build named in
+``test_acceptance.py``.
 """
 
 import hashlib
@@ -12,6 +14,8 @@ from pathlib import Path
 import pytest
 
 from adacgd.cli import main as cli_main
+from adacgd.compressors import AdaCGD, ContractorSpec
+from adacgd.experiments import RunConfig, default_klist, run_experiment
 
 COMMANDS = {
     "quadratic-compressed-init": (
@@ -57,3 +61,42 @@ def test_cli_output_files_are_pinned(tmp_path, monkeypatch, capsys, name):
         if path.is_file()
     }
     assert written == pinned
+
+
+# d = 1000 over 4 clients: the workers' (4, 1000) stacks are large enough that
+# top-k supports come from selection, not from a full stable sort, and every
+# AdaCGD level is reached. Rand-k levels cannot be written as a method label,
+# so that AdaCGD goes through extra_specs.
+HIGHDIM_PINS = {
+    "full": {
+        "adacgd_randk_x1.csv": "706f6160c28838de6ec6a22cc0e0578c4ddcbd2be34beb895dc3938063260aeb",
+        "adacgd_z16_x1.csv": "3da80dabe7e7286afecf9e97d34f3556af650293a2e9560cc3b6dfc17def14f5",
+        "summary.csv": "33b90c582eca8fe2179b71b990146728a98a45c0726da086fd189e0c39288c75",
+    },
+    "compressed": {
+        "adacgd_randk_x1.csv": "41d3e177ee56b9b1245d835ed2f58f560292a27f4858dff10393ff9e67e77b37",
+        "adacgd_z16_x1.csv": "1550f5271f19ae7bbd82e0a671fb49e050b64f4b6c9abefc8af48e6756022db4",
+        "summary.csv": "d0772f1cbb5bbd27e8c5ccdff055147ed0a9b74255c16a19afa183f1d6777bf2",
+    },
+}
+
+
+@pytest.mark.parametrize("init_mode", HIGHDIM_PINS)
+def test_highdim_sparsifier_sweep_is_pinned(tmp_path, init_mode):
+    zeta = 16.0
+    config = RunConfig(
+        dataset="synthetic:n=40,d=1000,seed=5",
+        n_clients=4,
+        methods=("adacgd",),
+        master="ef21:k=100",
+        zeta=zeta,
+        stepsize="bidirectional",
+        init_mode=init_mode,
+        max_rounds=15,
+        seed=3,
+        out_dir=str(tmp_path),
+    )
+    randk = AdaCGD(tuple(ContractorSpec.rand_k(k) for k in default_klist(1000)), zeta)
+    run_experiment(config, extra_specs={"adacgd_randk": randk})
+    written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in sorted(tmp_path.iterdir())}
+    assert written == HIGHDIM_PINS[init_mode]
