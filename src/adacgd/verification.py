@@ -24,7 +24,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import SeededRng, ThreePCConstants, row_sqnorms, sqnorm
+from .core import SeededRng, ThreePCConstants, row_sqnorms, sqnorm, stream_generators
 from .compressors import (
     AdaCGD,
     CLAG,
@@ -104,7 +104,8 @@ def _sample_triple(family: int, dim: int, g: np.random.Generator) -> tuple[np.nd
 
 def _triple_stacks(rng: SeededRng, dim: int, trials: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(h, y, x) as (trials, dim) stacks; row t cycles the five families on stream t."""
-    rows = [_sample_triple(t % 5, dim, rng.derive(t).generator()) for t in range(trials)]
+    streams = (rng.derive(t) for t in range(trials))
+    rows = [_sample_triple(t % 5, dim, g) for t, g in enumerate(stream_generators(streams))]
     return tuple(np.stack(column) for column in zip(*rows))
 
 
@@ -184,7 +185,7 @@ def contraction_check(contractor: ContractorSpec, dim: int, n_vectors: int, seed
         raise ValueError(f"n_vectors must be >= 1, got {n_vectors}")
     rng = SeededRng(seed, _VERIFY_STREAM)
     alpha = contractor.alpha(dim)
-    xs = np.stack([rng.derive(i).generator().standard_normal(dim) for i in range(n_vectors)])
+    xs = np.stack([g.standard_normal(dim) for g in stream_generators(rng.derive(i) for i in range(n_vectors))])
     err, stderr = _squared_errors(
         lambda stacks, streams: _contract_rows(contractor, stacks[0], streams), (xs,), xs, rng, contractor.randomized
     )
@@ -341,9 +342,8 @@ def gradient_suite(problems: Sequence[tuple[str, Problem]], points: int, seed: i
         # crc32, unlike the per-process salted str hash, keys the same stream in every process.
         name_salt = zlib.crc32(name.encode()) & 0xFFFF
         worst = 0.0
-        for i in range(points):
-            x = rng.derive(name_salt, i).generator().standard_normal(p.dim)
-            worst = max(worst, check_gradient(p, x))
+        for g in stream_generators(rng.derive(name_salt, i) for i in range(points)):
+            worst = max(worst, check_gradient(p, g.standard_normal(p.dim)))
         passed = worst <= _GRADIENT_TOL
         results.append(PropertyResult(f"gradient[{name}]", passed, _GRADIENT_TOL - worst, f"{points} points"))
 
@@ -351,8 +351,7 @@ def gradient_suite(problems: Sequence[tuple[str, Problem]], points: int, seed: i
         worst_lm = -math.inf
         worst_lp = -math.inf
         min_loss = math.inf
-        for i in range(points):
-            g = rng.derive(name_salt, 1000 + i).generator()
+        for g in stream_generators(rng.derive(name_salt, 1000 + i) for i in range(points)):
             x, y = g.standard_normal(p.dim), g.standard_normal(p.dim)
             gap = math.sqrt(sqnorm(x - y))
             if gap == 0.0:

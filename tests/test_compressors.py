@@ -29,7 +29,10 @@ from adacgd.compressors import (
     compress,
     ef21_constants,
     reconstruct,
+    _SELECT_MIN_ELEMENTS,
+    _magnitude_order,
     _payload_view,
+    _top_k_indices,
 )
 from adacgd.verification import estimate_constants
 
@@ -69,6 +72,36 @@ def test_top_k_contraction_property(values, k):
     alpha = k / x.shape[0]
     err = sqnorm(apply_contractor(ContractorSpec.top_k(k), x) - x)
     assert err <= (1 - alpha) * float(x @ x) * (1 + 1e-12) + 1e-12
+
+
+# Magnitudes that tie across signs, signed zeros, infinities and NaN, mixed into Gaussian rows.
+SPECIAL_VALUES = (0.0, -0.0, 1.0, -1.0, 2.5, -2.5, np.inf, -np.inf, np.nan)
+
+
+@st.composite
+def ranked_stacks(draw, large):
+    """An (m, d) stack on one side of the top-k size rule, and a k from 1 to d."""
+    d = draw(st.integers(1, 700))
+    least = -(-_SELECT_MIN_ELEMENTS // d) if large else 1
+    m = draw(st.integers(least, least + 3) if large else st.integers(1, max(1, (_SELECT_MIN_ELEMENTS - 1) // d)))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    palette = np.array(draw(st.lists(st.sampled_from(SPECIAL_VALUES), min_size=1, max_size=4)))
+    x = g.standard_normal((m, d))
+    special = g.random((m, d)) < draw(st.sampled_from((0.0, 0.1, 0.5, 1.0)))
+    x[special] = palette[g.integers(palette.size, size=int(special.sum()))]
+    k = draw(st.one_of(st.just(1), st.just(d), st.integers(1, d)))
+    return x, k
+
+
+@pytest.mark.parametrize("large", [False, True], ids=["sorted", "selected"])
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_top_k_indices_are_the_stable_magnitude_order_prefix(large, data):
+    x, k = data.draw(ranked_stacks(large))
+    assert (x.size >= _SELECT_MIN_ELEMENTS) == large
+    want = np.sort(np.argsort(-np.abs(x), axis=1, kind="stable")[:, :k], axis=1)
+    assert np.array_equal(_top_k_indices(x, k), want)
+    assert np.array_equal(_top_k_indices(x, k, _magnitude_order(x)), want)  # AdaCGD's shared ranking
 
 
 def test_ef21_examples():

@@ -6,6 +6,7 @@ from adacgd.core import (
     SeededRng,
     ThreePCConstants,
     combine_constants,
+    stream_generators,
 )
 
 
@@ -78,3 +79,24 @@ def test_rng_rejects_out_of_range():
         SeededRng(-1)
     with pytest.raises(ValueError):
         SeededRng(0, 1 << 64)
+
+
+def _mixed_draws(g, t):
+    # Stream t's draws: odd and even runs of 64-bit doubles and 32-bit integers,
+    # so most streams end mid-buffer or holding the unused half of a 64-bit word.
+    return [
+        g.random(1 + t % 3), g.integers(2**32, size=1 + 2 * (t % 2)), g.random(2 + t), g.integers(2**32, size=1 + t % 2)
+    ]
+
+
+def test_rekeyed_streams_draw_what_fresh_generators_draw():
+    keys = [SeededRng(seed, stream) for seed in (0, 2**63, 2**64 - 1) for stream in (0, 2**64 - 1)]
+    keys += keys[::-1]  # each key again, now after a different predecessor
+    leftovers = []
+    for t, (key, g) in enumerate(zip(keys, stream_generators(keys))):
+        got, want = _mixed_draws(g, t), _mixed_draws(key.generator(), t)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want)), key
+        state = g.bit_generator.state
+        leftovers.append((state["buffer_pos"] < 4, state["has_uint32"] == 1))
+    # Some stream left buffered words, and some a cached half word, for the next one to ignore.
+    assert all(any(column) for column in zip(*leftovers))
