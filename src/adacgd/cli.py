@@ -33,7 +33,6 @@ def _add_config_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--stepsize", help="convex | nonconvex | pl | bidirectional | manual:<gamma>")
     parser.add_argument("--multipliers", help="stepsize multipliers, e.g. '1 2 4 8'")
     parser.add_argument("--zeta")
-    parser.add_argument("--klist", help="adaptive sparsification levels, e.g. '1|5|25'")
     parser.add_argument("--init", dest="init_mode", choices=["full", "compressed"])
     parser.add_argument("--seed")
     parser.add_argument("--out-dir", dest="out_dir")

@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import math
 import operator
-import os
 import sys
 import warnings
 from dataclasses import dataclass, fields
@@ -41,12 +40,10 @@ from .engine import (
     StopRule,
     VALUE_BITS,
     _check_init_mode,
-    resolve_stepsize,
     run,
+    theoretical_stepsize,
 )
 from .problems import QUADRATIC, Problem, _check_lam, _round_oracle, smoothness
-
-OUT_DIR_ENV = "ADACGD_OUT_DIR"
 
 TRACE_COLUMNS = (
     "round",
@@ -82,7 +79,6 @@ class RunConfig:
     out_dir: str = "traces"
     scale_features: bool = False
     x0: str = "default"
-    klist: str = ""  # default adaptive levels override, e.g. "1|5|25"
 
     def __post_init__(self) -> None:
         if not self.methods:
@@ -98,9 +94,8 @@ class RunConfig:
         _check_init_mode(self.init_mode)
         # Labels are parsed here, so a bad one fails before any data is read; the checks
         # that need the dimension (k or a level above d) wait for the dataset.
-        _parse_klist(self.klist)
         for label in self.methods:
-            _method_options(label, self.zeta, self.klist)
+            _method_options(label, self.zeta)
         _method_options(self.master, self.zeta)
         # The stop rule checks its own inputs; building it here rejects them before any data is read.
         StopRule(self.max_rounds, self.grad_tol_sq, self.bit_budget)
@@ -149,8 +144,9 @@ def _convert(key: str, value: str):
 def _key_values(text: str, source: str):
     """(where, key, value) of each ``key = value`` line; '#' starts a comment, blanks are skipped.
 
-    ``where`` is ``"<source> line N"``; a line with no '=' raises a ValueError naming it.
+    ``where`` is ``"<source> line N"``; a line with no '=' or a key set twice raises a ValueError naming its lines.
     """
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -158,7 +154,11 @@ def _key_values(text: str, source: str):
         key, sep, value = line.partition("=")
         if not sep:
             raise ValueError(f"{source} line {lineno}: expected 'key = value', got {raw!r}")
-        yield f"{source} line {lineno}", key.strip(), value.strip()
+        key = key.strip()
+        if key in first_line:
+            raise ValueError(f"{source} lines {first_line[key]} and {lineno}: key {key!r} is given twice")
+        first_line[key] = lineno
+        yield f"{source} line {lineno}", key, value.strip()
 
 
 def parse_config_text(text: str) -> dict:
@@ -185,9 +185,6 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
         if key not in _CONFIG_TYPES:
             raise ValueError(f"unknown config key {key!r}")
         values[key] = _convert(key, value) if isinstance(value, str) else value
-    env_out = os.environ.get(OUT_DIR_ENV)
-    if env_out:
-        values["out_dir"] = env_out
     if "dataset" not in values:
         raise ValueError("config needs a dataset (path, synthetic:..., or quadratic:...)")
     return RunConfig(**values)
@@ -200,7 +197,7 @@ def default_klist(dim: int) -> tuple[int, ...]:
 
 
 def _parse_kv_options(text: str, accepted: tuple[str, ...]) -> dict:
-    """``key=value`` pairs separated by commas; a key not in ``accepted`` is an error."""
+    """``key=value`` pairs separated by commas; a key not in ``accepted`` or given twice is an error."""
     opts = {}
     if not text:
         return opts
@@ -211,6 +208,8 @@ def _parse_kv_options(text: str, accepted: tuple[str, ...]) -> dict:
         key = key.strip()
         if key not in accepted:
             raise ValueError(f"unknown option {key!r}; accepted: {', '.join(accepted) or 'none'}")
+        if key in opts:
+            raise ValueError(f"option {key!r} is given twice in {text!r}")
         opts[key] = value.strip()
     return opts
 
@@ -226,17 +225,20 @@ _METHOD_OPTIONS = {
 
 
 def _parse_klist(text: str) -> Optional[tuple[int, ...]]:
-    """Adaptive levels like ``1|5|25``, checked ascending; None for empty text (the default levels)."""
+    """Adaptive levels like ``1|5|25``, checked strictly ascending; None for empty text (the default levels)."""
     if not text:
         return None
     ks = _parse("klist", text, lambda v: tuple(int(x) for x in v.split("|")))
     if list(ks) != sorted(ks):
         raise ValueError(f"adaptive k-list must be sorted ascending, got {ks}")
+    repeated = [a for a, b in zip(ks, ks[1:]) if a == b]
+    if repeated:
+        raise ValueError(f"adaptive k-list repeats level {repeated[0]}, got {ks}")
     ContractorSpec.top_k(ks[0])  # the smallest level must be a positive k
     return ks
 
 
-def _method_options(label: str, default_zeta: float, klist_override: str = ""):
+def _method_options(label: str, default_zeta: float):
     """(name, k, zeta, klist) of a method label: every check that does not need the dimension.
 
     ``klist`` is None for a method without levels or for AdaCGD's default levels.
@@ -248,22 +250,21 @@ def _method_options(label: str, default_zeta: float, klist_override: str = ""):
     opts = _parse_kv_options(opts_text, _METHOD_OPTIONS[name])
     zeta = _parse("zeta", opts.get("zeta", default_zeta), float)
     k = _parse("k", opts.get("k", 1), int)
-    ks = _parse_klist(opts.get("klist", klist_override)) if name == "adacgd" else None
+    ks = _parse_klist(opts.get("klist", "")) if name == "adacgd" else None
     # The specs' own range checks, made here so a bad value fails before any data is read.
     _check_zeta(zeta)
     ContractorSpec.top_k(k)
     return name, k, zeta, ks
 
 
-def method_spec(label: str, dim: int, default_zeta: float, klist_override: str = "") -> tuple[str, ThreePCSpec]:
+def method_spec(label: str, dim: int, default_zeta: float) -> tuple[str, ThreePCSpec]:
     """Build a worker compressor from a method label like ``clag:k=1,zeta=2``.
 
     Plain gradient descent is the identity shift rule: exact estimates,
     constants (1, 0). Custom predicate chains are built programmatically and
-    passed to :func:`run_experiment` via ``extra_specs``. ``klist_override``
-    sets AdaCGD's levels unless the label gives its own ``klist``.
+    passed to :func:`run_experiment` via ``extra_specs``.
     """
-    name, k, zeta, ks = _method_options(label, default_zeta, klist_override)
+    name, k, zeta, ks = _method_options(label, default_zeta)
     if name == "gd":
         return "gd", EF21(ContractorSpec.identity())
     if name == "identity":
@@ -433,12 +434,11 @@ class ExperimentResult:
 
 
 def _bits_to_tolerance(records: Sequence[IterationRecord], tol: Optional[float]) -> Optional[tuple[int, int]]:
-    if tol is None:
+    """Bits spent when the run reached ``tol``: run stops at the first record within it, so only the last can be."""
+    last = records[-1]
+    if tol is None or not last.grad_norm_sq <= tol:
         return None
-    for r in records:
-        if r.grad_norm_sq <= tol:
-            return r.uplink_bits, r.downlink_bits
-    return None
+    return last.uplink_bits, last.downlink_bits
 
 
 def run_experiment(config: RunConfig, extra_specs: Optional[dict[str, ThreePCSpec]] = None) -> ExperimentResult:
@@ -455,18 +455,18 @@ def run_experiment(config: RunConfig, extra_specs: Optional[dict[str, ThreePCSpe
     rule = config.stepsize.strip().lower()
     manual = _manual_gamma(config.stepsize)
 
-    labelled: list[tuple[str, ThreePCSpec]] = [
-        method_spec(m, problem.dim, config.zeta, config.klist) for m in config.methods
-    ]
+    labelled: list[tuple[str, ThreePCSpec]] = [method_spec(m, problem.dim, config.zeta) for m in config.methods]
     for label, spec in (extra_specs or {}).items():
         labelled.append((label, spec))
     stop = StopRule(config.max_rounds, config.grad_tol_sq, config.bit_budget)
+    # One smoothness pass per sweep, and none for a manual stepsize.
+    sc = smoothness(problem) if manual is None else None
     # Every run is specified before the first one starts, so a bad input fails before any trace is written.
     runs: dict[str, tuple[str, float, ThreePCConstants, RunSpec]] = {}
     for label, worker in labelled:
-        # The theory stepsize depends on the method, not on the multiplier.
-        base = manual if manual is not None else resolve_stepsize(rule, problem, worker, master)
         worker_c = worker.constants(problem.dim)
+        # The theory stepsize depends on the method, not on the multiplier.
+        base = manual if manual is not None else theoretical_stepsize(rule, sc, worker_c, master_c)
         for mult in config.multipliers:
             name = f"{label}_x{mult:g}.csv"
             if name in runs:
@@ -562,14 +562,18 @@ class ReferenceSolution:
     tolerance: float
 
 
+def _check_tolerance(tolerance: float) -> None:
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"tolerance must be finite and > 0, got {tolerance}")
+
+
 def solve_reference(problem: Problem, tolerance: float, max_rounds: int = 10**6) -> ReferenceSolution:
     """Plain gradient descent at 1/l_minus until the gradient norm is tiny.
 
     Quadratics are solved exactly at the origin. If the iteration cap is hit
     a warning is issued and the achieved tolerance is reported instead.
     """
-    if tolerance <= 0:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
+    _check_tolerance(tolerance)
     if problem.kind == QUADRATIC:
         x = np.zeros(problem.dim)
         return ReferenceSolution(x, 0.0, 0.0, 0, tolerance)
@@ -649,6 +653,7 @@ def load_or_solve_reference(
     The cache file is named by :func:`problem_digest`. A cached solve is
     reused only when its tolerance is at least as tight as ``tolerance``.
     """
+    _check_tolerance(tolerance)
     path = reference_cache_path(cache_dir, problem)
     if path.exists():
         try:

@@ -125,22 +125,14 @@ class Problem:
 
     @staticmethod
     def partitioned(features: np.ndarray, labels: np.ndarray, sizes: Sequence[int], lam: float) -> "Problem":
-        """Logistic problem over C-contiguous rows in client order: client i holds the next sizes[i] rows.
+        """Logistic problem over rows in client order: client i holds the next sizes[i] rows.
 
-        The arrays become the problem's storage; nothing is copied.
+        C-contiguous float64 arrays become the problem's storage as they are;
+        any others are converted to that form once, here.
         """
+        features = np.ascontiguousarray(features, dtype=np.float64)
+        labels = np.ascontiguousarray(labels, dtype=np.float64)
         return Problem(LOGISTIC, features.shape[1], lam, len(sizes), _stack(features, labels, sizes))
-
-    @staticmethod
-    def logistic(shards, lam: float) -> "Problem":
-        shards = tuple(shards)
-        if not shards:
-            raise ValueError("need at least one shard")
-        if any(s.features.shape[1] != shards[0].features.shape[1] for s in shards):
-            raise ValueError("all shards must share the problem dimension")
-        features = np.concatenate([s.features for s in shards])
-        labels = np.concatenate([s.labels for s in shards])
-        return Problem.partitioned(features, labels, [s.size for s in shards], lam)
 
     @staticmethod
     def quadratic(diagonal, n_clients: int = 1) -> "Problem":
@@ -225,13 +217,6 @@ def client_gradient(p: Problem, i: int, x) -> np.ndarray:
     return _margin_gradient(shard.features, shard.labels, z) + _regularizer_gradient(p.lam, x)
 
 
-def loss(p: Problem, x) -> float:
-    """Global objective value: mean of client objectives."""
-    if p.kind == QUADRATIC:
-        return client_loss(p, 0, x)
-    return sum(client_loss(p, i, x) for i in range(p.n_clients)) / p.n_clients
-
-
 def _round_oracle(p: Problem, x: np.ndarray) -> tuple[float, np.ndarray]:
     """Global objective value and the (n, d) array of client gradients at an already-checked x.
 
@@ -241,8 +226,9 @@ def _round_oracle(p: Problem, x: np.ndarray) -> tuple[float, np.ndarray]:
     ``client_gradient`` on each group, where their batched ``np.matmul``
     makes the same per-shard BLAS call as on one shard, and the client
     values are summed in client order,
-    so the results are bitwise equal to ``loss`` and to the stacked
-    ``client_gradient`` rows. tests/test_problems.py checks this property.
+    so the results are bitwise equal to the client-order mean of
+    ``client_loss`` and to the stacked ``client_gradient`` rows.
+    tests/test_problems.py checks this property.
     """
     n = p.n_clients
     if p.kind == QUADRATIC:
@@ -256,6 +242,11 @@ def _round_oracle(p: Problem, x: np.ndarray) -> tuple[float, np.ndarray]:
     values += _regularizer(p.lam, x)
     grads += _regularizer_gradient(p.lam, x)
     return sum(values.tolist()) / n, grads
+
+
+def loss(p: Problem, x) -> float:
+    """Global objective value: mean of client objectives, from the round oracle."""
+    return _round_oracle(p, _checked_point(p, 0, x))[0]
 
 
 def full_gradient(p: Problem, x) -> np.ndarray:

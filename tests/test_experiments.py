@@ -1,7 +1,7 @@
 import math
 import re
 import tempfile
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -59,9 +59,20 @@ def test_load_config_overrides_and_env(tmp_path, monkeypatch):
     config = load_config(str(cfg), {"seed": "7", "methods": "gd"})
     assert config.seed == 7
     assert config.methods == ("gd",)
-    monkeypatch.setenv("ADACGD_OUT_DIR", str(tmp_path / "out"))
-    config = load_config(str(cfg), {})
-    assert config.out_dir == str(tmp_path / "out")
+    # The output directory comes from out_dir alone: the environment never sets it.
+    monkeypatch.delenv("ADACGD_OUT_DIR", raising=False)
+    unset = load_config(str(cfg), {"out_dir": str(tmp_path / "chosen")})
+    monkeypatch.setenv("ADACGD_OUT_DIR", str(tmp_path / "env"))
+    assert load_config(str(cfg), {"out_dir": str(tmp_path / "chosen")}) == unset
+    assert load_config(str(cfg)).out_dir == "traces"
+
+
+def test_sweep_writes_only_under_its_out_dir_with_the_old_environment_variable_set(tmp_path, monkeypatch):
+    monkeypatch.setenv("ADACGD_OUT_DIR", str(tmp_path / "env"))
+    args = ["run", "--dataset", "quadratic:diag=1|2,n=2", "--method", "gd", "--stop", "rounds=2"]
+    assert cli_main(args + ["--out-dir", str(tmp_path / "chosen")]) == 0
+    assert {p.name for p in tmp_path.iterdir()} == {"chosen"}
+    assert {p.name for p in (tmp_path / "chosen").iterdir()} == {"gd_x1.csv", "summary.csv"}
 
 
 def test_method_spec_parsing():
@@ -88,17 +99,6 @@ def test_default_klist_spans_skip_to_half():
     assert default_klist(50) == (1, 5, 25)
     assert default_klist(200) == (1, 2, 20, 100)
     assert default_klist(2) == (1,)
-
-
-def test_klist_override_applies_to_adaptive_methods():
-    _, spec = method_spec("adacgd", 50, 1.0, klist_override="1|3|9")
-    assert tuple(c.k for c in spec.contractors) == (1, 3, 9)
-    # an explicit method-level klist wins over the config override
-    _, spec = method_spec("adacgd:klist=2|4", 50, 1.0, klist_override="1|3|9")
-    assert tuple(c.k for c in spec.contractors) == (2, 4)
-    # non-adaptive methods ignore it
-    _, spec = method_spec("ef21:k=1", 50, 1.0, klist_override="1|3|9")
-    assert isinstance(spec, EF21)
 
 
 def test_synthetic_dataset_rejects_unknown_option():
@@ -153,12 +153,19 @@ def test_stepsize_rule_names(tmp_path):
 
 
 def test_sweep_resolves_each_method_stepsize_once(tmp_path, monkeypatch):
+    # Every method's theory stepsize comes from one smoothness pass per sweep; a manual stepsize needs none.
     calls = []
     real_smoothness = engine.smoothness
-    monkeypatch.setattr(engine, "smoothness", lambda problem: calls.append(problem) or real_smoothness(problem))
+    for module in (engine, experiments):
+        monkeypatch.setattr(module, "smoothness", lambda problem: calls.append(problem) or real_smoothness(problem))
     config = RunConfig(dataset="synthetic:n=60,d=8", n_clients=3, methods=("gd", "adacgd"),
                        multipliers=(1.0, 2.0, 4.0), max_rounds=2, out_dir=str(tmp_path))
     assert len(run_experiment(config).entries) == 6
+    assert len(calls) == 1
+    bidirectional = replace(config, methods=("gd", "ef21:k=2", "adacgd"), master="ef21:k=3", stepsize="bidirectional")
+    assert len(run_experiment(bidirectional).entries) == 9
+    assert len(calls) == 2
+    assert len(run_experiment(replace(config, stepsize="manual:0.1")).entries) == 6
     assert len(calls) == 2
 
 
@@ -660,7 +667,6 @@ def test_cli_run_and_verify(tmp_path, capsys):
 
 def test_cli_run_uses_the_protocol_file_multipliers(tmp_path, monkeypatch):
     # The command in scripts/protocol.cfg's header, cut to one round.
-    monkeypatch.delenv("ADACGD_OUT_DIR", raising=False)
     cfg = str(Path(__file__).resolve().parents[1] / "scripts" / "protocol.cfg")
     out = tmp_path / "out"
     assert cli_main(["run", "--config", cfg, "--stop", "rounds=1", "--out-dir", str(out)]) == 0
@@ -737,6 +743,54 @@ def test_cli_solve_reference_records_the_problem_lam(tmp_path):
     assert ref.f_star == 0.0
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "0", "-1e-6"])
+def test_cli_solve_reference_rejects_a_tolerance_that_is_not_finite_and_positive(tmp_path, capsys, tolerance):
+    cache = tmp_path / "cache"
+    args = ["solve-reference", "--dataset", "synthetic:n=60,d=5,seed=1", "--n-clients", "3",
+            f"--tolerance={tolerance}", "--cache-dir", str(cache)]
+    assert cli_main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"adacgd: error: tolerance must be finite and > 0, got {float(tolerance)}\n"
+    assert not cache.exists()
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, 0.0])
+def test_reference_solvers_reject_a_bad_tolerance_before_touching_the_cache(tmp_path, tolerance):
+    problem = Problem.quadratic(np.array([1.0, 2.0]))
+    path = experiments.reference_cache_path(tmp_path, problem)
+    experiments.save_reference(path, problem, solve_reference(problem, 1e-6))
+    cached = path.read_bytes()
+    message = f"^tolerance must be finite and > 0, got {tolerance}$"
+    with pytest.raises(ValueError, match=message):
+        solve_reference(problem, tolerance)
+    with pytest.raises(ValueError, match=message):
+        load_or_solve_reference(problem, tolerance, tmp_path)
+    assert path.read_bytes() == cached
+
+
+@pytest.mark.parametrize(
+    "args,config_text,message",
+    [
+        (["--dataset", "quadratic:diag=1|2", "--method", "gd", "--stop", "rounds=10,rounds=3000"], None,
+         "option 'rounds' is given twice in 'rounds=10,rounds=3000'"),
+        (["--dataset", "synthetic:n=40,d=5", "--method", "ef21:k=1,k=2", "--stop", "rounds=3"], None,
+         "option 'k' is given twice in 'k=1,k=2'"),
+        (["--dataset", "synthetic:n=10,n=20", "--method", "gd", "--stop", "rounds=3"], None,
+         "option 'n' is given twice in 'n=10,n=20'"),
+        (["--stop", "rounds=3"], "dataset = quadratic:diag=1|2\nzeta = 1\nmethods = lag\nzeta = 4\n",
+         "config lines 2 and 4: key 'zeta' is given twice"),
+    ],
+    ids=["stop", "method-label", "dataset-spec", "config-file"],
+)
+def test_cli_rejects_a_key_given_twice(tmp_path, capsys, args, config_text, message):
+    if config_text is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config_text)
+        args = ["--config", str(cfg), *args]
+    assert _cli_run_error(tmp_path, capsys, *args) == f"adacgd: error: {message}\n"
+
+
 @pytest.mark.parametrize(
     "dataset,method,message",
     [
@@ -768,12 +822,14 @@ def test_cli_runs_topk_at_full_dimension(tmp_path):
     [
         (["--dataset", "/nonexistent.svm", "--master", "bogus", "--method", "gd"], "unknown method 'bogus'"),
         (["--dataset", "synthetic:n=200000,d=200", "--method", "gd ef21:K=1"], "unknown option 'K'; accepted: k"),
-        (["--dataset", "synthetic:n=40,d=5", "--method", "gd", "--klist", "5|2"],
+        (["--dataset", "synthetic:n=40,d=5", "--method", "gd adacgd:klist=5|2"],
          "adaptive k-list must be sorted ascending, got (5, 2)"),
-        (["--dataset", "synthetic:n=40,d=5", "--method", "gd", "--klist", "1|two"], "cannot parse klist='1|two'"),
+        (["--dataset", "synthetic:n=40,d=5", "--method", "gd adacgd:klist=1|two"], "cannot parse klist='1|two'"),
         (["--dataset", "synthetic:n=40,d=5", "--method", "lag:zeta=x"], "cannot parse zeta='x'"),
+        (["--dataset", "synthetic:n=40,d=5", "--method", "adacgd:klist=1|1|5"],
+         "adaptive k-list repeats level 1, got (1, 1, 5)"),
     ],
-    ids=["unknown-master", "unknown-option", "descending-klist", "unparsed-klist", "unparsed-zeta"],
+    ids=["unknown-master", "unknown-option", "descending-klist", "unparsed-klist", "unparsed-zeta", "repeated-klist"],
 )
 def test_cli_rejects_a_bad_method_label_before_building_the_dataset(tmp_path, monkeypatch, capsys, args, message):
     built = []
@@ -821,11 +877,13 @@ def _damage_reference(path: Path, how: str) -> None:
         path.write_text(text.rsplit(" ", 1)[0] + "\n")
     elif how == "unparsed-f_star":
         path.write_text(text.replace("f_star = ", "f_star = x"))
+    elif how == "repeated-f_star":  # read last-wins, this would pass off f = 0 as the minimum
+        path.write_text(text + "f_star = 0.0\n")
     else:  # a line with no '='
         path.write_text(text + "garbage\n")
 
 
-@pytest.mark.parametrize("how", ["cut-after-f_star", "short-x_star", "unparsed-f_star", "no-equals"])
+@pytest.mark.parametrize("how", ["cut-after-f_star", "short-x_star", "unparsed-f_star", "repeated-f_star", "no-equals"])
 def test_solve_reference_re_solves_a_damaged_cache_file(tmp_path, capsys, how):
     args = ["solve-reference", "--dataset", "synthetic:n=30,d=4,seed=2", "--n-clients", "2", "--lam", "0.1",
             "--tolerance", "1e-6", "--cache-dir", str(tmp_path)]
@@ -843,6 +901,7 @@ def test_solve_reference_re_solves_a_damaged_cache_file(tmp_path, capsys, how):
         ("cut-after-f_star", ": missing key 'x_star'$"),
         ("unparsed-f_star", ": cannot parse f_star='x"),
         ("no-equals", r" line 8: expected 'key = value', got 'garbage'$"),
+        ("repeated-f_star", r" lines 6 and 8: key 'f_star' is given twice$"),
     ],
 )
 def test_load_reference_names_the_file_and_the_bad_key(tmp_path, how, message):

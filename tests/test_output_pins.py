@@ -53,7 +53,6 @@ COMMANDS = {
 def test_cli_output_files_are_pinned(tmp_path, monkeypatch, capsys, name):
     argv, pinned = COMMANDS[name]
     monkeypatch.chdir(tmp_path)  # every command writes under the default ./traces
-    monkeypatch.delenv("ADACGD_OUT_DIR", raising=False)
     assert cli_main(argv) == 0
     written = {
         path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from adacgd.core import SeededRng, mean_ascending
 from adacgd.datasets import SyntheticSpec, build_problem, make_synthetic
 from adacgd.problems import (
+    QUADRATIC,
     Problem,
     Shard,
     _round_oracle,
@@ -24,12 +25,12 @@ from adacgd.problems import (
 )
 
 
-def single_shard(features, labels):
-    return Problem.logistic((Shard(np.asarray(features, float), np.asarray(labels, float)),), 0.1)
+def one_client(features, labels, lam=0.1):
+    return Problem.partitioned(features, labels, [len(labels)], lam)
 
 
 def test_loss_at_origin_is_log_two():
-    p = single_shard([[1.0, -2.0], [0.5, 0.3]], [1, -1])
+    p = one_client([[1.0, -2.0], [0.5, 0.3]], [1, -1])
     assert loss(p, [0.0, 0.0]) == pytest.approx(math.log(2.0), rel=1e-15)
 
 
@@ -40,14 +41,14 @@ def test_quadratic_loss_example():
 
 def test_regularizer_only_loss():
     # one example with a zero feature row: logistic part is log 2, penalty 0.05
-    p = single_shard([[0.0]], [1])
+    p = one_client([[0.0]], [1])
     assert loss(p, [1.0]) == pytest.approx(math.log(2.0) + 0.05, rel=1e-14)
 
 
 def test_gradient_at_origin_closed_form():
     feats = np.array([[1.0, 2.0], [0.0, -1.0], [3.0, 1.0]])
     labels = np.array([1.0, -1.0, 1.0])
-    p = Problem.logistic((Shard(feats, labels),), 0.0)
+    p = one_client(feats, labels, 0.0)
     expected = -(labels[:, None] * feats).mean(axis=0) / 2.0
     assert np.allclose(client_gradient(p, 0, np.zeros(2)), expected, rtol=1e-15)
 
@@ -60,16 +61,16 @@ def test_quadratic_gradient_shared_across_clients():
 
 
 def test_regularizer_gradient_value():
-    p = single_shard([[0.0]], [1])
+    p = one_client([[0.0]], [1])
     assert client_gradient(p, 0, [1.0])[0] == pytest.approx(0.05, rel=1e-14)
 
 
 def test_smoothness_examples():
-    p = Problem.logistic((Shard(np.array([[2.0, 0.0]]), np.array([1.0])),), 0.0)
+    p = one_client([[2.0, 0.0]], [1.0], 0.0)
     sc = smoothness(p)
     assert sc.l_minus == 1.0 and sc.l_plus == 1.0
 
-    p = Problem.logistic((Shard(np.array([[2.0, 0.0]]), np.array([1.0])),), 0.1)
+    p = one_client([[2.0, 0.0]], [1.0], 0.1)
     sc = smoothness(p)
     assert sc.l_minus == pytest.approx(1.2, rel=1e-15)
     assert sc.l_plus == pytest.approx(1.2, rel=1e-15)
@@ -119,7 +120,7 @@ def test_check_gradient_logistic_small_shard():
     g = SeededRng(2).generator()
     feats = g.standard_normal((5, 3))
     labels = np.where(g.random(5) < 0.5, 1.0, -1.0)
-    p = Problem.logistic((Shard(feats, labels),), 0.1)
+    p = one_client(feats, labels)
     assert check_gradient(p, g.standard_normal(3), 1e-5) <= 1e-5
     assert check_gradient(p, np.zeros(3), 1e-5) <= 1e-6
 
@@ -133,7 +134,7 @@ def test_loss_is_mean_of_client_losses():
 
 
 def test_loss_stable_at_large_margins():
-    p = Problem.logistic((Shard(np.array([[1.0]]), np.array([1.0])),), 0.0)
+    p = one_client([[1.0]], [1.0], 0.0)
     assert loss(p, [1000.0]) == pytest.approx(0.0, abs=1e-300)
     assert math.isfinite(loss(p, [-1000.0]))
     assert loss(p, [-1000.0]) == pytest.approx(1000.0, rel=1e-12)
@@ -156,16 +157,14 @@ def test_validation_errors():
 def test_problem_rejects_zero_dimension():
     with pytest.raises(ValueError, match="dimension must be >= 1"):
         Problem.quadratic([])
-    featureless = Shard(np.zeros((2, 0)), np.array([1.0, -1.0]))
     with pytest.raises(ValueError, match="dimension must be >= 1"):
-        Problem.logistic((featureless,), 0.1)
+        one_client(np.zeros((2, 0)), [1.0, -1.0])
 
 
 @pytest.mark.parametrize("lam", [math.nan, math.inf, -0.5])
 def test_problem_rejects_a_lam_that_is_not_finite_and_non_negative(lam):
-    shard = Shard(np.ones((2, 2)), np.array([1.0, -1.0]))
     with pytest.raises(ValueError, match=f"lam must be finite and >= 0, got {lam}"):
-        Problem.logistic((shard,), lam)
+        one_client(np.ones((2, 2)), [1.0, -1.0], lam)
 
 
 def _bits(value) -> bytes:
@@ -195,7 +194,11 @@ def oracle_cases(draw):
 def test_round_oracle_is_bitwise_the_one_client_oracles(case):
     problem, x = case
     f, grads = _round_oracle(problem, x)
-    assert _bits(f) == _bits(loss(problem, x))
+    n = problem.n_clients
+    values = [client_loss(problem, i, x) for i in range(n)]
+    # Quadratic clients share one objective, so its value is the mean; logistic ones are averaged in client order.
+    assert _bits(f) == _bits(values[0] if problem.kind == QUADRATIC else sum(values) / n)
+    assert _bits(loss(problem, x)) == _bits(f)
     expected = np.stack([client_gradient(problem, i, x) for i in range(problem.n_clients)])
     assert grads.shape == expected.shape and _bits(grads) == _bits(expected)
 
@@ -248,6 +251,22 @@ def test_every_shard_is_a_view_into_its_group(n_examples, n_clients):
             assert np.shares_memory(shard.features, g.features[j]) and np.shares_memory(shard.labels, g.labels[j])
             seen.append(int(i))
     assert sorted(seen) == list(range(n_clients))
+
+
+@pytest.mark.parametrize("layout", ["int64", "fortran"])
+def test_partitioned_holds_float64_groups_that_its_shards_view(layout):
+    rows = np.arange(15).reshape(5, 3) % 4
+    labels = np.array([1, -1, 1, 1, -1])
+    if layout == "fortran":
+        rows, labels = np.asfortranarray(rows, dtype=np.float64), labels.astype(np.float64)
+    p = Problem.partitioned(rows, labels, [2, 2, 1], 0.1)
+    assert [len(g.clients) for g in p.groups] == [2, 1]
+    for g in p.groups:
+        assert g.features.dtype == g.labels.dtype == np.float64
+        for j, i in enumerate(g.clients):
+            shard = p.shards[i]
+            assert np.shares_memory(shard.features, g.features[j]) and np.shares_memory(shard.labels, g.labels[j])
+    assert _bits(np.concatenate([s.features for s in p.shards])) == _bits(np.asarray(rows, dtype=np.float64))
 
 
 def test_build_problem_without_a_copy_keeps_the_callers_array_as_its_storage():
