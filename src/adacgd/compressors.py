@@ -445,6 +445,9 @@ class AdaCGD(ThreePCSpec):
         object.__setattr__(self, "contractors", tuple(self.contractors))
         if not self.contractors:
             raise ValueError("adaptive rule needs at least one contractor")
+        repeated = [c for j, c in enumerate(self.contractors) if c in self.contractors[:j]]
+        if repeated:
+            raise ValueError(f"adaptive rule repeats level {repeated[0]}")
         _check_zeta(self.zeta)
 
     @property

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from scipy.special import expit
@@ -240,14 +241,22 @@ def partition(examples: Sequence, n: int, seed: int) -> Partition:
     return Partition(tuple(tuple(int(j) for j in block) for block in np.array_split(order, n)), seed)
 
 
-def to_dense(rows: LibsvmRows, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Materialize rows as a dense (N, dim) matrix and a label vector."""
+def to_dense(rows: LibsvmRows, dim: int, order: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
+    """Materialize rows as a dense (N, dim) matrix and a label vector.
+
+    Row i of both is ``rows[i]``, or ``rows[order[i]]`` when a permutation
+    ``order`` is given.
+    """
     over = rows.indices > dim
     if over.any():
         raise ValueError(f"feature index {rows.indices[over.argmax()]} exceeds dimension {dim}")
-    features = np.zeros((len(rows), dim), dtype=np.float64)
-    features[np.repeat(np.arange(len(rows)), np.diff(rows.offsets)), rows.indices - 1] = rows.values
-    return features, rows.labels.copy()
+    n = len(rows)
+    position = np.arange(n)  # the output row of each input row
+    if order is not None:
+        position[order] = np.arange(n)
+    features = np.zeros((n, dim), dtype=np.float64)
+    features[np.repeat(position, np.diff(rows.offsets)), rows.indices - 1] = rows.values
+    return features, (rows.labels.copy() if order is None else rows.labels[order])
 
 
 def max_abs_scale(features: np.ndarray) -> np.ndarray:
@@ -282,6 +291,13 @@ def _reorder_rows(a: np.ndarray, order: np.ndarray, chunk: int = 64) -> None:
         a[c[-1]] = first
 
 
+def _client_order(labels: np.ndarray, n_clients: int, seed: int) -> tuple[np.ndarray, list[int]]:
+    """The row order that lists client 0's rows, then client 1's, ...; and each client's row count."""
+    part = partition(labels, n_clients, seed)
+    order = np.fromiter((j for block in part.shards for j in block), dtype=np.intp, count=labels.shape[0])
+    return order, [len(block) for block in part.shards]
+
+
 def build_problem(
     features: np.ndarray,
     labels: np.ndarray,
@@ -305,14 +321,28 @@ def build_problem(
     labels = np.asarray(labels, dtype=np.float64)
     if features.ndim != 2 or labels.shape != features.shape[:1]:
         raise ValueError(f"need (N, d) features and N labels, got shapes {features.shape} and {labels.shape}")
-    part = partition(labels, n_clients, seed)
+    order, sizes = _client_order(labels, n_clients, seed)
     if scale_features:
         features = max_abs_scale(features)  # a new array
     elif copy:
         features = features.copy()
-    order = np.fromiter((j for block in part.shards for j in block), dtype=np.intp, count=labels.shape[0])
     _reorder_rows(features, order)
-    return Problem.partitioned(features, labels[order], [len(block) for block in part.shards], lam)
+    return Problem.partitioned(features, labels[order], sizes, lam)
+
+
+def build_libsvm_problem(
+    rows: LibsvmRows, dim: int, n_clients: int, lam: float, seed: int, scale_features: bool = False
+) -> Problem:
+    """``build_problem(*to_dense(rows, dim), n_clients, lam, seed, scale_features)``, bit for bit.
+
+    The rows are densified straight into client order, so no dense row is
+    moved afterwards.
+    """
+    order, sizes = _client_order(rows.labels, n_clients, seed)
+    features, labels = to_dense(rows, dim, order)
+    if scale_features:
+        features = max_abs_scale(features)
+    return Problem.partitioned(features, labels, sizes, lam)
 
 
 @dataclass(frozen=True)

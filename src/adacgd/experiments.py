@@ -30,8 +30,7 @@ from .compressors import (
     ThreePCSpec,
     _check_zeta,
 )
-from . import datasets
-from .datasets import SyntheticSpec, build_problem, make_synthetic, parse_libsvm
+from .datasets import SyntheticSpec, build_libsvm_problem, build_problem, make_synthetic, parse_libsvm
 from .engine import (
     DivergenceError,
     IterationRecord,
@@ -320,9 +319,8 @@ def build_dataset(config: RunConfig) -> tuple[Problem, str]:
         key = spec.key()
     else:
         raw = sys.stdin.buffer.read() if ds == "-" else Path(ds).read_bytes()
-        # to_dense through its module, where perfbench/tracer.py wraps it (test_traced_build_dataset_counts_parsed_rows).
-        problem = build_problem(*datasets.to_dense(*parse_libsvm(raw)), config.n_clients, config.lam, config.seed,
-                                scale_features=config.scale_features, copy=False)
+        problem = build_libsvm_problem(*parse_libsvm(raw), config.n_clients, config.lam, config.seed,
+                                       scale_features=config.scale_features)
         key = hashlib.sha256(raw).hexdigest()
     digest = hashlib.sha256(key.encode()).hexdigest()[:16]
     return problem, digest

@@ -1,6 +1,7 @@
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -197,6 +198,18 @@ def test_adacgd_requires_sorted_levels():
         compress(AdaCGD((ContractorSpec.top_k(3), ContractorSpec.top_k(1)), 1.0), [1, 2, 3], [0, 0, 0], [4, 5, 6])
     with pytest.raises(ValueError):
         compress(AdaCGD((), 1.0), [1], [1], [1])
+
+
+@pytest.mark.parametrize("levels", [
+    (ContractorSpec.top_k(1), ContractorSpec.top_k(1)),
+    (ContractorSpec.top_k(1), ContractorSpec.top_k(2), ContractorSpec.top_k(2)),
+    (ContractorSpec.rand_k(2), ContractorSpec.identity(), ContractorSpec.identity()),
+])
+def test_adacgd_rejects_repeated_levels_when_built(levels):
+    # A repeated level probes the same candidate twice, and its branch widens every message's header.
+    with pytest.raises(ValueError, match=re.escape(f"adaptive rule repeats level {levels[-1]!r}")):
+        AdaCGD(levels, 1.0)
+    assert AdaCGD((ContractorSpec.top_k(1), ContractorSpec.rand_k(1)), 1.0).adaptive_level_count == 2
 
 
 def test_ada3pc_single_branch_delegates():

@@ -2,20 +2,38 @@
 
 The commands cover a quadratic with a compressed init, a manual stepsize and a
 non-identity master; a bidirectional synthetic run that stops on its bit
-budget; and a reference-minimum cache file. A high-dimensional sweep with
+budget; a reference-minimum cache file; and a sweep over a mostly-zero LIBSVM
+file, whose oracle multiplies CSR rows. A high-dimensional sweep with
 top-k and rand-k AdaCGD workers is pinned the same way through
 ``run_experiment``. The digests hold for the BLAS build named in
 ``test_acceptance.py``.
 """
 
 import hashlib
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from adacgd import experiments
 from adacgd.cli import main as cli_main
 from adacgd.compressors import AdaCGD, ContractorSpec
-from adacgd.experiments import RunConfig, default_klist, run_experiment
+from adacgd.datasets import build_problem, parse_libsvm, to_dense
+from adacgd.experiments import RunConfig, build_dataset, default_klist, run_experiment
+
+
+def sparse_libsvm_text(rows: int = 47, dim: int = 24) -> str:
+    """A LIBSVM text about 6% nonzero, from integer arithmetic alone.
+
+    Row r holds r % 4 features, so every fourth row is all zeros, and some
+    values are an explicit 0.
+    """
+    lines = []
+    for r in range(rows):
+        indices = sorted((r * 7 + k * 5) % dim + 1 for k in range(r % 4))
+        features = " ".join(f"{j}:{((r * 37 + j * 11) % 19 - 9) / 4}" for j in indices)
+        lines.append(f"{'+1' if (r * 13) % 5 < 2 else '-1'} {features}".rstrip())
+    return "\n".join(lines) + "\n"
 
 COMMANDS = {
     "quadratic-compressed-init": (
@@ -46,6 +64,22 @@ COMMANDS = {
          "--tolerance", "1e-6"],
         {"traces/ref_f7bbc070fc775d1c.txt": "253f066b06f9c33e49fa6f2d672a3799c4bf577ff59a97eec497ca8ef1882ba4"},
     ),
+    # rows.svm is sparse_libsvm_text(), written by the test.
+    "sparse-libsvm": (
+        ["run", "--dataset", "rows.svm", "--n-clients", "4", "--method", "gd ef21:k=1 lag adacgd:klist=1|4",
+         "--multipliers", "1 4", "--stop", "rounds=20"],
+        {
+            "traces/adacgd_z1_x1.csv": "97200fe2a66c619f2aed23a9816287bf62d5f97045ef68e9a4ea276a29b1f009",
+            "traces/adacgd_z1_x4.csv": "1dc2ee4e49496f9caea5165d817723298c4dcb1961a262dcb7fc2caef745b9f4",
+            "traces/ef21_k1_x1.csv": "1381b926bc0c27297ec32d774d8272b507402649201daa00893d26049e45e656",
+            "traces/ef21_k1_x4.csv": "42b551aa593e1683d734b2fedef7277439016f97aae9f2ef602a409da5c8cb48",
+            "traces/gd_x1.csv": "a9d78fca445c7b9ba6e9ed1df2b2ad185b1d8158d46b74ca5f7459bd653e4eb3",
+            "traces/gd_x4.csv": "f645abb92f91043412050f56aaf18852c9df2b02d44dd1ebf2b8cc490f992542",
+            "traces/lag_z1_x1.csv": "7a9765ccfd71f96ce7b025fd42fe2615a84c9c76d4b93e0e3a7d360dcec8126e",
+            "traces/lag_z1_x4.csv": "c179abc4f38e83fcfd26a9b6cbb263479c554169fdd261571289dbf17259317b",
+            "traces/summary.csv": "19624066cd9f05ccd5e52b9eb93b298a70a2082675b3cc712764f6162b9059e2",
+        },
+    ),
 }
 
 
@@ -53,13 +87,45 @@ COMMANDS = {
 def test_cli_output_files_are_pinned(tmp_path, monkeypatch, capsys, name):
     argv, pinned = COMMANDS[name]
     monkeypatch.chdir(tmp_path)  # every command writes under the default ./traces
+    if name == "sparse-libsvm":
+        (tmp_path / "rows.svm").write_text(sparse_libsvm_text())
+        assert build_dataset(RunConfig(dataset="rows.svm", n_clients=4))[0].sparse is not None
     assert cli_main(argv) == 0
     written = {
         path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(tmp_path.rglob("*"))
-        if path.is_file()
+        if path.is_file() and path.name != "rows.svm"
     }
     assert written == pinned
+
+
+@pytest.mark.parametrize("scale_features", [False, True])
+def test_libsvm_file_writes_the_bytes_of_the_dense_entry(tmp_path, monkeypatch, scale_features):
+    """build_dataset puts LIBSVM rows in client order before it densifies them; that changes no byte."""
+    path = tmp_path / "rows.svm"
+    path.write_text(sparse_libsvm_text())
+    config = RunConfig(dataset=str(path), n_clients=4, methods=("gd", "ef21:k=2", "adacgd:klist=1|4"), multipliers=(1.0, 4.0), max_rounds=15,
+                       scale_features=scale_features, out_dir=str(tmp_path / "parsed"))
+    run_experiment(config)
+    build = experiments.build_dataset
+
+    def dense_entry(config):
+        problem, digest = build(config)
+        dense = build_problem(*to_dense(*parse_libsvm(path.read_text())), config.n_clients, config.lam, config.seed,
+                              scale_features=config.scale_features)
+        assert problem.sparse is not None and dense.sparse is not None
+        for a, b in [(problem.groups[0].features.base, dense.groups[0].features.base),
+                     (problem.sparse.matrix.data, dense.sparse.matrix.data),
+                     (problem.sparse.matrix.indices, dense.sparse.matrix.indices),
+                     (problem.sparse.matrix.indptr, dense.sparse.matrix.indptr)]:
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        return dense, digest
+
+    monkeypatch.setattr(experiments, "build_dataset", dense_entry)
+    run_experiment(replace(config, out_dir=str(tmp_path / "dense")))
+    parsed = {p.name: p.read_bytes() for p in sorted((tmp_path / "parsed").iterdir())}
+    assert len(parsed) == 7
+    assert parsed == {p.name: p.read_bytes() for p in sorted((tmp_path / "dense").iterdir())}
 
 
 # d = 1000 over 4 clients: the workers' (4, 1000) stacks are large enough that

@@ -1,6 +1,8 @@
+import hashlib
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import expit
 
 from adacgd.core import SeededRng, mean_ascending
 from adacgd.datasets import SyntheticSpec, build_problem, make_synthetic
@@ -15,6 +18,11 @@ from adacgd.problems import (
     QUADRATIC,
     Problem,
     Shard,
+    _margin_gradient,
+    _margin_loss,
+    _margins,
+    _regularizer,
+    _regularizer_gradient,
     _round_oracle,
     check_gradient,
     client_gradient,
@@ -173,7 +181,7 @@ def _bits(value) -> bytes:
 
 @st.composite
 def oracle_cases(draw):
-    """A problem and a point: logistic with any shard split (sparse features too), or quadratic."""
+    """A problem and a point: quadratic, or logistic with any shard split on either side of the CSR density rule."""
     seed = draw(st.integers(0, 2**16))
     dim = draw(st.sampled_from([1, 2, 3, 7, 50]))
     n_clients = draw(st.integers(1, 12))
@@ -183,16 +191,30 @@ def oracle_cases(draw):
     else:
         n_examples = draw(st.integers(n_clients, 40))
         features, labels = make_synthetic(SyntheticSpec(n_examples, dim, seed, scale=3.0))
+        keep = draw(st.sampled_from([1.0, 0.5, 0.2, 0.08, 0.02]))  # about this fraction of entries stays nonzero
+        features[g.random(features.shape) >= keep] = 0.0
         if draw(st.booleans()):
-            features[g.random(features.shape) < 0.8] = 0.0
+            features[draw(st.integers(0, n_examples - 1))] = 0.0  # an all-zero row
         problem = build_problem(features, labels, n_clients, draw(st.sampled_from([0.0, 0.1])), seed)
     return problem, g.standard_normal(dim) * draw(st.sampled_from([0.1, 1.0, 30.0]))
 
 
-@settings(max_examples=150, deadline=None)
-@given(oracle_cases())
-def test_round_oracle_is_bitwise_the_one_client_oracles(case):
-    problem, x = case
+def _sparse_case(n_examples, dim, n_clients, seed):
+    """A logistic problem on the CSR side of the density rule, its first row all zeros, and a point."""
+    g = SeededRng(seed).generator()
+    features, labels = make_synthetic(SyntheticSpec(n_examples, dim, seed, scale=3.0))
+    features[g.random(features.shape) >= 0.1] = 0.0
+    features[0] = 0.0
+    problem = build_problem(features, labels, n_clients, 0.1, seed)
+    assert problem.sparse is not None
+    return problem, g.standard_normal(dim) * 3.0
+
+
+# (examples, dim, clients, seed): d = 1, one client, and shard sizes that differ (N mod n != 0) among them.
+SPARSE_CASES = [(30, 1, 4, 2), (9, 7, 1, 2), (23, 5, 4, 6), (41, 50, 12, 4), (300, 20, 7, 4)]
+
+
+def _assert_round_oracle_is_the_client_oracles(problem, x):
     f, grads = _round_oracle(problem, x)
     n = problem.n_clients
     values = [client_loss(problem, i, x) for i in range(n)]
@@ -203,9 +225,70 @@ def test_round_oracle_is_bitwise_the_one_client_oracles(case):
     assert grads.shape == expected.shape and _bits(grads) == _bits(expected)
 
 
+@settings(max_examples=150, deadline=None)
+@given(oracle_cases())
+def test_round_oracle_is_bitwise_the_one_client_oracles(case):
+    _assert_round_oracle_is_the_client_oracles(*case)
+
+
+@pytest.mark.parametrize("case", SPARSE_CASES)
+def test_round_oracle_on_sparse_rows_is_bitwise_the_one_client_oracles(case):
+    _assert_round_oracle_is_the_client_oracles(*_sparse_case(*case))
+
+
+@pytest.mark.parametrize("case", SPARSE_CASES)
+def test_sparse_rows_agree_with_the_dense_helpers_on_the_same_shards(case):
+    problem, x = _sparse_case(*case)
+    f, grads = _round_oracle(problem, x)
+    s = problem.sparse
+    margins = _margins(s.matrix, s.labels, np.tile(x, problem.n_clients))
+    values = []
+    for i, shard in enumerate(problem.shards):
+        z = _margins(shard.features, shard.labels, x)
+        rows = slice(s.offsets[i], s.offsets[i + 1])
+        # Within 1e-12 of the sum of the magnitudes of the terms each entry adds up.
+        assert np.all(np.abs(margins[rows] - z) <= 1e-12 * (np.abs(shard.features) @ np.abs(x)))
+        penalty = _regularizer_gradient(problem.lam, x)
+        scale = np.abs(shard.features).T @ expit(-z) / z.size + np.abs(penalty)
+        assert np.all(np.abs(grads[i] - (_margin_gradient(shard.features, shard.labels, z) + penalty)) <= 1e-12 * scale)
+        values.append(float(_margin_loss(z)) + _regularizer(problem.lam, x))
+    assert f == pytest.approx(sum(values) / problem.n_clients, rel=1e-12)
+    got = smoothness(problem)
+    want = smoothness(Problem(problem.kind, problem.dim, problem.lam, problem.n_clients, problem.groups))  # dense rows only
+    assert (got.l_minus, got.l_plus) == pytest.approx((want.l_minus, want.l_plus), rel=1e-12)
+
+
+def _sparse_oracle_digest() -> str:
+    """sha256 of the round oracle's f and gradient bytes on every SPARSE_CASES problem."""
+    digest = hashlib.sha256()
+    for case in SPARSE_CASES:
+        f, grads = _round_oracle(*_sparse_case(*case))
+        digest.update(_bits(f) + _bits(grads))
+    return digest.hexdigest()
+
+
+def _has_avx2() -> bool:
+    cpuinfo = Path("/proc/cpuinfo")
+    return "avx2" in (cpuinfo.read_text() if cpuinfo.exists() else "")
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"), reason="forces OpenBLAS's x86-64 kernels")
+@pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+def test_sparse_round_oracle_bits_do_not_depend_on_the_blas_kernel(coretype):
+    if coretype == "Haswell" and not _has_avx2():
+        pytest.skip("needs an x86-64 CPU with AVX2 to force OpenBLAS's Haswell kernel")
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", "import test_problems; print(test_problems._sparse_oracle_digest())"],
+        env=dict(os.environ, OPENBLAS_CORETYPE=coretype, PYTHONPATH=path), capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == _sparse_oracle_digest()
+
+
 @pytest.mark.skipif(
-    platform.machine() not in ("x86_64", "AMD64")
-    or "avx2" not in (Path("/proc/cpuinfo").read_text() if Path("/proc/cpuinfo").exists() else ""),
+    platform.machine() not in ("x86_64", "AMD64") or not _has_avx2(),
     reason="needs an x86-64 CPU with AVX2 to force OpenBLAS's Haswell kernel",
 )
 def test_round_oracle_property_holds_under_the_haswell_blas_kernel():
@@ -251,6 +334,12 @@ def test_every_shard_is_a_view_into_its_group(n_examples, n_clients):
             assert np.shares_memory(shard.features, g.features[j]) and np.shares_memory(shard.labels, g.labels[j])
             seen.append(int(i))
     assert sorted(seen) == list(range(n_clients))
+
+
+@pytest.mark.parametrize("sizes", [[2, 2], [3, 3], [5, 0], [6, -1], []])
+def test_partitioned_rejects_sizes_that_do_not_cover_the_rows(sizes):
+    with pytest.raises(ValueError, match=re.escape(f"shard sizes {sizes} must each be >= 1 and add up to the 5 rows")):
+        Problem.partitioned(np.ones((5, 2)), np.ones(5), sizes, 0.1)
 
 
 @pytest.mark.parametrize("layout", ["int64", "fortran"])
