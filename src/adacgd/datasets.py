@@ -238,7 +238,7 @@ def partition(examples: Sequence, n: int, seed: int) -> Partition:
     if n > count:
         raise ValueError(f"cannot split {count} examples into {n} shards")
     order = SeededRng(seed, _PARTITION_STREAM).generator().permutation(count)
-    return Partition(tuple(tuple(int(j) for j in block) for block in np.array_split(order, n)), seed)
+    return Partition(tuple(tuple(block.tolist()) for block in np.array_split(order, n)), seed)
 
 
 def to_dense(rows: LibsvmRows, dim: int, order: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
