@@ -35,6 +35,7 @@ from .datasets import (
     LibsvmRows,
     Partition,
     SyntheticSpec,
+    build_libsvm_problem,
     build_problem,
     format_example,
     make_synthetic,

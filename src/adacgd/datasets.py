@@ -18,14 +18,14 @@ the first bad line.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 from scipy.special import expit
 
 from .core import SeededRng
-from .problems import Problem
+from .problems import LOGISTIC, Problem, _mostly_zero, _sparse_rows
 
 _PARTITION_STREAM = 101
 _SYNTHETIC_STREAM = 102
@@ -241,15 +241,19 @@ def partition(examples: Sequence, n: int, seed: int) -> Partition:
     return Partition(tuple(tuple(block.tolist()) for block in np.array_split(order, n)), seed)
 
 
+def _check_dim(rows: LibsvmRows, dim: int) -> None:
+    over = rows.indices > dim
+    if over.any():
+        raise ValueError(f"feature index {rows.indices[over.argmax()]} exceeds dimension {dim}")
+
+
 def to_dense(rows: LibsvmRows, dim: int, order: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
     """Materialize rows as a dense (N, dim) matrix and a label vector.
 
     Row i of both is ``rows[i]``, or ``rows[order[i]]`` when a permutation
     ``order`` is given.
     """
-    over = rows.indices > dim
-    if over.any():
-        raise ValueError(f"feature index {rows.indices[over.argmax()]} exceeds dimension {dim}")
+    _check_dim(rows, dim)
     n = len(rows)
     position = np.arange(n)  # the output row of each input row
     if order is not None:
@@ -335,14 +339,27 @@ def build_libsvm_problem(
 ) -> Problem:
     """``build_problem(*to_dense(rows, dim), n_clients, lam, seed, scale_features)``, bit for bit.
 
-    The rows are densified straight into client order, so no dense row is
-    moved afterwards.
+    Features are scaled on the entries: the column maxima come from them,
+    and each value is divided once, as on the dense matrix. Rows that are
+    then at most 1/8 nonzero are gathered straight into client order as
+    CSR entries and never densified. Denser rows are densified straight
+    into client order, so no dense row is moved afterwards.
     """
+    _check_dim(rows, dim)
     order, sizes = _client_order(rows.labels, n_clients, seed)
-    features, labels = to_dense(rows, dim, order)
-    if scale_features:
-        features = max_abs_scale(features)
-    return Problem.partitioned(features, labels, sizes, lam)
+    if scale_features:  # max_abs_scale, on the entries
+        scale = np.zeros(dim)
+        np.maximum.at(scale, rows.indices - 1, np.abs(rows.values))
+        scale[scale == 0.0] = 1.0
+        rows = replace(rows, values=rows.values / scale[rows.indices - 1])
+    if not _mostly_zero(np.count_nonzero(rows.values), len(rows) * dim):
+        return Problem.partitioned(*to_dense(rows, dim, order), sizes, lam)
+    counts = np.diff(rows.offsets)[order]
+    ends = np.cumsum(counts)
+    take = np.repeat(rows.offsets[order] - (ends - counts), counts)  # row order[r]'s entries, in index order
+    take += np.arange(take.size)
+    sparse = _sparse_rows(counts, rows.indices[take] - 1, rows.values[take], rows.labels[order], sizes, dim)
+    return Problem(LOGISTIC, dim, lam, n_clients, sparse=sparse)
 
 
 @dataclass(frozen=True)

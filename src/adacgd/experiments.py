@@ -600,13 +600,13 @@ def problem_digest(problem: Problem) -> str:
 
     Covers the kind, lam, and every shard's features and labels in client
     order (so feature scaling and the partition count), or the quadratic
-    diagonal.
+    diagonal. A sparse problem's shards are densified one at a time.
     """
     h = hashlib.sha256(f"{problem.kind}|{float(problem.lam)!r}".encode())
     if problem.kind == QUADRATIC:
         arrays = [problem.diagonal]
     else:
-        arrays = [a for shard in problem.shards for a in (shard.features, shard.labels)]
+        arrays = (a for shard in problem.shards for a in (shard.features, shard.labels))
     for a in arrays:
         h.update(repr(a.shape).encode())
         h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())

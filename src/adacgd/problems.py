@@ -7,8 +7,9 @@ lam * sum_j x_j^2 / (1 + x_j^2). A problem holds all rows once, in client
 order; consecutive clients with one shard size form a group, a stacked
 (clients, examples, dim) view of those rows, so the round oracle makes one
 batched product per group. Each Shard is a row view into its group. Rows
-that are mostly zeros, as LIBSVM data usually is, are also kept in CSR
-form, and the round oracle then multiplies only their nonzeros.
+that are mostly zeros, as LIBSVM data usually is, are kept in CSR form
+instead: the round oracle multiplies only their nonzeros, and a shard is
+densified from its client's block only when it is read.
 Quadratic problems replicate one diagonal quadratic across all clients,
 which pins exact smoothness and curvature constants for rate tests.
 """
@@ -16,15 +17,18 @@ which pins exact smoothness and curvature constants for rate tests.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import groupby
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-from scipy.sparse import csc_array, csr_array
 from scipy.special import expit
 
 from .core import as_vector, mean_ascending
+
+if TYPE_CHECKING:  # scipy.sparse is imported only when a problem is built sparse
+    from scipy.sparse import csc_array, csr_array
 
 LOGISTIC = "logistic_nonconvex"
 QUADRATIC = "quadratic"
@@ -70,10 +74,10 @@ class ShardGroup:
     labels: np.ndarray  # (g, examples)
 
 
-# Client-ordered rows with at most this fraction of nonzeros are also kept in
+# Client-ordered rows with at most this fraction of nonzeros are kept only in
 # CSR form (SparseRows), and the round oracle multiplies only the nonzeros;
-# denser rows take the batched BLAS products alone. Per round oracle call with
-# 20 clients of m rows, BLAS vs CSR in µs at 5%, 12.5%, 20% and 30% nonzero
+# denser rows are kept densely and take the batched BLAS products. Per round
+# oracle call with 20 clients of m rows, BLAS vs CSR in µs at 5%, 12.5%, 20% and 30% nonzero
 # (NumPy 2.4.6, SciPy 1.17.1, OpenBLAS 0.3.31, one core of a 2-vCPU AVX-512
 # VM): d=50 m=50 82/77, 89/79, 79/87, 76/160; d=123 m=50 113/86, 107/100,
 # 99/120, 103/200; d=50 m=1000 1687/1710, 1872/1449, 1561/1616, 1931/2207;
@@ -85,6 +89,22 @@ class ShardGroup:
 _SPARSE_MAX_DENSITY = 0.125
 # Rows are scanned for nonzeros about this many entries at a time.
 _SCAN_ELEMENTS = 1 << 16
+
+
+def _runs(sizes: Sequence[int]) -> tuple[tuple[int, int, int, int], ...]:
+    """(first client, first row, clients, rows each) for each run of consecutive clients with one shard size."""
+    runs = []
+    client = row = 0
+    for m, run in groupby(sizes):
+        g = len(list(run))
+        runs.append((client, row, g, m))
+        client, row = client + g, row + g * m
+    return tuple(runs)
+
+
+def _mostly_zero(nonzeros: int, entries: int) -> bool:
+    """Whether rows with this many nonzeros out of this many entries are kept in CSR form."""
+    return nonzeros <= _SPARSE_MAX_DENSITY * entries
 
 
 @dataclass(frozen=True)
@@ -104,69 +124,124 @@ class SparseRows:
     offsets: np.ndarray  # (n + 1,)
     transposed: csc_array = field(init=False, repr=False)  # matrix.T, a view, made once
     shard_sizes: np.ndarray = field(init=False, repr=False)  # (n, 1) float64 row counts
+    runs: tuple[tuple[int, int, int, int], ...] = field(init=False, repr=False)  # _runs of the shard sizes
 
     def __post_init__(self) -> None:
+        sizes = np.diff(self.offsets)
         object.__setattr__(self, "transposed", self.matrix.T)
-        object.__setattr__(self, "shard_sizes", np.diff(self.offsets).astype(np.float64)[:, None])
+        object.__setattr__(self, "shard_sizes", sizes.astype(np.float64)[:, None])
+        object.__setattr__(self, "runs", _runs(sizes.tolist()))
 
     def block(self, i: int) -> csr_array:
         """Client i's (m_i, d) rows, holding their entries in ``matrix``'s order."""
         d = self.matrix.shape[1] // (self.offsets.size - 1)
         return self.matrix[self.offsets[i] : self.offsets[i + 1], i * d : (i + 1) * d]
 
+    def client_labels(self, i: int) -> np.ndarray:
+        return self.labels[self.offsets[i] : self.offsets[i + 1]]
 
-def _sparse_rows(features: np.ndarray, labels: np.ndarray, sizes: Sequence[int]) -> Optional[SparseRows]:
-    """The CSR form of client-ordered rows, or None when they are denser than _SPARSE_MAX_DENSITY.
+
+class _DensifiedShards(Sequence):
+    """A sparse problem's shards: ``[i]`` densifies client i's CSR block each time it is read, and keeps nothing.
+
+    Made once per problem, after the checks ``Shard`` makes on dense rows.
+    """
+
+    def __init__(self, rows: SparseRows, n_clients: int, dim: int):
+        n_rows = rows.labels.shape[0]
+        sizes = np.diff(rows.offsets)
+        fits = sizes.shape == (n_clients,) and rows.offsets[0] == 0 and rows.offsets[-1] == n_rows
+        if not fits or rows.matrix.shape != (n_rows, n_clients * dim):
+            raise ValueError(f"sparse rows of shape {rows.matrix.shape} do not fit {n_clients} clients of dim {dim}")
+        if np.any(sizes < 1):
+            raise ValueError("shard must contain at least one example")
+        if not np.all(np.isfinite(rows.matrix.data)):
+            raise ValueError("shard features contain non-finite values")
+        if not np.all(np.isin(rows.labels, (-1.0, 1.0))):
+            raise ValueError("labels must be -1 or +1")
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return self._rows.offsets.size - 1
+
+    def __getitem__(self, i: int) -> Shard:
+        i = range(len(self))[i]  # negative i counts from the end; out of range raises IndexError
+        return Shard(self._rows.block(i).toarray(), self._rows.client_labels(i))
+
+
+def _nonzero_entries(features: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Each row's nonzero count, column indices and values, or None when the rows are not mostly zero.
 
     The rows are read in blocks of about _SCAN_ELEMENTS entries, so beside
-    the matrix itself no temporary array grows with the data.
+    the entries themselves no temporary array grows with the data.
     """
     n_rows, d = features.shape
     step = max(1, _SCAN_ELEMENTS // max(d, 1))
     blocks = [features[r : r + step] for r in range(0, n_rows, step)]
     counts = [np.count_nonzero(b != 0.0) for b in blocks]
     nnz = sum(counts)
-    if nnz > _SPARSE_MAX_DENSITY * features.size:
+    if not _mostly_zero(nnz, features.size):
         return None
-    index = np.int32 if max(nnz, len(sizes) * d) <= np.iinfo(np.int32).max else np.int64
-    data = np.empty(nnz)
-    columns = np.empty(nnz, dtype=index)
-    row_counts = np.empty(n_rows, dtype=index)
-    first = np.repeat(np.arange(len(sizes)) * d, sizes)  # the column of each row's client's first feature
+    values = np.empty(nnz)
+    columns = np.empty(nnz, dtype=np.intp)
+    row_counts = np.empty(n_rows, dtype=np.intp)
     at = 0
     for r, b, k in zip(range(0, n_rows, step), blocks, counts):
         flat = np.flatnonzero(b != 0.0)
         row, col = np.divmod(flat, d)
-        data[at : at + k] = b.ravel()[flat]
-        columns[at : at + k] = first[r + row] + col
+        columns[at : at + k] = col
+        values[at : at + k] = b.ravel()[flat]
         row_counts[r : r + b.shape[0]] = np.bincount(row, minlength=b.shape[0])
         at += k
+    return row_counts, columns, values
+
+
+def _sparse_rows(
+    row_counts: np.ndarray, columns: np.ndarray, values: np.ndarray, labels: np.ndarray, sizes: Sequence[int], dim: int
+) -> SparseRows:
+    """The CSR form of client-ordered rows given by their entries: the one builder of SparseRows.
+
+    Row r holds the next ``row_counts[r]`` entries of ``columns`` (0-based,
+    ascending within the row) and ``values``; client i holds the next
+    sizes[i] rows. The caller decides that the rows are mostly zero.
+    Explicit zeros are dropped, and each column moves into its client's
+    block of ``dim`` columns. Indices are int32 when the entry count and the
+    column count fit, else int64.
+    """
+    from scipy.sparse import csr_array
+
+    keep = values != 0.0
+    if not keep.all():
+        rows = np.repeat(np.arange(row_counts.size), row_counts)[keep]
+        row_counts = np.bincount(rows, minlength=row_counts.size)
+        columns, values = columns[keep], values[keep]
+    nnz, n = values.size, len(sizes)
+    index = np.int32 if max(nnz, n * dim) <= np.iinfo(np.int32).max else np.int64
+    first = np.repeat(np.arange(n, dtype=index) * dim, sizes)  # the column of each row's client's first feature
+    indices = np.repeat(first, row_counts)
+    indices += columns
     indptr = np.concatenate((np.zeros(1, dtype=index), np.cumsum(row_counts, dtype=index)))
-    matrix = csr_array((data, columns, indptr), shape=(n_rows, len(sizes) * d))
+    matrix = csr_array((values, indices, indptr), shape=(row_counts.size, n * dim))
     return SparseRows(matrix, labels, np.concatenate(([0], np.cumsum(sizes))))
 
 
 def _stack(features: np.ndarray, labels: np.ndarray, sizes: Sequence[int]) -> tuple[ShardGroup, ...]:
     """One group per run of consecutive clients with equal shard sizes, each a view of the arrays."""
-    groups = []
-    client = row = 0
-    for m, run in groupby(sizes):
-        g = len(list(run))
-        rows = slice(row, row + g * m)
-        group_features = features[rows].reshape(g, m, features.shape[1])
-        groups.append(ShardGroup(np.arange(client, client + g), group_features, labels[rows].reshape(g, m)))
-        client, row = client + g, row + g * m
-    return tuple(groups)
+    return tuple(
+        ShardGroup(np.arange(client, client + g), features[row : row + g * m].reshape(g, m, features.shape[1]),
+                   labels[row : row + g * m].reshape(g, m))
+        for client, row, g, m in _runs(sizes)
+    )
 
 
 @dataclass(frozen=True)
 class Problem:
     """Finite-sum objective f = (1/n) sum_i f_i with per-client gradient oracles.
 
-    A logistic problem holds its rows once, in client order: each of its
-    ``groups`` is a view of them, and ``shards[i]`` is client i's row view
-    into its group. A mostly-zero one also holds them as ``sparse``, which
-    the oracles then use in place of the dense rows.
+    A logistic problem holds its rows once, in client order. Dense rows are
+    its ``groups``, and ``shards[i]`` is client i's row view into its group.
+    Mostly-zero rows are held only as ``sparse``, and ``shards[i]`` densifies
+    client i's block each time it is read.
     """
 
     kind: str
@@ -176,7 +251,7 @@ class Problem:
     groups: tuple[ShardGroup, ...] = ()
     diagonal: Optional[np.ndarray] = None
     sparse: Optional[SparseRows] = None
-    shards: tuple[Shard, ...] = field(init=False, default=())
+    shards: Sequence[Shard] = field(init=False, default=())
 
     def __post_init__(self) -> None:
         _check_lam(self.lam)
@@ -184,7 +259,11 @@ class Problem:
             raise ValueError(f"problem dimension must be >= 1, got {self.dim}")
         if self.n_clients < 1:
             raise ValueError("need at least one client")
-        if self.kind == LOGISTIC:
+        if self.kind == LOGISTIC and self.sparse is not None:
+            if self.groups:
+                raise ValueError("a logistic problem holds its rows as dense groups or as sparse rows, not both")
+            object.__setattr__(self, "shards", _DensifiedShards(self.sparse, self.n_clients, self.dim))
+        elif self.kind == LOGISTIC:
             if sorted(int(i) for g in self.groups for i in g.clients) != list(range(self.n_clients)):
                 raise ValueError("logistic problem needs one shard per client")
             shards = [None] * self.n_clients
@@ -208,9 +287,10 @@ class Problem:
     def partitioned(features: np.ndarray, labels: np.ndarray, sizes: Sequence[int], lam: float) -> "Problem":
         """Logistic problem over rows in client order: client i holds the next sizes[i] rows.
 
-        C-contiguous float64 arrays become the problem's storage as they are;
-        any others are converted to that form once, here. Rows that are at
-        most _SPARSE_MAX_DENSITY nonzero are also kept as ``sparse``.
+        Rows that are at most _SPARSE_MAX_DENSITY nonzero are kept only in
+        CSR form, as ``sparse``. Denser ones are kept densely: C-contiguous
+        float64 arrays become the problem's storage as they are, and any
+        others are converted to that form once, here.
         """
         features = np.ascontiguousarray(features, dtype=np.float64)
         labels = np.ascontiguousarray(labels, dtype=np.float64)
@@ -219,10 +299,11 @@ class Problem:
         sizes = list(sizes)
         if min(sizes, default=0) < 1 or sum(sizes) != features.shape[0]:
             raise ValueError(f"shard sizes {sizes} must each be >= 1 and add up to the {features.shape[0]} rows")
-        return Problem(
-            LOGISTIC, features.shape[1], lam, len(sizes), _stack(features, labels, sizes),
-            sparse=_sparse_rows(features, labels, sizes),
-        )
+        d = features.shape[1]
+        entries = _nonzero_entries(features)
+        if entries is None:
+            return Problem(LOGISTIC, d, lam, len(sizes), _stack(features, labels, sizes))
+        return Problem(LOGISTIC, d, lam, len(sizes), sparse=_sparse_rows(*entries, labels, sizes, d))
 
     @staticmethod
     def quadratic(diagonal, n_clients: int = 1) -> "Problem":
@@ -295,8 +376,10 @@ def _margin_gradient(features: np.ndarray, labels: np.ndarray, z: np.ndarray) ->
 
 def _client_rows(p: Problem, i: int):
     """Client i's features, its CSR block of ``p.sparse`` when there is one, and its labels."""
-    shard = p.shards[i]
-    return (shard.features if p.sparse is None else p.sparse.block(i)), shard.labels
+    if p.sparse is None:
+        shard = p.shards[i]
+        return shard.features, shard.labels
+    return p.sparse.block(i), p.sparse.client_labels(i)
 
 
 def client_loss(p: Problem, i: int, x) -> float:
@@ -334,9 +417,10 @@ def _round_oracle(p: Problem, x: np.ndarray) -> tuple[float, np.ndarray]:
     so the results are bitwise equal to the client-order mean of
     ``client_loss`` and to the stacked ``client_gradient`` rows.
     A problem with ``sparse`` rows instead makes one CSR product for all
-    margins and one for all gradients; each row's and each gradient entry's
-    sum runs over the same nonzeros in the same order as on the client's
-    own block, so the same property holds.
+    margins and one for all gradients, and reduces the losses of each run
+    of equal shard sizes as one (clients, m) slice of the margins. Each
+    row's and each gradient entry's sum runs over the same nonzeros in the
+    same order as on the client's own block, so the same property holds.
     tests/test_problems.py checks this property.
     """
     n = p.n_clients
@@ -352,9 +436,8 @@ def _round_oracle(p: Problem, x: np.ndarray) -> tuple[float, np.ndarray]:
             grads[g.clients] = _margin_gradient(g.features, g.labels, z)
     else:
         z = _margins(s.matrix, s.labels, np.tile(x, n))
-        for g in p.groups:
-            start = s.offsets[g.clients[0]]
-            values[g.clients] = _margin_loss(z[start : start + g.labels.size].reshape(g.labels.shape))
+        for client, row, g, m in s.runs:
+            values[client : client + g] = _margin_loss(z[row : row + g * m].reshape(g, m))
         grads[:] = (s.transposed @ _margin_weights(s.labels, z)).reshape(n, p.dim) / s.shard_sizes
     values += _regularizer(p.lam, x)
     grads += _regularizer_gradient(p.lam, x)

@@ -1,4 +1,5 @@
 import runpy
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -13,6 +14,7 @@ from adacgd.datasets import (
     LibsvmParseError,
     LibsvmRows,
     SyntheticSpec,
+    build_libsvm_problem,
     build_problem,
     format_example,
     make_synthetic,
@@ -337,3 +339,94 @@ def test_parser_matches_the_reference_on_a_benchmark_file(tmp_path):
     features, labels = to_dense(rows, dim)
     assert dim == dim_written and len(rows) == rows_written
     assert features.tobytes() == ref_features.tobytes() and labels.tobytes() == ref_labels.tobytes()
+
+
+def _rows_text(n_rows, entries):
+    """LIBSVM text of n_rows rows; row r holds ``entries.get(r, "")``, e.g. "2:1.5 7:-0"."""
+    return "".join(f"{'+1' if r % 3 else '-1'} {entries.get(r, '')}".rstrip() + "\n" for r in range(n_rows))
+
+
+def _spread(n_rows, dim, per_row, every):
+    """Entries for every ``every``-th row, ``per_row`` indices each, and the last row's at 1 and at dim."""
+    entries = {
+        r: " ".join(f"{j}:{(r * 7 + j) % 9 - 4}.5" for j in sorted({(r * 5 + k * 3) % dim + 1 for k in range(per_row)}))
+        for r in range(0, n_rows, every)
+    }
+    entries[n_rows - 1] = f"1:0.5 {dim}:2.5"
+    return entries
+
+
+# name: (text, n_clients, scale_features, held in CSR form)
+_BOUNDARY = {r: f"{r % 4 + 1}:1.5" for r in range(8)}  # 8 nonzeros in 16 rows of d = 4: exactly 1/8
+_ZEROS = {**_spread(30, 12, 2, 3), 4: "2:0 3:-0 9:1", 7: "1:-0.0 12:0.0"}
+DIRECT_BUILD_CASES = {
+    "uneven-shards": (_rows_text(23, _spread(23, 16, 2, 2)), 4, False, True),
+    "uneven-shards-scaled": (_rows_text(23, _spread(23, 16, 2, 2)), 4, True, True),
+    "zero-rows-and-an-all-zero-client": (_rows_text(20, {3: "1:2 5:-1", 11: "2:0.25 6:8"}), 5, False, True),
+    "d1-one-client": (_rows_text(17, {2: "1:3", 9: "1:-0.5"}), 1, False, True),
+    "d1-one-client-scaled": (_rows_text(17, {2: "1:3", 9: "1:-0.5"}), 1, True, True),
+    "explicit-and-negative-zeros": (_rows_text(30, _ZEROS), 3, False, True),
+    "explicit-and-negative-zeros-scaled": (_rows_text(30, _ZEROS), 3, True, True),
+    "all-zero-column-scaled": (_rows_text(24, {0: "1:2 8:1", 5: "3:0 8:-4", 13: "1:-1", 19: "2:7"}), 4, True, True),
+    "value-scaling-to-zero": (_rows_text(24, {0: "1:1e300 8:1", 5: "1:1e-320 2:3", 13: "8:-1"}), 3, True, True),
+    "boundary": (_rows_text(16, _BOUNDARY), 2, False, True),
+    "boundary-plus-one": (_rows_text(16, {**_BOUNDARY, 9: "2:-3"}), 2, False, False),
+    "boundary-plus-one-scaled": (_rows_text(16, {**_BOUNDARY, 9: "2:-3"}), 2, True, False),
+    # The ninth nonzero is 1e-320 under a column maximum of 1e300: it scales to 0, and the rows stay CSR.
+    "boundary-plus-an-underflow-scaled": (_rows_text(16, {**_BOUNDARY, 0: "1:1e300", 9: "1:1e-320"}), 2, True, True),
+    "boundary-plus-an-underflow-unscaled": (_rows_text(16, {**_BOUNDARY, 0: "1:1e300", 9: "1:1e-320"}), 2, False, False),
+}
+# Unscaled, 1e300 squared overflows the smoothness bound, so no stepsize exists and nothing is run.
+_NOT_RUN = {"boundary-plus-an-underflow-unscaled"}
+
+
+@pytest.mark.parametrize("name", DIRECT_BUILD_CASES)
+def test_direct_build_is_the_dense_entry(tmp_path, monkeypatch, name):
+    """build_libsvm_problem(*parse_libsvm(text)) against build_problem(*to_dense(*parse_libsvm(text))).
+
+    Same storage, same CSR arrays and index dtypes, the same densified shards
+    byte for byte, and the same run files.
+    """
+    from adacgd import experiments
+
+    text, n_clients, scale, sparse = DIRECT_BUILD_CASES[name]
+    rows, dim = parse_libsvm(text)
+    assert rows.indices.max() == dim  # the largest index is the dimension
+    direct = build_libsvm_problem(rows, dim, n_clients, 0.1, 3, scale)
+    dense = build_problem(*to_dense(rows, dim), n_clients, 0.1, 3, scale_features=scale)
+    assert (direct.sparse is not None) == (dense.sparse is not None) == sparse
+    if sparse:
+        assert direct.groups == dense.groups == ()
+        for a, b in [(direct.sparse.matrix.data, dense.sparse.matrix.data),
+                     (direct.sparse.matrix.indices, dense.sparse.matrix.indices),
+                     (direct.sparse.matrix.indptr, dense.sparse.matrix.indptr),
+                     (direct.sparse.labels, dense.sparse.labels), (direct.sparse.offsets, dense.sparse.offsets)]:
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert direct.sparse.matrix.indices.dtype == np.int32
+        assert 0.0 not in direct.sparse.matrix.data  # explicit zeros, -0 and values that scale to 0 are dropped
+    assert len(direct.shards) == len(dense.shards) == n_clients
+    for a, b in zip(direct.shards, dense.shards):
+        assert a.features.tobytes() == b.features.tobytes() and a.labels.tobytes() == b.labels.tobytes()
+    if name in _NOT_RUN:
+        return
+    path = tmp_path / "rows.svm"
+    path.write_text(text)
+    config = experiments.RunConfig(dataset=str(path), n_clients=n_clients, methods=("gd", "ef21:k=1"), multipliers=(1.0,),
+                                   max_rounds=6, seed=3, scale_features=scale, out_dir=str(tmp_path / "direct"))
+    experiments.run_experiment(config)
+    build = experiments.build_dataset
+    monkeypatch.setattr(experiments, "build_dataset", lambda config: (dense, build(config)[1]))
+    experiments.run_experiment(replace(config, out_dir=str(tmp_path / "dense")))
+    written = {p.name: p.read_bytes() for p in sorted((tmp_path / "direct").iterdir())}
+    assert len(written) == 3
+    assert written == {p.name: p.read_bytes() for p in sorted((tmp_path / "dense").iterdir())}
+
+
+def test_direct_build_rejects_what_the_dense_entry_rejects():
+    rows, dim = parse_libsvm("+1 1:1\n-1 3:2\n+1\n-1\n+1\n-1\n+1\n-1\n+1\n-1\n")
+    with pytest.raises(ValueError, match="feature index 3 exceeds dimension 2"):
+        build_libsvm_problem(rows, 2, 2, 0.1, 0)
+    with pytest.raises(ValueError, match="dimension must be >= 1"):
+        build_libsvm_problem(*parse_libsvm("+1\n-1\n"), 1, 0.1, 0)
+    with pytest.raises(ValueError, match="cannot split 10 examples into 11 shards"):
+        build_libsvm_problem(rows, dim, 11, 0.1, 0)

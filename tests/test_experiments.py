@@ -1,6 +1,10 @@
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -911,3 +915,47 @@ def test_load_reference_names_the_file_and_the_bad_key(tmp_path, how, message):
     _damage_reference(path, how)
     with pytest.raises(ValueError, match=f"^reference cache {re.escape(str(path))}{message}"):
         load_reference(path)
+
+
+_SPARSE_IMPORT_PROBE = """
+import sys
+from adacgd.experiments import RunConfig, run_experiment
+from adacgd.problems import Problem
+run_experiment(RunConfig(dataset="synthetic:n=40,d=6,seed=2", n_clients=4, methods=("gd", "ef21:k=2"),
+                         multipliers=(1.0,), max_rounds=5, out_dir=sys.argv[1]))
+print("scipy.sparse" in sys.modules)
+Problem.partitioned([[0.0] * 8 + [1.0], [0.0] * 9], [1.0, -1.0], [1, 1], 0.1)  # rows 1/18 nonzero: CSR
+print("scipy.sparse" in sys.modules)
+"""
+
+
+def test_a_dense_sweep_does_not_import_scipy_sparse(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", _SPARSE_IMPORT_PROBE, str(tmp_path)], env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False", "True"]  # imported only once a problem is built sparse
+    assert len(list(tmp_path.glob("*.csv"))) == 3
+
+
+def test_a_mostly_zero_libsvm_file_is_never_densified(tmp_path):
+    """build_dataset on a file whose dense form is 41 MB traces a peak below a quarter of that."""
+    n_rows, dim = 2500, 2048
+    g = np.random.default_rng(5)
+    lines = []
+    for r in range(n_rows):
+        indices = np.sort(g.choice(dim, size=int(g.integers(1, 16)), replace=False)) + 1
+        lines.append(("+1 " if r % 2 else "-1 ") + " ".join(f"{j}:{g.integers(1, 999) / 8}" for j in indices.tolist()))
+    path = tmp_path / "wide.svm"
+    path.write_text("\n".join(lines) + "\n")
+    dense_bytes = n_rows * dim * 8
+    assert dense_bytes >= 40e6
+    tracemalloc.start()
+    try:
+        problem, _ = build_dataset(RunConfig(dataset=str(path), n_clients=20, scale_features=True))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < dense_bytes / 4, f"traced peak {peak / 1e6:.1f} MB"
+    assert problem.sparse is not None and problem.groups == () and problem.dim == dim

@@ -13,12 +13,13 @@ import hashlib
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from adacgd import experiments
 from adacgd.cli import main as cli_main
 from adacgd.compressors import AdaCGD, ContractorSpec
-from adacgd.datasets import build_problem, parse_libsvm, to_dense
+from adacgd.datasets import _client_order, build_problem, max_abs_scale, parse_libsvm, to_dense
 from adacgd.experiments import RunConfig, build_dataset, default_klist, run_experiment
 
 
@@ -101,7 +102,7 @@ def test_cli_output_files_are_pinned(tmp_path, monkeypatch, capsys, name):
 
 @pytest.mark.parametrize("scale_features", [False, True])
 def test_libsvm_file_writes_the_bytes_of_the_dense_entry(tmp_path, monkeypatch, scale_features):
-    """build_dataset puts LIBSVM rows in client order before it densifies them; that changes no byte."""
+    """build_dataset gathers LIBSVM rows into client order as CSR entries, never densely; that changes no byte."""
     path = tmp_path / "rows.svm"
     path.write_text(sparse_libsvm_text())
     config = RunConfig(dataset=str(path), n_clients=4, methods=("gd", "ef21:k=2", "adacgd:klist=1|4"), multipliers=(1.0, 4.0), max_rounds=15,
@@ -114,7 +115,13 @@ def test_libsvm_file_writes_the_bytes_of_the_dense_entry(tmp_path, monkeypatch, 
         dense = build_problem(*to_dense(*parse_libsvm(path.read_text())), config.n_clients, config.lam, config.seed,
                               scale_features=config.scale_features)
         assert problem.sparse is not None and dense.sparse is not None
-        for a, b in [(problem.groups[0].features.base, dense.groups[0].features.base),
+        assert len(problem.shards) == len(dense.shards) == config.n_clients
+        features, labels = to_dense(*parse_libsvm(path.read_text()))
+        order, _ = _client_order(labels, config.n_clients, config.seed)
+        rows = np.concatenate([shard.features for shard in problem.shards])
+        want = max_abs_scale(features) if config.scale_features else features
+        assert rows.tobytes() == want[order].tobytes()  # every densified value is the dense entry's
+        for a, b in [*((p.features, d.features) for p, d in zip(problem.shards, dense.shards)),  # densified blocks
                      (problem.sparse.matrix.data, dense.sparse.matrix.data),
                      (problem.sparse.matrix.indices, dense.sparse.matrix.indices),
                      (problem.sparse.matrix.indptr, dense.sparse.matrix.indptr)]:

@@ -13,8 +13,9 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import expit
 
 from adacgd.core import SeededRng, mean_ascending
-from adacgd.datasets import SyntheticSpec, build_problem, make_synthetic
+from adacgd.datasets import SyntheticSpec, _client_order, build_problem, make_synthetic
 from adacgd.problems import (
+    LOGISTIC,
     QUADRATIC,
     Problem,
     Shard,
@@ -24,6 +25,7 @@ from adacgd.problems import (
     _regularizer,
     _regularizer_gradient,
     _round_oracle,
+    _stack,
     check_gradient,
     client_gradient,
     client_loss,
@@ -199,14 +201,20 @@ def oracle_cases(draw):
     return problem, g.standard_normal(dim) * draw(st.sampled_from([0.1, 1.0, 30.0]))
 
 
-def _sparse_case(n_examples, dim, n_clients, seed):
-    """A logistic problem on the CSR side of the density rule, its first row all zeros, and a point."""
+def _sparse_data(n_examples, dim, seed):
+    """Rows about 10% nonzero, the first all zeros, their labels, and the generator that drew them."""
     g = SeededRng(seed).generator()
     features, labels = make_synthetic(SyntheticSpec(n_examples, dim, seed, scale=3.0))
     features[g.random(features.shape) >= 0.1] = 0.0
     features[0] = 0.0
+    return features, labels, g
+
+
+def _sparse_case(n_examples, dim, n_clients, seed):
+    """A logistic problem on the CSR side of the density rule, its first row all zeros, and a point."""
+    features, labels, g = _sparse_data(n_examples, dim, seed)
     problem = build_problem(features, labels, n_clients, 0.1, seed)
-    assert problem.sparse is not None
+    assert problem.sparse is not None and problem.groups == ()
     return problem, g.standard_normal(dim) * 3.0
 
 
@@ -253,8 +261,15 @@ def test_sparse_rows_agree_with_the_dense_helpers_on_the_same_shards(case):
         assert np.all(np.abs(grads[i] - (_margin_gradient(shard.features, shard.labels, z) + penalty)) <= 1e-12 * scale)
         values.append(float(_margin_loss(z)) + _regularizer(problem.lam, x))
     assert f == pytest.approx(sum(values) / problem.n_clients, rel=1e-12)
+    # The densified shards are the input rows in client order, every value;
+    # held as dense groups, they give the same smoothness.
+    features, labels, _ = _sparse_data(*case[:2], case[3])
+    order, sizes = _client_order(labels, problem.n_clients, case[3])
+    rows = np.concatenate([shard.features for shard in problem.shards])
+    assert _bits(rows) == _bits(features[order])
     got = smoothness(problem)
-    want = smoothness(Problem(problem.kind, problem.dim, problem.lam, problem.n_clients, problem.groups))  # dense rows only
+    dense = Problem(LOGISTIC, problem.dim, problem.lam, problem.n_clients, _stack(rows, labels[order], sizes))
+    want = smoothness(dense)
     assert (got.l_minus, got.l_plus) == pytest.approx((want.l_minus, want.l_plus), rel=1e-12)
 
 
@@ -340,6 +355,31 @@ def test_every_shard_is_a_view_into_its_group(n_examples, n_clients):
 def test_partitioned_rejects_sizes_that_do_not_cover_the_rows(sizes):
     with pytest.raises(ValueError, match=re.escape(f"shard sizes {sizes} must each be >= 1 and add up to the 5 rows")):
         Problem.partitioned(np.ones((5, 2)), np.ones(5), sizes, 0.1)
+
+
+@pytest.mark.parametrize("density", ["dense", "mostly-zero"])
+@pytest.mark.parametrize("fault, match", [("nan", "non-finite"), ("inf", "non-finite"), ("label", "labels must be -1 or")])
+def test_partitioned_rejects_bad_rows_in_either_form(density, fault, match):
+    features = np.ones((16, 4)) if density == "dense" else np.eye(16, 4)  # 4 of 64 entries nonzero
+    labels = np.ones(16)
+    if fault == "label":
+        labels[5] = 0.5
+    else:
+        features[5, 2] = float(fault)
+    with pytest.raises(ValueError, match=match):
+        Problem.partitioned(features, labels, [8, 8], 0.1)
+    if density == "mostly-zero":
+        features[5, 2], labels[5] = 0.0, 1.0
+        assert Problem.partitioned(features, labels, [8, 8], 0.1).sparse is not None
+
+
+def test_problem_holds_rows_as_groups_or_as_sparse_rows_not_both():
+    sparse = Problem.partitioned(np.eye(16, 4), np.ones(16), [8, 8], 0.1)
+    dense = Problem.partitioned(np.ones((16, 4)), np.ones(16), [8, 8], 0.1)
+    with pytest.raises(ValueError, match="as dense groups or as sparse rows, not both"):
+        Problem(LOGISTIC, 4, 0.1, 2, dense.groups, sparse=sparse.sparse)
+    with pytest.raises(ValueError, match=re.escape("sparse rows of shape (16, 8) do not fit 4 clients of dim 4")):
+        Problem(LOGISTIC, 4, 0.1, 4, sparse=sparse.sparse)
 
 
 @pytest.mark.parametrize("layout", ["int64", "fortran"])

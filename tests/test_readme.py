@@ -21,7 +21,7 @@ def test_readme_library_example_runs(capsys):
 
 
 def test_readme_libsvm_comment_runs_as_written():
-    call = re.search(r"# (build_problem\(\*to_dense\(\*parse_libsvm\(text\)\), )\.\.\.\)", README.read_text()).group(1)
+    call = re.search(r"# (build_libsvm_problem\(\*parse_libsvm\(text\), )\.\.\.\)", README.read_text()).group(1)
     text = "+1 1:1\n-1 2:1\n+1 1:0.5 2:2\n"
     problem = eval(call + "n_clients=2, lam=0.1, seed=0)", dict(vars(adacgd)), {"text": text})
     assert problem.dim == 2 and problem.n_clients == 2
