@@ -172,3 +172,47 @@ def test_highdim_sparsifier_sweep_is_pinned(tmp_path, init_mode):
     run_experiment(config, extra_specs={"adacgd_randk": randk})
     written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in sorted(tmp_path.iterdir())}
     assert written == HIGHDIM_PINS[init_mode]
+
+
+# One sweep in which every way a run can end happens inside one method's set of
+# multipliers: AdaCGD x3 stops on the bit budget, x10 on the tolerance, x20 at
+# max_rounds, and x100000 diverges at round 71 (its objective overflows) while
+# the others go on. gd ends on the budget, the tolerance and a divergence.
+DIVERGING_SWEEP = RunConfig(
+    dataset="quadratic:diag=0.5|1|3|6|9,n=3",
+    methods=("adacgd:klist=1|2", "gd"),
+    stepsize="manual:0.01",
+    multipliers=(3.0, 10.0, 20.0, 1e5),
+    max_rounds=100,
+    grad_tol_sq=1e-3,
+    bit_budget=60000,
+    seed=1,
+)
+DIVERGING_SWEEP_PINS = {
+    "adacgd_z1_x10.csv": "9ee39ea7f7ee7f5d5956c2ac27661897675afe4597a383ebe4e25ffe18da5cdd",
+    "adacgd_z1_x100000.csv": "f6a2a60efbb3d57dd0782c6967ac7ccb900e0f0a8fc6d85c6f8067cf1efaefae",
+    "adacgd_z1_x20.csv": "a4f238060958e5d3ac4571e9760237836c9362b5e612e93f0b2f59d5107a28ab",
+    "adacgd_z1_x3.csv": "eeacc3667841aafd43281c69c8a4d9e70075e070e4619613345b43240901edd4",
+    "gd_x10.csv": "c5c45fac33fe3f29c0297fcc238a7085aaf59c59c4ba815f18e840759c4bb5d5",
+    "gd_x100000.csv": "234d6c59a00a450612363efa7ba9f32db453d2fe4b4fc59095410a6477adec0f",
+    "gd_x20.csv": "7d1f7484b3db7a5dd53eeb62851da204c122fe148f6b44d8c8445e5d1b2ff089",
+    "gd_x3.csv": "524ec74e7057f4876ff481f1ea1db7418575f20fd26b6c49897c30d29177a916",
+    "summary.csv": "febf9edb1a1cc8fa9e81f77b4e479d62376b4eac7b0fe5106f635f7771790f70",
+}
+
+
+def test_sweep_with_a_diverging_multiplier_is_pinned(tmp_path):
+    result = run_experiment(replace(DIVERGING_SWEEP, out_dir=str(tmp_path)))
+    ends = {(e.method, e.multiplier): (e.status, e.rounds) for e in result.entries}
+    assert ends == {
+        ("adacgd_z1", 3.0): ("unreached", 91),  # 60289 bits after round 91
+        ("adacgd_z1", 10.0): ("reached", 48),
+        ("adacgd_z1", 20.0): ("unreached", 100),  # 55183 bits: max_rounds
+        ("adacgd_z1", 1e5): ("diverged", 70),
+        ("gd", 3.0): ("unreached", 46),
+        ("gd", 10.0): ("unreached", 46),
+        ("gd", 20.0): ("reached", 28),
+        ("gd", 1e5): ("diverged", 38),
+    }
+    written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in sorted(tmp_path.iterdir())}
+    assert written == DIVERGING_SWEEP_PINS
