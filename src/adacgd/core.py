@@ -36,12 +36,13 @@ def sqnorm(u: np.ndarray) -> float:
 
 
 def row_sqnorms(rows: np.ndarray) -> np.ndarray:
-    """Squared norm of each row of an (n, d) array.
+    """Squared norm of each row of an (..., d) array: (n, d) rows, or an (R, n, d) stack of them.
 
     One batched row dot: the same BLAS ddot per row as :func:`sqnorm`, so
-    entry i is bitwise ``sqnorm(rows[i])``.
+    each entry is bitwise ``sqnorm`` of its row, whatever leading axes the
+    row sits in.
     """
-    return np.matmul(rows[:, None, :], rows[:, :, None]).reshape(-1)
+    return np.matmul(rows[..., None, :], rows[..., :, None]).reshape(rows.shape[:-1])
 
 
 @dataclass(frozen=True)
@@ -142,14 +143,16 @@ def stream_generators(streams: Iterable[SeededRng]) -> Iterator[np.random.Genera
 
 
 def mean_ascending(rows: np.ndarray) -> np.ndarray:
-    """Mean of the rows of an (n, d) array, accumulated in ascending row order.
+    """Mean of the rows of an (n, d) array, accumulated in ascending row order;
+    of an (R, n, d) stack, each of its R (n, d) arrays' mean, as an (R, d) array.
 
-    Over axis 0 of a C-ordered array with d >= 2, ``np.add.reduce`` adds one
-    row at a time, its inner loop running along d. A single column would be
-    summed pairwise, so it is accumulated row by row instead. Adding 0.0
-    turns an all-negative-zero sum into +0.0, as a sum started from zeros
-    gives. A fixed order keeps results reproducible no matter how callers
-    schedule the per-worker computations.
+    Over the row axis of a C-ordered array with d >= 2, ``np.add.reduce`` adds
+    one row at a time, its inner loop running along d, for each leading index
+    alike. A single column would be summed pairwise, so it is accumulated row
+    by row instead. Adding 0.0 turns an all-negative-zero sum into +0.0, as a
+    sum started from zeros gives. A fixed order keeps results reproducible no
+    matter how callers schedule the per-worker computations, and makes each
+    mean of a stack bitwise the mean of its (n, d) array alone.
     """
-    total = np.add.reduce(rows, axis=0) if rows.shape[1] > 1 else np.add.accumulate(rows, axis=0)[-1]
-    return (total + 0.0) / rows.shape[0]
+    total = np.add.reduce(rows, axis=-2) if rows.shape[-1] > 1 else np.add.accumulate(rows, axis=-2)[..., -1, :]
+    return (total + 0.0) / rows.shape[-2]

@@ -3,18 +3,22 @@
 Each round the server broadcasts its gradient estimate, every worker steps
 the iterate, compresses its fresh gradient against (previous estimate,
 previous gradient), and the server aggregates and optionally re-compresses
-the mean for the downlink. The workers' estimates and gradients are held as
-(n, d) arrays whose row i is worker i. The worker rule maps the whole (n, d)
-stack in one call, row by row and each row independently of the others, and
-aggregation adds the rows in ascending worker order, so results do not
-depend on how the workers are scheduled.
+the mean for the downlink. The engine advances a stack of R runs that share
+a problem, worker rule, master rule, x0, seed and init mode and differ in
+their stepsizes, as a sweep's multipliers of one method do. The workers'
+estimates and gradients are held as (R, n, d) arrays whose row [r, i] is
+worker i of run r. The worker rule maps all R·n rows in one call, and the
+master rule all R broadcasts in another, row by row and each row
+independently of the others; aggregation adds the rows in ascending worker
+order. So results do not depend on how the workers are scheduled, and every
+run of a stack gives bitwise the results it gives alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -58,18 +62,30 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class EngineState:
-    """Everything the iteration carries across rounds, plus cumulative bits and the round's record inputs."""
+    """A stack of R runs after one round: everything the iteration carries, plus cumulative bits and record inputs.
 
-    x: np.ndarray
-    g_master: np.ndarray  # what workers will use to step
-    g_tilde_master: np.ndarray  # server-side aggregate of worker estimates
-    worker_estimates: np.ndarray  # (n, d); row i is worker i's estimate
-    worker_prev_grads: np.ndarray  # (n, d); row i is worker i's gradient at the current iterate
+    Row r of every array is run r; all runs are at the same round.
+    """
+
+    x: np.ndarray  # (R, d)
+    g_master: np.ndarray  # (R, d); what workers will use to step
+    g_tilde_master: np.ndarray  # (R, d); server-side aggregate of worker estimates
+    worker_estimates: np.ndarray  # (R, n, d); row [r, i] is worker i's estimate in run r
+    worker_prev_grads: np.ndarray  # (R, n, d); row [r, i] is worker i's gradient at run r's current iterate
     round: int
-    uplink_bits: int
-    downlink_bits: int
-    f_value: float  # objective at x
-    branch_histogram: tuple[int, ...]  # worker branches chosen this round; all zeros in round 0
+    uplink_bits: np.ndarray  # (R,) int64
+    downlink_bits: np.ndarray  # (R,) int64
+    f_value: np.ndarray  # (R,); objective at x
+    branch_histogram: np.ndarray  # (R, branches) int64; worker branches chosen this round, all zeros in round 0
+
+    def take(self, runs) -> "EngineState":
+        """The stack of the runs at rows ``runs``, in that order; a row may be taken more than once."""
+        runs = np.asarray(runs, dtype=np.intp)
+        return EngineState(
+            self.x[runs], self.g_master[runs], self.g_tilde_master[runs], self.worker_estimates[runs],
+            self.worker_prev_grads[runs], self.round, self.uplink_bits[runs], self.downlink_bits[runs],
+            self.f_value[runs], self.branch_histogram[runs],
+        )
 
 
 @dataclass(frozen=True)
@@ -146,9 +162,10 @@ def message_bits(kinds, entries, dim: int, header_bits: int = 0):
     return per_kind[kinds] + np.minimum(entries * (VALUE_BITS + index_bits(dim)), dim * VALUE_BITS)
 
 
-def _stack_bits(out: CompressedRows, dim: int, header_bits: int) -> int:
-    """Total cost of every message of one stacked compression call."""
-    return int(np.add.reduce(message_bits(out.kinds, out.entries, dim, header_bits)))
+def _stack_bits(out: CompressedRows, runs: int, dim: int, header_bits: int) -> np.ndarray:
+    """Each run's total cost of the messages of one stacked compression call, whose rows are grouped by run."""
+    bits = message_bits(out.kinds, out.entries, dim, header_bits)
+    return np.add.reduce(bits.reshape(runs, -1), axis=1)
 
 
 def _check_init_mode(init_mode: str) -> None:
@@ -158,23 +175,26 @@ def _check_init_mode(init_mode: str) -> None:
 
 def _uplink(
     problem: Problem,
-    x: np.ndarray,
+    xs: np.ndarray,
     spec: ThreePCSpec,
     h: np.ndarray,
     y: np.ndarray,
     rngs: Optional[list[SeededRng]],
-) -> tuple[float, np.ndarray, CompressedRows, np.ndarray, int]:
-    """The uplink half of a round at a finite x: f, the gradients, the messages, their mean and their bits.
+) -> tuple[np.ndarray, np.ndarray, CompressedRows, np.ndarray, np.ndarray, np.ndarray]:
+    """The uplink half of a round at the (R, d) points xs, given (R, n, d) stacks h and y.
 
-    The oracle takes x unchecked, and f comes from the same margins as the
-    gradients. Callers ignore overflow and invalid operations under
-    np.errstate: a non-finite value is a diverging run, which the round's
-    record reports.
+    Returns each run's f, the (R, n, d) gradients, the messages of all R·n
+    workers from one compression call (``rngs`` holds n streams, which every
+    run reads alike), their (R, d) means and each run's bits. The oracle
+    takes xs unchecked, and f comes from the same margins as the gradients.
+    Callers ignore overflow and invalid operations under np.errstate: a
+    non-finite value is a diverging run, which the round's record reports.
     """
-    f, grads = _round_oracle(problem, x)
-    out = _compress_raw(spec, h, y, grads, rngs)
-    bits = _stack_bits(out, problem.dim, branch_header_bits(spec))
-    return f, grads, out, mean_ascending(out.vectors), bits
+    runs, d = xs.shape
+    f, grads = _round_oracle(problem, xs)
+    out = _compress_raw(spec, h.reshape(-1, d), y.reshape(-1, d), grads.reshape(-1, d), None if rngs is None else rngs * runs)
+    vectors = out.vectors.reshape(grads.shape)
+    return f, grads, out, vectors, mean_ascending(vectors), _stack_bits(out, runs, d, branch_header_bits(spec))
 
 
 def init(
@@ -184,13 +204,15 @@ def init(
     init_mode: str = INIT_FULL,
     rng: Optional[SeededRng] = None,
 ) -> EngineState:
-    """Set up round-0 state.
+    """Set up round-0 state, as a stack of one run.
 
     Round 0 is an uplink like every later round's, from zero estimates:
     each worker's first message is the shift map toward its exact gradient,
     through the identity map in full mode and through the worker rule's
     strongest contractor in compressed mode. The server aggregate is
-    broadcast in full either way, and no branch is chosen.
+    broadcast in full either way, and no branch is chosen. Round 0 does not
+    depend on the stepsize, so runs that differ only in it share this state
+    (see ``EngineState.take``).
     """
     x0 = as_vector(x0)
     if x0.shape[0] != problem.dim:
@@ -199,25 +221,27 @@ def init(
     n, d = problem.n_clients, problem.dim
     contractor = worker_spec.strongest_contractor(d) if init_mode == INIT_COMPRESSED else ContractorSpec.identity()
     rngs = [rng.derive(_INIT_TAG, i) for i in range(n)] if rng is not None and contractor.randomized else None
-    zeros = np.zeros((n, d))
+    zeros = np.zeros((1, n, d))
     with np.errstate(over="ignore", invalid="ignore"):
-        f, grads, out, g_tilde, bits = _uplink(problem, x0, EF21(contractor), zeros, zeros, rngs)
+        f, grads, _, estimates, g_tilde, bits = _uplink(problem, x0[None], EF21(contractor), zeros, zeros, rngs)
     return EngineState(
-        x=x0.copy(),
+        x=x0[None].copy(),
         g_master=g_tilde.copy(),
         g_tilde_master=g_tilde,
-        worker_estimates=out.vectors,
+        worker_estimates=estimates,
         worker_prev_grads=grads,
         round=0,
         uplink_bits=bits,
-        downlink_bits=d * VALUE_BITS,
+        downlink_bits=np.array([d * VALUE_BITS]),
         f_value=f,
-        branch_histogram=(0,) * worker_spec.branch_count,
+        branch_histogram=np.zeros((1, worker_spec.branch_count), dtype=np.int64),
     )
 
 
-def _divergence_reason(f: float, grads: np.ndarray) -> str:
-    """What made a record non-finite; called on the failure path only."""
+def _divergence_reason(x: np.ndarray, f: float, grads: np.ndarray) -> str:
+    """What made one run's record non-finite; called on the failure path only."""
+    if not np.isfinite(x).all():
+        return "iterate"
     finite_rows = np.isfinite(grads).all(axis=1)
     if not finite_rows.all():
         return f"gradient of client {int(np.argmin(finite_rows))}"
@@ -228,41 +252,50 @@ def _divergence_reason(f: float, grads: np.ndarray) -> str:
 
 def _make_record(
     state: EngineState,
-    gamma: float,
+    gammas: Sequence[float],
     worker_c: ThreePCConstants,
     master_c: ThreePCConstants,
-    f_star: float,
-) -> IterationRecord:
-    f = state.f_value
-    grad = mean_ascending(state.worker_prev_grads)
-    grad_sq = sqnorm(grad)
-    if not (math.isfinite(f) and math.isfinite(grad_sq)):
-        raise DivergenceError(state.round, _divergence_reason(f, state.worker_prev_grads))
-    diff = state.worker_estimates - state.worker_prev_grads
-    g_err = sum(row_sqnorms(diff).tolist()) / diff.shape[0]  # summed in worker order
-    m_err = sqnorm(state.g_master - state.g_tilde_master)
+    f_stars: Sequence[float],
+) -> list:
+    """Each run's record of the round ``state`` ends, or the DivergenceError its non-finite values raise.
+
+    Run r's record uses ``gammas[r]`` and ``f_stars[r]``; its norms and sums
+    are bitwise what its own (n, d) arrays give. The error carries no records.
+    """
+    n = state.worker_prev_grads.shape[1]
+    grad_sq = row_sqnorms(mean_ascending(state.worker_prev_grads)).tolist()
+    g_err = [sum(row) / n for row in row_sqnorms(state.worker_estimates - state.worker_prev_grads).tolist()]  # summed in worker order
+    m_err = row_sqnorms(state.g_master - state.g_tilde_master).tolist()
+    finite_x = np.isfinite(state.x).all(axis=1).tolist()
     # psi bounds f below by 0: every objective here is >= 0 (verify's loss-lower-bound checks it).
-    psi = (
-        f
-        + (gamma / master_c.a) * m_err
-        + (gamma / worker_c.a) * (1.0 + 3.0 * master_c.b * (2.0 - worker_c.a) / master_c.a) * g_err
-    )
-    return IterationRecord(
-        round=state.round,
-        f_value=f,
-        grad_norm_sq=grad_sq,
-        phi=f - f_star + (gamma / worker_c.a) * g_err,
-        psi=psi,
-        g_error=g_err,
-        master_error=m_err,
-        uplink_bits=state.uplink_bits,
-        downlink_bits=state.downlink_bits,
-        branch_histogram=state.branch_histogram,
-    )
+    g_factor = 1.0 + 3.0 * master_c.b * (2.0 - worker_c.a) / master_c.a
+    records = []
+    for r, (f, gamma, f_star, up, down, hist) in enumerate(zip(
+        state.f_value.tolist(), gammas, f_stars, state.uplink_bits.tolist(), state.downlink_bits.tolist(),
+        state.branch_histogram.tolist(),
+    )):
+        if not (finite_x[r] and math.isfinite(f) and math.isfinite(grad_sq[r])):
+            reason = _divergence_reason(state.x[r], f, state.worker_prev_grads[r])
+            records.append(DivergenceError(state.round, reason))
+            continue
+        records.append(IterationRecord(
+            round=state.round,
+            f_value=f,
+            grad_norm_sq=grad_sq[r],
+            phi=f - f_star + (gamma / worker_c.a) * g_err[r],
+            psi=f + (gamma / master_c.a) * m_err[r] + (gamma / worker_c.a) * g_factor * g_err[r],
+            g_error=g_err[r],
+            master_error=m_err[r],
+            uplink_bits=up,
+            downlink_bits=down,
+            branch_histogram=tuple(hist),
+        ))
+    return records
 
 
-def _check_stepsize(gamma: float) -> None:
-    if not (math.isfinite(gamma) and gamma > 0):
+def _check_stepsize(gamma) -> None:
+    """Reject a stepsize, or any of a stack's stepsizes, that is not finite and > 0."""
+    if not all(0.0 < g < math.inf for g in np.ravel(gamma).tolist()):
         raise ValueError(f"stepsize must be positive and finite, got {gamma}")
 
 
@@ -271,40 +304,48 @@ def step(
     problem: Problem,
     worker_spec: ThreePCSpec,
     master_spec: ThreePCSpec,
-    gamma: float,
+    gamma,
     rng: SeededRng,
 ) -> EngineState:
-    """Advance one round and return the new state."""
+    """Advance every run of the stack one round, run r at stepsize ``gamma[r]``, and return the new state.
+
+    ``gamma`` is one stepsize per run, or one number for all. Every run
+    reads the same streams: the worker streams are derived once per round
+    for all runs, so each run's rows keep the keys they have alone. A run
+    whose values go non-finite is advanced like the others; its next
+    record reports the divergence.
+    """
     _check_stepsize(gamma)
     t = state.round
-    # Overflow here is a diverging run, reported via DivergenceError.
+    runs, d = state.x.shape
+    # Overflow here is a diverging run, reported by its record.
     with np.errstate(over="ignore", invalid="ignore"):
-        x_new = state.x - gamma * state.g_master
-        if not np.all(np.isfinite(x_new)):
-            raise DivergenceError(t + 1, "iterate")
-
+        x_new = state.x - np.reshape(gamma, (-1, 1)) * state.g_master
         rngs = [rng.derive(_WORKER_TAG, t, i) for i in range(problem.n_clients)] if worker_spec.randomized else None
-        f, grads, out, g_tilde, bits = _uplink(
+        f, grads, out, estimates, g_tilde, bits = _uplink(
             problem, x_new, worker_spec, state.worker_estimates, state.worker_prev_grads, rngs
         )
         master_out = _compress_raw(
             master_spec,
-            state.g_master[None],
-            state.g_tilde_master[None],
-            g_tilde[None],
-            [rng.derive(_MASTER_TAG, t)] if master_spec.randomized else None,
+            state.g_master,
+            state.g_tilde_master,
+            g_tilde,
+            [rng.derive(_MASTER_TAG, t)] * runs if master_spec.randomized else None,
         )
+        branches = worker_spec.branch_count
+        # Run r's branches count at r·branches + branch, so one bincount gives every run's histogram.
+        keyed = out.branches.reshape(runs, -1) + (np.arange(runs) * branches)[:, None]
         return EngineState(
             x=x_new,
-            g_master=master_out.vectors[0],
+            g_master=master_out.vectors,
             g_tilde_master=g_tilde,
-            worker_estimates=out.vectors,
+            worker_estimates=estimates,
             worker_prev_grads=grads,
             round=t + 1,
             uplink_bits=state.uplink_bits + bits,
-            downlink_bits=state.downlink_bits + _stack_bits(master_out, problem.dim, branch_header_bits(master_spec)),
+            downlink_bits=state.downlink_bits + _stack_bits(master_out, runs, d, branch_header_bits(master_spec)),
             f_value=f,
-            branch_histogram=tuple(np.bincount(out.branches, minlength=worker_spec.branch_count).tolist()),
+            branch_histogram=np.bincount(keyed.reshape(-1), minlength=runs * branches).reshape(runs, branches),
         )
 
 
@@ -362,37 +403,84 @@ def resolve_stepsize(rule: str, problem: Problem, worker_spec: ThreePCSpec, mast
     return theoretical_stepsize(rule, sc, worker_spec.constants(problem.dim), master_spec.constants(problem.dim))
 
 
-def iterate(spec: RunSpec) -> Iterator[tuple[EngineState, IterationRecord]]:
-    """Yield (state, record) for round 0 and then every later round, without end.
+def _rounds(specs: Sequence[RunSpec], stopping: bool) -> Iterator[tuple[list[int], EngineState, list]]:
+    """Advance ``specs`` as one stack; yield, for round 0 and every later round,
+    the index in ``specs`` of each run in the stack, the stack and each run's
+    record (or the DivergenceError it raised), in stack order.
 
-    The worker and master constants are certified once, before the first
-    round; stopping is left to the caller. A non-finite value raises
-    DivergenceError with the index of the round it appeared in and what
-    went non-finite.
+    The runs must share everything but the stepsize, the stop rule and
+    f_star. The worker and master constants are certified once, and round 0
+    is computed once for all runs. A run whose record is an error leaves the
+    stack before the next round, and so, when ``stopping``, does a run whose
+    record ends it by its stop rule; the others go on, until none is left.
     """
-    problem, worker_spec, master_spec, gamma = spec.problem, spec.worker_spec, spec.master_spec, spec.gamma
+    first = specs[0]
+    problem, worker_spec, master_spec = first.problem, first.worker_spec, first.master_spec
+    for spec in specs[1:]:
+        shared = (spec.problem is problem and spec.worker_spec == worker_spec and spec.master_spec == master_spec
+                  and np.array_equal(spec.x0, first.x0) and (spec.seed, spec.init_mode) == (first.seed, first.init_mode))
+        if not shared:
+            raise ValueError("runs advanced as one stack must share the problem, rules, x0, seed and init mode")
     wc = worker_spec.constants(problem.dim)
     mc = master_spec.constants(problem.dim)
-    rng = SeededRng(spec.seed)
-    state = init(problem, worker_spec, spec.x0, spec.init_mode, rng)
+    rng = SeededRng(first.seed)
+    runs = list(range(len(specs)))
+    gammas = [spec.gamma for spec in specs]
+    f_stars = [spec.f_star for spec in specs]
+    steps = np.array(gammas)
+    state = init(problem, worker_spec, first.x0, first.init_mode, rng).take([0] * len(runs))
     while True:
         # Overflow in the record is a diverging run, which _make_record reports.
         with np.errstate(over="ignore", invalid="ignore"):
-            record = _make_record(state, gamma, wc, mc, spec.f_star)
-        yield state, record
-        state = step(state, problem, worker_spec, master_spec, gamma, rng)
+            records = _make_record(state, gammas, wc, mc, f_stars)
+        yield runs, state, records
+        keep = [
+            row for row, (r, record) in enumerate(zip(runs, records))
+            if not isinstance(record, DivergenceError)
+            and not (stopping and (record.round >= specs[r].stop.max_rounds or specs[r].stop.satisfied(record)))
+        ]
+        if not keep:
+            return
+        if len(keep) < len(runs):
+            state, runs = state.take(keep), [runs[row] for row in keep]
+            gammas, f_stars, steps = [gammas[row] for row in keep], [f_stars[row] for row in keep], steps[keep]
+        state = step(state, problem, worker_spec, master_spec, steps, rng)
 
 
-def run(spec: RunSpec) -> list[IterationRecord]:
-    """Iterate until the stop rule fires; deterministic given the seed.
+def iterate(spec: RunSpec) -> Iterator[tuple[EngineState, IterationRecord]]:
+    """Yield (state, record) for round 0 and then every later round, without end.
 
-    On divergence the raised error carries the records collected so far.
+    The state is a stack of one run. Stopping is left to the caller. A
+    non-finite value raises DivergenceError with the index of the round it
+    appeared in and what went non-finite.
     """
-    records = []
-    try:
-        for _, record in iterate(spec):
-            records.append(record)
-            if record.round >= spec.stop.max_rounds or spec.stop.satisfied(record):
-                return records
-    except DivergenceError as err:
-        raise DivergenceError(err.round_index, err.reason, records) from None
+    for _, state, (record,) in _rounds([spec], stopping=False):
+        if isinstance(record, DivergenceError):
+            raise record
+        yield state, record
+
+
+def run(specs: Union[RunSpec, Sequence[RunSpec]]):
+    """Iterate until each run's stop rule fires; deterministic given the seed.
+
+    Given one RunSpec, returns its records; on divergence the raised error
+    carries the records collected so far. Given a sequence of runs that
+    share everything but the stepsize, the stop rule and f_star, as a
+    sweep's multipliers of one method do, advances them as one stack and
+    returns, for each in order, its records or the DivergenceError that
+    ended it, carrying its records. Each run's records are bitwise those
+    it gives alone.
+    """
+    single = isinstance(specs, RunSpec)
+    specs = [specs] if single else list(specs)
+    records: list[list[IterationRecord]] = [[] for _ in specs]
+    outcomes: list = records.copy()
+    for runs, _, made in _rounds(specs, stopping=True):
+        for r, record in zip(runs, made):
+            if isinstance(record, DivergenceError):
+                outcomes[r] = DivergenceError(record.round_index, record.reason, records[r])
+            else:
+                records[r].append(record)
+    if single and isinstance(outcomes[0], DivergenceError):
+        raise outcomes[0]
+    return outcomes[0] if single else outcomes

@@ -460,66 +460,72 @@ def run_experiment(config: RunConfig, extra_specs: Optional[dict[str, ThreePCSpe
     # One smoothness pass per sweep, and none for a manual stepsize.
     sc = smoothness(problem) if manual is None else None
     # Every run is specified before the first one starts, so a bad input fails before any trace is written.
-    runs: dict[str, tuple[str, float, ThreePCConstants, RunSpec]] = {}
+    names: dict[str, tuple[str, float]] = {}
+    stacks: list[tuple[str, ThreePCConstants, list[tuple[str, float, RunSpec]]]] = []
     for label, worker in labelled:
         worker_c = worker.constants(problem.dim)
         # The theory stepsize depends on the method, not on the multiplier.
         base = manual if manual is not None else theoretical_stepsize(rule, sc, worker_c, master_c)
+        stack = []
         for mult in config.multipliers:
             name = f"{label}_x{mult:g}.csv"
-            if name in runs:
-                first_label, first_mult, _, _ = runs[name]
+            if name in names:
+                first_label, first_mult = names[name]
                 raise ValueError(
                     f"runs ({first_label}, x{first_mult!r}) and ({label}, x{mult!r}) would share the trace file {name}"
                 )
-            spec = RunSpec(problem, worker, master, x0, mult * base, stop, config.seed, config.init_mode)
-            runs[name] = (label, mult, worker_c, spec)
+            names[name] = (label, mult)
+            stack.append((name, mult, RunSpec(problem, worker, master, x0, mult * base, stop, config.seed, config.init_mode)))
+        stacks.append((label, worker_c, stack))
 
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     entries: list[SweepEntry] = []
-    for name, (label, mult, worker_c, spec) in runs.items():
-        status = STATUS_UNREACHED
-        try:
-            records = run(spec)
-            reached = _bits_to_tolerance(records, config.grad_tol_sq)
-            if reached is not None:
-                status = STATUS_REACHED
-        except DivergenceError as err:
-            records = err.records
+    for label, worker_c, stack in stacks:
+        # A method's multipliers advance as one stack; each trace has the bytes of its run alone.
+        outcomes = run([spec for _, _, spec in stack])
+        for (name, mult, spec), outcome in zip(stack, outcomes):
+            status = STATUS_UNREACHED
             reached = None
-            status = STATUS_DIVERGED
-        trace_path = out_dir / name
-        meta = {
-            "dataset": config.dataset,
-            "dataset_hash": dataset_hash,
-            "method": label,
-            "multiplier": mult,
-            "gamma": spec.gamma,
-            "stepsize_rule": config.stepsize,
-            "n_clients": problem.n_clients,
-            "lam": problem.lam,
-            "seed": config.seed,
-            "value_bits": VALUE_BITS,
-            "init_mode": config.init_mode,
-            "worker_constants": worker_c,
-            "master_constants": master_c,
-            "status": status,
-        }
-        write_trace(trace_path, records, meta)
-        entries.append(
-            SweepEntry(
-                method=label,
-                multiplier=mult,
-                gamma=spec.gamma,
-                status=status,
-                rounds=records[-1].round if records else 0,
-                uplink_bits_to_tol=reached[0] if reached else None,
-                downlink_bits_to_tol=reached[1] if reached else None,
-                final_grad_norm_sq=records[-1].grad_norm_sq if records else math.inf,
-                trace_path=str(trace_path),
+            if isinstance(outcome, DivergenceError):
+                records = outcome.records
+                status = STATUS_DIVERGED
+            else:
+                records = outcome
+                reached = _bits_to_tolerance(records, config.grad_tol_sq)
+                if reached is not None:
+                    status = STATUS_REACHED
+            trace_path = out_dir / name
+            meta = {
+                "dataset": config.dataset,
+                "dataset_hash": dataset_hash,
+                "method": label,
+                "multiplier": mult,
+                "gamma": spec.gamma,
+                "stepsize_rule": config.stepsize,
+                "n_clients": problem.n_clients,
+                "lam": problem.lam,
+                "seed": config.seed,
+                "value_bits": VALUE_BITS,
+                "init_mode": config.init_mode,
+                "worker_constants": worker_c,
+                "master_constants": master_c,
+                "status": status,
+            }
+            write_trace(trace_path, records, meta)
+            entries.append(
+                SweepEntry(
+                    method=label,
+                    multiplier=mult,
+                    gamma=spec.gamma,
+                    status=status,
+                    rounds=records[-1].round if records else 0,
+                    uplink_bits_to_tol=reached[0] if reached else None,
+                    downlink_bits_to_tol=reached[1] if reached else None,
+                    final_grad_norm_sq=records[-1].grad_norm_sq if records else math.inf,
+                    trace_path=str(trace_path),
+                )
             )
-        )
 
     best: dict = {}
     for entry in entries:
@@ -580,8 +586,8 @@ def solve_reference(problem: Problem, tolerance: float, max_rounds: int = 10**6)
     rounds = 0
     while True:
         # Unchecked x is safe: gradient descent at 1/l_minus keeps it finite.
-        f_star, grads = _round_oracle(problem, x)
-        grad = mean_ascending(grads)
+        f, grads = _round_oracle(problem, x[None])
+        f_star, grad = float(f[0]), mean_ascending(grads[0])
         norm = math.sqrt(sqnorm(grad))
         if not (norm > tolerance and rounds < max_rounds):
             break

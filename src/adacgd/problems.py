@@ -330,9 +330,10 @@ class SmoothnessConstants:
             raise ValueError(f"mu must be positive when present, got {self.mu}")
 
 
-def _regularizer(lam: float, x: np.ndarray) -> float:
+def _regularizer(lam: float, x: np.ndarray):
+    """The penalty at x, or at each row of a stack of points (summed along the last axis)."""
     sq = x * x
-    return lam * float(np.sum(sq / (1.0 + sq)))
+    return lam * np.add.reduce(sq / (1.0 + sq), axis=-1)
 
 
 def _regularizer_gradient(lam: float, x: np.ndarray) -> np.ndarray:
@@ -349,8 +350,6 @@ def _checked_point(p: Problem, i: int, x) -> np.ndarray:
     return x
 
 
-def _quadratic_loss(p: Problem, x: np.ndarray) -> float:
-    return 0.5 * float(np.sum(p.diagonal * x * x))
 
 
 # The margin helpers take one shard's (m, d) features and (m,) labels, or a
@@ -386,9 +385,9 @@ def client_loss(p: Problem, i: int, x) -> float:
     """Value of client i's objective at x."""
     x = _checked_point(p, i, x)
     if p.kind == QUADRATIC:
-        return _quadratic_loss(p, x)
+        return 0.5 * float(np.add.reduce(p.diagonal * x * x))
     features, labels = _client_rows(p, i)
-    return float(_margin_loss(_margins(features, labels, x))) + _regularizer(p.lam, x)
+    return float(_margin_loss(_margins(features, labels, x))) + float(_regularizer(p.lam, x))
 
 
 def client_gradient(p: Problem, i: int, x) -> np.ndarray:
@@ -405,48 +404,54 @@ def client_gradient(p: Problem, i: int, x) -> np.ndarray:
     return grad + _regularizer_gradient(p.lam, x)
 
 
-def _round_oracle(p: Problem, x: np.ndarray) -> tuple[float, np.ndarray]:
-    """Global objective value and the (n, d) array of client gradients at an already-checked x.
+def _round_oracle(p: Problem, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """At each row of an (R, d) stack of already-checked points: the global
+    objective value, as an (R,) array, and the (n, d) array of client
+    gradients, as one (R, n, d) array.
 
-    One batched margin product per shard size serves both the clients'
-    losses and their gradients, and the regularizer terms are formed once
-    for all clients. It calls the margin helpers of ``client_loss`` and
-    ``client_gradient`` on each group, where their batched ``np.matmul``
-    makes the same per-shard BLAS call as on one shard, and the client
-    values are summed in client order,
-    so the results are bitwise equal to the client-order mean of
-    ``client_loss`` and to the stacked ``client_gradient`` rows.
+    The R points share each product's operand, so one batched margin product
+    per shard size serves every point's losses and gradients: for each
+    point and client it makes the BLAS call that the same helpers make on
+    one shard, one dense product per point and client, never one product
+    with R columns, whose bits could differ. Exponentials, the regularizer
+    and the loss reductions act on the whole stack, each entry as on its own,
+    and the client values are summed in client order. So row r of the
+    results is bitwise the client-order mean of ``client_loss`` at point r
+    and the stacked ``client_gradient`` rows there.
     A problem with ``sparse`` rows instead makes one CSR product for all
-    margins and one for all gradients, and reduces the losses of each run
-    of equal shard sizes as one (clients, m) slice of the margins. Each
-    row's and each gradient entry's sum runs over the same nonzeros in the
-    same order as on the client's own block, so the same property holds.
-    tests/test_problems.py checks this property.
+    margins and one for all gradients per point, and reduces the losses of
+    each run of equal shard sizes as one (points, clients, m) slice of the
+    margins. Each row's and each gradient entry's sum runs over the same
+    nonzeros in the same order as on the client's own block, so the same
+    property holds. tests/test_problems.py checks this property.
     """
-    n = p.n_clients
+    n, stack = p.n_clients, xs.shape[0]
     if p.kind == QUADRATIC:
-        return _quadratic_loss(p, x), np.tile(p.diagonal * x, (n, 1))
-    values = np.empty(n)
-    grads = np.empty((n, p.dim))
+        gradient = p.diagonal * xs
+        return 0.5 * np.add.reduce(gradient * xs, axis=-1), np.repeat(gradient[:, None], n, axis=1)
+    values = np.empty((stack, n))
+    grads = np.empty((stack, n, p.dim))
     s = p.sparse
     if s is None:
         for g in p.groups:
-            z = _margins(g.features, g.labels, x)
-            values[g.clients] = _margin_loss(z)
-            grads[g.clients] = _margin_gradient(g.features, g.labels, z)
+            z = g.labels * np.matmul(g.features, xs[:, None, :, None])[..., 0]
+            values[:, g.clients] = _margin_loss(z)
+            grads[:, g.clients] = _margin_gradient(g.features, g.labels, z)
     else:
-        z = _margins(s.matrix, s.labels, np.tile(x, n))
+        z = np.stack([_margins(s.matrix, s.labels, np.tile(x, n)) for x in xs])
         for client, row, g, m in s.runs:
-            values[client : client + g] = _margin_loss(z[row : row + g * m].reshape(g, m))
-        grads[:] = (s.transposed @ _margin_weights(s.labels, z)).reshape(n, p.dim) / s.shard_sizes
-    values += _regularizer(p.lam, x)
-    grads += _regularizer_gradient(p.lam, x)
-    return sum(values.tolist()) / n, grads
+            values[:, client : client + g] = _margin_loss(z[:, row : row + g * m].reshape(stack, g, m))
+        weights = _margin_weights(s.labels, z)
+        for r in range(stack):
+            grads[r] = (s.transposed @ weights[r]).reshape(n, p.dim) / s.shard_sizes
+    values += _regularizer(p.lam, xs)[:, None]
+    grads += _regularizer_gradient(p.lam, xs)[:, None]
+    return np.array([sum(row) / n for row in values.tolist()]), grads
 
 
 def loss(p: Problem, x) -> float:
     """Global objective value: mean of client objectives, from the round oracle."""
-    return _round_oracle(p, _checked_point(p, 0, x))[0]
+    return float(_round_oracle(p, _checked_point(p, 0, x)[None])[0][0])
 
 
 def full_gradient(p: Problem, x) -> np.ndarray:
@@ -454,7 +459,7 @@ def full_gradient(p: Problem, x) -> np.ndarray:
     x = _checked_point(p, 0, x)
     if p.kind == QUADRATIC:
         return p.diagonal * x
-    return mean_ascending(_round_oracle(p, x)[1])
+    return mean_ascending(_round_oracle(p, x[None])[1][0])
 
 
 def smoothness(p: Problem) -> SmoothnessConstants:

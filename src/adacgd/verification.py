@@ -375,7 +375,7 @@ def gradient_suite(problems: Sequence[tuple[str, Problem]], points: int, seed: i
 class RunTrace:
     """Per-round columns of one run: the engine's record fields plus displacement."""
 
-    states: list[EngineState]
+    states: list[EngineState]  # stacks of one run
     gamma: float
     worker_c: ThreePCConstants
     master_c: ThreePCConstants
@@ -421,7 +421,7 @@ def trace_run(
         grad_sq=column("grad_norm_sq"),
         g_err=column("g_error"),
         master_err=column("master_error"),
-        r=np.array([sqnorm(b.x - a.x) for a, b in zip(states, states[1:])]),
+        r=np.array([sqnorm(b.x[0] - a.x[0]) for a, b in zip(states, states[1:])]),
         phi=column("phi"),
         psi=column("psi"),
     )
@@ -481,7 +481,7 @@ def convex_bound_check(trace: RunTrace, x_star: np.ndarray, f_star: float, check
     Uses the measured running maximum distance to the reference minimizer in
     place of the bounded-iterates constant.
     """
-    dist = np.array([math.sqrt(sqnorm(s.x - x_star)) for s in trace.states])
+    dist = np.array([math.sqrt(sqnorm(s.x[0] - x_star)) for s in trace.states])
     factor = max(1.0 / trace.gamma, 1.0 / trace.worker_c.a)
 
     def bound(t_cap: int) -> tuple[float, float]:
@@ -543,8 +543,8 @@ def gd_equivalence_check(
         for g in grads:
             acc += g
         x_ref = x_ref - gamma * (acc / problem.n_clients)
-        if not np.array_equal(state.x, x_ref):
-            worst = max(worst, float(np.max(np.abs(state.x - x_ref))))
+        if not np.array_equal(state.x[0], x_ref):
+            worst = max(worst, float(np.max(np.abs(state.x[0] - x_ref))))
     return PropertyResult("gd-bitwise-equivalence", worst == 0.0, -worst, f"{rounds} rounds")
 
 

@@ -87,6 +87,27 @@ def test_traced_sweep_reaches_every_counted_layer(tmp_path):
     assert {name for name in tracer_module.COUNT_METRICS if metrics[name] == 0} == DARK_LAYERS
 
 
+def test_traced_sweep_compresses_each_stacked_round_in_one_worker_and_one_master_call(tmp_path):
+    # Each method's three multipliers advance as one stack: one engine.step per
+    # round, making one worker call for all 3 x 3 workers and one master call
+    # for all 3 broadcasts, plus round 0's worker call. Per-run calls would
+    # make three times as many.
+    rounds = 6
+    config = experiments.RunConfig(
+        dataset="synthetic:n=40,d=6,seed=2", n_clients=3, methods=("ef21:k=2", "lag"), master="ef21:k=1",
+        stepsize="bidirectional", multipliers=(1.0, 2.0, 4.0), max_rounds=rounds, seed=1, out_dir=str(tmp_path),
+    )
+    tracer = tracer_module.Tracer()
+    with tracer.installed(PROGRAM):
+        result = experiments.run_experiment(config)
+    assert [e.rounds for e in result.entries] == [rounds] * 6
+    metrics = tracer.metrics()
+    assert metrics["experiments.runs"] == 2
+    assert metrics["engine.rounds"] == 2 * rounds
+    assert metrics["compressors.worker_calls"] == 2 * (rounds + 1)
+    assert metrics["compressors.master_calls"] == 2 * rounds
+
+
 def test_run_certifies_constants_a_fixed_number_of_times(monkeypatch):
     calls = []
     for cls in (AdaCGD, EF21):

@@ -102,9 +102,9 @@ def test_adacgd_and_its_chain_write_the_same_trace_rows(contractors):
 def test_init_full_mode_exact():
     p = quad([1.0, 2.0], n=2)
     state = init(p, EF21(ContractorSpec.identity()), [1.0, 1.0])
-    assert np.array_equal(state.g_master, full_gradient(p, [1.0, 1.0]))
-    assert state.uplink_bits == 2 * 2 * 64
-    assert state.downlink_bits == 2 * 64
+    assert np.array_equal(state.g_master, [full_gradient(p, [1.0, 1.0])])  # a stack of one run
+    assert state.uplink_bits.tolist() == [2 * 2 * 64]
+    assert state.downlink_bits.tolist() == [2 * 64]
 
 
 def test_init_compressed_mode_strongest_level():
@@ -112,8 +112,8 @@ def test_init_compressed_mode_strongest_level():
     # gradient at x0 = [3, -1, 2] is the vector itself for the unit quadratic
     spec = AdaCGD((ContractorSpec.top_k(1), ContractorSpec.top_k(3)), 1.0)
     state = init(p, spec, [3.0, -1.0, 2.0], "compressed", SeededRng(0))
-    assert np.array_equal(state.worker_estimates[0], [3.0, 0.0, 0.0])
-    assert state.uplink_bits == 64 + 2  # one value plus ceil(log2 3) index bits
+    assert np.array_equal(state.worker_estimates[0, 0], [3.0, 0.0, 0.0])
+    assert state.uplink_bits.tolist() == [64 + 2]  # one value plus ceil(log2 3) index bits
 
 
 def test_init_compressed_charges_no_more_than_full_vectors():
@@ -121,8 +121,8 @@ def test_init_compressed_charges_no_more_than_full_vectors():
     # bits per worker, so message_bits charges the 3200-bit full vector instead.
     p = Problem.quadratic(np.linspace(1.0, 2.0, 50), n_clients=2)
     state = init(p, EF21(ContractorSpec.top_k(50)), np.ones(50), "compressed", SeededRng(0))
-    assert state.uplink_bits == 2 * 50 * 64
-    assert np.array_equal(state.worker_estimates[1], full_gradient(p, np.ones(50)))
+    assert state.uplink_bits.tolist() == [2 * 50 * 64]
+    assert np.array_equal(state.worker_estimates[0, 1], full_gradient(p, np.ones(50)))
 
 
 def test_init_full_phi_equals_gap():
@@ -140,7 +140,7 @@ def test_step_identity_is_exact_gd():
     rng = SeededRng(0)
     state = init(p, w, [5.0, -3.0], "full", rng)
     state = step(state, p, w, IdentityMaster(), 1.0, rng)
-    assert np.array_equal(state.x, [0.0, 0.0])  # one-step solve at gamma = 1/L
+    assert np.array_equal(state.x, [[0.0, 0.0]])  # one-step solve at gamma = 1/L
 
 
 def test_step_hand_traced_ef21_top1():
@@ -148,11 +148,11 @@ def test_step_hand_traced_ef21_top1():
     w = EF21(ContractorSpec.top_k(1))
     rounds = iterate(RunSpec(p, w, IdentityMaster(), np.array([1.0, 1.0]), 0.5, StopRule(1)))
     state, _ = next(rounds)
-    assert np.array_equal(state.g_master, [1.0, 1.0])
+    assert np.array_equal(state.g_master, [[1.0, 1.0]])
     state, rec = next(rounds)
-    assert np.array_equal(state.x, [0.5, 0.5])
+    assert np.array_equal(state.x, [[0.5, 0.5]])
     # shift rule keeps [1,1] and corrects index 0 first (tie at lowest index)
-    assert np.array_equal(state.g_master, [0.5, 1.0])
+    assert np.array_equal(state.g_master, [[0.5, 1.0]])
     assert rec.round == 1
     assert rec.branch_histogram == (1,)
 
@@ -162,9 +162,9 @@ def test_step_counts_skip_bits_and_branches():
     w = LAG(1e16)
     rounds = iterate(RunSpec(p, w, IdentityMaster(), np.array([2.0, 2.0]), 0.1, StopRule(1)))
     state, _ = next(rounds)
-    before = state.uplink_bits
+    before = state.uplink_bits[0]
     state, rec = next(rounds)
-    assert state.uplink_bits - before == 3  # every worker skips at one bit each
+    assert state.uplink_bits[0] - before == 3  # every worker skips at one bit each
     assert rec.branch_histogram == (3, 0)
     assert rec.downlink_bits - (2 * 64) == 2 * 64  # identity master broadcasts in full
 
@@ -176,9 +176,9 @@ def test_uplink_bits_per_round_bounded():
     state = init(p, spec, np.ones(4), "full", rng)
     cap = 3 * (4 * 64 + branch_header_bits(spec))
     for _ in range(20):
-        before = state.uplink_bits
+        before = state.uplink_bits[0]
         state = step(state, p, spec, IdentityMaster(), 0.05, rng)
-        assert state.uplink_bits - before <= cap
+        assert state.uplink_bits[0] - before <= cap
 
 
 def test_lyapunov_exact_estimators():
@@ -384,9 +384,9 @@ def test_step_record_matches_public_oracles_bitwise(problem):
     master = IdentityMaster()
     spec = RunSpec(problem, worker, master, np.linspace(-1.0, 2.0, problem.dim), 0.1, StopRule(4), seed=5)
     for state, rec in islice(iterate(spec), 5):
-        assert rec.f_value == loss(problem, state.x)
+        assert rec.f_value == loss(problem, state.x[0])
         for i in range(problem.n_clients):
-            assert np.array_equal(state.worker_prev_grads[i], client_gradient(problem, i, state.x))
+            assert np.array_equal(state.worker_prev_grads[0, i], client_gradient(problem, i, state.x[0]))
 
 
 @pytest.mark.parametrize("problem", [_logistic(23, 5, 4), quad([1.0, 2.0, 3.0], n=2)], ids=["logistic", "quadratic"])

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import expit
 
-from adacgd.core import SeededRng, mean_ascending
+from adacgd.core import SeededRng, mean_ascending, row_sqnorms
 from adacgd.datasets import SyntheticSpec, _client_order, build_problem, make_synthetic
 from adacgd.problems import (
     LOGISTIC,
@@ -223,7 +223,7 @@ SPARSE_CASES = [(30, 1, 4, 2), (9, 7, 1, 2), (23, 5, 4, 6), (41, 50, 12, 4), (30
 
 
 def _assert_round_oracle_is_the_client_oracles(problem, x):
-    f, grads = _round_oracle(problem, x)
+    (f,), (grads,) = _round_oracle(problem, x[None])
     n = problem.n_clients
     values = [client_loss(problem, i, x) for i in range(n)]
     # Quadratic clients share one objective, so its value is the mean; logistic ones are averaged in client order.
@@ -247,7 +247,7 @@ def test_round_oracle_on_sparse_rows_is_bitwise_the_one_client_oracles(case):
 @pytest.mark.parametrize("case", SPARSE_CASES)
 def test_sparse_rows_agree_with_the_dense_helpers_on_the_same_shards(case):
     problem, x = _sparse_case(*case)
-    f, grads = _round_oracle(problem, x)
+    (f,), (grads,) = _round_oracle(problem, x[None])
     s = problem.sparse
     margins = _margins(s.matrix, s.labels, np.tile(x, problem.n_clients))
     values = []
@@ -277,7 +277,8 @@ def _sparse_oracle_digest() -> str:
     """sha256 of the round oracle's f and gradient bytes on every SPARSE_CASES problem."""
     digest = hashlib.sha256()
     for case in SPARSE_CASES:
-        f, grads = _round_oracle(*_sparse_case(*case))
+        problem, x = _sparse_case(*case)
+        (f,), (grads,) = _round_oracle(problem, x[None])
         digest.update(_bits(f) + _bits(grads))
     return digest.hexdigest()
 
@@ -331,6 +332,54 @@ def test_mean_ascending_equals_the_ascending_loop(dim):
         assert _bits(mean_ascending(rows)) == _bits(acc)
     all_negative_zero = np.full((3, dim), -0.0)
     assert _bits(mean_ascending(all_negative_zero)) == _bits(np.zeros(dim))
+
+
+@st.composite
+def stacked_cases(draw):
+    """A problem (dense groups, CSR rows or a quadratic) and an (R, d) stack of points, at d in {1, 2, 50, 2000}."""
+    seed = draw(st.integers(0, 2**16))
+    dim = draw(st.sampled_from([1, 2, 50, 2000]))
+    kind = draw(st.sampled_from(["dense", "sparse", "quadratic"]))
+    n_clients = draw(st.integers(1, 5))
+    g = SeededRng(seed).generator()
+    if kind == "quadratic":
+        problem = Problem.quadratic(g.random(dim) * 4.0, n_clients=n_clients)
+    else:
+        n_examples = draw(st.integers(n_clients, 3 * n_clients + 4))  # unequal shard sizes too
+        features, labels = make_synthetic(SyntheticSpec(n_examples, dim, seed, scale=3.0))
+        if kind == "sparse":  # keep size // 8 entries, at random places
+            features.reshape(-1)[g.permutation(features.size)[features.size // 8 :]] = 0.0
+        problem = build_problem(features, labels, n_clients, draw(st.sampled_from([0.0, 0.1])), seed)
+        assert (problem.sparse is not None) == (kind == "sparse")
+    runs = draw(st.integers(1, 6))
+    xs = g.standard_normal((runs, dim)) * g.choice([0.0, 0.1, 1.0, 30.0], size=(runs, 1))
+    return problem, xs
+
+
+@settings(max_examples=60, deadline=None)
+@given(stacked_cases())
+def test_round_oracle_gives_each_point_of_a_stack_its_one_point_result(case):
+    problem, xs = case
+    f, grads = _round_oracle(problem, xs)
+    assert f.shape == (xs.shape[0],) and grads.shape == (xs.shape[0], problem.n_clients, problem.dim)
+    for r, x in enumerate(xs):
+        (f_alone,), (grads_alone,) = _round_oracle(problem, x.copy()[None])
+        assert _bits(f[r]) == _bits(f_alone) and _bits(grads[r]) == _bits(grads_alone)
+    _assert_round_oracle_is_the_client_oracles(problem, xs[-1].copy())
+
+
+@pytest.mark.parametrize("dim", [1, 2, 50, 2000])
+def test_mean_and_row_norms_of_a_stack_are_each_runs_own(dim):
+    g = SeededRng(12).generator()
+    for runs, n in ((1, 1), (3, 1), (2, 7), (5, 9), (4, 20)):
+        rows = g.standard_normal((runs, n, dim)) * 10.0 ** g.integers(-8, 8, (runs, n, dim))
+        rows[g.random(rows.shape) < 0.25] = -0.0
+        means, norms, point_norms = mean_ascending(rows), row_sqnorms(rows), row_sqnorms(rows[:, 0])
+        assert means.shape == (runs, dim) and norms.shape == (runs, n) and point_norms.shape == (runs,)
+        for r in range(runs):
+            assert _bits(means[r]) == _bits(mean_ascending(rows[r].copy()))
+            assert _bits(norms[r]) == _bits(row_sqnorms(rows[r].copy()))
+            assert _bits(point_norms[r]) == _bits(float(rows[r, 0] @ rows[r, 0]))
 
 
 @pytest.mark.parametrize("n_examples,n_clients", [(23, 4), (20, 4), (9, 1), (7, 7)])

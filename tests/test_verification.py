@@ -164,7 +164,7 @@ def _short_trace(rounds):
 
 def test_bound_checks_reject_checkpoints_outside_the_trace():
     trace = _short_trace(20)
-    x_star = np.zeros(trace.states[0].x.shape[0])
+    x_star = np.zeros(trace.states[0].x.shape[1])
     with pytest.raises(ValueError, match="T=0 "):
         convex_bound_check(trace, x_star, 0.0, [0])
     with pytest.raises(ValueError, match="T=21 "):
