@@ -22,7 +22,7 @@ from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import SeededRng, ThreePCConstants, as_vector, mean_ascending, row_sqnorms, sqnorm
+from .core import SeededRng, ThreePCConstants, as_vector, mean_ascending, row_sqnorms
 from .compressors import (
     EF21,
     CompressedRows,
@@ -192,7 +192,8 @@ def _uplink(
     """
     runs, d = xs.shape
     f, grads = _round_oracle(problem, xs)
-    out = _compress_raw(spec, h.reshape(-1, d), y.reshape(-1, d), grads.reshape(-1, d), None if rngs is None else rngs * runs)
+    stack_rngs = None if rngs is None else rngs * runs
+    out = _compress_raw(spec, h.reshape(-1, d), y.reshape(-1, d), grads.reshape(-1, d), stack_rngs)
     vectors = out.vectors.reshape(grads.shape)
     return f, grads, out, vectors, mean_ascending(vectors), _stack_bits(out, runs, d, branch_header_bits(spec))
 
@@ -264,7 +265,8 @@ def _make_record(
     """
     n = state.worker_prev_grads.shape[1]
     grad_sq = row_sqnorms(mean_ascending(state.worker_prev_grads)).tolist()
-    g_err = [sum(row) / n for row in row_sqnorms(state.worker_estimates - state.worker_prev_grads).tolist()]  # summed in worker order
+    errors = row_sqnorms(state.worker_estimates - state.worker_prev_grads).tolist()
+    g_err = [sum(row) / n for row in errors]  # summed in worker order
     m_err = row_sqnorms(state.g_master - state.g_tilde_master).tolist()
     finite_x = np.isfinite(state.x).all(axis=1).tolist()
     # psi bounds f below by 0: every objective here is >= 0 (verify's loss-lower-bound checks it).
@@ -417,9 +419,9 @@ def _rounds(specs: Sequence[RunSpec], stopping: bool) -> Iterator[tuple[list[int
     first = specs[0]
     problem, worker_spec, master_spec = first.problem, first.worker_spec, first.master_spec
     for spec in specs[1:]:
-        shared = (spec.problem is problem and spec.worker_spec == worker_spec and spec.master_spec == master_spec
-                  and np.array_equal(spec.x0, first.x0) and (spec.seed, spec.init_mode) == (first.seed, first.init_mode))
-        if not shared:
+        same_rules = spec.worker_spec == worker_spec and spec.master_spec == master_spec
+        same_start = np.array_equal(spec.x0, first.x0) and (spec.seed, spec.init_mode) == (first.seed, first.init_mode)
+        if not (spec.problem is problem and same_rules and same_start):
             raise ValueError("runs advanced as one stack must share the problem, rules, x0, seed and init mode")
     wc = worker_spec.constants(problem.dim)
     mc = master_spec.constants(problem.dim)

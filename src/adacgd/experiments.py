@@ -14,6 +14,7 @@ import operator
 import sys
 import warnings
 from dataclasses import dataclass, fields
+from itertools import groupby
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -460,35 +461,34 @@ def run_experiment(config: RunConfig, extra_specs: Optional[dict[str, ThreePCSpe
     # One smoothness pass per sweep, and none for a manual stepsize.
     sc = smoothness(problem) if manual is None else None
     # Every run is specified before the first one starts, so a bad input fails before any trace is written.
-    names: dict[str, tuple[str, float]] = {}
-    stacks: list[tuple[str, ThreePCConstants, list[tuple[str, float, RunSpec]]]] = []
+    runs: dict[str, tuple[str, float, ThreePCConstants, RunSpec]] = {}
     for label, worker in labelled:
         worker_c = worker.constants(problem.dim)
         # The theory stepsize depends on the method, not on the multiplier.
         base = manual if manual is not None else theoretical_stepsize(rule, sc, worker_c, master_c)
-        stack = []
         for mult in config.multipliers:
             name = f"{label}_x{mult:g}.csv"
-            if name in names:
-                first_label, first_mult = names[name]
+            if name in runs:
+                first_label, first_mult, _, _ = runs[name]
                 raise ValueError(
                     f"runs ({first_label}, x{first_mult!r}) and ({label}, x{mult!r}) would share the trace file {name}"
                 )
-            names[name] = (label, mult)
-            stack.append((name, mult, RunSpec(problem, worker, master, x0, mult * base, stop, config.seed, config.init_mode)))
-        stacks.append((label, worker_c, stack))
+            spec = RunSpec(problem, worker, master, x0, mult * base, stop, config.seed, config.init_mode)
+            runs[name] = (label, mult, worker_c, spec)
 
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     entries: list[SweepEntry] = []
-    for label, worker_c, stack in stacks:
+    # Labels are unique (two equal ones would share trace files), so each method's runs are adjacent.
+    for _, stack in groupby(runs.items(), key=lambda item: item[1][0]):
+        stack = list(stack)
         # A method's multipliers advance as one stack; each trace has the bytes of its run alone.
-        outcomes = run([spec for _, _, spec in stack])
-        for (name, mult, spec), outcome in zip(stack, outcomes):
+        outcomes = run([spec for _, (_, _, _, spec) in stack])
+        for (name, (label, mult, worker_c, spec)), outcome in zip(stack, outcomes):
             status = STATUS_UNREACHED
-            reached = None
             if isinstance(outcome, DivergenceError):
                 records = outcome.records
+                reached = None
                 status = STATUS_DIVERGED
             else:
                 records = outcome
