@@ -44,6 +44,16 @@ _INIT_TAG = 3
 # Every value is billed as the float64 the simulation computes and ships.
 VALUE_BITS = 64
 
+# A stack of runs holds at most this many entries in each (R·n, d) worker
+# array, or one run's if that is more: every array of a round is R times one
+# run's. Stacking saves per-call overhead, which dominates small arrays: the
+# protocol's 9 runs at n = 20, d = 50 (9000 entries) take 8.6 s against 14.6 s
+# run one at a time. Large arrays gain less and pay in memory: two runs at
+# n = 10, d = 2000 doubled a round's transient peak from 1.7 to 3.4 MB, which
+# made glibc return the heap to the system after each sweep and the next set-up
+# fault its pages in again (highdim_bidir setup_s +26%, BENCH_22.json).
+_STACK_MAX_ELEMENTS = 1 << 15
+
 
 class DivergenceError(RuntimeError):
     """Raised when a run produces non-finite values; carries the partial trace.
@@ -410,19 +420,14 @@ def _rounds(specs: Sequence[RunSpec], stopping: bool) -> Iterator[tuple[list[int
     the index in ``specs`` of each run in the stack, the stack and each run's
     record (or the DivergenceError it raised), in stack order.
 
-    The runs must share everything but the stepsize, the stop rule and
-    f_star. The worker and master constants are certified once, and round 0
+    The runs share everything but the stepsize, the stop rule and f_star
+    (``run`` checks it). The worker and master constants are certified once, and round 0
     is computed once for all runs. A run whose record is an error leaves the
     stack before the next round, and so, when ``stopping``, does a run whose
     record ends it by its stop rule; the others go on, until none is left.
     """
     first = specs[0]
     problem, worker_spec, master_spec = first.problem, first.worker_spec, first.master_spec
-    for spec in specs[1:]:
-        same_rules = spec.worker_spec == worker_spec and spec.master_spec == master_spec
-        same_start = np.array_equal(spec.x0, first.x0) and (spec.seed, spec.init_mode) == (first.seed, first.init_mode)
-        if not (spec.problem is problem and same_rules and same_start):
-            raise ValueError("runs advanced as one stack must share the problem, rules, x0, seed and init mode")
     wc = worker_spec.constants(problem.dim)
     mc = master_spec.constants(problem.dim)
     rng = SeededRng(first.seed)
@@ -468,21 +473,31 @@ def run(specs: Union[RunSpec, Sequence[RunSpec]]):
     Given one RunSpec, returns its records; on divergence the raised error
     carries the records collected so far. Given a sequence of runs that
     share everything but the stepsize, the stop rule and f_star, as a
-    sweep's multipliers of one method do, advances them as one stack and
-    returns, for each in order, its records or the DivergenceError that
-    ended it, carrying its records. Each run's records are bitwise those
-    it gives alone.
+    sweep's multipliers of one method do, advances them as stacks of
+    consecutive runs, each stack's worker arrays within _STACK_MAX_ELEMENTS,
+    and returns, for each run in order, its records or the DivergenceError
+    that ended it, carrying its records. Each run's records are bitwise
+    those it gives alone.
     """
     single = isinstance(specs, RunSpec)
     specs = [specs] if single else list(specs)
+    first = specs[0]
+    for spec in specs[1:]:
+        same_rules = spec.worker_spec == first.worker_spec and spec.master_spec == first.master_spec
+        same_start = np.array_equal(spec.x0, first.x0) and (spec.seed, spec.init_mode) == (first.seed, first.init_mode)
+        if not (spec.problem is first.problem and same_rules and same_start):
+            raise ValueError("runs advanced as one stack must share the problem, rules, x0, seed and init mode")
     records: list[list[IterationRecord]] = [[] for _ in specs]
     outcomes: list = records.copy()
-    for runs, _, made in _rounds(specs, stopping=True):
-        for r, record in zip(runs, made):
-            if isinstance(record, DivergenceError):
-                outcomes[r] = DivergenceError(record.round_index, record.reason, records[r])
-            else:
-                records[r].append(record)
+    size = max(1, _STACK_MAX_ELEMENTS // (first.problem.n_clients * first.problem.dim))
+    for start in range(0, len(specs), size):
+        for runs, _, made in _rounds(specs[start : start + size], stopping=True):
+            for r, record in zip(runs, made):
+                r += start
+                if isinstance(record, DivergenceError):
+                    outcomes[r] = DivergenceError(record.round_index, record.reason, records[r])
+                else:
+                    records[r].append(record)
     if single and isinstance(outcomes[0], DivergenceError):
         raise outcomes[0]
     return outcomes[0] if single else outcomes

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from adacgd.compressors import EF21, AdaCGD, ContractorSpec, IdentityMaster, adacgd_as_chain
+from adacgd import engine
 from adacgd.datasets import SyntheticSpec, build_problem, make_synthetic
 from adacgd.engine import DivergenceError, RunSpec, StopRule, run
 from adacgd.experiments import RunConfig, record_to_row, run_experiment
@@ -82,10 +83,13 @@ def _alone(spec):
         return err
 
 
+@pytest.mark.parametrize("stack_entries", [1 << 15, 2 * 3 * 8], ids=["one-stack", "stacks-of-two"])
 @pytest.mark.parametrize("init_mode", ["full", "compressed"])
-def test_a_stack_with_a_rand_k_master_gives_each_run_its_records_alone(init_mode):
+def test_a_stack_with_a_rand_k_master_gives_each_run_its_records_alone(init_mode, stack_entries, monkeypatch):
     # No method label builds a rand-k master, so this stack is made in code. Its
-    # runs also differ in stop rule and f_star, which a stack allows.
+    # runs also differ in stop rule and f_star, which a stack allows. With a
+    # small entry budget, run splits them into stacks of two runs, then one.
+    monkeypatch.setattr(engine, "_STACK_MAX_ELEMENTS", stack_entries)
     features, labels = make_synthetic(SyntheticSpec(40, 8, seed=2, scale=2.0))
     problem = build_problem(features, labels, 3, 0.1, seed=2)
     worker = AdaCGD((ContractorSpec.rand_k(1), ContractorSpec.top_k(3)), 1.0)
