@@ -47,8 +47,8 @@ VALUE_BITS = 64
 # A stack of runs holds at most this many entries in each (R·n, d) worker
 # array, or one run's if that is more: every array of a round is R times one
 # run's. Stacking saves per-call overhead, which dominates small arrays: the
-# protocol's 9 runs at n = 20, d = 50 (9000 entries) take 8.6 s against 14.6 s
-# run one at a time. Large arrays gain less and pay in memory: two runs at
+# protocol's 9 runs at n = 20, d = 50 (9000 entries) took 11.6 s against 14.2 s
+# run one at a time (medians of 3 CLI runs, 2-vCPU VM). Large arrays gain less and pay in memory: two runs at
 # n = 10, d = 2000 doubled a round's transient peak from 1.7 to 3.4 MB, which
 # made glibc return the heap to the system after each sweep and the next set-up
 # fault its pages in again (highdim_bidir setup_s +26%, BENCH_22.json).
@@ -421,10 +421,11 @@ def _rounds(specs: Sequence[RunSpec], stopping: bool) -> Iterator[tuple[list[int
     record (or the DivergenceError it raised), in stack order.
 
     The runs share everything but the stepsize, the stop rule and f_star
-    (``run`` checks it). The worker and master constants are certified once, and round 0
-    is computed once for all runs. A run whose record is an error leaves the
-    stack before the next round, and so, when ``stopping``, does a run whose
-    record ends it by its stop rule; the others go on, until none is left.
+    (``run`` checks it). The worker and master constants are certified
+    once, and round 0 is computed once for all runs. A run whose record is
+    an error leaves the stack before the next round, and so, when
+    ``stopping``, does a run whose record ends it by its stop rule; the
+    others go on, until none is left.
     """
     first = specs[0]
     problem, worker_spec, master_spec = first.problem, first.worker_spec, first.master_spec
