@@ -482,6 +482,8 @@ def run(specs: Union[RunSpec, Sequence[RunSpec]]):
     """
     single = isinstance(specs, RunSpec)
     specs = [specs] if single else list(specs)
+    if not specs:
+        return []
     first = specs[0]
     for spec in specs[1:]:
         same_rules = spec.worker_spec == first.worker_spec and spec.master_spec == first.master_spec

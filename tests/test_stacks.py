@@ -122,3 +122,4 @@ def test_a_stack_rejects_runs_that_do_not_share_their_rules_and_start():
         with pytest.raises(ValueError, match="must share the problem, rules, x0, seed and init mode"):
             run([spec, other])
     assert len(run([spec, replace(spec, gamma=0.1, stop=StopRule(5), f_star=1.0)])[1]) == 6
+    assert run([]) == []
