@@ -71,6 +71,20 @@ def test_parse_rejects_non_finite_values_with_line_number(text):
     assert err.value.line_number == 2
 
 
+@pytest.mark.parametrize("line, message", [
+    ("+1 0:1", "feature index must be >= 1, got 0"),
+    ("+1 2:1 2:1", "feature indices must be strictly increasing, got 2 after 2"),
+    ("+1 1:inf", "feature value at index 1 is not finite"),
+    ("+1 9223372036854775808:1", "feature index 9223372036854775808 does not fit in int64"),
+    ("+1 -99999999999999999999:1", "feature index must be >= 1, got -99999999999999999999"),
+])
+def test_parse_errors_word_each_row_rule(line, message):
+    with pytest.raises(LibsvmParseError) as err:
+        parse_libsvm(f"-1 1:1\n{line}\n")
+    assert err.value.line_number == 2
+    assert str(err.value) == f"line 2: {message}"
+
+
 def test_example_holds_the_row_rules():
     with pytest.raises(ValueError, match=">= 1"):
         Example(1, ((0, 1.0),))
