@@ -30,14 +30,12 @@ from .problems import (
     smoothness,
 )
 from .datasets import (
-    Example,
     LibsvmParseError,
     LibsvmRows,
     Partition,
     SyntheticSpec,
     build_libsvm_problem,
     build_problem,
-    format_example,
     make_synthetic,
     parse_libsvm,
     partition,

@@ -55,45 +55,14 @@ def _rule_breaks(indices: np.ndarray, values: np.ndarray, offsets: np.ndarray) -
     return indices < 1, indices <= prev, ~np.isfinite(values)
 
 
-@dataclass(frozen=True)
-class Example:
-    """A labeled sparse feature row: the row model of a LIBSVM line."""
-
-    label: int  # +1 or -1
-    features: tuple[tuple[int, float], ...]  # (1-based index, value), strictly increasing
-
-    def __post_init__(self) -> None:
-        if self.label not in (-1, 1):
-            raise ValueError(f"label must be -1 or +1, got {self.label}")
-        if not self.features:
-            return
-        idx, val = zip(*self.features)
-        if max(idx) >= _INDEX_BOUND:
-            raise ValueError(f"feature index {max(idx)} does not fit in int64")
-        # An index below 1 breaks the first rule whatever its value, so 0 stands in for it.
-        low, unordered, nonfinite = _rule_breaks(
-            np.array([max(i, 0) for i in idx], dtype=np.int64), np.array(val, dtype=np.float64), np.array([0, len(idx)])
-        )
-        bad = low | unordered | nonfinite
-        if not bad.any():
-            return
-        j = int(bad.argmax())
-        if low[j]:
-            raise ValueError(f"feature index must be >= 1, got {idx[j]}")
-        if unordered[j]:
-            raise ValueError(f"feature indices must be strictly increasing, got {idx[j]} after {idx[j - 1]}")
-        raise ValueError(f"feature value at index {idx[j]} is not finite")
-
-
 @dataclass(frozen=True, eq=False)
-class LibsvmRows(Sequence):
-    """Parsed LIBSVM rows in columnar (CSR) form, read as a sequence of :class:`Example`.
+class LibsvmRows:
+    """Parsed LIBSVM rows in columnar (CSR) form.
 
     Row ``i`` has the label ``labels[i]`` and the entries
     ``offsets[i]:offsets[i + 1]`` of ``indices`` and ``values``.
-    :func:`parse_libsvm` builds it with every row keeping the rules of
-    :class:`Example`; ``rows[i]`` is row ``i`` as one, and a negative ``i``
-    counts from the end.
+    :func:`parse_libsvm` builds it with every row keeping the row rules:
+    indices from 1 to 2**63 - 1, strictly increasing, and finite values.
     """
 
     labels: np.ndarray  # (N,) float64, +1 or -1
@@ -103,13 +72,6 @@ class LibsvmRows(Sequence):
 
     def __len__(self) -> int:
         return self.labels.shape[0]
-
-    def __getitem__(self, i: int) -> Example:
-        n = len(self)
-        if not -n <= i < n:
-            raise IndexError(f"row {i} out of range for {n} rows")
-        lo, hi = self.offsets[i % n], self.offsets[i % n + 1]
-        return Example(int(self.labels[i]), tuple(zip(self.indices[lo:hi].tolist(), self.values[lo:hi].tolist())))
 
 
 def _fields(line: str) -> list[str]:
@@ -121,23 +83,35 @@ def _check_line(lineno: int, line: str) -> None:
     head, *tokens = _fields(line)
     if head not in _LABELS:
         raise LibsvmParseError(lineno, f"invalid label token {head!r}")
-    feats: list[tuple[int, float]] = []
+    idx: list[int] = []
+    val: list[float] = []
     for tok in tokens:
         idx_str, colon, val_str = tok.partition(":")
         if not colon:
             raise LibsvmParseError(lineno, f"expected index:value, got {tok!r}")
         try:
-            idx = int(idx_str)
+            idx.append(int(idx_str))
         except ValueError:
             raise LibsvmParseError(lineno, f"non-numeric feature index {idx_str!r}") from None
         try:
-            feats.append((idx, float(val_str)))
+            val.append(float(val_str))
         except ValueError:
             raise LibsvmParseError(lineno, f"non-numeric feature value {val_str!r}") from None
-    try:
-        Example(_LABELS[head], tuple(feats))
-    except ValueError as err:
-        raise LibsvmParseError(lineno, str(err)) from None
+    if max(idx, default=0) >= _INDEX_BOUND:
+        raise LibsvmParseError(lineno, f"feature index {max(idx)} does not fit in int64")
+    # An index below 1 breaks the first rule whatever its value, so 0 stands in for it.
+    low, unordered, nonfinite = _rule_breaks(
+        np.array([max(i, 0) for i in idx], dtype=np.int64), np.array(val, dtype=np.float64), np.array([0, len(idx)])
+    )
+    bad = low | unordered | nonfinite
+    if not bad.any():
+        return
+    j = int(bad.argmax())
+    if low[j]:
+        raise LibsvmParseError(lineno, f"feature index must be >= 1, got {idx[j]}")
+    if unordered[j]:
+        raise LibsvmParseError(lineno, f"feature indices must be strictly increasing, got {idx[j]} after {idx[j - 1]}")
+    raise LibsvmParseError(lineno, f"feature value at index {idx[j]} is not finite")
 
 
 def _read_block(tokens: list[str], counts: list[int], linenos: list[int], lines: list[str]):
@@ -213,12 +187,6 @@ def parse_libsvm(text) -> tuple[LibsvmRows, int]:
     return rows, int(indices.max()) if indices.size else 0
 
 
-def format_example(e: Example) -> str:
-    """Serialize an example; parsing the result reproduces it exactly."""
-    head = "+1" if e.label == 1 else "-1"
-    return " ".join([head] + [f"{idx}:{val!r}" for idx, val in e.features])
-
-
 @dataclass(frozen=True)
 class Partition:
     """Disjoint, exhaustive split of example indices into n shards."""
@@ -250,8 +218,8 @@ def _check_dim(rows: LibsvmRows, dim: int) -> None:
 def to_dense(rows: LibsvmRows, dim: int, order: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
     """Materialize rows as a dense (N, dim) matrix and a label vector.
 
-    Row i of both is ``rows[i]``, or ``rows[order[i]]`` when a permutation
-    ``order`` is given.
+    Row i of both is row i of ``rows``, or row ``order[i]`` when a
+    permutation ``order`` is given.
     """
     _check_dim(rows, dim)
     n = len(rows)
@@ -318,8 +286,8 @@ def build_problem(
     rows once, in client order. With ``copy=False`` it takes ``features``
     itself as that storage and reorders its rows in place, so a caller that
     built the array for this call never holds the data twice; such a caller
-    must not use the array afterwards. Shards check finite features and +-1
-    labels, and the problem a positive dimension.
+    must not use the array afterwards. The problem checks finite features,
+    +-1 labels and a positive dimension.
     """
     features = np.ascontiguousarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
@@ -358,8 +326,8 @@ def build_libsvm_problem(
     ends = np.cumsum(counts)
     take = np.repeat(rows.offsets[order] - (ends - counts), counts)  # row order[r]'s entries, in index order
     take += np.arange(take.size)
-    sparse = _sparse_rows(counts, rows.indices[take] - 1, rows.values[take], rows.labels[order], sizes, dim)
-    return Problem(LOGISTIC, dim, lam, n_clients, sparse=sparse)
+    csr = _sparse_rows(counts, rows.indices[take] - 1, rows.values[take], rows.labels[order], sizes, dim)
+    return Problem(LOGISTIC, dim, lam, n_clients, csr)
 
 
 @dataclass(frozen=True)

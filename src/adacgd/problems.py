@@ -4,12 +4,11 @@ The global objective is the mean of per-client objectives. Each logistic
 client owns a shard of (features, label) pairs and contributes the mean
 log-loss over its shard plus the bounded nonconvex penalty
 lam * sum_j x_j^2 / (1 + x_j^2). A problem holds all rows once, in client
-order; consecutive clients with one shard size form a group, a stacked
-(clients, examples, dim) view of those rows, so the round oracle makes one
-batched product per group. Each Shard is a row view into its group. Rows
-that are mostly zeros, as LIBSVM data usually is, are kept in CSR form
-instead: the round oracle multiplies only their nonzeros, and a shard is
-densified from its client's block only when it is read.
+order, as one ClientRows: a dense (N, d) array, or, for rows that are mostly
+zeros, as LIBSVM data usually is, a CSR matrix. On dense rows the round
+oracle makes one batched product per run of clients with one shard size;
+on CSR rows it multiplies only the nonzeros. A Shard is a view of its
+client's dense rows, or its CSR block densified when it is read.
 Quadratic problems replicate one diagonal quadratic across all clients,
 which pins exact smoothness and curvature constants for rate tests.
 """
@@ -41,20 +40,6 @@ class Shard:
     features: np.ndarray  # (examples, dim)
     labels: np.ndarray  # (examples,), entries in {-1, +1}
 
-    def __post_init__(self) -> None:
-        f = np.asarray(self.features, dtype=np.float64)
-        l = np.asarray(self.labels, dtype=np.float64)
-        if f.ndim != 2 or l.ndim != 1 or f.shape[0] != l.shape[0]:
-            raise ValueError(f"inconsistent shard shapes {f.shape} / {l.shape}")
-        if f.shape[0] == 0:
-            raise ValueError("shard must contain at least one example")
-        if not np.all(np.isfinite(f)):
-            raise ValueError("shard features contain non-finite values")
-        if not np.all(np.isin(l, (-1.0, 1.0))):
-            raise ValueError("labels must be -1 or +1")
-        object.__setattr__(self, "features", f)
-        object.__setattr__(self, "labels", l)
-
     @property
     def size(self) -> int:
         return self.features.shape[0]
@@ -65,17 +50,8 @@ def _check_lam(lam: float) -> None:
         raise ValueError(f"regularization weight lam must be finite and >= 0, got {lam}")
 
 
-@dataclass(frozen=True)
-class ShardGroup:
-    """Consecutive clients whose shards have one row count, with their data stacked."""
-
-    clients: np.ndarray  # (g,) client indices, ascending
-    features: np.ndarray  # (g, examples, dim); row j is client clients[j]'s shard
-    labels: np.ndarray  # (g, examples)
-
-
 # Client-ordered rows with at most this fraction of nonzeros are kept only in
-# CSR form (SparseRows), and the round oracle multiplies only the nonzeros;
+# CSR form (ClientRows with a CSR matrix), and the round oracle multiplies only the nonzeros;
 # denser rows are kept densely and take the batched BLAS products. Per round
 # oracle call with 20 clients of m rows, BLAS vs CSR in µs at 5%, 12.5%, 20% and 30% nonzero
 # (NumPy 2.4.6, SciPy 1.17.1, OpenBLAS 0.3.31, one core of a 2-vCPU AVX-512
@@ -108,57 +84,49 @@ def _mostly_zero(nonzeros: int, entries: int) -> bool:
 
 
 @dataclass(frozen=True)
-class SparseRows:
-    """A mostly-zero problem's rows in CSR form, each client in its own d columns.
+class ClientRows:
+    """A logistic problem's rows in client order: client i owns rows ``offsets[i]:offsets[i + 1]``.
 
-    Row r of ``matrix`` holds the nonzeros of row r at columns
-    client(r)·d + j, so ``matrix @ np.tile(x, n)`` gives the product of every
-    row with x and ``matrix.T @ w`` every client's weighted sum of its rows,
-    each in one call over the nonzeros only. Client i owns rows
-    ``offsets[i]:offsets[i + 1]``. Neither product calls BLAS, so their bits
-    do not depend on the BLAS kernel.
+    ``matrix`` is a dense (N, d) float64 array, or, for mostly-zero rows, a
+    CSR (N, n·d) matrix in which row r holds the nonzeros of row r at
+    columns client(r)·d + j. Then ``matrix @ np.tile(x, n)`` gives the
+    product of every row with x and ``matrix.T @ w`` every client's
+    weighted sum of its rows, each in one call over the nonzeros only.
+    Neither product calls BLAS, so their bits do not depend on the BLAS
+    kernel.
     """
 
-    matrix: csr_array  # (N, n * d)
+    matrix: np.ndarray | csr_array  # (N, d) dense, or (N, n * d) CSR
     labels: np.ndarray  # (N,)
     offsets: np.ndarray  # (n + 1,)
-    transposed: csc_array = field(init=False, repr=False)  # matrix.T, a view, made once
+    sparse: bool = field(init=False)  # whether ``matrix`` is CSR
+    transposed: np.ndarray | csc_array = field(init=False, repr=False)  # matrix.T, a view, made once
     shard_sizes: np.ndarray = field(init=False, repr=False)  # (n, 1) float64 row counts
     runs: tuple[tuple[int, int, int, int], ...] = field(init=False, repr=False)  # _runs of the shard sizes
 
     def __post_init__(self) -> None:
         sizes = np.diff(self.offsets)
+        object.__setattr__(self, "sparse", not isinstance(self.matrix, np.ndarray))
         object.__setattr__(self, "transposed", self.matrix.T)
         object.__setattr__(self, "shard_sizes", sizes.astype(np.float64)[:, None])
         object.__setattr__(self, "runs", _runs(sizes.tolist()))
 
-    def block(self, i: int) -> csr_array:
-        """Client i's (m_i, d) rows, holding their entries in ``matrix``'s order."""
+    def block(self, i: int):
+        """Client i's (m_i, d) rows: a view of dense rows, or a CSR block holding its entries in ``matrix``'s order."""
+        rows = slice(self.offsets[i], self.offsets[i + 1])
+        if not self.sparse:
+            return self.matrix[rows]
         d = self.matrix.shape[1] // (self.offsets.size - 1)
-        return self.matrix[self.offsets[i] : self.offsets[i + 1], i * d : (i + 1) * d]
+        return self.matrix[rows, i * d : (i + 1) * d]
 
     def client_labels(self, i: int) -> np.ndarray:
         return self.labels[self.offsets[i] : self.offsets[i + 1]]
 
 
-class _DensifiedShards(Sequence):
-    """A sparse problem's shards: ``[i]`` densifies client i's CSR block each time it is read, and keeps nothing.
+class _Shards(Sequence):
+    """A logistic problem's shards: ``[i]`` is client i's rows, a view of dense rows or its CSR block densified each time it is read."""
 
-    Made once per problem, after the checks ``Shard`` makes on dense rows.
-    """
-
-    def __init__(self, rows: SparseRows, n_clients: int, dim: int):
-        n_rows = rows.labels.shape[0]
-        sizes = np.diff(rows.offsets)
-        fits = sizes.shape == (n_clients,) and rows.offsets[0] == 0 and rows.offsets[-1] == n_rows
-        if not fits or rows.matrix.shape != (n_rows, n_clients * dim):
-            raise ValueError(f"sparse rows of shape {rows.matrix.shape} do not fit {n_clients} clients of dim {dim}")
-        if np.any(sizes < 1):
-            raise ValueError("shard must contain at least one example")
-        if not np.all(np.isfinite(rows.matrix.data)):
-            raise ValueError("shard features contain non-finite values")
-        if not np.all(np.isin(rows.labels, (-1.0, 1.0))):
-            raise ValueError("labels must be -1 or +1")
+    def __init__(self, rows: ClientRows):
         self._rows = rows
 
     def __len__(self) -> int:
@@ -166,7 +134,8 @@ class _DensifiedShards(Sequence):
 
     def __getitem__(self, i: int) -> Shard:
         i = range(len(self))[i]  # negative i counts from the end; out of range raises IndexError
-        return Shard(self._rows.block(i).toarray(), self._rows.client_labels(i))
+        block = self._rows.block(i)
+        return Shard(block.toarray() if self._rows.sparse else block, self._rows.client_labels(i))
 
 
 def _nonzero_entries(features: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -198,8 +167,8 @@ def _nonzero_entries(features: np.ndarray) -> Optional[tuple[np.ndarray, np.ndar
 
 def _sparse_rows(
     row_counts: np.ndarray, columns: np.ndarray, values: np.ndarray, labels: np.ndarray, sizes: Sequence[int], dim: int
-) -> SparseRows:
-    """The CSR form of client-ordered rows given by their entries: the one builder of SparseRows.
+) -> ClientRows:
+    """The CSR form of client-ordered rows given by their entries: the one builder of CSR ClientRows.
 
     Row r holds the next ``row_counts[r]`` entries of ``columns`` (0-based,
     ascending within the row) and ``values``; client i holds the next
@@ -222,35 +191,25 @@ def _sparse_rows(
     indices += columns
     indptr = np.concatenate((np.zeros(1, dtype=index), np.cumsum(row_counts, dtype=index)))
     matrix = csr_array((values, indices, indptr), shape=(row_counts.size, n * dim))
-    return SparseRows(matrix, labels, np.concatenate(([0], np.cumsum(sizes))))
-
-
-def _stack(features: np.ndarray, labels: np.ndarray, sizes: Sequence[int]) -> tuple[ShardGroup, ...]:
-    """One group per run of consecutive clients with equal shard sizes, each a view of the arrays."""
-    return tuple(
-        ShardGroup(np.arange(client, client + g), features[row : row + g * m].reshape(g, m, features.shape[1]),
-                   labels[row : row + g * m].reshape(g, m))
-        for client, row, g, m in _runs(sizes)
-    )
+    return ClientRows(matrix, labels, np.concatenate(([0], np.cumsum(sizes))))
 
 
 @dataclass(frozen=True)
 class Problem:
     """Finite-sum objective f = (1/n) sum_i f_i with per-client gradient oracles.
 
-    A logistic problem holds its rows once, in client order. Dense rows are
-    its ``groups``, and ``shards[i]`` is client i's row view into its group.
-    Mostly-zero rows are held only as ``sparse``, and ``shards[i]`` densifies
-    client i's block each time it is read.
+    A logistic problem holds its rows once, in client order, as ``rows``:
+    dense, or in CSR form when they are mostly zero. ``shards[i]`` is
+    client i's view of dense rows, or its CSR block densified each time it
+    is read.
     """
 
     kind: str
     dim: int
     lam: float
     n_clients: int
-    groups: tuple[ShardGroup, ...] = ()
+    rows: Optional[ClientRows] = None
     diagonal: Optional[np.ndarray] = None
-    sparse: Optional[SparseRows] = None
     shards: Sequence[Shard] = field(init=False, default=())
 
     def __post_init__(self) -> None:
@@ -259,20 +218,21 @@ class Problem:
             raise ValueError(f"problem dimension must be >= 1, got {self.dim}")
         if self.n_clients < 1:
             raise ValueError("need at least one client")
-        if self.kind == LOGISTIC and self.sparse is not None:
-            if self.groups:
-                raise ValueError("a logistic problem holds its rows as dense groups or as sparse rows, not both")
-            object.__setattr__(self, "shards", _DensifiedShards(self.sparse, self.n_clients, self.dim))
-        elif self.kind == LOGISTIC:
-            if sorted(int(i) for g in self.groups for i in g.clients) != list(range(self.n_clients)):
-                raise ValueError("logistic problem needs one shard per client")
-            shards = [None] * self.n_clients
-            for g in self.groups:
-                if g.features.ndim != 3 or g.features.shape[2] != self.dim:
-                    raise ValueError("all shards must share the problem dimension")
-                for j, i in enumerate(g.clients):
-                    shards[i] = Shard(g.features[j], g.labels[j])
-            object.__setattr__(self, "shards", tuple(shards))
+        if self.kind == LOGISTIC:
+            rows, n = self.rows, self.n_clients
+            n_rows = rows.labels.shape[0]
+            sizes = np.diff(rows.offsets)
+            fits = sizes.shape == (n,) and rows.offsets[0] == 0 and rows.offsets[-1] == n_rows
+            if not fits or rows.matrix.shape != (n_rows, n * self.dim if rows.sparse else self.dim):
+                raise ValueError(f"rows of shape {rows.matrix.shape} do not fit {n} clients of dim {self.dim}")
+            if np.any(sizes < 1):
+                raise ValueError("shard must contain at least one example")
+            values = [rows.matrix.data] if rows.sparse else map(rows.block, range(n))  # dense: a client at a time
+            if not all(np.isfinite(v).all() for v in values):
+                raise ValueError("shard features contain non-finite values")
+            if not np.all(np.isin(rows.labels, (-1.0, 1.0))):
+                raise ValueError("labels must be -1 or +1")
+            object.__setattr__(self, "shards", _Shards(rows))
         elif self.kind == QUADRATIC:
             diag = as_vector(self.diagonal)
             if diag.shape[0] != self.dim:
@@ -288,7 +248,7 @@ class Problem:
         """Logistic problem over rows in client order: client i holds the next sizes[i] rows.
 
         Rows that are at most _SPARSE_MAX_DENSITY nonzero are kept only in
-        CSR form, as ``sparse``. Denser ones are kept densely: C-contiguous
+        CSR form. Denser ones are kept densely: C-contiguous
         float64 arrays become the problem's storage as they are, and any
         others are converted to that form once, here.
         """
@@ -302,13 +262,15 @@ class Problem:
         d = features.shape[1]
         entries = _nonzero_entries(features)
         if entries is None:
-            return Problem(LOGISTIC, d, lam, len(sizes), _stack(features, labels, sizes))
-        return Problem(LOGISTIC, d, lam, len(sizes), sparse=_sparse_rows(*entries, labels, sizes, d))
+            rows = ClientRows(features, labels, np.concatenate(([0], np.cumsum(sizes))))
+        else:
+            rows = _sparse_rows(*entries, labels, sizes, d)
+        return Problem(LOGISTIC, d, lam, len(sizes), rows)
 
     @staticmethod
     def quadratic(diagonal, n_clients: int = 1) -> "Problem":
         diag = as_vector(diagonal)
-        return Problem(QUADRATIC, diag.shape[0], 0.0, n_clients, (), diag)
+        return Problem(QUADRATIC, diag.shape[0], 0.0, n_clients, diagonal=diag)
 
 
 @dataclass(frozen=True)
@@ -353,7 +315,7 @@ def _checked_point(p: Problem, i: int, x) -> np.ndarray:
 
 
 # The margin helpers take one shard's (m, d) features and (m,) labels, or a
-# group's (clients, m, d) and (clients, m): any leading batch axis. _margins
+# run's (clients, m, d) and (clients, m): any leading batch axis. _margins
 # also takes CSR rows.
 def _margins(features, labels: np.ndarray, x: np.ndarray) -> np.ndarray:
     return labels * (features @ x)
@@ -374,11 +336,8 @@ def _margin_gradient(features: np.ndarray, labels: np.ndarray, z: np.ndarray) ->
 
 
 def _client_rows(p: Problem, i: int):
-    """Client i's features, its CSR block of ``p.sparse`` when there is one, and its labels."""
-    if p.sparse is None:
-        shard = p.shards[i]
-        return shard.features, shard.labels
-    return p.sparse.block(i), p.sparse.client_labels(i)
+    """Client i's rows (``ClientRows.block``: a view of dense rows, or a CSR block) and its labels."""
+    return p.rows.block(i), p.rows.client_labels(i)
 
 
 def client_loss(p: Problem, i: int, x) -> float:
@@ -397,10 +356,10 @@ def client_gradient(p: Problem, i: int, x) -> np.ndarray:
         return p.diagonal * x
     features, labels = _client_rows(p, i)
     z = _margins(features, labels, x)
-    if p.sparse is None:
-        grad = _margin_gradient(features, labels, z)
-    else:
+    if p.rows.sparse:
         grad = features.T @ _margin_weights(labels, z) / z.shape[-1]
+    else:
+        grad = _margin_gradient(features, labels, z)
     return grad + _regularizer_gradient(p.lam, x)
 
 
@@ -409,21 +368,22 @@ def _round_oracle(p: Problem, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     objective value, as an (R,) array, and the (n, d) array of client
     gradients, as one (R, n, d) array.
 
-    The R points share each product's operand, so one batched margin product
-    per shard size serves every point's losses and gradients: for each
-    point and client it makes the BLAS call that the same helpers make on
-    one shard, one dense product per point and client, never one product
-    with R columns, whose bits could differ. Exponentials, the regularizer
-    and the loss reductions act on the whole stack, each entry as on its own,
-    and the client values are summed in client order. So row r of the
-    results is bitwise the client-order mean of ``client_loss`` at point r
-    and the stacked ``client_gradient`` rows there.
-    A problem with ``sparse`` rows instead makes one CSR product for all
-    margins and one for all gradients per point, and reduces the losses of
-    each run of equal shard sizes as one (points, clients, m) slice of the
-    margins. Each row's and each gradient entry's sum runs over the same
-    nonzeros in the same order as on the client's own block, so the same
-    property holds. tests/test_problems.py checks this property.
+    The R points share each product's operand. Dense rows are walked one
+    run of clients with one shard size m at a time, as a (clients, m, d)
+    view, so one batched margin product per run serves every point's losses
+    and gradients: for each point and client it makes the BLAS call that
+    the same helpers make on one shard, one dense product per point and
+    client, never one product with R columns, whose bits could differ.
+    Exponentials, the regularizer and the loss reductions act on the whole
+    stack, each entry as on its own, and the client values are summed in
+    client order. So row r of the results is bitwise the client-order mean
+    of ``client_loss`` at point r and the stacked ``client_gradient`` rows
+    there. CSR rows instead take one CSR product for all margins and one
+    for all gradients per point, and the losses of each run are reduced as
+    one (points, clients, m) slice of the margins. Each row's and each
+    gradient entry's sum runs over the same nonzeros in the same order as
+    on the client's own block, so the same property holds.
+    tests/test_problems.py checks this property.
     """
     n, stack = p.n_clients, xs.shape[0]
     if p.kind == QUADRATIC:
@@ -431,12 +391,14 @@ def _round_oracle(p: Problem, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return 0.5 * np.add.reduce(gradient * xs, axis=-1), np.repeat(gradient[:, None], n, axis=1)
     values = np.empty((stack, n))
     grads = np.empty((stack, n, p.dim))
-    s = p.sparse
-    if s is None:
-        for g in p.groups:
-            z = g.labels * np.matmul(g.features, xs[:, None, :, None])[..., 0]
-            values[:, g.clients] = _margin_loss(z)
-            grads[:, g.clients] = _margin_gradient(g.features, g.labels, z)
+    s = p.rows
+    if not s.sparse:
+        for client, row, g, m in s.runs:
+            features = s.matrix[row : row + g * m].reshape(g, m, p.dim)
+            labels = s.labels[row : row + g * m].reshape(g, m)
+            z = labels * np.matmul(features, xs[:, None, :, None])[..., 0]
+            values[:, client : client + g] = _margin_loss(z)
+            grads[:, client : client + g] = _margin_gradient(features, labels, z)
     else:
         z = np.stack([_margins(s.matrix, s.labels, np.tile(x, n)) for x in xs])
         for client, row, g, m in s.runs:
@@ -475,11 +437,11 @@ def smoothness(p: Problem) -> SmoothnessConstants:
             raise ValueError("quadratic with all-zero diagonal has no curvature scale")
         positive = p.diagonal[p.diagonal > 0]
         return SmoothnessConstants(top, top, float(np.min(positive)))
-    if p.sparse is None:
-        row_sq = [np.sum(s.features**2, axis=1) for s in p.shards]
+    r = p.rows
+    if r.sparse:
+        row_sq = np.split(r.matrix.power(2) @ np.ones(r.matrix.shape[1]), r.offsets[1:-1])
     else:
-        m = p.sparse.matrix
-        row_sq = np.split(m.power(2) @ np.ones(m.shape[1]), p.sparse.offsets[1:-1])
+        row_sq = [np.sum(r.block(i) ** 2, axis=1) for i in range(p.n_clients)]
     per_client = np.array([float(np.mean(r)) / 4.0 + 2.0 * p.lam for r in row_sq])
     if np.any(per_client <= 0):
         raise ValueError("degenerate shard with zero smoothness bound")

@@ -54,7 +54,7 @@ def test_build_dataset_digests_pinned(name, tmp_path):
     config = RunConfig(dataset=dataset, n_clients=n_clients, lam=lam, seed=seed, scale_features=scale)
     problem, dataset_hash = build_dataset(config)
     assert (problem_digest(problem), dataset_hash) == (want_problem, want_hash)
-    assert (problem.sparse is not None) == name.startswith("sparse")
+    assert problem.rows.sparse == name.startswith("sparse")
 
 
 # Traces of a 10-round gd and ef21:k=1 sweep on NEGATIVE_ZERO_TEXT, unscaled and scaled, with the config below.
@@ -89,9 +89,9 @@ def test_a_negative_zero_in_a_sparse_file_moves_only_its_problem_digest(tmp_path
     (tmp_path / "zero.svm").write_text(sparse_libsvm_text())
     (negative, _), (positive, _) = [build_dataset(RunConfig(dataset=name, n_clients=4, lam=0.1, seed=4, scale_features=scale))
                                     for name in ("negzero.svm", "zero.svm")]
-    for a, b in [(negative.sparse.matrix.data, positive.sparse.matrix.data),
-                 (negative.sparse.matrix.indices, positive.sparse.matrix.indices),
-                 (negative.sparse.matrix.indptr, positive.sparse.matrix.indptr)]:
+    for a, b in [(negative.rows.matrix.data, positive.rows.matrix.data),
+                 (negative.rows.matrix.indices, positive.rows.matrix.indices),
+                 (negative.rows.matrix.indptr, positive.rows.matrix.indptr)]:
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
     assert problem_digest(negative) == problem_digest(positive) == CASES[f"sparse-libsvm{'-scaled' if scale else ''}"][5]
     run_experiment(RunConfig(dataset="negzero.svm", n_clients=4, lam=0.1, seed=4, methods=("gd", "ef21:k=1"),

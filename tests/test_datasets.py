@@ -10,13 +10,11 @@ from hypothesis import example, given, strategies as st
 import libsvm_ref
 from adacgd import datasets
 from adacgd.datasets import (
-    Example,
     LibsvmParseError,
     LibsvmRows,
     SyntheticSpec,
     build_libsvm_problem,
     build_problem,
-    format_example,
     make_synthetic,
     parse_libsvm,
     partition,
@@ -25,17 +23,18 @@ from adacgd.datasets import (
 
 
 def test_parse_basic_line():
-    examples, dim = parse_libsvm("+1 1:0.5 3:2\n")
+    rows, dim = parse_libsvm("+1 1:0.5 3:2\n")
     assert dim == 3
-    assert examples[0].label == 1
-    dense, labels = to_dense(examples, dim)
+    assert rows.labels.tolist() == [1.0]
+    dense, labels = to_dense(rows, dim)
     assert np.array_equal(dense[0], [0.5, 0.0, 2.0])
     assert labels[0] == 1.0
 
 
 def test_parse_label_variants_and_featureless():
-    examples, dim = parse_libsvm("-1\n0 2:1\n1 1:3\n+1\n")
-    assert [e.label for e in examples] == [-1, -1, 1, 1]
+    rows, dim = parse_libsvm("-1\n0 2:1\n1 1:3\n+1\n")
+    assert rows.labels.tolist() == [-1.0, -1.0, 1.0, 1.0]
+    assert rows.offsets.tolist() == [0, 0, 1, 2, 2]
     assert dim == 2
 
 
@@ -86,31 +85,23 @@ def test_parse_errors_word_each_row_rule(line, message):
 
 
 def test_example_holds_the_row_rules():
-    with pytest.raises(ValueError, match=">= 1"):
-        Example(1, ((0, 1.0),))
-    with pytest.raises(ValueError, match="strictly increasing"):
-        Example(1, ((2, 1.0), (2, 1.0)))
-    with pytest.raises(ValueError, match="not finite"):
-        Example(-1, ((1, float("inf")),))
-    with pytest.raises(ValueError, match="label"):
-        Example(0, ())
-    with pytest.raises(ValueError, match="int64"):
-        Example(1, ((1, 1.0), (2**63, 1.0)))
-    Example(1, ((1, 1.0), (2**63 - 1, 1.0)))
+    """Parsed rows keep every row rule: indices from 1 to 2**63 - 1, strictly increasing within a row, finite values."""
+    rows, dim = parse_libsvm(f"+1 1:1 {2**63 - 1}:-0.5\n-1 1:2 2:1e308\n+1\n0 3:-1e-300\n")
+    assert dim == 2**63 - 1
+    assert rows.indices.tolist() == [1, 2**63 - 1, 1, 2, 3] and rows.offsets.tolist() == [0, 2, 4, 4, 5]
+    assert not np.logical_or.reduce(datasets._rule_breaks(rows.indices, rows.values, rows.offsets)).any()
+    for line in ("+1 0:1", "+1 2:1 2:1", "-1 1:inf", f"+1 1:1 {2**63}:1"):  # one broken rule each; worded above
+        with pytest.raises(LibsvmParseError):
+            parse_libsvm(line)
 
 
-def test_rows_read_as_a_sequence_of_examples():
+def test_rows_hold_the_file_in_columnar_form():
     rows, dim = parse_libsvm("+1 1:0.5 3:2\n-1\n0 2:-1\n")
     assert isinstance(rows, LibsvmRows) and dim == 3 and len(rows) == 3
     assert rows.labels.tolist() == [1.0, -1.0, -1.0] and rows.offsets.tolist() == [0, 2, 2, 3]
     assert rows.indices.tolist() == [1, 3, 2] and rows.values.tolist() == [0.5, 2.0, -1.0]
-    assert rows[0] == Example(1, ((1, 0.5), (3, 2.0)))
-    assert rows[-2] == rows[1] == Example(-1, ())
-    assert list(rows) == [rows[0], rows[1], rows[2]]
-    with pytest.raises(IndexError):
-        rows[3]
-    with pytest.raises(IndexError):
-        rows[-4]
+    assert rows.labels.dtype == rows.values.dtype == np.float64
+    assert rows.offsets.dtype == rows.indices.dtype == np.int64
 
 
 def test_index_beyond_int64_is_a_parse_error():
@@ -129,14 +120,20 @@ def test_to_dense_rejects_an_index_beyond_dim():
 
 
 def test_bytes_input_accepted():
-    examples, dim = parse_libsvm(b"+1 2:1.5\n")
-    assert examples[0].features == ((2, 1.5),)
+    rows, dim = parse_libsvm(b"+1 2:1.5\n")
+    assert dim == 2 and rows.indices.tolist() == [2] and rows.values.tolist() == [1.5]
+
+
+def _assert_round_trip(label, feats):
+    """A row written as LIBSVM text, each value by its repr, parses back to the same label, indices and value bits."""
+    rows, _ = parse_libsvm(" ".join([f"{label:+d}"] + [f"{i}:{v!r}" for i, v in feats]))
+    assert rows.labels.tolist() == [label] and rows.offsets.tolist() == [0, len(feats)]
+    assert rows.indices.tolist() == [i for i, _ in feats]
+    assert rows.values.tobytes() == np.array([v for _, v in feats], dtype=np.float64).tobytes()
 
 
 def test_example_round_trip_exact():
-    e = Example(1, ((1, 0.1), (3, -2.7182818284590455), (9, 1e-300)))
-    parsed, _ = parse_libsvm(format_example(e))
-    assert parsed[0] == e
+    _assert_round_trip(1, ((1, 0.1), (3, -2.7182818284590455), (9, 1e-300)))
 
 
 features_strategy = st.lists(
@@ -148,9 +145,7 @@ features_strategy = st.lists(
 
 @given(st.sampled_from([-1, 1]), features_strategy)
 def test_round_trip_property(label, feats):
-    e = Example(label, feats)
-    parsed, _ = parse_libsvm(format_example(e))
-    assert parsed[0] == e
+    _assert_round_trip(label, feats)
 
 
 def test_partition_sizes_and_remainder():
@@ -316,6 +311,15 @@ def _libsvm_text(draw):
     return "".join(line + brk for line, brk in zip(lines, breaks))
 
 
+def _columns(rows):
+    """Labels, row offsets, indices and value bytes of parsed rows: LibsvmRows, or the reference's list of Example."""
+    if isinstance(rows, LibsvmRows):
+        return rows.labels.tolist(), rows.offsets.tolist(), rows.indices.tolist(), rows.values.tobytes()
+    entries = [f for e in rows for f in e.features]
+    return ([float(e.label) for e in rows], np.cumsum([0] + [len(e.features) for e in rows]).tolist(),
+            [i for i, _ in entries], np.array([v for _, v in entries], dtype=np.float64).tobytes())
+
+
 def _outcome(module, text):
     """Rows, dim and dense arrays as bytes, or the parse error's line number and message."""
     try:
@@ -323,7 +327,7 @@ def _outcome(module, text):
     except module.LibsvmParseError as err:
         return ("error", err.line_number, str(err))
     features, labels = module.to_dense(rows, dim)
-    return ("rows", [(e.label, e.features) for e in rows], dim, features.shape, features.tobytes(), labels.tobytes())
+    return ("rows", _columns(rows), dim, features.shape, features.tobytes(), labels.tobytes())
 
 
 @given(_libsvm_text())
@@ -408,16 +412,15 @@ def test_direct_build_is_the_dense_entry(tmp_path, monkeypatch, name):
     assert rows.indices.max() == dim  # the largest index is the dimension
     direct = build_libsvm_problem(rows, dim, n_clients, 0.1, 3, scale)
     dense = build_problem(*to_dense(rows, dim), n_clients, 0.1, 3, scale_features=scale)
-    assert (direct.sparse is not None) == (dense.sparse is not None) == sparse
+    assert direct.rows.sparse == dense.rows.sparse == sparse
     if sparse:
-        assert direct.groups == dense.groups == ()
-        for a, b in [(direct.sparse.matrix.data, dense.sparse.matrix.data),
-                     (direct.sparse.matrix.indices, dense.sparse.matrix.indices),
-                     (direct.sparse.matrix.indptr, dense.sparse.matrix.indptr),
-                     (direct.sparse.labels, dense.sparse.labels), (direct.sparse.offsets, dense.sparse.offsets)]:
+        for a, b in [(direct.rows.matrix.data, dense.rows.matrix.data),
+                     (direct.rows.matrix.indices, dense.rows.matrix.indices),
+                     (direct.rows.matrix.indptr, dense.rows.matrix.indptr),
+                     (direct.rows.labels, dense.rows.labels), (direct.rows.offsets, dense.rows.offsets)]:
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-        assert direct.sparse.matrix.indices.dtype == np.int32
-        assert 0.0 not in direct.sparse.matrix.data  # explicit zeros, -0 and values that scale to 0 are dropped
+        assert direct.rows.matrix.indices.dtype == np.int32
+        assert 0.0 not in direct.rows.matrix.data  # explicit zeros, -0 and values that scale to 0 are dropped
     assert len(direct.shards) == len(dense.shards) == n_clients
     for a, b in zip(direct.shards, dense.shards):
         assert a.features.tobytes() == b.features.tobytes() and a.labels.tobytes() == b.labels.tobytes()

@@ -958,4 +958,4 @@ def test_a_mostly_zero_libsvm_file_is_never_densified(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < dense_bytes / 4, f"traced peak {peak / 1e6:.1f} MB"
-    assert problem.sparse is not None and problem.groups == () and problem.dim == dim
+    assert problem.rows.sparse and problem.dim == dim

@@ -90,7 +90,7 @@ def test_cli_output_files_are_pinned(tmp_path, monkeypatch, capsys, name):
     monkeypatch.chdir(tmp_path)  # every command writes under the default ./traces
     if name == "sparse-libsvm":
         (tmp_path / "rows.svm").write_text(sparse_libsvm_text())
-        assert build_dataset(RunConfig(dataset="rows.svm", n_clients=4))[0].sparse is not None
+        assert build_dataset(RunConfig(dataset="rows.svm", n_clients=4))[0].rows.sparse
     assert cli_main(argv) == 0
     written = {
         path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
@@ -114,7 +114,7 @@ def test_libsvm_file_writes_the_bytes_of_the_dense_entry(tmp_path, monkeypatch, 
         problem, digest = build(config)
         dense = build_problem(*to_dense(*parse_libsvm(path.read_text())), config.n_clients, config.lam, config.seed,
                               scale_features=config.scale_features)
-        assert problem.sparse is not None and dense.sparse is not None
+        assert problem.rows.sparse and dense.rows.sparse
         assert len(problem.shards) == len(dense.shards) == config.n_clients
         features, labels = to_dense(*parse_libsvm(path.read_text()))
         order, _ = _client_order(labels, config.n_clients, config.seed)
@@ -122,9 +122,9 @@ def test_libsvm_file_writes_the_bytes_of_the_dense_entry(tmp_path, monkeypatch, 
         want = max_abs_scale(features) if config.scale_features else features
         assert rows.tobytes() == want[order].tobytes()  # every densified value is the dense entry's
         for a, b in [*((p.features, d.features) for p, d in zip(problem.shards, dense.shards)),  # densified blocks
-                     (problem.sparse.matrix.data, dense.sparse.matrix.data),
-                     (problem.sparse.matrix.indices, dense.sparse.matrix.indices),
-                     (problem.sparse.matrix.indptr, dense.sparse.matrix.indptr)]:
+                     (problem.rows.matrix.data, dense.rows.matrix.data),
+                     (problem.rows.matrix.indices, dense.rows.matrix.indices),
+                     (problem.rows.matrix.indptr, dense.rows.matrix.indptr)]:
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         return dense, digest
 

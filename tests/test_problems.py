@@ -17,15 +17,14 @@ from adacgd.datasets import SyntheticSpec, _client_order, build_problem, make_sy
 from adacgd.problems import (
     LOGISTIC,
     QUADRATIC,
+    ClientRows,
     Problem,
-    Shard,
     _margin_gradient,
     _margin_loss,
     _margins,
     _regularizer,
     _regularizer_gradient,
     _round_oracle,
-    _stack,
     check_gradient,
     client_gradient,
     client_loss,
@@ -152,10 +151,6 @@ def test_loss_stable_at_large_margins():
 
 def test_validation_errors():
     with pytest.raises(ValueError):
-        Shard(np.zeros((0, 2)), np.zeros(0))
-    with pytest.raises(ValueError):
-        Shard(np.zeros((2, 2)), np.array([1.0, 2.0]))  # bad label
-    with pytest.raises(ValueError):
         Problem.quadratic([-1.0, 2.0])
     p = Problem.quadratic([1.0, 2.0])
     with pytest.raises(ValueError):
@@ -214,7 +209,7 @@ def _sparse_case(n_examples, dim, n_clients, seed):
     """A logistic problem on the CSR side of the density rule, its first row all zeros, and a point."""
     features, labels, g = _sparse_data(n_examples, dim, seed)
     problem = build_problem(features, labels, n_clients, 0.1, seed)
-    assert problem.sparse is not None and problem.groups == ()
+    assert problem.rows.sparse
     return problem, g.standard_normal(dim) * 3.0
 
 
@@ -248,7 +243,7 @@ def test_round_oracle_on_sparse_rows_is_bitwise_the_one_client_oracles(case):
 def test_sparse_rows_agree_with_the_dense_helpers_on_the_same_shards(case):
     problem, x = _sparse_case(*case)
     (f,), (grads,) = _round_oracle(problem, x[None])
-    s = problem.sparse
+    s = problem.rows
     margins = _margins(s.matrix, s.labels, np.tile(x, problem.n_clients))
     values = []
     for i, shard in enumerate(problem.shards):
@@ -262,13 +257,13 @@ def test_sparse_rows_agree_with_the_dense_helpers_on_the_same_shards(case):
         values.append(float(_margin_loss(z)) + _regularizer(problem.lam, x))
     assert f == pytest.approx(sum(values) / problem.n_clients, rel=1e-12)
     # The densified shards are the input rows in client order, every value;
-    # held as dense groups, they give the same smoothness.
+    # held as dense rows, they give the same smoothness.
     features, labels, _ = _sparse_data(*case[:2], case[3])
-    order, sizes = _client_order(labels, problem.n_clients, case[3])
+    order, _ = _client_order(labels, problem.n_clients, case[3])
     rows = np.concatenate([shard.features for shard in problem.shards])
     assert _bits(rows) == _bits(features[order])
     got = smoothness(problem)
-    dense = Problem(LOGISTIC, problem.dim, problem.lam, problem.n_clients, _stack(rows, labels[order], sizes))
+    dense = Problem(LOGISTIC, problem.dim, problem.lam, problem.n_clients, ClientRows(rows, labels[order], s.offsets))
     want = smoothness(dense)
     assert (got.l_minus, got.l_plus) == pytest.approx((want.l_minus, want.l_plus), rel=1e-12)
 
@@ -350,7 +345,7 @@ def stacked_cases(draw):
         if kind == "sparse":  # keep size // 8 entries, at random places
             features.reshape(-1)[g.permutation(features.size)[features.size // 8 :]] = 0.0
         problem = build_problem(features, labels, n_clients, draw(st.sampled_from([0.0, 0.1])), seed)
-        assert (problem.sparse is not None) == (kind == "sparse")
+        assert problem.rows.sparse == (kind == "sparse")
     runs = draw(st.integers(1, 6))
     xs = g.standard_normal((runs, dim)) * g.choice([0.0, 0.1, 1.0, 30.0], size=(runs, 1))
     return problem, xs
@@ -384,20 +379,21 @@ def test_mean_and_row_norms_of_a_stack_are_each_runs_own(dim):
 
 @pytest.mark.parametrize("n_examples,n_clients", [(23, 4), (20, 4), (9, 1), (7, 7)])
 def test_every_shard_is_a_view_into_its_group(n_examples, n_clients):
+    """A group is a run of consecutive clients with one shard size, which the round oracle views as (clients, m, d)."""
     features, labels = make_synthetic(SyntheticSpec(n_examples, 3, seed=2))
     p = build_problem(features, labels, n_clients, 0.1, seed=2)
-    assert len(p.groups) == (1 if n_examples % n_clients == 0 else 2)
-    storage = p.groups[0].features.base  # one (N, d) array in client order holds every row
+    assert len(p.rows.runs) == (1 if n_examples % n_clients == 0 else 2)
+    storage = p.rows.matrix  # one (N, d) array in client order holds every row
     assert storage.shape == (n_examples, 3) and not np.shares_memory(storage, features)
     seen = []
-    for g in p.groups:
-        assert g.features.base is storage
-        for j, i in enumerate(g.clients):
-            shard = p.shards[i]
-            assert shard.features.base is storage
-            assert np.shares_memory(shard.features, g.features[j]) and np.shares_memory(shard.labels, g.labels[j])
-            seen.append(int(i))
-    assert sorted(seen) == list(range(n_clients))
+    for client, row, g, m in p.rows.runs:
+        for j in range(g):
+            shard, first = p.shards[client + j], row + j * m
+            assert shard.features.base is storage and shard.features.shape == (m, 3)
+            assert shard.features.ctypes.data == storage[first:].ctypes.data
+            assert shard.labels.ctypes.data == p.rows.labels[first:].ctypes.data and shard.labels.shape == (m,)
+            seen.append(client + j)
+    assert seen == list(range(n_clients))
 
 
 @pytest.mark.parametrize("sizes", [[2, 2], [3, 3], [5, 0], [6, -1], []])
@@ -419,16 +415,26 @@ def test_partitioned_rejects_bad_rows_in_either_form(density, fault, match):
         Problem.partitioned(features, labels, [8, 8], 0.1)
     if density == "mostly-zero":
         features[5, 2], labels[5] = 0.0, 1.0
-        assert Problem.partitioned(features, labels, [8, 8], 0.1).sparse is not None
+        assert Problem.partitioned(features, labels, [8, 8], 0.1).rows.sparse
 
 
-def test_problem_holds_rows_as_groups_or_as_sparse_rows_not_both():
-    sparse = Problem.partitioned(np.eye(16, 4), np.ones(16), [8, 8], 0.1)
-    dense = Problem.partitioned(np.ones((16, 4)), np.ones(16), [8, 8], 0.1)
-    with pytest.raises(ValueError, match="as dense groups or as sparse rows, not both"):
-        Problem(LOGISTIC, 4, 0.1, 2, dense.groups, sparse=sparse.sparse)
-    with pytest.raises(ValueError, match=re.escape("sparse rows of shape (16, 8) do not fit 4 clients of dim 4")):
-        Problem(LOGISTIC, 4, 0.1, 4, sparse=sparse.sparse)
+def test_problem_rejects_rows_that_do_not_fit_in_either_form():
+    sparse = Problem.partitioned(np.eye(16, 4), np.ones(16), [8, 8], 0.1).rows
+    dense = Problem.partitioned(np.ones((16, 4)), np.ones(16), [8, 8], 0.1).rows
+    assert sparse.sparse and not dense.sparse
+    for rows in (sparse, dense):
+        shape = re.escape(str(rows.matrix.shape))
+        with pytest.raises(ValueError, match=f"rows of shape {shape} do not fit 4 clients of dim 4"):
+            Problem(LOGISTIC, 4, 0.1, 4, rows)
+        with pytest.raises(ValueError, match=f"rows of shape {shape} do not fit 2 clients of dim 3"):
+            Problem(LOGISTIC, 3, 0.1, 2, rows)
+        with pytest.raises(ValueError, match=f"rows of shape {shape} do not fit 2 clients of dim 4"):
+            Problem(LOGISTIC, 4, 0.1, 2, ClientRows(rows.matrix, rows.labels, np.array([0, 8, 15])))
+        with pytest.raises(ValueError, match="shard must contain at least one example"):
+            Problem(LOGISTIC, 4, 0.1, 2, ClientRows(rows.matrix, rows.labels, np.array([0, 0, 16])))
+        with pytest.raises(ValueError, match="labels must be -1 or"):
+            Problem(LOGISTIC, 4, 0.1, 2, ClientRows(rows.matrix, np.where(np.arange(16) == 3, 2.0, 1.0), rows.offsets))
+        assert len(Problem(LOGISTIC, 4, 0.1, 2, rows).shards) == 2
 
 
 @pytest.mark.parametrize("layout", ["int64", "fortran"])
@@ -438,12 +444,10 @@ def test_partitioned_holds_float64_groups_that_its_shards_view(layout):
     if layout == "fortran":
         rows, labels = np.asfortranarray(rows, dtype=np.float64), labels.astype(np.float64)
     p = Problem.partitioned(rows, labels, [2, 2, 1], 0.1)
-    assert [len(g.clients) for g in p.groups] == [2, 1]
-    for g in p.groups:
-        assert g.features.dtype == g.labels.dtype == np.float64
-        for j, i in enumerate(g.clients):
-            shard = p.shards[i]
-            assert np.shares_memory(shard.features, g.features[j]) and np.shares_memory(shard.labels, g.labels[j])
+    assert not p.rows.sparse and [(g, m) for _, _, g, m in p.rows.runs] == [(2, 2), (1, 1)]
+    assert p.rows.matrix.dtype == p.rows.labels.dtype == np.float64 and p.rows.matrix.flags.c_contiguous
+    for shard in p.shards:
+        assert np.shares_memory(shard.features, p.rows.matrix) and np.shares_memory(shard.labels, p.rows.labels)
     assert _bits(np.concatenate([s.features for s in p.shards])) == _bits(np.asarray(rows, dtype=np.float64))
 
 
@@ -453,7 +457,7 @@ def test_build_problem_without_a_copy_keeps_the_callers_array_as_its_storage():
     copied = build_problem(features, labels, 4, 0.1, seed=2)
     assert np.array_equal(features, kept)  # the default copy leaves the input alone
     moved = build_problem(features, labels, 4, 0.1, seed=2, copy=False)
-    assert all(g.features.base is features for g in moved.groups)
+    assert moved.rows.matrix is features
     for a, b in zip(copied.shards, moved.shards):
         assert _bits(a.features) == _bits(b.features) and _bits(a.labels) == _bits(b.labels)
 
