@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ThreePCConstants, mean_ascending, sqnorm
+from .core import SeededRng, ThreePCConstants, mean_ascending, sqnorm
 from .compressors import (
     AdaCGD,
     CLAG,
@@ -83,6 +83,9 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not self.methods:
             raise ValueError("config needs at least one method")
+        if self.n_clients < 1:
+            raise ValueError(f"need at least one client, got n_clients={self.n_clients}")
+        SeededRng(self.seed)  # rejects a seed outside 0..2**64 - 1
         if not self.multipliers:
             raise ValueError("config needs a non-empty multiplier set")
         if not all(math.isfinite(m) and m > 0 for m in self.multipliers):

@@ -51,7 +51,7 @@ def _check_lam(lam: float) -> None:
 
 
 # Client-ordered rows with at most this fraction of nonzeros are kept only in
-# CSR form (ClientRows with a CSR matrix), and the round oracle multiplies only the nonzeros;
+# CSR form (a CSR ClientRows.matrix), and the round oracle multiplies only the nonzeros;
 # denser rows are kept densely and take the batched BLAS products. Per round
 # oracle call with 20 clients of m rows, BLAS vs CSR in µs at 5%, 12.5%, 20% and 30% nonzero
 # (NumPy 2.4.6, SciPy 1.17.1, OpenBLAS 0.3.31, one core of a 2-vCPU AVX-512
@@ -124,7 +124,7 @@ class ClientRows:
 
 
 class _Shards(Sequence):
-    """A logistic problem's shards: ``[i]`` is client i's rows, a view of dense rows or its CSR block densified each time it is read."""
+    """A logistic problem's shards: ``[i]`` views client i's dense rows, or densifies its CSR block on each read."""
 
     def __init__(self, rows: ClientRows):
         self._rows = rows

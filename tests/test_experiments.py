@@ -261,6 +261,29 @@ def test_cli_rejects_an_out_of_range_label_value_before_any_data_is_read(tmp_pat
     assert err == f"adacgd: error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "option,value,message",
+    [
+        ("--seed", "-1", "seed must be an unsigned 64-bit integer"),
+        ("--seed", str(2**64), "seed must be an unsigned 64-bit integer"),
+        ("--n-clients", "0", "need at least one client, got n_clients=0"),
+    ],
+    ids=["seed-negative", "seed-2^64", "no-clients"],
+)
+@pytest.mark.parametrize("dataset", ["libsvm", "quadratic"])
+def test_cli_rejects_an_out_of_range_seed_or_client_count_before_any_data_is_read(tmp_path, capsys, dataset, option,
+                                                                                  value, message):
+    # The LIBSVM file is missing and never read; the quadratic set would run to the end if the config let it.
+    spec = str(tmp_path / "missing.svm") if dataset == "libsvm" else "quadratic:diag=1|2"
+    err = _cli_run_error(tmp_path, capsys, "--dataset", spec, option, value, "--method", "gd", "--stop", "rounds=3")
+    assert err == f"adacgd: error: {message}\n"
+
+
+def test_config_accepts_the_seed_and_client_count_bounds():
+    RunConfig(dataset="quadratic:diag=1|2", seed=2**64 - 1, n_clients=1)
+    RunConfig(dataset="quadratic:diag=1|2", seed=0)
+
+
 def test_config_file_init_mode_is_checked_before_any_data_is_read(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("dataset = synthetic:n=40,d=5\nmethods = gd\ninit_mode = Full\n")
