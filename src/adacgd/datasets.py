@@ -62,7 +62,8 @@ class LibsvmRows:
     Row ``i`` has the label ``labels[i]`` and the entries
     ``offsets[i]:offsets[i + 1]`` of ``indices`` and ``values``.
     :func:`parse_libsvm` builds it with every row keeping the row rules:
-    indices from 1 to 2**63 - 1, strictly increasing, and finite values.
+    indices from 1 to 2**63 - 1, strictly increasing within the row, and
+    finite values.
     """
 
     labels: np.ndarray  # (N,) float64, +1 or -1

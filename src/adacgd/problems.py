@@ -335,17 +335,12 @@ def _margin_gradient(features: np.ndarray, labels: np.ndarray, z: np.ndarray) ->
     return np.matmul(features.swapaxes(-1, -2), weights[..., None])[..., 0] / z.shape[-1]
 
 
-def _client_rows(p: Problem, i: int):
-    """Client i's rows (``ClientRows.block``: a view of dense rows, or a CSR block) and its labels."""
-    return p.rows.block(i), p.rows.client_labels(i)
-
-
 def client_loss(p: Problem, i: int, x) -> float:
     """Value of client i's objective at x."""
     x = _checked_point(p, i, x)
     if p.kind == QUADRATIC:
         return 0.5 * float(np.add.reduce(p.diagonal * x * x))
-    features, labels = _client_rows(p, i)
+    features, labels = p.rows.block(i), p.rows.client_labels(i)
     return float(_margin_loss(_margins(features, labels, x))) + float(_regularizer(p.lam, x))
 
 
@@ -354,7 +349,7 @@ def client_gradient(p: Problem, i: int, x) -> np.ndarray:
     x = _checked_point(p, i, x)
     if p.kind == QUADRATIC:
         return p.diagonal * x
-    features, labels = _client_rows(p, i)
+    features, labels = p.rows.block(i), p.rows.client_labels(i)
     z = _margins(features, labels, x)
     if p.rows.sparse:
         grad = features.T @ _margin_weights(labels, z) / z.shape[-1]
