@@ -13,6 +13,18 @@ functions read them, and a value that is not finite (``nan``, ``inf``,
 ``1e400``) is rejected. Indices are held as int64, so an index of 2**63 or
 more is rejected too. Every rejection is a :class:`LibsvmParseError` naming
 the first bad line.
+
+Two readers give the same rows, and the same errors. Plain text (ASCII
+digits, ``+-.eE:``, spaces, tabs and ``\n``; a ``\r`` only right before a
+``\n``; so no ``#``) goes to an array reader, which finds tokens and lines
+with NumPy a block of whole lines (about 256 KiB) at a time. It reads a
+value of at most 15 digits and no exponent as ``m / 10**f``: ``m < 2**53``
+and ``10**f`` are exact doubles, so the one correctly rounded division gives
+the double nearest the decimal, which is what ``float`` returns (Clinger,
+PLDI 1990). Every other value goes to ``float`` itself. Any other text, and
+any plain text the array reader cannot read (an index with a sign or more
+than 18 digits, a bad label or token, a broken row rule, a value ``float``
+rejects), goes whole to the line reader, which words every error.
 """
 
 from __future__ import annotations
@@ -149,13 +161,11 @@ def _read_block(tokens: list[str], counts: list[int], linenos: list[int], lines:
     return indices, values
 
 
-def parse_libsvm(text) -> tuple[LibsvmRows, int]:
-    """Parse LIBSVM text into :class:`LibsvmRows` and the inferred dimension.
+def _parse_lines(text) -> tuple[LibsvmRows, int]:
+    """Read any LIBSVM text line by line; the reader of every input that is not plain, and of every error.
 
-    The inferred dimension is the maximum feature index seen. Accepts
-    ``str`` or UTF-8 ``bytes``. Feature tokens are converted a block of
-    whole rows at a time, in file order, so the first bad line is the one
-    reported.
+    Feature tokens are converted a block of whole rows at a time, in file
+    order, so the first bad line is the one reported.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
@@ -186,6 +196,132 @@ def parse_libsvm(text) -> tuple[LibsvmRows, int]:
     values = np.concatenate([val for _, val in blocks])
     rows = LibsvmRows(np.array(labels, dtype=np.float64), np.cumsum([0, *counts]), indices, values)
     return rows, int(indices.max()) if indices.size else 0
+
+
+# The array reader takes plain LIBSVM bytes: ASCII digits, "+-.eE:", space,
+# tab and "\n", with "\r" only right before a "\n". Of these, the bytes up to
+# b" " are the gaps between tokens.
+_PLAIN = b"0123456789+-.eE: \t\r\n"
+_INDEX_DIGITS = 18  # every 18-digit index fits in int64
+# A value of at most 15 digits and no exponent is m / 10**f with m < 2**53 and
+# 10**f exact, so one IEEE division rounds it as float() does (Clinger 1990).
+_EXACT_DIGITS = 15
+_POW10 = np.array([float(10**f) for f in range(_EXACT_DIGITS + 1)])
+_PLAIN_BLOCK = 1 << 18  # bytes per block of whole lines: bounds the array reader's temporaries
+
+
+def _read_digits(digit: np.ndarray, start: np.ndarray, length: np.ndarray):
+    """Read the spans ``start[k]:start[k] + length[k]`` of ``digit`` (bytes minus b"0") a column at a time.
+
+    Returns each span's digits as one int64 (a '.' skipped), its digit
+    count, its count of digits after a '.', and its '.' count. A span
+    holding other bytes has fewer digits and dots than bytes. The spans
+    must be at most 18 bytes long, so the number fits.
+    """
+    number = np.zeros(start.shape, dtype=np.int64)
+    digits, fraction, dots = (np.zeros(start.shape, dtype=np.uint8) for _ in range(3))
+    for j in range(int(length.max(initial=0))):
+        d = digit.take(start + j, mode="clip")
+        on = j < length
+        is_digit = (d <= 9) & on
+        number = np.where(is_digit, number * 10 + d, number)
+        digits += is_digit
+        fraction += is_digit & (dots > 0)
+        dots += (d == 254) & on  # "." - "0" wraps to 254
+    return number, digits, fraction, dots
+
+
+def _read_plain_block(chunk: bytes):
+    """Labels, row entry counts, indices and values of whole plain lines; None where the array reader cannot read them.
+
+    None sends the text to :func:`_parse_lines`, which reads or words
+    what this reader does not: a byte that is not plain, a token other
+    than a label or ``digits:value``, a broken row rule, a value ``float``
+    rejects.
+    """
+    if chunk.translate(None, _PLAIN):
+        return None
+    chunk = b" " + chunk + b" "  # so every token, and every '\r', has a byte on both sides
+    b = np.frombuffer(chunk, dtype=np.uint8)
+    if (b[np.flatnonzero(b == 13) + 1] != 10).any():
+        return None
+    gap = b <= 32
+    edges = np.flatnonzero(gap[1:] != gap[:-1]) + 1
+    start, end = edges[0::2], edges[1::2]
+    head = np.zeros(start.shape, dtype=bool)  # the first token of a line is its label
+    head[:1] = True
+    after_break = np.searchsorted(start, np.flatnonzero(b == 10))
+    head[after_break[after_break < head.size]] = True
+
+    rows = np.flatnonzero(head)  # each row's label token
+    first, last, width = b[start[rows]], b[end[rows] - 1], end[rows] - start[rows]
+    signed = (width == 2) & (last == 49) & ((first == 43) | (first == 45))
+    if not np.where(width == 1, (first == 49) | (first == 48), signed).all():  # "1", "0", "+1" or "-1"
+        return None
+    labels = np.where((first == 49) | (first == 43), 1.0, -1.0)
+
+    start, end = start[~head], end[~head]
+    colon = np.flatnonzero(b == 58)  # the k-th ':' must split the k-th feature token, with bytes on both sides
+    if colon.shape != start.shape or not ((start < colon) & (colon < end - 1)).all():
+        return None
+    digit = b - 48  # uint8: a byte below b"0" wraps above 9
+    size = colon - start
+    indices, digits, _, _ = _read_digits(digit, start, np.where(size <= _INDEX_DIGITS, size, 0))
+    if (digits != size).any():
+        return None
+    sign = b[colon + 1]
+    negative = sign == 45
+    lead = colon + 1 + (negative | (sign == 43))
+    size = end - lead
+    # A longer value, left unread here, goes to float: at most 15 digits and a '.' take the exact division.
+    number, digits, fraction, dots = _read_digits(digit, lead, np.where(size <= _EXACT_DIGITS + 1, size, 0))
+    values = number / _POW10[fraction]
+    np.negative(values, out=values, where=negative)
+    inexact = np.flatnonzero((digits + dots != size) | (dots > 1) | (digits < 1) | (digits > _EXACT_DIGITS))
+    try:  # every other value token, by float itself
+        values[inexact] = [float(chunk[i:j]) for i, j in zip((colon[inexact] + 1).tolist(), end[inexact].tolist())]
+    except ValueError:
+        return None
+
+    offsets = np.append(rows - np.arange(rows.size), indices.size)  # each row's first entry, then the entry count
+    if np.logical_or.reduce(_rule_breaks(indices, values, offsets)).any():
+        return None
+    return labels, np.diff(offsets), indices, values
+
+
+def _read_plain(data: bytes) -> Optional[tuple[LibsvmRows, int]]:
+    """Read plain LIBSVM bytes a block of whole lines at a time; None where a block cannot be read so."""
+    blocks = []
+    at = 0
+    while True:
+        stop = at + _PLAIN_BLOCK
+        end = len(data)
+        if stop < end:  # up to the last line break before stop, or else the first after it
+            end = data.rfind(b"\n", at, stop) + 1 or data.find(b"\n", stop) + 1 or end
+        block = _read_plain_block(data[at:end])
+        if block is None:
+            return None
+        blocks.append(block)
+        if end == len(data):
+            break
+        at = end
+    labels, counts, indices, values = (np.concatenate(column) for column in zip(*blocks))
+    rows = LibsvmRows(labels, np.concatenate([[0], np.cumsum(counts)]), indices, values)
+    return rows, int(indices.max()) if indices.size else 0
+
+
+def parse_libsvm(text) -> tuple[LibsvmRows, int]:
+    """Parse LIBSVM text into :class:`LibsvmRows` and the inferred dimension.
+
+    The inferred dimension is the maximum feature index seen. Accepts
+    ``str`` or UTF-8 ``bytes``. Plain text goes to the array reader; any
+    other text, and every text the array reader cannot read, goes whole to
+    the line reader, so the rows and every error are the same whichever
+    reader ran.
+    """
+    data = text if isinstance(text, bytes) else text.encode("ascii") if text.isascii() else None
+    read = None if data is None else _read_plain(data)
+    return _parse_lines(text) if read is None else read
 
 
 @dataclass(frozen=True)

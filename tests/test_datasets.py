@@ -1,4 +1,5 @@
 import runpy
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -276,39 +277,82 @@ _FAULTS = ("label", "token", "value", "order")
 
 
 @st.composite
-def _libsvm_line(draw, fault=None):
-    """A label and index:value tokens with rising indices, broken in the way ``fault`` names."""
+def _libsvm_line(draw, kind, fault=None):
+    """A label and index:value tokens with rising indices, broken in the way ``fault`` names, from ``kind``'s pieces."""
     steps = draw(st.lists(st.tuples(
-        st.integers(1, 4),  # the step from the previous index
-        st.sampled_from(_INDEX_FORMS),
-        st.one_of(st.floats(-1e6, 1e6).map(repr), st.sampled_from(_GOOD_VALUES)),
+        kind["steps"],  # the step from the previous index
+        st.sampled_from(kind["index_forms"]),
+        kind["values"],
     ), min_size=fault in ("value", "order"), max_size=6))
     at = draw(st.integers(0, len(steps)))
     if fault == "order":  # a step of 0 repeats an index; one below 0 makes it fall, maybe to 0 or below
         steps[at - 1] = (draw(st.sampled_from([0, -1, -3])), *steps[at - 1][1:])
     if fault == "value":
-        steps[at - 1] = (*steps[at - 1][:2], draw(st.sampled_from(_BAD_VALUES)))
+        steps[at - 1] = (*steps[at - 1][:2], draw(st.sampled_from(kind["bad_values"])))
     idx, tokens = 0, []
     for step, form, value in steps:
         idx += step
         tokens.append(f"{form(idx)}:{value}")
     if fault == "token":
-        tokens.insert(at, draw(st.sampled_from(_BROKEN_TOKENS)))
-    label = draw(st.sampled_from(_BAD_LABELS if fault == "label" else _GOOD_LABELS))
-    sep = draw(st.sampled_from(_WHITESPACE))
-    lead, comment = draw(st.sampled_from(["", sep])), draw(st.sampled_from(["", "", " # note", "#1:2"]))
-    return lead + sep.join([label] + tokens) + comment
+        tokens.insert(at, draw(st.sampled_from(kind["broken_tokens"])))
+    label = draw(st.sampled_from(kind["bad_labels"] if fault == "label" else _GOOD_LABELS))
+    sep = draw(st.sampled_from(kind["gaps"]))
+    lead, tail = draw(st.sampled_from(["", sep])), draw(st.sampled_from(kind["tails"]))
+    return lead + sep.join([label] + tokens) + tail
 
 
 @st.composite
-def _libsvm_text(draw):
-    """Up to 8 lines, blank and comment lines among them, up to two of them broken."""
+def _libsvm_text(draw, kind):
+    """Up to 8 lines, blank (and, where ``kind`` has them, comment) lines among them, up to two of them broken."""
     faults = [None] * draw(st.integers(0, 8))
     for fault in draw(st.lists(st.sampled_from(_FAULTS), max_size=2)) if faults else ():
         faults[draw(st.integers(0, len(faults) - 1))] = fault
-    lines = [draw(_libsvm_line(fault) if fault else st.one_of(_libsvm_line(), st.sampled_from(_FILLERS))) for fault in faults]
-    breaks = [draw(st.sampled_from(_BREAKS)) for _ in lines[:-1]] + [draw(st.sampled_from(["", *_BREAKS]))] * bool(lines)
+    lines = [draw(_libsvm_line(kind, fault) if fault else st.one_of(_libsvm_line(kind), st.sampled_from(kind["fillers"])))
+             for fault in faults]
+    breaks = kind["breaks"]
+    breaks = [draw(st.sampled_from(breaks)) for _ in lines[:-1]] + [draw(st.sampled_from(["", *breaks]))] * bool(lines)
     return "".join(line + brk for line, brk in zip(lines, breaks))
+
+
+# Any text: Unicode gaps and line breaks, comments, and every form int and float read.
+_ANY_TEXT = dict(
+    steps=st.integers(1, 4),
+    index_forms=_INDEX_FORMS,
+    values=st.one_of(st.floats(-1e6, 1e6).map(repr), st.sampled_from(_GOOD_VALUES)),
+    bad_values=_BAD_VALUES,
+    broken_tokens=_BROKEN_TOKENS,
+    bad_labels=_BAD_LABELS,
+    gaps=_WHITESPACE,
+    tails=["", "", " # note", "#1:2"],
+    fillers=_FILLERS,
+    breaks=_BREAKS,
+)
+
+
+def _decimal(sign, digits, point):
+    """``digits`` with a '.' before its ``point``-th digit (none past the end) and the sign in front."""
+    return sign + (f"{digits[:point]}.{digits[point:]}" if point <= len(digits) else digits)
+
+
+# Plain text, the array reader's input: ASCII digits, "+-.eE:", spaces, tabs
+# and "\n" or "\r\n" line ends. Values cross the 15-digit bound of the exact
+# division; indices reach 18 digits.
+_PLAIN_TEXT = dict(
+    steps=st.sampled_from([1, 1, 2, 3, 4, 10**17]),  # six steps stay below 10**18
+    index_forms=[str, str, lambda i: f"{i:03d}"],
+    values=st.one_of(
+        st.builds(_decimal, st.sampled_from(["", "+", "-"]), st.text("0123456789", min_size=1, max_size=17), st.integers(0, 18)),
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.sampled_from(["1e-3", "1E+2", "-0", ".5", "5.", "+.5", "-0.000", "1e308", "5e-324", "0001.5"]),
+    ),
+    bad_values=["1e400", "-1e999", "1-2", "", ".", "+", "e5", "1e", "--1", "1.2.3", "1:2"],
+    broken_tokens=["5", ":5", "5:", "1:2:3", "e:1", "0:1", "-3:1", "+3:1", "1.0:1"],
+    bad_labels=["2", "+0", "1.0", "-", "01", "+1:1"],
+    gaps=[" ", " ", "  ", "\t", " \t"],
+    tails=["", "", " ", " \t"],
+    fillers=["", "   ", "\t"],
+    breaks=["\n", "\n", "\r\n", "\n\n"],
+)
 
 
 def _columns(rows):
@@ -323,14 +367,33 @@ def _columns(rows):
 def _outcome(module, text):
     """Rows, dim and dense arrays as bytes, or the parse error's line number and message."""
     try:
-        rows, dim = module.parse_libsvm(text)
+        read = module.parse_libsvm(text)
     except module.LibsvmParseError as err:
         return ("error", err.line_number, str(err))
+    return _read_outcome(module, read)
+
+
+def _read_outcome(module, read):
+    rows, dim = read
+    if dim > 1000:  # too wide to densify: an 18- or 19-digit index
+        return ("rows", _columns(rows), dim)
     features, labels = module.to_dense(rows, dim)
     return ("rows", _columns(rows), dim, features.shape, features.tobytes(), labels.tobytes())
 
 
-@given(_libsvm_text())
+def _assert_reads_as_the_reference(text):
+    """parse_libsvm gives the reference's outcome on str and bytes, in blocks of any size; so does the array reader, where it reads at all."""
+    expected = _outcome(libsvm_ref, text)
+    # Small blocks put faults in later blocks and across them, and lines at every seam of the array reader's blocks.
+    for tokens, size in ((datasets._BLOCK_TOKENS, datasets._PLAIN_BLOCK), (2, 3)):
+        with mock.patch.object(datasets, "_BLOCK_TOKENS", tokens), mock.patch.object(datasets, "_PLAIN_BLOCK", size):
+            assert _outcome(datasets, text) == expected
+            assert _outcome(datasets, text.encode()) == expected
+            read = datasets._read_plain(text.encode())
+            assert read is None or _read_outcome(datasets, read) == expected  # None on every text the reference rejects
+
+
+@given(_libsvm_text(_ANY_TEXT))
 @example("+1 1:1\n-1 3:+2 5:1_0\n1 \u0662:\u0663.5\r\n-1")  # a featureless last line with no line break
 @example("+1 1:1\x0b-1\xa02:1 # c\n0 3:nan")
 @example("+1 1:1 2:1\n-1 3:1 3:2\nbad 1:1")  # a repeated index before a bad label
@@ -338,25 +401,69 @@ def _outcome(module, text):
 @example("+1 1 2:3:4\n")  # a token with no ':' and one with two, whose pieces would pair up as 1:2 3:4
 @example("-1 1:1\n+1 7\n-1 8:9:1\n")
 @example("+1 1:2 3:4:5")  # a second ':' in the last token leaves nothing unpaired
+@example("+1 1:1\x012:1\x0c3:1\n")  # bytes below b" " that str.split does not split at, or that end a line
 def test_parser_matches_the_reference_bit_for_bit(text):
-    expected = _outcome(libsvm_ref, text)
-    assert _outcome(datasets, text) == expected
-    assert _outcome(datasets, text.encode()) == expected
-    with mock.patch.object(datasets, "_BLOCK_TOKENS", 2):  # many blocks: faults in later blocks and across them
-        assert _outcome(datasets, text) == expected
+    _assert_reads_as_the_reference(text)
 
 
-def test_parser_matches_the_reference_on_a_benchmark_file(tmp_path):
+@given(_libsvm_text(_PLAIN_TEXT))
+@example("+1 1:999999999999999 2:-0.12345678901234 3:1234567890123456 4:0.1234567890123456\n")  # 15 and 16 digits
+@example("-1 1:925.1070446233593\n")  # 16 digits: m / 10**f would round twice, and land one ulp low
+@example("+1 1:1.2.3\n")
+@example("-1 1:.\n")
+@example("+1 1:+\n")
+@example("+1 1:1\n+0 2:1\n")  # a label other than "1", "0", "+1" and "-1"
+@example("-1 1:-0 2:.5 3:5. 4:+.5 5:1e-3 6:0.30000000000000004")  # a 17-digit repr; no final line break
+@example("+1 999999999999999999:1\n-1 1000000000000000000:2\n")  # an 18-digit index, then a 19-digit one
+@example("0 007:1 08:2.50\n")
+@example("+1 1:1\r2:1\n")  # a lone '\r' is not plain; it ends a line, so "2:1" is a bad label
+@example("  \t\n+1\t1:1  2:2 \r\n\r\n-1 3:3\t\r\n\n")
+@example("+1 1:1\n-1 0:1\n")  # plain rows that break a row rule: index 0, a repeated index, an overflow
+@example("+1 1:1\n-1 2:1 2:3\n")
+@example("+1 1:1\n-1 2:1e400\n")
+def test_array_reader_matches_the_reference_bit_for_bit(text):
+    _assert_reads_as_the_reference(text)
+
+
+def _benchmark_file(tmp_path):
+    """The bytes of the seed-1 libsvm_shards input, as the benchmark writes it, and its row count and dimension."""
     workloads = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"))
     rows_written, dim_written = workloads["LIBSVM_ROWS"], workloads["LIBSVM_DIM"]
     data = tmp_path / "shards.svm"
     workloads["write_libsvm"](data, rows_written, dim_written, seed=1)
-    raw = data.read_bytes()
+    return data.read_bytes(), rows_written, dim_written
+
+
+def test_parser_matches_the_reference_on_a_benchmark_file(tmp_path):
+    raw, rows_written, dim_written = _benchmark_file(tmp_path)
     ref_features, ref_labels = libsvm_ref.to_dense(*libsvm_ref.parse_libsvm(raw))
     rows, dim = parse_libsvm(raw)
     features, labels = to_dense(rows, dim)
     assert dim == dim_written and len(rows) == rows_written
     assert features.tobytes() == ref_features.tobytes() and labels.tobytes() == ref_labels.tobytes()
+
+
+def test_array_reader_reads_a_benchmark_file_and_its_crlf_copy(tmp_path):
+    """Neither file reaches the line reader, so a fallback cannot bring its cost back unseen."""
+    raw, _, _ = _benchmark_file(tmp_path)
+    expected = _columns(datasets._parse_lines(raw)[0])
+    with mock.patch.object(datasets, "_parse_lines", side_effect=AssertionError("the line reader ran")):
+        for data in (raw, raw.replace(b"\n", b"  \r\n")):  # trailing spaces and CRLF, as on many LIBSVM files
+            assert _columns(parse_libsvm(data)[0]) == expected
+
+
+def test_array_reader_peaks_below_the_line_reader(tmp_path):
+    """Whole-line blocks bound the array reader's temporaries: its traced peak stays below the line reader's."""
+    raw, _, _ = _benchmark_file(tmp_path)
+    peaks = []
+    for read in (datasets._read_plain, datasets._parse_lines):
+        tracemalloc.start()
+        try:
+            read(raw)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < peaks[1]
 
 
 def _rows_text(n_rows, entries):
