@@ -235,12 +235,10 @@ def _read_plain_block(chunk: bytes):
     """Labels, row entry counts, indices and values of whole plain lines; None where the array reader cannot read them.
 
     None sends the text to :func:`_parse_lines`, which reads or words
-    what this reader does not: a byte that is not plain, a token other
-    than a label or ``digits:value``, a broken row rule, a value ``float``
+    what this reader does not: a lone carriage return, a token other than
+    a label or ``digits:value``, a broken row rule, a value ``float``
     rejects.
     """
-    if chunk.translate(None, _PLAIN):
-        return None
     chunk = b" " + chunk + b" "  # so every token, and every '\r', has a byte on both sides
     b = np.frombuffer(chunk, dtype=np.uint8)
     if (b[np.flatnonzero(b == 13) + 1] != 10).any():
@@ -290,7 +288,9 @@ def _read_plain_block(chunk: bytes):
 
 
 def _read_plain(data: bytes) -> Optional[tuple[LibsvmRows, int]]:
-    """Read plain LIBSVM bytes a block of whole lines at a time; None where a block cannot be read so."""
+    """Read plain LIBSVM bytes a block of whole lines at a time; None if not plain or a block cannot be read."""
+    if data.translate(None, _PLAIN):  # checked before any block, so a late '#' costs no wasted blocks
+        return None
     blocks = []
     at = 0
     while True:

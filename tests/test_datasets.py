@@ -307,8 +307,8 @@ def _libsvm_text(draw, kind):
     faults = [None] * draw(st.integers(0, 8))
     for fault in draw(st.lists(st.sampled_from(_FAULTS), max_size=2)) if faults else ():
         faults[draw(st.integers(0, len(faults) - 1))] = fault
-    lines = [draw(_libsvm_line(kind, fault) if fault else st.one_of(_libsvm_line(kind), st.sampled_from(kind["fillers"])))
-             for fault in faults]
+    any_line = st.one_of(_libsvm_line(kind), st.sampled_from(kind["fillers"]))
+    lines = [draw(_libsvm_line(kind, fault) if fault else any_line) for fault in faults]
     breaks = kind["breaks"]
     breaks = [draw(st.sampled_from(breaks)) for _ in lines[:-1]] + [draw(st.sampled_from(["", *breaks]))] * bool(lines)
     return "".join(line + brk for line, brk in zip(lines, breaks))
@@ -341,7 +341,8 @@ _PLAIN_TEXT = dict(
     steps=st.sampled_from([1, 1, 2, 3, 4, 10**17]),  # six steps stay below 10**18
     index_forms=[str, str, lambda i: f"{i:03d}"],
     values=st.one_of(
-        st.builds(_decimal, st.sampled_from(["", "+", "-"]), st.text("0123456789", min_size=1, max_size=17), st.integers(0, 18)),
+        st.builds(_decimal, st.sampled_from(["", "+", "-"]), st.text("0123456789", min_size=1, max_size=17),
+                  st.integers(0, 18)),
         st.floats(allow_nan=False, allow_infinity=False).map(repr),
         st.sampled_from(["1e-3", "1E+2", "-0", ".5", "5.", "+.5", "-0.000", "1e308", "5e-324", "0001.5"]),
     ),
@@ -382,7 +383,10 @@ def _read_outcome(module, read):
 
 
 def _assert_reads_as_the_reference(text):
-    """parse_libsvm gives the reference's outcome on str and bytes, in blocks of any size; so does the array reader, where it reads at all."""
+    """parse_libsvm gives the reference's outcome on str and bytes, in blocks of any size.
+
+    So does the array reader, where it reads the text at all.
+    """
     expected = _outcome(libsvm_ref, text)
     # Small blocks put faults in later blocks and across them, and lines at every seam of the array reader's blocks.
     for tokens, size in ((datasets._BLOCK_TOKENS, datasets._PLAIN_BLOCK), (2, 3)):
