@@ -287,24 +287,31 @@ def _read_plain_block(chunk: bytes):
     return labels, np.diff(offsets), indices, values
 
 
-def _read_plain(data: bytes) -> Optional[tuple[LibsvmRows, int]]:
-    """Read plain LIBSVM bytes a block of whole lines at a time; None if not plain or a block cannot be read."""
-    if data.translate(None, _PLAIN):  # checked before any block, so a late '#' costs no wasted blocks
-        return None
-    blocks = []
+def _line_blocks(data: bytes):
+    """Yield (start, end) of each block of whole lines of about ``_PLAIN_BLOCK`` bytes; empty data is one block."""
     at = 0
     while True:
-        stop = at + _PLAIN_BLOCK
-        end = len(data)
+        stop, end = at + _PLAIN_BLOCK, len(data)
         if stop < end:  # up to the last line break before stop, or else the first after it
             end = data.rfind(b"\n", at, stop) + 1 or data.find(b"\n", stop) + 1 or end
+        yield at, end
+        if end == len(data):
+            return
+        at = end
+
+
+def _read_plain(data: bytes) -> Optional[tuple[LibsvmRows, int]]:
+    """Read plain LIBSVM bytes a block of whole lines at a time; None if not plain or a block cannot be read."""
+    spans = list(_line_blocks(data))
+    # Every block is checked before any is read: a late '#' costs no reading, an early one little checking.
+    if any(data[at:end].translate(None, _PLAIN) for at, end in spans):
+        return None
+    blocks = []
+    for at, end in spans:
         block = _read_plain_block(data[at:end])
         if block is None:
             return None
         blocks.append(block)
-        if end == len(data):
-            break
-        at = end
     labels, counts, indices, values = (np.concatenate(column) for column in zip(*blocks))
     rows = LibsvmRows(labels, np.concatenate([[0], np.cumsum(counts)]), indices, values)
     return rows, int(indices.max()) if indices.size else 0
