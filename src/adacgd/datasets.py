@@ -11,20 +11,22 @@ whitespace (``str.split``), NBSP included. A feature token holds exactly one
 ``1_0``, non-ASCII decimal digits, ``1e-3`` and ``inf`` all read as those
 functions read them, and a value that is not finite (``nan``, ``inf``,
 ``1e400``) is rejected. Indices are held as int64, so an index of 2**63 or
-more is rejected too. Every rejection is a :class:`LibsvmParseError` naming
-the first bad line.
+more is rejected too, and bytes must be UTF-8. Every rejection is a
+:class:`LibsvmParseError` naming the first bad line.
 
-Two readers give the same rows, and the same errors. Plain text (ASCII
+Two readers give the same rows, and the same errors. Plain bytes (ASCII
 digits, ``+-.eE:``, spaces, tabs and ``\n``; a ``\r`` only right before a
-``\n``; so no ``#``) goes to an array reader, which finds tokens and lines
-with NumPy a block of whole lines (about 256 KiB) at a time. It reads a
-value of at most 15 digits and no exponent as ``m / 10**f``: ``m < 2**53``
-and ``10**f`` are exact doubles, so the one correctly rounded division gives
-the double nearest the decimal, which is what ``float`` returns (Clinger,
-PLDI 1990). Every other value goes to ``float`` itself. Any other text, and
-any plain text the array reader cannot read (an index with a sign or more
-than 18 digits, a bad label or token, a broken row rule, a value ``float``
-rejects), goes whole to the line reader, which words every error.
+``\n``; so no ``#``) go as they are to an array reader, which finds tokens
+and lines with NumPy a block of whole lines (about 256 KiB) at a time. It
+reads a value of at most 15 digits and no exponent as ``m / 10**f``:
+``m < 2**53`` and ``10**f`` are exact doubles, so the one correctly rounded
+division gives the double nearest the decimal, which is what ``float``
+returns (Clinger, PLDI 1990); every other value goes to ``float`` itself.
+Other text is read as its tokens: rebuilt with one space between tokens and
+one ``\n`` between lines, it goes to the array reader if that is plain.
+Tokens only ``int`` or ``float`` accept (``1_0``, ``inf``, a signed or
+19-digit index), and faulty text, go whole to the slower per-line reader,
+which words every error.
 """
 
 from __future__ import annotations
@@ -44,8 +46,6 @@ _SYNTHETIC_STREAM = 102
 
 _LABELS = {"+1": 1, "1": 1, "-1": -1, "0": -1}
 _INDEX_BOUND = 2**63  # indices are held as int64
-# Feature tokens converted per block: bounds the parser's temporary strings.
-_BLOCK_TOKENS = 1 << 14
 
 
 class LibsvmParseError(ValueError):
@@ -91,10 +91,15 @@ def _fields(line: str) -> list[str]:
     return line.split("#", 1)[0].split()
 
 
-def _check_line(lineno: int, line: str) -> None:
-    """Read one line token by token; raises the :class:`LibsvmParseError` that words its first fault, if it has one."""
+def _read_line(lineno: int, line: str) -> tuple[int, np.ndarray, np.ndarray]:
+    """Read one non-blank line token by token: its label, indices and values.
+
+    Raises the :class:`LibsvmParseError` that words the line's first fault,
+    if it has one.
+    """
     head, *tokens = _fields(line)
-    if head not in _LABELS:
+    label = _LABELS.get(head)
+    if label is None:
         raise LibsvmParseError(lineno, f"invalid label token {head!r}")
     idx: list[int] = []
     val: list[float] = []
@@ -113,12 +118,12 @@ def _check_line(lineno: int, line: str) -> None:
     if max(idx, default=0) >= _INDEX_BOUND:
         raise LibsvmParseError(lineno, f"feature index {max(idx)} does not fit in int64")
     # An index below 1 breaks the first rule whatever its value, so 0 stands in for it.
-    low, unordered, nonfinite = _rule_breaks(
-        np.array([max(i, 0) for i in idx], dtype=np.int64), np.array(val, dtype=np.float64), np.array([0, len(idx)])
-    )
+    indices = np.array([max(i, 0) for i in idx], dtype=np.int64)
+    values = np.array(val, dtype=np.float64)
+    low, unordered, nonfinite = _rule_breaks(indices, values, np.array([0, len(idx)]))
     bad = low | unordered | nonfinite
     if not bad.any():
-        return
+        return label, indices, values
     j = int(bad.argmax())
     if low[j]:
         raise LibsvmParseError(lineno, f"feature index must be >= 1, got {idx[j]}")
@@ -127,74 +132,30 @@ def _check_line(lineno: int, line: str) -> None:
     raise LibsvmParseError(lineno, f"feature value at index {idx[j]} is not finite")
 
 
-def _read_block(tokens: list[str], counts: list[int], linenos: list[int], lines: list[str]):
-    """Convert the feature tokens of whole rows to (indices, values) and check the row rules.
+def _decode(text) -> str:
+    """``text`` as str, bytes decoded as UTF-8.
 
-    ``counts[r]`` tokens belong to the row on line ``linenos[r]`` (0-based)
-    of ``lines``. A block that fails is read again line by line, which
-    raises for its first bad line.
+    Bytes that are not UTF-8 raise the error of the first bad line, which may
+    come before the line that holds the bad byte.
     """
-    n = len(tokens)
-    if not n:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-    joined = " ".join(tokens)
+    if isinstance(text, str):
+        return text
     try:
-        # Tokens hold no whitespace, so each holds exactly one ':' when the
-        # ':' and ' ' bytes of the joined text alternate ':', ' ', ..., ':'
-        # (neither byte occurs inside a multi-byte UTF-8 character).
-        seps = np.frombuffer(joined.encode(), dtype=np.uint8)
-        seps = seps[(seps == 58) | (seps == 32)]
-        if seps.size != 2 * n - 1 or not (seps[0::2] == 58).all():
-            raise ValueError("a feature token without exactly one ':'")
-        parts = joined.replace(":", " ").split(" ")
-        indices = np.fromiter(map(int, parts[0::2]), dtype=np.int64, count=n)
-        values = np.fromiter(map(float, parts[1::2]), dtype=np.float64, count=n)
-    except (ValueError, OverflowError):
-        for at in linenos:
-            _check_line(at + 1, lines[at])
-        raise
-    offsets = np.cumsum([0, *counts])
-    bad = np.logical_or.reduce(_rule_breaks(indices, values, offsets))
-    if bad.any():
-        at = linenos[np.searchsorted(offsets, bad.argmax(), side="right") - 1]
-        _check_line(at + 1, lines[at])
-    return indices, values
+        return text.decode("utf-8")
+    except UnicodeDecodeError as err:
+        *complete, _ = (text[: err.start].decode("utf-8") + "x").splitlines()
+        _parse_lines("\n".join(complete))
+        message = f"invalid UTF-8 byte 0x{text[err.start]:02x} ({err.reason})"
+        raise LibsvmParseError(len(complete) + 1, message) from None
 
 
 def _parse_lines(text) -> tuple[LibsvmRows, int]:
-    """Read any LIBSVM text line by line; the reader of every input that is not plain, and of every error.
-
-    Feature tokens are converted a block of whole rows at a time, in file
-    order, so the first bad line is the one reported.
-    """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    lines = text.splitlines()
-    labels: list[int] = []
-    counts: list[int] = []
-    linenos: list[int] = []
-    tokens: list[str] = []
-    blocks: list[tuple[np.ndarray, np.ndarray]] = []
-    done = 0  # rows already converted
-    for at, line in enumerate(lines):
-        fields = _fields(line)
-        if not fields:
-            continue
-        label = _LABELS.get(fields[0])
-        if label is None:  # the rows not yet converted come first: one may hold the first bad line
-            _read_block(tokens, counts[done:], linenos[done:], lines)
-            _check_line(at + 1, line)
-        labels.append(label)
-        counts.append(len(fields) - 1)
-        linenos.append(at)
-        tokens += fields[1:]
-        if len(tokens) >= _BLOCK_TOKENS:
-            blocks.append(_read_block(tokens, counts[done:], linenos[done:], lines))
-            tokens, done = [], len(counts)
-    blocks.append(_read_block(tokens, counts[done:], linenos[done:], lines))
-    indices = np.concatenate([idx for idx, _ in blocks])
-    values = np.concatenate([val for _, val in blocks])
-    rows = LibsvmRows(np.array(labels, dtype=np.float64), np.cumsum([0, *counts]), indices, values)
+    """Read any LIBSVM text line by line, in file order, so the first bad line is the one reported."""
+    read = [_read_line(at, line) for at, line in enumerate(_decode(text).splitlines(), start=1) if _fields(line)]
+    indices = np.concatenate([np.empty(0, dtype=np.int64), *(idx for _, idx, _ in read)])
+    values = np.concatenate([np.empty(0), *(val for _, _, val in read)])
+    labels = np.array([label for label, _, _ in read], dtype=np.float64)
+    rows = LibsvmRows(labels, np.cumsum([0, *(idx.size for _, idx, _ in read)]), indices, values)
     return rows, int(indices.max()) if indices.size else 0
 
 
@@ -235,14 +196,11 @@ def _read_plain_block(chunk: bytes):
     """Labels, row entry counts, indices and values of whole plain lines; None where the array reader cannot read them.
 
     None sends the text to :func:`_parse_lines`, which reads or words
-    what this reader does not: a lone carriage return, a token other than
-    a label or ``digits:value``, a broken row rule, a value ``float``
-    rejects.
+    what this reader does not: a token other than a label or
+    ``digits:value``, a broken row rule, a value ``float`` rejects.
     """
-    chunk = b" " + chunk + b" "  # so every token, and every '\r', has a byte on both sides
+    chunk = b" " + chunk + b" "  # so every token has a byte on both sides
     b = np.frombuffer(chunk, dtype=np.uint8)
-    if (b[np.flatnonzero(b == 13) + 1] != 10).any():
-        return None
     gap = b <= 32
     edges = np.flatnonzero(gap[1:] != gap[:-1]) + 1
     start, end = edges[0::2], edges[1::2]
@@ -287,31 +245,26 @@ def _read_plain_block(chunk: bytes):
     return labels, np.diff(offsets), indices, values
 
 
-def _line_blocks(data: bytes):
-    """Yield (start, end) of each block of whole lines of about ``_PLAIN_BLOCK`` bytes; empty data is one block."""
-    at = 0
-    while True:
-        stop, end = at + _PLAIN_BLOCK, len(data)
-        if stop < end:  # up to the last line break before stop, or else the first after it
-            end = data.rfind(b"\n", at, stop) + 1 or data.find(b"\n", stop) + 1 or end
-        yield at, end
-        if end == len(data):
-            return
-        at = end
+def _plain(text) -> Optional[bytes]:
+    """The bytes of ``text`` (str or bytes) if plain, else None; checked a block at a time, so no temporary grows."""
+    data = text.encode("ascii") if isinstance(text, str) and text.isascii() else text
+    if isinstance(data, str) or b"\r" in data and data.count(b"\r") != data.count(b"\r\n"):  # a lone '\r' ends a line
+        return None
+    blocks = range(0, len(data), _PLAIN_BLOCK)
+    return None if any(data[at : at + _PLAIN_BLOCK].translate(None, _PLAIN) for at in blocks) else data
 
 
 def _read_plain(data: bytes) -> Optional[tuple[LibsvmRows, int]]:
-    """Read plain LIBSVM bytes a block of whole lines at a time; None if not plain or a block cannot be read."""
-    spans = list(_line_blocks(data))
-    # Every block is checked before any is read: a late '#' costs no reading, an early one little checking.
-    if any(data[at:end].translate(None, _PLAIN) for at, end in spans):
-        return None
-    blocks = []
-    for at, end in spans:
-        block = _read_plain_block(data[at:end])
-        if block is None:
+    """Read plain bytes a block of whole lines (about ``_PLAIN_BLOCK`` bytes) at a time; None if one cannot be read."""
+    blocks, at = [], 0
+    while at < len(data) or not blocks:  # empty data is one block
+        stop, end = at + _PLAIN_BLOCK, len(data)
+        if stop < end:  # up to the last line break before stop, or else the first after it
+            end = data.rfind(b"\n", at, stop) + 1 or data.find(b"\n", stop) + 1 or end
+        blocks.append(_read_plain_block(data[at:end]))
+        if blocks[-1] is None:
             return None
-        blocks.append(block)
+        at = end
     labels, counts, indices, values = (np.concatenate(column) for column in zip(*blocks))
     rows = LibsvmRows(labels, np.concatenate([[0], np.cumsum(counts)]), indices, values)
     return rows, int(indices.max()) if indices.size else 0
@@ -321,12 +274,16 @@ def parse_libsvm(text) -> tuple[LibsvmRows, int]:
     """Parse LIBSVM text into :class:`LibsvmRows` and the inferred dimension.
 
     The inferred dimension is the maximum feature index seen. Accepts
-    ``str`` or UTF-8 ``bytes``. Plain text goes to the array reader; any
-    other text, and every text the array reader cannot read, goes whole to
-    the line reader, so the rows and every error are the same whichever
-    reader ran.
+    ``str`` or UTF-8 ``bytes``. Plain text goes to the array reader as it
+    is. Any other text is decoded once and rebuilt as its tokens, one line
+    per line, and goes to the array reader if that is plain. Every text the
+    array reader cannot read goes whole to the line reader, so the rows and
+    every error are the same whichever reader ran.
     """
-    data = text if isinstance(text, bytes) else text.encode("ascii") if text.isascii() else None
+    data = _plain(text)
+    if data is None:
+        text = _decode(text)
+        data = _plain("\n".join(" ".join(_fields(line)) for line in text.splitlines()))
     read = None if data is None else _read_plain(data)
     return _parse_lines(text) if read is None else read
 

@@ -125,6 +125,18 @@ def test_bytes_input_accepted():
     assert dim == 2 and rows.indices.tolist() == [2] and rows.values.tolist() == [1.5]
 
 
+@pytest.mark.parametrize("raw, message", [
+    (b"+1 1:1\n-1 2:1 3:\xff\n", "line 2: invalid UTF-8 byte 0xff (invalid start byte)"),
+    (b"+1 1:1\r\n\n-1 2:1\r\xe2\x82", "line 4: invalid UTF-8 byte 0xe2 (unexpected end of data)"),
+    (b"+1 1:1\nbad 2:1\n-1 2:1 3:\xff\n", "line 2: invalid label token 'bad'"),  # a fault in an earlier line comes first
+    (b"+1 1:1\n-1 2:1 2:1\xff\n", "line 2: invalid UTF-8 byte 0xff (invalid start byte)"),  # not in the same line
+])
+def test_text_that_is_not_utf8_names_its_first_bad_line(raw, message):
+    with pytest.raises(LibsvmParseError) as err:
+        parse_libsvm(raw)
+    assert str(err.value) == message
+
+
 def _assert_round_trip(label, feats):
     """A row written as LIBSVM text, each value by its repr, parses back to the same label, indices and value bits."""
     rows, _ = parse_libsvm(" ".join([f"{label:+d}"] + [f"{i}:{v!r}" for i, v in feats]))
@@ -365,10 +377,10 @@ def _columns(rows):
             [i for i, _ in entries], np.array([v for _, v in entries], dtype=np.float64).tobytes())
 
 
-def _outcome(module, text):
-    """Rows, dim and dense arrays as bytes, or the parse error's line number and message."""
+def _outcome(module, text, parse=None):
+    """Rows, dim and dense arrays as bytes, or the parse error's line number and message; ``parse`` defaults to parse_libsvm."""
     try:
-        read = module.parse_libsvm(text)
+        read = (parse or module.parse_libsvm)(text)
     except module.LibsvmParseError as err:
         return ("error", err.line_number, str(err))
     return _read_outcome(module, read)
@@ -385,15 +397,18 @@ def _read_outcome(module, read):
 def _assert_reads_as_the_reference(text):
     """parse_libsvm gives the reference's outcome on str and bytes, in blocks of any size.
 
-    So does the array reader, where it reads the text at all.
+    So does the line reader on every text, though parse_libsvm sends it few
+    of them, and the array reader on every plain text it reads at all.
     """
     expected = _outcome(libsvm_ref, text)
-    # Small blocks put faults in later blocks and across them, and lines at every seam of the array reader's blocks.
-    for tokens, size in ((datasets._BLOCK_TOKENS, datasets._PLAIN_BLOCK), (2, 3)):
-        with mock.patch.object(datasets, "_BLOCK_TOKENS", tokens), mock.patch.object(datasets, "_PLAIN_BLOCK", size):
+    assert _outcome(datasets, text, datasets._parse_lines) == expected
+    # Small blocks put lines at every seam of the array reader's blocks.
+    for size in (datasets._PLAIN_BLOCK, 3):
+        with mock.patch.object(datasets, "_PLAIN_BLOCK", size):
             assert _outcome(datasets, text) == expected
             assert _outcome(datasets, text.encode()) == expected
-            read = datasets._read_plain(text.encode())
+            data = datasets._plain(text)
+            read = None if data is None else datasets._read_plain(data)
             assert read is None or _read_outcome(datasets, read) == expected  # None on every text the reference rejects
 
 
@@ -447,12 +462,30 @@ def test_parser_matches_the_reference_on_a_benchmark_file(tmp_path):
     assert features.tobytes() == ref_features.tobytes() and labels.tobytes() == ref_labels.tobytes()
 
 
+def _commented(raw):
+    """``raw`` under a '#' header line, with a trailing comment on every seventh line."""
+    lines = raw.split(b"\n")
+    return b"# rows: label, then index:value\n" + b"\n".join(
+        line + b"  # note" * (k % 7 == 3 and bool(line)) for k, line in enumerate(lines))
+
+
 def test_array_reader_reads_a_benchmark_file_and_its_crlf_copy(tmp_path):
-    """Neither file reaches the line reader, so a fallback cannot bring its cost back unseen."""
+    """No copy reaches the line reader, so a fallback cannot bring its cost back unseen.
+
+    Plain copies are read as they are; the others, read as their tokens,
+    give the same rows.
+    """
     raw, _, _ = _benchmark_file(tmp_path)
     expected = _columns(datasets._parse_lines(raw)[0])
+    copies = (
+        raw,
+        raw.replace(b"\n", b"  \r\n"),  # trailing spaces and CRLF, as on many LIBSVM files
+        _commented(raw),
+        raw.replace(b" ", "\xa0".encode(), 1000),  # 1000 gaps as NBSP
+        raw.replace(b"\n", b"\r"),  # lone carriage returns end the lines
+    )
     with mock.patch.object(datasets, "_parse_lines", side_effect=AssertionError("the line reader ran")):
-        for data in (raw, raw.replace(b"\n", b"  \r\n")):  # trailing spaces and CRLF, as on many LIBSVM files
+        for data in copies:
             assert _columns(parse_libsvm(data)[0]) == expected
 
 

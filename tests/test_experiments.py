@@ -824,11 +824,13 @@ def test_cli_rejects_a_key_given_twice(tmp_path, capsys, args, config_text, mess
         ("synthetic:n=20,d=5,seed=1", "ef21:k=6", "k=6 exceeds dimension 5"),
         ("quadratic:diag=0|0", "gd", "all-zero diagonal"),
         ("missing.svm", "gd", "No such file or directory"),
+        ("bad.svm", "gd", "line 2: invalid UTF-8 byte 0xff"),
     ],
-    ids=["k-above-dimension", "zero-quadratic", "missing-file"],
+    ids=["k-above-dimension", "zero-quadratic", "missing-file", "not-utf8"],
 )
 def test_cli_reports_bad_input_in_one_line(tmp_path, monkeypatch, capsys, dataset, method, message):
-    monkeypatch.chdir(tmp_path)  # "missing.svm" is looked up in an empty directory
+    monkeypatch.chdir(tmp_path)  # "missing.svm" is looked up in a directory that holds only "bad.svm"
+    (tmp_path / "bad.svm").write_bytes(b"+1 1:1\n-1 2:1 3:\xff\n")
     args = ["run", "--dataset", dataset, "--n-clients", "2", "--method", method, "--stop", "rounds=2"]
     rc = cli_main(args + ["--out-dir", str(tmp_path)])
     err = capsys.readouterr().err
