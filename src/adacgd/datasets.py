@@ -24,9 +24,9 @@ division gives the double nearest the decimal, which is what ``float``
 returns (Clinger, PLDI 1990); every other value goes to ``float`` itself.
 Other text is read as its tokens: rebuilt with one space between tokens and
 one ``\n`` between lines, it goes to the array reader if that is plain.
-Tokens only ``int`` or ``float`` accept (``1_0``, ``inf``, a signed or
-19-digit index), and faulty text, go whole to the slower per-line reader,
-which words every error.
+Tokens only ``int`` or ``float`` accept (``1_0``, a signed index, non-ASCII
+digits), and faulty text, go whole to the slower per-line reader, which
+words every error.
 """
 
 from __future__ import annotations

@@ -128,7 +128,7 @@ def test_bytes_input_accepted():
 @pytest.mark.parametrize("raw, message", [
     (b"+1 1:1\n-1 2:1 3:\xff\n", "line 2: invalid UTF-8 byte 0xff (invalid start byte)"),
     (b"+1 1:1\r\n\n-1 2:1\r\xe2\x82", "line 4: invalid UTF-8 byte 0xe2 (unexpected end of data)"),
-    (b"+1 1:1\nbad 2:1\n-1 2:1 3:\xff\n", "line 2: invalid label token 'bad'"),  # a fault in an earlier line comes first
+    (b"+1 1:1\nbad 2:1\n-1 2:1 3:\xff\n", "line 2: invalid label token 'bad'"),  # an earlier line's fault comes first
     (b"+1 1:1\n-1 2:1 2:1\xff\n", "line 2: invalid UTF-8 byte 0xff (invalid start byte)"),  # not in the same line
 ])
 def test_text_that_is_not_utf8_names_its_first_bad_line(raw, message):
@@ -378,7 +378,7 @@ def _columns(rows):
 
 
 def _outcome(module, text, parse=None):
-    """Rows, dim and dense arrays as bytes, or the parse error's line number and message; ``parse`` defaults to parse_libsvm."""
+    """Rows, dim and dense arrays as bytes, or the error's line and message, of ``parse`` (parse_libsvm by default)."""
     try:
         read = (parse or module.parse_libsvm)(text)
     except module.LibsvmParseError as err:
