@@ -92,26 +92,37 @@ def _magnitude_order(x: np.ndarray) -> Optional[np.ndarray]:
     return np.argsort(-np.abs(x), axis=1, kind="stable")
 
 
+def _magnitude_keys(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """-|x|, with NaN as +inf: last, as the sort ranks NaN, and equal to itself."""
+    keys = np.abs(x, out=out)
+    np.negative(keys, out=keys)
+    return np.fmin(keys, np.inf, out=keys)
+
+
 def _select_top_k(x: np.ndarray, k: int) -> np.ndarray:
     """The first k of each row's stable -|x| order, sorted, without sorting the row.
 
-    argpartition keeps each row's k least keys but, where the k-th key recurs
-    past the cut, an arbitrary choice among the tied entries; those rows keep
-    every lesser entry and their lowest-index tied ones instead.
+    Those are each row's keys below its k-th least key, then its lowest-index
+    keys equal to that one, as many as there is room for; the partition finds
+    the k-th least key and a mask of the keys kept gives them in index order.
     """
-    keys = np.abs(x)
-    np.negative(keys, out=keys)
-    np.fmin(keys, np.inf, out=keys)  # NaN to +inf: last, as the sort ranks NaN, and equal to itself
-    kept = np.argpartition(keys, k - 1, axis=1)[:, :k]
-    kth = keys[np.arange(keys.shape[0]), kept[:, -1]][:, None]
-    tied = np.flatnonzero(np.add.reduce(keys <= kth, axis=1) > k)
+    keys = _magnitude_keys(x)
+    if k == 1:
+        return np.argmin(keys, axis=1)[:, None]  # the first least key
+    m, d = keys.shape
+    keys.partition(k - 1, axis=1)
+    kth = keys[:, k - 1 : k].copy()
+    take = _magnitude_keys(x, out=keys) <= kth  # the keys again, in index order
+    tied = np.flatnonzero(np.add.reduce(take, axis=1) > k)  # rows where the k-th key recurs past the cut
     if tied.size:
         keys, kth = keys[tied], kth[tied]
         less, at = keys < kth, keys == kth
         room = k - np.add.reduce(less, axis=1)
-        take = less | (at & (np.cumsum(at, axis=1) <= room[:, None]))
-        kept[tied] = np.nonzero(take)[1].reshape(-1, k)
-    return np.sort(kept, axis=1)
+        take[tied] = less | (at & (np.cumsum(at, axis=1) <= room[:, None]))
+    del keys  # with the keys gone, the supports are the call's largest array
+    kept = np.flatnonzero(take).reshape(m, k)
+    kept -= (np.arange(m) * d)[:, None]
+    return kept
 
 
 def _top_k_indices(x: np.ndarray, k: int, order: Optional[np.ndarray] = None) -> np.ndarray:
@@ -146,7 +157,9 @@ def _contract_support(
         return _top_k_indices(x, c.k, order)
     if rngs is None:
         raise ValueError("rand-k contractor needs an rng stream")
-    idx = np.array([g.choice(d, size=c.k, replace=False) for g in stream_generators(rngs)], dtype=np.int64)
+    idx = np.empty((x.shape[0], c.k), dtype=np.int64)
+    for row, g in zip(idx, stream_generators(rngs), strict=True):
+        row[:] = g.choice(d, size=c.k, replace=False)
     idx.sort(axis=1)
     return idx
 
@@ -160,21 +173,32 @@ def _flat_positions(idx: np.ndarray, dim: int, rows: Optional[np.ndarray] = None
 
 
 def _shift_entries(
-    h: np.ndarray, delta: np.ndarray, kept: np.ndarray, rows: Optional[np.ndarray] = None
+    h: np.ndarray, x: np.ndarray, kept: np.ndarray, rows: Optional[np.ndarray] = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The shift map h + C(delta) where C keeps coordinates ``kept``: row i
+    """The shift map h + C(x - h) where C keeps coordinates ``kept``: row i
     of ``kept`` belongs to stack row ``rows[i]`` (row i when rows is None).
 
-    Returns the kept entries' flat positions in the stacks, the deltas sent
-    there and the new entries h + delta, all grouped by row.
+    Returns the kept entries' flat positions in the stacks, the deltas x - h
+    sent there and the new entries h + delta, all grouped by row. Only the
+    kept entries are computed, each as a whole x - h would hold it.
     """
     positions = _flat_positions(kept, h.shape[1], rows)
-    values = delta.reshape(-1)[positions]
-    return positions, values, h.reshape(-1)[positions] + values
+    values = x.reshape(-1)[positions]
+    shifted = h.reshape(-1)[positions]
+    values -= shifted
+    shifted += values
+    return positions, values, shifted
 
 
 def _one_stream(rng: Optional[SeededRng]) -> Optional[list[SeededRng]]:
     return None if rng is None else [rng]
+
+
+def _branch_streams(
+    rngs: Optional[Sequence[SeededRng]], rows: np.ndarray, branch: int, draws: bool
+) -> Optional[list[SeededRng]]:
+    """Branch ``branch``'s stream derived from each of ``rows``' streams, or None when it does not draw."""
+    return [rngs[i].derive(branch) for i in rows] if rngs is not None and draws else None
 
 
 def _contract_rows(c: ContractorSpec, x: np.ndarray, rngs: Optional[Sequence[SeededRng]]) -> np.ndarray:
@@ -285,11 +309,9 @@ def _ef21_raw(
         out = _skipping(x)  # every row sends x in full
         out.kinds[:] = FULL
         return out
-    if delta is None:
-        delta = x - h
-    kept = _contract_support(contractor, delta, rngs)
+    kept = _contract_support(contractor, x - h if delta is None else delta, rngs)
     out = _skipping(h)
-    out._write_shift(np.arange(x.shape[0]), kept, *_shift_entries(h, delta, kept))
+    out._write_shift(np.arange(x.shape[0]), kept, *_shift_entries(h, x, kept))
     return out
 
 
@@ -469,40 +491,70 @@ class AdaCGD(ThreePCSpec):
         rows = np.flatnonzero(~(row_sqnorms(delta) <= budget))
         if not rows.size:
             return out
-        # On a small stack one ranking per row serves every top-k level: their
-        # supports are prefixes of it. A large one selects each level's support.
-        order = _magnitude_order(delta[rows]) if any(c.kind == TOPK for c in self.contractors) else None
-        ranked = np.arange(rows.size)  # the row of ``order`` of each row in play
+        # delta and order hold only the rows in play, in order. On a small stack
+        # one ranking per row serves every top-k level: their supports are
+        # prefixes of it. A large one selects each level's support.
+        if rows.size < x.shape[0]:
+            delta = delta[rows]
+        order = _magnitude_order(delta) if any(c.kind == TOPK for c in self.contractors) else None
         last = len(self.contractors)
-        d = x.shape[1]
-        for j, c in enumerate(self.contractors, start=1):
-            # Level j's candidate is the shift h + C(delta), computed only at
-            # the kept entries: its residual x - candidate is delta elsewhere.
-            # Only the rows it fits (every row at the last level) take it.
-            # Building whole candidate vectors per level instead cost
-            # highdim_bidir 6% of its rounds/s (BENCH_13.json, adacgd_levels).
-            if c.kind == IDENTITY:
-                xr = x[rows]
-                residual = xr - xr  # the candidate is x itself
-            else:
-                level_rngs = [rngs[i].derive(j) for i in rows] if rngs is not None and c.randomized else None
-                residual = delta[rows]
-                kept = _contract_support(c, residual, level_rngs, None if order is None else order[ranked])
-                positions, values, shifted = _shift_entries(h, delta, kept, rows)
-                residual.reshape(-1)[_flat_positions(kept, d)] = x.reshape(-1)[positions] - shifted
-            fits = row_sqnorms(residual) <= budget[rows] if j < last else np.ones(rows.size, dtype=bool)
+        for j, c in enumerate(self.contractors[:-1], start=1):
+            fits = self._probe(out, j, c, h, x, delta, budget[rows], rows, rngs, order)
+            if fits.any():
+                rows = rows[~fits]
+                if not rows.size:
+                    return out
+                delta = delta[~fits]
+                order = None if order is None else order[~fits]
+        # Every row left takes the last level, which needs no residual: delta
+        # goes before the level's entries are made.
+        c = self.contractors[-1]
+        out.branches[rows] = last
+        if c.kind == IDENTITY:
+            out.vectors[rows] = x[rows]
+            out.kinds[rows] = FULL
+            return out
+        kept = _contract_support(c, delta, _branch_streams(rngs, rows, last, c.randomized), order)
+        del delta, order
+        out._write_shift(rows, kept, *_shift_entries(h, x, kept, rows))
+        return out
+
+    @staticmethod
+    def _probe(out, j, c, h, x, delta, budget, rows, rngs, order) -> np.ndarray:
+        """Level j's test on stack rows ``rows``, whose x - h and budget are
+        ``delta`` and ``budget``: the rows its candidate fits take it. Returns
+        their mask.
+
+        The candidate is the shift h + C(delta), computed only at the kept
+        entries: its residual x - candidate is delta elsewhere, so it is made
+        in delta's place and delta restored after. Building whole candidate
+        vectors per level instead cost highdim_bidir 6% of its rounds/s
+        (BENCH_13.json, adacgd_levels).
+        """
+        if c.kind == IDENTITY:
+            fits = 0.0 <= budget  # the candidate is x itself
             taken = rows[fits]
             out.branches[taken] = j
-            if c.kind == IDENTITY:
-                out.vectors[taken] = x[taken]
-                out.kinds[taken] = FULL
-            else:
-                sending = np.repeat(fits, c.k)  # the entries are grouped by row
-                out._write_shift(taken, kept[fits], positions[sending], values[sending], shifted[sending])
-            rows, ranked = rows[~fits], ranked[~fits]
-            if not rows.size:
-                break
-        return out
+            out.vectors[taken] = x[taken]
+            out.kinds[taken] = FULL
+            return fits
+        kept = _contract_support(c, delta, _branch_streams(rngs, rows, j, c.randomized), order)
+        positions, values, shifted = _shift_entries(h, x, kept, rows)
+        entries = x.reshape(-1)[positions]
+        entries -= shifted
+        flat = delta.reshape(-1)
+        own = positions if rows.size == x.shape[0] else _flat_positions(kept, x.shape[1])
+        flat[own] = entries
+        fits = row_sqnorms(delta) <= budget
+        flat[own] = values
+        taken = rows[fits]
+        out.branches[taken] = j
+        if taken.size == rows.size:
+            out._write_shift(taken, kept, positions, values, shifted)
+        else:
+            sending = np.repeat(fits, c.k)  # the entries are grouped by row
+            out._write_shift(taken, kept[fits], positions[sending], values[sending], shifted[sending])
+        return fits
 
     def constants(self, dim):
         # Branch constants combine (min a, max b); the skip branch gives (1, zeta).
@@ -580,8 +632,7 @@ class Ada3PC(ThreePCSpec):
         for j, pred in enumerate(self.predicates):
             if not rows.size:
                 break
-            pred_rngs = [rngs[i].derive(j) for i in rows] if rngs is not None and pred.draws else None
-            holds = np.asarray(pred.evaluate(h[rows], y[rows], x[rows], pred_rngs))
+            holds = np.asarray(pred.evaluate(h[rows], y[rows], x[rows], _branch_streams(rngs, rows, j, pred.draws)))
             if holds.dtype != bool or holds.shape != rows.shape:
                 raise ValueError(
                     f"predicate {pred!r} must return one bool per row (shape {rows.shape}), "
@@ -593,7 +644,7 @@ class Ada3PC(ThreePCSpec):
         for j, branch in enumerate(self.branches):
             rows = np.flatnonzero(chosen == j)
             if rows.size:
-                branch_rngs = [rngs[i].derive(j) for i in rows] if rngs is not None and branch.randomized else None
+                branch_rngs = _branch_streams(rngs, rows, j, branch.randomized)
                 out._set(rows, j, branch.raw(h[rows], y[rows], x[rows], branch_rngs))
         return out
 

@@ -48,11 +48,17 @@ VALUE_BITS = 64
 # array, or one run's if that is more: every array of a round is R times one
 # run's. Stacking saves per-call overhead, which dominates small arrays: the
 # protocol's 9 runs at n = 20, d = 50 (9000 entries) took 11.6 s against 14.2 s
-# run one at a time (medians of 3 CLI runs, 2-vCPU VM). Large arrays gain less and pay in memory: two runs at
-# n = 10, d = 2000 doubled a round's transient peak from 1.7 to 3.4 MB, which
-# made glibc return the heap to the system after each sweep and the next set-up
-# fault its pages in again (highdim_bidir setup_s +26%, BENCH_22.json).
-_STACK_MAX_ELEMENTS = 1 << 15
+# run one at a time (medians of 3 CLI runs, 2-vCPU VM). Large stacks pay in
+# memory. A round's transient peak is AdaCGD's worker call. While it held 7.1
+# times the stack's bytes, stacking highdim_bidir's two runs (n = 10,
+# d = 2000) left more free heap on top than glibc's trim threshold (about
+# 4.8 MB there), so every sweep gave its heap back to the system and the next
+# one faulted the pages in again: 1414 minor faults per sweep against none
+# run alone, and setup_s +26% (BENCH_22.json). At 3.4 times
+# (tests/test_compressors.py bounds it) the stack of two leaves 4.45-4.61 MB
+# of free heap on top and no sweep faults (BENCH_26.json). The bound admits
+# that stack; wider ones are unmeasured.
+_STACK_MAX_ELEMENTS = 2 * 10 * 2000
 
 
 class DivergenceError(RuntimeError):
@@ -475,8 +481,9 @@ def run(specs: Union[RunSpec, Sequence[RunSpec]]):
     carries the records collected so far. Given a sequence of runs that
     share everything but the stepsize, the stop rule and f_star, as a
     sweep's multipliers of one method do, advances them as stacks of
-    consecutive runs, each stack's worker arrays within _STACK_MAX_ELEMENTS,
-    and returns, for each run in order, its records or the DivergenceError
+    consecutive runs, each stack's worker arrays within _STACK_MAX_ELEMENTS
+    entries (two runs of 10 workers at d = 2000; one run if it alone holds
+    more), and returns, for each run in order, its records or the DivergenceError
     that ended it, carrying its records. Each run's records are bitwise
     those it gives alone.
     """

@@ -4,6 +4,7 @@ import platform
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +23,10 @@ from adacgd.compressors import (
     LAG,
     CandidateErrorTrigger,
     FULL,
+    RANDK,
     SKIP,
     SPARSE,
+    TOPK,
     SkipTrigger,
     adacgd_as_chain,
     apply_contractor,
@@ -489,6 +492,61 @@ def test_adacgd_identity_level_sends_in_full_and_reconstructs():
     assert out.kinds.tolist() == [FULL, SKIP] and out.branches.tolist() == [2, 0]
     assert _same_bits(out.vectors[0], x[0])
     assert _same_bits(reconstruct(h, out), out.vectors)
+
+
+def _levels(kind: str, ks) -> tuple:
+    return tuple(ContractorSpec(kind, k) for k in ks)
+
+
+@pytest.mark.parametrize("m, dim", [(4, 40), (20, 300)], ids=["sorted", "selected"])
+def test_every_rule_leaves_its_inputs_unchanged(m, dim):
+    # AdaCGD makes each level's residual in its own x - h and restores it; no
+    # rule may write into the h, y and x it is given, which are engine state.
+    assert (m * dim >= _SELECT_MIN_ELEMENTS) == (dim == 300)
+    g = np.random.default_rng(11)
+    h, x = g.standard_normal((2, m, dim))
+    y = x + np.linspace(0.0, 3.0, m)[:, None] * g.standard_normal((m, dim))  # budgets from none to wide
+    ks = (1, dim // 20, dim // 2)
+    h[0] = x[0]  # a row that skips
+    # Rows whose x - h has one entry, and ks[1] entries, under tight budgets: the top-k levels fit them.
+    h[1:3] = x[1:3]
+    h[1, 5] -= 3.0
+    h[2, : ks[1]] -= 3.0 + np.arange(ks[1])
+    y[1:3] = x[1:3] + 1e-3
+    streams = [SeededRng(9).derive(i) for i in range(m)]
+    specs = _stack_specs(dim, 1.0) + [AdaCGD(_levels(kind, ks), zeta) for kind in (TOPK, RANDK) for zeta in (0.5, 4.0)]
+    inputs = [a.copy() for a in (h, y, x)]
+    branches = set()
+    for spec in specs:
+        out = spec.raw(h, y, x, streams if spec.randomized else None)
+        for given, kept in zip((h, y, x), inputs):
+            assert _same_bits(given, kept), spec
+        if isinstance(spec, AdaCGD):
+            branches.update(out.branches.tolist())
+    assert branches == set(range(len(ks) + 1))  # every level, and the skip, taken by some row
+
+
+# The transient peak of one AdaCGD worker call on a (20, 2000) stack whose
+# every row probes every level, in units of the stack's bytes. Measured 3.34
+# top-k and 3.01 rand-k (7.1 for both before the level loop was trimmed). A
+# round's transient peak is this call; at 7.1 times a stack of two
+# highdim_bidir runs made glibc trim the heap after each sweep (see
+# engine._STACK_MAX_ELEMENTS). The bounds leave under 10% headroom.
+@pytest.mark.parametrize("kind, bound", [(TOPK, 3.6), (RANDK, 3.3)])
+def test_a_wide_adacgd_call_stays_within_its_memory_bound(kind, bound):
+    g = np.random.default_rng(3)
+    h, x = g.standard_normal((2, 20, 2000))
+    y = x + 1e-3 * g.standard_normal(x.shape)  # tight budgets: no level before the last fits
+    spec = AdaCGD(_levels(kind, (1, 20, 200, 1000)), 1.0)
+    streams = [SeededRng(5).derive(i) for i in range(20)]
+    assert (spec.raw(h, y, x, streams).branches == 4).all()
+    tracemalloc.start()
+    try:
+        spec.raw(h, y, x, streams)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / x.nbytes <= bound
 
 
 @pytest.mark.skipif(

@@ -389,6 +389,26 @@ def test_step_record_matches_public_oracles_bitwise(problem):
             assert np.array_equal(state.worker_prev_grads[0, i], client_gradient(problem, i, state.x[0]))
 
 
+@pytest.mark.parametrize("n_examples, dim, n_clients", [(23, 5, 4), (30, 600, 3)], ids=["sorted", "selected"])
+def test_iterate_never_changes_a_state_it_has_yielded(n_examples, dim, n_clients):
+    # The worker rule works in place on its own x - h; a yielded state's
+    # arrays are the next round's inputs and must keep their bits.
+    from adacgd.compressors import _SELECT_MIN_ELEMENTS
+
+    problem = _logistic(n_examples, dim, n_clients)
+    assert (n_clients * dim >= _SELECT_MIN_ELEMENTS) == (dim == 600)
+    levels = sorted({1, dim // 5, dim // 2})
+    worker = AdaCGD(tuple(ContractorSpec.top_k(k) for k in levels) + (ContractorSpec.rand_k(dim),), 1.0)
+    spec = RunSpec(problem, worker, EF21(ContractorSpec.top_k(dim // 2)), np.zeros(dim), 0.5, StopRule(6), seed=2)
+    fields = ("x", "g_master", "g_tilde_master", "worker_estimates", "worker_prev_grads", "f_value")
+    yielded = [(state, [getattr(state, f).copy() for f in fields]) for state, _ in islice(iterate(spec), 7)]
+    for state, copies in yielded:
+        for name, kept in zip(fields, copies):
+            assert getattr(state, name).tobytes() == kept.tobytes(), (state.round, name)
+    taken = {int(b) for state, _ in yielded for b in np.flatnonzero(state.branch_histogram.sum(axis=0))}
+    assert taken >= {0, len(levels), len(levels) + 1}  # skips, a probed top-k level and the rand-k fallback
+
+
 @pytest.mark.parametrize("problem", [_logistic(23, 5, 4), quad([1.0, 2.0, 3.0], n=2)], ids=["logistic", "quadratic"])
 def test_runs_and_reference_solves_use_only_the_round_oracle(problem, monkeypatch):
     from adacgd import engine, problems

@@ -5,7 +5,8 @@ broadcasts in another, and the round oracle takes all runs' points at once;
 a run that stops or diverges leaves the stack while the others go on. These
 tests compare each stacked run with the same run made alone, byte for byte,
 over every rule the sweeps can name, both masters, both init modes, and
-d in {1, 8}, n in {1, 3}.
+d in {1, 8}, n in {1, 3}; and over a wide stack whose runs alone rank their
+rows by sorting while the stack selects its top-k supports.
 """
 
 from dataclasses import replace
@@ -14,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adacgd.compressors import EF21, AdaCGD, ContractorSpec, IdentityMaster, adacgd_as_chain
+from adacgd.compressors import EF21, AdaCGD, ContractorSpec, IdentityMaster, _SELECT_MIN_ELEMENTS, adacgd_as_chain
 from adacgd import engine
 from adacgd.datasets import SyntheticSpec, build_problem, make_synthetic
 from adacgd.engine import DivergenceError, RunSpec, StopRule, run
@@ -25,38 +26,48 @@ from adacgd.experiments import RunConfig, record_to_row, run_experiment
 MULTIPLIERS = (1.0, 8.0, 64.0, 1e200)
 
 
+# The wide case: three clients at d = 300 give each run alone 900 worker
+# entries, below the size at which top-k supports are selected instead of
+# sorted, and the stack of four runs 3600, above it. Its levels reach d/2;
+# with these budgets some levels fit every row in play and others only some.
+WIDE_DIM = 300
+WIDE_LEVELS = (1, 15, 150)
+WIDE_ZETA, WIDE_RANDK_ZETA = 2.0, 16.0
+
+
+def _levels(dim):
+    return (1,) if dim == 1 else WIDE_LEVELS if dim == WIDE_DIM else (1, 3)
+
+
 def _sweep_config(dim, n_clients, master, init_mode, out_dir):
-    klist = "1" if dim == 1 else "1|3"
+    wide = dim == WIDE_DIM
     return RunConfig(
         dataset=f"synthetic:n=30,d={dim},seed=4,scale=2",
         n_clients=n_clients,
-        methods=("gd", "ef21:k=1", "lag", "clag:k=1", f"adacgd:klist={klist}"),
+        methods=("gd", "ef21:k=1", "lag", "clag:k=1", "adacgd:klist=" + "|".join(map(str, _levels(dim)))),
         master=master,
         stepsize="nonconvex" if master == "identity" else "bidirectional",
         multipliers=MULTIPLIERS,
         init_mode=init_mode,
         max_rounds=20,
         grad_tol_sq=1e-3,
-        bit_budget=40_000,
+        bit_budget=400_000 if wide else 40_000,
         seed=6,
+        zeta=WIDE_ZETA if wide else 1.0,
         out_dir=str(out_dir),
     )
 
 
 def _extra_specs(dim):
-    ks = (1,) if dim == 1 else (1, 3)
+    ks = _levels(dim)
+    randk_zeta, zeta = (WIDE_RANDK_ZETA, WIDE_ZETA) if dim == WIDE_DIM else (1.0, 1.0)
     return {
-        "adacgd_randk": AdaCGD(tuple(ContractorSpec.rand_k(k) for k in ks), 1.0),
-        "adacgd_chain": adacgd_as_chain(tuple(ContractorSpec.top_k(k) for k in ks), 1.0),
+        "adacgd_randk": AdaCGD(tuple(ContractorSpec.rand_k(k) for k in ks), randk_zeta),
+        "adacgd_chain": adacgd_as_chain(tuple(ContractorSpec.top_k(k) for k in ks), zeta),
     }
 
 
-@pytest.mark.parametrize("init_mode", ["full", "compressed"])
-@pytest.mark.parametrize("master", ["identity", "ef21:k=1"])
-@pytest.mark.parametrize("n_clients", [1, 3])
-@pytest.mark.parametrize("dim", [1, 8])
-def test_every_stacked_trace_has_the_bytes_of_its_run_alone(tmp_path, dim, n_clients, master, init_mode):
-    config = _sweep_config(dim, n_clients, master, init_mode, tmp_path / "stacked")
+def _assert_each_trace_has_its_bytes_alone(config, dim, tmp_path):
     result = run_experiment(config, extra_specs=_extra_specs(dim))
     statuses = {e.status for e in result.entries}
     assert statuses >= {"diverged", "unreached"}
@@ -67,6 +78,33 @@ def test_every_stacked_trace_has_the_bytes_of_its_run_alone(tmp_path, dim, n_cli
         for entry in alone.entries:
             stacked = tmp_path / "stacked" / Path(entry.trace_path).name
             assert stacked.read_bytes() == Path(entry.trace_path).read_bytes(), stacked.name
+
+
+@pytest.mark.parametrize("init_mode", ["full", "compressed"])
+@pytest.mark.parametrize("master", ["identity", "ef21:k=1"])
+@pytest.mark.parametrize("n_clients", [1, 3])
+@pytest.mark.parametrize("dim", [1, 8])
+def test_every_stacked_trace_has_the_bytes_of_its_run_alone(tmp_path, dim, n_clients, master, init_mode):
+    config = _sweep_config(dim, n_clients, master, init_mode, tmp_path / "stacked")
+    _assert_each_trace_has_its_bytes_alone(config, dim, tmp_path)
+
+
+@pytest.mark.parametrize("init_mode", ["full", "compressed"])
+def test_a_wide_stacked_trace_has_the_bytes_of_its_run_alone(tmp_path, init_mode, monkeypatch):
+    config = _sweep_config(WIDE_DIM, 3, f"ef21:k={WIDE_DIM // 10}", init_mode, tmp_path / "stacked")
+    assert 3 * WIDE_DIM < _SELECT_MIN_ELEMENTS <= len(MULTIPLIERS) * 3 * WIDE_DIM
+    # Record how each probed AdaCGD level of a selecting stack ends: every row in play fits, or some do.
+    probe, ends = AdaCGD._probe, set()
+
+    def recorded(out, j, c, h, x, delta, budget, rows, rngs, order):
+        fits = probe(out, j, c, h, x, delta, budget, rows, rngs, order)
+        if x.size >= _SELECT_MIN_ELEMENTS and fits.any():
+            ends.add((c.kind, "all" if fits.all() else "some"))
+        return fits
+
+    monkeypatch.setattr(AdaCGD, "_probe", staticmethod(recorded))
+    _assert_each_trace_has_its_bytes_alone(config, WIDE_DIM, tmp_path)
+    assert ends == {(kind, fit) for kind in ("topk", "randk") for fit in ("all", "some")}
 
 
 def _rows(outcome):
@@ -83,7 +121,7 @@ def _alone(spec):
         return err
 
 
-@pytest.mark.parametrize("stack_entries", [1 << 15, 2 * 3 * 8], ids=["one-stack", "stacks-of-two"])
+@pytest.mark.parametrize("stack_entries", [engine._STACK_MAX_ELEMENTS, 2 * 3 * 8], ids=["one-stack", "stacks-of-two"])
 @pytest.mark.parametrize("init_mode", ["full", "compressed"])
 def test_a_stack_with_a_rand_k_master_gives_each_run_its_records_alone(init_mode, stack_entries, monkeypatch):
     # No method label builds a rand-k master, so this stack is made in code. Its
