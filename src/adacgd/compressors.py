@@ -529,7 +529,8 @@ class AdaCGD(ThreePCSpec):
         entries: its residual x - candidate is delta elsewhere, so it is made
         in delta's place and delta restored after. Building whole candidate
         vectors per level instead cost highdim_bidir 6% of its rounds/s
-        (BENCH_13.json, adacgd_levels).
+        (BENCH_13.json, adacgd_levels). A level is a call of its own so that
+        its temporaries are freed before the next one selects.
         """
         if c.kind == IDENTITY:
             fits = 0.0 <= budget  # the candidate is x itself
