@@ -107,8 +107,6 @@ def _select_top_k(x: np.ndarray, k: int) -> np.ndarray:
     the k-th least key and a mask of the keys kept gives them in index order.
     """
     keys = _magnitude_keys(x)
-    if k == 1:
-        return np.argmin(keys, axis=1)[:, None]  # the first least key
     m, d = keys.shape
     keys.partition(k - 1, axis=1)
     kth = keys[:, k - 1 : k].copy()
@@ -533,7 +531,8 @@ class AdaCGD(ThreePCSpec):
         its temporaries are freed before the next one selects.
         """
         if c.kind == IDENTITY:
-            fits = 0.0 <= budget  # the candidate is x itself
+            xr = x[rows]
+            fits = row_sqnorms(xr - xr) <= budget  # the candidate is x itself
             taken = rows[fits]
             out.branches[taken] = j
             out.vectors[taken] = x[taken]
@@ -544,17 +543,14 @@ class AdaCGD(ThreePCSpec):
         entries = x.reshape(-1)[positions]
         entries -= shifted
         flat = delta.reshape(-1)
-        own = positions if rows.size == x.shape[0] else _flat_positions(kept, x.shape[1])
+        own = _flat_positions(kept, x.shape[1])
         flat[own] = entries
         fits = row_sqnorms(delta) <= budget
         flat[own] = values
         taken = rows[fits]
         out.branches[taken] = j
-        if taken.size == rows.size:
-            out._write_shift(taken, kept, positions, values, shifted)
-        else:
-            sending = np.repeat(fits, c.k)  # the entries are grouped by row
-            out._write_shift(taken, kept[fits], positions[sending], values[sending], shifted[sending])
+        sending = np.repeat(fits, c.k)  # the entries are grouped by row
+        out._write_shift(taken, kept[fits], positions[sending], values[sending], shifted[sending])
         return fits
 
     def constants(self, dim):

@@ -494,6 +494,19 @@ def test_adacgd_identity_level_sends_in_full_and_reconstructs():
     assert _same_bits(reconstruct(h, out), out.vectors)
 
 
+def test_an_identity_level_does_not_fit_a_row_whose_x_is_infinite():
+    # x = h = inf leaves x - h NaN, so the row is in play; x - x is NaN too,
+    # so the identity level's residual fails the (infinite) budget and the
+    # row falls to the next level, as every level's own test decides.
+    spec = AdaCGD((ContractorSpec.identity(), ContractorSpec.top_k(2)), 1.0)
+    h = np.array([[np.inf, 1.0], [0.0, 1.0]])
+    x = np.array([[np.inf, 2.0], [3.0, 2.0]])
+    y = np.array([[0.0, 0.0], [3.0, 2.0]])
+    out = spec.raw(h, y, x, None)
+    assert out.branches.tolist() == [2, 1]
+    assert out.kinds.tolist() == [SPARSE, FULL]
+
+
 def _levels(kind: str, ks) -> tuple:
     return tuple(ContractorSpec(kind, k) for k in ks)
 
