@@ -55,10 +55,10 @@ VALUE_BITS = 64
 # 4.8 MB there), so every sweep gave its heap back to the system and the next
 # one faulted the pages in again: 1414 minor faults per sweep against none
 # run alone, and setup_s +26% (BENCH_22.json). At 3.4 times on its levels
-# {1, 20, 200, 1000} (tests/test_compressors.py bounds it; a level nearer d/2
-# before the last holds more) the stack of two leaves 4.45-4.61 MB of free
-# heap on top and no sweep faults (BENCH_26.json). The bound admits that
-# stack; wider ones are unmeasured.
+# {1, 20, 200, 1000} (tests/test_compressors.py bounds it; levels (d/2, d)
+# hold 5.2 times) the stack of two leaves 4.45-4.61 MB of free heap on top
+# and no sweep faults (BENCH_26.json). The bound admits that stack; wider
+# ones are unmeasured.
 _STACK_MAX_ELEMENTS = 2 * 10 * 2000
 
 
