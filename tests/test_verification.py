@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 from functools import partial
 
@@ -15,7 +16,9 @@ from adacgd.verification import (
     contraction_check,
     convex_bound_check,
     estimate_constants,
+    estimator_recursion_check,
     linear_rate_check,
+    master_recursion_check,
     monotone_check,
     recursion_check,
     run_suite,
@@ -157,9 +160,9 @@ def test_sampled_squared_errors_pinned(name, monkeypatch):
     assert digests == [SQUARED_ERRORS_SHA256[name]]
 
 
-def _short_trace(rounds):
+def _short_trace(rounds, master=IdentityMaster()):
     quad = Problem.quadratic(np.linspace(1.0, 4.0, 6), n_clients=2)
-    return trace_run(quad, EF21(_TOP(1)), IdentityMaster(), 0.05, rounds, seed=0, x0=np.ones(quad.dim))
+    return trace_run(quad, EF21(_TOP(1)), master, 0.05, rounds, seed=0, x0=np.ones(quad.dim))
 
 
 def test_bound_checks_reject_checkpoints_outside_the_trace():
@@ -182,6 +185,88 @@ def test_linear_rate_check_needs_a_round_past_the_burn_in():
         with pytest.raises(ValueError, match=f"only {rounds}"):
             linear_rate_check(_short_trace(rounds), 1.0, 0.0)
     assert linear_rate_check(_short_trace(11), 1.0, 0.0).detail.endswith("over rounds 10..11")
+
+
+# Hand-built traces that sit 1% inside or 1% outside a theorem's right side,
+# far beyond the checks' 1e-10 relative slack. Each right side is written
+# out again here from the theorem, not taken from the check under test.
+ON_THE_BOUND = pytest.mark.parametrize("scale, passes", [(0.99, True), (1.01, False)])
+
+
+@ON_THE_BOUND
+def test_convex_bound_check_holds_the_theorem_bound(scale, passes):
+    trace = _short_trace(20)
+    x_star, f_star = np.full(trace.states[0].x.shape[1], 0.25), 0.5
+
+    def rhs(t_cap):
+        # f(x^T) - f* <= max(1/gamma, 1/a) * 2 (Omega_T^2 + Phi^0) / T, Omega_T the farthest x^t (t <= T) from x*
+        omega_sq = max(float(np.sum((s.x[0] - x_star) ** 2)) for s in trace.states[: t_cap + 1])
+        return max(1.0 / trace.gamma, 1.0 / trace.worker_c.a) * 2.0 * (omega_sq + trace.phi[0]) / t_cap
+
+    bounds = {t_cap: rhs(t_cap) for t_cap in (5, 20)}
+    f = trace.f.copy()
+    for t_cap, bound in bounds.items():
+        f[t_cap] = f_star + scale * bound
+    result = convex_bound_check(dataclasses.replace(trace, f=f), x_star, f_star, list(bounds))
+    assert result.passed == passes, result.line()
+    assert result.margin == pytest.approx(min((1.0 - scale) * b for b in bounds.values()))
+
+
+@ON_THE_BOUND
+def test_stationarity_bound_check_holds_the_theorem_bound(scale, passes):
+    trace = _short_trace(20)
+    # min_{t < T} ||grad f(x^t)||^2 <= 2 Psi^0 / (gamma T)
+    bounds = {t_cap: 2.0 * trace.psi[0] / (trace.gamma * t_cap) for t_cap in (5, 20)}
+    grad_sq = np.full_like(trace.grad_sq, scale * bounds[20])
+    grad_sq[:5] = scale * bounds[5]
+    result = stationarity_bound_check(dataclasses.replace(trace, grad_sq=grad_sq), list(bounds))
+    assert result.passed == passes, result.line()
+    assert result.margin == pytest.approx(min((1.0 - scale) * b for b in bounds.values()))
+
+
+@ON_THE_BOUND
+def test_linear_rate_check_holds_the_theorem_rate(scale, passes):
+    trace = _short_trace(40)
+    mu, f_star = 1.0, 0.5
+    # The gap may shrink by a factor 1 - min(gamma mu, a) / 2 a round; this one
+    # shrinks by 1 - decrement / scale, so scale < 1 is faster than allowed.
+    decrement = min(trace.gamma * mu, trace.worker_c.a) / 2.0
+    f = f_star + (1.0 - decrement / scale) ** np.arange(len(trace.f))
+    result = linear_rate_check(dataclasses.replace(trace, f=f), mu, f_star)
+    assert result.passed == passes, result.line()
+    assert result.margin == pytest.approx(decrement / scale - decrement)
+
+
+@ON_THE_BOUND
+def test_estimator_recursion_check_holds_the_theorem_recursion(scale, passes):
+    trace = _short_trace(20)
+    a, b, l_plus = trace.worker_c.a, trace.worker_c.b, 3.0
+    g_err, bounds = np.empty_like(trace.g_err), []
+    g_err[0] = 1.0
+    for t, r in enumerate(trace.r):
+        bounds.append((1.0 - a) * g_err[t] + b * l_plus**2 * r)  # G^{t+1} <= (1 - a) G^t + b L+^2 R^t
+        g_err[t + 1] = scale * bounds[-1]
+    result = estimator_recursion_check(dataclasses.replace(trace, g_err=g_err), l_plus)
+    assert result.passed == passes, result.line()
+    assert result.margin == pytest.approx(min((1.0 - scale) * v for v in bounds))
+
+
+@ON_THE_BOUND
+def test_master_recursion_check_holds_the_theorem_recursion(scale, passes):
+    trace = _short_trace(20, master=EF21(_TOP(2)))
+    wa, wb, ma, mb, l_plus = trace.worker_c.a, trace.worker_c.b, trace.master_c.a, trace.master_c.b, 3.0
+    assert 0.0 < ma < 1.0 and mb > 0.0
+    master_err, bounds = np.empty_like(trace.master_err), []
+    master_err[0] = 1.0
+    for t, r in enumerate(trace.r):
+        # M^{t+1} <= (1 - a_M) M^t + 3 b_M (2 - a_W) G^t + 3 b_M (b_W + 1) L+^2 R^t
+        bounds.append(
+            (1.0 - ma) * master_err[t] + 3.0 * mb * (2.0 - wa) * trace.g_err[t] + 3.0 * mb * (wb + 1.0) * l_plus**2 * r
+        )
+        master_err[t + 1] = scale * bounds[-1]
+    result = master_recursion_check(dataclasses.replace(trace, master_err=master_err), l_plus)
+    assert result.passed == passes, result.line()
+    assert result.margin == pytest.approx(min((1.0 - scale) * v for v in bounds))
 
 
 def test_contraction_check_rejects_zero_vectors():
