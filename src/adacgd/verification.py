@@ -505,16 +505,23 @@ def linear_rate_check(trace: RunTrace, mu: float, f_star: float) -> PropertyResu
     """Observed per-round contraction of the optimality gap after burn-in.
 
     The observed rate is the geometric mean of the per-round factors over
-    the window, compared against 1 - min(gamma * mu, a) / 2.
+    the window, compared against 1 - min(gamma * mu, a) / 2. A final gap of
+    exactly 0 has converged; a gap that leaves 0 has not. A negative gap
+    means ``f_star`` lies above the objective, and raises ValueError.
     """
     rounds = len(trace.f) - 1
     if rounds <= _BURN_IN:
         raise ValueError(f"the linear rate is measured after {_BURN_IN} burn-in rounds; the trace has only {rounds}")
+    gaps = trace.f[_BURN_IN:] - f_star
+    if np.any(gaps < 0.0):
+        t = _BURN_IN + int(np.argmax(gaps < 0.0))
+        raise ValueError(f"f_star={f_star!r} lies above the objective {float(trace.f[t])!r} of round {t}")
     threshold = 1.0 - min(trace.gamma * mu, trace.worker_c.a) / 2.0
-    start = trace.f[_BURN_IN] - f_star
-    end = trace.f[-1] - f_star
-    if start <= 0.0 or end <= 0.0:
-        return PropertyResult("linear-rate", True, threshold, "gap underflowed to zero, converged")
+    start, end = gaps[0], gaps[-1]
+    if end == 0.0:
+        return PropertyResult("linear-rate", True, threshold, "gap reached zero, converged")
+    if start == 0.0:
+        return PropertyResult("linear-rate", False, -math.inf, f"gap left zero after round {_BURN_IN}")
     rate = (end / start) ** (1.0 / (rounds - _BURN_IN))
     return PropertyResult(
         "linear-rate",

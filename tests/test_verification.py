@@ -237,6 +237,28 @@ def test_linear_rate_check_holds_the_theorem_rate(scale, passes):
     assert result.margin == pytest.approx(decrement / scale - decrement)
 
 
+def test_linear_rate_check_reports_convergence_only_at_a_zero_final_gap():
+    trace = _short_trace(20)
+    f_star = 0.5
+    gaps = np.linspace(1.0, 0.0, len(trace.f))
+    converged = linear_rate_check(dataclasses.replace(trace, f=f_star + gaps), 1.0, f_star)
+    assert converged.passed and converged.detail == "gap reached zero, converged"
+    gaps = np.ones(len(trace.f))
+    gaps[10] = 0.0  # zero at the burn-in round, positive at the end
+    regrown = linear_rate_check(dataclasses.replace(trace, f=f_star + gaps), 1.0, f_star)
+    assert not regrown.passed and regrown.detail == "gap left zero after round 10"
+
+
+def test_linear_rate_check_rejects_an_f_star_above_the_objective():
+    trace = _short_trace(20)
+    f = np.linspace(2.0, 1.0, len(trace.f))
+    f[15] = 0.25
+    with pytest.raises(ValueError, match=r"f_star=0.5 lies above the objective 0.25 of round 15"):
+        linear_rate_check(dataclasses.replace(trace, f=f), 1.0, 0.5)
+    with pytest.raises(ValueError, match="f_star=1.5 "):
+        linear_rate_check(dataclasses.replace(trace, f=f), 1.0, 1.5)
+
+
 @ON_THE_BOUND
 def test_estimator_recursion_check_holds_the_theorem_recursion(scale, passes):
     trace = _short_trace(20)
