@@ -11,6 +11,10 @@ central differences. The run diagnostics (potential descent, error
 recursions, rate bounds) read the engine's own records, the numbers a trace
 reports; they test the theory's inequalities on those numbers, not the
 engine's arithmetic.
+
+The theorem suites (``convex_rate_suite`` and the three after it) run every
+rule of ``THEOREM_RULES`` on their own problems: at full size in acceptance
+criteria 6-9, at the ``trials`` scale in ``adacgd verify lyapunov|bounds``.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import itertools
 import math
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -41,13 +45,7 @@ from .compressors import (
     _payload_view,
 )
 from .datasets import SyntheticSpec, build_problem, make_synthetic
-from .engine import (
-    EngineState,
-    RunSpec,
-    StopRule,
-    iterate,
-    resolve_stepsize,
-)
+from .engine import EngineState, RunSpec, StopRule, iterate, theoretical_stepsize
 from .experiments import solve_reference
 from .problems import (
     Problem,
@@ -65,6 +63,20 @@ _INNER_DRAWS = 256  # draws of a randomized map averaged per sample
 _GRADIENT_TOL = 1e-5  # largest accepted finite-difference gradient error
 _REL_SLACK = 1e-10  # relative slack of the per-round and rate-bound checks
 _BURN_IN = 10  # rounds skipped before the linear rate is measured
+
+TOP_LEVELS = (ContractorSpec.top_k(1), ContractorSpec.top_k(4), ContractorSpec.top_k(8))
+
+# The deterministic rules the paper ranks. Their three-point inequality is
+# sampled (acceptance criterion 2), and the theorem suites run each at its
+# own theory stepsize, a bidirectional run with the same rule as master.
+# Every check is pathwise, so rand-k rules, whose recursions hold only in
+# expectation, are not among them.
+THEOREM_RULES: tuple[tuple[str, ThreePCSpec], ...] = (
+    ("ef21-top1", EF21(ContractorSpec.top_k(1))),
+    ("lag", LAG(1.0)),
+    ("clag-top1", CLAG(ContractorSpec.top_k(1), 1.0)),
+    ("adacgd-topk", AdaCGD(TOP_LEVELS, 1.0)),
+)
 
 
 @dataclass(frozen=True)
@@ -562,23 +574,15 @@ def default_compressor_suite(seed: int, trials: int) -> list[PropertyResult]:
         results.append(contraction_check(contractor, dim, min(trials, 2000), seed))
     results.append(contraction_check(ContractorSpec.rand_k(2), dim, 64, seed))
 
-    levels = (ContractorSpec.top_k(1), ContractorSpec.top_k(4), ContractorSpec.top_k(8))
-    specs: list[tuple[str, ThreePCSpec]] = [
-        ("ef21-top1", EF21(ContractorSpec.top_k(1))),
-        ("lag", LAG(1.0)),
-        ("clag-top1", CLAG(ContractorSpec.top_k(1), 1.0)),
-        ("adacgd", AdaCGD(levels, 1.0)),
-        ("identity-master", IdentityMaster()),
-    ]
-    for name, spec in specs:
+    for name, spec in (*THEOREM_RULES, ("identity-master", IdentityMaster())):
         results.append(threepc_check(spec, dim, trials, seed, f"threepc[{name}]"))
         results.append(determinism_check(spec, dim, min(trials, 500), seed))
         results.append(payload_roundtrip_check(spec, dim, min(trials, 500), seed))
     results.append(threepc_check(EF21(ContractorSpec.rand_k(2)), dim, 50, seed, "threepc[ef21-rand2]"))
-    results.append(chain_equivalence_check(levels, 1.0, dim, trials, seed))
+    results.append(chain_equivalence_check(TOP_LEVELS, 1.0, dim, trials, seed))
     results.append(chain_equivalence_check((ContractorSpec.rand_k(2), ContractorSpec.rand_k(8)), 1.0, dim, min(trials, 500), seed))
     results.extend(collapse_checks(dim, min(trials, 2000), seed))
-    results.append(monotone_trigger_check(levels, 1.0, dim, min(trials, 2000), seed))
+    results.append(monotone_trigger_check(TOP_LEVELS, 1.0, dim, min(trials, 2000), seed))
     return results
 
 
@@ -595,54 +599,102 @@ def default_gradient_suite(seed: int, trials: int) -> list[PropertyResult]:
     )
 
 
+RuleResults = Iterator[tuple[str, list[PropertyResult]]]
+
+
+def _per_rule(checks: Callable[[ThreePCSpec], list[PropertyResult]]) -> RuleResults:
+    """``(label, checks(rule))`` for each of ``THEOREM_RULES``, each computed when it is reached."""
+    return ((label, checks(rule)) for label, rule in THEOREM_RULES)
+
+
+def _logistic(n_examples: int, dim: int, lam: float, seed: int) -> Problem:
+    features, labels = make_synthetic(SyntheticSpec(n_examples, dim, seed=seed))
+    return build_problem(features, labels, 4, lam, seed=seed)
+
+
+def pl_quadratic() -> Problem:
+    """The PL suite's quadratic: mu = 1 and L+ = 4, minimum 0 at the origin."""
+    return Problem.quadratic(np.concatenate([[1.0], np.linspace(1.5, 4.0, 9)]), n_clients=4)
+
+
+def convex_rate_suite(seed: int, rounds: int, checkpoints: Sequence[int]) -> RuleResults:
+    """Phi descent and the convex rate bound, each rule at its convex stepsize on a lam = 0 logistic problem."""
+    problem = _logistic(200, 20, 0.0, seed + 33)
+    ref = solve_reference(problem, 1e-10)
+    sc = smoothness(problem)
+
+    def checks(worker: ThreePCSpec) -> list[PropertyResult]:
+        gamma = theoretical_stepsize("convex", sc, worker.constants(problem.dim))
+        trace = trace_run(problem, worker, IdentityMaster(), gamma, rounds, seed, f_star=ref.f_star)
+        bound = convex_bound_check(trace, ref.x_star, ref.f_star, checkpoints)
+        return [monotone_check(trace.phi, "phi-monotone"), bound]
+
+    return _per_rule(checks)
+
+
+def recursion_suite(seed: int, rounds: int) -> RuleResults:
+    """The per-round error recursions of a unidirectional and a bidirectional run of each rule."""
+    problem = _logistic(120, 12, 0.1, seed + 8)
+    sc = smoothness(problem)
+
+    def checks(worker: ThreePCSpec) -> list[PropertyResult]:
+        wc = worker.constants(problem.dim)
+        uni = trace_run(problem, worker, IdentityMaster(), theoretical_stepsize("nonconvex", sc, wc), rounds, seed + 1)
+        bd = trace_run(problem, worker, worker, theoretical_stepsize("bidirectional", sc, wc, wc), rounds, seed + 1)
+        return [
+            estimator_recursion_check(uni, sc.l_plus),
+            estimator_recursion_check(bd, sc.l_plus, "worker-error-recursion[bidirectional]"),
+            master_recursion_check(bd, sc.l_plus),
+        ]
+
+    return _per_rule(checks)
+
+
+def bidirectional_suite(seed: int, rounds: int, checkpoints: Sequence[int]) -> RuleResults:
+    """Psi descent and the stationarity bound, each rule as worker and master at its bidirectional stepsize."""
+    problem = _logistic(100, 10, 0.1, seed + 14)
+    sc = smoothness(problem)
+
+    def checks(worker: ThreePCSpec) -> list[PropertyResult]:
+        wc = worker.constants(problem.dim)
+        trace = trace_run(problem, worker, worker, theoretical_stepsize("bidirectional", sc, wc, wc), rounds, seed + 2)
+        return [monotone_check(trace.psi, "psi-monotone"), stationarity_bound_check(trace, checkpoints)]
+
+    return _per_rule(checks)
+
+
+def pl_rate_suite(seed: int, rounds: int) -> RuleResults:
+    """The linear rate of each rule at its PL stepsize on ``pl_quadratic``."""
+    problem = pl_quadratic()
+    sc = smoothness(problem)
+
+    def checks(worker: ThreePCSpec) -> list[PropertyResult]:
+        gamma = theoretical_stepsize("pl", sc, worker.constants(problem.dim))
+        trace = trace_run(problem, worker, IdentityMaster(), gamma, rounds, seed, x0=np.ones(problem.dim))
+        return [linear_rate_check(trace, sc.mu, f_star=0.0)]
+
+    return _per_rule(checks)
+
+
+def _labelled(per_rule: RuleResults) -> list[PropertyResult]:
+    """Every rule's results, the rule's label appended to each name."""
+    return [dataclasses.replace(r, name=f"{r.name}[{label}]") for label, results in per_rule for r in results]
+
+
 def default_lyapunov_suite(seed: int, trials: int) -> list[PropertyResult]:
-    rounds = max(50, min(trials, 300))
-    results = []
-
-    quad = Problem.quadratic(np.linspace(1.0, 4.0, 10), n_clients=4)
-    sc = smoothness(quad)
-    worker = EF21(ContractorSpec.top_k(1))
-    gamma = resolve_stepsize("convex", quad, worker, IdentityMaster())
-    trace = trace_run(quad, worker, IdentityMaster(), gamma, rounds, seed, x0=np.ones(quad.dim))
-    results.append(monotone_check(trace.phi, "phi-monotone[quadratic]"))
-    results.append(estimator_recursion_check(trace, sc.l_plus))
-
-    features, labels = make_synthetic(SyntheticSpec(n_examples=80, dim=10, seed=seed + 3))
-    logistic = build_problem(features, labels, n_clients=4, lam=0.1, seed=seed + 3)
-    lsc = smoothness(logistic)
-    w = EF21(ContractorSpec.top_k(1))
-    gamma_bd = resolve_stepsize("bidirectional", logistic, w, w)
-    trace_bd = trace_run(logistic, w, w, gamma_bd, rounds, seed)
-    results.append(monotone_check(trace_bd.psi, "psi-monotone[bidirectional]"))
-    results.append(estimator_recursion_check(trace_bd, lsc.l_plus, "worker-error-recursion[bidirectional]"))
-    results.append(master_recursion_check(trace_bd, lsc.l_plus))
-    return results
+    return _labelled(recursion_suite(seed, max(50, min(trials, 300))))
 
 
 def default_bounds_suite(seed: int, trials: int) -> list[PropertyResult]:
-    results = []
-    features, labels = make_synthetic(SyntheticSpec(n_examples=100, dim=10, seed=seed + 5))
-    convex = build_problem(features, labels, n_clients=4, lam=0.0, seed=seed + 5)
-    ref = solve_reference(convex, tolerance=1e-10)
-    worker = EF21(ContractorSpec.top_k(1))
-    gamma = resolve_stepsize("convex", convex, worker, IdentityMaster())
     rounds = max(200, min(trials, 500))
-    trace = trace_run(convex, worker, IdentityMaster(), gamma, rounds, seed, f_star=ref.f_star)
-    results.append(monotone_check(trace.phi, "phi-monotone[convex]"))
-    results.append(convex_bound_check(trace, ref.x_star, ref.f_star, [rounds // 4, rounds]))
-
-    logistic = build_problem(features, labels, n_clients=4, lam=0.1, seed=seed + 5)
-    gamma_bd = resolve_stepsize("bidirectional", logistic, worker, worker)
-    trace_bd = trace_run(logistic, worker, worker, gamma_bd, rounds, seed)
-    results.append(stationarity_bound_check(trace_bd, [rounds // 4, rounds]))
-
-    quad = Problem.quadratic(np.linspace(1.0, 4.0, 10), n_clients=4)
-    qsc = smoothness(quad)
-    gamma_pl = resolve_stepsize("pl", quad, worker, IdentityMaster())
-    trace_pl = trace_run(quad, worker, IdentityMaster(), gamma_pl, rounds, seed, x0=np.ones(quad.dim))
-    results.append(linear_rate_check(trace_pl, qsc.mu, 0.0))
-    results.append(gd_equivalence_check(quad, 1.0 / qsc.l_plus, 50, seed, x0=np.ones(quad.dim)))
-    return results
+    checkpoints = [rounds // 4, rounds]
+    quad = pl_quadratic()
+    return [
+        *_labelled(convex_rate_suite(seed, rounds, checkpoints)),
+        *_labelled(bidirectional_suite(seed, rounds, checkpoints)),
+        *_labelled(pl_rate_suite(seed, rounds)),
+        gd_equivalence_check(quad, 1.0 / smoothness(quad).l_plus, 50, seed, x0=np.ones(quad.dim)),
+    ]
 
 
 SUITES = {

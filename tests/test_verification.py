@@ -1,6 +1,6 @@
 import dataclasses
 import hashlib
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 import pytest
@@ -12,6 +12,7 @@ from adacgd.datasets import SyntheticSpec, build_problem, make_synthetic
 from adacgd.engine import theoretical_stepsize
 from adacgd.problems import Problem, smoothness
 from adacgd.verification import (
+    THEOREM_RULES,
     PropertyResult,
     contraction_check,
     convex_bound_check,
@@ -58,21 +59,37 @@ def test_unknown_suite_rejected():
 # carry every margin to four significant digits, so a change to any checked
 # number shows here. Same platform note as PROTOCOL_GOLDEN_SHA256.
 SUITE_OUTPUT_SHA256 = {
-    "compressors": "2ab16209333a0b3dc9402f857d671388dc4c04b8b4d76547a971f18b8f49d5af",
+    "compressors": "aeefebb9626d63b630049a09a54702e7ed58fd8ee9fb59fb1a78ac8c6bba4eeb",
     "gradients": "7d642089b854af61f2bb0af5c6a4f9a9f52940b23b7352b7d114f0d8006ff4f7",
-    "lyapunov": "eca09d59d7ae6946584d2ec6f58f4fa1aafb6e44fc50d4659542429464cde9b6",
-    "bounds": "c026a275517f661cddee1fa6d9d91a5c4820fa05c9dfc48a41f7d97f3411e611",
+    "lyapunov": "c9510173bc8e888c9cf029ce0ea81ad83a70ff737323ae794662634405e62cb6",
+    "bounds": "df0d97d5ce7383a40ab4b37dd8fa80f70b77f30b694da5f3e9d8fe5d5e1d9206",
 }
+
+
+@cache
+def _small_suite(suite):
+    return tuple(run_suite(suite, seed=0, trials=150))
 
 
 @pytest.mark.parametrize("suite", ["compressors", "gradients", "lyapunov", "bounds"])
 def test_suites_pass_at_small_scale(suite):
-    results = run_suite(suite, seed=0, trials=150)
+    results = _small_suite(suite)
     assert results, "suite produced no checks"
     failing = [r.line() for r in results if not r.passed]
     assert not failing, failing
     output = "\n".join(r.line() for r in results)
     assert hashlib.sha256(output.encode()).hexdigest() == SUITE_OUTPUT_SHA256[suite], output
+
+
+@pytest.mark.parametrize("suite", ["lyapunov", "bounds"])
+def test_theorem_suites_run_every_check_on_every_theorem_rule(suite):
+    names = [r.name for r in _small_suite(suite)]
+    checks = {
+        label: sorted(n.removesuffix(f"[{label}]") for n in names if n.endswith(f"[{label}]"))
+        for label, _ in THEOREM_RULES
+    }
+    first = checks[THEOREM_RULES[0][0]]
+    assert first and all(rule_checks == first for rule_checks in checks.values()), checks
 
 
 # repr of each sampled report, every float to full precision: the suite
