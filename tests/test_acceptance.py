@@ -59,7 +59,8 @@ def test_criterion_2_threepc_inequality():
     results = [threepc_check(spec, dim, 10_000, seed=3, name=name) for name, spec in THEOREM_RULES]
     elapsed = time.time() - t0
     ok = all(r.passed for r in results) and elapsed < 30.0
-    report(2, ok, f"{len(THEOREM_RULES)} specs x 10^4 triples, worst slack {min(r.margin for r in results):.3e}, {elapsed:.1f}s")
+    worst = min(r.margin for r in results)
+    report(2, ok, f"{len(THEOREM_RULES)} specs x 10^4 triples, worst slack {worst:.3e}, {elapsed:.1f}s")
     assert all(r.passed for r in results), [r.line() for r in results if not r.passed]
     assert elapsed < 30.0
 
