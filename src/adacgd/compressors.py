@@ -73,38 +73,21 @@ class ContractorSpec:
         return self.kind == RANDK
 
 
-# Stacks of at least this many elements take their top-k supports by
-# selection, smaller ones from the full stable sort. Per call, stable sort vs
-# selection in µs (NumPy 2.4.6, one core of a 2-vCPU AVX-512 VM, k from 1 to
-# d/2): 20x50 13-17 vs 20-24; 36x50 36-39 vs 40-44; 15x100 25-41 vs 37-43;
-# 6x256 48-55 vs 40-45; 1x1500 91-109 vs 28-35; 1x2000 (the highdim_bidir
-# downlink) 126-165 vs 26-34; 10x2000 1411-1711 vs 157-173. The crossover
-# falls as d grows: about 2000 elements at d = 50 (above 2000 at d = 25),
-# under 1200 at d >= 500.
-_SELECT_MIN_ELEMENTS = 1536
-
-
-def _magnitude_order(x: np.ndarray) -> Optional[np.ndarray]:
-    """Each row's stable order of -|x|, ties to the lowest index, when the stack
-    is small enough to sort whole; None when its top-k supports are selected."""
-    if x.size >= _SELECT_MIN_ELEMENTS:
-        return None
-    return np.argsort(-np.abs(x), axis=1, kind="stable")
-
-
 def _magnitude_keys(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """-|x|, with NaN as +inf: last, as the sort ranks NaN, and equal to itself."""
+    """-|x|, with NaN as +inf: last, as a stable sort ranks NaN, and equal to itself."""
     keys = np.abs(x, out=out)
     np.negative(keys, out=keys)
     return np.fmin(keys, np.inf, out=keys)
 
 
-def _select_top_k(x: np.ndarray, k: int) -> np.ndarray:
-    """The first k of each row's stable -|x| order, sorted, without sorting the row.
+def _top_k_indices(x: np.ndarray, k: int) -> np.ndarray:
+    """Each row's k largest-magnitude coordinates, ascending: the first k of
+    the stable order of -|x|, so ties go to the lowest index and NaN ranks last.
 
     Those are each row's keys below its k-th least key, then its lowest-index
-    keys equal to that one, as many as there is room for; the partition finds
-    the k-th least key and a mask of the keys kept gives them in index order.
+    keys equal to that one, as many as there is room for; one partition per
+    call finds the k-th least key without sorting the row, and a mask of the
+    keys kept gives them in index order.
     """
     keys = _magnitude_keys(x)
     if k == 1:
@@ -127,28 +110,11 @@ def _select_top_k(x: np.ndarray, k: int) -> np.ndarray:
     return kept
 
 
-def _top_k_indices(x: np.ndarray, k: int, order: Optional[np.ndarray] = None) -> np.ndarray:
-    """Each row's k largest-magnitude coordinates, ascending: the first k of
-    the stable order of -|x|, so ties go to the lowest index and NaN ranks last.
-
-    The top-k sets of one row are nested under that order, so callers probing
-    several k may pass in ``_magnitude_order(x)`` once.
-    """
-    if order is None:
-        order = _magnitude_order(x)
-        if order is None:
-            return _select_top_k(x, k)
-    return np.sort(order[:, :k], axis=1)
-
-
-def _contract_support(
-    c: ContractorSpec, x: np.ndarray, rngs: Optional[Sequence[SeededRng]], order: Optional[np.ndarray] = None
-) -> Optional[np.ndarray]:
+def _contract_support(c: ContractorSpec, x: np.ndarray, rngs: Optional[Sequence[SeededRng]]) -> Optional[np.ndarray]:
     """Indices kept by the sparsifier in each row of the (m, d) stack x, as an
     (m, k) array sorted along rows, or None for the identity (full) map.
 
-    Rand-k row i draws from ``rngs[i]``; ``order`` is x's row-wise magnitude
-    ranking when the caller already has it.
+    Rand-k row i draws from ``rngs[i]``.
     """
     d = x.shape[1]
     if c.kind == IDENTITY:
@@ -156,7 +122,7 @@ def _contract_support(
     if c.k > d:
         raise ValueError(f"k={c.k} exceeds dimension {d}")
     if c.kind == TOPK:
-        return _top_k_indices(x, c.k, order)
+        return _top_k_indices(x, c.k)
     if rngs is None:
         raise ValueError("rand-k contractor needs an rng stream")
     idx = np.empty((x.shape[0], c.k), dtype=np.int64)
@@ -493,21 +459,18 @@ class AdaCGD(ThreePCSpec):
         rows = np.flatnonzero(~(row_sqnorms(delta) <= budget))
         if not rows.size:
             return out
-        # delta and order hold only the rows in play, in order. On a small stack
-        # one ranking per row serves every top-k level: their supports are
-        # prefixes of it. A large one selects each level's support.
+        # delta holds only the rows in play, in order; each top-k level
+        # selects its own support from it.
         if rows.size < x.shape[0]:
             delta = delta[rows]
-        order = _magnitude_order(delta) if any(c.kind == TOPK for c in self.contractors) else None
         last = len(self.contractors)
         for j, c in enumerate(self.contractors[:-1], start=1):
-            fits = self._probe(out, j, c, h, x, delta, budget[rows], rows, rngs, order)
+            fits = self._probe(out, j, c, h, x, delta, budget[rows], rows, rngs)
             if fits.any():
                 rows = rows[~fits]
                 if not rows.size:
                     return out
                 delta = delta[~fits]
-                order = None if order is None else order[~fits]
         # Every row left takes the last level, which needs no residual: delta
         # goes before the level's entries are made.
         c = self.contractors[-1]
@@ -516,13 +479,13 @@ class AdaCGD(ThreePCSpec):
             out.vectors[rows] = x[rows]
             out.kinds[rows] = FULL
             return out
-        kept = _contract_support(c, delta, _branch_streams(rngs, rows, last, c.randomized), order)
-        del delta, order
+        kept = _contract_support(c, delta, _branch_streams(rngs, rows, last, c.randomized))
+        del delta
         out._write_shift(rows, kept, *_shift_entries(h, x, kept, rows))
         return out
 
     @staticmethod
-    def _probe(out, j, c, h, x, delta, budget, rows, rngs, order) -> np.ndarray:
+    def _probe(out, j, c, h, x, delta, budget, rows, rngs) -> np.ndarray:
         """Level j's test on stack rows ``rows``, whose x - h and budget are
         ``delta`` and ``budget``: the rows its candidate fits take it. Returns
         their mask.
@@ -542,7 +505,7 @@ class AdaCGD(ThreePCSpec):
             out.vectors[taken] = x[taken]
             out.kinds[taken] = FULL
             return fits
-        kept = _contract_support(c, delta, _branch_streams(rngs, rows, j, c.randomized), order)
+        kept = _contract_support(c, delta, _branch_streams(rngs, rows, j, c.randomized))
         positions, values, shifted = _shift_entries(h, x, kept, rows)
         entries = x.reshape(-1)[positions]
         entries -= shifted

@@ -178,11 +178,13 @@ def estimate_constants(
     )
     hy, xy = row_sqnorms(hs - ys), row_sqnorms(xs - ys)
     rhs = (1.0 - cert.a) * hy + cert.b * xy
-    passed = not np.any(err > rhs + (_ESTIMATE_REL_TOL * np.maximum(1.0, rhs) + 3.0 * stderr))
+    bound = rhs + (_ESTIMATE_REL_TOL * np.maximum(1.0, rhs) + 3.0 * stderr)
+    passed = bool(np.all(np.isfinite(err) & np.isfinite(rhs) & (err <= bound)))  # a NaN fails
 
-    pure = (xy == 0.0) & (hy > 0.0)  # x = y: the error is all contraction
+    fit = np.isfinite(err)  # the constants are fitted on the finite errors
+    pure = fit & (xy == 0.0) & (hy > 0.0)  # x = y: the error is all contraction
     a_hat = min(1.0, max(1e-12, 1.0 - float(np.max(err[pure] / hy[pure], initial=0.0))))
-    drift = xy > 0.0
+    drift = fit & (xy > 0.0)
     b_hat = float(np.max((err[drift] - (1.0 - a_hat) * hy[drift]) / xy[drift], initial=0.0))
     return EstimateReport(ThreePCConstants(a_hat, b_hat), passed, float(np.min(rhs - err)), trials)
 
@@ -440,9 +442,12 @@ def trace_run(
 
 
 def recursion_check(lhs: np.ndarray, rhs: np.ndarray, name: str) -> PropertyResult:
-    """Per-round inequality lhs[t] <= rhs[t], allowing a relative slack of |rhs[t]|."""
-    violated = lhs > rhs + _REL_SLACK * np.maximum(1.0, np.abs(rhs))
-    return PropertyResult(name, not np.any(violated), np.min(rhs - lhs, initial=math.inf), f"{len(lhs)} rounds")
+    """Per-round inequality lhs[t] <= rhs[t], allowing a relative slack of |rhs[t]|.
+
+    A round holds only when both sides are finite, so a NaN or inf fails it.
+    """
+    held = np.isfinite(lhs) & np.isfinite(rhs) & (lhs <= rhs + _REL_SLACK * np.maximum(1.0, np.abs(rhs)))
+    return PropertyResult(name, bool(np.all(held)), np.min(rhs - lhs, initial=math.inf), f"{len(lhs)} rounds")
 
 
 def monotone_check(values: np.ndarray, name: str) -> PropertyResult:
@@ -473,7 +478,10 @@ def master_recursion_check(trace: RunTrace, l_plus: float) -> PropertyResult:
 def _checkpoint_check(
     name: str, trace: RunTrace, checkpoints: Sequence[int], bound: Callable[[int], tuple[float, float]]
 ) -> PropertyResult:
-    """``lhs <= rhs`` with relative slack, where ``(lhs, rhs) = bound(T)`` at each checkpoint T in 1..rounds."""
+    """``lhs <= rhs`` with relative slack, where ``(lhs, rhs) = bound(T)`` at each checkpoint T in 1..rounds.
+
+    A checkpoint holds only when both sides are finite, so a NaN or inf fails it.
+    """
     rounds = len(trace.f) - 1
     for t_cap in checkpoints:
         if not 1 <= t_cap <= rounds:
@@ -481,7 +489,7 @@ def _checkpoint_check(
     rows = [(t_cap, *bound(t_cap)) for t_cap in checkpoints]
     return PropertyResult(
         name,
-        not any(lhs > rhs * (1.0 + _REL_SLACK) for _, lhs, rhs in rows),
+        all(math.isfinite(lhs) and math.isfinite(rhs) and lhs <= rhs * (1.0 + _REL_SLACK) for _, lhs, rhs in rows),
         min((rhs - lhs for _, lhs, rhs in rows), default=math.inf),
         "; ".join(f"T={t_cap}: {lhs:.3e} <= {rhs:.3e}" for t_cap, lhs, rhs in rows),
     )

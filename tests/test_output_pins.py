@@ -135,8 +135,7 @@ def test_libsvm_file_writes_the_bytes_of_the_dense_entry(tmp_path, monkeypatch, 
     assert parsed == {p.name: p.read_bytes() for p in sorted((tmp_path / "dense").iterdir())}
 
 
-# d = 1000 over 4 clients: the workers' (4, 1000) stacks are large enough that
-# top-k supports come from selection, not from a full stable sort, and every
+# d = 1000 over 4 clients: the workers' (4, 1000) stacks are wide, and every
 # AdaCGD level is reached. Rand-k levels cannot be written as a method label,
 # so that AdaCGD goes through extra_specs.
 HIGHDIM_PINS = {

@@ -5,8 +5,7 @@ broadcasts in another, and the round oracle takes all runs' points at once;
 a run that stops or diverges leaves the stack while the others go on. These
 tests compare each stacked run with the same run made alone, byte for byte,
 over every rule the sweeps can name, both masters, both init modes, and
-d in {1, 8}, n in {1, 3}; and over a wide stack whose runs alone rank their
-rows by sorting while the stack selects its top-k supports.
+d in {1, 8}, n in {1, 3}; and over a wide stack whose AdaCGD levels reach d/2.
 """
 
 from dataclasses import replace
@@ -15,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adacgd.compressors import EF21, AdaCGD, ContractorSpec, IdentityMaster, _SELECT_MIN_ELEMENTS, adacgd_as_chain
+from adacgd.compressors import EF21, AdaCGD, ContractorSpec, IdentityMaster, adacgd_as_chain
 from adacgd import engine
 from adacgd.datasets import SyntheticSpec, build_problem, make_synthetic
 from adacgd.engine import DivergenceError, RunSpec, StopRule, run
@@ -27,9 +26,8 @@ MULTIPLIERS = (1.0, 8.0, 64.0, 1e200)
 
 
 # The wide case: three clients at d = 300 give each run alone 900 worker
-# entries, below the size at which top-k supports are selected instead of
-# sorted, and the stack of four runs 3600, above it. Its levels reach d/2;
-# with these budgets some levels fit every row in play and others only some.
+# entries and the stack of four runs 3600. Its levels reach d/2; with these
+# budgets some levels fit every row in play and others only some.
 WIDE_DIM = 300
 WIDE_LEVELS = (1, 15, 150)
 WIDE_ZETA, WIDE_RANDK_ZETA = 2.0, 16.0
@@ -92,13 +90,12 @@ def test_every_stacked_trace_has_the_bytes_of_its_run_alone(tmp_path, dim, n_cli
 @pytest.mark.parametrize("init_mode", ["full", "compressed"])
 def test_a_wide_stacked_trace_has_the_bytes_of_its_run_alone(tmp_path, init_mode, monkeypatch):
     config = _sweep_config(WIDE_DIM, 3, f"ef21:k={WIDE_DIM // 10}", init_mode, tmp_path / "stacked")
-    assert 3 * WIDE_DIM < _SELECT_MIN_ELEMENTS <= len(MULTIPLIERS) * 3 * WIDE_DIM
-    # Record how each probed AdaCGD level of a selecting stack ends: every row in play fits, or some do.
+    # Record how each probed AdaCGD level ends: every row in play fits, or some do.
     probe, ends = AdaCGD._probe, set()
 
-    def recorded(out, j, c, h, x, delta, budget, rows, rngs, order):
-        fits = probe(out, j, c, h, x, delta, budget, rows, rngs, order)
-        if x.size >= _SELECT_MIN_ELEMENTS and fits.any():
+    def recorded(out, j, c, h, x, delta, budget, rows, rngs):
+        fits = probe(out, j, c, h, x, delta, budget, rows, rngs)
+        if fits.any():
             ends.add((c.kind, "all" if fits.all() else "some"))
         return fits
 

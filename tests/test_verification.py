@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from adacgd import verification
-from adacgd.compressors import AdaCGD, ContractorSpec, EF21, IdentityMaster, LAG
+from adacgd.compressors import AdaCGD, ContractorSpec, EF21, IdentityMaster, LAG, ThreePCSpec, _skipping
 from adacgd.core import SeededRng, ThreePCConstants
 from adacgd.datasets import SyntheticSpec, build_problem, make_synthetic
 from adacgd.engine import theoretical_stepsize
@@ -306,6 +306,99 @@ def test_master_recursion_check_holds_the_theorem_recursion(scale, passes):
     result = master_recursion_check(dataclasses.replace(trace, master_err=master_err), l_plus)
     assert result.passed == passes, result.line()
     assert result.margin == pytest.approx(min((1.0 - scale) * v for v in bounds))
+
+
+# A NaN on either side of a gate, or inf on both, fails it: `lhs > bound` is
+# False for those, so judging by it alone let each case below pass.
+def test_convex_bound_check_fails_a_nan_objective():
+    trace = _short_trace(20)
+    x_star = np.zeros(trace.states[0].x.shape[1])
+    assert convex_bound_check(trace, x_star, 0.0, [5, 20]).passed
+    f = trace.f.copy()
+    f[20] = np.nan
+    assert not convex_bound_check(dataclasses.replace(trace, f=f), x_star, 0.0, [5, 20]).passed
+
+
+def test_estimator_recursion_check_fails_a_nan_error():
+    trace = _short_trace(20)
+    assert estimator_recursion_check(trace, 4.0).passed
+    g_err = trace.g_err.copy()
+    g_err[7] = np.nan
+    assert not estimator_recursion_check(dataclasses.replace(trace, g_err=g_err), 4.0).passed
+
+
+def test_monotone_check_fails_a_nan_potential():
+    assert not monotone_check(np.array([3.0, np.nan, 1.0]), "m").passed
+    phi = _short_trace(20).phi.copy()
+    assert monotone_check(phi, "m").passed
+    phi[10] = np.nan
+    assert not monotone_check(phi, "m").passed
+
+
+def test_stationarity_bound_check_fails_an_all_nan_gradient():
+    trace = _short_trace(20)
+    assert stationarity_bound_check(trace, [5, 20]).passed
+    grad_sq = np.full_like(trace.grad_sq, np.nan)
+    assert not stationarity_bound_check(dataclasses.replace(trace, grad_sq=grad_sq), [5, 20]).passed
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # the margin inf - inf
+def test_gates_fail_inf_on_both_sides():
+    assert not recursion_check(np.array([1.0, np.inf]), np.array([2.0, np.inf]), "r").passed
+    trace = _short_trace(20)
+    grad_sq, psi = np.full_like(trace.grad_sq, np.inf), np.full_like(trace.psi, np.inf)
+    infinite = dataclasses.replace(trace, grad_sq=grad_sq, psi=psi)
+    assert not stationarity_bound_check(infinite, [5, 20]).passed
+
+
+class _SizedErrorRule(ThreePCSpec):
+    """A rule whose squared error |C(x) - x|^2 is ``scale`` times its certified right side."""
+
+    def __init__(self, scale, a, b):
+        self.scale, self.cert, self.rhs = scale, ThreePCConstants(a, b), []
+
+    def constants(self, dim):
+        return self.cert
+
+    def raw(self, h, y, x, rngs):
+        # err(h, y, x) <= (1 - a) |h - y|^2 + b |x - y|^2
+        rhs = (1.0 - self.cert.a) * np.sum((h - y) ** 2, axis=1) + self.cert.b * np.sum((x - y) ** 2, axis=1)
+        self.rhs.append(rhs)
+        out = x.copy()
+        out[:, 0] += np.sqrt(self.scale * rhs)
+        return _skipping(out)
+
+
+# b = 0 leaves only the (1 - a) |h - y|^2 term, so the outside case fails on a alone.
+@ON_THE_BOUND
+@pytest.mark.parametrize("a, b", [(0.5, 0.0), (0.25, 2.0)])
+def test_estimate_constants_holds_the_certified_inequality(a, b, scale, passes):
+    rule = _SizedErrorRule(scale, a, b)
+    report = estimate_constants(rule, 8, 50, SeededRng(3))
+    assert report.passed == passes, report
+    assert report.worst_slack == pytest.approx(float(np.min((1.0 - scale) * rule.rhs[0])))
+
+
+def test_estimate_constants_fails_a_nan_error():
+    assert estimate_constants(_SizedErrorRule(1.0, 0.5, 2.0), 8, 50, SeededRng(3)).passed
+    report = estimate_constants(_SizedErrorRule(np.nan, 0.5, 2.0), 8, 50, SeededRng(3))
+    assert not report.passed
+    assert report.constants == ThreePCConstants(1.0, 0.0)  # no finite error to fit
+
+
+@ON_THE_BOUND
+def test_contraction_check_holds_the_contraction_bound(scale, passes, monkeypatch):
+    k, dim, seen = 3, 8, []
+
+    def sized(c, x, rngs):
+        # |C(x) - x|^2 <= (1 - k/d) |x|^2
+        seen.append(x.copy())
+        return x * (1.0 - np.sqrt(scale * (1.0 - k / dim)))
+
+    monkeypatch.setattr(verification, "_contract_rows", sized)
+    result = contraction_check(_TOP(k), dim, 40, seed=5)
+    assert result.passed == passes, result.line()
+    assert result.margin == pytest.approx(float(np.min((1.0 - scale) * (1.0 - k / dim) * np.sum(seen[0] ** 2, axis=1))))
 
 
 def test_contraction_check_rejects_zero_vectors():
