@@ -4,12 +4,13 @@ A contractive sparsifier maps a vector to a cheaper-to-transmit vector whose
 squared error is at most (1 - alpha) times the input's squared norm. A
 three-point rule compresses a fresh vector x relative to the carried state h
 and the previously seen vector y; the shipped rules are the error-feedback
-shift (EF21), lazy aggregation (LAG), their combination (CLAG), a multi-level
-adaptive rule (AdaCGD), and a generic predicate-dispatched chain (Ada3PC).
-Each rule is one spec class holding its map and its certified inequality
-constants. The map acts on (n, d) stacks row by row, each row on its own, so
-the engine compresses every worker's message in one call; ``compress`` is
-the public single-vector entry point (the one-row stack).
+shift (EF21), a multi-level adaptive rule (AdaCGD), and a generic
+predicate-dispatched chain (Ada3PC). The lazy rules are one-level AdaCGD:
+CLAG, the lazy trigger firing one shift level, and LAG, CLAG with the
+identity. Each map is written once, in one spec class that holds it and its
+certified inequality constants. A map acts on (n, d) stacks row by row, each
+row on its own, so the engine compresses every worker's message in one call;
+``compress`` is the public single-vector entry point (the one-row stack).
 """
 
 from __future__ import annotations
@@ -263,21 +264,16 @@ def reconstruct(h: np.ndarray, rows: CompressedRows) -> np.ndarray:
 
 
 def _ef21_raw(
-    contractor: ContractorSpec,
-    h: np.ndarray,
-    x: np.ndarray,
-    rngs: Optional[Sequence[SeededRng]],
-    delta: Optional[np.ndarray] = None,
+    contractor: ContractorSpec, h: np.ndarray, x: np.ndarray, rngs: Optional[Sequence[SeededRng]]
 ) -> CompressedRows:
-    """The shift map h + C(x - h) on the rows of (m, d) stacks; callers that
-    already hold ``delta = x - h`` pass it in."""
+    """The shift map h + C(x - h) on the rows of (m, d) stacks."""
     if contractor.kind == IDENTITY:
         # Mathematically h + (x - h) = x; return x itself to keep the
         # pass-through path bitwise exact.
         out = _skipping(x)  # every row sends x in full
         out.kinds[:] = FULL
         return out
-    kept = _contract_support(contractor, x - h if delta is None else delta, rngs)
+    kept = _contract_support(contractor, x - h, rngs)
     out = _skipping(h)
     out._write_shift(np.arange(x.shape[0]), kept, *_shift_entries(h, x, kept))
     return out
@@ -309,7 +305,8 @@ class ThreePCSpec:
     """A three-point compression rule: one map plus its certified (a, b) constants.
 
     Each subclass is the one place that knows its rule. It defines ``raw``,
-    the map on vetted inputs, and ``constants``; the defaults below describe
+    the map on vetted inputs, and ``constants``, or inherits them from the
+    rule it is a case of (CLAG from AdaCGD); the defaults below describe
     a fixed, deterministic, single-branch rule with no sparsifier.
     """
 
@@ -363,69 +360,18 @@ class EF21(ThreePCSpec):
 
 
 @dataclass(frozen=True)
-class LAG(ThreePCSpec):
-    """Lazy aggregation: resend x in full only when it drifted beyond the budget."""
-
-    zeta: float
-    branch_count = 2
-
-    def __post_init__(self) -> None:
-        _check_zeta(self.zeta)
-
-    def raw(self, h, y, x, rngs):
-        out = _skipping(h)
-        sent = np.flatnonzero(~(row_sqnorms(x - h) <= self.zeta * row_sqnorms(x - y)))
-        out._set(sent, 1, _ef21_raw(ContractorSpec.identity(), h[sent], x[sent], None))
-        return out
-
-    def constants(self, dim):
-        return ThreePCConstants(1.0, self.zeta)
-
-
-@dataclass(frozen=True)
-class CLAG(ThreePCSpec):
-    """Lazy trigger firing an error-feedback compressed update."""
-
-    contractor: ContractorSpec
-    zeta: float
-    branch_count = 2
-
-    def __post_init__(self) -> None:
-        _check_zeta(self.zeta)
-
-    @property
-    def randomized(self) -> bool:
-        return self.contractor.randomized
-
-    def raw(self, h, y, x, rngs):
-        out = _skipping(h)
-        delta = x - h
-        fired = np.flatnonzero(row_sqnorms(delta) > self.zeta * row_sqnorms(x - y))
-        if fired.size:
-            fired_rngs = None if rngs is None else [rngs[i] for i in fired]
-            out._set(fired, 1, _ef21_raw(self.contractor, h[fired], x[fired], fired_rngs, delta[fired]))
-        return out
-
-    def constants(self, dim):
-        base = ef21_constants(self.contractor.alpha(dim))
-        return ThreePCConstants(base.a, max(self.zeta, base.b))
-
-    def strongest_contractor(self, dim):
-        return self.contractor
-
-
-@dataclass(frozen=True)
 class AdaCGD(ThreePCSpec):
     """Multi-level adaptive rule over error-feedback candidates.
 
     Contractors are ordered by ascending contraction parameter (strongest
     compression first). Branch 0 keeps h outright when h itself is within
-    the lazy budget. Candidates j = 1..m are evaluated lazily in order; the
-    first one with squared error within the budget wins (boundary
-    inclusive), and the weakest level is the unconditional fallback. Level
-    j is probed only on the rows no earlier level accepted. Randomized
-    levels draw from per-branch derived streams, so the chosen branch's
-    draw does not depend on how many candidates were probed.
+    the lazy budget, so a NaN budget never skips. Candidates j = 1..m are
+    evaluated lazily in order; the first one with squared error within the
+    budget wins (boundary inclusive), and the weakest level is the
+    unconditional fallback. Level j is probed only on the rows no earlier
+    level accepted. Randomized levels draw from per-branch derived streams,
+    so the chosen branch's draw does not depend on how many candidates were
+    probed.
     """
 
     contractors: tuple[ContractorSpec, ...]
@@ -529,6 +475,26 @@ class AdaCGD(ThreePCSpec):
 
     def strongest_contractor(self, dim):
         return min(self.contractors, key=lambda c: c.alpha(dim))
+
+
+class CLAG(AdaCGD):
+    """Lazy trigger firing an error-feedback compressed update: AdaCGD with one level, ``contractor``."""
+
+    adaptive_level_count = 0  # one level to name: its messages carry no branch header
+
+    def __init__(self, contractor: ContractorSpec, zeta: float):
+        super().__init__((contractor,), zeta)
+
+    @property
+    def contractor(self) -> ContractorSpec:
+        return self.contractors[0]
+
+
+class LAG(CLAG):
+    """Lazy aggregation, CLAG with the identity: resend x in full when it drifted beyond the budget."""
+
+    def __init__(self, zeta: float):
+        super().__init__(ContractorSpec.identity(), zeta)
 
 
 class Predicate(Protocol):

@@ -284,7 +284,7 @@ def collapse_checks(dim: int, trials: int, seed: int) -> list[PropertyResult]:
     second = [rng.derive(t, 2) for t in range(trials)]
     pairs = (
         (_sampled_rows(zeta_zero, h, y, x, first), _sampled_rows(weakest, h, y, x, [s.derive(m) for s in first])),
-        (_sampled_rows(single, h, y, x, second), _sampled_rows(paired, h, y, x, [s.derive(1) for s in second])),
+        (_sampled_rows(single, h, y, x, second), _sampled_rows(paired, h, y, x, second)),
         (_sampled_rows(lazy, h, y, x, None), _sampled_rows(lazy_identity, h, y, x, None)),
     )
     (a, b), clag, lag = pairs

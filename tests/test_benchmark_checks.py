@@ -3,9 +3,11 @@
 Tier-1 collects only ``tests/``, so a change to what ``perfbench`` reads of
 the program outside its tracer would break the benchmark silently:
 ``checks.Oracle`` evaluates the objective from ``Problem.shards``, and the
-tracer counts parsed rows with ``len``. These tests load
+tracer counts parsed rows with ``len``. So would a rule that bills other
+bits than the cost model the workloads state. These tests load
 ``perfbench/checks.py`` the way ``test_benchmark_hooks.py`` loads
-``tracer.py`` and hold what it reads to the program.
+``tracer.py``, hold what it reads to the program, and run tiny sweeps
+through its trace checks.
 """
 
 import importlib.util
@@ -16,6 +18,8 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from adacgd import experiments
+from adacgd.compressors import AdaCGD, ContractorSpec
 from adacgd.core import SeededRng, mean_ascending
 from adacgd.datasets import SyntheticSpec, build_problem, make_synthetic, parse_libsvm
 from adacgd.problems import _round_oracle
@@ -32,7 +36,7 @@ def _load(name):
 
 
 with mock.patch.dict(sys.modules):  # the bare names leave sys.modules again afterwards
-    _load("workloads")
+    workloads = _load("workloads")
     checks = _load("checks")
 
 
@@ -57,3 +61,24 @@ def test_benchmark_oracle_agrees_with_the_round_oracle(density):
 def test_parsed_rows_have_the_length_the_tracer_counts():
     rows, _ = parse_libsvm("+1 1:0.5 2:1\n# comment\n\n-1\n+1 3:-0.5\n")
     assert len(rows) == 3
+
+
+@pytest.mark.parametrize("name", ["protocol_sweep", "highdim_bidir"])
+def test_tiny_workload_traces_pass_every_benchmark_check(name, tmp_path):
+    # protocol_sweep holds lag and clag:k=1, highdim_bidir a rand-k AdaCGD
+    # built as the benchmark's worker builds it; every trace gets every check.
+    wl = workloads.build(name, 3, tmp_path, tiny=True)
+    config = experiments.RunConfig(**wl.config_values(tmp_path / "traces"))
+    extra = {
+        m.label: AdaCGD(tuple(ContractorSpec(kind, k) for kind, k in m.extra_levels), wl.zeta)
+        for m in wl.methods
+        if m.extra_levels
+    }
+    result = experiments.run_experiment(config, extra_specs=extra)
+    oracle = checks.Oracle(experiments.build_dataset(config)[0].shards, wl.lam)
+    entries = {Path(e.trace_path).name: e for e in result.entries}
+    assert sorted(entries) == sorted(file for _, _, file in wl.trace_files())
+    for method, mult, file in wl.trace_files():
+        text = (tmp_path / "traces" / file).read_text()
+        fails, rounds = checks.check_trace(text, method, mult, wl, oracle, entries[file].status)
+        assert fails == [] and rounds == entries[file].rounds, file

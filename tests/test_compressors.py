@@ -23,6 +23,7 @@ from adacgd.compressors import (
     LAG,
     CandidateErrorTrigger,
     FULL,
+    IDENTITY,
     RANDK,
     SKIP,
     SPARSE,
@@ -180,16 +181,42 @@ def test_adacgd_zeta_zero_reduces_to_weakest_level():
         assert np.array_equal(out.vectors[0], ef.vectors[0])
 
 
-def test_adacgd_single_level_matches_clag():
+@pytest.mark.parametrize("level", [ContractorSpec.top_k(2), ContractorSpec.rand_k(2), ContractorSpec.identity()],
+                         ids=["top2", "rand2", "identity"])
+def test_adacgd_single_level_matches_clag(level):
+    # CLAG is one-level AdaCGD and LAG is CLAG with the identity: the same
+    # messages from the same streams. Only the billing differs: CLAG names no
+    # branch, so its sparse rows go without the one header bit AdaCGD pays.
     g = SeededRng(4).generator()
-    c = ContractorSpec.top_k(2)
-    for _ in range(50):
-        h, y, x = g.standard_normal(5), g.standard_normal(5), g.standard_normal(5)
-        a = compress(AdaCGD((c,), 1.5), h, y, x, RNG)
-        b = compress(CLAG(c, 1.5), h, y, x, RNG.derive(1))
-        assert np.array_equal(a.vectors[0], b.vectors[0])
-        assert a.branches[0] == b.branches[0]
-        assert a.kinds[0] == b.kinds[0]
+    h, y, x = g.standard_normal((3, 60, 5))
+    h[:5] = x[:5]  # rows that skip at any zeta
+    streams = [RNG.derive(i) for i in range(60)]
+    for zeta in (0.0, 0.5, 1.5):
+        ada = AdaCGD((level,), zeta)
+        a = ada.raw(h, y, x, streams)
+        a_bits = message_bits(a.kinds, a.entries, 5, branch_header_bits(ada))
+        sparse = a.kinds == SPARSE
+        assert sparse.any() == (level.kind != IDENTITY)
+        for spec in [CLAG(level, zeta)] + ([LAG(zeta)] if level.kind == IDENTITY else []):
+            b = spec.raw(h, y, x, streams)
+            for name in ("vectors", "branches", "kinds", "entries"):
+                assert _same_bits(getattr(a, name), getattr(b, name)), (spec, name)
+            assert all(_same_bits(p, q) for p, q in zip(_payload_view(a), _payload_view(b))), spec
+            assert np.array_equal(message_bits(b.kinds, b.entries, 5, branch_header_bits(spec)), a_bits - sparse)
+
+
+def test_clag_sends_on_a_nan_budget():
+    # zeta = 0 against an |x - y|^2 that overflows makes the budget 0 * inf =
+    # NaN. A row skips only when |x - h|^2 is within its budget, so every
+    # lazy rule sends this row.
+    h, y, x = [0.0, 0.0], [-1e308, 0.0], [1e308, 1.0]
+    top1 = ContractorSpec.top_k(1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        clag = compress(CLAG(top1, 0.0), h, y, x)
+        others = [compress(spec, h, y, x) for spec in (LAG(0.0), AdaCGD((top1,), 0.0))]
+    assert clag.branches[0] == 1 and clag.kinds[0] == SPARSE
+    assert np.array_equal(clag.vectors[0], [1e308, 0.0])
+    assert [out.branches[0] for out in others] == [1, 1]
 
 
 def test_adacgd_requires_sorted_levels():
@@ -529,7 +556,7 @@ def test_every_rule_leaves_its_inputs_unchanged(m, dim):
         out = spec.raw(h, y, x, streams if spec.randomized else None)
         for given, kept in zip((h, y, x), inputs):
             assert _same_bits(given, kept), spec
-        if isinstance(spec, AdaCGD):
+        if type(spec) is AdaCGD:
             branches.update(out.branches.tolist())
     assert branches == set(range(len(ks) + 1))  # every level, and the skip, taken by some row
 
