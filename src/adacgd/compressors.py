@@ -16,6 +16,7 @@ row on its own, so the engine compresses every worker's message in one call;
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Optional, Protocol, Sequence
 
@@ -46,8 +47,14 @@ class ContractorSpec:
     def __post_init__(self) -> None:
         if self.kind not in (TOPK, RANDK, IDENTITY):
             raise ValueError(f"unknown contractor kind {self.kind!r}")
-        if self.kind != IDENTITY and self.k < 1:
-            raise ValueError(f"k must be a positive integer, got {self.k}")
+        try:
+            k = operator.index(self.k)
+        except TypeError:
+            raise ValueError(f"k must be an integer, got {self.k!r}") from None
+        if self.kind == IDENTITY and k != 0:
+            raise ValueError(f"the identity keeps every coordinate and takes k = 0, got {k}")
+        if self.kind != IDENTITY and k < 1:
+            raise ValueError(f"k must be a positive integer, got {k}")
 
     @staticmethod
     def top_k(k: int) -> "ContractorSpec":
@@ -651,7 +658,9 @@ def adacgd_as_chain(contractors: Sequence[ContractorSpec], zeta: float) -> Ada3P
 
     The chain guards a lazy branch by the skip trigger and each shifted
     compression level by its candidate-error trigger; the weakest level is
-    the fallback. Branch indices line up with the adaptive rule's.
+    the fallback. Branch indices line up with the adaptive rule's. The lazy
+    branch is ``LAG``, which is itself ``AdaCGD.raw``, so the chain checks
+    the adaptive rule's dispatch but not what its skip rows hold.
     """
     contractors = tuple(contractors)
     if not contractors:

@@ -8,6 +8,7 @@ values.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -97,10 +98,18 @@ class SeededRng:
     stream_id: int = 0
 
     def __post_init__(self) -> None:
-        if not (0 <= self.seed <= _MASK64):
+        # Runs on every derive, so it is kept to one operator.index per field.
+        try:
+            seed, stream_id = operator.index(self.seed), operator.index(self.stream_id)
+        except TypeError:
+            raise ValueError(f"seed and stream_id must be integers, got {self.seed!r} and {self.stream_id!r}") from None
+        if not (0 <= seed <= _MASK64):
             raise ValueError("seed must be an unsigned 64-bit integer")
-        if not (0 <= self.stream_id <= _MASK64):
+        if not (0 <= stream_id <= _MASK64):
             raise ValueError("stream_id must be an unsigned 64-bit integer")
+        if seed is not self.seed or stream_id is not self.stream_id:  # a NumPy integer or a bool: keep the int
+            object.__setattr__(self, "seed", seed)
+            object.__setattr__(self, "stream_id", stream_id)
 
     def derive(self, *salts: int) -> "SeededRng":
         """Child stream obtained by mixing ``salts`` into the stream id."""

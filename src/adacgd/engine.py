@@ -414,6 +414,7 @@ class RunSpec:
 
     def __post_init__(self) -> None:
         _check_stepsize(self.gamma)
+        SeededRng(self.seed)  # rejects a seed that is not an integer in 0..2**64 - 1
 
 
 def resolve_stepsize(rule: str, problem: Problem, worker_spec: ThreePCSpec, master_spec: ThreePCSpec) -> float:

@@ -85,7 +85,7 @@ class RunConfig:
             raise ValueError("config needs at least one method")
         if self.n_clients < 1:
             raise ValueError(f"need at least one client, got n_clients={self.n_clients}")
-        SeededRng(self.seed)  # rejects a seed outside 0..2**64 - 1
+        SeededRng(self.seed)  # rejects a seed that is not an integer in 0..2**64 - 1
         if not self.multipliers:
             raise ValueError("config needs a non-empty multiplier set")
         if not all(math.isfinite(m) and m > 0 for m in self.multipliers):

@@ -36,6 +36,7 @@ from .compressors import (
     EF21,
     IdentityMaster,
     LAG,
+    SKIP,
     ThreePCSpec,
     adacgd_as_chain,
     CompressedRows,
@@ -222,14 +223,15 @@ def threepc_check(spec: ThreePCSpec, dim: int, trials: int, seed: int, name: str
     return PropertyResult(label, report.passed, report.worst_slack, detail)
 
 
-def _rows_gap(a: CompressedRows, b: CompressedRows) -> float:
-    """0.0 when two stacked results agree exactly (vectors, branches, payloads); else the gap."""
-    gap = float(np.max(np.abs(a.vectors - b.vectors)))
-    (a_kept, a_sent), (b_kept, b_sent) = _payload_view(a), _payload_view(b)
-    same = all(
-        np.array_equal(u, v)
-        for u, v in ((a.branches, b.branches), (a.kinds, b.kinds), (a_kept, b_kept), (a_sent, b_sent))
-    )
+def _fields(rows: CompressedRows) -> tuple[np.ndarray, ...]:
+    """A stacked result as dense arrays: vectors, branches, kinds, entries, and its payload's mask and values."""
+    return (rows.vectors, rows.branches, rows.kinds, rows.entries, *_payload_view(rows))
+
+
+def _rows_gap(a: tuple[np.ndarray, ...], b: tuple[np.ndarray, ...]) -> float:
+    """0.0 when two results' ``_fields`` agree exactly; else the vector gap, at least 1.0 if another field differs."""
+    gap = float(np.max(np.abs(a[0] - b[0])))
+    same = all(np.array_equal(u, v) for u, v in zip(a[1:], b[1:]))
     return gap if same else max(gap, 1.0)
 
 
@@ -248,7 +250,12 @@ def chain_equivalence_check(
     trials: int,
     seed: int,
 ) -> PropertyResult:
-    """The adaptive rule agrees exactly with its explicit dispatch chain."""
+    """The adaptive rule agrees exactly with its explicit dispatch chain.
+
+    The chain's skip branch is ``LAG``, which is itself ``AdaCGD.raw``, so
+    this check does not see what a skip row holds; ``collapse_checks``'s
+    lazy reductions do.
+    """
     rng = SeededRng(seed, _VERIFY_STREAM)
     rule = AdaCGD(contractors, zeta)
     chain = adacgd_as_chain(contractors, zeta)
@@ -256,7 +263,7 @@ def chain_equivalence_check(
     streams = [rng.derive(t, 1) for t in range(trials)]
     direct = _sampled_rows(rule, h, y, x, streams)
     chained = _sampled_rows(chain, h, y, x, streams)
-    worst = _rows_gap(direct, chained)
+    worst = _rows_gap(_fields(direct), _fields(chained))
     return PropertyResult(
         f"chain-equivalence[m={len(contractors)},zeta={zeta}]",
         worst == 0.0,
@@ -265,68 +272,51 @@ def chain_equivalence_check(
     )
 
 
-def collapse_checks(dim: int, trials: int, seed: int) -> list[PropertyResult]:
-    """Special-case reductions between the compression rules."""
-    rng = SeededRng(seed, _VERIFY_STREAM)
-    contractors = (ContractorSpec.top_k(1), ContractorSpec.top_k(max(2, dim // 2)), ContractorSpec.identity())
-    zeta = 1.5
-    zeta_zero = AdaCGD(contractors, 0.0)
-    weakest = EF21(contractors[-1])
-    single = AdaCGD(contractors[:1], zeta)
-    paired = CLAG(contractors[0], zeta)
-    lazy = LAG(zeta)
-    lazy_identity = CLAG(ContractorSpec.identity(), zeta)
+def collapse_checks(
+    contractors: Sequence[ContractorSpec], zeta: float, dim: int, trials: int, seed: int
+) -> list[PropertyResult]:
+    """Reductions of the adaptive rule over ``contractors``, each against a rule written out here.
 
+    At zeta = 0 it moves x as the shift rule at its weakest level does. At
+    ``zeta``, each level's lazy rule (``LAG`` for the identity, ``CLAG``
+    otherwise) keeps h as a skip row with no payload wherever
+    |x - h|^2 <= zeta |x - y|^2, and sends that level's shift rule on
+    branch 1 elsewhere.
+    """
+    rng = SeededRng(seed, _VERIFY_STREAM)
     h, y, x = _triple_stacks(rng, dim, trials)
-    m = len(contractors)
-    moved = row_sqnorms(x - h) > 0.0
-    first = [rng.derive(t, 1) for t in range(trials)]
-    second = [rng.derive(t, 2) for t in range(trials)]
-    pairs = (
-        (_sampled_rows(zeta_zero, h, y, x, first), _sampled_rows(weakest, h, y, x, [s.derive(m) for s in first])),
-        (_sampled_rows(single, h, y, x, second), _sampled_rows(paired, h, y, x, second)),
-        (_sampled_rows(lazy, h, y, x, None), _sampled_rows(lazy_identity, h, y, x, None)),
-    )
-    (a, b), clag, lag = pairs
+    streams = [rng.derive(t, 1) for t in range(trials)]  # level j draws from derive(j) of row t's stream
+    m, weakest = len(contractors), contractors[-1]
+    a = _sampled_rows(AdaCGD(contractors, 0.0), h, y, x, streams)
+    b = _sampled_rows(EF21(weakest), h, y, x, [s.derive(m) for s in streams])
     # Equality of the maps on the rows x moved: an earlier branch may
     # legitimately win when it reconstructs x exactly, so only the vectors
     # must agree; on fall-through the payload kinds must match too.
-    worst_ef21 = float(np.max(np.abs(a.vectors - b.vectors)[moved], initial=0.0))
+    moved = row_sqnorms(x - h) > 0.0
+    worst = float(np.max(np.abs(a.vectors - b.vectors)[moved], initial=0.0))
     fell_through = moved & (a.branches == m)
     if not np.array_equal(a.kinds[fell_through], b.kinds[fell_through]):
-        worst_ef21 = max(worst_ef21, 1.0)
-    worst_clag = _rows_gap(*clag)
-    worst_lag = _rows_gap(*lag)
-    return [
-        PropertyResult("collapse[zeta=0 -> weakest-level shift rule]", worst_ef21 == 0.0, -worst_ef21),
-        PropertyResult("collapse[single level -> lazy compressed rule]", worst_clag == 0.0, -worst_clag),
-        PropertyResult("collapse[lazy rule == compressed rule with identity]", worst_lag == 0.0, -worst_lag),
-    ]
+        worst = max(worst, 1.0)
+    name = f"collapse[zeta=0 -> weakest-level shift rule {weakest.kind},k={weakest.k}]"
+    results = [PropertyResult(name, worst == 0.0, -worst, f"{trials} triples")]
 
-
-def monotone_trigger_check(
-    contractors: Sequence[ContractorSpec],
-    zeta: float,
-    dim: int,
-    trials: int,
-    seed: int,
-) -> PropertyResult:
-    """The returned branch never comes after a passing candidate."""
-    rng = SeededRng(seed, _VERIFY_STREAM)
-    rule = AdaCGD(contractors, zeta)
-    h, y, x = _triple_stacks(rng, dim, trials)
-    streams = [rng.derive(t, 1) for t in range(trials)]
-    branches = _sampled_rows(rule, h, y, x, streams).branches
-    budget = zeta * row_sqnorms(x - y)
-    # Row t, column j: whether branch j alone (0 skips, j >= 1 is level j's shift) is within the budget.
-    passes = [row_sqnorms(x - h) <= budget]
-    for j, c in enumerate(contractors, start=1):
-        level = _sampled_rows(EF21(c), h, y, x, [s.derive(j) for s in streams])
-        passes.append(row_sqnorms(x - level.vectors) <= budget)
-    passes = np.stack(passes, axis=1)
-    passing = passes.any(axis=1)
-    worst = int(np.max((branches - np.argmax(passes, axis=1))[passing], initial=0))
-    return PropertyResult("monotone-trigger", worst == 0, -float(worst), f"{trials} triples")
+    skip = row_sqnorms(x - h) <= zeta * row_sqnorms(x - y)
+    level_streams = [s.derive(1) for s in streams]
+    for c in contractors:
+        lazy = LAG(zeta) if c == ContractorSpec.identity() else CLAG(c, zeta)
+        vectors, _, kinds, entries, kept, sent = _fields(_sampled_rows(EF21(c), h, y, x, level_streams))
+        expected = (
+            np.where(skip[:, None], h, vectors),
+            np.where(skip, 0, 1),
+            np.where(skip, SKIP, kinds),
+            np.where(skip, 0, entries),
+            kept & ~skip[:, None],
+            np.where(skip[:, None], 0.0, sent),
+        )
+        worst = _rows_gap(_fields(_sampled_rows(lazy, h, y, x, streams)), expected)
+        name = f"collapse[{type(lazy).__name__}(zeta={zeta}) -> skip or shift rule {c.kind},k={c.k}]"
+        results.append(PropertyResult(name, worst == 0.0, -worst, f"{trials} triples"))
+    return results
 
 
 def determinism_check(spec: ThreePCSpec, dim: int, trials: int, seed: int) -> PropertyResult:
@@ -335,7 +325,7 @@ def determinism_check(spec: ThreePCSpec, dim: int, trials: int, seed: int) -> Pr
     h, y, x = _triple_stacks(rng, dim, trials)
     a = _sampled_rows(spec, h, y, x, [rng.derive(t, 9) for t in range(trials)])
     b = _sampled_rows(spec, h, y, x, [rng.derive(t, 9) for t in range(trials)])
-    worst = _rows_gap(a, b)
+    worst = _rows_gap(_fields(a), _fields(b))
     return PropertyResult(f"determinism[{type(spec).__name__}]", worst == 0.0, -worst)
 
 
@@ -577,8 +567,10 @@ def gd_equivalence_check(
 
 def default_compressor_suite(seed: int, trials: int) -> list[PropertyResult]:
     dim = 16
+    levels = (ContractorSpec.top_k(1), ContractorSpec.top_k(dim // 2), ContractorSpec.identity())
+    rand_levels = (ContractorSpec.rand_k(2), ContractorSpec.rand_k(8))
     results: list[PropertyResult] = []
-    for contractor in (ContractorSpec.top_k(1), ContractorSpec.top_k(dim // 2), ContractorSpec.identity()):
+    for contractor in levels:
         results.append(contraction_check(contractor, dim, min(trials, 2000), seed))
     results.append(contraction_check(ContractorSpec.rand_k(2), dim, 64, seed))
 
@@ -588,9 +580,10 @@ def default_compressor_suite(seed: int, trials: int) -> list[PropertyResult]:
         results.append(payload_roundtrip_check(spec, dim, min(trials, 500), seed))
     results.append(threepc_check(EF21(ContractorSpec.rand_k(2)), dim, 50, seed, "threepc[ef21-rand2]"))
     results.append(chain_equivalence_check(TOP_LEVELS, 1.0, dim, trials, seed))
-    results.append(chain_equivalence_check((ContractorSpec.rand_k(2), ContractorSpec.rand_k(8)), 1.0, dim, min(trials, 500), seed))
-    results.extend(collapse_checks(dim, min(trials, 2000), seed))
-    results.append(monotone_trigger_check(TOP_LEVELS, 1.0, dim, min(trials, 2000), seed))
+    results.append(chain_equivalence_check(rand_levels, 1.0, dim, min(trials, 500), seed))
+    # At zeta = 1 the h = y family sits exactly on the lazy trigger's boundary.
+    results.extend(collapse_checks(levels, 1.0, dim, min(trials, 2000), seed))
+    results.extend(collapse_checks(rand_levels, 1.0, dim, min(trials, 500), seed))
     return results
 
 

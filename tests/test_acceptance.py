@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
-Criteria 6-9 run ``verification``'s theorem suites, the ones ``adacgd
-verify`` runs, at full size. The protocol sweep is a module-scoped fixture
-so the suite stays inside its runtime budget.
+Criteria 1-5 run ``verification``'s sampled checks, and 6-9 its theorem
+suites, at full size, as ``adacgd verify`` runs them; no test here samples.
+The protocol sweep is a module-scoped fixture so the suite stays in budget.
 """
 
 import dataclasses
@@ -13,19 +13,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adacgd.core import SeededRng, sqnorm
-from adacgd.compressors import AdaCGD, CLAG, ContractorSpec, EF21, compress
+from adacgd.compressors import ContractorSpec
 from adacgd.datasets import SyntheticSpec, build_problem, make_synthetic
 from adacgd.experiments import RunConfig, load_config, read_trace, run_experiment
-from adacgd.problems import Problem, check_gradient, smoothness
+from adacgd.problems import Problem, smoothness
 from adacgd.verification import (
     THEOREM_RULES,
     TOP_LEVELS,
     bidirectional_suite,
     chain_equivalence_check,
+    collapse_checks,
     contraction_check,
     convex_rate_suite,
     gd_equivalence_check,
+    gradient_suite,
     pl_quadratic,
     pl_rate_suite,
     recursion_suite,
@@ -72,42 +73,24 @@ def test_criterion_3_chain_equivalence():
 
 
 def test_criterion_4_special_case_collapse():
-    rng = SeededRng(9)
-    worst_ef21 = 0.0
-    worst_clag = 0.0
-    g = rng.generator()
-    for _ in range(2000):
-        h, y, x = g.standard_normal(10), g.standard_normal(10), g.standard_normal(10)
-        if sqnorm(x - h) > 0.0:
-            a = compress(AdaCGD(TOP_LEVELS, 0.0), h, y, x, rng)
-            b = compress(EF21(TOP_LEVELS[-1]), h, y, x)
-            worst_ef21 = max(worst_ef21, float(np.max(np.abs(a.vectors[0] - b.vectors[0]))))
-        a = compress(AdaCGD(TOP_LEVELS[:1], 1.3), h, y, x, rng)
-        b = compress(CLAG(TOP_LEVELS[0], 1.3), h, y, x)
-        gap = float(np.max(np.abs(a.vectors[0] - b.vectors[0])))
-        worst_clag = max(worst_clag, gap, float(a.branches[0] != b.branches[0]))
-
+    collapse = collapse_checks(TOP_LEVELS, 1.0, 10, 10_000, seed=9)
     features, labels = make_synthetic(SyntheticSpec(20, 10, seed=4))
     problem = build_problem(features, labels, 4, 0.1, seed=4)
-    gamma = 1.0 / smoothness(problem).l_minus
-    gd = gd_equivalence_check(problem, gamma, 100, seed=0)
-    ok = worst_ef21 == 0.0 and worst_clag == 0.0 and gd.passed
-    report(4, ok, f"zeta=0 gap {worst_ef21:.1e}, m=1 gap {worst_clag:.1e}, GD bitwise over 100 rounds: {gd.passed}")
-    assert ok
+    gd = gd_equivalence_check(problem, 1.0 / smoothness(problem).l_minus, 100, seed=0)
+    exact = all(r.passed for r in collapse)
+    ok = exact and gd.passed
+    report(4, ok, f"{len(collapse)} reductions exact on 10^4 triples: {exact}, GD bitwise over 100 rounds: {gd.passed}")
+    assert ok, [r.line() for r in (*collapse, gd) if not r.passed]
 
 
 def test_criterion_5_gradient_correctness():
     features, labels = make_synthetic(SyntheticSpec(80, 8, seed=12))
     logistic = build_problem(features, labels, 4, 0.1, seed=12)
     quadratic = Problem.quadratic(np.linspace(0.5, 4.0, 8), n_clients=4)
-    g = SeededRng(21).generator()
-    worst = 0.0
-    for p in (logistic, quadratic):
-        for _ in range(20):
-            worst = max(worst, check_gradient(p, g.standard_normal(8), 1e-5))
-    ok = worst <= 1e-5
-    report(5, ok, f"max relative error {worst:.3e} over 20 random points per problem")
-    assert ok
+    results = gradient_suite([("logistic", logistic), ("quadratic", quadratic)], 20, seed=21)
+    ok = all(r.passed for r in results)
+    report(5, ok, " | ".join(r.line() for r in results))
+    assert ok, [r.line() for r in results if not r.passed]
 
 
 def check_descent_and_bound(criterion, per_rule):
@@ -190,17 +173,8 @@ def test_criterion_10_protocol(protocol_result, tmp_path):
     # determinism: re-running the adaptive method's best configuration
     # reproduces its trace byte for byte
     best_ada = next(result.best[m] for m in result.best if m.startswith("adacgd"))
-    rerun_cfg = RunConfig(
-        dataset=config.dataset,
-        n_clients=config.n_clients,
-        lam=config.lam,
-        methods=("adacgd",),
-        multipliers=(best_ada.multiplier,),
-        zeta=config.zeta,
-        max_rounds=config.max_rounds,
-        grad_tol_sq=config.grad_tol_sq,
-        seed=config.seed,
-        out_dir=str(tmp_path),
+    rerun_cfg = dataclasses.replace(
+        config, methods=("adacgd",), multipliers=(best_ada.multiplier,), out_dir=str(tmp_path)
     )
     rerun = run_experiment(rerun_cfg)
     assert Path(rerun.entries[0].trace_path).read_bytes() == Path(best_ada.trace_path).read_bytes()

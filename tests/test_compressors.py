@@ -60,6 +60,19 @@ def test_contractor_k_exceeds_dim():
         apply_contractor(ContractorSpec.rand_k(4), [1, 2, 3], RNG)
 
 
+@pytest.mark.parametrize("kind, k, message", [
+    (TOPK, 2.5, "k must be an integer, got 2.5"),
+    (RANDK, 2.0, "k must be an integer, got 2.0"),
+    (TOPK, 0, "k must be a positive integer, got 0"),
+    (IDENTITY, 5, "the identity keeps every coordinate and takes k = 0, got 5"),
+])
+def test_contractor_k_checked_when_built(kind, k, message):
+    # Each was built, then failed at its first compression, or, the identity
+    # with k = 5, passed as a level distinct from ContractorSpec.identity().
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ContractorSpec(kind, k)
+
+
 def test_rand_k_keeps_unscaled_coordinates():
     x = np.array([1.0, 2.0, 3.0, 4.0])
     out = apply_contractor(ContractorSpec.rand_k(2), x, RNG.derive(5))

@@ -8,6 +8,7 @@ from adacgd.core import (
     combine_constants,
     stream_generators,
 )
+from adacgd.experiments import RunConfig
 
 
 def test_combine_constants_examples():
@@ -79,6 +80,24 @@ def test_rng_rejects_out_of_range():
         SeededRng(-1)
     with pytest.raises(ValueError):
         SeededRng(0, 1 << 64)
+
+
+@pytest.mark.parametrize("seed, stream_id", [(1.5, 0), (1.0, 0), (0, 2.0), ("1", 0), (None, 0)])
+def test_rng_rejects_a_seed_or_stream_id_that_is_not_an_integer(seed, stream_id):
+    # A float seed was cast into the Philox key: seed 1.5 drew seed 1's streams.
+    with pytest.raises(ValueError, match="seed and stream_id must be integers"):
+        SeededRng(seed, stream_id)
+
+
+def test_run_config_rejects_a_seed_that_is_not_an_integer():
+    with pytest.raises(ValueError, match="seed and stream_id must be integers, got 1.5 and 0"):
+        RunConfig(dataset="quadratic:diag=1|2", seed=1.5)
+
+
+def test_rng_keeps_a_numpy_integer_seed_as_an_int():
+    rng = SeededRng(np.int64(3), np.uint64(5))
+    assert (type(rng.seed), type(rng.stream_id)) == (int, int)
+    assert np.array_equal(rng.generator().random(4), SeededRng(3, 5).generator().random(4))
 
 
 def _mixed_draws(g, t):

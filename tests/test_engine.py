@@ -197,6 +197,12 @@ def test_run_spec_rejects_a_stepsize_that_is_not_finite_and_positive(gamma):
         RunSpec(quad([1.0, 2.0]), EF21(ContractorSpec.identity()), IdentityMaster(), np.ones(2), gamma, StopRule(1))
 
 
+@pytest.mark.parametrize("seed", [1.5, -1, 1 << 64])
+def test_run_spec_rejects_a_seed_that_is_not_an_unsigned_64_bit_integer(seed):
+    with pytest.raises(ValueError, match="seed"):
+        RunSpec(quad([1.0, 2.0]), EF21(ContractorSpec.identity()), IdentityMaster(), np.ones(2), 0.5, StopRule(1), seed)
+
+
 @pytest.mark.parametrize("gamma", [math.nan, math.inf, 0.0, -1.0])
 def test_step_rejects_a_stepsize_that_is_not_finite_and_positive(gamma):
     p = quad([1.0, 2.0])

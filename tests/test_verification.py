@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from adacgd import verification
-from adacgd.compressors import AdaCGD, ContractorSpec, EF21, IdentityMaster, LAG, ThreePCSpec, _skipping
+from adacgd.compressors import SKIP, AdaCGD, ContractorSpec, EF21, IdentityMaster, LAG, ThreePCSpec, _skipping
 from adacgd.core import SeededRng, ThreePCConstants
 from adacgd.datasets import SyntheticSpec, build_problem, make_synthetic
 from adacgd.engine import theoretical_stepsize
@@ -59,7 +59,7 @@ def test_unknown_suite_rejected():
 # carry every margin to four significant digits, so a change to any checked
 # number shows here. Same platform note as PROTOCOL_GOLDEN_SHA256.
 SUITE_OUTPUT_SHA256 = {
-    "compressors": "aeefebb9626d63b630049a09a54702e7ed58fd8ee9fb59fb1a78ac8c6bba4eeb",
+    "compressors": "8e1209491c09d938336334dac2ddb48f5353e4e60525cd99abf988b82ebd7c6a",
     "gradients": "7d642089b854af61f2bb0af5c6a4f9a9f52940b23b7352b7d114f0d8006ff4f7",
     "lyapunov": "c9510173bc8e888c9cf029ce0ea81ad83a70ff737323ae794662634405e62cb6",
     "bounds": "df0d97d5ce7383a40ab4b37dd8fa80f70b77f30b694da5f3e9d8fe5d5e1d9206",
@@ -79,6 +79,12 @@ def test_suites_pass_at_small_scale(suite):
     assert not failing, failing
     output = "\n".join(r.line() for r in results)
     assert hashlib.sha256(output.encode()).hexdigest() == SUITE_OUTPUT_SHA256[suite], output
+
+
+def test_compressor_suite_result_names_are_unique():
+    # The collapse list runs twice, on top-k and on rand-k levels.
+    names = [r.name for r in _small_suite("compressors")]
+    assert len(names) == len(set(names)), names
 
 
 @pytest.mark.parametrize("suite", ["lyapunov", "bounds"])
@@ -404,6 +410,39 @@ def test_contraction_check_holds_the_contraction_bound(scale, passes, monkeypatc
 def test_contraction_check_rejects_zero_vectors():
     with pytest.raises(ValueError, match="n_vectors must be >= 1, got 0"):
         contraction_check(_TOP(1), 8, 0, seed=0)
+
+
+# The level lists the compressors suite runs ``collapse_checks`` on.
+COLLAPSE_LEVELS = {"topk": (_TOP(1), _TOP(8), _IDENT()), "randk": (_RAND(2), _RAND(8))}
+_REAL_RAW = AdaCGD.raw
+
+
+def _skip_rows_keep_x(self, h, y, x, rngs):
+    out = _REAL_RAW(self, h, y, x, rngs)
+    skipped = out.kinds == SKIP
+    out.vectors[skipped] = x[skipped]
+    return out
+
+
+def _zeta_zero_takes_level_1(self, h, y, x, rngs):
+    rule = AdaCGD(self.contractors[:1], 0.0) if self.zeta == 0.0 else self
+    return _REAL_RAW(rule, h, y, x, rngs)
+
+
+# Each reduction against a lazy-trigger body with one slip: the slip must fail
+# the reduction it concerns and leave the others passing.
+@pytest.mark.parametrize("levels", COLLAPSE_LEVELS.values(), ids=list(COLLAPSE_LEVELS))
+@pytest.mark.parametrize("slip, zeta_zero_fails, lazy_fails", [
+    (None, False, False),
+    (_skip_rows_keep_x, False, True),
+    (_zeta_zero_takes_level_1, True, False),
+], ids=["unpatched", "skip-rows-keep-x", "zeta-zero-takes-level-1"])
+def test_collapse_checks_fail_a_slipped_lazy_trigger(levels, slip, zeta_zero_fails, lazy_fails, monkeypatch):
+    if slip is not None:
+        monkeypatch.setattr(AdaCGD, "raw", slip)
+    zeta_zero, *lazy = verification.collapse_checks(levels, 1.0, 16, 300, seed=0)  # zeta = 0, then one per level
+    assert zeta_zero.passed != zeta_zero_fails, zeta_zero.line()
+    assert [r.passed for r in lazy] == [not lazy_fails] * len(levels), [r.line() for r in lazy]
 
 
 def _trace_run_configs():
