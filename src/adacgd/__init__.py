@@ -2,18 +2,14 @@
 
 from .core import SeededRng, ThreePCConstants, combine_constants
 from .compressors import (
-    Ada3PC,
     AdaCGD,
     CLAG,
-    CandidateErrorTrigger,
     CompressedRows,
     ContractorSpec,
     EF21,
     IdentityMaster,
     LAG,
-    SkipTrigger,
     ThreePCSpec,
-    adacgd_as_chain,
     apply_contractor,
     compress,
     reconstruct,

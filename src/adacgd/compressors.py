@@ -4,13 +4,14 @@ A contractive sparsifier maps a vector to a cheaper-to-transmit vector whose
 squared error is at most (1 - alpha) times the input's squared norm. A
 three-point rule compresses a fresh vector x relative to the carried state h
 and the previously seen vector y; the shipped rules are the error-feedback
-shift (EF21), a multi-level adaptive rule (AdaCGD), and a generic
-predicate-dispatched chain (Ada3PC). The lazy rules are one-level AdaCGD:
-CLAG, the lazy trigger firing one shift level, and LAG, CLAG with the
-identity. Each map is written once, in one spec class that holds it and its
-certified inequality constants. A map acts on (n, d) stacks row by row, each
-row on its own, so the engine compresses every worker's message in one call;
-``compress`` is the public single-vector entry point (the one-row stack).
+shift (EF21) and a multi-level adaptive rule (AdaCGD). The lazy rules are
+one-level AdaCGD: CLAG, the lazy trigger firing one shift level, and LAG,
+CLAG with the identity. Each map is written once, in one spec class that
+holds it and its certified inequality constants; ``tests/reference_sim.py``
+is an independent per-vector version of every rule that the tests hold it
+to. A map acts on (n, d) stacks row by row, each row on its own, so the
+engine compresses every worker's message in one call; ``compress`` is the
+public single-vector entry point (the one-row stack).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Optional, Protocol, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -216,14 +217,6 @@ class CompressedRows:
     kinds: np.ndarray
     entries: np.ndarray
     sparse: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
-
-    def _set(self, rows: np.ndarray, branch: int, sub: "CompressedRows") -> None:
-        # Rows ``rows`` take the rows of ``sub``, in order, under branch index ``branch``.
-        self.vectors[rows] = sub.vectors
-        self.branches[rows] = branch
-        self.kinds[rows] = sub.kinds
-        self.entries[rows] = sub.entries
-        self.sparse.extend((rows[sub_rows], indices, values) for sub_rows, indices, values in sub.sparse)
 
     def _write_shift(
         self, rows: np.ndarray, kept: np.ndarray, positions: np.ndarray, values: np.ndarray, shifted: np.ndarray
@@ -504,127 +497,11 @@ class LAG(CLAG):
         super().__init__(ContractorSpec.identity(), zeta)
 
 
-class Predicate(Protocol):
-    """A branch guard of a dispatch chain; ``draws`` says whether ``evaluate`` reads its streams.
-
-    ``evaluate`` maps (m, d) stacks to an (m,) bool array, whether the guard
-    holds on each row; row i draws only from ``rngs[i]`` (None when the
-    guard does not draw).
-    """
-
-    draws: bool
-
-    def evaluate(
-        self, h: np.ndarray, y: np.ndarray, x: np.ndarray, rngs: Optional[Sequence[SeededRng]]
-    ) -> np.ndarray: ...
-
-
-@dataclass(frozen=True)
-class Ada3PC(ThreePCSpec):
-    """Predicate-dispatched chain of three-point compressors.
-
-    Branch j fires when its predicate is the first to hold on (h, y, x);
-    the final branch is the unconditional fallback, so a chain of m branches
-    carries exactly m - 1 predicates. Predicate j is probed once, on the
-    rows no earlier predicate claimed; each branch then maps the rows that
-    chose it as one stack.
-    """
-
-    branches: tuple[ThreePCSpec, ...]
-    predicates: tuple[Predicate, ...] = field(default_factory=tuple)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "branches", tuple(self.branches))
-        object.__setattr__(self, "predicates", tuple(self.predicates))
-        if not self.branches:
-            raise ValueError("chain needs at least one branch")
-        self._check_arity()
-        for pred in self.predicates:
-            if not (hasattr(pred, "evaluate") and hasattr(pred, "draws")):
-                raise ValueError(f"predicate {pred!r} needs an evaluate(h, y, x, rngs) method and a draws flag")
-
-    def _check_arity(self) -> None:
-        if len(self.predicates) != len(self.branches) - 1:
-            raise ValueError(
-                f"chain with {len(self.branches)} branches needs exactly "
-                f"{len(self.branches) - 1} predicates, got {len(self.predicates)}"
-            )
-
-    @property
-    def randomized(self) -> bool:
-        return any(b.randomized for b in self.branches) or any(p.draws for p in self.predicates)
-
-    @property
-    def branch_count(self) -> int:
-        return len(self.branches)
-
-    @property
-    def adaptive_level_count(self) -> int:
-        # m branches need ceil(log2 m) header bits to name one: what AdaCGD with m - 1 levels pays.
-        return len(self.branches) - 1
-
-    def raw(self, h, y, x, rngs):
-        chosen = np.full(x.shape[0], len(self.branches) - 1)
-        rows = np.arange(x.shape[0])  # the rows no predicate has claimed yet
-        for j, pred in enumerate(self.predicates):
-            if not rows.size:
-                break
-            holds = np.asarray(pred.evaluate(h[rows], y[rows], x[rows], _branch_streams(rngs, rows, j, pred.draws)))
-            if holds.dtype != bool or holds.shape != rows.shape:
-                raise ValueError(
-                    f"predicate {pred!r} must return one bool per row (shape {rows.shape}), "
-                    f"got {holds.dtype} of shape {holds.shape}"
-                )
-            chosen[rows[holds]] = j
-            rows = rows[~holds]
-        out = _skipping(h)
-        for j, branch in enumerate(self.branches):
-            rows = np.flatnonzero(chosen == j)
-            if rows.size:
-                branch_rngs = _branch_streams(rngs, rows, j, branch.randomized)
-                out._set(rows, j, branch.raw(h[rows], y[rows], x[rows], branch_rngs))
-        return out
-
-    def constants(self, dim):
-        # A chain altered after construction is caught here, before any compression.
-        self._check_arity()
-        return combine_constants(b.constants(dim) for b in self.branches)
-
-    def strongest_contractor(self, dim):
-        return min((b.strongest_contractor(dim) for b in self.branches), key=lambda c: c.alpha(dim))
-
-
 @dataclass(frozen=True)
 class IdentityMaster(EF21):
     """Pass-through compressor (the default server-side rule): the shift rule with the identity map."""
 
     contractor: ContractorSpec = field(default=ContractorSpec.identity(), init=False, repr=False)
-
-
-@dataclass(frozen=True)
-class SkipTrigger:
-    """Holds on the rows whose carried state h is already within the lazy budget."""
-
-    zeta: float
-    draws = False
-
-    def evaluate(self, h, y, x, rngs=None):
-        return row_sqnorms(x - h) <= self.zeta * row_sqnorms(x - y)
-
-
-@dataclass(frozen=True)
-class CandidateErrorTrigger:
-    """Holds on the rows whose shifted-compression candidate falls within the lazy budget."""
-
-    zeta: float
-    contractor: ContractorSpec
-
-    @property
-    def draws(self) -> bool:
-        return self.contractor.randomized
-
-    def evaluate(self, h, y, x, rngs=None):
-        return row_sqnorms(x - _ef21_raw(self.contractor, h, x, rngs).vectors) <= self.zeta * row_sqnorms(x - y)
 
 
 def _compress_raw(
@@ -651,22 +528,3 @@ def compress(spec: ThreePCSpec, h, y, x, rng: Optional[SeededRng] = None) -> Com
     check_same_dim(y, x)
     spec.constants(x.shape[0])
     return _compress_raw(spec, h[None], y[None], x[None], _one_stream(rng))
-
-
-def adacgd_as_chain(contractors: Sequence[ContractorSpec], zeta: float) -> Ada3PC:
-    """Explicit dispatch chain equivalent to the multi-level adaptive rule.
-
-    The chain guards a lazy branch by the skip trigger and each shifted
-    compression level by its candidate-error trigger; the weakest level is
-    the fallback. Branch indices line up with the adaptive rule's. The lazy
-    branch is ``LAG``, which is itself ``AdaCGD.raw``, so the chain checks
-    the adaptive rule's dispatch but not what its skip rows hold.
-    """
-    contractors = tuple(contractors)
-    if not contractors:
-        raise ValueError("adaptive rule needs at least one contractor")
-    branches: tuple[ThreePCSpec, ...] = (LAG(zeta),) + tuple(EF21(c) for c in contractors)
-    predicates: tuple[Predicate, ...] = (SkipTrigger(zeta),) + tuple(
-        CandidateErrorTrigger(zeta, c) for c in contractors[:-1]
-    )
-    return Ada3PC(branches, predicates)

@@ -112,10 +112,14 @@ class SeededRng:
             object.__setattr__(self, "stream_id", stream_id)
 
     def derive(self, *salts: int) -> "SeededRng":
-        """Child stream obtained by mixing ``salts`` into the stream id."""
+        """Child stream obtained by mixing ``salts``, each an integer, into the stream id."""
         sid = self.stream_id
         for s in salts:
-            sid = _mix64(sid, int(s) & _MASK64)
+            try:
+                salt = operator.index(s)
+            except TypeError:
+                raise ValueError(f"salt must be an integer, got {s!r}") from None
+            sid = _mix64(sid, salt & _MASK64)
         return SeededRng(self.seed, sid)
 
     def generator(self) -> np.random.Generator:

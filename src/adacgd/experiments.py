@@ -264,8 +264,8 @@ def method_spec(label: str, dim: int, default_zeta: float) -> tuple[str, ThreePC
     """Build a worker compressor from a method label like ``clag:k=1,zeta=2``.
 
     Plain gradient descent is the identity shift rule: exact estimates,
-    constants (1, 0). Custom predicate chains are built programmatically and
-    passed to :func:`run_experiment` via ``extra_specs``.
+    constants (1, 0). A rule no label names is built in code and passed to
+    :func:`run_experiment` via ``extra_specs``.
     """
     name, k, zeta, ks = _method_options(label, default_zeta)
     if name == "gd":
@@ -447,8 +447,8 @@ def run_experiment(config: RunConfig, extra_specs: Optional[dict[str, ThreePCSpe
     """Run every (method x multiplier) pair and write traces plus a summary.
 
     ``extra_specs`` maps extra method labels to pre-built worker compressors
-    (for predicate chains the flat config format cannot express). Outputs are
-    byte-deterministic given the config.
+    (for rules the flat config format cannot express, such as rand-k AdaCGD
+    levels). Outputs are byte-deterministic given the config.
     """
     problem, dataset_hash = build_dataset(config)
     x0 = initial_point(config, problem)

@@ -38,7 +38,6 @@ from .compressors import (
     LAG,
     SKIP,
     ThreePCSpec,
-    adacgd_as_chain,
     CompressedRows,
     reconstruct,
     _compress_raw,
@@ -241,35 +240,6 @@ def _sampled_rows(
     """``spec``'s map on stacked sampled triples, after checking ``spec`` at their dimension as ``compress`` does."""
     spec.constants(h.shape[1])
     return _compress_raw(spec, h, y, x, streams)
-
-
-def chain_equivalence_check(
-    contractors: Sequence[ContractorSpec],
-    zeta: float,
-    dim: int,
-    trials: int,
-    seed: int,
-) -> PropertyResult:
-    """The adaptive rule agrees exactly with its explicit dispatch chain.
-
-    The chain's skip branch is ``LAG``, which is itself ``AdaCGD.raw``, so
-    this check does not see what a skip row holds; ``collapse_checks``'s
-    lazy reductions do.
-    """
-    rng = SeededRng(seed, _VERIFY_STREAM)
-    rule = AdaCGD(contractors, zeta)
-    chain = adacgd_as_chain(contractors, zeta)
-    h, y, x = _triple_stacks(rng, dim, trials)
-    streams = [rng.derive(t, 1) for t in range(trials)]
-    direct = _sampled_rows(rule, h, y, x, streams)
-    chained = _sampled_rows(chain, h, y, x, streams)
-    worst = _rows_gap(_fields(direct), _fields(chained))
-    return PropertyResult(
-        f"chain-equivalence[m={len(contractors)},zeta={zeta}]",
-        worst == 0.0,
-        -worst,
-        f"{trials} triples, vector- and branch-exact",
-    )
 
 
 def collapse_checks(
@@ -579,8 +549,6 @@ def default_compressor_suite(seed: int, trials: int) -> list[PropertyResult]:
         results.append(determinism_check(spec, dim, min(trials, 500), seed))
         results.append(payload_roundtrip_check(spec, dim, min(trials, 500), seed))
     results.append(threepc_check(EF21(ContractorSpec.rand_k(2)), dim, 50, seed, "threepc[ef21-rand2]"))
-    results.append(chain_equivalence_check(TOP_LEVELS, 1.0, dim, trials, seed))
-    results.append(chain_equivalence_check(rand_levels, 1.0, dim, min(trials, 500), seed))
     # At zeta = 1 the h = y family sits exactly on the lazy trigger's boundary.
     results.extend(collapse_checks(levels, 1.0, dim, min(trials, 2000), seed))
     results.extend(collapse_checks(rand_levels, 1.0, dim, min(trials, 500), seed))

@@ -1,19 +1,25 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
-Criteria 1-5 run ``verification``'s sampled checks, and 6-9 its theorem
-suites, at full size, as ``adacgd verify`` runs them; no test here samples.
+Criteria 1, 2, 4 and 5 run ``verification``'s sampled checks, and 6-9 its
+theorem suites, at full size, as ``adacgd verify`` runs them. Criterion 3
+holds AdaCGD to the independent reference in ``tests/reference_sim.py`` on
+the triples verify's sampler draws; no test here has a sampler of its own.
 The protocol sweep is a module-scoped fixture so the suite stays in budget.
 """
 
 import dataclasses
 import hashlib
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from adacgd.compressors import ContractorSpec
+import reference_sim
+from adacgd import verification
+from adacgd.compressors import AdaCGD, ContractorSpec
+from adacgd.core import SeededRng
 from adacgd.datasets import SyntheticSpec, build_problem, make_synthetic
 from adacgd.experiments import RunConfig, load_config, read_trace, run_experiment
 from adacgd.problems import Problem, smoothness
@@ -21,7 +27,6 @@ from adacgd.verification import (
     THEOREM_RULES,
     TOP_LEVELS,
     bidirectional_suite,
-    chain_equivalence_check,
     collapse_checks,
     contraction_check,
     convex_rate_suite,
@@ -66,10 +71,26 @@ def test_criterion_2_threepc_inequality():
     assert elapsed < 30.0
 
 
-def test_criterion_3_chain_equivalence():
-    result = chain_equivalence_check(TOP_LEVELS, 1.0, 16, 10_000, seed=5)
-    report(3, result.passed, result.detail)
-    assert result.passed, result.line()
+def test_criterion_3_adacgd_matches_the_reference():
+    # verify's sampled triples plus rows where a level's candidate error is
+    # exactly its budget, against tests/reference_sim.py on every field.
+    rng = SeededRng(5, verification._VERIFY_STREAM)
+    sampled, boundary = verification._triple_stacks(rng, 16, 10_000), reference_sim.boundary_triples(16, (1, 4))
+    h, y, x = (np.concatenate(pair) for pair in zip(sampled, boundary))
+    streams = [rng.derive(t, 1) for t in range(h.shape[0])]
+
+    def draw(t, j, k):
+        return np.sort(streams[t].derive(j).generator().choice(16, k, replace=False))
+
+    failing = {}
+    for name, levels in (("top-1/4/8", TOP_LEVELS), ("rand-2/8", (ContractorSpec.rand_k(2), ContractorSpec.rand_k(8)))):
+        ours = verification._fields(AdaCGD(levels, 1.0).raw(h, y, x, streams))
+        messages = [reference_sim.adacgd(h[t], y[t], x[t], levels, 1.0, partial(draw, t)) for t in range(h.shape[0])]
+        failing[name] = reference_sim.mismatched(ours, reference_sim.fields(messages, 16))
+    ok = not any(failing.values())
+    report(3, ok, f"AdaCGD {' and '.join(failing)} equal the reference on {h.shape[0]} triples "
+                  f"({boundary[0].shape[0]} on a level's boundary), every field: {ok}")
+    assert ok, failing
 
 
 def test_criterion_4_special_case_collapse():

@@ -11,25 +11,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_sim
 from adacgd.core import SeededRng, sqnorm
 from adacgd.engine import branch_header_bits, message_bits
 from adacgd.compressors import (
-    Ada3PC,
     AdaCGD,
     CLAG,
     ContractorSpec,
     EF21,
     IdentityMaster,
     LAG,
-    CandidateErrorTrigger,
     FULL,
     IDENTITY,
     RANDK,
     SKIP,
     SPARSE,
     TOPK,
-    SkipTrigger,
-    adacgd_as_chain,
     apply_contractor,
     compress,
     ef21_constants,
@@ -37,7 +34,7 @@ from adacgd.compressors import (
     _payload_view,
     _top_k_indices,
 )
-from adacgd.verification import estimate_constants
+from adacgd.verification import TOP_LEVELS, _fields, estimate_constants
 
 RNG = SeededRng(42)
 
@@ -230,6 +227,9 @@ def test_clag_sends_on_a_nan_budget():
     assert clag.branches[0] == 1 and clag.kinds[0] == SPARSE
     assert np.array_equal(clag.vectors[0], [1e308, 0.0])
     assert [out.branches[0] for out in others] == [1, 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for spec in (CLAG(top1, 0.0), LAG(0.0), AdaCGD((top1,), 0.0)):
+            assert not _reference_mismatches(spec, *(np.array([v]) for v in (h, y, x))), spec
 
 
 def test_adacgd_requires_sorted_levels():
@@ -249,82 +249,6 @@ def test_adacgd_rejects_repeated_levels_when_built(levels):
     with pytest.raises(ValueError, match=re.escape(f"adaptive rule repeats level {levels[-1]!r}")):
         AdaCGD(levels, 1.0)
     assert AdaCGD((ContractorSpec.top_k(1), ContractorSpec.rand_k(1)), 1.0).adaptive_level_count == 2
-
-
-def test_ada3pc_single_branch_delegates():
-    spec = Ada3PC((EF21(ContractorSpec.top_k(1)),))
-    h, y, x = np.zeros(3), np.zeros(3), np.array([1.0, -4.0, 2.0])
-    out = compress(spec, h, y, x, RNG)
-    assert np.array_equal(out.vectors[0], [0, -4, 0])
-    assert out.branches[0] == 0
-
-
-def test_ada3pc_falls_through_when_predicates_false():
-    spec = Ada3PC(
-        branches=(LAG(1.0), EF21(ContractorSpec.top_k(1)), EF21(ContractorSpec.identity())),
-        predicates=(SkipTrigger(0.0), SkipTrigger(0.0)),
-    )
-    x = np.array([3.0, 1.0])
-    out = compress(spec, np.zeros(2), np.zeros(2), x, RNG)
-    assert out.branches[0] == 2
-    assert np.array_equal(out.vectors[0], x)
-
-
-def test_ada3pc_wrong_predicate_arity():
-    with pytest.raises(ValueError):
-        Ada3PC((LAG(1.0), EF21(ContractorSpec.top_k(1))), (SkipTrigger(1.0), SkipTrigger(1.0)))
-    # hand-rolled malformed chains are caught at compression time too
-    crafted = Ada3PC((LAG(1.0), EF21(ContractorSpec.top_k(1))), (SkipTrigger(1.0),))
-    object.__setattr__(crafted, "predicates", ())
-    with pytest.raises(ValueError):
-        compress(crafted, [1.0], [1.0], [2.0], RNG)
-
-
-class _EvaluateOnly:
-    def evaluate(self, h, y, x, rngs):
-        return np.ones(x.shape[0], dtype=bool)
-
-
-@pytest.mark.parametrize("predicate", [lambda h, y, x: True, _EvaluateOnly(), None], ids=["callable", "no-draws", "none"])
-def test_ada3pc_rejects_a_predicate_that_is_not_a_trigger_object(predicate):
-    with pytest.raises(ValueError, match=r"predicate .* needs an evaluate\(h, y, x, rngs\) method and a draws flag"):
-        Ada3PC((LAG(1.0), EF21(ContractorSpec.top_k(1))), (predicate,))
-
-
-class _OneAnswer:
-    """A predicate whose evaluate returns ``answer`` whatever the stack."""
-
-    draws = False
-
-    def __init__(self, answer):
-        self.answer = answer
-
-    def evaluate(self, h, y, x, rngs):
-        return self.answer
-
-
-@pytest.mark.parametrize(
-    "answer", [True, np.ones(3, dtype=bool), np.ones(2, dtype=np.int64)], ids=["scalar", "wrong-length", "ints"]
-)
-def test_ada3pc_rejects_a_predicate_that_does_not_answer_each_row(answer):
-    spec = Ada3PC((LAG(1.0), EF21(ContractorSpec.top_k(1))), (_OneAnswer(answer),))
-    h, y, x = np.zeros((2, 3)), np.zeros((2, 3)), np.ones((2, 3))
-    with pytest.raises(ValueError, match=r"predicate <.*_OneAnswer object .*> must return one bool per row"):
-        spec.raw(h, y, x, None)
-    with pytest.raises(ValueError, match="one bool per row"):
-        compress(spec, h[0], y[0], x[0])
-
-
-def test_explicit_chain_matches_adacgd_branch_exactly():
-    levels = (ContractorSpec.top_k(1), ContractorSpec.top_k(2), ContractorSpec.top_k(4))
-    chain = adacgd_as_chain(levels, 0.8)
-    g = SeededRng(5).generator()
-    for _ in range(200):
-        h, y, x = g.standard_normal(4), g.standard_normal(4), g.standard_normal(4)
-        direct = compress(AdaCGD(levels, 0.8), h, y, x, RNG.derive(7))
-        chained = compress(chain, h, y, x, RNG.derive(7))
-        assert np.array_equal(direct.vectors[0], chained.vectors[0])
-        assert direct.branches[0] == chained.branches[0]
 
 
 def test_certified_constants_examples():
@@ -411,6 +335,63 @@ def test_payload_entry_count_fixed_for_topk():
     assert np.array_equal(sent[0][kept[0]], [0.0, 0.0])
 
 
+def _reference(spec, h, y, x, streams=None) -> tuple:
+    """``reference_sim.fields`` of ``spec``'s rule on (n, d) stacks, row t drawing from ``streams[t]``.
+
+    A rand-k support is what the package's row draws: ``choice(d, k,
+    replace=False)`` on a fresh generator of the row's stream (of its
+    branch-j child at level j of a lazy or adaptive rule), sorted.
+    """
+    d = x.shape[1]
+
+    def support(stream, k):
+        return np.sort(stream.generator().choice(d, k, replace=False))
+
+    messages = []
+    for t in range(x.shape[0]):
+        row, level_draw = (h[t], y[t], x[t]), lambda j, k, t=t: support(streams[t].derive(j), k)
+        if type(spec) is LAG:
+            messages.append(reference_sim.lag(*row, spec.zeta))
+        elif type(spec) is CLAG:
+            messages.append(reference_sim.clag(*row, spec.contractor, spec.zeta, level_draw))
+        elif isinstance(spec, AdaCGD):
+            messages.append(reference_sim.adacgd(*row, spec.contractors, spec.zeta, level_draw))
+        else:
+            messages.append(reference_sim.ef21(h[t], x[t], spec.contractor, lambda k, t=t: support(streams[t], k)))
+    return reference_sim.fields(messages, d)
+
+
+def _reference_mismatches(spec, h, y, x, streams=None) -> list:
+    """The fields where ``spec.raw`` and the reference disagree on (n, d) stacks."""
+    return reference_sim.mismatched(_fields(spec.raw(h, y, x, streams)), _reference(spec, h, y, x, streams))
+
+
+@pytest.mark.parametrize("kind", [TOPK, RANDK])
+def test_adacgd_matches_the_reference_on_gaussian_rows(kind):
+    g = SeededRng(5).generator()
+    h, y, x = g.standard_normal((3, 400, 4))
+    h[:50] = y[:50]  # rows on the skip boundary at zeta = 1
+    streams = [RNG.derive(7, t) for t in range(400)]
+    for zeta in (0.8, 1.0):
+        spec = AdaCGD(_levels(kind, (1, 2, 4)), zeta)
+        assert not _reference_mismatches(spec, h, y, x, streams), zeta
+        assert set(spec.raw(h, y, x, streams).branches.tolist()) == {0, 1, 2, 3}
+
+
+@pytest.mark.parametrize("levels, branches", [
+    ((ContractorSpec.top_k(4), ContractorSpec.identity()), [1, 1]),
+    (TOP_LEVELS, [1, 2]),
+], ids=["top4-identity", "top-1-4-8"])
+def test_adacgd_matches_the_reference_where_a_candidate_error_is_the_budget(levels, branches):
+    # Half the rows' top-1 and half their top-4 candidates err by exactly
+    # zeta |x - y|^2: that level fits, where a level test written < would
+    # pass the row on to the next one.
+    h, y, x = reference_sim.boundary_triples(16, (1, 4))
+    spec = AdaCGD(levels, 1.0)
+    assert spec.raw(h, y, x, None).branches.tolist() == np.repeat(branches, h.shape[0] // 2).tolist()
+    assert not _reference_mismatches(spec, h, y, x)
+
+
 # Few distinct magnitudes, so many draws carry tied coordinates.
 tied = st.lists(st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]), min_size=6, max_size=6)
 spread = st.lists(st.floats(min_value=-10, max_value=10), min_size=6, max_size=6)
@@ -424,29 +405,21 @@ spread = st.lists(st.floats(min_value=-10, max_value=10), min_size=6, max_size=6
     st.lists(st.integers(1, 6), min_size=1, max_size=4, unique=True),
     st.sampled_from([0.0, 0.25, 1.0, 3.0]),
 )
-def test_adacgd_matches_its_chain_on_ties(hv, yv, xv, ks, zeta):
+def test_adacgd_matches_the_reference_on_ties(hv, yv, xv, ks, zeta):
     levels = tuple(ContractorSpec.top_k(k) for k in sorted(ks))
-    h, y, x = np.asarray(hv), np.asarray(yv), np.asarray(xv)
-    direct = compress(AdaCGD(levels, zeta), h, y, x)
-    chained = compress(adacgd_as_chain(levels, zeta), h, y, x)
-    assert np.array_equal(direct.vectors[0], chained.vectors[0])
-    assert direct.branches[0] == chained.branches[0]
-    assert direct.kinds[0] == chained.kinds[0]
-    for u, v in zip(_payload_view(direct), _payload_view(chained)):
-        assert np.array_equal(u, v)
+    h, y, x = (np.asarray(v)[None] for v in (hv, yv, xv))
+    assert not _reference_mismatches(AdaCGD(levels, zeta), h, y, x)
 
 
-def test_is_randomized_counts_trigger_contractors():
-    drawing = Ada3PC((LAG(1.0), EF21(ContractorSpec.top_k(1))), (CandidateErrorTrigger(1.0, ContractorSpec.rand_k(1)),))
-    fixed = Ada3PC((LAG(1.0), EF21(ContractorSpec.top_k(1))), (CandidateErrorTrigger(1.0, ContractorSpec.top_k(1)),))
-    assert drawing.randomized
-    assert not fixed.randomized
-    assert not Ada3PC((LAG(1.0), EF21(ContractorSpec.top_k(1))), (SkipTrigger(1.0),)).randomized
-    assert adacgd_as_chain((ContractorSpec.rand_k(1), ContractorSpec.top_k(3)), 1.0).randomized
-    h, y, x = np.zeros(3), np.zeros(3), np.array([3.0, -1.0, 2.0])
+def test_is_randomized_counts_every_level():
+    top1, rand1 = ContractorSpec.top_k(1), ContractorSpec.rand_k(1)
+    drawing = AdaCGD((rand1, ContractorSpec.top_k(3)), 1.0)
+    assert drawing.randomized and CLAG(rand1, 1.0).randomized
+    assert not AdaCGD((top1, ContractorSpec.identity()), 1.0).randomized and not LAG(1.0).randomized
+    h, x = np.zeros(3), np.array([3.0, -1.0, 2.0])  # y = x: a zero budget, so the rand-k level is probed
     with pytest.raises(ValueError, match="rng stream"):
-        compress(drawing, h, y, x)
-    assert compress(drawing, h, y, x, SeededRng(4)).branches[0] in (0, 1)
+        compress(drawing, h, x, x)
+    assert compress(drawing, h, x, x, SeededRng(4)).branches[0] == 2
 
 
 def _stack_specs(dim: int, zeta: float) -> list:
@@ -462,7 +435,7 @@ def _stack_specs(dim: int, zeta: float) -> list:
         AdaCGD(top, zeta),
         AdaCGD(top[:-1] + (ContractorSpec.identity(),), zeta),
         AdaCGD(rand, zeta),
-        adacgd_as_chain(rand[:1] + top[1:] + (ContractorSpec.identity(),), zeta),
+        AdaCGD(rand[:1] + top[1:] + (ContractorSpec.identity(),), zeta),
         IdentityMaster(),
     ]
 
@@ -518,6 +491,14 @@ def test_payload_reconstruction_is_exact(data):
         assert _same_bits(reconstruct(h, out), out.vectors), spec
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_every_rule_matches_the_reference(data):
+    dim, h, y, x, zeta, streams = _draw_stacks(data)
+    for spec in _stack_specs(dim, zeta):
+        assert not _reference_mismatches(spec, h, y, x, streams if spec.randomized else None), spec
+
+
 def test_adacgd_identity_level_sends_in_full_and_reconstructs():
     # zeta = 0 rejects the skip and the lossy top-1 level, so row 0 falls to
     # the identity level; row 1 (x == h) skips.
@@ -541,6 +522,8 @@ def test_an_identity_level_does_not_fit_a_row_whose_x_is_infinite():
     out = spec.raw(h, y, x, None)
     assert out.branches.tolist() == [2, 1]
     assert out.kinds.tolist() == [SPARSE, FULL]
+    with np.errstate(invalid="ignore"):
+        assert not _reference_mismatches(spec, h, y, x)
 
 
 def _levels(kind: str, ks) -> tuple:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -92,6 +94,19 @@ def test_rng_rejects_a_seed_or_stream_id_that_is_not_an_integer(seed, stream_id)
 def test_run_config_rejects_a_seed_that_is_not_an_integer():
     with pytest.raises(ValueError, match="seed and stream_id must be integers, got 1.5 and 0"):
         RunConfig(dataset="quadratic:diag=1|2", seed=1.5)
+
+
+@pytest.mark.parametrize("salt", [1.5, 1.0, np.float64(2.0), "1", None])
+def test_rng_derive_rejects_a_salt_that_is_not_an_integer(salt):
+    # A salt went through int(): derive(1.5) was derive(1).
+    with pytest.raises(ValueError, match=f"salt must be an integer, got {re.escape(repr(salt))}"):
+        SeededRng(1).derive(3, salt)
+
+
+def test_rng_derive_takes_an_integer_salt_of_any_integer_type():
+    base = SeededRng(1, 7)
+    assert base.derive(True) == base.derive(1)
+    assert base.derive(np.int64(3), np.uint64(2**64 - 1)) == base.derive(3, -1)
 
 
 def test_rng_keeps_a_numpy_integer_seed_as_an_int():

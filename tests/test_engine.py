@@ -15,7 +15,6 @@ from adacgd.compressors import (
     EF21,
     IdentityMaster,
     LAG,
-    adacgd_as_chain,
 )
 from adacgd.engine import (
     DivergenceError,
@@ -29,8 +28,6 @@ from adacgd.engine import (
     step,
     theoretical_stepsize,
 )
-from adacgd.datasets import SyntheticSpec, build_problem, make_synthetic
-from adacgd.experiments import record_to_row
 from adacgd.problems import Problem, SmoothnessConstants, full_gradient, loss
 
 
@@ -75,28 +72,6 @@ def test_message_bits_adaptive_header():
     spec = AdaCGD((ContractorSpec.top_k(1), ContractorSpec.top_k(2), ContractorSpec.top_k(3)), 1.0)
     assert branch_header_bits(spec) == 2  # four branch ids including skip
     assert message_bits(SPARSE, 1, 4, branch_header_bits(spec)) == 68
-
-
-_TOP1, _TOP2, _TOP3, _TOP4 = (ContractorSpec.top_k(k) for k in (1, 2, 3, 4))
-_RAND1 = ContractorSpec.rand_k(1)
-
-
-@pytest.mark.parametrize(
-    "contractors",
-    [(_TOP1,), (_TOP1, _TOP3), (_TOP1, _TOP2, _TOP4), (_RAND1,), (_RAND1, _TOP3), (_RAND1, _TOP2, _TOP4)],
-    ids=["top-1", "top-2", "top-3", "rand-1", "rand-2", "rand-3"],
-)
-def test_adacgd_and_its_chain_write_the_same_trace_rows(contractors):
-    # The chain's skip branch is AdaCGD's branch 0, not a level, so both bill the same header.
-    features, labels = make_synthetic(SyntheticSpec(n_examples=60, dim=6, seed=3))
-    problem = build_problem(features, labels, n_clients=3, lam=0.1, seed=3)
-
-    def rows(worker_spec):
-        spec = RunSpec(problem, worker_spec, IdentityMaster(), np.zeros(6), 0.5, StopRule(10), seed=4)
-        return [record_to_row(record) for record in run(spec)]
-
-    assert branch_header_bits(adacgd_as_chain(contractors, 1.0)) == branch_header_bits(AdaCGD(contractors, 1.0))
-    assert rows(adacgd_as_chain(contractors, 1.0)) == rows(AdaCGD(contractors, 1.0))
 
 
 def test_init_full_mode_exact():

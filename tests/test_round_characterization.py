@@ -13,7 +13,7 @@ import itertools
 import numpy as np
 import pytest
 
-from adacgd.compressors import Ada3PC, AdaCGD, CandidateErrorTrigger, ContractorSpec, EF21, IdentityMaster, LAG
+from adacgd.compressors import AdaCGD, ContractorSpec, EF21, IdentityMaster
 from adacgd.datasets import SyntheticSpec, build_problem, make_synthetic
 from adacgd.engine import RunSpec, StopRule, iterate
 from adacgd.experiments import record_to_row
@@ -24,7 +24,6 @@ ROUNDS = 20
 WORKERS = {
     "ef21-rand2": EF21(C.rand_k(2)),
     "adacgd-rand1-top3": AdaCGD((C.rand_k(1), C.top_k(3)), 1.0),
-    "ada3pc-rand-trigger": Ada3PC((LAG(1.0), EF21(C.top_k(1))), (CandidateErrorTrigger(1.0, C.rand_k(1)),)),
 }
 
 # id: (init mode, worker, master, sha256 of the rows, sha256 of the round-0 estimates)
@@ -48,16 +47,6 @@ CASES = {
         "compressed", "adacgd-rand1-top3", IdentityMaster(),
         "fa50ca9b5bfeedca755b4eec966bca8ef30aaf4175ba14513ff56510253953e3",
         "04fea6a80de9ce0cacad44f06fc3f1db7660999e13905fc488752dd1f8b7b8c1",
-    ),
-    "full-ada3pc": (
-        "full", "ada3pc-rand-trigger", IdentityMaster(),
-        "ccae731913fdd31d4676c182f64076ffae4e4e5ce323a7ce2bd07acc27f522f5",
-        "d971649c5e3e0c571463e69dd35cfcda84d209dd941e9669503b7c2cd43ef402",
-    ),
-    "compressed-ada3pc": (
-        "compressed", "ada3pc-rand-trigger", IdentityMaster(),
-        "bfeedf03e05ad87fb55010949c5c53385b93eed4516c82b5e2b1413b9686edd2",
-        "c243c7e6feb2b8fe0ccd8b4b195c53bb379d428be9a7f22d41a595b3e0247d76",
     ),
     "compressed-adacgd-bidirectional": (
         "compressed", "adacgd-rand1-top3", EF21(C.top_k(2)),

@@ -10,16 +10,12 @@ stream derivation and compressed init are built from.
 import pytest
 
 from adacgd.compressors import (
-    Ada3PC,
     AdaCGD,
     CLAG,
-    CandidateErrorTrigger,
     ContractorSpec,
     EF21,
     IdentityMaster,
     LAG,
-    SkipTrigger,
-    adacgd_as_chain,
 )
 from adacgd.engine import branch_header_bits
 
@@ -38,15 +34,6 @@ CASES = {
     "clag-rand2": (CLAG(C.rand_k(2), 0.5), *TOP2, True, C.rand_k(2), 2, 0, 0),
     "adacgd-top": (AdaCGD((C.top_k(1), C.top_k(2), C.identity()), 1.0), *TOP1, False, C.top_k(1), 4, 3, 2),
     "adacgd-rand": (AdaCGD((C.rand_k(1), C.top_k(3)), 0.5), *TOP1, True, C.rand_k(1), 3, 2, 2),
-    "ada3pc-rand-trigger": (
-        Ada3PC((LAG(1.0), EF21(C.top_k(1))), (CandidateErrorTrigger(1.0, C.rand_k(1)),)),
-        *TOP1, True, C.top_k(1), 2, 1, 1,
-    ),
-    "ada3pc-skip-triggers": (
-        Ada3PC((LAG(3.0), CLAG(C.top_k(2), 0.25), EF21(C.top_k(4))), (SkipTrigger(3.0), SkipTrigger(0.25))),
-        (TOP2[0][0], 3.0), TOP2[1], False, C.top_k(2), 3, 2, 2,
-    ),
-    "adacgd-chain": (adacgd_as_chain((C.top_k(1), C.top_k(3)), 1.0), *TOP1, False, C.top_k(1), 3, 2, 2),
     "identity-master": (IdentityMaster(), *EXACT, False, C.identity(), 1, 0, 0),
 }
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adacgd.compressors import EF21, AdaCGD, ContractorSpec, IdentityMaster, adacgd_as_chain
+from adacgd.compressors import EF21, AdaCGD, ContractorSpec, IdentityMaster
 from adacgd import engine
 from adacgd.datasets import SyntheticSpec, build_problem, make_synthetic
 from adacgd.engine import DivergenceError, RunSpec, StopRule, run
@@ -61,7 +61,7 @@ def _extra_specs(dim):
     randk_zeta, zeta = (WIDE_RANDK_ZETA, WIDE_ZETA) if dim == WIDE_DIM else (1.0, 1.0)
     return {
         "adacgd_randk": AdaCGD(tuple(ContractorSpec.rand_k(k) for k in ks), randk_zeta),
-        "adacgd_chain": adacgd_as_chain(tuple(ContractorSpec.top_k(k) for k in ks), zeta),
+        "adacgd_identity": AdaCGD(tuple(ContractorSpec.top_k(k) for k in ks) + (ContractorSpec.identity(),), zeta),
     }
 
 

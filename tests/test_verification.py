@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from adacgd import verification
-from adacgd.compressors import SKIP, AdaCGD, ContractorSpec, EF21, IdentityMaster, LAG, ThreePCSpec, _skipping
+from adacgd.compressors import FULL, SKIP, SPARSE, AdaCGD, ContractorSpec, EF21, IdentityMaster, LAG, ThreePCSpec, _skipping
 from adacgd.core import SeededRng, ThreePCConstants
 from adacgd.datasets import SyntheticSpec, build_problem, make_synthetic
 from adacgd.engine import theoretical_stepsize
@@ -59,7 +59,7 @@ def test_unknown_suite_rejected():
 # carry every margin to four significant digits, so a change to any checked
 # number shows here. Same platform note as PROTOCOL_GOLDEN_SHA256.
 SUITE_OUTPUT_SHA256 = {
-    "compressors": "8e1209491c09d938336334dac2ddb48f5353e4e60525cd99abf988b82ebd7c6a",
+    "compressors": "517d6079309411d6c7ddf98bad8ded400daeaf4e8428de090a2b5faab7735a6b",
     "gradients": "7d642089b854af61f2bb0af5c6a4f9a9f52940b23b7352b7d114f0d8006ff4f7",
     "lyapunov": "c9510173bc8e888c9cf029ce0ea81ad83a70ff737323ae794662634405e62cb6",
     "bounds": "df0d97d5ce7383a40ab4b37dd8fa80f70b77f30b694da5f3e9d8fe5d5e1d9206",
@@ -443,6 +443,31 @@ def test_collapse_checks_fail_a_slipped_lazy_trigger(levels, slip, zeta_zero_fai
     zeta_zero, *lazy = verification.collapse_checks(levels, 1.0, 16, 300, seed=0)  # zeta = 0, then one per level
     assert zeta_zero.passed != zeta_zero_fails, zeta_zero.line()
     assert [r.passed for r in lazy] == [not lazy_fails] * len(levels), [r.line() for r in lazy]
+
+
+class _SparseRowsReportFull(EF21):
+    """EF21 whose sparse rows report the FULL kind: the same vectors under another payload kind."""
+
+    def raw(self, h, y, x, rngs):
+        out = super().raw(h, y, x, rngs)
+        out.kinds[out.kinds == SPARSE] = FULL
+        return out
+
+
+def test_collapse_checks_fail_a_fall_through_row_of_another_kind(monkeypatch):
+    # The zeta = 0 reduction's vectors agree, so only its kind comparison can fail it.
+    monkeypatch.setattr(verification, "EF21", _SparseRowsReportFull)
+    zeta_zero = verification.collapse_checks(COLLAPSE_LEVELS["randk"], 1.0, 16, 100, seed=0)[0]
+    assert (zeta_zero.passed, zeta_zero.margin) == (False, -1.0), zeta_zero.line()
+
+
+def test_gd_equivalence_check_fails_a_step_that_is_not_plain_gd(monkeypatch):
+    # The check's own GD steps along gradients 1e-9 longer than the engine's.
+    real = verification.client_gradient
+    monkeypatch.setattr(verification, "client_gradient", lambda p, i, x: real(p, i, x) * (1.0 + 1e-9))
+    quad = verification.pl_quadratic()
+    result = verification.gd_equivalence_check(quad, 0.25, 20, seed=0, x0=np.ones(quad.dim))
+    assert not result.passed and result.margin < 0.0, result.line()
 
 
 def _trace_run_configs():
