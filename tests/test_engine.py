@@ -16,6 +16,7 @@ from adacgd.compressors import (
     IdentityMaster,
     LAG,
 )
+from adacgd import engine
 from adacgd.engine import (
     DivergenceError,
     RunSpec,
@@ -28,7 +29,10 @@ from adacgd.engine import (
     step,
     theoretical_stepsize,
 )
+from adacgd.datasets import SyntheticSpec, build_problem, make_synthetic
 from adacgd.problems import Problem, SmoothnessConstants, full_gradient, loss
+from adacgd.verification import _fields
+import reference_sim
 
 
 def quad(diag, n=1):
@@ -72,6 +76,44 @@ def test_message_bits_adaptive_header():
     spec = AdaCGD((ContractorSpec.top_k(1), ContractorSpec.top_k(2), ContractorSpec.top_k(3)), 1.0)
     assert branch_header_bits(spec) == 2  # four branch ids including skip
     assert message_bits(SPARSE, 1, 4, branch_header_bits(spec)) == 68
+
+
+_TOP1, _TOP2, _TOP3, _TOP4 = (ContractorSpec.top_k(k) for k in (1, 2, 3, 4))
+_RAND1 = ContractorSpec.rand_k(1)
+
+
+@pytest.mark.parametrize(
+    "contractors",
+    [(_TOP1,), (_TOP1, _TOP3), (_TOP1, _TOP2, _TOP4), (_RAND1,), (_RAND1, _TOP3), (_RAND1, _TOP2, _TOP4)],
+    ids=["top-1", "top-2", "top-3", "rand-1", "rand-2", "rand-3"],
+)
+def test_adacgd_messages_in_a_run_match_the_reference(contractors, monkeypatch):
+    # Every worker message of a run, on the (h, y, x) and streams the engine
+    # passes, equals tests/reference_sim.py's on every CompressedRows field.
+    features, labels = make_synthetic(SyntheticSpec(n_examples=60, dim=6, seed=3))
+    problem = build_problem(features, labels, n_clients=3, lam=0.1, seed=3)
+    worker = AdaCGD(contractors, 1.0)
+    mismatches, branches = [], set()
+
+    def checked(spec, h, y, x, rngs):
+        out = engine_compress(spec, h, y, x, rngs)
+        if spec is worker:
+            def draw(t, j, k):  # the package's rand-k support at level j of row t
+                return np.sort(rngs[t].derive(j).generator().choice(x.shape[1], k, replace=False))
+
+            messages = [
+                reference_sim.adacgd(h[t], y[t], x[t], contractors, 1.0, lambda j, k, t=t: draw(t, j, k))
+                for t in range(x.shape[0])
+            ]
+            mismatches.extend(reference_sim.mismatched(_fields(out), reference_sim.fields(messages, x.shape[1])))
+            branches.update(out.branches.tolist())
+        return out
+
+    engine_compress = engine._compress_raw
+    monkeypatch.setattr(engine, "_compress_raw", checked)
+    list(run(RunSpec(problem, worker, IdentityMaster(), np.zeros(6), 0.5, StopRule(10), seed=4)))
+    assert not mismatches
+    assert len(branches) >= 2
 
 
 def test_init_full_mode_exact():
