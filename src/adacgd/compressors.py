@@ -123,9 +123,12 @@ def _contract_support(c: ContractorSpec, x: np.ndarray, rngs: Optional[Sequence[
     """Indices kept by the sparsifier in each row of the (m, d) stack x, as an
     (m, k) array sorted along rows, or None for the identity (full) map.
 
-    Rand-k row i draws from ``rngs[i]``.
+    Rand-k row i draws from ``rngs[i]``. A stream's draw depends only on its
+    (seed, stream_id), so each distinct stream draws once and every row whose
+    stream equals it takes that support: a stack's runs share their workers'
+    streams, and every run's master row reads one stream.
     """
-    d = x.shape[1]
+    m, d = x.shape
     if c.kind == IDENTITY:
         return None
     if c.k > d:
@@ -134,11 +137,15 @@ def _contract_support(c: ContractorSpec, x: np.ndarray, rngs: Optional[Sequence[
         return _top_k_indices(x, c.k)
     if rngs is None:
         raise ValueError("rand-k contractor needs an rng stream")
-    idx = np.empty((x.shape[0], c.k), dtype=np.int64)
-    for row, g in zip(idx, stream_generators(rngs), strict=True):
+    if len(rngs) != m:
+        raise ValueError(f"rand-k needs one stream per row, got {len(rngs)} for {m} rows")
+    slots: dict[SeededRng, int] = {}
+    owners = [slots.setdefault(s, len(slots)) for s in rngs]
+    idx = np.empty((len(slots), c.k), dtype=np.int64)
+    for row, g in zip(idx, stream_generators(slots)):
         row[:] = g.choice(d, size=c.k, replace=False)
     idx.sort(axis=1)
-    return idx
+    return idx if len(slots) == m else idx[owners]
 
 
 def _flat_positions(idx: np.ndarray, dim: int, rows: Optional[np.ndarray] = None) -> np.ndarray:
@@ -174,8 +181,15 @@ def _one_stream(rng: Optional[SeededRng]) -> Optional[list[SeededRng]]:
 def _branch_streams(
     rngs: Optional[Sequence[SeededRng]], rows: np.ndarray, branch: int, draws: bool
 ) -> Optional[list[SeededRng]]:
-    """Branch ``branch``'s stream derived from each of ``rows``' streams, or None when it does not draw."""
-    return [rngs[i].derive(branch) for i in rows] if rngs is not None and draws else None
+    """Branch ``branch``'s stream derived from each of ``rows``' streams, or None when it does not draw.
+
+    Equal streams derive equal children, so each distinct stream derives once.
+    """
+    if rngs is None or not draws:
+        return None
+    streams = [rngs[i] for i in rows]
+    children = {s: s.derive(branch) for s in dict.fromkeys(streams)}
+    return [children[s] for s in streams]
 
 
 def _contract_rows(c: ContractorSpec, x: np.ndarray, rngs: Optional[Sequence[SeededRng]]) -> np.ndarray:

@@ -31,6 +31,8 @@ from adacgd.compressors import (
     compress,
     ef21_constants,
     reconstruct,
+    _compress_raw,
+    _contract_support,
     _payload_view,
     _top_k_indices,
 )
@@ -497,6 +499,52 @@ def test_every_rule_matches_the_reference(data):
     dim, h, y, x, zeta, streams = _draw_stacks(data)
     for spec in _stack_specs(dim, zeta):
         assert not _reference_mismatches(spec, h, y, x, streams if spec.randomized else None), spec
+
+
+def _repeated_streams(base):
+    """Streams that repeat each of ``base`` twice: once as the same object, once as an equal one built anew."""
+    copies = [SeededRng(np.uint64(s.seed), s.stream_id) if i % 2 else SeededRng(s.seed, s.stream_id)
+              for i, s in enumerate(base)]
+    assert copies == base and not any(c is s for c, s in zip(copies, base))
+    assert all(type(c.seed) is int for c in copies)
+    return base + base + copies
+
+
+def test_rows_whose_streams_are_equal_draw_as_each_row_alone():
+    # A stack's runs share their workers' streams: each distinct stream draws
+    # once, and every row still gets the bytes it gets alone. Streams that
+    # share a seed or a stream id are distinct and never merged.
+    base = [SeededRng(5, 7), SeededRng(6, 7), SeededRng(5, 8), SeededRng(5).derive(3)]
+    streams = _repeated_streams(base)
+    g = np.random.default_rng(4)
+    dim = 40
+    h, x = g.standard_normal((2, len(streams), dim))
+    y = x + np.linspace(0.0, 2.0, len(streams))[:, None] * g.standard_normal(x.shape)  # some rows skip, some probe
+    rand = ContractorSpec.rand_k(5)
+    supports = _contract_support(rand, x, streams)
+    for i, stream in enumerate(streams):
+        assert _same_bits(supports[i], _contract_support(rand, x[i : i + 1], [stream])[0]), i
+    assert len({supports[i].tobytes() for i in range(len(base))}) == len(base)
+    drawing = [spec for spec in _stack_specs(dim, 1.0) if spec.randomized]
+    for spec in drawing + [AdaCGD(_levels(RANDK, (1, 4, 20)), zeta) for zeta in (0.5, 4.0)]:
+        whole = _compress_raw(spec, h, y, x, streams)
+        kept, sent = _payload_view(whole)
+        for i, stream in enumerate(streams):
+            alone = _compress_raw(spec, h[i : i + 1], y[i : i + 1], x[i : i + 1], [stream])
+            alone_kept, alone_sent = _payload_view(alone)
+            assert _same_bits(whole.vectors[i], alone.vectors[0]), (spec, i)
+            assert (whole.branches[i], whole.kinds[i]) == (alone.branches[0], alone.kinds[0]), (spec, i)
+            assert _same_bits(kept[i], alone_kept[0]) and _same_bits(sent[i], alone_sent[0]), (spec, i)
+
+
+@pytest.mark.parametrize("count", [3, 5])
+def test_rand_k_rejects_a_stream_list_of_the_wrong_length(count):
+    x = np.arange(8.0).reshape(4, 2)
+    streams = [SeededRng(1)] * count  # equal streams still count one per row
+    with pytest.raises(ValueError, match="one stream per row"):
+        _contract_support(ContractorSpec.rand_k(1), x, streams)
+    with pytest.raises(ValueError, match="one stream per row"):
+        _compress_raw(EF21(ContractorSpec.rand_k(1)), x, x, 2 * x, streams)
 
 
 def test_adacgd_identity_level_sends_in_full_and_reconstructs():

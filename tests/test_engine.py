@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 from itertools import islice
 
 import numpy as np
@@ -16,7 +17,7 @@ from adacgd.compressors import (
     IdentityMaster,
     LAG,
 )
-from adacgd import engine
+from adacgd import compressors, engine
 from adacgd.engine import (
     DivergenceError,
     RunSpec,
@@ -473,3 +474,44 @@ def test_step_gives_streams_to_rules_that_draw_only(monkeypatch):
             (worker, (2, 3), (2, 3), (2, 3), streams),
             (master, (1, 3), (1, 3), (1, 3), None),
         ]
+
+
+def test_a_stack_draws_each_rand_k_support_once_per_distinct_stream(monkeypatch):
+    # A stack's runs read the same worker streams, and all its master rows one
+    # stream, so a rand-k level draws once per distinct stream of the rows it
+    # probes, not once per row.
+    draws, calls = [0], []
+    generators, contract_support = compressors.stream_generators, compressors._contract_support
+
+    def counted_generators(streams):
+        for g in generators(streams):
+            draws[0] += 1
+            yield g
+
+    def recorded_support(c, x, rngs):
+        if c.randomized:
+            calls.append(list(rngs))
+        return contract_support(c, x, rngs)
+
+    monkeypatch.setattr(compressors, "stream_generators", counted_generators)
+    monkeypatch.setattr(compressors, "_contract_support", recorded_support)
+    problem = build_problem(*make_synthetic(SyntheticSpec(40, 8, seed=2, scale=2.0)), 3, 0.1, seed=2)
+    worker = AdaCGD((ContractorSpec.rand_k(1), ContractorSpec.rand_k(3), ContractorSpec.top_k(8)), 1.0)
+    spec = RunSpec(problem, worker, EF21(ContractorSpec.rand_k(2)), np.zeros(8), 0.5, StopRule(12), seed=3)
+
+    def counts(specs):
+        draws[0] = 0
+        calls.clear()
+        run(specs)
+        return draws[0], sum(len(set(rngs)) for rngs in calls), sum(len(rngs) for rngs in calls)
+
+    alone = counts(spec)
+    # Two runs that differ only in f_star probe the same rows each round: the
+    # stack draws what one run draws alone, half of one draw per row.
+    twins = counts([spec, replace(spec, f_star=0.1)])
+    assert twins[0] == twins[1] == alone[0] == alone[1] == alone[2]
+    assert 2 * twins[0] == twins[2]
+    # Runs at different stepsizes probe different rows, but a client's rows
+    # still share one draw per level.
+    drawn, distinct, rows = counts([spec, replace(spec, gamma=2.0)])
+    assert drawn == distinct < rows

@@ -11,7 +11,6 @@ top-k and rand-k AdaCGD workers is pinned the same way through
 
 import hashlib
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
