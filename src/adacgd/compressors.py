@@ -119,6 +119,11 @@ def _top_k_indices(x: np.ndarray, k: int) -> np.ndarray:
     return kept
 
 
+def _check_stream_count(rngs: Sequence[SeededRng], rows: int) -> None:
+    if len(rngs) != rows:
+        raise ValueError(f"rand-k needs one stream per row, got {len(rngs)} for {rows} rows")
+
+
 def _contract_support(c: ContractorSpec, x: np.ndarray, rngs: Optional[Sequence[SeededRng]]) -> Optional[np.ndarray]:
     """Indices kept by the sparsifier in each row of the (m, d) stack x, as an
     (m, k) array sorted along rows, or None for the identity (full) map.
@@ -137,8 +142,7 @@ def _contract_support(c: ContractorSpec, x: np.ndarray, rngs: Optional[Sequence[
         return _top_k_indices(x, c.k)
     if rngs is None:
         raise ValueError("rand-k contractor needs an rng stream")
-    if len(rngs) != m:
-        raise ValueError(f"rand-k needs one stream per row, got {len(rngs)} for {m} rows")
+    _check_stream_count(rngs, m)
     slots: dict[SeededRng, int] = {}
     owners = [slots.setdefault(s, len(slots)) for s in rngs]
     idx = np.empty((len(slots), c.k), dtype=np.int64)
@@ -413,6 +417,8 @@ class AdaCGD(ThreePCSpec):
         return len(self.contractors)
 
     def raw(self, h, y, x, rngs):
+        if rngs is not None and self.randomized:
+            _check_stream_count(rngs, x.shape[0])  # also when every row skips
         out = _skipping(h)
         budget = self.zeta * row_sqnorms(x - y)
         delta = x - h

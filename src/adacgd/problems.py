@@ -5,10 +5,12 @@ client owns a shard of (features, label) pairs and contributes the mean
 log-loss over its shard plus the bounded nonconvex penalty
 lam * sum_j x_j^2 / (1 + x_j^2). A problem holds all rows once, in client
 order, as one ClientRows: a dense (N, d) array, or, for rows that are mostly
-zeros, as LIBSVM data usually is, a CSR matrix. On dense rows the round
-oracle makes one batched product per run of clients with one shard size;
-on CSR rows it multiplies only the nonzeros. A Shard is a view of its
-client's dense rows, or its CSR block densified when it is read.
+zeros, as LIBSVM data usually is, a CSR matrix. One oracle body gives
+every client's value and gradient at a stack of points; the round oracle,
+``loss``, ``full_gradient``, ``client_loss`` and ``client_gradient`` read
+it. On dense rows it makes one batched product per run of clients with one
+shard size; on CSR rows it multiplies only the nonzeros. A Shard is a view
+of its client's dense rows, or its CSR block densified when it is read.
 Quadratic problems replicate one diagonal quadratic across all clients,
 which pins exact smoothness and curvature constants for rate tests.
 """
@@ -312,15 +314,8 @@ def _checked_point(p: Problem, i: int, x) -> np.ndarray:
     return x
 
 
-
-
-# The margin helpers take one shard's (m, d) features and (m,) labels, or a
-# run's (clients, m, d) and (clients, m): any leading batch axis. _margins
-# also takes CSR rows.
-def _margins(features, labels: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return labels * (features @ x)
-
-
+# The margin helpers take a run's (clients, m) margins, or the (points,
+# clients, m) margins of a stack of points: any leading batch axes.
 def _margin_loss(z: np.ndarray) -> np.ndarray:
     # softplus(-z) = log(1 + exp(-z)), overflow-safe
     return np.add.reduce(np.logaddexp(0.0, -z), axis=-1) / z.shape[-1]
@@ -330,60 +325,30 @@ def _margin_weights(labels: np.ndarray, z: np.ndarray) -> np.ndarray:
     return -labels * expit(-z)
 
 
-def _margin_gradient(features: np.ndarray, labels: np.ndarray, z: np.ndarray) -> np.ndarray:
-    weights = _margin_weights(labels, z)
-    return np.matmul(features.swapaxes(-1, -2), weights[..., None])[..., 0] / z.shape[-1]
-
-
-def client_loss(p: Problem, i: int, x) -> float:
-    """Value of client i's objective at x."""
-    x = _checked_point(p, i, x)
-    if p.kind == QUADRATIC:
-        return 0.5 * float(np.add.reduce(p.diagonal * x * x))
-    features, labels = p.rows.block(i), p.rows.client_labels(i)
-    return float(_margin_loss(_margins(features, labels, x))) + float(_regularizer(p.lam, x))
-
-
-def client_gradient(p: Problem, i: int, x) -> np.ndarray:
-    """Exact analytic gradient of client i's objective at x."""
-    x = _checked_point(p, i, x)
-    if p.kind == QUADRATIC:
-        return p.diagonal * x
-    features, labels = p.rows.block(i), p.rows.client_labels(i)
-    z = _margins(features, labels, x)
-    if p.rows.sparse:
-        grad = features.T @ _margin_weights(labels, z) / z.shape[-1]
-    else:
-        grad = _margin_gradient(features, labels, z)
-    return grad + _regularizer_gradient(p.lam, x)
-
-
-def _round_oracle(p: Problem, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """At each row of an (R, d) stack of already-checked points: the global
-    objective value, as an (R,) array, and the (n, d) array of client
-    gradients, as one (R, n, d) array.
+def _client_oracle(p: Problem, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """At each row of an (R, d) stack of already-checked points: every
+    client's objective value, as an (R, n) array, and gradient, as an
+    (R, n, d) array. The package's one oracle body.
 
     The R points share each product's operand. Dense rows are walked one
     run of clients with one shard size m at a time, as a (clients, m, d)
     view, so one batched margin product per run serves every point's losses
-    and gradients: for each point and client it makes the BLAS call that
-    the same helpers make on one shard, one dense product per point and
-    client, never one product with R columns, whose bits could differ.
+    and gradients: for each point and client it makes one dense product of
+    the client's rows with the point, never one product with R columns,
+    whose bits could differ. CSR rows instead take one CSR product for all
+    margins and one for all gradients per point, and the losses of each run
+    are reduced as one (points, clients, m) slice of the margins.
     Exponentials, the regularizer and the loss reductions act on the whole
-    stack, each entry as on its own, and the client values are summed in
-    client order. So row r of the results is bitwise the client-order mean
-    of ``client_loss`` at point r and the stacked ``client_gradient`` rows
-    there. CSR rows instead take one CSR product for all margins and one
-    for all gradients per point, and the losses of each run are reduced as
-    one (points, clients, m) slice of the margins. Each row's and each
-    gradient entry's sum runs over the same nonzeros in the same order as
-    on the client's own block, so the same property holds.
-    tests/test_problems.py checks this property.
+    stack, each entry as on its own, so row r of the results is bitwise
+    what point r gives alone. tests/test_problems.py checks this, and holds
+    the values and gradients to the independent oracle in
+    tests/reference_sim.py.
     """
     n, stack = p.n_clients, xs.shape[0]
     if p.kind == QUADRATIC:
         gradient = p.diagonal * xs
-        return 0.5 * np.add.reduce(gradient * xs, axis=-1), np.repeat(gradient[:, None], n, axis=1)
+        value = 0.5 * np.add.reduce(gradient * xs, axis=-1)
+        return np.repeat(value[:, None], n, axis=1), np.repeat(gradient[:, None], n, axis=1)
     values = np.empty((stack, n))
     grads = np.empty((stack, n, p.dim))
     s = p.rows
@@ -393,9 +358,10 @@ def _round_oracle(p: Problem, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             labels = s.labels[row : row + g * m].reshape(g, m)
             z = labels * np.matmul(features, xs[:, None, :, None])[..., 0]
             values[:, client : client + g] = _margin_loss(z)
-            grads[:, client : client + g] = _margin_gradient(features, labels, z)
+            weights = _margin_weights(labels, z)
+            grads[:, client : client + g] = np.matmul(features.swapaxes(-1, -2), weights[..., None])[..., 0] / m
     else:
-        z = np.stack([_margins(s.matrix, s.labels, np.tile(x, n)) for x in xs])
+        z = np.stack([s.labels * (s.matrix @ np.tile(x, n)) for x in xs])
         for client, row, g, m in s.runs:
             values[:, client : client + g] = _margin_loss(z[:, row : row + g * m].reshape(stack, g, m))
         weights = _margin_weights(s.labels, z)
@@ -403,7 +369,31 @@ def _round_oracle(p: Problem, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             grads[r] = (s.transposed @ weights[r]).reshape(n, p.dim) / s.shard_sizes
     values += _regularizer(p.lam, xs)[:, None]
     grads += _regularizer_gradient(p.lam, xs)[:, None]
-    return np.array([sum(row) / n for row in values.tolist()]), grads
+    return values, grads
+
+
+def _round_oracle(p: Problem, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """At each row of an (R, d) stack of already-checked points: the global
+    objective value, as an (R,) array, and the (n, d) array of client
+    gradients, as one (R, n, d) array.
+
+    The value is the client-order mean of ``_client_oracle``'s values, or,
+    for a quadratic, whose clients share one objective, that one value.
+    """
+    values, grads = _client_oracle(p, xs)
+    if p.kind == QUADRATIC:
+        return values[:, 0], grads
+    return np.array([sum(row) / p.n_clients for row in values.tolist()]), grads
+
+
+def client_loss(p: Problem, i: int, x) -> float:
+    """Value of client i's objective at x, read from the round oracle's per-client values."""
+    return float(_client_oracle(p, _checked_point(p, i, x)[None])[0][0, i])
+
+
+def client_gradient(p: Problem, i: int, x) -> np.ndarray:
+    """Exact analytic gradient of client i's objective at x, read from the round oracle's per-client gradients."""
+    return _client_oracle(p, _checked_point(p, i, x)[None])[1][0, i]
 
 
 def loss(p: Problem, x) -> float:

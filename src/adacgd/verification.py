@@ -47,14 +47,7 @@ from .compressors import (
 from .datasets import SyntheticSpec, build_problem, make_synthetic
 from .engine import EngineState, RunSpec, StopRule, iterate, theoretical_stepsize
 from .experiments import solve_reference
-from .problems import (
-    Problem,
-    check_gradient,
-    client_gradient,
-    full_gradient,
-    loss,
-    smoothness,
-)
+from .problems import Problem, _round_oracle, check_gradient, full_gradient, loss, smoothness
 
 _VERIFY_STREAM = 202
 _CONTRACTION_REL_TOL = 1e-12  # relative allowance of the contraction check
@@ -115,7 +108,8 @@ def _sample_triple(family: int, dim: int, g: np.random.Generator) -> tuple[np.nd
 
 
 def _triple_stacks(rng: SeededRng, dim: int, trials: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(h, y, x) as (trials, dim) stacks; row t cycles the five families on stream t."""
+    """(h, y, x) as (trials, dim) stacks; row t cycles the five families on stream t. Every sampled check draws here."""
+    check_trials(trials)
     streams = (rng.derive(t) for t in range(trials))
     rows = [_sample_triple(t % 5, dim, g) for t, g in enumerate(stream_generators(streams))]
     return tuple(np.stack(column) for column in zip(*rows))
@@ -168,11 +162,9 @@ def estimate_constants(
     Returns the tightest empirical (a, b) consistent with the samples and a
     pass flag against the certified constants.
     """
-    check_trials(trials)
+    hs, ys, xs = _triple_stacks(rng, dim, trials)
     own = spec.constants(dim)  # also checks the spec at dim when a certificate is given
     cert = certified if certified is not None else own
-
-    hs, ys, xs = _triple_stacks(rng, dim, trials)
     err, stderr = _squared_errors(
         lambda stacks, streams: _compress_raw(spec, *stacks, streams).vectors, (hs, ys, xs), xs, rng, spec.randomized
     )
@@ -331,9 +323,8 @@ def gradient_suite(problems: Sequence[tuple[str, Problem]], points: int, seed: i
             if gap == 0.0:
                 continue
             lm_ratio = math.sqrt(sqnorm(full_gradient(p, x) - full_gradient(p, y))) / gap
-            lp_sq = sum(
-                sqnorm(client_gradient(p, i2, x) - client_gradient(p, i2, y)) for i2 in range(p.n_clients)
-            ) / p.n_clients
+            gx, gy = (_round_oracle(p, v[None])[1][0] for v in (x, y))
+            lp_sq = sum(sqnorm(u - v) for u, v in zip(gx, gy)) / p.n_clients
             worst_lm = max(worst_lm, lm_ratio - sc.l_minus)
             worst_lp = max(worst_lp, lp_sq / (gap * gap) - sc.l_plus**2)
             min_loss = min(min_loss, loss(p, x))
@@ -525,9 +516,8 @@ def gd_equivalence_check(
     x_ref = x0.copy()
     worst = 0.0
     for state, _ in itertools.islice(iterate(spec), 1, rounds + 1):
-        grads = [client_gradient(problem, i, x_ref) for i in range(problem.n_clients)]
         acc = np.zeros(problem.dim)
-        for g in grads:
+        for g in _round_oracle(problem, x_ref[None])[1][0]:
             acc += g
         x_ref = x_ref - gamma * (acc / problem.n_clients)
         if not np.array_equal(state.x[0], x_ref):

@@ -537,14 +537,22 @@ def test_rows_whose_streams_are_equal_draw_as_each_row_alone():
             assert _same_bits(kept[i], alone_kept[0]) and _same_bits(sent[i], alone_sent[0]), (spec, i)
 
 
-@pytest.mark.parametrize("count", [3, 5])
+@pytest.mark.parametrize("count", [2, 3, 5, 7])
 def test_rand_k_rejects_a_stream_list_of_the_wrong_length(count):
     x = np.arange(8.0).reshape(4, 2)
     streams = [SeededRng(1)] * count  # equal streams still count one per row
-    with pytest.raises(ValueError, match="one stream per row"):
+    message = f"rand-k needs one stream per row, got {count} for 4 rows"
+    with pytest.raises(ValueError, match=message):
         _contract_support(ContractorSpec.rand_k(1), x, streams)
-    with pytest.raises(ValueError, match="one stream per row"):
-        _compress_raw(EF21(ContractorSpec.rand_k(1)), x, x, 2 * x, streams)
+    rand = ContractorSpec.rand_k
+    rules = (EF21(rand(1)), AdaCGD((rand(1), rand(2)), 0.0), AdaCGD((rand(1), ContractorSpec.identity()), 0.0),
+             CLAG(rand(1), 0.0))
+    for spec in rules:
+        with pytest.raises(ValueError, match=message):
+            _compress_raw(spec, x, x, 2 * x, streams)
+    for spec in rules[1:]:  # x = h: every row skips, and draws nothing
+        with pytest.raises(ValueError, match=message):
+            _compress_raw(spec, x, x, x, streams)
 
 
 def test_adacgd_identity_level_sends_in_full_and_reconstructs():

@@ -12,6 +12,7 @@ from adacgd.compressors import (
     SKIP,
     SPARSE,
     AdaCGD,
+    CLAG,
     ContractorSpec,
     EF21,
     IdentityMaster,
@@ -31,7 +32,7 @@ from adacgd.engine import (
     theoretical_stepsize,
 )
 from adacgd.datasets import SyntheticSpec, build_problem, make_synthetic
-from adacgd.problems import Problem, SmoothnessConstants, full_gradient, loss
+from adacgd.problems import Problem, SmoothnessConstants, full_gradient, loss, smoothness
 from adacgd.verification import _fields
 import reference_sim
 
@@ -115,6 +116,103 @@ def test_adacgd_messages_in_a_run_match_the_reference(contractors, monkeypatch):
     list(run(RunSpec(problem, worker, IdentityMaster(), np.zeros(6), 0.5, StopRule(10), seed=4)))
     assert not mismatches
     assert len(branches) >= 2
+
+
+def _reference_rule(spec) -> reference_sim.Rule:
+    if isinstance(spec, CLAG):  # LAG too
+        return reference_sim.Rule("clag", spec.contractors, spec.zeta)
+    if isinstance(spec, AdaCGD):
+        return reference_sim.Rule("adacgd", spec.contractors, spec.zeta)
+    return reference_sim.Rule("ef21", (spec.contractor,))
+
+
+def _reference_draw(seed: int, dim: int):
+    """The reference loop's rand-k supports, drawn as the engine draws them: round 0 on stream
+    (INIT, worker), round t on (WORKER, t - 1, worker) or (MASTER, t - 1), level j on its derive(j)."""
+    tags = {"init": engine._INIT_TAG, "worker": engine._WORKER_TAG, "master": engine._MASTER_TAG}
+
+    def draw(key, *branch_and_k):
+        where, *index = key
+        if where != "init":
+            index[0] -= 1
+        stream = SeededRng(seed).derive(tags[where], *index)
+        *branch, k = branch_and_k
+        if branch:
+            stream = stream.derive(*branch)
+        return np.sort(stream.generator().choice(dim, k, replace=False))
+
+    return draw
+
+
+def _sparse_problem(n_examples, dim, n_clients, seed):
+    features, labels = make_synthetic(SyntheticSpec(n_examples, dim, seed, scale=2.0))
+    features[SeededRng(seed).generator().random(features.shape) >= 0.1] = 0.0
+    problem = build_problem(features, labels, n_clients, 0.1, seed)
+    assert problem.rows.sparse
+    return problem
+
+
+LOOP_PROBLEMS = {
+    "dense-unequal-shards": lambda: build_problem(*make_synthetic(SyntheticSpec(23, 5, seed=3, scale=2.0)), 4, 0.1, 3),
+    "csr": lambda: _sparse_problem(41, 6, 3, 8),
+    "csr-d1": lambda: _sparse_problem(30, 1, 4, 2),
+    "quadratic": lambda: quad([0.5, 1.0, 3.0], n=3),
+}
+
+
+def _loop_rules(dim):
+    top, rand, identity = ContractorSpec.top_k, ContractorSpec.rand_k, ContractorSpec.identity()
+    k = min(2, dim)
+    return {
+        "ef21-top": EF21(top(1)),
+        "ef21-rand": EF21(rand(k)),
+        "ef21-identity": EF21(identity),
+        "adacgd-top": AdaCGD((top(1), top(k)) if dim > 1 else (top(1), identity), 2.0),
+        "adacgd-rand-first": AdaCGD((rand(1), top(k), identity) if dim > 1 else (rand(1), identity), 2.0),
+        "clag": CLAG(top(1), 2.0),
+        "lag": LAG(2.0),
+    }
+
+
+@pytest.mark.parametrize("rule", list(_loop_rules(2)))
+@pytest.mark.parametrize("problem_name", list(LOOP_PROBLEMS))
+def test_every_round_matches_the_reference_loop(problem_name, rule):
+    # Bits and branch histograms exactly; the floats bit for bit where the
+    # summation orders match (dense rows, quadratics), and within 1e-12
+    # relative on CSR rows, whose products add in another order. A squared
+    # gap between two vectors of about the mean gradient's size is judged
+    # relative to the gap plus that size: two runs of a gap that is 0 up to
+    # rounding can differ by the square of their rounding.
+    problem = LOOP_PROBLEMS[problem_name]()
+    d, rounds, seed = problem.dim, 6, 5
+    worker = _loop_rules(d)[rule]
+    exact = problem.kind == "quadratic" or not problem.rows.sparse
+    x0 = np.linspace(-1.0, 2.0, d)
+    gamma = 1.0 / smoothness(problem).l_plus
+    branches = set()
+    for master in (IdentityMaster(), EF21(ContractorSpec.top_k(1))):
+        for init_mode in ("full", "compressed"):
+            spec = RunSpec(problem, worker, master, x0, gamma, StopRule(rounds), seed, init_mode)
+            wc, mc = worker.constants(d), master.constants(d)
+            want = reference_sim.simulate(
+                reference_sim.objective_of(problem), _reference_rule(worker), _reference_rule(master), x0, gamma,
+                rounds, init_mode == "compressed", _reference_draw(seed, d), (wc.a, wc.b), (mc.a, mc.b),
+            )
+            for (state, got), ref in zip(islice(iterate(spec), rounds + 1), want, strict=True):
+                where = (master, init_mode, got.round)
+                assert (got.round, got.uplink_bits, got.downlink_bits, got.branch_histogram) == (
+                    ref.round, ref.uplink_bits, ref.downlink_bits, ref.branch_histogram), where
+                branches.update(b for b, count in enumerate(got.branch_histogram) if count)
+                for name in ("x", "f_value", "grad_norm_sq", "phi", "psi", "g_error", "master_error"):
+                    ours = state.x[0] if name == "x" else getattr(got, name)
+                    theirs = np.asarray(getattr(ref, name), dtype=np.float64)
+                    if exact:
+                        assert np.asarray(ours, dtype=np.float64).tobytes() == theirs.tobytes(), (name, where)
+                    else:
+                        scale = np.max(np.abs(theirs)) + (ref.grad_norm_sq if name.endswith("error") else 0.0)
+                        assert np.max(np.abs(ours - theirs)) <= 1e-12 * scale, (name, where)
+    if worker.branch_count > 1:  # a lazy or adaptive rule both skipped and sent
+        assert 0 in branches and len(branches) >= 2, branches
 
 
 def test_init_full_mode_exact():

@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import expit
 
+import reference_sim
+from adacgd import problems
 from adacgd.core import SeededRng, mean_ascending, row_sqnorms
 from adacgd.datasets import SyntheticSpec, _client_order, build_problem, make_synthetic
 from adacgd.problems import (
@@ -19,11 +20,6 @@ from adacgd.problems import (
     QUADRATIC,
     ClientRows,
     Problem,
-    _margin_gradient,
-    _margin_loss,
-    _margins,
-    _regularizer,
-    _regularizer_gradient,
     _round_oracle,
     check_gradient,
     client_gradient,
@@ -217,45 +213,55 @@ def _sparse_case(n_examples, dim, n_clients, seed):
 SPARSE_CASES = [(30, 1, 4, 2), (9, 7, 1, 2), (23, 5, 4, 6), (41, 50, 12, 4), (300, 20, 7, 4)]
 
 
-def _assert_round_oracle_is_the_client_oracles(problem, x):
+def _assert_oracle_is_the_reference(problem, x):
+    """The round oracle and the per-client pair at x against the reference oracle: bit for bit on dense
+    rows and quadratics; on CSR rows, whose products add in another order, within 1e-12 of the sum of the
+    magnitudes of the terms that make each value and gradient entry."""
     (f,), (grads,) = _round_oracle(problem, x[None])
     n = problem.n_clients
     values = [client_loss(problem, i, x) for i in range(n)]
-    # Quadratic clients share one objective, so its value is the mean; logistic ones are averaged in client order.
-    assert _bits(f) == _bits(values[0] if problem.kind == QUADRATIC else sum(values) / n)
-    assert _bits(loss(problem, x)) == _bits(f)
-    expected = np.stack([client_gradient(problem, i, x) for i in range(problem.n_clients)])
-    assert grads.shape == expected.shape and _bits(grads) == _bits(expected)
+    got = np.stack([client_gradient(problem, i, x) for i in range(n)])
+    assert _bits(got) == _bits(grads) and _bits(loss(problem, x)) == _bits(f)
+    reference = reference_sim.objective_of(problem)
+    want_f, want_grads = reference(x)
+    want_values = [client(x)[0] for client in reference.clients]
+    if problem.kind == QUADRATIC or not problem.rows.sparse:
+        assert _bits(f) == _bits(want_f) and _bits(values) == _bits(want_values)
+        assert grads.shape == (n, problem.dim) and _bits(grads) == _bits(np.stack(want_grads))
+        return
+    scales = [reference_sim.logistic_magnitudes(s.features, s.labels, problem.lam, x) for s in problem.shards]
+    for value, want, grad, want_grad, (value_scale, grad_scale) in zip(values, want_values, grads, want_grads, scales):
+        assert abs(value - want) <= 1e-12 * value_scale
+        assert np.all(np.abs(grad - want_grad) <= 1e-12 * grad_scale)
+    assert abs(f - want_f) <= 1e-12 * sum(scale for scale, _ in scales) / n
 
 
 @settings(max_examples=150, deadline=None)
 @given(oracle_cases())
-def test_round_oracle_is_bitwise_the_one_client_oracles(case):
-    _assert_round_oracle_is_the_client_oracles(*case)
+def test_round_oracle_matches_the_reference_oracle(case):
+    _assert_oracle_is_the_reference(*case)
 
 
 @pytest.mark.parametrize("case", SPARSE_CASES)
-def test_round_oracle_on_sparse_rows_is_bitwise_the_one_client_oracles(case):
-    _assert_round_oracle_is_the_client_oracles(*_sparse_case(*case))
+def test_round_oracle_on_sparse_rows_matches_the_reference_oracle(case):
+    _assert_oracle_is_the_reference(*_sparse_case(*case))
+
+
+@pytest.mark.parametrize("name", ["client_loss", "client_gradient", "loss"])
+def test_every_oracle_name_reads_the_one_oracle_body(name, monkeypatch):
+    def body(*args):
+        raise AssertionError("reached the oracle body")
+
+    monkeypatch.setattr(problems, "_client_oracle", body)
+    for problem in (Problem.quadratic([1.0, 2.0], n_clients=2), one_client(np.eye(3, 2), [1.0, -1.0, 1.0])):
+        args = (problem, 0, np.ones(2)) if name.startswith("client") else (problem, np.ones(2))
+        with pytest.raises(AssertionError, match="reached the oracle body"):
+            getattr(problems, name)(*args)
 
 
 @pytest.mark.parametrize("case", SPARSE_CASES)
-def test_sparse_rows_agree_with_the_dense_helpers_on_the_same_shards(case):
-    problem, x = _sparse_case(*case)
-    (f,), (grads,) = _round_oracle(problem, x[None])
-    s = problem.rows
-    margins = _margins(s.matrix, s.labels, np.tile(x, problem.n_clients))
-    values = []
-    for i, shard in enumerate(problem.shards):
-        z = _margins(shard.features, shard.labels, x)
-        rows = slice(s.offsets[i], s.offsets[i + 1])
-        # Within 1e-12 of the sum of the magnitudes of the terms each entry adds up.
-        assert np.all(np.abs(margins[rows] - z) <= 1e-12 * (np.abs(shard.features) @ np.abs(x)))
-        penalty = _regularizer_gradient(problem.lam, x)
-        scale = np.abs(shard.features).T @ expit(-z) / z.size + np.abs(penalty)
-        assert np.all(np.abs(grads[i] - (_margin_gradient(shard.features, shard.labels, z) + penalty)) <= 1e-12 * scale)
-        values.append(float(_margin_loss(z)) + _regularizer(problem.lam, x))
-    assert f == pytest.approx(sum(values) / problem.n_clients, rel=1e-12)
+def test_sparse_shards_read_back_the_input_rows_and_their_smoothness(case):
+    problem, _ = _sparse_case(*case)
     # The densified shards are the input rows in client order, every value;
     # held as dense rows, they give the same smoothness.
     features, labels, _ = _sparse_data(*case[:2], case[3])
@@ -263,8 +269,8 @@ def test_sparse_rows_agree_with_the_dense_helpers_on_the_same_shards(case):
     rows = np.concatenate([shard.features for shard in problem.shards])
     assert _bits(rows) == _bits(features[order])
     got = smoothness(problem)
-    dense = Problem(LOGISTIC, problem.dim, problem.lam, problem.n_clients, ClientRows(rows, labels[order], s.offsets))
-    want = smoothness(dense)
+    dense_rows = ClientRows(rows, labels[order], problem.rows.offsets)
+    want = smoothness(Problem(LOGISTIC, problem.dim, problem.lam, problem.n_clients, dense_rows))
     assert (got.l_minus, got.l_plus) == pytest.approx((want.l_minus, want.l_plus), rel=1e-12)
 
 
@@ -307,7 +313,7 @@ def test_round_oracle_property_holds_under_the_haswell_blas_kernel():
     env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     result = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__,
-         "-k", "test_round_oracle_is_bitwise_the_one_client_oracles"],
+         "-k", "test_round_oracle_matches_the_reference_oracle"],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stdout + result.stderr
@@ -360,7 +366,7 @@ def test_round_oracle_gives_each_point_of_a_stack_its_one_point_result(case):
     for r, x in enumerate(xs):
         (f_alone,), (grads_alone,) = _round_oracle(problem, x.copy()[None])
         assert _bits(f[r]) == _bits(f_alone) and _bits(grads[r]) == _bits(grads_alone)
-    _assert_round_oracle_is_the_client_oracles(problem, xs[-1].copy())
+        _assert_oracle_is_the_reference(problem, x.copy())
 
 
 @pytest.mark.parametrize("dim", [1, 2, 50, 2000])

@@ -463,11 +463,31 @@ def test_collapse_checks_fail_a_fall_through_row_of_another_kind(monkeypatch):
 
 def test_gd_equivalence_check_fails_a_step_that_is_not_plain_gd(monkeypatch):
     # The check's own GD steps along gradients 1e-9 longer than the engine's.
-    real = verification.client_gradient
-    monkeypatch.setattr(verification, "client_gradient", lambda p, i, x: real(p, i, x) * (1.0 + 1e-9))
+    real = verification._round_oracle
+
+    def longer(p, xs):
+        f, grads = real(p, xs)
+        return f, grads * (1.0 + 1e-9)
+
+    monkeypatch.setattr(verification, "_round_oracle", longer)
     quad = verification.pl_quadratic()
     result = verification.gd_equivalence_check(quad, 0.25, 20, seed=0, x0=np.ones(quad.dim))
     assert not result.passed and result.margin < 0.0, result.line()
+
+
+SAMPLED_CHECKS = {
+    "estimate_constants": lambda trials: verification.estimate_constants(EF21(_TOP(1)), 16, trials, SeededRng(0)),
+    "collapse_checks": lambda trials: verification.collapse_checks(COLLAPSE_LEVELS["randk"], 1.0, 16, trials, 0),
+    "determinism_check": lambda trials: verification.determinism_check(EF21(_RAND(2)), 16, trials, 0),
+    "payload_roundtrip_check": lambda trials: verification.payload_roundtrip_check(LAG(1.0), 16, trials, 0),
+}
+
+
+@pytest.mark.parametrize("trials", [0, -2])
+@pytest.mark.parametrize("check", SAMPLED_CHECKS)
+def test_every_sampled_check_rejects_trials_below_one(check, trials):
+    with pytest.raises(ValueError, match=f"trials must be >= 1, got {trials}"):
+        SAMPLED_CHECKS[check](trials)
 
 
 def _trace_run_configs():
